@@ -3,19 +3,35 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestResultsGolden pins RESULTS.txt: rendering the deterministic
-// experiment set through the registry must reproduce the checked-in file
-// byte for byte. Every quantity those experiments print is virtual-time
-// derived, so any diff is a real behavior change in the modeled system —
-// regenerate with `go run ./cmd/vmmcbench -deterministic > RESULTS.txt`
-// and review the delta like code.
+// TestResultsGolden pins RESULTS.txt and the deterministic sweeps'
+// BENCH_*.json artifacts: rendering the deterministic experiment set
+// through the registry, with every sweep's -*-out flag pointed at a
+// scratch directory, must reproduce the checked-in files byte for byte.
+// Every quantity those experiments emit is virtual-time derived, so any
+// diff is a real behavior change in the modeled system — regenerate
+// with `go run ./cmd/vmmcbench -deterministic > RESULTS.txt` (adding
+// `-heal-out BENCH_heal.json` and its siblings for the artifacts) and
+// review the delta like code.
 func TestResultsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full deterministic suite is seconds of simulation")
+	}
+	dir := t.TempDir()
+	artifacts := map[string]*string{
+		"BENCH_heal.json":    healOut,
+		"BENCH_coll.json":    collOut,
+		"BENCH_tenant.json":  tenantOut,
+		"BENCH_serve.json":   serveOut,
+		"BENCH_replica.json": replicaOut,
+	}
+	for name, flag := range artifacts {
+		*flag = filepath.Join(dir, name)
+		defer func() { *flag = "" }()
 	}
 	var buf bytes.Buffer
 	ran, err := runExperiments(&buf, "", true, false, false)
@@ -24,6 +40,19 @@ func TestResultsGolden(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("registry rendered no deterministic experiments")
+	}
+	for name := range artifacts {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("../..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("sweep artifact drifted from the checked-in %s; regenerate it and review the diff", name)
+		}
 	}
 	want, err := os.ReadFile("../../RESULTS.txt")
 	if err != nil {

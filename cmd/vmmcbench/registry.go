@@ -85,15 +85,20 @@ var experiments = []experiment{
 		runReplicaSweep},
 }
 
+// emit renders an experiment's table, or passes its error through.
+func emit(w io.Writer, t bench.Table, err error) error {
+	if err != nil {
+		return err
+	}
+	writeTable(w, t)
+	return nil
+}
+
 // tableExp adapts a table-producing benchmark to a registry run func.
 func tableExp(f func() (bench.Table, error)) func(io.Writer) error {
 	return func(w io.Writer) error {
 		t, err := f()
-		if err != nil {
-			return err
-		}
-		writeTable(w, t)
-		return nil
+		return emit(w, t, err)
 	}
 }
 
@@ -141,11 +146,7 @@ func runScaleSweep(w io.Writer) error {
 		return err
 	}
 	t, err := bench.ScaleSweep(bench.ScaleConfig{Nodes: nodes, Out: *scaleOut})
-	if err != nil {
-		return err
-	}
-	writeTable(w, t)
-	return nil
+	return emit(w, t, err)
 }
 
 func runHealSweep(w io.Writer) error {
@@ -154,11 +155,7 @@ func runHealSweep(w io.Writer) error {
 		return err
 	}
 	t, err := bench.HealSweep(bench.HealConfigSweep{Outages: outages, Out: *healOut})
-	if err != nil {
-		return err
-	}
-	writeTable(w, t)
-	return nil
+	return emit(w, t, err)
 }
 
 func runCollSweep(w io.Writer) error {
@@ -167,11 +164,7 @@ func runCollSweep(w io.Writer) error {
 		return err
 	}
 	t, err := bench.CollSweep(bench.CollConfig{Nodes: nodes, Out: *collOut})
-	if err != nil {
-		return err
-	}
-	writeTable(w, t)
-	return nil
+	return emit(w, t, err)
 }
 
 func runTenantSweep(w io.Writer) error {
@@ -188,11 +181,7 @@ func runTenantSweep(w io.Writer) error {
 		return err
 	}
 	t, err := bench.TenantSweep(bench.TenantConfig{Calls: calls, Rates: rates, Out: *tenantOut})
-	if err != nil {
-		return err
-	}
-	writeTable(w, t)
-	return nil
+	return emit(w, t, err)
 }
 
 func runServeSweep(w io.Writer) error {
@@ -215,11 +204,7 @@ func runServeSweep(w io.Writer) error {
 	t, err := bench.ServeSweep(bench.ServeConfig{
 		Rates: rates, Shards: shards, Requests: requests, Out: *serveOut,
 	})
-	if err != nil {
-		return err
-	}
-	writeTable(w, t)
-	return nil
+	return emit(w, t, err)
 }
 
 func runReplicaSweep(w io.Writer) error {
@@ -242,11 +227,7 @@ func runReplicaSweep(w io.Writer) error {
 	t, err := bench.ReplicaSweep(bench.ReplicaConfig{
 		Rs: rs, Rates: rates, Requests: requests, Out: *replicaOut,
 	})
-	if err != nil {
-		return err
-	}
-	writeTable(w, t)
-	return nil
+	return emit(w, t, err)
 }
 
 func parseIntList(s, flagName string, min int) ([]int, error) {

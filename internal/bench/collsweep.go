@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"strings"
 
 	"repro/internal/analysis"
@@ -77,11 +76,6 @@ func CollSweep(cfg CollConfig) (Table, error) {
 			"auto picks", "payload msgs", "credit stalls"},
 	}
 
-	check, err := runCollCase(cfg.Nodes[0], cfg.Sizes[0], coll.Tree, cfg.Iters)
-	if err != nil {
-		return t, err
-	}
-	checkRep := takeAnalysis()
 	var (
 		results []CollResult
 		reports []*analysis.Report
@@ -89,21 +83,19 @@ func CollSweep(cfg CollConfig) (Table, error) {
 	for _, n := range cfg.Nodes {
 		for _, size := range cfg.Sizes {
 			for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
-				r, err := runCollCase(n, size, algo, cfg.Iters)
+				run := func() (CollResult, error) { return runCollCase(n, size, algo, cfg.Iters) }
+				var (
+					r   CollResult
+					rep *analysis.Report
+					err error
+				)
+				if len(results) == 0 {
+					r, rep, err = doubleRun("collsweep", fmt.Sprintf("%d nodes/%d B", n, size), run, equal[CollResult])
+				} else if r, err = run(); err == nil {
+					rep = takeAnalysis()
+				}
 				if err != nil {
 					return t, err
-				}
-				rep := takeAnalysis()
-				if n == cfg.Nodes[0] && size == cfg.Sizes[0] && algo == coll.Tree {
-					if r.PerOp != check.PerOp || r.PayloadMsgs != check.PayloadMsgs {
-						return t, fmt.Errorf(
-							"bench: collsweep determinism drift at %d nodes/%d B: per-op %v vs %v, msgs %d vs %d",
-							n, size, r.PerOp, check.PerOp, r.PayloadMsgs, check.PayloadMsgs)
-					}
-					if rep != nil && checkRep != nil &&
-						analysisJSON(rep, "") != analysisJSON(checkRep, "") {
-						return t, fmt.Errorf("bench: collsweep analysis drift at %d nodes/%d B", n, size)
-					}
 				}
 				results = append(results, r)
 				reports = append(reports, rep)
@@ -150,12 +142,7 @@ func CollSweep(cfg CollConfig) (Table, error) {
 	}
 	t.Notes = append(t.Notes, analysisNote("ring+heal", healRep))
 
-	if cfg.Out != "" {
-		if err := writeCollJSON(cfg, results, reports, heal, healRep); err != nil {
-			return t, err
-		}
-	}
-	return t, nil
+	return t, writeCollJSON(cfg, results, reports, heal, healRep)
 }
 
 // runCollCase measures one sweep cell: barrier-synchronized warmup, then
@@ -379,51 +366,34 @@ func runCollHealCase() (CollHealResult, error) {
 }
 
 func writeCollJSON(cfg CollConfig, rs []CollResult, reps []*analysis.Report, heal CollHealResult, healRep *analysis.Report) error {
-	f, err := os.Create(cfg.Out)
-	if err != nil {
-		return fmt.Errorf("bench: coll artifact: %w", err)
-	}
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"benchmark\": \"vmmc-collsweep\",\n")
-	fmt.Fprintf(f, "  \"operation\": \"allreduce-int32-sum\",\n")
-	fmt.Fprintf(f, "  \"iters\": %d,\n", cfg.Iters)
-	fmt.Fprintf(f, "  \"configs\": [\n")
-	for i, r := range rs {
-		comma := ","
-		if i == len(rs)-1 {
-			comma = ""
-		}
-		verdict := ""
-		if i < len(reps) && reps[i] != nil {
-			verdict = reps[i].Verdict
-		}
-		fmt.Fprintf(f, "    {\"nodes\": %d, \"bytes\": %d, \"algorithm\": %q, "+
-			"\"per_op_us\": %.3f, \"model_est_us\": %.3f, \"model_choice\": %v, "+
-			"\"payload_msgs\": %d, \"credit_stalls\": %d, \"verdict\": %q}%s\n",
-			r.Nodes, r.Bytes, r.Algo.String(),
-			r.PerOp.Micros(), r.ModelEst.Micros(), r.ModelChoice,
-			r.PayloadMsgs, r.CreditStalls, verdict, comma)
-	}
-	fmt.Fprintf(f, "  ],\n")
 	healVerdict := ""
 	if healRep != nil {
 		healVerdict = healRep.Verdict
 	}
-	fmt.Fprintf(f, "  \"heal_interop\": {\"nodes\": %d, \"bytes\": %d, \"rounds\": %d, "+
-		"\"clean_elapsed_us\": %.3f, \"healed_elapsed_us\": %.3f, "+
-		"\"results_match\": %v, \"send_failures\": %d, \"retransmits\": %d, "+
-		"\"verdict\": %q},\n",
-		heal.Nodes, heal.Bytes, heal.Rounds,
-		heal.CleanElapsed.Micros(), heal.HealedElapsed.Micros(),
-		heal.ResultsMatch, heal.SendFailures, heal.Retransmits, healVerdict)
-	if n := len(reps); n > 0 && reps[n-1] != nil {
-		fmt.Fprintf(f, "  \"analysis\": %s\n", analysisJSON(reps[n-1], "  ")[2:])
-	} else {
-		fmt.Fprintf(f, "  \"analysis\": null\n")
+	a := artifact{
+		what: "coll",
+		header: [][2]string{
+			{"benchmark", `"vmmc-collsweep"`},
+			{"operation", `"allreduce-int32-sum"`},
+			{"iters", fmt.Sprint(cfg.Iters)},
+		},
+		listKey: "configs",
+		reports: reps,
+		extra: fmt.Sprintf("  \"heal_interop\": {\"nodes\": %d, \"bytes\": %d, \"rounds\": %d, "+
+			"\"clean_elapsed_us\": %.3f, \"healed_elapsed_us\": %.3f, "+
+			"\"results_match\": %v, \"send_failures\": %d, \"retransmits\": %d, "+
+			"\"verdict\": %q},\n",
+			heal.Nodes, heal.Bytes, heal.Rounds,
+			heal.CleanElapsed.Micros(), heal.HealedElapsed.Micros(),
+			heal.ResultsMatch, heal.SendFailures, heal.Retransmits, healVerdict),
 	}
-	fmt.Fprintf(f, "}\n")
-	if cerr := f.Close(); cerr != nil {
-		return fmt.Errorf("bench: coll artifact: %w", cerr)
+	for _, r := range rs {
+		a.cases = append(a.cases, fmt.Sprintf("\"nodes\": %d, \"bytes\": %d, \"algorithm\": %q, "+
+			"\"per_op_us\": %.3f, \"model_est_us\": %.3f, \"model_choice\": %v, "+
+			"\"payload_msgs\": %d, \"credit_stalls\": %d",
+			r.Nodes, r.Bytes, r.Algo.String(),
+			r.PerOp.Micros(), r.ModelEst.Micros(), r.ModelChoice,
+			r.PayloadMsgs, r.CreditStalls))
 	}
-	return nil
+	return a.write(cfg.Out)
 }

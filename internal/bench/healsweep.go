@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -126,27 +125,15 @@ func HealSweep(cfg HealConfigSweep) (Table, error) {
 		reports []*analysis.Report
 	)
 	for _, cl := range cells {
-		r, err := runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
-		if err != nil {
-			return t, err
-		}
-		firstRep := takeAnalysis()
-		again, err := runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: healsweep determinism drift in %q: %+v vs %+v",
-				cl.name, r, again)
-		}
-		if rep != nil && firstRep != nil &&
-			analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: healsweep analysis drift in %q", cl.name)
-		}
 		label := cl.name
 		if cl.outage > 0 {
 			label = fmt.Sprintf("%s %.0f us", cl.name, cl.outage.Micros())
+		}
+		r, rep, err := doubleRun("healsweep", label, func() (HealResult, error) {
+			return runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
+		}, equal[HealResult])
+		if err != nil {
+			return t, err
 		}
 		results = append(results, r)
 		reports = append(reports, rep)
@@ -164,12 +151,7 @@ func HealSweep(cfg HealConfigSweep) (Table, error) {
 			fmt.Sprintf("%d", r.Retransmits),
 		})
 	}
-	if cfg.Out != "" {
-		if err := writeHealJSON(cfg, results, reports); err != nil {
-			return t, err
-		}
-	}
-	return t, nil
+	return t, writeHealJSON(cfg, results, reports)
 }
 
 // runHealCase boots a 4-node cluster on the diamond fabric with healing
@@ -335,49 +317,30 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 	return r, nil
 }
 
-// writeHealJSON emits the heal-trajectory artifact. Keys are written in a
-// fixed order and every value is virtual-time derived, so the file is
-// byte-identical across runs — a golden-able determinism witness, unlike
-// the wall-clock BENCH_scale.json.
+// writeHealJSON emits the heal-trajectory artifact: every value is
+// virtual-time derived, so the file is byte-identical across runs — a
+// golden-able determinism witness, unlike the wall-clock BENCH_scale.json.
 func writeHealJSON(cfg HealConfigSweep, rs []HealResult, reps []*analysis.Report) error {
-	f, err := os.Create(cfg.Out)
-	if err != nil {
-		return fmt.Errorf("bench: heal artifact: %w", err)
+	a := artifact{
+		what: "heal",
+		header: [][2]string{
+			{"benchmark", `"vmmc-healsweep"`},
+			{"fabric", `"diamond-2edge-2spine"`},
+			{"msgs", fmt.Sprint(cfg.Msgs)},
+			{"msg_bytes", fmt.Sprint(mem.PageSize)},
+		},
+		listKey: "cases",
+		reports: reps,
 	}
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"benchmark\": \"vmmc-healsweep\",\n")
-	fmt.Fprintf(f, "  \"fabric\": \"diamond-2edge-2spine\",\n")
-	fmt.Fprintf(f, "  \"msgs\": %d,\n", cfg.Msgs)
-	fmt.Fprintf(f, "  \"msg_bytes\": %d,\n", mem.PageSize)
-	fmt.Fprintf(f, "  \"cases\": [\n")
-	for i, r := range rs {
-		comma := ","
-		if i == len(rs)-1 {
-			comma = ""
-		}
-		verdict := ""
-		if i < len(reps) && reps[i] != nil {
-			verdict = reps[i].Verdict
-		}
-		fmt.Fprintf(f, "    {\"case\": %q, \"outage_us\": %.0f, \"messages\": %d, "+
+	for _, r := range rs {
+		a.cases = append(a.cases, fmt.Sprintf("\"case\": %q, \"outage_us\": %.0f, \"messages\": %d, "+
 			"\"virtual_elapsed_us\": %.3f, \"goodput_mb_s\": %.2f, "+
 			"\"stalls\": %d, \"remaps\": %d, \"route_swaps\": %d, \"healed\": %d, "+
-			"\"abandoned\": %d, \"retransmits\": %d, \"send_failures\": %d, "+
-			"\"verdict\": %q}%s\n",
+			"\"abandoned\": %d, \"retransmits\": %d, \"send_failures\": %d",
 			r.Case, r.OutageUS, r.Messages,
 			r.VirtualElapsed.Micros(), r.GoodputMBps,
 			r.Stalls, r.Remaps, r.RouteSwaps, r.Healed,
-			r.Abandoned, r.Retransmits, r.SendFailures, verdict, comma)
+			r.Abandoned, r.Retransmits, r.SendFailures))
 	}
-	fmt.Fprintf(f, "  ],\n")
-	if n := len(reps); n > 0 && reps[n-1] != nil {
-		fmt.Fprintf(f, "  \"analysis\": %s\n", analysisJSON(reps[n-1], "  ")[2:])
-	} else {
-		fmt.Fprintf(f, "  \"analysis\": null\n")
-	}
-	fmt.Fprintf(f, "}\n")
-	if cerr := f.Close(); cerr != nil {
-		return fmt.Errorf("bench: heal artifact: %w", cerr)
-	}
-	return nil
+	return a.write(cfg.Out)
 }

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"os"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/replica"
@@ -70,40 +70,18 @@ type ReplicaResult struct {
 	Rate   float64
 	Static bool
 
-	Offered  int64
-	OK       int64
-	Late     int64
-	Rejected int64
-	Expired  int64
-	TimedOut int64
-	Dropped  int64
-	Errors   int64
-
-	Sends        int64
-	Retries      int64
-	BudgetDenied int64
+	loadResult
 
 	Puts          int64
 	RYWFallbacks  int64
 	RYWViolations int64
 
-	ShedArrive int64
-	ShedServe  int64
-	DepthPeak  int
+	serve.AdmissionCounters // summed (peak: maxed) over the tier's servers
 
 	Applies       int64
 	ApplyFails    int64
 	ApplySkipped  int64
 	DeadFollowers int
-
-	P50     sim.Time
-	P99     sim.Time
-	P999    sim.Time
-	ShedP99 sim.Time
-
-	GoodputFrac   float64
-	Elapsed       sim.Time
-	TransportErrs int64
 
 	// HotOffered is the router's per-replica attempt count on shard 0 —
 	// the Zipf-hot shard — for the routing-flatness comparison.
@@ -216,21 +194,11 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 		reports []*analysis.Report
 	)
 	for _, cl := range cells {
-		r, err := runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
+		r, rep, err := doubleRun("replicasweep", cl.name, func() (ReplicaResult, error) {
+			return runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
+		}, equal[ReplicaResult])
 		if err != nil {
 			return t, err
-		}
-		firstRep := takeAnalysis()
-		again, err := runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: replicasweep determinism drift in %q: %+v vs %+v", cl.name, r, again)
-		}
-		if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: replicasweep analysis drift in %q", cl.name)
 		}
 		results = append(results, r)
 		reports = append(reports, rep)
@@ -241,12 +209,7 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 	if err := replicaAcceptance(cfg, results); err != nil {
 		return t, err
 	}
-	if cfg.Out != "" {
-		if err := writeReplicaJSON(cfg, results, reports); err != nil {
-			return t, err
-		}
-	}
-	return t, nil
+	return t, writeReplicaJSON(cfg, results, reports)
 }
 
 // replicaAcceptance enforces the sweep's replication properties on the
@@ -407,7 +370,7 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 			return
 		}
 		start := p.Now()
-		stats, err := tier.RunOpenLoop(p, replica.WorkloadConfig{
+		stats, err := tier.RunOpenLoop(p, serve.WorkloadConfig{
 			Rate:     rate,
 			Requests: requests,
 			Theta:    theta,
@@ -428,8 +391,7 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 			runErr = err
 			return
 		}
-		res.Elapsed = p.Now() - start
-		fillReplicaResult(&res, tier, stats)
+		fillReplicaResult(&res, tier, stats, p.Now()-start)
 	})
 	if err := c.Start(); err != nil {
 		return ReplicaResult{}, err
@@ -445,18 +407,8 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 
 // fillReplicaResult distills workload stats and tier counters into a
 // cell result.
-func fillReplicaResult(res *ReplicaResult, tier *replica.Tier, stats *replica.Stats) {
-	res.Offered = stats.Offered
-	res.OK = stats.OK
-	res.Late = stats.Late
-	res.Rejected = stats.Rejected
-	res.Expired = stats.Expired
-	res.TimedOut = stats.TimedOut
-	res.Dropped = stats.Dropped
-	res.Errors = stats.Errors
-	res.Sends = stats.Sends
-	res.Retries = stats.Retries
-	res.BudgetDenied = stats.BudgetDenied
+func fillReplicaResult(res *ReplicaResult, tier *replica.Tier, stats *replica.Stats, elapsed sim.Time) {
+	res.loadResult = fillLoadResult(&stats.Stats, elapsed, tier.TransportErrors())
 	res.Puts = stats.Puts
 	res.RYWFallbacks = stats.RYWFallbacks
 	res.RYWViolations = stats.RYWViolations
@@ -479,90 +431,44 @@ func fillReplicaResult(res *ReplicaResult, tier *replica.Tier, stats *replica.St
 		res.HotOffered[j] = rep.Offered
 		res.HotServed[j] = rep.Server().Calls
 	}
-	res.P50 = quantile(stats.LatOK, 50)
-	res.P99 = quantile(stats.LatOK, 99)
-	res.P999 = quantileMil(stats.LatOK, 999)
-	res.ShedP99 = quantile(stats.LatShed, 99)
-	if stats.Offered > 0 {
-		res.GoodputFrac = float64(stats.OK) / float64(stats.Offered)
-	}
-	res.TransportErrs = tier.TransportErrors()
 }
 
 // writeReplicaJSON emits the replication artifact: the R ablation grid,
 // the routing pair with per-replica hot-shard attempt counts, the kill
 // pair, and the last cell's analysis report (including its per-replica
-// attribution) embedded. Keys are written in a fixed order and every
-// value is virtual-time derived, so the file is byte-identical across
-// runs.
+// attribution) embedded.
 func writeReplicaJSON(cfg ReplicaConfig, rs []ReplicaResult, reps []*analysis.Report) error {
-	f, err := os.Create(cfg.Out)
-	if err != nil {
-		return fmt.Errorf("bench: replica artifact: %w", err)
+	a := artifact{
+		what: "replica",
+		header: [][2]string{
+			{"benchmark", `"vmmc-replicasweep"`},
+			{"requests", fmt.Sprint(cfg.Requests)},
+			{"servers", fmt.Sprint(replicaServers)},
+			{"total_conns", fmt.Sprint(replicaTotalConns)},
+			{"service_us", fmt.Sprintf("%.1f", replicaService.Micros())},
+			{"deadline_us", fmt.Sprintf("%.1f", replicaDeadline.Micros())},
+			{"attempt_us", fmt.Sprintf("%.1f", replicaAttempt.Micros())},
+			{"put_frac", fmt.Sprintf("%.2f", replicaPutFrac)},
+			{"rates_per_s", floatList(cfg.Rates)},
+		},
+		listKey: "cases",
+		reports: reps,
 	}
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"benchmark\": \"vmmc-replicasweep\",\n")
-	fmt.Fprintf(f, "  \"requests\": %d,\n", cfg.Requests)
-	fmt.Fprintf(f, "  \"servers\": %d,\n", replicaServers)
-	fmt.Fprintf(f, "  \"total_conns\": %d,\n", replicaTotalConns)
-	fmt.Fprintf(f, "  \"service_us\": %.1f,\n", replicaService.Micros())
-	fmt.Fprintf(f, "  \"deadline_us\": %.1f,\n", replicaDeadline.Micros())
-	fmt.Fprintf(f, "  \"attempt_us\": %.1f,\n", replicaAttempt.Micros())
-	fmt.Fprintf(f, "  \"put_frac\": %.2f,\n", replicaPutFrac)
-	fmt.Fprintf(f, "  \"rates_per_s\": [")
-	for i, r := range cfg.Rates {
-		if i > 0 {
-			fmt.Fprintf(f, ", ")
+	for _, r := range rs {
+		hot := make([]string, r.R)
+		for j := range hot {
+			hot[j] = fmt.Sprint(r.HotOffered[j])
 		}
-		fmt.Fprintf(f, "%.0f", r)
-	}
-	fmt.Fprintf(f, "],\n")
-	fmt.Fprintf(f, "  \"cases\": [\n")
-	for i, r := range rs {
-		comma := ","
-		if i == len(rs)-1 {
-			comma = ""
-		}
-		verdict := ""
-		if i < len(reps) && reps[i] != nil {
-			verdict = reps[i].Verdict
-		}
-		fmt.Fprintf(f, "    {\"case\": %q, \"r\": %d, \"shards\": %d, \"rate_per_s\": %.0f, \"static_routing\": %t, "+
-			"\"offered\": %d, \"ok\": %d, \"late\": %d, \"rejected\": %d, \"expired\": %d, "+
-			"\"timed_out\": %d, \"dropped\": %d, \"errors\": %d, "+
-			"\"sends\": %d, \"retries\": %d, \"budget_denied\": %d, "+
-			"\"puts\": %d, \"ryw_fallbacks\": %d, \"ryw_violations\": %d, "+
+		a.cases = append(a.cases, fmt.Sprintf("\"case\": %q, \"r\": %d, \"shards\": %d, \"rate_per_s\": %.0f, \"static_routing\": %t, "+
+			"%s, \"puts\": %d, \"ryw_fallbacks\": %d, \"ryw_violations\": %d, "+
 			"\"shed_arrive\": %d, \"shed_serve\": %d, \"depth_peak\": %d, "+
 			"\"applies\": %d, \"apply_fails\": %d, \"apply_skipped\": %d, \"dead_followers\": %d, "+
-			"\"hot_offered\": [",
+			"\"hot_offered\": [%s], %s",
 			r.Case, r.R, r.Shards, r.Rate, r.Static,
-			r.Offered, r.OK, r.Late, r.Rejected, r.Expired,
-			r.TimedOut, r.Dropped, r.Errors,
-			r.Sends, r.Retries, r.BudgetDenied,
-			r.Puts, r.RYWFallbacks, r.RYWViolations,
+			r.countsJSON(), r.Puts, r.RYWFallbacks, r.RYWViolations,
 			r.ShedArrive, r.ShedServe, r.DepthPeak,
-			r.Applies, r.ApplyFails, r.ApplySkipped, r.DeadFollowers)
-		for j := 0; j < r.R; j++ {
-			if j > 0 {
-				fmt.Fprintf(f, ", ")
-			}
-			fmt.Fprintf(f, "%d", r.HotOffered[j])
-		}
-		fmt.Fprintf(f, "], "+
-			"\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, \"shed_p99_us\": %.3f, "+
-			"\"goodput_frac\": %.4f, \"elapsed_us\": %.3f, \"transport_errors\": %d, \"verdict\": %q}%s\n",
-			r.P50.Micros(), r.P99.Micros(), r.P999.Micros(), r.ShedP99.Micros(),
-			r.GoodputFrac, r.Elapsed.Micros(), r.TransportErrs, verdict, comma)
+			r.Applies, r.ApplyFails, r.ApplySkipped, r.DeadFollowers,
+			strings.Join(hot, ", "), r.tailJSON()))
 	}
-	fmt.Fprintf(f, "  ],\n")
-	if n := len(reps); n > 0 && reps[n-1] != nil {
-		fmt.Fprintf(f, "  \"analysis\": %s\n", analysisJSON(reps[n-1], "  ")[2:])
-	} else {
-		fmt.Fprintf(f, "  \"analysis\": null\n")
-	}
-	fmt.Fprintf(f, "}\n")
-	if cerr := f.Close(); cerr != nil {
-		return fmt.Errorf("bench: replica artifact: %w", cerr)
-	}
-	return nil
+	return a.write(cfg.Out)
 }

@@ -126,33 +126,28 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 			"events", "wall time", "events/sec", "allocs/event", "peak heap", "compactions"},
 	}
 
-	check, err := runScaleCase(cfg.Nodes[0], cfg.MsgBytes, cfg.Rounds)
-	if err != nil {
-		return t, err
-	}
-	checkRep := takeAnalysis()
 	var (
 		results []ScaleResult
 		reports []*analysis.Report
 	)
 	for i, n := range cfg.Nodes {
-		r, err := runScaleCase(n, cfg.MsgBytes, cfg.Rounds)
+		run := func() (ScaleResult, error) { return runScaleCase(n, cfg.MsgBytes, cfg.Rounds) }
+		var (
+			r   ScaleResult
+			rep *analysis.Report
+			err error
+		)
+		if i == 0 {
+			// Wall-clock fields differ run to run; the virtual-time ones
+			// (and the virtual-time-only bottleneck report) may not.
+			r, rep, err = doubleRun("scalesweep", fmt.Sprintf("%d nodes", n), run, func(a, b ScaleResult) bool {
+				return a.VirtualElapsed == b.VirtualElapsed && a.Events == b.Events
+			})
+		} else if r, err = run(); err == nil {
+			rep = takeAnalysis()
+		}
 		if err != nil {
 			return t, err
-		}
-		rep := takeAnalysis()
-		if i == 0 {
-			if r.VirtualElapsed != check.VirtualElapsed || r.Events != check.Events {
-				return t, fmt.Errorf(
-					"bench: scalesweep determinism drift at %d nodes: elapsed %v vs %v, events %d vs %d",
-					n, r.VirtualElapsed, check.VirtualElapsed, r.Events, check.Events)
-			}
-			// The bottleneck report is virtual-time only, so it must be
-			// byte-identical across the double run too.
-			if rep != nil && checkRep != nil &&
-				analysisJSON(rep, "") != analysisJSON(checkRep, "") {
-				return t, fmt.Errorf("bench: scalesweep analysis drift at %d nodes", n)
-			}
 		}
 		results = append(results, r)
 		reports = append(reports, rep)
@@ -170,12 +165,7 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 			fmt.Sprintf("%d", r.Compactions),
 		})
 	}
-	if cfg.Out != "" {
-		if err := writeScaleJSON(cfg, results, reports); err != nil {
-			return t, err
-		}
-	}
-	return t, nil
+	return t, writeScaleJSON(cfg, results, reports)
 }
 
 // runScaleCase boots an n-node cluster with the reliability layer on (the
@@ -380,52 +370,34 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 	return r, nil
 }
 
-// writeScaleJSON emits the bench-trajectory artifact. Keys are written in
-// a fixed order; wall-clock fields are host-dependent by nature, so this
-// file is a performance record, not a golden artifact. The per-config
-// verdicts and the final full analysis report are virtual-time-only and
+// writeScaleJSON emits the bench-trajectory artifact. Wall-clock fields
+// are host-dependent by nature, so this file is a performance record,
+// not a golden artifact; the per-config verdicts and the largest
+// configuration's full analysis report are virtual-time-only and
 // therefore deterministic.
 func writeScaleJSON(cfg ScaleConfig, rs []ScaleResult, reps []*analysis.Report) error {
-	f, err := os.Create(cfg.Out)
-	if err != nil {
-		return fmt.Errorf("bench: scale artifact: %w", err)
+	a := artifact{
+		what: "scale",
+		header: [][2]string{
+			{"benchmark", `"vmmc-scalesweep"`},
+			{"traffic", `"all-to-all"`},
+			{"msg_bytes", fmt.Sprint(cfg.MsgBytes)},
+			{"rounds", fmt.Sprint(cfg.Rounds)},
+		},
+		listKey: "configs",
+		reports: reps,
 	}
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"benchmark\": \"vmmc-scalesweep\",\n")
-	fmt.Fprintf(f, "  \"traffic\": \"all-to-all\",\n")
-	fmt.Fprintf(f, "  \"msg_bytes\": %d,\n", cfg.MsgBytes)
-	fmt.Fprintf(f, "  \"rounds\": %d,\n", cfg.Rounds)
-	fmt.Fprintf(f, "  \"configs\": [\n")
-	for i, r := range rs {
-		comma := ","
-		if i == len(rs)-1 {
-			comma = ""
-		}
-		verdict := ""
-		if i < len(reps) && reps[i] != nil {
-			verdict = reps[i].Verdict
-		}
-		fmt.Fprintf(f, "    {\"nodes\": %d, \"messages\": %d, \"payload_bytes\": %d, "+
+	for _, r := range rs {
+		a.cases = append(a.cases, fmt.Sprintf("\"nodes\": %d, \"messages\": %d, \"payload_bytes\": %d, "+
 			"\"virtual_elapsed_us\": %.3f, \"goodput_mb_s\": %.2f, "+
 			"\"events_dispatched\": %d, \"wall_seconds\": %.3f, \"events_per_sec\": %.0f, "+
 			"\"allocs_per_event\": %.3f, \"peak_event_heap\": %d, \"compactions\": %d, "+
-			"\"heap_sys_mb\": %.1f, \"verdict\": %q}%s\n",
+			"\"heap_sys_mb\": %.1f",
 			r.Nodes, r.Messages, r.PayloadBytes,
 			r.VirtualElapsed.Micros(), r.GoodputMBps,
 			r.Events, r.WallSeconds, r.EventsPerSec,
 			r.AllocsPerEvent, r.PeakEventHeap, r.Compactions,
-			r.HeapSysMB, verdict, comma)
+			r.HeapSysMB))
 	}
-	fmt.Fprintf(f, "  ],\n")
-	// Full top-k report of the largest configuration.
-	if n := len(reps); n > 0 && reps[n-1] != nil {
-		fmt.Fprintf(f, "  \"analysis\": %s\n", analysisJSON(reps[n-1], "  ")[2:])
-	} else {
-		fmt.Fprintf(f, "  \"analysis\": null\n")
-	}
-	fmt.Fprintf(f, "}\n")
-	if cerr := f.Close(); cerr != nil {
-		return fmt.Errorf("bench: scale artifact: %w", cerr)
-	}
-	return nil
+	return a.write(cfg.Out)
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
@@ -32,10 +31,10 @@ type ServeConfig struct {
 // fan-in (conns * service), so past the knee the no-admission baseline
 // must burn client timeouts while the admission cells shed early.
 const (
-	serveConns    = 12                  // connections (= workers) per shard
+	serveConns    = 12 // connections (= workers) per shard
 	serveService  = 30 * sim.Microsecond
 	serveDeadline = 400 * sim.Microsecond
-	serveMaxQueue = 6                   // admission: arrival-queue bound
+	serveMaxQueue = 6                     // admission: arrival-queue bound
 	serveTarget   = 120 * sim.Microsecond // admission: CoDel sojourn target
 	serveKeys     = 64
 	serveHotTheta = 1.3 // Zipf exponent of the hot-shard cell
@@ -51,31 +50,11 @@ type ServeResult struct {
 	Rate      float64
 	Admission bool
 
-	Offered  int64
-	OK       int64
-	Late     int64
-	Rejected int64
-	Expired  int64
-	TimedOut int64
-	Dropped  int64
-	Errors   int64
+	loadResult
 
-	Sends        int64
-	Retries      int64
-	BudgetDenied int64
-	ShedArrive   int64
-	ShedServe    int64
-	DepthPeak    int
+	serve.AdmissionCounters // summed (peak: maxed) over the tier's servers
 
-	P50     sim.Time // OK (in-deadline) request latency
-	P99     sim.Time
-	P999    sim.Time
-	ShedP99 sim.Time // latency to a typed rejection: the fail-fast metric
-
-	GoodputFrac   float64 // OK / Offered
-	Elapsed       sim.Time
-	TransportErrs int64
-	HotOffered    int64 // shard 0's offered share (the Zipf-hot shard)
+	HotOffered int64 // shard 0's offered share (the Zipf-hot shard)
 }
 
 // ServeSweep drives the sharded KV serving tier across offered-load
@@ -143,27 +122,24 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 		results []ServeResult
 		reports []*analysis.Report
 	)
-	for _, cl := range cells {
-		r, err := runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
+	// record double-runs one cell and files its result.
+	record := func(name string, run func() (ServeResult, error)) error {
+		r, rep, err := doubleRun("servesweep", name, run, equal[ServeResult])
 		if err != nil {
-			return t, err
-		}
-		firstRep := takeAnalysis()
-		again, err := runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: servesweep determinism drift in %q: %+v vs %+v", cl.name, r, again)
-		}
-		if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: servesweep analysis drift in %q", cl.name)
+			return err
 		}
 		results = append(results, r)
 		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(cl.name, rep))
+		t.Notes = append(t.Notes, analysisNote(name, rep))
 		t.Rows = append(t.Rows, serveRow(r))
+		return nil
+	}
+	for _, cl := range cells {
+		if err := record(cl.name, func() (ServeResult, error) {
+			return runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
+		}); err != nil {
+			return t, err
+		}
 	}
 
 	// The outage pair: same workload on the diamond fabric, clean and
@@ -173,37 +149,17 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 		if outage {
 			name = "fault outage+heal"
 		}
-		r, err := runServeFaultCell(name, outage, cfg.Requests)
-		if err != nil {
+		if err := record(name, func() (ServeResult, error) {
+			return runServeFaultCell(name, outage, cfg.Requests)
+		}); err != nil {
 			return t, err
 		}
-		firstRep := takeAnalysis()
-		again, err := runServeFaultCell(name, outage, cfg.Requests)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: servesweep determinism drift in %q: %+v vs %+v", name, r, again)
-		}
-		if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: servesweep analysis drift in %q", name)
-		}
-		results = append(results, r)
-		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(name, rep))
-		t.Rows = append(t.Rows, serveRow(r))
 	}
 
 	if err := serveAcceptance(cfg, results); err != nil {
 		return t, err
 	}
-	if cfg.Out != "" {
-		if err := writeServeJSON(cfg, results, reports); err != nil {
-			return t, err
-		}
-	}
-	return t, nil
+	return t, writeServeJSON(cfg, results, reports)
 }
 
 // serveAcceptance enforces the sweep's robustness properties on the
@@ -342,8 +298,7 @@ func runServeCell(name string, shards int, rate float64, admission bool, theta f
 			runErr = err
 			return
 		}
-		res.Elapsed = p.Now() - start
-		fillServeResult(&res, tier, stats)
+		fillServeResult(&res, tier, stats, p.Now()-start)
 	})
 	if err := c.Start(); err != nil {
 		return ServeResult{}, err
@@ -421,8 +376,7 @@ func runServeFaultCell(name string, outage bool, requests int) (ServeResult, err
 			runErr = err
 			return
 		}
-		res.Elapsed = p.Now() - start
-		fillServeResult(&res, tier, stats)
+		fillServeResult(&res, tier, stats, p.Now()-start)
 	})
 	if err := c.Start(); err != nil {
 		return ServeResult{}, err
@@ -438,18 +392,8 @@ func runServeFaultCell(name string, outage bool, requests int) (ServeResult, err
 
 // fillServeResult distills workload stats and tier counters into a cell
 // result.
-func fillServeResult(res *ServeResult, tier *serve.Tier, stats *serve.Stats) {
-	res.Offered = stats.Offered
-	res.OK = stats.OK
-	res.Late = stats.Late
-	res.Rejected = stats.Rejected
-	res.Expired = stats.Expired
-	res.TimedOut = stats.TimedOut
-	res.Dropped = stats.Dropped
-	res.Errors = stats.Errors
-	res.Sends = stats.Sends
-	res.Retries = stats.Retries
-	res.BudgetDenied = stats.BudgetDenied
+func fillServeResult(res *ServeResult, tier *serve.Tier, stats *serve.Stats, elapsed sim.Time) {
+	res.loadResult = fillLoadResult(stats, elapsed, tier.TransportErrors())
 	for _, sh := range tier.Shards() {
 		res.ShedArrive += sh.ShedArrive
 		res.ShedServe += sh.ShedServe
@@ -458,93 +402,33 @@ func fillServeResult(res *ServeResult, tier *serve.Tier, stats *serve.Stats) {
 		}
 	}
 	res.HotOffered = tier.Shard(0).Offered
-	res.P50 = quantile(stats.LatOK, 50)
-	res.P99 = quantile(stats.LatOK, 99)
-	res.P999 = quantileMil(stats.LatOK, 999)
-	res.ShedP99 = quantile(stats.LatShed, 99)
-	if stats.Offered > 0 {
-		res.GoodputFrac = float64(stats.OK) / float64(stats.Offered)
-	}
-	res.TransportErrs = tier.TransportErrors()
-}
-
-// quantileMil is quantile with per-mille resolution (q of 999 = p99.9),
-// nearest-rank over an ascending list.
-func quantileMil(sorted []sim.Time, q int) sim.Time {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (q*len(sorted) + 999) / 1000
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
 }
 
 // writeServeJSON emits the serving-tier artifact: the full load-vs-
 // latency grid with outcome counts and admission counters per cell, and
 // the last cell's analysis report (including its per-shard serve
-// attribution) embedded. Keys are written in a fixed order and every
-// value is virtual-time derived, so the file is byte-identical across
-// runs.
+// attribution) embedded.
 func writeServeJSON(cfg ServeConfig, rs []ServeResult, reps []*analysis.Report) error {
-	f, err := os.Create(cfg.Out)
-	if err != nil {
-		return fmt.Errorf("bench: serve artifact: %w", err)
+	a := artifact{
+		what: "serve",
+		header: [][2]string{
+			{"benchmark", `"vmmc-servesweep"`},
+			{"requests", fmt.Sprint(cfg.Requests)},
+			{"conns_per_shard", fmt.Sprint(serveConns)},
+			{"service_us", fmt.Sprintf("%.1f", serveService.Micros())},
+			{"deadline_us", fmt.Sprintf("%.1f", serveDeadline.Micros())},
+			{"max_queue", fmt.Sprint(serveMaxQueue)},
+			{"sojourn_target_us", fmt.Sprintf("%.1f", serveTarget.Micros())},
+			{"rates_per_s", floatList(cfg.Rates)},
+		},
+		listKey: "cases",
+		reports: reps,
 	}
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"benchmark\": \"vmmc-servesweep\",\n")
-	fmt.Fprintf(f, "  \"requests\": %d,\n", cfg.Requests)
-	fmt.Fprintf(f, "  \"conns_per_shard\": %d,\n", serveConns)
-	fmt.Fprintf(f, "  \"service_us\": %.1f,\n", serveService.Micros())
-	fmt.Fprintf(f, "  \"deadline_us\": %.1f,\n", serveDeadline.Micros())
-	fmt.Fprintf(f, "  \"max_queue\": %d,\n", serveMaxQueue)
-	fmt.Fprintf(f, "  \"sojourn_target_us\": %.1f,\n", serveTarget.Micros())
-	fmt.Fprintf(f, "  \"rates_per_s\": [")
-	for i, r := range cfg.Rates {
-		if i > 0 {
-			fmt.Fprintf(f, ", ")
-		}
-		fmt.Fprintf(f, "%.0f", r)
-	}
-	fmt.Fprintf(f, "],\n")
-	fmt.Fprintf(f, "  \"cases\": [\n")
-	for i, r := range rs {
-		comma := ","
-		if i == len(rs)-1 {
-			comma = ""
-		}
-		verdict := ""
-		if i < len(reps) && reps[i] != nil {
-			verdict = reps[i].Verdict
-		}
-		fmt.Fprintf(f, "    {\"case\": %q, \"shards\": %d, \"rate_per_s\": %.0f, \"admission\": %t, "+
-			"\"offered\": %d, \"ok\": %d, \"late\": %d, \"rejected\": %d, \"expired\": %d, "+
-			"\"timed_out\": %d, \"dropped\": %d, \"errors\": %d, "+
-			"\"sends\": %d, \"retries\": %d, \"budget_denied\": %d, "+
-			"\"shed_arrive\": %d, \"shed_serve\": %d, \"depth_peak\": %d, "+
-			"\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, \"shed_p99_us\": %.3f, "+
-			"\"goodput_frac\": %.4f, \"elapsed_us\": %.3f, \"transport_errors\": %d, \"verdict\": %q}%s\n",
+	for _, r := range rs {
+		a.cases = append(a.cases, fmt.Sprintf("\"case\": %q, \"shards\": %d, \"rate_per_s\": %.0f, \"admission\": %t, "+
+			"%s, \"shed_arrive\": %d, \"shed_serve\": %d, \"depth_peak\": %d, %s",
 			r.Case, r.Shards, r.Rate, r.Admission,
-			r.Offered, r.OK, r.Late, r.Rejected, r.Expired,
-			r.TimedOut, r.Dropped, r.Errors,
-			r.Sends, r.Retries, r.BudgetDenied,
-			r.ShedArrive, r.ShedServe, r.DepthPeak,
-			r.P50.Micros(), r.P99.Micros(), r.P999.Micros(), r.ShedP99.Micros(),
-			r.GoodputFrac, r.Elapsed.Micros(), r.TransportErrs, verdict, comma)
+			r.countsJSON(), r.ShedArrive, r.ShedServe, r.DepthPeak, r.tailJSON()))
 	}
-	fmt.Fprintf(f, "  ],\n")
-	if n := len(reps); n > 0 && reps[n-1] != nil {
-		fmt.Fprintf(f, "  \"analysis\": %s\n", analysisJSON(reps[n-1], "  ")[2:])
-	} else {
-		fmt.Fprintf(f, "  \"analysis\": null\n")
-	}
-	fmt.Fprintf(f, "}\n")
-	if cerr := f.Close(); cerr != nil {
-		return fmt.Errorf("bench: serve artifact: %w", cerr)
-	}
-	return nil
+	return a.write(cfg.Out)
 }

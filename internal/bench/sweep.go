@@ -1,0 +1,183 @@
+package bench
+
+import (
+	"fmt"
+	"os"
+	"strings"
+
+	"repro/internal/analysis"
+	"repro/internal/serve"
+	"repro/internal/sim"
+)
+
+// doubleRun is the sweeps' determinism check: it runs a cell twice on
+// fresh engines and fails, naming the sweep and the cell, if the two
+// results differ under same or the two bottleneck reports differ as
+// JSON. It returns the second run and its report. Wall-clock sweeps
+// pass a same that compares only their virtual-time fields; every other
+// sweep passes equal.
+func doubleRun[R any](sweep, cell string, run func() (R, error), same func(a, b R) bool) (R, *analysis.Report, error) {
+	var zero R
+	first, err := run()
+	if err != nil {
+		return zero, nil, err
+	}
+	firstRep := takeAnalysis()
+	again, err := run()
+	if err != nil {
+		return zero, nil, err
+	}
+	rep := takeAnalysis()
+	if !same(first, again) {
+		return zero, nil, fmt.Errorf("bench: %s determinism drift in %q: %+v vs %+v", sweep, cell, first, again)
+	}
+	if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
+		return zero, nil, fmt.Errorf("bench: %s analysis drift in %q", sweep, cell)
+	}
+	return again, rep, nil
+}
+
+// equal is doubleRun's same for results that are deterministic in every
+// field.
+func equal[R comparable](a, b R) bool { return a == b }
+
+// artifact is a sweep's machine-readable BENCH_*.json file. Members are
+// written in a fixed order with pre-rendered values, so a sweep whose
+// values are all virtual-time derived gets a byte-identical file on
+// every run.
+type artifact struct {
+	what    string             // names the artifact in errors: "heal", "serve", ...
+	header  [][2]string        // top-level members ahead of the list: key, rendered value
+	listKey string             // "cases" or "configs"
+	cases   []string           // one object per cell: its members, without braces or verdict
+	reports []*analysis.Report // per cell; supplies each verdict and the embedded analysis
+	extra   string             // rendered member lines between the list and the analysis
+}
+
+// write emits the artifact: the header, the cell list with each cell's
+// analysis verdict appended, any extra members, and the last cell's
+// full analysis report embedded. An empty path (no -*-out flag) writes
+// nothing.
+func (a artifact) write(path string) error {
+	if path == "" {
+		return nil
+	}
+	var b strings.Builder
+	b.WriteString("{\n")
+	for _, kv := range a.header {
+		fmt.Fprintf(&b, "  %q: %s,\n", kv[0], kv[1])
+	}
+	fmt.Fprintf(&b, "  %q: [\n", a.listKey)
+	for i, c := range a.cases {
+		comma := ","
+		if i == len(a.cases)-1 {
+			comma = ""
+		}
+		verdict := ""
+		if i < len(a.reports) && a.reports[i] != nil {
+			verdict = a.reports[i].Verdict
+		}
+		fmt.Fprintf(&b, "    {%s, \"verdict\": %q}%s\n", c, verdict, comma)
+	}
+	b.WriteString("  ],\n")
+	b.WriteString(a.extra)
+	if n := len(a.reports); n > 0 && a.reports[n-1] != nil {
+		fmt.Fprintf(&b, "  \"analysis\": %s\n", analysisJSON(a.reports[n-1], "  ")[2:])
+	} else {
+		b.WriteString("  \"analysis\": null\n")
+	}
+	b.WriteString("}\n")
+	if err := os.WriteFile(path, []byte(b.String()), 0o666); err != nil {
+		return fmt.Errorf("bench: %s artifact: %w", a.what, err)
+	}
+	return nil
+}
+
+// floatList renders a JSON array of whole-number floats.
+func floatList(vs []float64) string {
+	parts := make([]string, len(vs))
+	for i, v := range vs {
+		parts[i] = fmt.Sprintf("%.0f", v)
+	}
+	return "[" + strings.Join(parts, ", ") + "]"
+}
+
+// quantile picks the num/den quantile (50/100 = p50, 999/1000 = p99.9)
+// of an ascending latency list by the nearest-rank method.
+func quantile(sorted []sim.Time, num, den int) sim.Time {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := (num*len(sorted) + den - 1) / den
+	if idx < 1 {
+		idx = 1
+	}
+	if idx > len(sorted) {
+		idx = len(sorted)
+	}
+	return sorted[idx-1]
+}
+
+// loadResult is the part of a serving-tier cell every open-loop run
+// reports, whichever tier served it: outcome counts, send counters and
+// latency quantiles.
+type loadResult struct {
+	Offered  int64
+	OK       int64
+	Late     int64
+	Rejected int64
+	Expired  int64
+	TimedOut int64
+	Dropped  int64
+	Errors   int64
+
+	Sends        int64
+	Retries      int64
+	BudgetDenied int64
+
+	P50     sim.Time // OK (in-deadline) request latency
+	P99     sim.Time
+	P999    sim.Time
+	ShedP99 sim.Time // latency to a typed rejection: the fail-fast metric
+
+	GoodputFrac   float64 // OK / Offered
+	Elapsed       sim.Time
+	TransportErrs int64
+}
+
+// fillLoadResult distills an open-loop run's stats.
+func fillLoadResult(stats *serve.Stats, elapsed sim.Time, transportErrs int64) loadResult {
+	l := loadResult{
+		Offered: stats.Offered, OK: stats.OK, Late: stats.Late, Rejected: stats.Rejected,
+		Expired: stats.Expired, TimedOut: stats.TimedOut, Dropped: stats.Dropped, Errors: stats.Errors,
+		Sends: stats.Sends, Retries: stats.Retries, BudgetDenied: stats.BudgetDenied,
+		P50:     quantile(stats.LatOK, 50, 100),
+		P99:     quantile(stats.LatOK, 99, 100),
+		P999:    quantile(stats.LatOK, 999, 1000),
+		ShedP99: quantile(stats.LatShed, 99, 100),
+		Elapsed: elapsed, TransportErrs: transportErrs,
+	}
+	if stats.Offered > 0 {
+		l.GoodputFrac = float64(stats.OK) / float64(stats.Offered)
+	}
+	return l
+}
+
+// countsJSON renders the outcome and send counters as artifact members.
+func (l loadResult) countsJSON() string {
+	return fmt.Sprintf("\"offered\": %d, \"ok\": %d, \"late\": %d, \"rejected\": %d, \"expired\": %d, "+
+		"\"timed_out\": %d, \"dropped\": %d, \"errors\": %d, "+
+		"\"sends\": %d, \"retries\": %d, \"budget_denied\": %d",
+		l.Offered, l.OK, l.Late, l.Rejected, l.Expired,
+		l.TimedOut, l.Dropped, l.Errors,
+		l.Sends, l.Retries, l.BudgetDenied)
+}
+
+// tailJSON renders the latency quantiles and run totals as the artifact
+// members that close a serving-tier cell.
+func (l loadResult) tailJSON() string {
+	return fmt.Sprintf("\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, \"shed_p99_us\": %.3f, "+
+		"\"goodput_frac\": %.4f, \"elapsed_us\": %.3f, \"transport_errors\": %d",
+		l.P50.Micros(), l.P99.Micros(), l.P999.Micros(), l.ShedP99.Micros(),
+		l.GoodputFrac, l.Elapsed.Micros(), l.TransportErrs)
+}

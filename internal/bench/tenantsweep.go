@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"sort"
 
 	"repro/internal/analysis"
@@ -119,23 +118,11 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 		if cl.rate != 0 {
 			caseCfg.AggRate = cl.rate
 		}
-		r, err := runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
+		r, rep, err := doubleRun("tenantsweep", cl.name, func() (TenantResult, error) {
+			return runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
+		}, equal[TenantResult])
 		if err != nil {
 			return t, err
-		}
-		firstRep := takeAnalysis()
-		again, err := runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
-		if err != nil {
-			return t, err
-		}
-		rep := takeAnalysis()
-		if r != again {
-			return t, fmt.Errorf("bench: tenantsweep determinism drift in %q: %+v vs %+v",
-				cl.name, r, again)
-		}
-		if rep != nil && firstRep != nil &&
-			analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-			return t, fmt.Errorf("bench: tenantsweep analysis drift in %q", cl.name)
 		}
 		results = append(results, r)
 		reports = append(reports, rep)
@@ -196,12 +183,7 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 		}
 	}
 
-	if cfg.Out != "" {
-		if err := writeTenantJSON(cfg, results, reports); err != nil {
-			return t, err
-		}
-	}
-	return t, nil
+	return t, writeTenantJSON(cfg, results, reports)
 }
 
 // runTenantCase boots a two-node reliable cluster, admits the victim
@@ -412,8 +394,8 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 	res.Calls = len(latencies)
 	sorted := append([]sim.Time(nil), latencies...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	res.P50 = quantile(sorted, 50)
-	res.P99 = quantile(sorted, 99)
+	res.P50 = quantile(sorted, 50, 100)
+	res.P99 = quantile(sorted, 99, 100)
 	res.Max = sorted[len(sorted)-1]
 	for i := 0; i < 2; i++ {
 		st := c.Nodes[i].LCP.Stats()
@@ -422,74 +404,32 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 	return res, nil
 }
 
-// quantile picks the q-th percentile of an ascending latency list by the
-// nearest-rank method.
-func quantile(sorted []sim.Time, q int) sim.Time {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := (q*len(sorted) + 99) / 100
-	if idx < 1 {
-		idx = 1
-	}
-	if idx > len(sorted) {
-		idx = len(sorted)
-	}
-	return sorted[idx-1]
-}
-
 // writeTenantJSON emits the noisy-neighbor artifact: per-cell victim
 // latency quantiles, isolation counters, and the per-cell analysis
 // verdict (which names the contended resource), with the last cell's
-// full report — including its per-tenant attribution — embedded. Keys
-// are written in a fixed order and every value is virtual-time derived,
-// so the file is byte-identical across runs.
+// full report — including its per-tenant attribution — embedded.
 func writeTenantJSON(cfg TenantConfig, rs []TenantResult, reps []*analysis.Report) error {
-	f, err := os.Create(cfg.Out)
-	if err != nil {
-		return fmt.Errorf("bench: tenant artifact: %w", err)
+	a := artifact{
+		what: "tenant",
+		header: [][2]string{
+			{"benchmark", `"vmmc-tenantsweep"`},
+			{"calls", fmt.Sprint(cfg.Calls)},
+			{"aggressor_bytes", fmt.Sprint(cfg.AggBytes)},
+			{"aggressor_rate_b_s", fmt.Sprintf("%.0f", cfg.AggRate)},
+			{"sweep_rates_b_s", floatList(cfg.Rates)},
+		},
+		listKey: "cases",
+		reports: reps,
 	}
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"benchmark\": \"vmmc-tenantsweep\",\n")
-	fmt.Fprintf(f, "  \"calls\": %d,\n", cfg.Calls)
-	fmt.Fprintf(f, "  \"aggressor_bytes\": %d,\n", cfg.AggBytes)
-	fmt.Fprintf(f, "  \"aggressor_rate_b_s\": %.0f,\n", cfg.AggRate)
-	fmt.Fprintf(f, "  \"sweep_rates_b_s\": [")
-	for i, r := range cfg.Rates {
-		if i > 0 {
-			fmt.Fprintf(f, ", ")
-		}
-		fmt.Fprintf(f, "%.0f", r)
-	}
-	fmt.Fprintf(f, "],\n")
-	fmt.Fprintf(f, "  \"cases\": [\n")
-	for i, r := range rs {
-		comma := ","
-		if i == len(rs)-1 {
-			comma = ""
-		}
-		verdict := ""
-		if i < len(reps) && reps[i] != nil {
-			verdict = reps[i].Verdict
-		}
-		fmt.Fprintf(f, "    {\"case\": %q, \"qos\": %t, \"crashed\": %t, \"rate_b_s\": %.0f, \"calls\": %d, "+
+	for _, r := range rs {
+		a.cases = append(a.cases, fmt.Sprintf("\"case\": %q, \"qos\": %t, \"crashed\": %t, \"rate_b_s\": %.0f, \"calls\": %d, "+
 			"\"p50_us\": %.3f, \"p99_us\": %.3f, \"max_us\": %.3f, "+
 			"\"agg_ops\": %d, \"throttles\": %d, \"throttled_us\": %.3f, "+
-			"\"preempts\": %d, \"victim_errors\": %d, \"verdict\": %q}%s\n",
+			"\"preempts\": %d, \"victim_errors\": %d",
 			r.Case, r.QoS, r.Crashed, r.Rate, r.Calls,
 			r.P50.Micros(), r.P99.Micros(), r.Max.Micros(),
 			r.AggOps, r.Throttles, r.Throttled.Micros(),
-			r.Preempts, r.VictimErrs, verdict, comma)
+			r.Preempts, r.VictimErrs))
 	}
-	fmt.Fprintf(f, "  ],\n")
-	if n := len(reps); n > 0 && reps[n-1] != nil {
-		fmt.Fprintf(f, "  \"analysis\": %s\n", analysisJSON(reps[n-1], "  ")[2:])
-	} else {
-		fmt.Fprintf(f, "  \"analysis\": null\n")
-	}
-	fmt.Fprintf(f, "}\n")
-	if cerr := f.Close(); cerr != nil {
-		return fmt.Errorf("bench: tenant artifact: %w", cerr)
-	}
-	return nil
+	return a.write(cfg.Out)
 }

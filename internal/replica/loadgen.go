@@ -1,52 +1,16 @@
 package replica
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 
-	"repro/internal/rpc"
 	"repro/internal/serve"
 	"repro/internal/sim"
 )
 
-// WorkloadConfig describes one open-loop run against the replicated
-// tier. The shape mirrors serve.WorkloadConfig; PutFrac adds a write
-// mix so the run exercises the primary/apply path and the
-// read-your-writes check.
-type WorkloadConfig struct {
-	Rate     float64 // offered requests/second, Poisson arrivals
-	Requests int     // total offered requests
-	Theta    float64 // Zipf exponent over keys (0 = uniform)
-	PutFrac  float64 // fraction of requests that are writes
-	Deadline sim.Time
-	// EdgeLatency models the internet hop between the user and the
-	// front end, one way (see serve.WorkloadConfig).
-	EdgeLatency sim.Time
-	Seed        uint64
-	Retry       serve.RetryPolicy
-	// OnMeasure fires once dialing and warm-up complete, just before the
-	// open-loop generator starts — the anchor for scripting faults
-	// (replica kills) relative to the measured phase.
-	OnMeasure func(start sim.Time)
-}
-
-// Stats is the outcome of an open-loop run against the replicated tier.
+// Stats is the outcome of an open-loop run against the replicated tier:
+// the shared open-loop outcome plus the read-your-writes audit.
 type Stats struct {
-	Offered  int64
-	OK       int64
-	Late     int64
-	Rejected int64
-	Expired  int64
-	TimedOut int64
-	Dropped  int64
-	Errors   int64
-
-	Sends        int64
-	Retries      int64
-	BudgetDenied int64
-
-	Puts int64 // writes among Offered
+	serve.Stats
 	// RYWFallbacks counts reads that saw a stale follower version and
 	// re-read the primary — the client-visible cost of asynchronous
 	// replication.
@@ -55,29 +19,6 @@ type Stats struct {
 	// client had already written. Must stay zero: the primary fallback
 	// closes the asynchronous-apply window.
 	RYWViolations int64
-
-	LatOK   []sim.Time // user-perceived latency of OK requests (sorted)
-	LatShed []sim.Time // final-attempt-to-verdict latency of shed requests (sorted)
-}
-
-// Resolved sums every terminal outcome.
-func (s *Stats) Resolved() int64 {
-	return s.OK + s.Late + s.Rejected + s.Expired + s.TimedOut + s.Dropped + s.Errors
-}
-
-// genReq is one generated user request.
-type genReq struct {
-	key      uint32
-	put      bool
-	seq      int // generation index, seeds the put value
-	arrival  sim.Time
-	deadline sim.Time
-}
-
-type dispatchQueue struct {
-	items  []genReq
-	cond   *sim.Cond
-	closed bool
 }
 
 // putValue derives a deterministic value for write seq to a key.
@@ -89,21 +30,14 @@ func (t *Tier) putValue(key uint32, seq int) []byte {
 	return val
 }
 
-// RunOpenLoop drives the workload exactly as serve.Tier.RunOpenLoop
-// does — Poisson arrivals into per-shard dispatch queues, Conns workers
-// per (client node, shard) draining them — with two replication-layer
-// differences: each worker holds a Group (a connection per replica)
-// instead of a single shard connection, and reads go through GetRYW
-// against the highest version the clients have written, so every run
-// doubles as a read-your-writes audit.
-func (t *Tier) RunOpenLoop(p *sim.Proc, w WorkloadConfig) (*Stats, error) {
-	if w.Rate <= 0 || w.Requests <= 0 {
-		return nil, fmt.Errorf("replica: workload needs positive rate and request count")
-	}
-	shards := t.cfg.Shards
+// RunOpenLoop drives the workload through serve's open-loop generator
+// with two replication-layer differences from serve.Tier.RunOpenLoop:
+// each worker holds a Group (a connection per replica, every one
+// warmed) instead of a single shard connection, and reads go through
+// GetRYW against the highest version the clients have written, so every
+// run doubles as a read-your-writes audit.
+func (t *Tier) RunOpenLoop(p *sim.Proc, w serve.WorkloadConfig) (*Stats, error) {
 	stats := &Stats{}
-	zipf := newZipfTable(t.cfg.Keys, w.Theta)
-
 	// Highest version the load successfully wrote per key; the floor for
 	// GetRYW. Workers are engine-serialized, so the shared table is safe.
 	want := make([]uint64, t.cfg.Keys)
@@ -111,24 +45,14 @@ func (t *Tier) RunOpenLoop(p *sim.Proc, w WorkloadConfig) (*Stats, error) {
 		want[i] = 1 // preloaded version
 	}
 
-	queues := make([]*dispatchQueue, shards)
-	for i := range queues {
-		queues[i] = &dispatchQueue{cond: sim.NewCond(t.eng)}
-	}
-
-	// Dial every group and warm every replica connection in it.
-	type workerGroup struct {
-		grp   *Group
-		shard int
-	}
-	var groups []workerGroup
+	var workers []serve.Worker
 	for cIdx, node := range t.cfg.ClientNodes {
 		proc, err := t.cluster.Nodes[node].NewProcess(p)
 		if err != nil {
 			return nil, err
 		}
 		t.procs = append(t.procs, proc)
-		for sIdx := 0; sIdx < shards; sIdx++ {
+		for sIdx := 0; sIdx < t.cfg.Shards; sIdx++ {
 			for k := 0; k < t.cfg.Conns; k++ {
 				pol := w.Retry
 				pol.Seed = w.Seed ^ (uint64(cIdx)<<40 | uint64(sIdx)<<20 | uint64(k))
@@ -141,7 +65,25 @@ func (t *Tier) RunOpenLoop(p *sim.Proc, w WorkloadConfig) (*Stats, error) {
 						return nil, fmt.Errorf("replica: warm call s%dr%d: %w", sIdx, j, err)
 					}
 				}
-				groups = append(groups, workerGroup{grp: grp, shard: sIdx})
+				workers = append(workers, serve.Worker{Shard: sIdx, Retrier: grp.Retrier,
+					Do: func(wp *sim.Proc, req serve.Request) error {
+						if req.Put {
+							ver, err := grp.Put(wp, req.Key, t.putValue(req.Key, req.Seq), req.Deadline)
+							if err == nil && ver > want[req.Key] {
+								want[req.Key] = ver
+							}
+							return err
+						}
+						minVer := want[req.Key]
+						_, ver, _, _, fallback, err := grp.GetRYW(wp, req.Key, minVer, req.Deadline)
+						if fallback {
+							stats.RYWFallbacks++
+						}
+						if err == nil && ver < minVer {
+							stats.RYWViolations++
+						}
+						return err
+					}})
 			}
 		}
 	}
@@ -155,126 +97,11 @@ func (t *Tier) RunOpenLoop(p *sim.Proc, w WorkloadConfig) (*Stats, error) {
 			rep.StaleApplies = 0
 		}
 	}
-	if w.OnMeasure != nil {
-		w.OnMeasure(p.Now())
+	shared, err := serve.NewOpenLoop(t.eng, t.cfg.Shards).Run(p, "replica", t.cfg.Keys, w, workers)
+	if err != nil {
+		return nil, err
 	}
-
-	// Connection workers.
-	resolved := int64(0)
-	doneCond := sim.NewCond(t.eng)
-	for wi, wg := range groups {
-		wg := wg
-		q := queues[wg.shard]
-		t.eng.Go(fmt.Sprintf("replica:worker:%d", wi), func(wp *sim.Proc) {
-			for {
-				for len(q.items) == 0 && !q.closed {
-					q.cond.Wait(wp)
-				}
-				if len(q.items) == 0 {
-					return
-				}
-				req := q.items[0]
-				q.items = q.items[1:]
-				t.serveRequest(wp, wg.grp, req, w, stats, want)
-				resolved++
-				doneCond.Broadcast()
-			}
-		})
-	}
-
-	// Open-loop Poisson generator.
-	rng := w.Seed + 0x5eed
-	keyRng := w.Seed ^ 0xface
-	opRng := w.Seed ^ 0xbead
-	next := p.Now()
-	for i := 0; i < w.Requests; i++ {
-		next += sim.Time(expDraw(&rng, float64(sim.Second)/w.Rate))
-		if next > p.Now() {
-			p.Sleep(next - p.Now())
-		}
-		key := uint32(zipf.draw(&keyRng))
-		shard := int(key) % shards
-		put := w.PutFrac > 0 && unit(&opRng) < w.PutFrac
-		var dl sim.Time
-		if w.Deadline > 0 {
-			dl = p.Now() + w.Deadline
-		}
-		stats.Offered++
-		if put {
-			stats.Puts++
-		}
-		q := queues[shard]
-		q.items = append(q.items, genReq{key: key, put: put, seq: i, arrival: p.Now(), deadline: dl})
-		q.cond.Signal()
-	}
-	for _, q := range queues {
-		q.closed = true
-		q.cond.Broadcast()
-	}
-	for resolved < int64(w.Requests) {
-		doneCond.Wait(p)
-	}
-
-	for _, wg := range groups {
-		stats.Sends += wg.grp.Stats.Sends
-		stats.Retries += wg.grp.Stats.Retries
-		stats.BudgetDenied += wg.grp.Stats.BudgetDenied
-	}
-	sort.Slice(stats.LatOK, func(i, j int) bool { return stats.LatOK[i] < stats.LatOK[j] })
-	sort.Slice(stats.LatShed, func(i, j int) bool { return stats.LatShed[i] < stats.LatShed[j] })
+	stats.Stats = *shared
 	t.EmitUsage()
 	return stats, nil
-}
-
-// serveRequest resolves one request on a worker's group and records its
-// outcome.
-func (t *Tier) serveRequest(wp *sim.Proc, grp *Group, req genReq, w WorkloadConfig, stats *Stats, want []uint64) {
-	if req.deadline != 0 && wp.Now() >= req.deadline {
-		stats.Dropped++
-		return
-	}
-	if w.EdgeLatency > 0 {
-		wp.Sleep(w.EdgeLatency)
-	}
-	var err error
-	if req.put {
-		var ver uint64
-		ver, err = grp.Put(wp, req.key, t.putValue(req.key, req.seq), req.deadline)
-		if err == nil && ver > want[req.key] {
-			want[req.key] = ver
-		}
-	} else {
-		minVer := want[req.key]
-		var ver uint64
-		var fallback bool
-		_, ver, _, _, fallback, err = grp.GetRYW(wp, req.key, minVer, req.deadline)
-		if fallback {
-			stats.RYWFallbacks++
-		}
-		if err == nil && ver < minVer {
-			stats.RYWViolations++
-		}
-	}
-	lat := wp.Now() - req.arrival + w.EdgeLatency
-	switch {
-	case err == nil:
-		if req.deadline != 0 && wp.Now()+w.EdgeLatency > req.deadline {
-			stats.Late++
-			return
-		}
-		stats.OK++
-		stats.LatOK = append(stats.LatOK, lat)
-	case errors.Is(err, rpc.ErrOverloaded):
-		stats.Rejected++
-		stats.LatShed = append(stats.LatShed, wp.Now()-grp.LastSend())
-	case errors.Is(err, rpc.ErrDeadlineExceeded):
-		stats.Expired++
-		stats.LatShed = append(stats.LatShed, wp.Now()-grp.LastSend())
-	case errors.Is(err, rpc.ErrRPCTimeout):
-		stats.TimedOut++
-	case errors.Is(err, serve.ErrDeadlinePassed):
-		stats.Dropped++
-	default:
-		stats.Errors++
-	}
 }

@@ -98,10 +98,8 @@ type Replica struct {
 	proc  *vmmc.Process
 	store map[uint32]entry
 
-	Offered    int64 // client attempts the router sent here
-	ShedArrive int64
-	ShedServe  int64
-	DepthPeak  int
+	Offered int64 // client attempts the router sent here
+	serve.AdmissionCounters
 
 	Applies      int64 // replication applies accepted (followers)
 	StaleApplies int64 // applies superseded by a newer version
@@ -250,9 +248,6 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 		return nil, err
 	}
 	t := &Tier{eng: c.Eng, cluster: c, cfg: cfg}
-	if maxSlot := t.slotsPerServer(); maxSlot > 0xF0 {
-		return nil, fmt.Errorf("replica: %d slots per server would collide with the reply tag range", maxSlot)
-	}
 	t.router = newRouter(cfg.Routing, cfg.Shards, cfg.R)
 	for g := 0; g < cfg.Shards; g++ {
 		set := &ReplicaSet{Shard: g}
@@ -281,7 +276,7 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 				rep.store[uint32(k)] = entry{ver: 1, val: val}
 			}
 			t.registerHandlers(set, rep)
-			srv.SetAdmission(t.admissionFunc(rep))
+			srv.SetAdmission(rep.Policy(t.eng, fmt.Sprintf("replica/s%dr%d/queue_depth", g, j), cfg.Admission, cfg.ServiceTime))
 			srv.SetLoadHints(true)
 			srv.Start()
 			set.Replicas = append(set.Replicas, rep)
@@ -352,40 +347,6 @@ func (t *Tier) registerHandlers(set *ReplicaSet, rep *Replica) {
 	})
 }
 
-// admissionFunc mirrors serve's policy: arrival-queue bound, CoDel-style
-// sojourn target, hopeless-budget shedding — per replica.
-func (t *Tier) admissionFunc(rep *Replica) rpc.AdmissionFunc {
-	var ac serve.AdmissionConfig
-	if t.cfg.Admission != nil {
-		ac = *t.cfg.Admission
-	}
-	service := t.cfg.ServiceTime
-	depthGauge := t.eng.Metrics().Gauge(fmt.Sprintf("replica/s%dr%d/queue_depth", rep.Shard, rep.Idx))
-	return func(phase rpc.AdmitPhase, depth int, waited, remaining sim.Time) bool {
-		if depth > rep.DepthPeak {
-			rep.DepthPeak = depth
-		}
-		depthGauge.Set(float64(depth))
-		switch phase {
-		case rpc.AdmitArrive:
-			if ac.MaxQueue > 0 && depth > ac.MaxQueue {
-				rep.ShedArrive++
-				return false
-			}
-		case rpc.AdmitServe:
-			if ac.Target > 0 && waited > ac.Target {
-				rep.ShedServe++
-				return false
-			}
-			if (ac.MaxQueue > 0 || ac.Target > 0) && remaining != rpc.NoDeadline && remaining < service {
-				rep.ShedServe++
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // KillReplica kills replica j of shard g with the scoped KillProcess
 // path: exports and imports are scrubbed locally, in-flight chunks for
 // its windows are dropped at the interface, and no wire traffic is
@@ -397,14 +358,7 @@ func (t *Tier) KillReplica(g, j int) {
 
 // TransportErrors sums send and import failures across every process
 // the tier created — the "zero victim errors" check for kill cells.
-func (t *Tier) TransportErrors() int64 {
-	total := int64(0)
-	for _, pr := range t.procs {
-		e := pr.Errors()
-		total += e.SendFailures + e.ImportFailures
-	}
-	return total
-}
+func (t *Tier) TransportErrors() int64 { return serve.TransportErrors(t.procs) }
 
 // EmitUsage publishes each replica's routing, admission, and
 // replication counters as trace counters in the "replica" category,

@@ -379,7 +379,7 @@ func runOpenLoopOnce(t *testing.T) *Stats {
 	}
 	var stats *Stats
 	err := tierSetup(t, cfg, 5, func(p *sim.Proc, tier *Tier, cproc *vmmc.Process) {
-		s, err := tier.RunOpenLoop(p, WorkloadConfig{
+		s, err := tier.RunOpenLoop(p, serve.WorkloadConfig{
 			Rate:     20000,
 			Requests: 400,
 			Theta:    0.8,

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -460,4 +461,59 @@ func TestVRPCOversizedMessageRejected(t *testing.T) {
 			t.Errorf("oversized call = %v, want ErrTooBig", err)
 		}
 	})
+}
+
+// TestVRPCSlotRange pins the slot/tag layout guard: request tags are
+// reqTagBase+slot and reply tags repTagBase+slot, so a server may export
+// at most repTagBase-reqTagBase slots and a client may dial only a slot
+// such a server could hold. Anything else is ErrBadSlot before a single
+// window is exported.
+func TestVRPCSlotRange(t *testing.T) {
+	eng := sim.NewEngine()
+	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 3, MemBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Go("rpc-test", func(p *sim.Proc) {
+		for i, tc := range []struct {
+			slots int
+			ok    bool
+		}{{0, false}, {1, true}, {0x100, true}, {0x101, false}} {
+			// Window tags are per node: the two servers that do get built
+			// need a node each.
+			proc, err := cl.Nodes[1+i/2].NewProcess(p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			_, err = NewServer(p, proc, tc.slots)
+			if tc.ok && err != nil {
+				t.Errorf("NewServer(slots=%#x) = %v, want success", tc.slots, err)
+			}
+			if !tc.ok && !errors.Is(err, ErrBadSlot) {
+				t.Errorf("NewServer(slots=%#x) = %v, want ErrBadSlot", tc.slots, err)
+			}
+		}
+		cproc, err := cl.Nodes[0].NewProcess(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// Node 2 holds the full-range server built above.
+		for _, tc := range []struct {
+			slot int
+			ok   bool
+		}{{-1, false}, {0xFF, true}, {0x100, false}} {
+			_, err := Dial(p, cproc, 2, tc.slot)
+			if tc.ok && err != nil {
+				t.Errorf("Dial(slot=%#x) = %v, want success", tc.slot, err)
+			}
+			if !tc.ok && !errors.Is(err, ErrBadSlot) {
+				t.Errorf("Dial(slot=%#x) = %v, want ErrBadSlot", tc.slot, err)
+			}
+		}
+	})
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -59,6 +59,9 @@ const (
 
 	reqTagBase = 0xF000
 	repTagBase = 0xF100
+	// maxSlots is how many slots fit before request tags would run into
+	// the reply-tag range.
+	maxSlots = repTagBase - reqTagBase
 
 	// deadlineFlag marks the reply-tag trailer word of a request that
 	// carries an 8-byte absolute-deadline extension. Legacy calls keep
@@ -202,9 +205,10 @@ type Server struct {
 }
 
 // NewServer exports the request windows (one slot per prospective client)
-// and returns a server ready for Register and Start.
+// and returns a server ready for Register and Start. A slot count whose
+// request tags would not fit below the reply-tag range is ErrBadSlot.
 func NewServer(p *sim.Proc, proc *vmmc.Process, slots int) (*Server, error) {
-	if slots < 1 {
+	if slots < 1 || slots > maxSlots {
 		return nil, ErrBadSlot
 	}
 	buf, err := proc.Malloc(slots * SlotBytes)
@@ -596,8 +600,12 @@ func (c *Client) replyGrace() sim.Time {
 func (c *Client) LastHint() (LoadHint, bool) { return c.lastHint, c.hintSeen }
 
 // Dial imports the server's request window for the slot and exports a
-// local reply window the server will import on first contact.
+// local reply window the server will import on first contact. A slot no
+// server can export is ErrBadSlot.
 func Dial(p *sim.Proc, proc *vmmc.Process, serverNode, slot int) (*Client, error) {
+	if slot < 0 || slot >= maxSlots {
+		return nil, ErrBadSlot
+	}
 	dest, n, err := proc.Import(p, serverNode, uint32(reqTagBase+slot))
 	if err != nil {
 		return nil, err

@@ -64,6 +64,14 @@ type Config struct {
 	Admission *AdmissionConfig
 }
 
+// AdmissionCounters are one server's admission-policy counters, embedded
+// by every server type that installs Policy.
+type AdmissionCounters struct {
+	ShedArrive int64 // shed at the arrival queue bound
+	ShedServe  int64 // shed at dispatch (sojourn target or hopeless budget)
+	DepthPeak  int   // high-water arrival-queue depth
+}
+
 // Shard is one KV shard: a vRPC server plus its admission counters.
 type Shard struct {
 	ID    int
@@ -71,10 +79,8 @@ type Shard struct {
 	srv   *rpc.Server
 	store map[uint32][]byte
 
-	Offered    int64 // requests routed to this shard by the load generator
-	ShedArrive int64 // shed at the arrival queue bound
-	ShedServe  int64 // shed at dispatch (sojourn target or hopeless budget)
-	DepthPeak  int   // high-water arrival-queue depth
+	Offered int64 // requests routed to this shard by the load generator
+	AdmissionCounters
 }
 
 // Server exposes the shard's underlying vRPC server (counters,
@@ -87,8 +93,8 @@ type Tier struct {
 	cluster *vmmc.Cluster
 	cfg     Config
 	shards  []*Shard
-	queues  []*dispatchQueue // populated while RunOpenLoop is active
-	procs   []*vmmc.Process  // every process the tier created
+	loop    *OpenLoop       // set while RunOpenLoop is active
+	procs   []*vmmc.Process // every process the tier created
 }
 
 // Shards returns the tier's shards.
@@ -160,7 +166,7 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 			sh.store[uint32(k)] = val
 		}
 		t.registerHandlers(sh)
-		srv.SetAdmission(t.admissionFunc(sh))
+		srv.SetAdmission(sh.Policy(t.eng, fmt.Sprintf("serve/shard%d/queue_depth", sh.ID), cfg.Admission, cfg.ServiceTime))
 		srv.Start()
 		t.shards = append(t.shards, sh)
 	}
@@ -202,31 +208,32 @@ func (t *Tier) registerHandlers(sh *Shard) {
 	})
 }
 
-// admissionFunc builds the shard's rpc.AdmissionFunc. Even with
-// admission disabled a counting-only policy is installed so depth
-// statistics exist for the ablation comparison; it admits everything
-// and adds no simulated cost, leaving timing untouched.
-func (t *Tier) admissionFunc(sh *Shard) rpc.AdmissionFunc {
+// Policy builds the rpc.AdmissionFunc that enforces cfg for a server
+// whose handlers take service time per request, counting into c and
+// publishing the arrival-queue depth on the named gauge. With cfg nil
+// (admission disabled) the policy still counts, so depth statistics
+// exist for the ablation comparison; it admits everything and adds no
+// simulated cost, leaving timing untouched.
+func (c *AdmissionCounters) Policy(eng *sim.Engine, gauge string, cfg *AdmissionConfig, service sim.Time) rpc.AdmissionFunc {
 	var ac AdmissionConfig
-	if t.cfg.Admission != nil {
-		ac = *t.cfg.Admission
+	if cfg != nil {
+		ac = *cfg
 	}
-	service := t.cfg.ServiceTime
-	depthGauge := t.eng.Metrics().Gauge(fmt.Sprintf("serve/shard%d/queue_depth", sh.ID))
+	depthGauge := eng.Metrics().Gauge(gauge)
 	return func(phase rpc.AdmitPhase, depth int, waited, remaining sim.Time) bool {
-		if depth > sh.DepthPeak {
-			sh.DepthPeak = depth
+		if depth > c.DepthPeak {
+			c.DepthPeak = depth
 		}
 		depthGauge.Set(float64(depth))
 		switch phase {
 		case rpc.AdmitArrive:
 			if ac.MaxQueue > 0 && depth > ac.MaxQueue {
-				sh.ShedArrive++
+				c.ShedArrive++
 				return false
 			}
 		case rpc.AdmitServe:
 			if ac.Target > 0 && waited > ac.Target {
-				sh.ShedServe++
+				c.ShedServe++
 				return false
 			}
 			// A request whose remaining budget cannot cover the service
@@ -234,7 +241,7 @@ func (t *Tier) admissionFunc(sh *Shard) rpc.AdmissionFunc {
 			// with a fresh budget) rather than produce a reply that
 			// expires in flight.
 			if (ac.MaxQueue > 0 || ac.Target > 0) && remaining != rpc.NoDeadline && remaining < service {
-				sh.ShedServe++
+				c.ShedServe++
 				return false
 			}
 		}
@@ -253,13 +260,12 @@ func (t *Tier) armDeadlockReport() {
 		for _, sh := range t.shards {
 			d := sh.srv.QueueDepth()
 			a := sh.srv.OldestWait(now)
-			if sh.ID < len(t.queues) {
-				if q := t.queues[sh.ID]; q != nil {
-					d += len(q.items)
-					if len(q.items) > 0 {
-						if w := now - q.items[0].arrival; w > a {
-							a = w
-						}
+			if t.loop != nil {
+				q := t.loop.queues[sh.ID]
+				d += len(q.items)
+				if len(q.items) > 0 {
+					if w := now - q.items[0].Arrival; w > a {
+						a = w
 					}
 				}
 			}
