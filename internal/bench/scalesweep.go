@@ -39,7 +39,8 @@ type ScaleResult struct {
 	PayloadBytes   int64
 	VirtualElapsed sim.Time
 	GoodputMBps    float64
-	Events         uint64
+	Events         uint64 // dispatched: executed events, evaluated spin samples included
+	SamplesElided  uint64 // spin samples skipped unexecuted (sim.SchedStats.Elided)
 	WallSeconds    float64
 	EventsPerSec   float64
 	AllocsPerEvent float64
@@ -122,8 +123,10 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 
 	t := Table{
 		Title: "Scale sweep: all-to-all traffic, virtual goodput vs simulator throughput",
-		Columns: []string{"nodes", "messages", "virtual time", "goodput",
-			"events", "wall time", "events/sec", "allocs/event", "peak heap", "compactions"},
+		Columns: []string{"nodes", "messages", "virtual time", "goodput", "wall time",
+			"events", "samples elided", "events/sec", "allocs/event", "peak heap", "compactions"},
+		Notes: []string{"wall time is the figure to compare across PRs: events/sec falls " +
+			"whenever a change removes the cheapest events (elided spin samples), even as the run gets faster"},
 	}
 
 	var (
@@ -157,8 +160,9 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 			fmt.Sprintf("%d", r.Messages),
 			fmt.Sprintf("%.1f us", r.VirtualElapsed.Micros()),
 			fmt.Sprintf("%.1f MB/s", r.GoodputMBps),
-			fmt.Sprintf("%d", r.Events),
 			fmt.Sprintf("%.2f s", r.WallSeconds),
+			fmt.Sprintf("%d", r.Events),
+			fmt.Sprintf("%d", r.SamplesElided),
 			fmt.Sprintf("%.0f", r.EventsPerSec),
 			fmt.Sprintf("%.2f", r.AllocsPerEvent),
 			fmt.Sprintf("%d", r.PeakEventHeap),
@@ -353,6 +357,7 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 		PayloadBytes:   payload,
 		VirtualElapsed: elapsed,
 		Events:         st.Dispatched,
+		SamplesElided:  st.Elided,
 		WallSeconds:    wall,
 		PeakEventHeap:  st.PeakHeapLen,
 		Compactions:    st.Compactions,
@@ -390,12 +395,12 @@ func writeScaleJSON(cfg ScaleConfig, rs []ScaleResult, reps []*analysis.Report) 
 	for _, r := range rs {
 		a.cases = append(a.cases, fmt.Sprintf("\"nodes\": %d, \"messages\": %d, \"payload_bytes\": %d, "+
 			"\"virtual_elapsed_us\": %.3f, \"goodput_mb_s\": %.2f, "+
-			"\"events_dispatched\": %d, \"wall_seconds\": %.3f, \"events_per_sec\": %.0f, "+
+			"\"wall_seconds\": %.3f, \"events_dispatched\": %d, \"samples_elided\": %d, \"events_per_sec\": %.0f, "+
 			"\"allocs_per_event\": %.3f, \"peak_event_heap\": %d, \"compactions\": %d, "+
 			"\"heap_sys_mb\": %.1f",
 			r.Nodes, r.Messages, r.PayloadBytes,
 			r.VirtualElapsed.Micros(), r.GoodputMBps,
-			r.Events, r.WallSeconds, r.EventsPerSec,
+			r.WallSeconds, r.Events, r.SamplesElided, r.EventsPerSec,
 			r.AllocsPerEvent, r.PeakEventHeap, r.Compactions,
 			r.HeapSysMB))
 	}

@@ -30,7 +30,7 @@ func TestScaleSweepSmall(t *testing.T) {
 	}
 	for _, key := range []string{
 		`"benchmark": "vmmc-scalesweep"`, `"nodes": 12`,
-		`"events_per_sec"`, `"allocs_per_event"`, `"peak_event_heap"`,
+		`"wall_seconds"`, `"samples_elided"`, `"events_per_sec"`, `"allocs_per_event"`, `"peak_event_heap"`,
 	} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("artifact missing %s", key)

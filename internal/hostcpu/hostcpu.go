@@ -63,10 +63,25 @@ func (c *CPU) Compute(p *sim.Proc, d sim.Time) {
 	p.Sleep(d)
 }
 
-// SpinWait parks p until check() reports true, re-sampling every
+// Spin parks p until check() reports true, sampling it every
 // SpinCheckInterval. This models spinning on a cache location: the checks
 // cost no bus cycles (the completion word is written into the cache line
-// by DMA; §4.5), only latency granularity.
+// by DMA; §4.5), only latency granularity — and, since nothing can change
+// the word between simulator events, no simulator time either: samples
+// that cannot observe a change are skipped (sim.Proc.PollUntil).
+//
+// check must be a pure function of model state: no side effects while it
+// is false, and no reading of the clock. A bounded spin passes the
+// absolute time deadline instead (0 = unbounded); Spin then reports false
+// if the first sample at or after the deadline still finds check false.
+func (c *CPU) Spin(p *sim.Proc, deadline sim.Time, check func() bool) bool {
+	return p.PollUntil(c.prof.SpinCheckInterval, deadline, check)
+}
+
+// SpinWait is Spin for an arbitrary predicate — one that counts its calls,
+// or reads the clock: every sample on the SpinCheckInterval grid is
+// evaluated, one simulator event each (sim.Proc.PollEvery). Model code
+// spins through Spin; SpinWait is for probes that time a single sample.
 func (c *CPU) SpinWait(p *sim.Proc, check func() bool) {
 	p.PollEvery(c.prof.SpinCheckInterval, check)
 }

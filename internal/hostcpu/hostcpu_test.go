@@ -130,6 +130,51 @@ func TestSpinWaitObservesFlag(t *testing.T) {
 	}
 }
 
+// Spin resumes on the tick SpinWait does, evaluates a handful of samples
+// instead of a hundred, and reports a deadline it ran into.
+func TestSpinElidesAndHonorsDeadline(t *testing.T) {
+	run := func(spin func(c *CPU, p *sim.Proc, check func() bool)) (resumed sim.Time, samples int) {
+		e := sim.NewEngine()
+		c := newCPU(e)
+		flag := false
+		e.Go("spinner", func(p *sim.Proc) {
+			spin(c, p, func() bool { samples++; return flag })
+			resumed = p.Now()
+		})
+		e.At(10*sim.Microsecond+30, func() { flag = true })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return resumed, samples
+	}
+	wantAt, legacySamples := run(func(c *CPU, p *sim.Proc, check func() bool) { c.SpinWait(p, check) })
+	gotAt, samples := run(func(c *CPU, p *sim.Proc, check func() bool) {
+		if !c.Spin(p, 0, check) {
+			t.Error("unbounded Spin reported a timeout")
+		}
+	})
+	if gotAt != wantAt {
+		t.Errorf("Spin resumed at %v, SpinWait at %v", gotAt, wantAt)
+	}
+	if samples > 3 || legacySamples < 100 {
+		t.Errorf("Spin evaluated %d samples (SpinWait %d), want at most the first and the one after the store", samples, legacySamples)
+	}
+
+	e := sim.NewEngine()
+	c := newCPU(e)
+	e.Go("spinner", func(p *sim.Proc) {
+		if c.Spin(p, 5*sim.Microsecond, func() bool { return false }) {
+			t.Error("Spin past its deadline reported success")
+		}
+		if p.Now() != 5*sim.Microsecond {
+			t.Errorf("timed out at %v, want 5 us", p.Now())
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMMIOContendsWithOtherBusTraffic(t *testing.T) {
 	e := sim.NewEngine()
 	b := bus.New(e, "pci")

@@ -123,22 +123,33 @@ func (as *AddressSpace) Unpin(va VirtAddr, n int) {
 // page table across page boundaries.
 func (as *AddressSpace) ReadBytes(va VirtAddr, n int) ([]byte, error) {
 	out := make([]byte, n)
+	if err := as.ReadInto(va, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ReadInto fills buf from virtual memory starting at va. It is ReadBytes
+// without the allocation, for readers that look at the same few bytes over
+// and over (a spin on a flag or a completion word).
+func (as *AddressSpace) ReadInto(va VirtAddr, buf []byte) error {
+	n := len(buf)
 	off := 0
 	for off < n {
 		pa, err := as.Translate(va + VirtAddr(off))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		chunk := PageSize - (va + VirtAddr(off)).Offset()
 		if chunk > n-off {
 			chunk = n - off
 		}
-		if err := as.phys.Read(pa, out[off:off+chunk]); err != nil {
-			return nil, err
+		if err := as.phys.Read(pa, buf[off:off+chunk]); err != nil {
+			return err
 		}
 		off += chunk
 	}
-	return out, nil
+	return nil
 }
 
 // WriteBytes copies data into virtual memory starting at va.

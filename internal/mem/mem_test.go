@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -341,5 +342,40 @@ func TestTranslateOffsetPreservedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// ReadInto is ReadBytes into the caller's buffer: same bytes, same errors,
+// across a page boundary, and nothing allocated.
+func TestReadIntoMatchesReadBytesWithoutAllocating(t *testing.T) {
+	pm := NewPhysical(1 << 20)
+	as := NewAddressSpace(pm)
+	va, err := as.Alloc(2 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	at := va + PageSize - 3 // straddles the boundary
+	if err := as.WriteBytes(at, data); err != nil {
+		t.Fatal(err)
+	}
+	want, err := as.ReadBytes(at, len(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [8]byte
+	if err := as.ReadInto(at, got[:]); err != nil || !bytes.Equal(got[:], want) {
+		t.Fatalf("ReadInto = %v, %v; ReadBytes = %v", got, err, want)
+	}
+	if err := as.ReadInto(va+2*PageSize-4, got[:]); !errors.Is(err, ErrBadAddress) {
+		t.Errorf("ReadInto past the mapping: err = %v, want ErrBadAddress", err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var b [8]byte
+		if as.ReadInto(at, b[:]) != nil || b[0] != 1 {
+			t.Fatal("bad read")
+		}
+	}); n != 0 {
+		t.Errorf("ReadInto allocates %v times per call", n)
 	}
 }

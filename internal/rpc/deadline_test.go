@@ -276,3 +276,109 @@ func TestVRPCTimeoutThenDrainRecovers(t *testing.T) {
 		}
 	})
 }
+
+// vrpcSpinTrace drives three deadline calls and one into a crashed server
+// (it times out at deadline + grace) and returns every virtual timestamp the client saw
+// plus the scheduler's counts over the exchange. With beat set a no-op
+// event fires every half spin interval from the first call on, so no spin
+// sample anywhere in the stack can be elided: the run is the eliding
+// primitive degraded to PollEvery's one-event-per-sample behavior.
+func vrpcSpinTrace(t *testing.T, beat bool) (stamps []sim.Time, dispatched, elided, beats uint64) {
+	t.Helper()
+	eng := sim.NewEngine()
+	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Go("rpc-test", func(p *sim.Proc) {
+		sproc, _ := cl.Nodes[1].NewProcess(p)
+		srv, err := NewServer(p, sproc, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		registerTestProcs(srv)
+		srv.Start()
+		cproc, _ := cl.Nodes[0].NewProcess(p)
+		c, err := Dial(p, cproc, 1, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		// Warm: first contact pays the ether-daemon import.
+		if err := c.Call(p, progTest, versTest, procNull, nil, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		done := false
+		defer func() { done = true }()
+		if beat {
+			var tick func()
+			tick = func() {
+				if !done {
+					beats++
+					eng.After(cl.Nodes[0].Prof.SpinCheckInterval/2, tick)
+				}
+			}
+			eng.After(0, tick)
+		}
+		before := eng.SchedStats()
+
+		for i := 0; i < 3; i++ {
+			err := c.CallDeadline(p, p.Now()+sim.Millisecond, progTest, versTest, procNull, nil, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			stamps = append(stamps, p.Now())
+		}
+		cl.CrashNode(1)
+		// Off the spin grid on purpose: the timeout is the first sample
+		// at or after deadline + grace, not the deadline itself.
+		err = c.CallDeadline(p, p.Now()+sim.Micros(200)+37, progTest, versTest, procNull, nil, nil)
+		if !errors.Is(err, ErrRPCTimeout) {
+			t.Errorf("call into crashed server err = %v, want ErrRPCTimeout", err)
+		}
+		stamps = append(stamps, p.Now())
+
+		after := eng.SchedStats()
+		dispatched = after.Dispatched - before.Dispatched
+		elided = after.Elided - before.Elided
+	})
+	if err := cl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return stamps, dispatched, elided, beats
+}
+
+// TestVRPCDeadlineSpinElisionExact: awaitReply hands its deadline to the
+// spin instead of reading the clock in the predicate, so its samples can
+// be elided. Successful calls and the timeout must land on the same
+// virtual timestamps as when every sample is evaluated, and the samples
+// not dispatched must be exactly the ones reported elided.
+func TestVRPCDeadlineSpinElisionExact(t *testing.T) {
+	stamps, disp, elided, _ := vrpcSpinTrace(t, false)
+	forced, forcedDisp, forcedElided, beats := vrpcSpinTrace(t, true)
+	if len(stamps) != 4 {
+		t.Fatalf("trace incomplete: %v", stamps)
+	}
+	for i := range stamps {
+		if i >= len(forced) || stamps[i] != forced[i] {
+			t.Fatalf("virtual timestamps differ: elided %v, every sample evaluated %v", stamps, forced)
+		}
+	}
+	if elided == 0 {
+		t.Fatal("nothing elided: the test exercises nothing")
+	}
+	if forcedElided != 0 {
+		t.Errorf("%d samples elided under the heartbeat", forcedElided)
+	}
+	if forcedDisp-beats != disp+elided {
+		t.Errorf("every-sample run dispatched %d (less %d beats) != %d dispatched + %d elided",
+			forcedDisp, beats, disp, elided)
+	}
+	// The timed-out wait alone is ~2000 samples; almost none may run.
+	if disp*4 > disp+elided {
+		t.Errorf("dispatched %d of %d events+samples: the bounded spin is not being elided", disp, disp+elided)
+	}
+}

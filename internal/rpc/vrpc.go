@@ -438,19 +438,18 @@ func (s *Server) ensureReplyWindow(p *sim.Proc, slot int, clientNode int, replyT
 // slotMessage checks a slot window for a complete message with the
 // expected trailing sequence flag and returns its payload.
 func slotMessage(proc *vmmc.Process, base mem.VirtAddr, expect uint32) ([]byte, bool) {
-	head, err := proc.Read(base, 4)
-	if err != nil {
+	var word [4]byte
+	if proc.AS.ReadInto(base, word[:]) != nil {
 		return nil, false
 	}
-	n := int(binary.BigEndian.Uint32(head))
+	n := int(binary.BigEndian.Uint32(word[:]))
 	if n <= 0 || n > slotMax {
 		return nil, false
 	}
-	tail, err := proc.Read(base+4+mem.VirtAddr(n), 4)
-	if err != nil {
+	if proc.AS.ReadInto(base+4+mem.VirtAddr(n), word[:]) != nil {
 		return nil, false
 	}
-	if binary.BigEndian.Uint32(tail) != expect {
+	if binary.BigEndian.Uint32(word[:]) != expect {
 		return nil, false
 	}
 	payload, err := proc.Read(base+4, n)
@@ -752,27 +751,20 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 }
 
 // awaitReply waits for the next in-sequence reply. With a deadline the
-// spin predicate also watches the clock, so a lost notification — dead
-// server, dropped reply, partition — resolves as a timeout instead of
-// blocking forever. With deadline 0 the wait is unbounded (legacy
-// behavior, byte-identical timing).
+// spin is bounded, so a lost notification — dead server, dropped reply,
+// partition — resolves as a timeout instead of blocking forever. With
+// deadline 0 the wait is unbounded (legacy behavior, byte-identical
+// timing).
 func (c *Client) awaitReply(p *sim.Proc, deadline sim.Time) ([]byte, bool) {
-	eng := c.proc.Node.Eng
 	var raw []byte
-	timedOut := false
-	c.proc.SpinUntil(p, func() bool {
+	ok := c.proc.SpinUntilDeadline(p, deadline, func() bool {
 		m, ok := slotMessage(c.proc, c.repBuf, c.repSeq)
 		if ok {
 			raw = m
-			return true
 		}
-		if deadline != 0 && eng.Now() >= deadline {
-			timedOut = true
-			return true
-		}
-		return false
+		return ok
 	})
-	return raw, !timedOut
+	return raw, ok
 }
 
 // drainStale consumes late replies to previously abandoned calls so the

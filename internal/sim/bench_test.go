@@ -156,3 +156,38 @@ func BenchmarkResourceHandoff(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// benchmarkSpin parks the given number of pollers on a flag for b.N ticks
+// of a 100 ns sampling grid while one real event fires every 10 ticks —
+// roughly a receiver's view of a message in flight. An op is one grid
+// tick across all pollers: the legacy primitive pays one heap event per
+// poller per tick, the eliding one a re-arm per poller per real event.
+func benchmarkSpin(b *testing.B, pollers int, poll pollPrimitive) {
+	const interval = 100 * Nanosecond
+	e := NewEngine()
+	released := false
+	for i := 0; i < pollers; i++ {
+		e.Go("spinner", func(p *Proc) {
+			poll(p, interval, 0, func() bool { return released })
+		})
+	}
+	ticks := 0
+	var event func()
+	event = func() {
+		if ticks += 10; ticks >= b.N {
+			released = true
+			return
+		}
+		e.After(10*interval, event)
+	}
+	e.After(10*interval, event)
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkSpinLegacy1(b *testing.B)  { benchmarkSpin(b, 1, pollLegacy) }
+func BenchmarkSpinElided1(b *testing.B)  { benchmarkSpin(b, 1, pollElided) }
+func BenchmarkSpinLegacy32(b *testing.B) { benchmarkSpin(b, 32, pollLegacy) }
+func BenchmarkSpinElided32(b *testing.B) { benchmarkSpin(b, 32, pollElided) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/trace"
@@ -137,6 +138,7 @@ type SchedStats struct {
 	HeapCanceled int    // canceled events awaiting compaction or pop
 	PeakHeapLen  int    // largest heap residency ever observed
 	Dispatched   uint64 // events executed since construction
+	Elided       uint64 // PollUntil samples skipped without being executed
 	Compactions  uint64 // lazy compaction sweeps performed
 	FreeEvents   int    // pooled events available for reuse
 	FreeWorkers  int    // parked goroutines available for reuse
@@ -162,6 +164,15 @@ type Engine struct {
 	freeEvents     []*Event
 	freeWorkers    []*worker
 	freeWaiters    []*condWaiter
+
+	// Parked PollUntil spins (poll.go). epoch counts the dispatches that
+	// may have changed model state; pollIdle counts the pollers that have
+	// seen the current epoch and have no deadline — the ones that will
+	// not be sampled again unless an event is dispatched.
+	pollers  pollHeap
+	epoch    uint64
+	pollIdle int
+	elided   uint64
 
 	collector *trace.Collector
 	metrics   *trace.Registry
@@ -236,6 +247,7 @@ func (e *Engine) SchedStats() SchedStats {
 		HeapCanceled: e.canceledInHeap,
 		PeakHeapLen:  e.peakHeapLen,
 		Dispatched:   e.dispatched,
+		Elided:       e.elided,
 		Compactions:  e.compactions,
 		FreeEvents:   len(e.freeEvents),
 		FreeWorkers:  len(e.freeWorkers),
@@ -432,25 +444,51 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step executes the single earliest pending event, advancing the clock to
 // its timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		ev := e.heapPop()
-		if ev.canceled {
+	e.bumpEpoch()
+	return e.step(math.MaxInt64)
+}
+
+// step executes the earliest pending event or poll sample due at or
+// before until. It reports false when there is none — including when all
+// that remains are polls nothing can make true any more.
+func (e *Engine) step(until Time) bool {
+	for {
+		var ev *Event
+		for len(e.events) > 0 {
+			if ev = e.events[0]; !ev.canceled {
+				break
+			}
+			e.heapPop()
 			e.canceledInHeap--
 			if e.obsCanceled != nil {
 				e.obsCanceled.Set(float64(e.canceledInHeap))
 			}
 			e.recycle(ev)
-			continue
+			ev = nil
 		}
-		e.now = ev.at
-		e.dispatched++
-		if e.obsDispatched != nil {
-			e.obsDispatched.Add(1)
-			e.obsHeap.Set(float64(len(e.events)))
-			if e.dispatched%heapSampleInterval == 0 {
-				e.TraceCounter("sim", "sched", "event_heap", float64(len(e.events)))
+		if len(e.pollers) > 0 {
+			pl := &e.pollers[0]
+			if ev == nil || pl.at < ev.at || (pl.at == ev.at && pl.seq < ev.seq) {
+				if pl.at > until {
+					return false
+				}
+				if ev == nil && until == math.MaxInt64 && e.pollIdle == len(e.pollers) {
+					return false
+				}
+				if e.elide(ev, until) {
+					continue
+				}
+				e.sample()
+				return true
 			}
 		}
+		if ev == nil || ev.at > until {
+			return false
+		}
+		e.heapPop()
+		e.now = ev.at
+		e.noteDispatch()
+		e.bumpEpoch()
 		switch {
 		case ev.fn != nil:
 			fn := ev.fn
@@ -471,7 +509,18 @@ func (e *Engine) Step() bool {
 		}
 		return true
 	}
-	return false
+}
+
+// noteDispatch counts one executed event or poll sample.
+func (e *Engine) noteDispatch() {
+	e.dispatched++
+	if e.obsDispatched != nil {
+		e.obsDispatched.Add(1)
+		e.obsHeap.Set(float64(len(e.events)))
+		if e.dispatched%heapSampleInterval == 0 {
+			e.TraceCounter("sim", "sched", "event_heap", float64(len(e.events)))
+		}
+	}
 }
 
 // Run executes events until none remain or Stop is called. It returns an
@@ -479,7 +528,8 @@ func (e *Engine) Step() bool {
 // deadlock in the model.
 func (e *Engine) Run() error {
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	e.bumpEpoch() // the caller may have changed model state between runs
+	for !e.stopped && e.step(math.MaxInt64) {
 	}
 	return e.checkStall()
 }
@@ -491,19 +541,18 @@ func (e *Engine) Run() error {
 // model observes the time it stopped at.
 func (e *Engine) RunUntil(t Time) error {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.events) == 0 {
-			if err := e.checkStall(); err != nil {
-				return err
-			}
-			break
-		}
-		if e.events[0].at > t {
-			break
-		}
-		e.Step()
+	e.bumpEpoch()
+	for !e.stopped && e.step(t) {
 	}
-	if !e.stopped && e.now < t {
+	if e.stopped {
+		return nil
+	}
+	if len(e.events) == 0 {
+		if err := e.checkStall(); err != nil {
+			return err
+		}
+	}
+	if e.now < t {
 		e.now = t
 	}
 	return nil
@@ -541,10 +590,12 @@ func (e *Engine) AddDeadlockWrapper(wrap func(error) error) {
 	e.deadlockWraps = append(e.deadlockWraps, wrap)
 }
 
-// Pending reports the number of scheduled (non-canceled) events. It is
-// O(1): the engine tracks in-heap cancellations as they happen.
+// Pending reports the number of scheduled (non-canceled) events, plus the
+// parked polls that still owe a sample — those with a deadline, and those
+// that have not looked since the last dispatch. It is O(1): the engine
+// tracks in-heap cancellations and idle polls as they happen.
 func (e *Engine) Pending() int {
-	return len(e.events) - e.canceledInHeap
+	return len(e.events) - e.canceledInHeap + len(e.pollers) - e.pollIdle
 }
 
 // Parked returns a description of every live process currently parked,

@@ -110,6 +110,21 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// A canceled event at the top of the heap and inside the bound must not
+// drag the next live event, which lies past the bound, into the run.
+func TestRunUntilSkipsCanceledTopWithinBound(t *testing.T) {
+	e := NewEngine()
+	ran := false
+	e.At(10, func() {}).Cancel()
+	e.At(100, func() { ran = true })
+	if err := e.RunUntil(50); err != nil {
+		t.Fatal(err)
+	}
+	if ran || e.Now() != 50 {
+		t.Fatalf("RunUntil(50) ran the event at 100: ran=%v clock=%v", ran, e.Now())
+	}
+}
+
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	e := NewEngine()
 	if err := e.RunUntil(1000); err != nil {

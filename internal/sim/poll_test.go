@@ -1,0 +1,381 @@
+package sim
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// pollPrimitive is the shape both poll implementations are driven through.
+type pollPrimitive func(p *Proc, interval, deadline Time, check func() bool) bool
+
+func pollElided(p *Proc, interval, deadline Time, check func() bool) bool {
+	return p.PollUntil(interval, deadline, check)
+}
+
+// pollLegacy is the oracle: every sample is a heap event, and a bounded
+// poll reads the clock inside the predicate — the shape rpc.awaitReply had
+// before PollUntil existed.
+func pollLegacy(p *Proc, interval, deadline Time, check func() bool) bool {
+	timedOut := false
+	p.PollEvery(interval, func() bool {
+		if check() {
+			return true
+		}
+		if deadline != 0 && p.Now() >= deadline {
+			timedOut = true
+			return true
+		}
+		return false
+	})
+	return !timedOut
+}
+
+// pollScenario runs one seeded random schedule on the given primitive and
+// returns the global log of everything observable: who ran, when, and in
+// which order, followed by the final clock.
+//
+// The schedule mixes callback events (many landing exactly on the 100 ns
+// grid the pollers sample on), zero-delay pushes, sleeping processes,
+// pollers with equal and unequal phases and intervals, deadlines on and
+// off the grid, a Kill of a poller, and — when chunked — RunUntil
+// boundaries with model state changed between the runs.
+func pollScenario(seed int64, poll pollPrimitive, chunked bool) (log []string, st SchedStats) {
+	rng := rand.New(rand.NewSource(seed))
+	e := NewEngine()
+	const end = 40 * Microsecond
+	cells := make([]int, 4)
+	note := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%d ", e.Now())+fmt.Sprintf(format, args...))
+	}
+	// gridTime draws a time that is a multiple of 50 ns three times out
+	// of four, so ties with sample ticks are the common case.
+	gridTime := func(max Time) Time {
+		if rng.Intn(4) == 0 {
+			return Time(rng.Int63n(int64(max)))
+		}
+		return Time(rng.Int63n(int64(max)/50)) * 50
+	}
+
+	for i, n := 0, 20+rng.Intn(40); i < n; i++ {
+		i, at, cell, chain := i, gridTime(end), rng.Intn(len(cells)), rng.Intn(3) == 0
+		e.At(at, func() {
+			cells[cell]++
+			note("event %d cell %d=%d", i, cell, cells[cell])
+			if chain {
+				e.After(0, func() {
+					cells[(cell+1)%len(cells)]++
+					note("chain %d", i)
+				})
+			}
+		})
+	}
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		i, cell := i, rng.Intn(len(cells))
+		naps := make([]Time, 3+rng.Intn(6))
+		for j := range naps {
+			naps[j] = gridTime(4 * Microsecond)
+		}
+		e.Go(fmt.Sprintf("sleeper%d", i), func(p *Proc) {
+			for _, d := range naps {
+				p.Sleep(d)
+				cells[cell]++
+				note("sleeper %d cell %d=%d", i, cell, cells[cell])
+			}
+		})
+	}
+	var pollers []*Proc
+	for i, n := 0, 2+rng.Intn(5); i < n; i++ {
+		i := i
+		start := Time(rng.Intn(3)) * 100 // equal phases are common
+		type spin struct {
+			interval, deadline Time // deadline relative to the spin's start
+			cell, want         int
+			nap                Time
+		}
+		spins := make([]spin, 1+rng.Intn(5))
+		for j := range spins {
+			s := spin{
+				interval: []Time{100, 100, 100, 250, 30}[rng.Intn(5)],
+				cell:     rng.Intn(len(cells)),
+				want:     1 + rng.Intn(12),
+				nap:      Time(rng.Intn(3)) * 50,
+			}
+			switch rng.Intn(3) {
+			case 1:
+				s.deadline = Time(1+rng.Intn(40)) * s.interval // on the grid
+			case 2:
+				s.deadline = Time(1 + rng.Intn(4000)) // anywhere
+			}
+			spins[j] = s
+		}
+		pollers = append(pollers, e.Go(fmt.Sprintf("poller%d", i), func(p *Proc) {
+			p.Sleep(start)
+			for j, s := range spins {
+				deadline := s.deadline
+				if deadline != 0 {
+					deadline += p.Now()
+				}
+				ok := poll(p, s.interval, deadline, func() bool { return cells[s.cell] >= s.want })
+				cells[(s.cell+1)%len(cells)]++ // pollers wake each other
+				note("poller %d spin %d ok=%v", i, j, ok)
+				p.Sleep(s.nap)
+			}
+		}))
+	}
+	victim := pollers[rng.Intn(len(pollers))]
+	e.At(gridTime(end/2), func() {
+		note("kill %s", victim.Name())
+		victim.Kill()
+	})
+	// Everything outstanding comes true here, so the legacy run ends.
+	e.At(end, func() {
+		for i := range cells {
+			cells[i] = 1 << 20
+		}
+		note("release")
+	})
+
+	if chunked {
+		for t := Time(0); t < end; {
+			t += Time(1+rng.Intn(60)) * 50
+			if err := e.RunUntil(t); err != nil {
+				panic(err)
+			}
+			if e.Now() != t {
+				panic(fmt.Sprintf("RunUntil(%d) left the clock at %d", t, e.Now()))
+			}
+			cells[rng.Intn(len(cells))]++ // changed outside any dispatch
+		}
+	}
+	if err := e.Run(); err != nil {
+		panic(err)
+	}
+	note("final clock")
+	return log, e.SchedStats()
+}
+
+// The differential oracle: on random schedules PollUntil must resume every
+// process at the same virtual time and in the same global order as
+// PollEvery, end at the same clock, and account for every sample it did
+// not execute.
+func TestPollUntilMatchesPollEvery(t *testing.T) {
+	var elided uint64
+	for seed := int64(1); seed <= 300; seed++ {
+		for _, chunked := range []bool{false, true} {
+			want, legacy := pollScenario(seed, pollLegacy, chunked)
+			got, st := pollScenario(seed, pollElided, chunked)
+			for i := 0; i < len(want) || i < len(got); i++ {
+				if i >= len(want) || i >= len(got) || got[i] != want[i] {
+					t.Fatalf("seed %d chunked=%v: logs diverge at entry %d:\n legacy %q\n elided %q",
+						seed, chunked, i, want[min(i, len(want)):min(i+1, len(want))], got[min(i, len(got)):min(i+1, len(got))])
+				}
+			}
+			if legacy.Elided != 0 {
+				t.Fatalf("seed %d: PollEvery elided %d samples", seed, legacy.Elided)
+			}
+			if legacy.Dispatched != st.Dispatched+st.Elided {
+				t.Fatalf("seed %d chunked=%v: legacy dispatched %d != elided run's %d dispatched + %d elided",
+					seed, chunked, legacy.Dispatched, st.Dispatched, st.Elided)
+			}
+			elided += st.Elided
+		}
+	}
+	if elided == 0 {
+		t.Fatal("no sample was ever elided: the test exercises nothing")
+	}
+}
+
+// Two pollers tied on every tick and an event on the same tick: the order
+// in which they observe the event is fixed by seq alone.
+func TestPollUntilTieOrder(t *testing.T) {
+	run := func(poll pollPrimitive) []string {
+		e := NewEngine()
+		var order []string
+		flag := false
+		for _, name := range []string{"a", "b", "c"} {
+			e.Go(name, func(p *Proc) {
+				poll(p, 100, 0, func() bool { return flag })
+				order = append(order, fmt.Sprintf("%s@%d", name, p.Now()))
+			})
+		}
+		e.Go("late", func(p *Proc) {
+			p.Sleep(700)
+			// Pushed long after the pollers parked, due on their tick:
+			// PollEvery's sample events for tick 1000 were pushed at 900,
+			// so this runs first and all three see it at 1000.
+			e.At(1000, func() { flag = true; order = append(order, "set@1000") })
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return order
+	}
+	want, got := run(pollLegacy), run(pollElided)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("tie order: legacy %v, elided %v", want, got)
+	}
+	if want[0] != "set@1000" || want[1] != "a@1000" {
+		t.Fatalf("unexpected legacy order %v", want)
+	}
+}
+
+func TestPollUntilDeadline(t *testing.T) {
+	e := NewEngine()
+	var ok bool
+	var at Time
+	e.Go("spinner", func(p *Proc) {
+		p.Sleep(50)
+		if p.PollUntil(100, p.Now(), func() bool { return false }) {
+			t.Error("a deadline already reached must time out at once")
+		}
+		ok = p.PollUntil(100, 1030, func() bool { return false })
+		at = p.Now()
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// The first sample at or after 1030 on a grid of 100 from 50.
+	if ok || at != 1050 {
+		t.Fatalf("timed-out poll returned %v at %v, want false at 1050", ok, at)
+	}
+	if st := e.SchedStats(); st.Elided != 9 {
+		t.Fatalf("elided %d samples, want the 9 before the deadline", st.Elided)
+	}
+}
+
+// A spin nothing can make true is a deadlock, reported through the wrapper
+// chain like any other — not an engine that never returns.
+func TestPollUntilWedgedIsDeadlock(t *testing.T) {
+	e := NewEngine()
+	typed := errors.New("protocol wedged")
+	e.AddDeadlockWrapper(func(err error) error { return fmt.Errorf("%w: %w", typed, err) })
+	e.Go("spinner", func(p *Proc) { p.PollUntil(100, 0, func() bool { return false }) })
+	e.Go("other", func(p *Proc) { p.PollUntil(250, 0, func() bool { return false }) })
+	e.Go("worker", func(p *Proc) { p.Sleep(5 * Microsecond) })
+	err := e.Run()
+	if err == nil {
+		t.Fatal("Run returned nil with two spins that can never come true")
+	}
+	if !errors.Is(err, typed) {
+		t.Errorf("deadlock wrapper not applied: %v", err)
+	}
+	if !strings.Contains(err.Error(), "spinner (poll)") || !strings.Contains(err.Error(), "other (poll)") {
+		t.Errorf("report does not name the spinners: %v", err)
+	}
+	if e.Pending() != 0 {
+		t.Errorf("Pending() = %d with only idle polls left", e.Pending())
+	}
+	if len(e.Parked()) != 2 {
+		t.Errorf("Parked() = %v", e.Parked())
+	}
+}
+
+// A daemon that spins forever does not hold the engine open either.
+func TestPollUntilIdleDaemonTerminates(t *testing.T) {
+	e := NewEngine()
+	e.Go("service", func(p *Proc) {
+		p.SetDaemon(true)
+		p.PollUntil(100, 0, func() bool { return false })
+	})
+	e.Go("worker", func(p *Proc) { p.Sleep(Microsecond) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Now() > Microsecond+100 {
+		t.Errorf("engine ran to %v after the last event", e.Now())
+	}
+}
+
+// RunUntil must not run a sample due after its bound and must leave the
+// clock on the bound; a poll that still owes a sample counts as pending, so
+// an otherwise empty queue is not a deadlock.
+func TestPollUntilRunUntilBound(t *testing.T) {
+	e := NewEngine()
+	flag := false
+	samples := 0
+	var resumed Time
+	e.Go("spinner", func(p *Proc) {
+		p.PollUntil(100, 0, func() bool { samples++; return flag })
+		resumed = p.Now()
+	})
+	e.At(1020, func() { flag = true })
+	if err := e.RunUntil(1030); err != nil {
+		t.Fatalf("owed sample reported as deadlock: %v", err)
+	}
+	if e.Now() != 1030 {
+		t.Fatalf("clock at %v after RunUntil(1030)", e.Now())
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending() = %d, want the one owed sample", e.Pending())
+	}
+	before := samples
+	if err := e.RunUntil(1050); err != nil {
+		t.Fatal(err)
+	}
+	if samples != before || resumed != 0 || e.Now() != 1050 {
+		t.Fatalf("the sample due at 1100 ran inside RunUntil(1050) (clock %v)", e.Now())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if resumed != 1100 {
+		t.Fatalf("resumed at %v, want 1100", resumed)
+	}
+}
+
+// A change made between runs — outside any dispatch — must be seen at the
+// very next grid tick: entering a run bumps the epoch.
+func TestPollUntilSeesChangeBetweenRuns(t *testing.T) {
+	for _, idle := range []bool{false, true} {
+		e := NewEngine()
+		flag := false
+		var resumed Time
+		e.Go("spinner", func(p *Proc) {
+			p.SetDaemon(true)
+			p.PollUntil(100, 0, func() bool { return flag })
+			resumed = p.Now()
+		})
+		if !idle {
+			e.At(Second, func() {}) // something for the poll to be skipped up to
+		}
+		if err := e.RunUntil(1030); err != nil {
+			t.Fatal(err)
+		}
+		if e.Now() != 1030 {
+			t.Fatalf("idle=%v: clock at %v after RunUntil(1030)", idle, e.Now())
+		}
+		flag = true
+		if err := e.RunUntil(2000); err != nil {
+			t.Fatal(err)
+		}
+		if resumed != 1100 {
+			t.Fatalf("idle=%v: resumed at %v, want the first tick after the change, 1100", idle, resumed)
+		}
+	}
+}
+
+func TestPollUntilKilledPoller(t *testing.T) {
+	e := NewEngine()
+	unwound := false
+	var victim *Proc
+	victim = e.Go("poller", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.PollUntil(Microsecond, 0, func() bool { return false })
+	})
+	e.After(5*Microsecond+1, func() { victim.Kill() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !unwound {
+		t.Fatal("killed poller did not unwind")
+	}
+	// The orphaned sample at 6 us is the last thing that runs, as under
+	// PollEvery; it must not re-arm.
+	if e.Now() != 6*Microsecond {
+		t.Errorf("engine stopped at %v, want 6 us", e.Now())
+	}
+}

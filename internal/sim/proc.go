@@ -13,6 +13,7 @@ type Proc struct {
 	parkedAt string  // human-readable blocking site, "" while runnable
 	killed   bool
 	daemon   bool
+	poll     *poller // PollUntil state, allocated on the first spin
 }
 
 // worker is a reusable goroutine that runs process bodies. When a process
@@ -153,12 +154,14 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // sample, the process resumes at the first sample where the predicate
 // holds — but false samples run inside the event callback on the engine
 // goroutine, so each costs a closure call instead of the park/resume
-// goroutine round trip. That makes it the right shape for spin loops
-// (polling a completion word at cache speed), where almost every sample
-// is false.
+// goroutine round trip.
 //
-// check must be a pure inspection of model state: it runs outside the
-// process context and must not call Proc methods or block.
+// Every sample is evaluated, so check may count its calls or read the
+// clock. A spin whose predicate is a pure function of model state belongs
+// on PollUntil, which skips the samples that cannot see a change;
+// PollEvery stays as the reference PollUntil is tested against and for
+// probes that time one sample. check runs outside the process context and
+// must not call Proc methods or block.
 func (p *Proc) PollEvery(interval Time, check func() bool) {
 	if check() {
 		return

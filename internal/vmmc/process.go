@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // Process is a user process linked against the VMMC basic library (§4.1).
@@ -300,7 +301,7 @@ func (proc *Process) SendMsg(p *simProc, src mem.VirtAddr, dest ProxyAddr, n int
 	// The send queue is preallocated in SRAM; if it is full the library
 	// spins until the LCP drains an entry.
 	sq := proc.lcpState.sq
-	proc.Node.CPU.SpinWait(p, func() bool { return !sq.full() })
+	proc.Node.CPU.Spin(p, 0, func() bool { return !sq.full() })
 	proc.Node.CPU.MMIOWriteWords(p, postWords(e))
 	sq.post(e)
 	proc.Node.LCP.doorbell()
@@ -311,8 +312,8 @@ func (proc *Process) SendMsg(p *simProc, src mem.VirtAddr, dest ProxyAddr, n int
 // host DMA into the pinned status page; the library spins on the cached
 // copy, §4.5).
 func (proc *Process) status() (seq, code uint32) {
-	b, err := proc.AS.ReadBytes(proc.statusVA, 8)
-	if err != nil {
+	var b [8]byte
+	if err := proc.AS.ReadInto(proc.statusVA, b[:]); err != nil {
 		panic(fmt.Sprintf("vmmc: status page unreadable: %v", err))
 	}
 	return binary.BigEndian.Uint32(b[0:]), binary.BigEndian.Uint32(b[4:])
@@ -335,7 +336,7 @@ func (proc *Process) SendDone(seq uint32) (bool, error) {
 // the send buffer may be reused afterwards.
 func (proc *Process) WaitSend(p *simProc, seq uint32) error {
 	var result error
-	proc.Node.CPU.SpinWait(p, func() bool {
+	proc.Node.CPU.Spin(p, 0, func() bool {
 		if proc.dead || proc.Node.crashed {
 			// The local node died under us; the completion will never
 			// arrive.
@@ -386,8 +387,21 @@ func (proc *Process) SendMsgChecked(p *simProc, src mem.VirtAddr, dest ProxyAddr
 // SpinUntil spins the process until pred observes the awaited state in
 // its memory — the VMMC idiom for message reception (data appears in the
 // exported buffer without any receive call).
+//
+// pred must be a pure function of model state: no side effects while it
+// returns false, and no reading of the clock. The simulator evaluates it
+// only at the 0.1 us samples that follow a simulator event, since no other
+// sample could see a different answer. A spin bounded in time states its
+// bound through SpinUntilDeadline.
 func (proc *Process) SpinUntil(p *simProc, pred func() bool) {
-	proc.Node.CPU.SpinWait(p, pred)
+	proc.Node.CPU.Spin(p, 0, pred)
+}
+
+// SpinUntilDeadline is SpinUntil bounded by the absolute virtual time
+// deadline (0 = unbounded). It reports false if the first sample at or
+// after the deadline still finds pred false.
+func (proc *Process) SpinUntilDeadline(p *simProc, deadline sim.Time, pred func() bool) bool {
+	return proc.Node.CPU.Spin(p, deadline, pred)
 }
 
 // PollUntil behaves like a polling loop over memory the interface writes
@@ -406,7 +420,7 @@ func (proc *Process) PollUntil(p *simProc, pred func() bool) {
 // the canonical "poll the flag at the end of the buffer" receive.
 func (proc *Process) SpinByte(p *simProc, va mem.VirtAddr, want byte) {
 	proc.SpinUntil(p, func() bool {
-		b, err := proc.AS.ReadBytes(va, 1)
-		return err == nil && b[0] == want
+		var b [1]byte
+		return proc.AS.ReadInto(va, b[:]) == nil && b[0] == want
 	})
 }
