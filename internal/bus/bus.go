@@ -46,7 +46,7 @@ func (b *Bus) Utilization() float64 { return b.res.Utilization() }
 // link is modeled separately.
 type DMAEngine struct {
 	eng     *sim.Engine
-	name    string
+	comp    string // trace component, "dma:<name>"
 	profile hw.DMAProfile
 	res     *sim.Resource
 	bus     *Bus // nil if the engine does not master a shared bus
@@ -77,18 +77,19 @@ func (d *DMAEngine) SetTurnaround(t sim.Time) { d.turnaround = t }
 // alongside "dma:<name>/bytes", "/transfers" and "/turnarounds" counters;
 // every transfer also emits a trace span on component "dma:<name>".
 func NewDMAEngine(eng *sim.Engine, name string, profile hw.DMAProfile, b *Bus) *DMAEngine {
+	comp := "dma:" + name
 	d := &DMAEngine{
 		eng:     eng,
-		name:    name,
+		comp:    comp,
 		profile: profile,
-		res:     sim.NewResource(eng, "dma:"+name),
+		res:     sim.NewResource(eng, comp),
 		bus:     b,
 	}
 	m := eng.Metrics()
-	d.res.Observe(m.Utilization("dma:" + name + "/utilization"))
-	d.mBytes = m.Counter("dma:" + name + "/bytes")
-	d.mTransfers = m.Counter("dma:" + name + "/transfers")
-	d.mTurnarounds = m.Counter("dma:" + name + "/turnarounds")
+	d.res.Observe(m.Utilization(comp + "/utilization"))
+	d.mBytes = m.Counter(comp + "/bytes")
+	d.mTransfers = m.Counter(comp + "/transfers")
+	d.mTurnarounds = m.Counter(comp + "/turnarounds")
 	return d
 }
 
@@ -107,13 +108,13 @@ func (d *DMAEngine) Transfer(p *sim.Proc, n int) {
 	d.res.Acquire(p)
 	// Deferred so a kill-unwind mid-transfer frees the engine.
 	defer d.res.Release(p)
-	d.eng.TraceBegin("dma:"+d.name, "dma", "transfer")
+	d.eng.TraceBegin(d.comp, "dma", "transfer")
 	if d.bus != nil {
 		d.bus.Use(p, cost)
 	} else {
 		p.Sleep(cost)
 	}
-	d.eng.TraceEnd("dma:"+d.name, "dma", "transfer")
+	d.eng.TraceEnd(d.comp, "dma", "transfer")
 	d.account(n)
 }
 
@@ -129,16 +130,16 @@ func (d *DMAEngine) TransferWith(p *sim.Proc, n int, prof hw.DMAProfile) {
 		cost += d.turnaround
 		d.turnarounds++
 		d.mTurnarounds.Add(1)
-		d.eng.TraceInstant("dma:"+d.name, "dma", "turnaround")
+		d.eng.TraceInstant(d.comp, "dma", "turnaround")
 	}
 	d.lastProfile, d.haveLast = prof, true
-	d.eng.TraceBegin("dma:"+d.name, "dma", "transfer")
+	d.eng.TraceBegin(d.comp, "dma", "transfer")
 	if d.bus != nil {
 		d.bus.Use(p, cost)
 	} else {
 		p.Sleep(cost)
 	}
-	d.eng.TraceEnd("dma:"+d.name, "dma", "transfer")
+	d.eng.TraceEnd(d.comp, "dma", "transfer")
 	d.account(n)
 }
 
@@ -156,7 +157,7 @@ func (d *DMAEngine) account(n int) {
 // serializes on the engine and bus. Use for modeling overlap, e.g. the
 // send-side pipeline posting host DMA while preparing the next header.
 func (d *DMAEngine) TransferAsync(n int, done func()) {
-	d.eng.Go("dma:"+d.name+":async", func(p *sim.Proc) {
+	d.eng.Go(d.comp+":async", func(p *sim.Proc) {
 		d.Transfer(p, n)
 		if done != nil {
 			done()

@@ -24,6 +24,10 @@ func runRanks(t *testing.T, nodes int, clOpts vmmc.Options, opts coll.Options,
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Packet buffers are overwritten with 0xDB as they return to the
+	// fabric's free list, so a step that reduced from a recycled buffer
+	// would produce a wrong vector, not a plausible stale one.
+	cluster.Net.PoisonReleased()
 	cluster.Go("coll-test", func(p *sim.Proc) {
 		procs := make([]*vmmc.Process, nodes)
 		for i := range procs {
@@ -236,6 +240,28 @@ func TestAllReduceSequenceExercisesCredits(t *testing.T) {
 			}
 			if !bytes.Equal(out, coll.EncodeInt32s(exp)) {
 				t.Errorf("rank %d round %d (%v): wrong result", c.Rank(), round, algo)
+			}
+		}
+	})
+}
+
+// Eight ranks, 64 KB, ring: every rank is sending one block and depositing
+// another at every step, so packet buffers from all eight boards cycle
+// through the shared free list (poisoned on release, see runRanks) while
+// their neighbours' are still in flight.
+func TestRingAllReduceRecyclesBuffersSafely(t *testing.T) {
+	const n = 8
+	const elems = 16 << 10 // 64 KB of int32
+	runRanks(t, n, vmmc.Options{}, coll.Options{}, func(p *sim.Proc, c *coll.Comm) {
+		for round := 0; round < 3; round++ {
+			in, want := reduceVectors(t, coll.OpSum, coll.Int32, n, elems, c.Rank())
+			out := make([]byte, len(in))
+			if err := c.AllReduce(p, in, out, coll.OpSum, coll.Int32, coll.Ring); err != nil {
+				t.Errorf("rank %d round %d: %v", c.Rank(), round, err)
+				return
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("rank %d round %d: reduced vector differs from the expected one", c.Rank(), round)
 			}
 		}
 	})

@@ -157,42 +157,79 @@ func PhysLast(pa mem.PhysAddr, n int) mem.PhysAddr {
 	return pa + mem.PhysAddr(n-1)
 }
 
-// SendPacket injects payload along route. The net-send DMA engine feeds
-// the link directly, so wire serialization is charged once (inside the NIC
-// injection) plus the engine's start cost. With the optional reliability
-// layer enabled, the packet goes through its send window instead, and the
-// call can fail with ErrPeerUnreachable when the destination's retransmit
-// budget is exhausted. Without the layer, sends never fail: the paper's
-// configuration fires and forgets (§4.2).
-func (b *Board) SendPacket(p *sim.Proc, route []byte, payload []byte) error {
-	return b.SendPacketClass(p, route, payload, 0)
-}
-
-// SendPacketClass is SendPacket within a traffic class: the class's link
-// bandwidth budget (if configured) paces the injection, and with the
-// reliability layer enabled the packet rides the class's own transmit
-// window, so a class teardown cannot disturb other classes' sequence
-// state. Class 0 is the default shared class — SendPacket delegates
-// here with it — and is never paced or torn down by class.
-func (b *Board) SendPacketClass(p *sim.Proc, route []byte, payload []byte, class int) error {
-	if b.linksched != nil {
-		b.linksched.charge(p, class, len(payload))
+// headroom is the space the link layer claims in front of every payload:
+// nothing in the paper's configuration, a frame header with reliability.
+func (b *Board) headroom() int {
+	if b.reliable != nil {
+		return linkHdrSize
 	}
-	return b.SendPacketCharged(p, route, payload, class)
+	return 0
 }
 
-// SendPacketCharged injects a packet whose pacing charge the caller has
+// NewFrame starts an outgoing packet of up to n payload bytes: it returns
+// a buffer holding only the link layer's headroom, with room for the
+// caller to append the payload. The finished frame goes to SendFrameClass
+// or SendFrameCharged, which take it over.
+func (b *Board) NewFrame(n int) []byte {
+	if b.reliable != nil {
+		// The retransmit window keeps the frame until it is acknowledged
+		// and may resend it meanwhile, so it is never recycled.
+		return make([]byte, linkHdrSize, linkHdrSize+n)
+	}
+	return b.NIC.Buf(n)
+}
+
+// PayloadLen is the number of payload bytes in a frame built on NewFrame
+// — what pacing charges for, the link headroom excluded.
+func (b *Board) PayloadLen(frame []byte) int { return len(frame) - b.headroom() }
+
+// SendPacket injects a copy of payload along route: the convenience form
+// for callers that do not build frames (and whose receivers do not hand
+// buffers back, so the copy is a plain allocation of its own size). The
+// net-send DMA engine feeds the link directly, so wire serialization is
+// charged once (inside the NIC injection) plus the engine's start cost.
+// With the optional reliability layer enabled, the packet goes through
+// its send window instead, and the call can fail with ErrPeerUnreachable
+// when the destination's retransmit budget is exhausted. Without the
+// layer, sends never fail: the paper's configuration fires and forgets
+// (§4.2).
+func (b *Board) SendPacket(p *sim.Proc, route []byte, payload []byte) error {
+	h := b.headroom()
+	frame := make([]byte, h+len(payload))
+	copy(frame[h:], payload)
+	return b.SendFrameClass(p, route, frame, 0)
+}
+
+// SendFrameClass injects a frame built on NewFrame within a traffic
+// class: the class's link bandwidth budget (if configured) paces the
+// injection, and with the reliability layer enabled the packet rides the
+// class's own transmit window, so a class teardown cannot disturb other
+// classes' sequence state. Class 0 is the default shared class —
+// SendPacket delegates here with it — and is never paced or torn down by
+// class.
+func (b *Board) SendFrameClass(p *sim.Proc, route []byte, frame []byte, class int) error {
+	if b.linksched != nil {
+		b.linksched.charge(p, class, b.PayloadLen(frame))
+	}
+	return b.SendFrameCharged(p, route, frame, class)
+}
+
+// SendFrameCharged injects a frame whose pacing charge the caller has
 // already committed (via LinkScheduler.TryCharge) or that the caller
 // deliberately exempts from pacing. The LCP's scheduler uses this path:
 // it gates dispatch on class eligibility and commits the charge without
 // sleeping, so the shared control loop never blocks inside an injection
 // on one class's bandwidth deficit.
-func (b *Board) SendPacketCharged(p *sim.Proc, route []byte, payload []byte, class int) error {
+//
+// The frame changes hands: fire-and-forget, it belongs to the fabric and
+// then to whoever receives it; with the reliability layer, to the
+// transmit window.
+func (b *Board) SendFrameCharged(p *sim.Proc, route []byte, frame []byte, class int) error {
 	if b.reliable != nil {
-		return b.reliable.send(p, route, payload, class)
+		return b.reliable.send(p, route, frame, class)
 	}
 	b.NetSend.TransferWith(p, 0, b.Prof.NetSend) // engine start only
-	b.NIC.Send(p, route, payload)
+	b.NIC.SendOwned(p, route, frame)
 	return nil
 }
 

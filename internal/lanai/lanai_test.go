@@ -292,3 +292,68 @@ func TestSendPacketReachesWire(t *testing.T) {
 		t.Fatalf("packet not delivered: %v", got)
 	}
 }
+
+// A bit error on a reliable link must damage one transmission, not the
+// frame: the retransmit window holds the very buffer that went out, so a
+// flip made in place would be resent under a CRC computed over the damage
+// and delivered as good data.
+func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
+	e := sim.NewEngine()
+	prof := hw.Default()
+	net := myrinet.New(e, prof)
+	sw := net.AddSwitch(8)
+	var boards [2]*Board
+	for i := range boards {
+		nic := net.AddNIC()
+		if err := net.AttachNIC(nic, sw, i); err != nil {
+			t.Fatal(err)
+		}
+		boards[i] = NewBoard(e, prof, nic, mem.NewPhysical(16*mem.PageSize), bus.New(e, "pci"))
+		cfg := DefaultReliability()
+		cfg.AckEvery = 1 // a lone packet is acknowledged at once, not by a second timeout
+		if _, err := boards[i].EnableReliability(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := boards[0], boards[1]
+	payload := bytes.Repeat([]byte("chunk "), 600)
+
+	var got [][]byte
+	e.Go("b:rx", func(p *sim.Proc) {
+		p.SetDaemon(true)
+		for {
+			data, _ := b.Receive(p)
+			got = append(got, data)
+		}
+	})
+	e.Go("a:rx", func(p *sim.Proc) { // consumes the acks
+		p.SetDaemon(true)
+		for {
+			a.Receive(p)
+		}
+	})
+	e.Go("a:tx", func(p *sim.Proc) {
+		net.InjectBitError(1)
+		frame := append(a.NewFrame(len(payload)), payload...)
+		if err := a.SendFrameClass(p, []byte{1}, frame, 0); err != nil {
+			t.Error(err)
+			return
+		}
+		// The damaged first transmission is on the wire; the window's copy
+		// is what the timer will resend.
+		for _, st := range a.Reliable().tx {
+			if len(st.unacked) != 1 || !bytes.Equal(st.unacked[0].frame[linkHdrSize:], payload) {
+				t.Error("retransmit window does not hold the original bytes after a faulted injection")
+			}
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if b.Reliable().CorruptDrops != 1 || a.Reliable().Retransmits != 1 {
+		t.Errorf("corrupt drops = %d, retransmits = %d, want 1 and 1", b.Reliable().CorruptDrops, a.Reliable().Retransmits)
+	}
+	if len(got) != 1 || !bytes.Equal(got[0], payload) {
+		t.Errorf("%d deliveries, want exactly one carrying the original bytes", len(got))
+	}
+}

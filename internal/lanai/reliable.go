@@ -28,8 +28,8 @@ var ErrPeerUnreachable = errors.New("lanai: peer unreachable, retransmit budget 
 //
 // Design: go-back-N between NIC pairs, sender-driven.
 //
-//   - every outgoing data packet is wrapped with [type, senderNIC, seq];
-//     a copy is held in an SRAM retransmit window until acknowledged;
+//   - every outgoing data packet is framed with [type, senderNIC, seq]
+//     and held in an SRAM retransmit window until acknowledged;
 //   - the receiver tracks the expected sequence per sender; in-sequence
 //     packets are delivered and (cumulatively) acknowledged along the
 //     reversed ingress route; anything else — CRC damage, or the gap an
@@ -182,9 +182,12 @@ type txState struct {
 }
 
 type bufferedPacket struct {
-	seq     uint32
-	payload []byte
-	sentAt  sim.Time
+	seq uint32
+	// frame is the packet exactly as injected, link header included. The
+	// window, every retransmission and the copies still queued at the
+	// receiver all share this one buffer, so nobody writes to it again.
+	frame  []byte
+	sentAt sim.Time
 	// retx marks a packet that has been retransmitted: its ack no longer
 	// yields a usable RTT sample (Karn's rule).
 	retx bool
@@ -252,25 +255,26 @@ func (rl *ReliableLink) emitWindowOccupancy(st *txState) {
 		float64(len(st.unacked))/float64(rl.cfg.Window))
 }
 
-// wrapLink frames a link-layer packet: data packets carry the sender NIC
-// (for per-sender receive sequencing) and the sender's window key (echoed
-// back in acks so exactly one retransmit window is trimmed); acks carry
-// the window key and the cumulative ack sequence.
-func wrapLink(typ byte, sender int, seq uint32, winKey uint32, payload []byte) []byte {
-	out := make([]byte, linkHdrSize+len(payload))
-	out[0] = typ
-	binary.BigEndian.PutUint32(out[1:], uint32(sender))
-	binary.BigEndian.PutUint32(out[5:], seq)
-	binary.BigEndian.PutUint32(out[9:], winKey)
-	copy(out[linkHdrSize:], payload)
-	return out
+// putLinkHdr writes a link-layer header into the first linkHdrSize bytes
+// of frame: data packets carry the sender NIC (for per-sender receive
+// sequencing) and the sender's window key (echoed back in acks so exactly
+// one retransmit window is trimmed); acks carry the window key and the
+// cumulative ack sequence.
+func putLinkHdr(frame []byte, typ byte, sender int, seq uint32, winKey uint32) {
+	frame[0] = typ
+	binary.BigEndian.PutUint32(frame[1:], uint32(sender))
+	binary.BigEndian.PutUint32(frame[5:], seq)
+	binary.BigEndian.PutUint32(frame[9:], winKey)
 }
 
-// send transmits payload reliably along route to the destination NIC,
-// inside the transmit window of the given traffic class. It blocks while
-// the window is full and fails with ErrPeerUnreachable when the
-// destination's retransmit budget is exhausted while waiting.
-func (rl *ReliableLink) send(p *sim.Proc, route []byte, payload []byte, class int) error {
+// send transmits a frame — payload behind linkHdrSize bytes of headroom,
+// as Board.NewFrame lays it out — reliably along route to the destination
+// NIC, inside the transmit window of the given traffic class. It blocks
+// while the window is full and fails with ErrPeerUnreachable when the
+// destination's retransmit budget is exhausted while waiting. The frame
+// becomes the window's: the header goes into the headroom and the same
+// buffer serves every (re)transmission until it is acknowledged.
+func (rl *ReliableLink) send(p *sim.Proc, route []byte, frame []byte, class int) error {
 	st, ok := rl.stateFor(route, class)
 	if !ok {
 		key := classKey(rl.destOf(route), class)
@@ -291,14 +295,11 @@ func (rl *ReliableLink) send(p *sim.Proc, route []byte, payload []byte, class in
 	p.Sleep(rl.cfg.PerPacketCost)
 	seq := st.nextSeq
 	st.nextSeq++
-	st.unacked = append(st.unacked, bufferedPacket{
-		seq:     seq,
-		payload: append([]byte(nil), payload...),
-		sentAt:  p.Now(),
-	})
+	putLinkHdr(frame, linkData, rl.board.NIC.ID, seq, uint32(st.key))
+	st.unacked = append(st.unacked, bufferedPacket{seq: seq, frame: frame, sentAt: p.Now()})
 	rl.emitWindowOccupancy(st)
 	rl.armTimer(st)
-	rl.PayloadBytes += int64(len(payload))
+	rl.PayloadBytes += int64(len(frame) - linkHdrSize)
 	if st.suspended {
 		// The route is known dead and a heal is pending: buffer only.
 		// Resume retransmits the whole window on the healed route, so
@@ -306,7 +307,7 @@ func (rl *ReliableLink) send(p *sim.Proc, route []byte, payload []byte, class in
 		return nil
 	}
 	rl.board.NetSend.TransferWith(p, 0, rl.board.Prof.NetSend)
-	rl.board.NIC.Send(p, st.route, wrapLink(linkData, rl.board.NIC.ID, seq, uint32(st.key), payload))
+	rl.board.NIC.Send(p, st.route, frame)
 	return nil
 }
 
@@ -415,7 +416,6 @@ func (rl *ReliableLink) retransmit(st *txState) {
 	}
 	st.retries++
 	rl.board.Eng.Go(fmt.Sprintf("lanai%d:retx", rl.board.NIC.ID), func(p *sim.Proc) {
-		key := uint32(st.key)
 		// Snapshot: acks arriving during the resend sleeps trim the live
 		// window; the backing array keeps the snapshot elements valid.
 		win := st.unacked
@@ -429,7 +429,7 @@ func (rl *ReliableLink) retransmit(st *txState) {
 			rl.mRetx.Add(1)
 			p.Sleep(rl.cfg.PerPacketCost)
 			rl.board.NetSend.TransferWith(p, 0, rl.board.Prof.NetSend)
-			rl.board.NIC.Send(p, st.route, wrapLink(linkData, rl.board.NIC.ID, bp.seq, key, bp.payload))
+			rl.board.NIC.Send(p, st.route, bp.frame)
 		}
 		rl.armTimer(st)
 	})
@@ -734,7 +734,9 @@ func (rl *ReliableLink) sendAck(p *sim.Proc, pk *myrinet.Packet, winKey, ackSeq 
 func (rl *ReliableLink) sendAckRoute(p *sim.Proc, route []byte, winKey, ackSeq uint32) {
 	rl.AcksSent++
 	rl.board.NetSend.TransferWith(p, 0, rl.board.Prof.NetSend)
-	rl.board.NIC.Send(p, route, wrapLink(linkAck, int(winKey), ackSeq, 0, nil))
+	ack := make([]byte, linkHdrSize)
+	putLinkHdr(ack, linkAck, int(winKey), ackSeq, 0)
+	rl.board.NIC.Send(p, route, ack)
 }
 
 // armDelayedAck schedules a cumulative ack toward one sequence stream

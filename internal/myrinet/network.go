@@ -22,13 +22,30 @@ type Packet struct {
 	// that capability for the mapper without giving it topology oracle
 	// access.
 	Ingress []byte
-	// Payload is the header plus data.
+	// Payload is the header plus data. It is the sender's buffer, not a
+	// copy, and is immutable from injection on: the sender may still hold
+	// it (a retransmit window does) and the fabric never writes to it — a
+	// bit error gives the damaged packet a private copy (see corrupt).
 	Payload []byte
 	// CRC is the link-level check computed over Payload at injection.
 	CRC byte
 	// Src is the injecting NIC's id (diagnostic only; routing never
 	// consults it).
 	Src int
+
+	// owned marks a packet injected with SendOwned: the sender kept no
+	// reference to Payload, so whoever consumes the packet may hand the
+	// buffer back with NIC.Release.
+	owned bool
+}
+
+// corrupt flips bits of one payload byte, as a bit error on the wire does.
+// The damage must stay on this transmission: a retransmit window holding
+// the same buffer would otherwise resend the flipped byte under a freshly
+// computed — and therefore matching — CRC.
+func (pk *Packet) corrupt(i int, mask byte) {
+	pk.Payload = append([]byte(nil), pk.Payload...)
+	pk.Payload[i] ^= mask
 }
 
 // CheckCRC recomputes the payload CRC and compares it with the carried one.
@@ -102,7 +119,63 @@ type Network struct {
 	faults      *fault.Plan
 	mDrops      *trace.Counter
 	mRouteDrops *trace.Counter
+
+	// freeBufs holds released packet buffers, each of capacity bufSize,
+	// for NIC.Buf to hand out again. A plain bounded stack rather than a
+	// sync.Pool: what it holds depends only on the simulation, so a run's
+	// allocation count repeats exactly.
+	freeBufs [][]byte
+	poison   bool
 }
+
+const (
+	// bufSize is the capacity of a pooled packet buffer: a page-sized
+	// chunk plus headers, the largest packet the control programs build.
+	bufSize = 4096 + 64
+	// maxFreeBufs bounds the free list (and so the memory it can pin) at
+	// the deepest burst worth absorbing; beyond it buffers go to the GC.
+	maxFreeBufs = 64
+)
+
+// Buf returns an empty packet buffer with room for n bytes, for the caller
+// to append a packet to and pass to SendOwned. It reuses a released buffer
+// when it can.
+func (nic *NIC) Buf(n int) []byte {
+	net := nic.net
+	if n > bufSize {
+		return make([]byte, 0, n)
+	}
+	if k := len(net.freeBufs); k > 0 {
+		b := net.freeBufs[k-1]
+		net.freeBufs = net.freeBufs[:k-1]
+		return b[:0]
+	}
+	return make([]byte, 0, bufSize)
+}
+
+// Release gives the buffer of a consumed packet back to the fabric's free
+// list. The caller must be done with pk.Payload. Packets whose sender may
+// still hold the buffer (anything injected with Send) are left alone.
+func (nic *NIC) Release(pk *Packet) {
+	net := nic.net
+	b := pk.Payload
+	pk.Payload = nil
+	if !pk.owned || cap(b) != bufSize || len(net.freeBufs) >= maxFreeBufs {
+		return
+	}
+	if net.poison {
+		b = b[:bufSize]
+		for i := range b {
+			b[i] = 0xDB
+		}
+	}
+	net.freeBufs = append(net.freeBufs, b)
+}
+
+// PoisonReleased makes Release overwrite every buffer it recycles with
+// 0xDB, so a reader that kept a packet's bytes past its Release sees
+// garbage instead of plausible stale data. A debugging aid for tests.
+func (n *Network) PoisonReleased() { n.poison = true }
 
 // New returns an empty fabric.
 func New(eng *sim.Engine, prof hw.Profile) *Network {
@@ -254,12 +327,21 @@ func wireBytes(pk *Packet) int { return len(pk.Route) + len(pk.Payload) + 1 }
 // packet propagates with cut-through hop latency and lands in the
 // destination NIC's RX queue. Invalid routes kill the packet silently, as
 // on real hardware.
+//
+// The packet carries route and payload themselves, not copies: neither
+// may be modified after the call. The caller may keep reading them and
+// may send the same payload again (a retransmission does).
 func (nic *NIC) Send(p *sim.Proc, route []byte, payload []byte) {
-	pk := &Packet{
-		Route:   append([]byte(nil), route...),
-		Payload: append([]byte(nil), payload...),
-		Src:     nic.ID,
-	}
+	nic.inject(p, &Packet{Route: route, Payload: payload, Src: nic.ID})
+}
+
+// SendOwned is Send for a payload the caller gives up entirely — typically
+// one obtained from Buf. The consumer of the packet may Release it.
+func (nic *NIC) SendOwned(p *sim.Proc, route []byte, payload []byte) {
+	nic.inject(p, &Packet{Route: route, Payload: payload, Src: nic.ID, owned: true})
+}
+
+func (nic *NIC) inject(p *sim.Proc, pk *Packet) {
 	pk.CRC = CRC8(pk.Payload)
 
 	n := nic.net
@@ -269,9 +351,9 @@ func (nic *NIC) Send(p *sim.Proc, route []byte, payload []byte) {
 	if len(pk.Payload) > 0 {
 		if n.corruptNext > 0 {
 			n.corruptNext--
-			pk.Payload[len(pk.Payload)/2] ^= 0x10
+			pk.corrupt(len(pk.Payload)/2, 0x10)
 		} else if n.faults.CorruptWire(nic.ID, wire, true) {
-			pk.Payload[len(pk.Payload)/2] ^= 0x10
+			pk.corrupt(len(pk.Payload)/2, 0x10)
 		}
 	}
 
@@ -310,7 +392,7 @@ func (nic *NIC) Send(p *sim.Proc, route []byte, payload []byte) {
 	// Bit errors on the receiving end of the cable. A different byte and
 	// mask than the tx end, so double corruption cannot cancel out.
 	if len(pk.Payload) > 0 && n.faults.CorruptWire(dst.ID, wire, false) {
-		pk.Payload[len(pk.Payload)/3] ^= 0x04
+		pk.corrupt(len(pk.Payload)/3, 0x04)
 	}
 	pk.Ingress = ingress
 	n.eng.After(sim.Time(hops)*n.prof.SwitchLatency, func() {

@@ -85,6 +85,8 @@ type LCP struct {
 	// always-on metrics counters mirroring the hot LCPStats fields.
 	comp string
 	m    lcpMetrics
+	// Names of the helper processes a long send spawns per chunk.
+	dmaProcName, failProcName string
 }
 
 // lcpMetrics are the LCP's registry counters, resolved once at boot so the
@@ -231,6 +233,9 @@ func newLCP(n *Node, routes myrinet.RouteTable) (*LCP, error) {
 		notifyAcc: make(map[notifyKey]*notifyAccum),
 		comp:      fmt.Sprintf("node%d/lcp", n.ID),
 		m:         newLCPMetrics(n.Eng.Metrics(), n.ID),
+
+		dmaProcName:  fmt.Sprintf("lcp:%d:hostdma", n.ID),
+		failProcName: fmt.Sprintf("lcp:%d:fail", n.ID),
 	}
 	sram := n.Board.SRAM
 	var err error
@@ -402,19 +407,20 @@ func (l *LCP) deferClass(class int) {
 	}
 }
 
-// sendPaced injects a dispatched packet, committing its pacing charge
-// without sleeping. Dispatch already gated on class eligibility and the
-// pacer's virtual time only recedes as real time passes, so the
-// non-blocking charge succeeds except when another send in the same
-// class charged within the same dispatch iteration; the blocking legacy
-// path then keeps the pacer's accounting exact rather than reordering
-// the queue.
-func (l *LCP) sendPaced(p *simProc, route, payload []byte, class int) error {
-	ls := l.node.Board.LinkScheduler()
-	if ls == nil || ls.TryCharge(class, len(payload)) {
-		return l.node.Board.SendPacketCharged(p, route, payload, class)
+// sendPaced injects a dispatched packet — a frame built on Board.NewFrame,
+// which it gives up — committing its pacing charge without sleeping.
+// Dispatch already gated on class eligibility and the pacer's virtual
+// time only recedes as real time passes, so the non-blocking charge
+// succeeds except when another send in the same class charged within the
+// same dispatch iteration; the blocking legacy path then keeps the
+// pacer's accounting exact rather than reordering the queue.
+func (l *LCP) sendPaced(p *simProc, route, frame []byte, class int) error {
+	board := l.node.Board
+	ls := board.LinkScheduler()
+	if ls == nil || ls.TryCharge(class, board.PayloadLen(frame)) {
+		return board.SendFrameCharged(p, route, frame, class)
 	}
-	return l.node.Board.SendPacketClass(p, route, payload, class)
+	return board.SendFrameClass(p, route, frame, class)
 }
 
 // ownsJob reports whether the process has a long send in progress.
@@ -840,17 +846,17 @@ func (l *LCP) handleShort(p *simProc, st *lcpProcState, e sqEntry) {
 		l.stats.NotificationsRequested++
 		l.m.notifyRequested.Add(1)
 	}
-	payload := append(hdr.encode(), e.inline...)
+	frame := append(hdr.appendTo(l.node.Board.NewFrame(hdrSize+len(e.inline))), e.inline...)
 	if l.node.Board.Reliable() == nil {
 		// The paper's fire-and-forget path: the inline data is already
 		// safe in the queue entry, so completion precedes injection and
 		// injection cannot fail (§4.2/§4.5).
 		l.writeCompletion(p, st, e.seq, ceOK)
-		l.sendPaced(p, route, payload, st.limits.Class)
+		l.sendPaced(p, route, frame, st.limits.Class)
 	} else {
 		// With the link layer the injection can fail (retransmit budget
 		// exhausted); completion follows it so the error is reportable.
-		if err := l.sendPaced(p, route, payload, st.limits.Class); err != nil {
+		if err := l.sendPaced(p, route, frame, st.limits.Class); err != nil {
 			l.writeCompletion(p, st, e.seq, ceUnreachable)
 			return
 		}

@@ -160,11 +160,13 @@ func (l *LCP) stepJob(p *simProc, j *sendJob) {
 				l.m.notifyRequested.Add(1)
 			}
 		}
-		payload := append(hdr.encode(), l.node.Board.SRAM.Bytes(c.sramOff, c.n)...)
-		// The chunk's bytes are copied into the packet above; its staging
-		// buffer is free for the next host DMA.
+		// The net-send DMA: header, then the chunk out of SRAM staging,
+		// straight into the packet buffer. With the chunk's bytes in the
+		// packet its staging buffer is free for the next host DMA.
+		board := l.node.Board
+		frame := append(hdr.appendTo(board.NewFrame(hdrSize+c.n)), board.SRAM.Bytes(c.sramOff, c.n)...)
 		l.stagingFree = append(l.stagingFree, c.sramOff)
-		if err := l.sendPaced(p, j.route, payload, j.st.limits.Class); err != nil {
+		if err := l.sendPaced(p, j.route, frame, j.st.limits.Class); err != nil {
 			// Destination unreachable: abandon the transfer and report
 			// the typed failure (the remaining chunks would only burn
 			// the budget again).
@@ -245,7 +247,7 @@ func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 						code = cePinBudget
 					}
 					if !j.completed {
-						l.node.Eng.Go(fmt.Sprintf("lcp:%d:fail", l.node.ID), func(fp *simProc) {
+						l.node.Eng.Go(l.failProcName, func(fp *simProc) {
 							l.writeCompletion(fp, j.st, j.e.seq, code)
 						})
 					}
@@ -266,7 +268,7 @@ func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 	j.nextOff += n
 	j.dmaBusy = true
 	last := j.nextOff == j.total
-	l.node.Eng.Go(fmt.Sprintf("lcp:%d:hostdma", l.node.ID), func(dp *simProc) {
+	l.node.Eng.Go(l.dmaProcName, func(dp *simProc) {
 		if j.st.gone {
 			// The owner was killed between scheduling and start: its
 			// TLB pins are already released, so the DMA must not run.

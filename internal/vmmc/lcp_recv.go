@@ -40,7 +40,11 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 		return
 	}
 	data := item.data[hdrSize:]
-	if int(hdr.DataLen) != len(data) || hdr.DataLen == 0 {
+	// A chunk never exceeds a page (§4.5), and a page is all the receive
+	// staging buffer holds: a longer packet that named adjacent exported
+	// frames would pass every check below and overrun staging into the
+	// neighbouring SRAM state.
+	if int(hdr.DataLen) != len(data) || hdr.DataLen == 0 || hdr.DataLen > mem.PageSize {
 		l.protViolation(eng)
 		return
 	}
@@ -104,6 +108,8 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 	// Deposit piece one, then piece two, with the host DMA engine.
 	staging := board.SRAM.Bytes(l.recvOff, len(data))
 	copy(staging, data)
+	// The packet now lives in SRAM staging; its buffer can carry another.
+	board.NIC.Release(pk)
 	if err := board.SRAMToHost(p, l.recvOff, dst1, len1); err != nil {
 		panic(err) // frames were pinned at export or redirect post
 	}

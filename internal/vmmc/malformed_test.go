@@ -1,6 +1,7 @@
 package vmmc
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/mem"
@@ -20,11 +21,12 @@ func injectRaw(c *Cluster, payload []byte) {
 func TestMalformedPacketsDropped(t *testing.T) {
 	testCluster(t, 2, func(p *simProc, c *Cluster) {
 		victim, _ := c.Nodes[1].NewProcess(p)
-		buf, _ := victim.Malloc(mem.PageSize)
-		if err := victim.Export(p, 1, buf, mem.PageSize, nil, false); err != nil {
+		buf, _ := victim.Malloc(2 * mem.PageSize)
+		if err := victim.Export(p, 1, buf, 2*mem.PageSize, nil, false); err != nil {
 			t.Fatal(err)
 		}
 		pa, _ := victim.AS.Translate(buf)
+		pa2, _ := victim.AS.Translate(buf + mem.PageSize)
 
 		good := func() msgHeader {
 			return msgHeader{DataLen: 4, Addr1: pa, Len1: 4, Flags: flagLastChunk}
@@ -39,33 +41,52 @@ func TestMalformedPacketsDropped(t *testing.T) {
 			{"datalen larger than payload", func() []byte {
 				h := good()
 				h.DataLen = 100
-				return append(h.encode(), 1, 2, 3, 4)
+				return append(h.appendTo(nil), 1, 2, 3, 4)
 			}()},
 			{"datalen zero", func() []byte {
 				h := good()
 				h.DataLen = 0
-				return h.encode()
+				return h.appendTo(nil)
 			}()},
 			{"len1 beyond data", func() []byte {
 				h := good()
 				h.Len1 = 4000
 				h.Addr2 = pa + 8
-				return append(h.encode(), 1, 2, 3, 4)
+				return append(h.appendTo(nil), 1, 2, 3, 4)
 			}()},
 			{"piece outside any export", func() []byte {
 				h := good()
 				h.Addr1 = mem.PhysAddr(c.Nodes[1].Phys.Size() - 4)
-				return append(h.encode(), 1, 2, 3, 4)
+				return append(h.appendTo(nil), 1, 2, 3, 4)
+			}()},
+			// Two pages of data scattered onto two exported frames: every
+			// piece is in bounds, but the packet is twice what the one-page
+			// receive staging buffer holds.
+			{"chunk larger than a page", func() []byte {
+				h := msgHeader{DataLen: 2 * mem.PageSize, Addr1: pa, Len1: mem.PageSize, Addr2: pa2, Flags: flagLastChunk}
+				return append(h.appendTo(nil), bytes.Repeat([]byte{0xEE}, 2*mem.PageSize)...)
 			}()},
 		}
-		before := c.Nodes[1].LCP.Stats().ProtectionViolations
+		// Everything in SRAM behind receive staging: completion scratch,
+		// then the per-process send queues, page tables and TLBs.
+		lcp := c.Nodes[1].LCP
+		sram := c.Nodes[1].Board.SRAM
+		behind := lcp.recvOff + mem.PageSize
+		sramBefore := append([]byte(nil), sram.Bytes(behind, sram.Size()-behind)...)
+		before := lcp.Stats().ProtectionViolations
 		for _, cse := range cases {
 			injectRaw(c, cse.payload)
 		}
 		p.Sleep(2 * sim.Millisecond)
-		after := c.Nodes[1].LCP.Stats().ProtectionViolations
+		after := lcp.Stats().ProtectionViolations
 		if int(after-before) != len(cases) {
 			t.Errorf("violations = %d, want %d", after-before, len(cases))
+		}
+		if !bytes.Equal(sram.Bytes(behind, sram.Size()-behind), sramBefore) {
+			t.Error("a malformed packet wrote SRAM beyond the receive staging buffer")
+		}
+		if got, _ := victim.Read(buf, 2*mem.PageSize); !bytes.Equal(got, make([]byte, 2*mem.PageSize)) {
+			t.Error("a malformed packet reached the victim's memory")
 		}
 
 		// The system still works afterwards.

@@ -1,0 +1,212 @@
+package vmmc
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/mem"
+	"repro/internal/sim"
+)
+
+// The payload path: one buffer per packet, handed from the sending LCP to
+// the fabric to the receiving LCP and back to the free list, or — with the
+// reliability layer — shared between the retransmit window and every
+// transmission.
+
+// A bit error on the first transmission of a chunk must cost exactly one
+// CRC drop and nothing else: the retransmission comes out of the same
+// buffer the damaged packet was built from, so it only carries the
+// original bytes if the damage was done to a private copy.
+func TestFaultedChunkRetransmitsOriginalBytes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		inject func(c *Cluster)
+	}{
+		{"plan", func(c *Cluster) {
+			pl := fault.NewPlan(c.Eng, 1)
+			c.Net.SetFaults(pl)
+			pl.CorruptNextOn(c.Nodes[0].Board.NIC.ID, 1)
+		}},
+		{"legacy shim", func(c *Cluster) { c.Net.InjectBitError(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reliableCluster(t, func(p *simProc, c *Cluster) {
+				recv, _ := c.Nodes[1].NewProcess(p)
+				send, _ := c.Nodes[0].NewProcess(p)
+				const size = mem.PageSize // one chunk, one packet
+				buf, _ := recv.Malloc(size)
+				if err := recv.Export(p, 1, buf, size, nil, false); err != nil {
+					t.Fatal(err)
+				}
+				dest, _, _ := send.Import(p, 1, 1)
+				src, _ := send.Malloc(size)
+				msg := make([]byte, size)
+				for i := range msg {
+					msg[i] = byte(i*5 + 1)
+				}
+				if err := send.Write(src, msg); err != nil {
+					t.Fatal(err)
+				}
+
+				tc.inject(c)
+				if err := send.SendMsgSync(p, src, dest, size, SendOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				recv.SpinByte(p, buf+size-1, msg[size-1])
+				p.Sleep(5 * sim.Millisecond) // let the acks and any straggler settle
+
+				if got, _ := recv.Read(buf, size); !bytes.Equal(got, msg) {
+					t.Error("retransmission delivered bytes that differ from the original")
+				}
+				if got, _ := send.Read(src, size); !bytes.Equal(got, msg) {
+					t.Error("bit error reached the sender's source memory")
+				}
+				rl0, rl1 := c.Nodes[0].Board.Reliable(), c.Nodes[1].Board.Reliable()
+				if drops := rl0.CorruptDrops + rl1.CorruptDrops; drops != 1 {
+					t.Errorf("corrupt drops = %d, want exactly 1", drops)
+				}
+				if rl1.Deliveries != 1 {
+					t.Errorf("link-layer deliveries = %d, want 1", rl1.Deliveries)
+				}
+				if rl0.Retransmits == 0 {
+					t.Error("no retransmission despite the drop")
+				}
+				if n := c.Nodes[1].LCP.Stats().CRCErrors + c.Nodes[1].LCP.Stats().ProtectionViolations; n != 0 {
+					t.Errorf("%d damaged packets got past the link layer", n)
+				}
+			})
+		})
+	}
+}
+
+// longSendRig sets a 64 KB one-way channel up between two nodes and hands
+// fn two steady-state operations: long sends a 64 KB message and waits
+// until its last byte has landed, short does a 4-byte SendMsgSync and
+// waits likewise. Each call changes the bytes it sends, and check compares
+// the receiver's whole window with the sender's. With poison set, packet
+// buffers are overwritten as they return to the free list.
+func longSendRig(t testing.TB, poison bool, fn func(long, short func(), check func() bool)) {
+	const size = 64 << 10
+	startCluster(t, 2, poison, func(p *simProc, c *Cluster) {
+		recv, _ := c.Nodes[1].NewProcess(p)
+		send, _ := c.Nodes[0].NewProcess(p)
+		buf, _ := recv.Malloc(size)
+		if err := recv.Export(p, 1, buf, size, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		dest, _, err := send.Import(p, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _ := send.Malloc(size)
+		msg := make([]byte, size)
+		for i := range msg {
+			msg[i] = byte(i*7 + i/mem.PageSize)
+		}
+		if err := send.Write(src, msg); err != nil {
+			t.Fatal(err)
+		}
+		var k byte
+		stamp := func(off int) {
+			// A new byte in every page, so no chunk repeats the last one's
+			// bytes, and a new final byte to wait for.
+			k++
+			for o := off; o < size; o += mem.PageSize {
+				msg[o] = k
+				if err := send.Write(src+mem.VirtAddr(o), msg[o:o+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		long := func() {
+			stamp(mem.PageSize - 1)
+			seq, err := send.SendMsg(p, src, dest, size, SendOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := send.WaitSend(p, seq); err != nil {
+				t.Fatal(err)
+			}
+			recv.SpinByte(p, buf+size-1, k)
+		}
+		short := func() {
+			stamp(size - 1) // the last page's last byte only
+			const at = size - 4
+			if err := send.SendMsgSync(p, src+at, dest+at, 4, SendOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			recv.SpinByte(p, buf+size-1, k)
+		}
+		check := func() bool {
+			got, _ := recv.Read(buf, size)
+			return bytes.Equal(got, msg)
+		}
+		fn(long, short, check)
+	})
+}
+
+// A 64 KB stream with released buffers poisoned: every message differs from the last in every chunk, so a deposit
+// fed from a recycled buffer — poison, or the previous packet's bytes —
+// cannot compare equal.
+func TestStreamUnderBufferPoison(t *testing.T) {
+	longSendRig(t, true, func(long, short func(), check func() bool) {
+		for i := 0; i < 12; i++ {
+			long()
+			if !check() {
+				t.Fatalf("message %d: received window differs from the sent one", i)
+			}
+			short()
+			if !check() {
+				t.Fatalf("short message %d: received window differs from the sent one", i)
+			}
+		}
+	})
+}
+
+// Allocation ceilings for the steady state, so the per-packet copies and
+// per-transfer strings cannot creep back: at the parent of this change a
+// 64 KB message cost about 360 allocations and 160 KB, two fresh
+// page-sized buffers per chunk among them. What remains is the
+// simulator's own bookkeeping — packet structs, closures, process
+// spawns — and none of it scales with payload bytes.
+func TestSteadyStateAllocationCeilings(t *testing.T) {
+	const longCeiling, shortCeiling = 165, 12
+	longSendRig(t, false, func(long, short func(), check func() bool) {
+		for i := 0; i < 4; i++ { // fill the free list, warm the TLBs
+			long()
+			short()
+		}
+		if n := testing.AllocsPerRun(10, long); n > longCeiling {
+			t.Errorf("64 KB SendMsg + delivery: %.0f allocations, ceiling %d", n, longCeiling)
+		} else {
+			t.Logf("64 KB SendMsg + delivery: %.0f allocations", n)
+		}
+		if n := testing.AllocsPerRun(50, short); n > shortCeiling {
+			t.Errorf("4-byte SendMsgSync + delivery: %.0f allocations, ceiling %d", n, shortCeiling)
+		} else {
+			t.Logf("4-byte SendMsgSync + delivery: %.0f allocations", n)
+		}
+		if !check() {
+			t.Error("received window differs from the sent one")
+		}
+	})
+}
+
+// BenchmarkLongSend64K is one 64 KB SendMsg through to the last deposited
+// byte: 17 packets' worth of host DMA, CRC, wire and deposit.
+func BenchmarkLongSend64K(b *testing.B) {
+	longSendRig(b, false, func(long, short func(), check func() bool) {
+		long()
+		b.SetBytes(64 << 10)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			long()
+		}
+		b.StopTimer()
+		if !check() {
+			b.Error("received window differs from the sent one")
+		}
+	})
+}

@@ -237,7 +237,7 @@ func TestForgedPacketRejectedByIncomingTable(t *testing.T) {
 			Len1:    6,
 			Flags:   flagLastChunk,
 		}
-		payload := append(hdr.encode(), []byte("OWNED!")...)
+		payload := append(hdr.appendTo(nil), []byte("OWNED!")...)
 		nic := c.Net.NICs()[0]
 		before := c.Nodes[1].LCP.Stats().ProtectionViolations
 		c.Eng.Go("forger", func(fp *simProc) {

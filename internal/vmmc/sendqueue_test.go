@@ -149,7 +149,7 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 		SrcPid:  7,
 		Seq:     41,
 	}
-	got, err := decodeHeader(h.encode())
+	got, err := decodeHeader(h.appendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 	if _, err := decodeHeader([]byte{1, 2, 3}); err == nil {
 		t.Error("short header accepted")
 	}
-	bad := h.encode()
+	bad := h.appendTo(nil)
 	bad[0] = 0x00
 	if _, err := decodeHeader(bad); err == nil {
 		t.Error("bad magic accepted")

@@ -104,26 +104,22 @@ type msgHeader struct {
 	Seq     uint32 // sender-side request sequence (diagnostics)
 }
 
-func (h *msgHeader) encode() []byte {
-	b := make([]byte, hdrSize)
-	b[0] = hdrMagic
-	b[1] = h.Flags
-	b[2] = h.SrcNode
-	b[3] = byte(h.SrcPid)
-	binary.BigEndian.PutUint32(b[4:], h.DataLen)
-	binary.BigEndian.PutUint64(b[8:], uint64(h.Addr1))
-	binary.BigEndian.PutUint64(b[16:], uint64(h.Addr2))
+// appendTo appends the header's wire form to b.
+func (h *msgHeader) appendTo(b []byte) []byte {
+	b = append(b, hdrMagic, h.Flags, h.SrcNode, byte(h.SrcPid))
+	b = binary.BigEndian.AppendUint32(b, h.DataLen)
+	b = binary.BigEndian.AppendUint64(b, uint64(h.Addr1))
+	b = binary.BigEndian.AppendUint64(b, uint64(h.Addr2))
 	// Len1 fits in the chunk size; pack with Seq's low bits.
-	binary.BigEndian.PutUint16(b[24:], uint16(h.Len1))
-	binary.BigEndian.PutUint16(b[26:], uint16(h.Seq))
-	return b
+	b = binary.BigEndian.AppendUint16(b, uint16(h.Len1))
+	return binary.BigEndian.AppendUint16(b, uint16(h.Seq))
 }
 
-func decodeHeader(b []byte) (*msgHeader, error) {
+func decodeHeader(b []byte) (msgHeader, error) {
 	if len(b) < hdrSize || b[0] != hdrMagic {
-		return nil, fmt.Errorf("vmmc: malformed packet header")
+		return msgHeader{}, fmt.Errorf("vmmc: malformed packet header")
 	}
-	h := &msgHeader{
+	return msgHeader{
 		Flags:   b[1],
 		SrcNode: b[2],
 		SrcPid:  uint16(b[3]),
@@ -132,6 +128,5 @@ func decodeHeader(b []byte) (*msgHeader, error) {
 		Addr2:   mem.PhysAddr(binary.BigEndian.Uint64(b[16:])),
 		Len1:    uint32(binary.BigEndian.Uint16(b[24:])),
 		Seq:     uint32(binary.BigEndian.Uint16(b[26:])),
-	}
-	return h, nil
+	}, nil
 }

@@ -11,10 +11,20 @@ import (
 // testCluster boots an n-node cluster and runs fn as a workload on it.
 func testCluster(t *testing.T, n int, fn func(p *simProc, c *Cluster)) *Cluster {
 	t.Helper()
+	// Every fire-and-forget test doubles as a use-after-release check: a
+	// packet buffer read after it went back to the free list reads 0xDB.
+	return startCluster(t, n, true, fn)
+}
+
+func startCluster(t testing.TB, n int, poison bool, fn func(p *simProc, c *Cluster)) *Cluster {
+	t.Helper()
 	eng := sim.NewEngine()
 	c, err := NewCluster(eng, Options{Nodes: n})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if poison {
+		c.Net.PoisonReleased()
 	}
 	c.Go("workload", func(p *simProc) { fn(p, c) })
 	if err := c.Start(); err != nil {
