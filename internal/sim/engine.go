@@ -139,6 +139,8 @@ type SchedStats struct {
 	PeakHeapLen  int    // largest heap residency ever observed
 	Dispatched   uint64 // events executed since construction
 	Elided       uint64 // PollUntil samples skipped without being executed
+	Handoffs     uint64 // baton tokens sent to another goroutine (a process's, or the run caller's)
+	SelfResumes  uint64 // parks that ended on the goroutine that parked: no switch
 	Compactions  uint64 // lazy compaction sweeps performed
 	FreeEvents   int    // pooled events available for reuse
 	FreeWorkers  int    // parked goroutines available for reuse
@@ -150,9 +152,25 @@ type Engine struct {
 	now     Time
 	events  eventHeap
 	seq     uint64
-	procs   map[*Proc]struct{} // live (spawned, not finished) processes
+	procs   map[*Proc]struct{} // live (spawned, not finished) processes, for checkStall and Parked
 	stopped bool
 	trace   func(t Time, format string, args ...any)
+
+	// The baton. Exactly one goroutine at a time runs the simulation: the
+	// Run/RunUntil/Step caller, or a process's. Whoever holds the baton
+	// and has no model code to run drives the event loop (dispatch) until
+	// an event resumes a process, then passes the baton on with one
+	// channel send. Every field of the engine is only touched by the
+	// holder, so the token passing is all the synchronisation there is.
+	cur         *Proc         // process whose body is executing; nil while dispatching
+	next        *Proc         // process noted by schedule during the current dispatch
+	until       Time          // bound of the run in progress
+	oneStep     bool          // the run in progress is a Step
+	running     bool          // inside Run/RunUntil/Step
+	caller      chan struct{} // returns the baton to the Run/RunUntil/Step caller
+	panicVal    any           // callback panic caught off the caller's goroutine
+	handoffs    uint64
+	selfResumes uint64
 
 	// Scheduler bookkeeping: canceled-in-heap count drives lazy
 	// compaction; the free lists make steady-state scheduling
@@ -195,6 +213,7 @@ type Engine struct {
 func NewEngine() *Engine {
 	return &Engine{
 		procs:     make(map[*Proc]struct{}),
+		caller:    make(chan struct{}, 1),
 		collector: trace.NewCollector(),
 		metrics:   trace.NewRegistry(),
 	}
@@ -248,6 +267,8 @@ func (e *Engine) SchedStats() SchedStats {
 		PeakHeapLen:  e.peakHeapLen,
 		Dispatched:   e.dispatched,
 		Elided:       e.elided,
+		Handoffs:     e.handoffs,
+		SelfResumes:  e.selfResumes,
 		Compactions:  e.compactions,
 		FreeEvents:   len(e.freeEvents),
 		FreeWorkers:  len(e.freeWorkers),
@@ -441,11 +462,97 @@ func (e *Engine) compact() {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step executes the single earliest pending event, advancing the clock to
-// its timestamp. It reports whether an event was executed.
+// Step executes the single earliest pending event or poll sample,
+// advancing the clock to its timestamp. If that event resumes a process,
+// the process runs to its next park before Step returns. It reports
+// whether an event was executed.
 func (e *Engine) Step() bool {
-	e.bumpEpoch()
-	return e.step(math.MaxInt64)
+	n := e.dispatched
+	e.run(math.MaxInt64, true)
+	return e.dispatched != n
+}
+
+// run is one Run, RunUntil or Step. The caller's goroutine drives the
+// event loop first; once an event resumes a process the baton travels
+// from process to process, and it comes back here only when the run is
+// over: nothing left within the bound, Stop called, or the one step taken.
+func (e *Engine) run(until Time, oneStep bool) {
+	if e.running {
+		panic("sim: Run, RunUntil or Step called from inside the simulation")
+	}
+	e.running = true
+	defer func() { e.running = false }()
+	e.stopped, e.until, e.oneStep = false, until, oneStep
+	e.bumpEpoch() // the caller may have changed model state between runs
+	// A callback that panics right here unwinds through the caller as it
+	// is; dispatch is guarded (drive) only on process goroutines.
+	if p := e.dispatch(); p != nil {
+		e.pass(p)
+		<-e.caller
+	}
+	if r := e.panicVal; r != nil {
+		e.panicVal = nil
+		panic(r)
+	}
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// baton, until an event resumes a process. It makes that process current
+// and returns it; nil means the run is over. Every schedule call is the
+// last act of its dispatch, so resuming the process after step returns —
+// here, not inside the callback — runs it at exactly the point in the
+// event order where it always ran.
+func (e *Engine) dispatch() *Proc {
+	for !e.stopped && e.step(e.until) {
+		if e.oneStep {
+			e.stopped = true // a Step is a run that stops itself after one dispatch
+		}
+		if p := e.next; p != nil {
+			e.next = nil
+			p.parkedAt = ""
+			e.cur = p
+			return p
+		}
+	}
+	return nil
+}
+
+// drive is dispatch for a goroutine that belongs to a process. Callbacks
+// run on whichever goroutine holds the baton; one that panics here must
+// not unwind through the body of a process that merely happened to be
+// parked — its deferred releases would run, and the panic would die on a
+// goroutine nobody can recover on. drive stops the run and leaves the
+// value for run to raise again on the Run/RunUntil/Step caller. A callback
+// that ends the goroutine instead (runtime.Goexit: t.FailNow in a test)
+// is turned into such a panic too, or the baton would be lost with it.
+func (e *Engine) drive() (next *Proc) {
+	done := false
+	defer func() {
+		if done {
+			return
+		}
+		r := recover()
+		e.stopped = true
+		if e.panicVal = r; r == nil {
+			e.panicVal = "sim: an event callback ended its goroutine (runtime.Goexit; t.FailNow belongs in the test's goroutine)"
+			e.pass(nil)
+			select {} // the exit would run the parked body's defers next
+		}
+	}()
+	next = e.dispatch()
+	done = true
+	return next
+}
+
+// pass sends the baton to p's goroutine, or to the Run/RunUntil/Step
+// caller when p is nil. The sender then waits for its own next turn.
+func (e *Engine) pass(p *Proc) {
+	e.handoffs++
+	if p == nil {
+		e.caller <- struct{}{}
+		return
+	}
+	p.w.resume <- struct{}{}
 }
 
 // step executes the earliest pending event or poll sample due at or
@@ -525,12 +632,10 @@ func (e *Engine) noteDispatch() {
 
 // Run executes events until none remain or Stop is called. It returns an
 // error if live processes remain parked with no pending events — a
-// deadlock in the model.
+// deadlock in the model. A panic in an event callback stops the run and
+// surfaces here, on the caller's goroutine, with its original value.
 func (e *Engine) Run() error {
-	e.stopped = false
-	e.bumpEpoch() // the caller may have changed model state between runs
-	for !e.stopped && e.step(math.MaxInt64) {
-	}
+	e.run(math.MaxInt64, false)
 	return e.checkStall()
 }
 
@@ -540,10 +645,7 @@ func (e *Engine) Run() error {
 // stopping event's time — it does NOT advance to t, so a Stop-at-threshold
 // model observes the time it stopped at.
 func (e *Engine) RunUntil(t Time) error {
-	e.stopped = false
-	e.bumpEpoch()
-	for !e.stopped && e.step(t) {
-	}
+	e.run(t, false)
 	if e.stopped {
 		return nil
 	}

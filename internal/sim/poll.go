@@ -10,12 +10,13 @@ import "math"
 // grid but evaluates only the samples that could observe something new.
 //
 // The argument: model state changes only while the engine dispatches an
-// event (every process runs inside Engine.schedule, itself called from a
-// dispatch). A predicate that is a pure function of model state therefore
-// returns what it returned at this poller's previous false sample unless
-// a real dispatch happened in between. The engine counts real dispatches
-// in an epoch; a poller remembers the epoch of its last false sample; a
-// sample whose epoch is still current is skipped arithmetically.
+// event (a process runs only as the tail of the dispatch that resumed it,
+// up to its next park). A predicate that is a pure function of model
+// state therefore returns what it returned at this poller's previous
+// false sample unless a real dispatch happened in between. The engine
+// counts real dispatches in an epoch; a poller remembers the epoch of its
+// last false sample; a sample whose epoch is still current is skipped
+// arithmetically.
 //
 // Exactness: pollers live outside the event heap but keep a (time, seq)
 // key in the same order space. A skipped sample consumes its place in that

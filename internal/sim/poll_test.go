@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,15 @@ func pollLegacy(p *Proc, interval, deadline Time, check func() bool) bool {
 	return !timedOut
 }
 
+// runMode is how pollScenario drives its engine.
+type runMode int
+
+const (
+	oneRun            runMode = iota // a single Run
+	chunks                           // RunUntil in random-sized chunks, then Run
+	chunksWithChanges                // the same, with model state changed between the chunks
+)
+
 // pollScenario runs one seeded random schedule on the given primitive and
 // returns the global log of everything observable: who ran, when, and in
 // which order, followed by the final clock.
@@ -41,9 +51,11 @@ func pollLegacy(p *Proc, interval, deadline Time, check func() bool) bool {
 // The schedule mixes callback events (many landing exactly on the 100 ns
 // grid the pollers sample on), zero-delay pushes, sleeping processes,
 // pollers with equal and unequal phases and intervals, deadlines on and
-// off the grid, a Kill of a poller, and — when chunked — RunUntil
-// boundaries with model state changed between the runs.
-func pollScenario(seed int64, poll pollPrimitive, chunked bool) (log []string, st SchedStats) {
+// off the grid, condition waiters with timeouts, contenders for a
+// resource (the ones with few turns exit while the rest queue), a Kill of
+// a poller and of one other process, and a Stop from a callback, after
+// which the run is taken up again.
+func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, st SchedStats) {
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine()
 	const end = 40 * Microsecond
@@ -126,10 +138,59 @@ func pollScenario(seed int64, poll pollPrimitive, chunked bool) (log []string, s
 			}
 		}))
 	}
-	victim := pollers[rng.Intn(len(pollers))]
-	e.At(gridTime(end/2), func() {
-		note("kill %s", victim.Name())
-		victim.Kill()
+	var others []*Proc
+	c := NewCond(e)
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		i := i
+		waits := make([]Time, 2+rng.Intn(5))
+		for j := range waits {
+			waits[j] = 50 + gridTime(3*Microsecond)
+		}
+		others = append(others, e.Go(fmt.Sprintf("waiter%d", i), func(p *Proc) {
+			for j, d := range waits {
+				woken := c.WaitTimeout(p, d)
+				cells[i%len(cells)]++
+				note("waiter %d wait %d woken=%v", i, j, woken)
+			}
+		}))
+	}
+	for i, n := 0, 3+rng.Intn(8); i < n; i++ {
+		all := rng.Intn(3) == 0
+		e.At(gridTime(end/2), func() {
+			note("signal all=%v to %d", all, c.Waiting())
+			if all {
+				c.Broadcast()
+			} else {
+				c.Signal()
+			}
+		})
+	}
+	r := NewResource(e, "bus")
+	for i, n := 0, 2+rng.Intn(3); i < n; i++ {
+		i, gap := i, gridTime(Microsecond)
+		holds := make([]Time, 1+rng.Intn(5))
+		for j := range holds {
+			holds[j] = gridTime(2 * Microsecond)
+		}
+		others = append(others, e.Go(fmt.Sprintf("user%d", i), func(p *Proc) {
+			for j, d := range holds {
+				r.Use(p, d)
+				note("user %d turn %d", i, j)
+				p.Sleep(gap)
+			}
+		}))
+	}
+	for _, victim := range []*Proc{pollers[rng.Intn(len(pollers))], others[rng.Intn(len(others))]} {
+		e.At(gridTime(end/2), func() {
+			note("kill %s", victim.Name())
+			victim.Kill()
+		})
+	}
+	stopped := false
+	e.At(gridTime(end), func() {
+		note("stop")
+		stopped = true
+		e.Stop()
 	})
 	// Everything outstanding comes true here, so the legacy run ends.
 	e.At(end, func() {
@@ -139,21 +200,39 @@ func pollScenario(seed int64, poll pollPrimitive, chunked bool) (log []string, s
 		note("release")
 	})
 
-	if chunked {
-		for t := Time(0); t < end; {
-			t += Time(1+rng.Intn(60)) * 50
-			if err := e.RunUntil(t); err != nil {
+	// run is Run (until < 0) or RunUntil, taken up again after the Stop.
+	run := func(until Time) {
+		for {
+			err := error(nil)
+			if until < 0 {
+				err = e.Run()
+			} else {
+				err = e.RunUntil(until)
+			}
+			if err != nil {
 				panic(err)
 			}
+			if !stopped {
+				return
+			}
+			stopped = false
+		}
+	}
+	if mode != oneRun {
+		// The last boundary is the release event's tick: activity goes on
+		// past it, so the final clock is the last event's in every mode.
+		for t := Time(0); t < end; {
+			t = min(t+Time(1+rng.Intn(60))*50, end)
+			run(t)
 			if e.Now() != t {
 				panic(fmt.Sprintf("RunUntil(%d) left the clock at %d", t, e.Now()))
 			}
-			cells[rng.Intn(len(cells))]++ // changed outside any dispatch
+			if mode == chunksWithChanges {
+				cells[rng.Intn(len(cells))]++ // changed outside any dispatch
+			}
 		}
 	}
-	if err := e.Run(); err != nil {
-		panic(err)
-	}
+	run(-1)
 	note("final clock")
 	return log, e.SchedStats()
 }
@@ -165,27 +244,78 @@ func pollScenario(seed int64, poll pollPrimitive, chunked bool) (log []string, s
 func TestPollUntilMatchesPollEvery(t *testing.T) {
 	var elided uint64
 	for seed := int64(1); seed <= 300; seed++ {
-		for _, chunked := range []bool{false, true} {
-			want, legacy := pollScenario(seed, pollLegacy, chunked)
-			got, st := pollScenario(seed, pollElided, chunked)
-			for i := 0; i < len(want) || i < len(got); i++ {
-				if i >= len(want) || i >= len(got) || got[i] != want[i] {
-					t.Fatalf("seed %d chunked=%v: logs diverge at entry %d:\n legacy %q\n elided %q",
-						seed, chunked, i, want[min(i, len(want)):min(i+1, len(want))], got[min(i, len(got)):min(i+1, len(got))])
-				}
+		for _, mode := range []runMode{oneRun, chunksWithChanges} {
+			want, legacy := pollScenario(seed, pollLegacy, mode)
+			got, st := pollScenario(seed, pollElided, mode)
+			if i, w, g := firstDifference(want, got); i >= 0 {
+				t.Fatalf("seed %d mode %d: logs diverge at entry %d:\n legacy %q\n elided %q", seed, mode, i, w, g)
 			}
 			if legacy.Elided != 0 {
 				t.Fatalf("seed %d: PollEvery elided %d samples", seed, legacy.Elided)
 			}
 			if legacy.Dispatched != st.Dispatched+st.Elided {
-				t.Fatalf("seed %d chunked=%v: legacy dispatched %d != elided run's %d dispatched + %d elided",
-					seed, chunked, legacy.Dispatched, st.Dispatched, st.Elided)
+				t.Fatalf("seed %d mode %d: legacy dispatched %d != elided run's %d dispatched + %d elided",
+					seed, mode, legacy.Dispatched, st.Dispatched, st.Elided)
 			}
 			elided += st.Elided
 		}
 	}
 	if elided == 0 {
 		t.Fatal("no sample was ever elided: the test exercises nothing")
+	}
+}
+
+// firstDifference returns the index of the first entry at which two logs
+// differ, with the two entries ("" past a log's end); -1 if they are equal.
+func firstDifference(a, b []string) (i int, ai, bi string) {
+	for i := 0; i < len(a) || i < len(b); i++ {
+		ai, bi = "", ""
+		if i < len(a) {
+			ai = a[i]
+		}
+		if i < len(b) {
+			bi = b[i]
+		}
+		if i >= len(a) || i >= len(b) || ai != bi {
+			return i, ai, bi
+		}
+	}
+	return -1, "", ""
+}
+
+// The chunked-run differential: the same schedule executed by one Run and
+// by RunUntil in random-sized chunks must produce the same (who, when,
+// global order) log, final clock and event count. A chunk ends wherever
+// the bound falls, nearly always while some process's goroutine is
+// driving the loop, so the baton comes back to the caller from a different
+// goroutine at almost every boundary and leaves on the caller's at the
+// next — under one scheduler thread (the benchmark's setting) and several.
+func TestChunkedRunMatchesSingleRun(t *testing.T) {
+	for _, threads := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(threads)
+		for seed := int64(1); seed <= 100; seed++ {
+			for i, poll := range []pollPrimitive{pollLegacy, pollElided} {
+				name := []string{"PollEvery", "PollUntil"}[i]
+				want, one := pollScenario(seed, poll, oneRun)
+				got, chunked := pollScenario(seed, poll, chunks)
+				if i, w, g := firstDifference(want, got); i >= 0 {
+					t.Fatalf("GOMAXPROCS %d seed %d %s: logs diverge at entry %d:\n one run %q\n chunked %q",
+						threads, seed, name, i, w, g)
+				}
+				// Entering a run bumps the epoch, so a chunk boundary can
+				// make one skipped sample a real one; the sum is what is
+				// invariant, and under PollEvery it is Dispatched alone.
+				if one.Dispatched+one.Elided != chunked.Dispatched+chunked.Elided {
+					t.Fatalf("GOMAXPROCS %d seed %d %s: one run %d dispatched + %d elided, chunked %d + %d",
+						threads, seed, name, one.Dispatched, one.Elided, chunked.Dispatched, chunked.Elided)
+				}
+				if chunked.Handoffs <= one.Handoffs {
+					t.Fatalf("GOMAXPROCS %d seed %d %s: chunked run passed the baton %d times, one run %d: the chunks never ended off the caller's goroutine",
+						threads, seed, name, chunked.Handoffs, one.Handoffs)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 

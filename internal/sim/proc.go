@@ -1,11 +1,17 @@
 package sim
 
+import "fmt"
+
 // Proc is a goroutine-backed simulation process. A process runs model code
 // sequentially in virtual time, blocking on Sleep, conditions, resources
 // and queues. The engine guarantees at most one process (or event callback)
 // executes at any real-time instant, so model state needs no locking.
 //
-// All Proc methods must be called from the process's own goroutine.
+// All Proc methods must be called from the process's own goroutine, that
+// is, from the body passed to Go: while a process is parked its goroutine
+// runs the event loop, so a blocking call made for it from an event
+// callback or from another process's body would corrupt that loop. park
+// checks this and panics.
 type Proc struct {
 	eng      *Engine
 	name     string
@@ -13,18 +19,20 @@ type Proc struct {
 	parkedAt string  // human-readable blocking site, "" while runnable
 	killed   bool
 	daemon   bool
+	finished bool    // body returned or unwound; stale wakeups are dropped
 	poll     *poller // PollUntil state, allocated on the first spin
 }
 
 // worker is a reusable goroutine that runs process bodies. When a process
-// finishes, its worker (goroutine and both handoff channels) parks on the
-// engine's free list and the next Go reuses it, so process churn does not
-// pay goroutine creation. The channels are buffered with capacity one:
-// the handoff is a single token in each direction, and the sender never
-// blocks — only the side waiting for the CPU does.
+// finishes, its worker goes on driving the event loop until an event
+// resumes some other process, then parks on the engine's free list, where
+// the next Go reuses goroutine and channel, so process churn does not pay
+// goroutine creation. The channel is buffered with capacity one: the baton
+// is a single token, and the goroutine passing it never blocks on the send
+// — only on the wait for its own next turn.
 type worker struct {
+	eng    *Engine
 	resume chan struct{}
-	parked chan bool // true = process body finished
 	p      *Proc
 	fn     func(*Proc)
 }
@@ -47,7 +55,7 @@ func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// startProc binds a worker to p and hands it the CPU for the first time.
+// startProc binds a worker to p and schedules its first turn.
 func (e *Engine) startProc(p *Proc, fn func(p *Proc)) {
 	var w *worker
 	if n := len(e.freeWorkers); n > 0 {
@@ -55,10 +63,7 @@ func (e *Engine) startProc(p *Proc, fn func(p *Proc)) {
 		e.freeWorkers[n-1] = nil
 		e.freeWorkers = e.freeWorkers[:n-1]
 	} else {
-		w = &worker{
-			resume: make(chan struct{}, 1),
-			parked: make(chan bool, 1),
-		}
+		w = &worker{eng: e, resume: make(chan struct{}, 1)}
 		go w.loop()
 	}
 	w.p = p
@@ -68,13 +73,24 @@ func (e *Engine) startProc(p *Proc, fn func(p *Proc)) {
 }
 
 // loop runs process bodies forever. Each iteration is one full process
-// lifetime: wait for the first schedule, run the body (absorbing the kill
-// unwind), then report completion and go back to the free list.
+// lifetime: wait for the baton, run the body (absorbing the kill unwind),
+// then — still holding the baton — drive the event loop until it has to
+// go to another goroutine, and only then join the free list: a worker on
+// the free list must be waiting for its resume token and nothing else.
 func (w *worker) loop() {
+	e := w.eng
 	for {
 		<-w.resume
+		p := w.p
 		w.run()
-		w.parked <- true
+		p.finished = true
+		delete(e.procs, p)
+		e.cur = nil
+		w.p = nil
+		w.fn = nil
+		next := e.drive()
+		e.freeWorkers = append(e.freeWorkers, w)
+		e.pass(next)
 	}
 }
 
@@ -94,36 +110,46 @@ func (w *worker) run() {
 }
 
 // alive reports whether p has been spawned and not yet finished.
-func (e *Engine) alive(p *Proc) bool {
-	_, ok := e.procs[p]
-	return ok
-}
+func (e *Engine) alive(p *Proc) bool { return !p.finished }
 
-// schedule hands the CPU to p and waits until it parks or finishes.
-// Called only from the engine goroutine (inside an event callback).
-// Scheduling a finished process is a harmless no-op, so stale wakeups
-// (e.g. a condition broadcast racing a Kill) are safe.
+// schedule notes p as the process the current dispatch resumes: whichever
+// goroutine is driving the event loop gives p the CPU as soon as the
+// dispatch returns (Engine.dispatch). Every call is therefore the last
+// thing its dispatch does, and a dispatch makes at most one. Scheduling a
+// finished process is a harmless no-op, so stale wakeups (e.g. a condition
+// broadcast racing a Kill) are safe.
 func (e *Engine) schedule(p *Proc) {
-	if _, live := e.procs[p]; !live {
+	if p.finished {
 		return
 	}
-	p.parkedAt = ""
-	w := p.w
-	w.resume <- struct{}{}
-	if done := <-w.parked; done {
-		delete(e.procs, p)
-		w.p = nil
-		w.fn = nil
-		e.freeWorkers = append(e.freeWorkers, w)
+	if e.next != nil {
+		panic(fmt.Sprintf("sim: one dispatch resumed both %s and %s", e.next.name, p.name))
 	}
+	e.next = p
 }
 
-// park blocks the process until another event calls e.schedule(p).
+// park blocks the process until an event calls e.schedule(p). The parking
+// goroutine holds the baton, so it runs the event loop itself (drive). If
+// the first process an event resumes is p, park just returns — no
+// goroutine switch at all: a lone Sleep, a DMA engine sleeping for its
+// transfer time. Otherwise it passes the baton to that process (or, when
+// the run is over, to the Run/RunUntil/Step caller) and waits for its own
+// turn.
 func (p *Proc) park(where string) {
+	e := p.eng
+	if e.cur != p {
+		panic(fmt.Sprintf("sim: process %s blocked (%s) outside its own goroutine: "+
+			"Proc methods must be called from the process body, never from an event callback or another process",
+			p.name, where))
+	}
 	p.parkedAt = where
-	w := p.w
-	w.parked <- false
-	<-w.resume
+	e.cur = nil
+	if next := e.drive(); next == p {
+		e.selfResumes++
+	} else {
+		e.pass(next)
+		<-p.w.resume
+	}
 	if p.killed {
 		panic(procKilled{p})
 	}
@@ -152,9 +178,8 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // virtual time, returning once it reports true. The virtual-time behavior
 // is identical to `for !check() { p.Sleep(interval) }` — one event per
 // sample, the process resumes at the first sample where the predicate
-// holds — but false samples run inside the event callback on the engine
-// goroutine, so each costs a closure call instead of the park/resume
-// goroutine round trip.
+// holds — but false samples run inside the event callback, so each costs
+// a closure call instead of a park and a resume.
 //
 // Every sample is evaluated, so check may count its calls or read the
 // clock. A spin whose predicate is a pure function of model state belongs

@@ -86,7 +86,7 @@ func TestFaultedChunkRetransmitsOriginalBytes(t *testing.T) {
 // waits likewise. Each call changes the bytes it sends, and check compares
 // the receiver's whole window with the sender's. With poison set, packet
 // buffers are overwritten as they return to the free list.
-func longSendRig(t testing.TB, poison bool, fn func(long, short func(), check func() bool)) {
+func longSendRig(t testing.TB, poison bool, fn func(p *simProc, long, short func(), check func() bool)) {
 	const size = 64 << 10
 	startCluster(t, 2, poison, func(p *simProc, c *Cluster) {
 		recv, _ := c.Nodes[1].NewProcess(p)
@@ -142,7 +142,7 @@ func longSendRig(t testing.TB, poison bool, fn func(long, short func(), check fu
 			got, _ := recv.Read(buf, size)
 			return bytes.Equal(got, msg)
 		}
-		fn(long, short, check)
+		fn(p, long, short, check)
 	})
 }
 
@@ -150,7 +150,7 @@ func longSendRig(t testing.TB, poison bool, fn func(long, short func(), check fu
 // fed from a recycled buffer — poison, or the previous packet's bytes —
 // cannot compare equal.
 func TestStreamUnderBufferPoison(t *testing.T) {
-	longSendRig(t, true, func(long, short func(), check func() bool) {
+	longSendRig(t, true, func(_ *simProc, long, short func(), check func() bool) {
 		for i := 0; i < 12; i++ {
 			long()
 			if !check() {
@@ -172,7 +172,7 @@ func TestStreamUnderBufferPoison(t *testing.T) {
 // spawns — and none of it scales with payload bytes.
 func TestSteadyStateAllocationCeilings(t *testing.T) {
 	const longCeiling, shortCeiling = 165, 12
-	longSendRig(t, false, func(long, short func(), check func() bool) {
+	longSendRig(t, false, func(_ *simProc, long, short func(), check func() bool) {
 		for i := 0; i < 4; i++ { // fill the free list, warm the TLBs
 			long()
 			short()
@@ -193,10 +193,45 @@ func TestSteadyStateAllocationCeilings(t *testing.T) {
 	})
 }
 
+// Handoff ceilings for the same two operations. Host microseconds cannot
+// be gated in CI; the number of times the baton changes goroutine is an
+// exact count, and it is what a process switch costs. A park that the
+// parking goroutine ends itself (SchedStats.SelfResumes: a DMA engine
+// sleeping for its transfer time, a spin that sees its own send land) is
+// free; only a resume of a different process sends a token. Measured: 147
+// and 4, against 219 and 17 process activations — a scheduler that went
+// back to a round trip per activation would send 438 and 34.
+func TestSteadyStateHandoffCeilings(t *testing.T) {
+	const longCeiling, shortCeiling = 160, 6
+	longSendRig(t, false, func(p *simProc, long, short func(), check func() bool) {
+		for i := 0; i < 4; i++ {
+			long()
+			short()
+		}
+		for _, op := range []struct {
+			name    string
+			do      func()
+			ceiling uint64
+		}{
+			{"64 KB SendMsg + delivery", long, longCeiling},
+			{"4-byte SendMsgSync + delivery", short, shortCeiling},
+		} {
+			before := p.Engine().SchedStats()
+			op.do()
+			after := p.Engine().SchedStats()
+			handoffs, self := after.Handoffs-before.Handoffs, after.SelfResumes-before.SelfResumes
+			if handoffs > op.ceiling {
+				t.Errorf("%s: %d handoffs, ceiling %d", op.name, handoffs, op.ceiling)
+			}
+			t.Logf("%s: %d handoffs, %d self-resumes, %d events", op.name, handoffs, self, after.Dispatched-before.Dispatched)
+		}
+	})
+}
+
 // BenchmarkLongSend64K is one 64 KB SendMsg through to the last deposited
 // byte: 17 packets' worth of host DMA, CRC, wire and deposit.
 func BenchmarkLongSend64K(b *testing.B) {
-	longSendRig(b, false, func(long, short func(), check func() bool) {
+	longSendRig(b, false, func(_ *simProc, long, short func(), check func() bool) {
 		long()
 		b.SetBytes(64 << 10)
 		b.ReportAllocs()
