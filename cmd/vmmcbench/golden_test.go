@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/bench"
 )
 
 // TestResultsGolden pins RESULTS.txt and the deterministic sweeps'
@@ -33,6 +35,9 @@ func TestResultsGolden(t *testing.T) {
 		*flag = filepath.Join(dir, name)
 		defer func() { *flag = "" }()
 	}
+	// Every spin the experiments park is checked against its watch.
+	bench.SetObservability(bench.Observability{VerifySkips: true})
+	defer bench.SetObservability(bench.Observability{})
 	var buf bytes.Buffer
 	ran, err := runExperiments(&buf, "", true, false, false)
 	if err != nil {

@@ -35,6 +35,10 @@ type Observability struct {
 	// analyzer is a streaming trace sink with no effect on virtual time,
 	// so it defaults to on: every experiment ends with a report.
 	DisableAnalysis bool
+	// VerifySkips turns on sim.Engine.VerifySkips in every engine: a spin
+	// predicate that reads outside its watch panics instead of silently
+	// missing a change. The golden test sets it; results are unaffected.
+	VerifySkips bool
 }
 
 var (
@@ -54,6 +58,9 @@ func SetObservability(o Observability) { obs = o }
 // unless analysis is disabled.
 func observedEngine() *sim.Engine {
 	eng := sim.NewEngine()
+	if obs.VerifySkips {
+		eng.VerifySkips()
+	}
 	if obs.TracePath != "" {
 		eng.Trace().Enable(obs.TraceCapacity)
 	}

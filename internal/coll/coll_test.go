@@ -17,6 +17,7 @@ func runRanks(t *testing.T, nodes int, clOpts vmmc.Options, opts coll.Options,
 	body func(p *sim.Proc, c *coll.Comm)) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	if clOpts.Nodes == 0 {
 		clOpts.Nodes = nodes
 	}

@@ -17,6 +17,7 @@ import (
 // ranks, their round/step, and the channel tags.
 func TestCreditDeadlockSurfacesTyped(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cluster, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)

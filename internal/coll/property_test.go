@@ -101,6 +101,7 @@ func healedAllReduce(t *testing.T, withOutage bool) (results [][]byte, elapsed s
 	const elems = 4 << 10 // 16 KB of int32: several slots per block round
 	const rounds = 3
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	pl := fault.NewPlan(eng, 0x4EA1)
 	relCfg := lanai.DefaultReliability()
 	relCfg.MaxRetries = 8

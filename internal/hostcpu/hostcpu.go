@@ -66,16 +66,21 @@ func (c *CPU) Compute(p *sim.Proc, d sim.Time) {
 // Spin parks p until check() reports true, sampling it every
 // SpinCheckInterval. This models spinning on a cache location: the checks
 // cost no bus cycles (the completion word is written into the cache line
-// by DMA; §4.5), only latency granularity — and, since nothing can change
-// the word between simulator events, no simulator time either: samples
-// that cannot observe a change are skipped (sim.Proc.PollUntil).
+// by DMA; §4.5), only latency granularity — and, since nothing but a write
+// to the memory behind that line can change it, no simulator time either:
+// samples that cannot observe a change are skipped (sim.Proc.PollUntil).
 //
-// check must be a pure function of model state: no side effects while it
-// is false, and no reading of the clock. A bounded spin passes the
-// absolute time deadline instead (0 = unbounded); Spin then reports false
-// if the first sample at or after the deadline still finds check false.
-func (c *CPU) Spin(p *sim.Proc, deadline sim.Time, check func() bool) bool {
-	return p.PollUntil(c.prof.SpinCheckInterval, deadline, check)
+// watch says what can change check's answer. A memory-scoped spin passes
+// its node's mem.Physical.Version: check then reads only that memory (and
+// state whose writers Touch it), and is re-evaluated only after a store
+// into it. nil is for a predicate that reads arbitrary model state: it is
+// re-evaluated after every simulator event. Either way check must have no
+// side effects while it is false and must not read the clock. A bounded
+// spin passes the absolute time deadline instead (0 = unbounded); Spin
+// then reports false if the first sample at or after the deadline still
+// finds check false.
+func (c *CPU) Spin(p *sim.Proc, deadline sim.Time, watch *uint64, check func() bool) bool {
+	return p.PollUntil(c.prof.SpinCheckInterval, deadline, watch, check)
 }
 
 // SpinWait is Spin for an arbitrary predicate — one that counts its calls,

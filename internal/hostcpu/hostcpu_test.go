@@ -131,39 +131,54 @@ func TestSpinWaitObservesFlag(t *testing.T) {
 }
 
 // Spin resumes on the tick SpinWait does, evaluates a handful of samples
-// instead of a hundred, and reports a deadline it ran into.
+// instead of a hundred — under a watch of its own only the one after the
+// store, whatever else the engine dispatches — and reports a deadline it
+// ran into.
 func TestSpinElidesAndHonorsDeadline(t *testing.T) {
-	run := func(spin func(c *CPU, p *sim.Proc, check func() bool)) (resumed sim.Time, samples int) {
-		e := sim.NewEngine()
+	run := func(spin func(c *CPU, p *sim.Proc, watch *uint64, check func() bool)) (resumed sim.Time, samples int) {
+		e := sim.NewEngine() // no VerifySkips: it would call the counting predicate
 		c := newCPU(e)
 		flag := false
+		var version uint64
 		e.Go("spinner", func(p *sim.Proc) {
-			spin(c, p, func() bool { samples++; return flag })
+			spin(c, p, &version, func() bool { samples++; return flag })
 			resumed = p.Now()
 		})
-		e.At(10*sim.Microsecond+30, func() { flag = true })
+		for at := sim.Microsecond; at < 10*sim.Microsecond; at += sim.Microsecond {
+			e.At(at+70, func() {}) // events that store nothing
+		}
+		e.At(10*sim.Microsecond+30, func() { flag = true; version++ })
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return resumed, samples
 	}
-	wantAt, legacySamples := run(func(c *CPU, p *sim.Proc, check func() bool) { c.SpinWait(p, check) })
-	gotAt, samples := run(func(c *CPU, p *sim.Proc, check func() bool) {
-		if !c.Spin(p, 0, check) {
-			t.Error("unbounded Spin reported a timeout")
+	wantAt, legacySamples := run(func(c *CPU, p *sim.Proc, _ *uint64, check func() bool) { c.SpinWait(p, check) })
+	for _, scoped := range []bool{false, true} {
+		ceiling := 12 // the first, one after each event
+		if scoped {
+			ceiling = 2 // the first, and the one after the store
 		}
-	})
-	if gotAt != wantAt {
-		t.Errorf("Spin resumed at %v, SpinWait at %v", gotAt, wantAt)
-	}
-	if samples > 3 || legacySamples < 100 {
-		t.Errorf("Spin evaluated %d samples (SpinWait %d), want at most the first and the one after the store", samples, legacySamples)
+		gotAt, samples := run(func(c *CPU, p *sim.Proc, watch *uint64, check func() bool) {
+			if !scoped {
+				watch = nil
+			}
+			if !c.Spin(p, 0, watch, check) {
+				t.Error("unbounded Spin reported a timeout")
+			}
+		})
+		if gotAt != wantAt {
+			t.Errorf("scoped %v: Spin resumed at %v, SpinWait at %v", scoped, gotAt, wantAt)
+		}
+		if samples > ceiling || legacySamples < 100 {
+			t.Errorf("scoped %v: Spin evaluated %d samples (SpinWait %d), want at most %d", scoped, samples, legacySamples, ceiling)
+		}
 	}
 
 	e := sim.NewEngine()
 	c := newCPU(e)
 	e.Go("spinner", func(p *sim.Proc) {
-		if c.Spin(p, 5*sim.Microsecond, func() bool { return false }) {
+		if c.Spin(p, 5*sim.Microsecond, nil, func() bool { return false }) {
 			t.Error("Spin past its deadline reported success")
 		}
 		if p.Now() != 5*sim.Microsecond {

@@ -69,6 +69,9 @@ type Physical struct {
 	// allocations are physically discontiguous, as on a real, long-running
 	// system. The scramble is deterministic.
 	freeFrames []int
+
+	// version is what a spin on this memory watches (Version).
+	version uint64
 }
 
 // NewPhysical returns a node memory of the given size, which must be a
@@ -98,6 +101,21 @@ func NewPhysical(size int) *Physical {
 	return pm
 }
 
+// Version returns the address of the memory's version counter, the watch a
+// spin whose predicate reads this memory hands to sim.Proc.PollUntil: the
+// spin is re-evaluated only after the counter moved. It is bumped by every
+// store into the backing bytes (Write, the only one: CPU stores and DMA
+// deposits alike) and by every change to the frame pool (AllocFrame,
+// AllocContiguousFrames, FreeFrame), which is when an address space's page
+// table — what Translate consults — can change. Anything else such a
+// predicate reads (a crash flag, a process's liveness) is outside the
+// counter, and whoever changes it must call Touch.
+func (pm *Physical) Version() *uint64 { return &pm.version }
+
+// Touch bumps the version without storing anything: for state that is not
+// memory but that predicates spinning on this memory also read.
+func (pm *Physical) Touch() { pm.version++ }
+
 // Size returns the memory size in bytes.
 func (pm *Physical) Size() int { return len(pm.data) }
 
@@ -114,6 +132,7 @@ func (pm *Physical) AllocFrame() (int, error) {
 	}
 	f := pm.freeFrames[0]
 	pm.freeFrames = pm.freeFrames[1:]
+	pm.version++
 	return f, nil
 }
 
@@ -151,6 +170,7 @@ func (pm *Physical) AllocContiguousFrames(k int) (int, error) {
 			}
 		}
 		pm.freeFrames = out
+		pm.version++
 		return start, nil
 	}
 	return 0, ErrOutOfMemory
@@ -162,6 +182,7 @@ func (pm *Physical) FreeFrame(f int) {
 		panic(fmt.Sprintf("mem: freeing pinned frame %d", f))
 	}
 	pm.freeFrames = append(pm.freeFrames, f)
+	pm.version++
 }
 
 // Pin increments the frame's pin count, preventing (modeled) eviction.
@@ -204,5 +225,6 @@ func (pm *Physical) Write(pa PhysAddr, data []byte) error {
 		return fmt.Errorf("%w: write [%#x,%#x)", ErrBounds, pa, end)
 	}
 	copy(pm.data[pa:end], data)
+	pm.version++
 	return nil
 }

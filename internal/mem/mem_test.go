@@ -379,3 +379,30 @@ func TestReadIntoMatchesReadBytesWithoutAllocating(t *testing.T) {
 		t.Errorf("ReadInto allocates %v times per call", n)
 	}
 }
+
+// The version is what memory-scoped spins watch: everything a predicate
+// built on Translate and Read can observe has to move it, and what it
+// cannot observe — reads, pins — should not, or spins wake for nothing.
+func TestVersionMovesWithStoresAndMappings(t *testing.T) {
+	pm := NewPhysical(16 * PageSize)
+	as := NewAddressSpace(pm)
+	v := pm.Version()
+	moved := func(what string, want bool, fn func()) {
+		t.Helper()
+		before := *v
+		fn()
+		if got := *v != before; got != want {
+			t.Errorf("%s: version moved = %v, want %v", what, got, want)
+		}
+	}
+	var va VirtAddr
+	moved("Alloc (AllocFrame)", true, func() { va, _ = as.Alloc(PageSize) })
+	moved("WriteBytes (Write)", true, func() { as.WriteBytes(va, []byte{1}) })
+	moved("Write", true, func() { pm.Write(0, []byte{1}) })
+	moved("Touch", true, pm.Touch)
+	moved("AllocContiguousFrames", true, func() { pm.AllocContiguousFrames(2) })
+	moved("ReadInto", false, func() { var b [1]byte; as.ReadInto(va, b[:]) })
+	moved("Pin/Unpin", false, func() { as.Pin(va, 1); as.Unpin(va, 1) })
+	moved("failed Write", false, func() { pm.Write(PhysAddr(pm.Size()), []byte{1}) })
+	moved("Free (FreeFrame)", true, func() { as.Free(va, PageSize) })
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/vmmc"
 	"repro/internal/xdr"
@@ -87,6 +88,7 @@ func TestVRPCOverloadedShedsFast(t *testing.T) {
 func twoClientSetup(t *testing.T, service sim.Time, fn func(p *sim.Proc, eng *sim.Engine, a, b *Client, srv *Server)) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 3, MemBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +182,7 @@ func TestVRPCDeadlineExpiredAtServer(t *testing.T) {
 // hang. Before deadlines existed this wait was unbounded.
 func TestVRPCTimeoutServerCrash(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -279,13 +282,16 @@ func TestVRPCTimeoutThenDrainRecovers(t *testing.T) {
 
 // vrpcSpinTrace drives three deadline calls and one into a crashed server
 // (it times out at deadline + grace) and returns every virtual timestamp the client saw
-// plus the scheduler's counts over the exchange. With beat set a no-op
-// event fires every half spin interval from the first call on, so no spin
-// sample anywhere in the stack can be elided: the run is the eliding
-// primitive degraded to PollEvery's one-event-per-sample behavior.
+// plus the scheduler's counts over the exchange. With beat set an event
+// fires every half spin interval from the first call on and stores a
+// scratch byte into each node's memory (an event that writes nothing
+// disturbs no memory-scoped spin), so no spin sample anywhere in the stack
+// can be elided: the run is the eliding primitive degraded to PollEvery's
+// one-event-per-sample behavior.
 func vrpcSpinTrace(t *testing.T, beat bool) (stamps []sim.Time, dispatched, elided, beats uint64) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -310,6 +316,13 @@ func vrpcSpinTrace(t *testing.T, beat bool) (stamps []sim.Time, dispatched, elid
 			t.Error(err)
 			return
 		}
+		// Physical addresses: the server's process handle dies with its
+		// node, the node's memory does not.
+		var scratch [2]mem.PhysAddr
+		for i, proc := range []*vmmc.Process{cproc, sproc} {
+			va, _ := proc.Malloc(mem.PageSize)
+			scratch[i], _ = proc.AS.Translate(va)
+		}
 		done := false
 		defer func() { done = true }()
 		if beat {
@@ -317,6 +330,9 @@ func vrpcSpinTrace(t *testing.T, beat bool) (stamps []sim.Time, dispatched, elid
 			tick = func() {
 				if !done {
 					beats++
+					for i, pa := range scratch {
+						cl.Nodes[i].Phys.Write(pa, []byte{byte(beats)})
+					}
 					eng.After(cl.Nodes[0].Prof.SpinCheckInterval/2, tick)
 				}
 			}

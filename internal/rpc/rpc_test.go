@@ -53,6 +53,7 @@ func registerTestProcs(reg interface {
 func vrpcSetup(t *testing.T, fn func(p *sim.Proc, c *Client, srv *Server)) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -187,6 +188,42 @@ func TestVRPCNullLatency(t *testing.T) {
 	})
 }
 
+// Event ceilings for a null call, the counterpart of vmmc's
+// TestSteadyStateEventCeilings: the client's reply spin is memory-scoped,
+// so of everything a call sets in motion — two sends, the server's
+// notification, decode and dispatch on the far node — only stores into
+// the client's own memory cost it a sample. Exact counts, set from the
+// measured values; at the parent of this change a null call dispatched
+// 79 events, 32 of them false re-checks of this one spin.
+func TestVRPCNullCallEventCeilings(t *testing.T) {
+	const iters = 16
+	const eventCeiling, falseCeiling = 48, 1 // per call; measured exactly these
+	vrpcSetup(t, func(p *sim.Proc, c *Client, srv *Server) {
+		for i := 0; i < 4; i++ { // warm: first contact pays the import
+			if err := c.Call(p, progTest, versTest, procNull, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := p.Engine().SchedStats()
+		for i := 0; i < iters; i++ {
+			if err := c.Call(p, progTest, versTest, procNull, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		after := p.Engine().SchedStats()
+		events, falses := after.Dispatched-before.Dispatched, after.SampledFalse-before.SampledFalse
+		if events > eventCeiling*iters {
+			t.Errorf("%d events over %d null calls, ceiling %d each", events, iters, eventCeiling)
+		}
+		if falses > falseCeiling*iters {
+			t.Errorf("%d false samples over %d null calls, ceiling %d each", falses, iters, falseCeiling)
+		}
+		t.Logf("per null call: %.2f events, %.2f samples of which %.2f false, %.2f elided",
+			float64(events)/iters, float64(after.Sampled-before.Sampled)/iters,
+			float64(falses)/iters, float64(after.Elided-before.Elided)/iters)
+	})
+}
+
 func TestVRPCBulkBandwidth(t *testing.T) {
 	// §5.4: vRPC bandwidth sits well below raw VMMC because of the one
 	// copy per receive (bcopy ~50 MB/s); with both directions carrying
@@ -222,6 +259,7 @@ func TestVRPCBulkBandwidth(t *testing.T) {
 func TestShrimpVRPCLatency(t *testing.T) {
 	// §5.4: 33 us round trip on SHRIMP, the tuned platform.
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	sys := shrimp.New(eng, hw.DefaultSHRIMP(), 2, 16<<20)
 	eng.Go("test", func(p *sim.Proc) {
 		srv, err := NewShrimpServer(p, sys, 1)
@@ -273,6 +311,7 @@ func TestUDPSunRPC(t *testing.T) {
 	// The compatibility baseline: same wire format over the kernel UDP
 	// stack and Ethernet — milliseconds, not microseconds.
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	eth := ether.New(eng, sim.Millisecond)
 	srv := NewUDPServer(eng, eth, 1)
 	registerTestProcs(srv)
@@ -382,6 +421,7 @@ func TestVRPCTwoConcurrentClients(t *testing.T) {
 	// Two clients on different nodes share one server through separate
 	// slots; calls interleave without cross-talk.
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 3, MemBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -470,6 +510,7 @@ func TestVRPCOversizedMessageRejected(t *testing.T) {
 // window is exported.
 func TestVRPCSlotRange(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 3, MemBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)

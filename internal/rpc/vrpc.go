@@ -754,10 +754,12 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 // spin is bounded, so a lost notification — dead server, dropped reply,
 // partition — resolves as a timeout instead of blocking forever. With
 // deadline 0 the wait is unbounded (legacy behavior, byte-identical
-// timing).
+// timing). The spin is memory-scoped (vmmc.Process.SpinOnMemory): the
+// predicate reads the reply window in the client's own memory and nothing
+// else, so only a store into that node's memory costs it a sample.
 func (c *Client) awaitReply(p *sim.Proc, deadline sim.Time) ([]byte, bool) {
 	var raw []byte
-	ok := c.proc.SpinUntilDeadline(p, deadline, func() bool {
+	ok := c.proc.SpinOnMemory(p, deadline, func() bool {
 		m, ok := slotMessage(c.proc, c.repBuf, c.repSeq)
 		if ok {
 			raw = m

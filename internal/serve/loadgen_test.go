@@ -54,6 +54,7 @@ func runStubLoop(t *testing.T, putFrac float64) ([]genTriple, *Stats) {
 	t.Helper()
 	const shards, requests = 2, 64
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	seen := make([]genTriple, requests)
 	var stats *Stats
 	eng.Go("loadgen-test", func(p *sim.Proc) {

@@ -15,6 +15,7 @@ import (
 func tierSetup(t *testing.T, cfg Config, nodes int, fn func(p *sim.Proc, tier *Tier, cproc *vmmc.Process)) error {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cluster, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: nodes, MemBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)

@@ -160,15 +160,24 @@ func BenchmarkResourceHandoff(b *testing.B) {
 // benchmarkSpin parks the given number of pollers on a flag for b.N ticks
 // of a 100 ns sampling grid while one real event fires every 10 ticks —
 // roughly a receiver's view of a message in flight. An op is one grid
-// tick across all pollers: the legacy primitive pays one heap event per
-// poller per tick, the eliding one a re-arm per poller per real event.
-func benchmarkSpin(b *testing.B, pollers int, poll pollPrimitive) {
+// tick across all pollers. The legacy primitive pays one heap event per
+// poller per tick. The eliding one pays, per real event, one pass over the
+// parked pollers (Engine.settle) plus one false sample for every poller
+// whose watch the event moved: all of them under the engine's own counter
+// (scoped false), one when each poller watches a version of its own and
+// the event writes a single one (scoped true).
+func benchmarkSpin(b *testing.B, pollers int, poll pollPrimitive, scoped bool) {
 	const interval = 100 * Nanosecond
 	e := NewEngine()
 	released := false
+	vers := make([]uint64, pollers)
 	for i := 0; i < pollers; i++ {
+		var watch *uint64
+		if scoped {
+			watch = &vers[i]
+		}
 		e.Go("spinner", func(p *Proc) {
-			poll(p, interval, 0, func() bool { return released })
+			poll(p, interval, 0, watch, func() bool { return released })
 		})
 	}
 	ticks := 0
@@ -176,8 +185,12 @@ func benchmarkSpin(b *testing.B, pollers int, poll pollPrimitive) {
 	event = func() {
 		if ticks += 10; ticks >= b.N {
 			released = true
+			for i := range vers {
+				vers[i]++
+			}
 			return
 		}
+		vers[ticks/10%pollers]++
 		e.After(10*interval, event)
 	}
 	e.After(10*interval, event)
@@ -187,7 +200,8 @@ func benchmarkSpin(b *testing.B, pollers int, poll pollPrimitive) {
 	}
 }
 
-func BenchmarkSpinLegacy1(b *testing.B)  { benchmarkSpin(b, 1, pollLegacy) }
-func BenchmarkSpinElided1(b *testing.B)  { benchmarkSpin(b, 1, pollElided) }
-func BenchmarkSpinLegacy32(b *testing.B) { benchmarkSpin(b, 32, pollLegacy) }
-func BenchmarkSpinElided32(b *testing.B) { benchmarkSpin(b, 32, pollElided) }
+func BenchmarkSpinLegacy1(b *testing.B)  { benchmarkSpin(b, 1, pollLegacy, false) }
+func BenchmarkSpinElided1(b *testing.B)  { benchmarkSpin(b, 1, pollElided, false) }
+func BenchmarkSpinLegacy32(b *testing.B) { benchmarkSpin(b, 32, pollLegacy, false) }
+func BenchmarkSpinElided32(b *testing.B) { benchmarkSpin(b, 32, pollElided, false) }
+func BenchmarkSpinScoped32(b *testing.B) { benchmarkSpin(b, 32, pollElided, true) }

@@ -139,6 +139,8 @@ type SchedStats struct {
 	PeakHeapLen  int    // largest heap residency ever observed
 	Dispatched   uint64 // events executed since construction
 	Elided       uint64 // PollUntil samples skipped without being executed
+	Sampled      uint64 // PollUntil samples whose predicate was evaluated (each one a dispatched event)
+	SampledFalse uint64 // of those, the ones that found it still false
 	Handoffs     uint64 // baton tokens sent to another goroutine (a process's, or the run caller's)
 	SelfResumes  uint64 // parks that ended on the goroutine that parked: no switch
 	Compactions  uint64 // lazy compaction sweeps performed
@@ -183,14 +185,18 @@ type Engine struct {
 	freeWorkers    []*worker
 	freeWaiters    []*condWaiter
 
-	// Parked PollUntil spins (poll.go). epoch counts the dispatches that
-	// may have changed model state; pollIdle counts the pollers that have
-	// seen the current epoch and have no deadline — the ones that will
-	// not be sampled again unless an event is dispatched.
-	pollers  pollHeap
-	epoch    uint64
-	pollIdle int
-	elided   uint64
+	// Parked PollUntil spins (poll.go), in the order settle relies on.
+	// pollFloor is a lower bound on every parked poller's next sample
+	// time: no pass is needed before an event that lies below it. epoch is
+	// the watch of the pollers that name none: it counts the dispatches
+	// that may have changed model state.
+	pollers      []parked
+	pollFloor    Time
+	epoch        uint64
+	elided       uint64
+	sampled      uint64
+	sampledFalse uint64
+	verifySkips  bool
 
 	collector *trace.Collector
 	metrics   *trace.Registry
@@ -214,6 +220,7 @@ func NewEngine() *Engine {
 	return &Engine{
 		procs:     make(map[*Proc]struct{}),
 		caller:    make(chan struct{}, 1),
+		pollers:   make([]parked, 0, 32), // a few dozen spins park at once in every cluster we run
 		collector: trace.NewCollector(),
 		metrics:   trace.NewRegistry(),
 	}
@@ -267,6 +274,8 @@ func (e *Engine) SchedStats() SchedStats {
 		PeakHeapLen:  e.peakHeapLen,
 		Dispatched:   e.dispatched,
 		Elided:       e.elided,
+		Sampled:      e.sampled,
+		SampledFalse: e.sampledFalse,
 		Handoffs:     e.handoffs,
 		SelfResumes:  e.selfResumes,
 		Compactions:  e.compactions,
@@ -483,7 +492,7 @@ func (e *Engine) run(until Time, oneStep bool) {
 	e.running = true
 	defer func() { e.running = false }()
 	e.stopped, e.until, e.oneStep = false, until, oneStep
-	e.bumpEpoch() // the caller may have changed model state between runs
+	e.epoch++ // the caller may have changed model state between runs
 	// A callback that panics right here unwinds through the caller as it
 	// is; dispatch is guarded (drive) only on process goroutines.
 	if p := e.dispatch(); p != nil {
@@ -559,63 +568,51 @@ func (e *Engine) pass(p *Proc) {
 // before until. It reports false when there is none — including when all
 // that remains are polls nothing can make true any more.
 func (e *Engine) step(until Time) bool {
-	for {
-		var ev *Event
-		for len(e.events) > 0 {
-			if ev = e.events[0]; !ev.canceled {
-				break
-			}
-			e.heapPop()
-			e.canceledInHeap--
-			if e.obsCanceled != nil {
-				e.obsCanceled.Set(float64(e.canceledInHeap))
-			}
-			e.recycle(ev)
-			ev = nil
-		}
-		if len(e.pollers) > 0 {
-			pl := &e.pollers[0]
-			if ev == nil || pl.at < ev.at || (pl.at == ev.at && pl.seq < ev.seq) {
-				if pl.at > until {
-					return false
-				}
-				if ev == nil && until == math.MaxInt64 && e.pollIdle == len(e.pollers) {
-					return false
-				}
-				if e.elide(ev, until) {
-					continue
-				}
-				e.sample()
-				return true
-			}
-		}
-		if ev == nil || ev.at > until {
-			return false
+	var ev *Event
+	for len(e.events) > 0 {
+		if ev = e.events[0]; !ev.canceled {
+			break
 		}
 		e.heapPop()
-		e.now = ev.at
-		e.noteDispatch()
-		e.bumpEpoch()
-		switch {
-		case ev.fn != nil:
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-		case ev.proc != nil:
-			p := ev.proc
-			e.recycle(ev)
-			e.schedule(p)
-		case ev.waiter != nil:
-			w := ev.waiter
-			e.recycle(ev)
-			w.c.expire(w)
-		default:
-			// A canceled-after-pop slot cannot occur (cancellation is
-			// checked above), so an empty event is a scheduler bug.
-			panic("sim: empty event dispatched")
+		e.canceledInHeap--
+		if e.obsCanceled != nil {
+			e.obsCanceled.Set(float64(e.canceledInHeap))
 		}
-		return true
+		e.recycle(ev)
+		ev = nil
 	}
+	if len(e.pollers) > 0 && (ev == nil || e.pollFloor <= ev.at) {
+		if i := e.settle(ev, until); i >= 0 {
+			e.sample(i)
+			return true
+		}
+	}
+	if ev == nil || ev.at > until {
+		return false
+	}
+	e.heapPop()
+	e.now = ev.at
+	e.noteDispatch()
+	e.epoch++
+	switch {
+	case ev.fn != nil:
+		fn := ev.fn
+		e.recycle(ev)
+		fn()
+	case ev.proc != nil:
+		p := ev.proc
+		e.recycle(ev)
+		e.schedule(p)
+	case ev.waiter != nil:
+		w := ev.waiter
+		e.recycle(ev)
+		w.c.expire(w)
+	default:
+		// A canceled-after-pop slot cannot occur (cancellation is
+		// checked above), so an empty event is a scheduler bug.
+		panic("sim: empty event dispatched")
+	}
+	return true
 }
 
 // noteDispatch counts one executed event or poll sample.
@@ -694,10 +691,15 @@ func (e *Engine) AddDeadlockWrapper(wrap func(error) error) {
 
 // Pending reports the number of scheduled (non-canceled) events, plus the
 // parked polls that still owe a sample — those with a deadline, and those
-// that have not looked since the last dispatch. It is O(1): the engine
-// tracks in-heap cancellations and idle polls as they happen.
+// whose watch has moved since they last looked.
 func (e *Engine) Pending() int {
-	return len(e.events) - e.canceledInHeap + len(e.pollers) - e.pollIdle
+	n := len(e.events) - e.canceledInHeap
+	for i := range e.pollers {
+		if q := &e.pollers[i]; q.deadline != 0 || q.owes() {
+			n++
+		}
+	}
+	return n
 }
 
 // Parked returns a description of every live process currently parked,

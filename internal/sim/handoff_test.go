@@ -178,7 +178,7 @@ func stepModel() (e *Engine, log *[]string) {
 		for i := 0; i < 4; i++ {
 			note("b woken=%v", c.WaitTimeout(p, 15))
 		}
-		p.PollUntil(7, 0, func() bool { return flag })
+		p.PollUntil(7, 0, nil, func() bool { return flag })
 		note("b sees flag")
 	})
 	e.At(12, func() { note("callback") })

@@ -11,16 +11,16 @@ import (
 )
 
 // pollPrimitive is the shape both poll implementations are driven through.
-type pollPrimitive func(p *Proc, interval, deadline Time, check func() bool) bool
+type pollPrimitive func(p *Proc, interval, deadline Time, watch *uint64, check func() bool) bool
 
-func pollElided(p *Proc, interval, deadline Time, check func() bool) bool {
-	return p.PollUntil(interval, deadline, check)
+func pollElided(p *Proc, interval, deadline Time, watch *uint64, check func() bool) bool {
+	return p.PollUntil(interval, deadline, watch, check)
 }
 
-// pollLegacy is the oracle: every sample is a heap event, and a bounded
-// poll reads the clock inside the predicate — the shape rpc.awaitReply had
-// before PollUntil existed.
-func pollLegacy(p *Proc, interval, deadline Time, check func() bool) bool {
+// pollLegacy is the oracle: every sample is a heap event whatever was
+// written since the last one, and a bounded poll reads the clock inside
+// the predicate — the shape rpc.awaitReply had before PollUntil existed.
+func pollLegacy(p *Proc, interval, deadline Time, _ *uint64, check func() bool) bool {
 	timedOut := false
 	p.PollEvery(interval, func() bool {
 		if check() {
@@ -51,15 +51,25 @@ const (
 // The schedule mixes callback events (many landing exactly on the 100 ns
 // grid the pollers sample on), zero-delay pushes, sleeping processes,
 // pollers with equal and unequal phases and intervals, deadlines on and
-// off the grid, condition waiters with timeouts, contenders for a
+// off the grid, each spin scoped to the version of the one cell it reads
+// or to nothing (nil: the engine's counter), condition waiters with
+// timeouts, contenders for a
 // resource (the ones with few turns exit while the rest queue), a Kill of
 // a poller and of one other process, and a Stop from a callback, after
 // which the run is taken up again.
 func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, st SchedStats) {
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine()
+	e.VerifySkips()
 	const end = 40 * Microsecond
+	// Every cell has its own version, bumped by every store into it: the
+	// watch of the spins scoped to that cell.
 	cells := make([]int, 4)
+	vers := make([]uint64, len(cells))
+	store := func(cell, v int) {
+		cells[cell] = v
+		vers[cell]++
+	}
 	note := func(format string, args ...any) {
 		log = append(log, fmt.Sprintf("%d ", e.Now())+fmt.Sprintf(format, args...))
 	}
@@ -75,11 +85,12 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 	for i, n := 0, 20+rng.Intn(40); i < n; i++ {
 		i, at, cell, chain := i, gridTime(end), rng.Intn(len(cells)), rng.Intn(3) == 0
 		e.At(at, func() {
-			cells[cell]++
+			store(cell, cells[cell]+1)
 			note("event %d cell %d=%d", i, cell, cells[cell])
 			if chain {
 				e.After(0, func() {
-					cells[(cell+1)%len(cells)]++
+					next := (cell + 1) % len(cells)
+					store(next, cells[next]+1)
 					note("chain %d", i)
 				})
 			}
@@ -94,7 +105,7 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 		e.Go(fmt.Sprintf("sleeper%d", i), func(p *Proc) {
 			for _, d := range naps {
 				p.Sleep(d)
-				cells[cell]++
+				store(cell, cells[cell]+1)
 				note("sleeper %d cell %d=%d", i, cell, cells[cell])
 			}
 		})
@@ -106,6 +117,7 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 		type spin struct {
 			interval, deadline Time // deadline relative to the spin's start
 			cell, want         int
+			scoped             bool // watch the cell's version, not the engine's counter
 			nap                Time
 		}
 		spins := make([]spin, 1+rng.Intn(5))
@@ -114,6 +126,7 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 				interval: []Time{100, 100, 100, 250, 30}[rng.Intn(5)],
 				cell:     rng.Intn(len(cells)),
 				want:     1 + rng.Intn(12),
+				scoped:   rng.Intn(2) == 0,
 				nap:      Time(rng.Intn(3)) * 50,
 			}
 			switch rng.Intn(3) {
@@ -131,8 +144,13 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 				if deadline != 0 {
 					deadline += p.Now()
 				}
-				ok := poll(p, s.interval, deadline, func() bool { return cells[s.cell] >= s.want })
-				cells[(s.cell+1)%len(cells)]++ // pollers wake each other
+				var watch *uint64
+				if s.scoped {
+					watch = &vers[s.cell]
+				}
+				ok := poll(p, s.interval, deadline, watch, func() bool { return cells[s.cell] >= s.want })
+				next := (s.cell + 1) % len(cells)
+				store(next, cells[next]+1) // pollers wake each other
 				note("poller %d spin %d ok=%v", i, j, ok)
 				p.Sleep(s.nap)
 			}
@@ -149,7 +167,7 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 		others = append(others, e.Go(fmt.Sprintf("waiter%d", i), func(p *Proc) {
 			for j, d := range waits {
 				woken := c.WaitTimeout(p, d)
-				cells[i%len(cells)]++
+				store(i%len(cells), cells[i%len(cells)]+1)
 				note("waiter %d wait %d woken=%v", i, j, woken)
 			}
 		}))
@@ -195,7 +213,7 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 	// Everything outstanding comes true here, so the legacy run ends.
 	e.At(end, func() {
 		for i := range cells {
-			cells[i] = 1 << 20
+			store(i, 1<<20)
 		}
 		note("release")
 	})
@@ -228,7 +246,8 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 				panic(fmt.Sprintf("RunUntil(%d) left the clock at %d", t, e.Now()))
 			}
 			if mode == chunksWithChanges {
-				cells[rng.Intn(len(cells))]++ // changed outside any dispatch
+				cell := rng.Intn(len(cells))
+				store(cell, cells[cell]+1) // changed outside any dispatch
 			}
 		}
 	}
@@ -328,7 +347,7 @@ func TestPollUntilTieOrder(t *testing.T) {
 		flag := false
 		for _, name := range []string{"a", "b", "c"} {
 			e.Go(name, func(p *Proc) {
-				poll(p, 100, 0, func() bool { return flag })
+				poll(p, 100, 0, nil, func() bool { return flag })
 				order = append(order, fmt.Sprintf("%s@%d", name, p.Now()))
 			})
 		}
@@ -359,10 +378,10 @@ func TestPollUntilDeadline(t *testing.T) {
 	var at Time
 	e.Go("spinner", func(p *Proc) {
 		p.Sleep(50)
-		if p.PollUntil(100, p.Now(), func() bool { return false }) {
+		if p.PollUntil(100, p.Now(), nil, func() bool { return false }) {
 			t.Error("a deadline already reached must time out at once")
 		}
-		ok = p.PollUntil(100, 1030, func() bool { return false })
+		ok = p.PollUntil(100, 1030, nil, func() bool { return false })
 		at = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -383,8 +402,8 @@ func TestPollUntilWedgedIsDeadlock(t *testing.T) {
 	e := NewEngine()
 	typed := errors.New("protocol wedged")
 	e.AddDeadlockWrapper(func(err error) error { return fmt.Errorf("%w: %w", typed, err) })
-	e.Go("spinner", func(p *Proc) { p.PollUntil(100, 0, func() bool { return false }) })
-	e.Go("other", func(p *Proc) { p.PollUntil(250, 0, func() bool { return false }) })
+	e.Go("spinner", func(p *Proc) { p.PollUntil(100, 0, nil, func() bool { return false }) })
+	e.Go("other", func(p *Proc) { p.PollUntil(250, 0, nil, func() bool { return false }) })
 	e.Go("worker", func(p *Proc) { p.Sleep(5 * Microsecond) })
 	err := e.Run()
 	if err == nil {
@@ -409,7 +428,7 @@ func TestPollUntilIdleDaemonTerminates(t *testing.T) {
 	e := NewEngine()
 	e.Go("service", func(p *Proc) {
 		p.SetDaemon(true)
-		p.PollUntil(100, 0, func() bool { return false })
+		p.PollUntil(100, 0, nil, func() bool { return false })
 	})
 	e.Go("worker", func(p *Proc) { p.Sleep(Microsecond) })
 	if err := e.Run(); err != nil {
@@ -429,7 +448,7 @@ func TestPollUntilRunUntilBound(t *testing.T) {
 	samples := 0
 	var resumed Time
 	e.Go("spinner", func(p *Proc) {
-		p.PollUntil(100, 0, func() bool { samples++; return flag })
+		p.PollUntil(100, 0, nil, func() bool { samples++; return flag })
 		resumed = p.Now()
 	})
 	e.At(1020, func() { flag = true })
@@ -466,7 +485,7 @@ func TestPollUntilSeesChangeBetweenRuns(t *testing.T) {
 		var resumed Time
 		e.Go("spinner", func(p *Proc) {
 			p.SetDaemon(true)
-			p.PollUntil(100, 0, func() bool { return flag })
+			p.PollUntil(100, 0, nil, func() bool { return flag })
 			resumed = p.Now()
 		})
 		if !idle {
@@ -494,7 +513,7 @@ func TestPollUntilKilledPoller(t *testing.T) {
 	var victim *Proc
 	victim = e.Go("poller", func(p *Proc) {
 		defer func() { unwound = true }()
-		p.PollUntil(Microsecond, 0, func() bool { return false })
+		p.PollUntil(Microsecond, 0, nil, func() bool { return false })
 	})
 	e.After(5*Microsecond+1, func() { victim.Kill() })
 	if err := e.Run(); err != nil {
@@ -508,4 +527,99 @@ func TestPollUntilKilledPoller(t *testing.T) {
 	if e.Now() != 6*Microsecond {
 		t.Errorf("engine stopped at %v, want 6 us", e.Now())
 	}
+}
+
+// Under a scoped watch nothing but the kill itself makes the victim's next
+// sample owed: without Kill marking the entry, a poller whose watch never
+// moves again would stay in the set for good (or until its deadline).
+func TestPollUntilKilledScopedPoller(t *testing.T) {
+	for _, deadline := range []Time{0, 50 * Microsecond} {
+		e := NewEngine()
+		e.VerifySkips()
+		var version uint64 // never written
+		unwoundAt := Time(-1)
+		var victim *Proc
+		victim = e.Go("poller", func(p *Proc) {
+			defer func() { unwoundAt = p.Now() }()
+			p.PollUntil(Microsecond, deadline, &version, func() bool { return false })
+		})
+		const killAt = 5*Microsecond + 1
+		e.At(killAt, func() { victim.Kill() })
+		if err := e.Run(); err != nil {
+			t.Fatalf("deadline %v: %v", deadline, err)
+		}
+		if unwoundAt != killAt {
+			t.Errorf("deadline %v: unwound at %v, want the kill's tick %v", deadline, unwoundAt, killAt)
+		}
+		// The orphaned sample at 6 us is the last thing that runs, as
+		// under PollEvery; it removes the entry.
+		if e.Now() != 6*Microsecond {
+			t.Errorf("deadline %v: engine stopped at %v, want 6 us", deadline, e.Now())
+		}
+		if e.Pending() != 0 || len(e.pollers) != 0 {
+			t.Errorf("deadline %v: Pending() = %d with %d poller(s) still parked", deadline, e.Pending(), len(e.pollers))
+		}
+	}
+}
+
+// A scoped spin is disturbed by a store under its watch and by nothing
+// else: the events in between cost it no sample, and it still resumes on
+// the tick PollEvery does.
+func TestPollUntilScopedIgnoresOtherEvents(t *testing.T) {
+	run := func(poll pollPrimitive) (resumed Time, st SchedStats) {
+		e := NewEngine()
+		e.VerifySkips()
+		var version uint64
+		word := 0
+		e.Go("spinner", func(p *Proc) {
+			poll(p, 100, 0, &version, func() bool { return word == 2 })
+			resumed = p.Now()
+		})
+		for at := Time(130); at < 5000; at += 130 {
+			e.At(at, func() {}) // somebody else's business
+		}
+		e.At(2010, func() { word = 1; version++ }) // a store, not the awaited one
+		e.At(4020, func() { word = 2; version++ })
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return resumed, e.SchedStats()
+	}
+	wantAt, legacy := run(pollLegacy)
+	gotAt, st := run(pollElided)
+	if gotAt != wantAt || gotAt != 4100 {
+		t.Fatalf("resumed at %v, PollEvery at %v, want 4100", gotAt, wantAt)
+	}
+	if st.Sampled != 2 || st.SampledFalse != 1 {
+		t.Errorf("evaluated %d samples (%d false), want the two that follow a store (one false)", st.Sampled, st.SampledFalse)
+	}
+	if legacy.Dispatched != st.Dispatched+st.Elided {
+		t.Errorf("legacy dispatched %d != %d dispatched + %d elided", legacy.Dispatched, st.Dispatched, st.Elided)
+	}
+}
+
+// The watch is a promise that the predicate reads nothing else. VerifySkips
+// turns a broken promise — here a Go variable changed without a bump —
+// into a panic that names the process, instead of a spin that sleeps
+// through the change.
+func TestVerifySkipsCatchesReadOutsideWatch(t *testing.T) {
+	e := NewEngine()
+	e.VerifySkips()
+	var version uint64
+	word, side := 0, false
+	e.Go("cheat", func(p *Proc) {
+		p.PollUntil(100, 0, &version, func() bool { return word == 1 || side })
+	})
+	e.At(1030, func() { side = true }) // not under the watch
+	e.At(5000, func() {})
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("a predicate true at a skipped sample went unnoticed")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "cheat") || !strings.Contains(msg, "watch") {
+			t.Fatalf("panic does not name the process and the contract: %v", r)
+		}
+	}()
+	e.Run()
 }

@@ -19,8 +19,8 @@ type Proc struct {
 	parkedAt string  // human-readable blocking site, "" while runnable
 	killed   bool
 	daemon   bool
-	finished bool    // body returned or unwound; stale wakeups are dropped
-	poll     *poller // PollUntil state, allocated on the first spin
+	finished bool // body returned or unwound; stale wakeups are dropped
+	pollOK   bool // result of the PollUntil that just ended
 }
 
 // worker is a reusable goroutine that runs process bodies. When a process
@@ -213,6 +213,7 @@ func (p *Proc) PollEvery(interval Time, check func() bool) {
 // finished process is a no-op.
 func (p *Proc) Kill() {
 	p.killed = true
+	p.eng.pollOwe(p)
 	p.eng.postWake(0, p)
 }
 

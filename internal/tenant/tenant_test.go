@@ -15,6 +15,7 @@ import (
 func run(t *testing.T, n int, fn func(p *sim.Proc, c *vmmc.Cluster, m *Manager)) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	c, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: n, Reliable: true})
 	if err != nil {
 		t.Fatal(err)

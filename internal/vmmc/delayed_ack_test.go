@@ -19,6 +19,7 @@ import (
 func delayedAckCluster(t *testing.T, ackDelay sim.Time, fn func(p *simProc, c *Cluster)) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cfg := lanai.DefaultReliability()
 	cfg.AckDelay = ackDelay
 	c, err := NewCluster(eng, Options{Nodes: 2, Reliable: true, Reliability: &cfg})

@@ -22,6 +22,7 @@ import (
 // healthy pair on the same fabric must keep passing byte-exact traffic.
 func TestCrashMidTrafficSurfacesUnreachable(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	pl := fault.NewPlan(eng, 0xDEAD)
 	c, err := NewCluster(eng, Options{Nodes: 3, Reliable: true, Faults: pl})
 	if err != nil {
@@ -123,6 +124,7 @@ func TestCrashMidTrafficSurfacesUnreachable(t *testing.T) {
 // the rebooted daemon serves imports again.
 func TestRestartRejoinsCluster(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	pl := fault.NewPlan(eng, 0xCAFE)
 	c, err := NewCluster(eng, Options{Nodes: 2, Reliable: true, Faults: pl})
 	if err != nil {
@@ -216,6 +218,7 @@ func TestRestartRejoinsCluster(t *testing.T) {
 // then fails with ErrDaemonUnreachable instead of hanging.
 func TestImportFromCrashedNodeTimesOut(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	c, err := NewCluster(eng, Options{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -245,6 +248,7 @@ func TestImportFromCrashedNodeTimesOut(t *testing.T) {
 // answers repeated requests from its served cache) and still succeed.
 func TestImportRetriesThroughEtherLoss(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	pl := fault.NewPlan(eng, 0xE77)
 	c, err := NewCluster(eng, Options{Nodes: 2, Faults: pl})
 	if err != nil {

@@ -33,6 +33,7 @@ func healRel() *lanai.ReliabilityConfig {
 // application-visible errors.
 func TestLinkOutageHealsTransparently(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	pl := fault.NewPlan(eng, 0x11EA)
 	rel := healRel()
 	c, err := NewCluster(eng, Options{
@@ -147,6 +148,7 @@ func diamondFabric(net *myrinet.Network, nodes int) error {
 // the destination dead instead.
 func TestSwitchOutageFailsOverToAlternateRoute(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	pl := fault.NewPlan(eng, 0x5111)
 	rel := healRel()
 	c, err := NewCluster(eng, Options{
@@ -230,6 +232,7 @@ func TestSwitchOutageFailsOverToAlternateRoute(t *testing.T) {
 // parked senders instead of suspending them forever.
 func TestHealAbandonAfterBudget(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	pl := fault.NewPlan(eng, 0xABA0)
 	rel := healRel()
 	c, err := NewCluster(eng, Options{
@@ -296,6 +299,7 @@ func TestHealAbandonAfterBudget(t *testing.T) {
 // re-export and restore byte-exact delivery.
 func TestRestartStaleImportRevalidation(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	rel := healRel()
 	c, err := NewCluster(eng, Options{
 		Nodes:       2,

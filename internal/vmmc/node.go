@@ -106,6 +106,7 @@ func (n *Node) crash() {
 		delete(n.procs, pid)
 	}
 	n.Phys.ResetPins()
+	n.Phys.Touch() // crashed and dead are inputs of the memory-scoped spins
 }
 
 // restart brings a crashed node back with a fresh LCP and daemon, reusing
@@ -122,6 +123,7 @@ func (n *Node) restart() error {
 		return err
 	}
 	n.crashed = false
+	n.Phys.Touch()
 	n.Board.NIC.SetDown(false)
 	return nil
 }
@@ -267,6 +269,7 @@ func (n *Node) KillProcess(pid int) {
 		return
 	}
 	proc.dead = true
+	n.Phys.Touch() // a WaitSend of the victim's must notice
 	st := proc.lcpState
 	st.gone = true
 	for _, j := range n.LCP.jobs {

@@ -228,6 +228,71 @@ func TestSteadyStateHandoffCeilings(t *testing.T) {
 	})
 }
 
+// Event ceilings for the paper's headline operation, a 4-byte ping-pong:
+// SendMsgSync one way, SpinByte on the flag, the same back. Both spins are
+// memory-scoped, so a sample is evaluated only after a store into its own
+// node's memory; what CI holds here is how many events a round trip
+// dispatches and how many of them are re-checks that found nothing (a DMA
+// wrote the node's memory, but not the awaited byte). Under the
+// engine-wide rule every event anywhere re-checked both spins: 89 events
+// a round trip at the parent of this change, 53 of them false samples.
+func TestSteadyStateEventCeilings(t *testing.T) {
+	const rounds = 16
+	const eventCeiling, falseCeiling = 38, 2 // per round trip; measured 38 and 2
+	testCluster(t, 2, func(p *simProc, c *Cluster) {
+		a, _ := c.Nodes[0].NewProcess(p)
+		b, _ := c.Nodes[1].NewProcess(p)
+		bufA, _ := a.Malloc(mem.PageSize)
+		bufB, _ := b.Malloc(mem.PageSize)
+		if err := a.Export(p, 1, bufA, mem.PageSize, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Export(p, 2, bufB, mem.PageSize, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		toB, _, errB := a.Import(p, 1, 2)
+		toA, _, errA := b.Import(p, 0, 1)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		srcA, _ := a.Malloc(mem.PageSize)
+		srcB, _ := b.Malloc(mem.PageSize)
+		const warm = 4
+		c.Eng.Go("echo", func(bp *simProc) {
+			for i := 1; i <= warm+rounds; i++ {
+				b.SpinByte(bp, bufB+3, byte(i))
+				b.Write(srcB, []byte{0, 0, 0, byte(i)})
+				if err := b.SendMsgSync(bp, srcB, toA, 4, SendOptions{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		})
+		var before sim.SchedStats
+		for i := 1; i <= warm+rounds; i++ {
+			if i == warm+1 {
+				before = c.Eng.SchedStats()
+			}
+			a.Write(srcA, []byte{0, 0, 0, byte(i)})
+			if err := a.SendMsgSync(p, srcA, toB, 4, SendOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			a.SpinByte(p, bufA+3, byte(i))
+		}
+		after := c.Eng.SchedStats()
+		events, falses := after.Dispatched-before.Dispatched, after.SampledFalse-before.SampledFalse
+		if events > eventCeiling*rounds {
+			t.Errorf("%d events over %d round trips, ceiling %d each", events, rounds, eventCeiling)
+		}
+		if falses > falseCeiling*rounds {
+			t.Errorf("%d false samples over %d round trips, ceiling %d each", falses, rounds, falseCeiling)
+		}
+		t.Logf("per round trip: %.2f events, %.2f samples of which %.2f false, %.2f elided",
+			float64(events)/rounds, float64(after.Sampled-before.Sampled)/rounds,
+			float64(falses)/rounds, float64(after.Elided-before.Elided)/rounds)
+	})
+}
+
 // BenchmarkLongSend64K is one 64 KB SendMsg through to the last deposited
 // byte: 17 packets' worth of host DMA, CRC, wire and deposit.
 func BenchmarkLongSend64K(b *testing.B) {

@@ -299,9 +299,10 @@ func (proc *Process) SendMsg(p *simProc, src mem.VirtAddr, dest ProxyAddr, n int
 	}
 
 	// The send queue is preallocated in SRAM; if it is full the library
-	// spins until the LCP drains an entry.
+	// spins until the LCP drains an entry. The ring lives on the board,
+	// not in host memory, so this spin is not memory-scoped.
 	sq := proc.lcpState.sq
-	proc.Node.CPU.Spin(p, 0, func() bool { return !sq.full() })
+	proc.Node.CPU.Spin(p, 0, nil, func() bool { return !sq.full() })
 	proc.Node.CPU.MMIOWriteWords(p, postWords(e))
 	sq.post(e)
 	proc.Node.LCP.doorbell()
@@ -334,9 +335,13 @@ func (proc *Process) SendDone(seq uint32) (bool, error) {
 
 // WaitSend spins until the send with the given sequence number completes:
 // the send buffer may be reused afterwards.
+//
+// The spin is memory-scoped (SpinOnMemory): it reads the completion words
+// in the status page, plus the process's and the node's liveness, whose
+// writers (crash, restart, KillProcess) Touch the node's memory version.
 func (proc *Process) WaitSend(p *simProc, seq uint32) error {
 	var result error
-	proc.Node.CPU.Spin(p, 0, func() bool {
+	proc.SpinOnMemory(p, 0, func() bool {
 		if proc.dead || proc.Node.crashed {
 			// The local node died under us; the completion will never
 			// arrive.
@@ -384,24 +389,34 @@ func (proc *Process) SendMsgChecked(p *simProc, src mem.VirtAddr, dest ProxyAddr
 	return proc.WaitSend(p, seq)
 }
 
-// SpinUntil spins the process until pred observes the awaited state in
-// its memory — the VMMC idiom for message reception (data appears in the
-// exported buffer without any receive call).
+// SpinUntil spins the process until pred reports true — the VMMC idiom
+// for message reception (data appears in the exported buffer without any
+// receive call), open to any condition on model state.
 //
 // pred must be a pure function of model state: no side effects while it
-// returns false, and no reading of the clock. The simulator evaluates it
-// only at the 0.1 us samples that follow a simulator event, since no other
-// sample could see a different answer. A spin bounded in time states its
-// bound through SpinUntilDeadline.
+// returns false, and no reading of the clock. It may read anything — host
+// memory, SRAM, a Go variable another simulation process sets — so the
+// spin is not memory-scoped: the simulator evaluates it at every 0.1 us
+// sample that follows a simulator event, since no other sample could see a
+// different answer. A predicate that reads only the node's memory belongs
+// on SpinByte or SpinOnMemory, which are re-evaluated only after a write
+// to that memory.
 func (proc *Process) SpinUntil(p *simProc, pred func() bool) {
-	proc.Node.CPU.Spin(p, 0, pred)
+	proc.Node.CPU.Spin(p, 0, nil, pred)
 }
 
-// SpinUntilDeadline is SpinUntil bounded by the absolute virtual time
-// deadline (0 = unbounded). It reports false if the first sample at or
-// after the deadline still finds pred false.
-func (proc *Process) SpinUntilDeadline(p *simProc, deadline sim.Time, pred func() bool) bool {
-	return proc.Node.CPU.Spin(p, deadline, pred)
+// SpinOnMemory is the memory-scoped spin: pred must read nothing but this
+// node's host memory, through proc.AS or Node.Phys (plus proc.Dead and
+// Node.Crashed, whose writers touch the memory version). It is evaluated
+// only at samples that follow a write to that memory — a DMA deposit, a
+// CPU store, a page mapped or unmapped — which is all that can change its
+// answer; a Go variable, SRAM state or another node's memory it also read
+// would go unnoticed (sim.Engine.VerifySkips catches that in tests). The
+// spin is bounded by the absolute virtual time deadline (0 = unbounded)
+// and reports false if the first sample at or after it still finds pred
+// false.
+func (proc *Process) SpinOnMemory(p *simProc, deadline sim.Time, pred func() bool) bool {
+	return proc.Node.CPU.Spin(p, deadline, proc.Node.Phys.Version(), pred)
 }
 
 // PollUntil behaves like a polling loop over memory the interface writes
@@ -417,9 +432,11 @@ func (proc *Process) PollUntil(p *simProc, pred func() bool) {
 }
 
 // SpinByte spins until the byte at va equals want, then returns. This is
-// the canonical "poll the flag at the end of the buffer" receive.
+// the canonical "poll the flag at the end of the buffer" receive, and it
+// is memory-scoped (SpinOnMemory): a sample is evaluated only after a
+// write to the node's memory or a change to its page mappings.
 func (proc *Process) SpinByte(p *simProc, va mem.VirtAddr, want byte) {
-	proc.SpinUntil(p, func() bool {
+	proc.SpinOnMemory(p, 0, func() bool {
 		var b [1]byte
 		return proc.AS.ReadInto(va, b[:]) == nil && b[0] == want
 	})

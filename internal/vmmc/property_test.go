@@ -178,6 +178,7 @@ func TestInOrderDeliveryProperty(t *testing.T) {
 func TestSendValidationProperty(t *testing.T) {
 	const exported = 3*mem.PageSize + 777
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	c, err := NewCluster(eng, Options{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)

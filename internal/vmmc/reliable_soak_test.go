@@ -26,6 +26,7 @@ func TestReliableSoakUnderLoss(t *testing.T) {
 				total   = msgs * msgSize
 			)
 			eng := sim.NewEngine()
+			eng.VerifySkips()
 			c, err := NewCluster(eng, Options{Nodes: 2, Reliable: true})
 			if err != nil {
 				t.Fatal(err)

@@ -18,6 +18,7 @@ import (
 func reliableCluster(t *testing.T, fn func(p *simProc, c *Cluster)) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	c, err := NewCluster(eng, Options{Nodes: 2, Reliable: true})
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +152,7 @@ func TestReliabilityCost(t *testing.T) {
 	// bandwidth on clean networks.
 	measure := func(reliable bool) (latUs, mbps float64) {
 		eng := sim.NewEngine()
+		eng.VerifySkips()
 		c, err := NewCluster(eng, Options{Nodes: 2, Reliable: reliable})
 		if err != nil {
 			t.Fatal(err)
@@ -216,6 +218,7 @@ func TestReliabilityWindowCompetesForSRAM(t *testing.T) {
 	// process — resource exhaustion by design, as §4.4 describes for the
 	// interface generally.
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	c, err := NewCluster(eng, Options{Nodes: 2, MemBytes: 64 << 20, Reliable: true})
 	if err != nil {
 		t.Fatal(err)

@@ -22,6 +22,7 @@ import (
 func resetRaceCluster(t *testing.T, fn func(p *simProc, c *Cluster)) {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	cfg := lanai.DefaultReliability()
 	cfg.AckDelay = 150 * sim.Microsecond
 	c, err := NewCluster(eng, Options{Nodes: 2, Reliable: true, Reliability: &cfg})

@@ -12,14 +12,17 @@ import (
 // spinPingPong runs a two-node ping-pong — short echoes, then one long
 // SendMsgSync each way so WaitSend spins too — and returns every virtual
 // timestamp either side observed plus the scheduler's counts over the
-// exchange. spin is how a side waits for its flag byte; with beat set, a
-// no-op event fires every half spin interval, so no sample of any spin in
-// the stack (the library's internal ones included) can be elided.
+// exchange. spin is how a side waits for its flag byte; with beat set, an
+// event fires every half spin interval and stores a scratch byte into each
+// node's memory — an event alone disturbs only the spins that watch the
+// engine's counter — so no sample of any spin in the stack (the library's
+// internal ones included) can be elided.
 func spinPingPong(t *testing.T, beat bool, spin func(proc *Process, p *simProc, va mem.VirtAddr, want byte)) (stamps []sim.Time, dispatched, elided, beats uint64) {
 	t.Helper()
 	const rounds = 12
 	const long = 4096
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	c, err := NewCluster(eng, Options{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +48,8 @@ func spinPingPong(t *testing.T, beat bool, spin func(proc *Process, p *simProc, 
 		}
 		srcA, _ := a.Malloc(2 * mem.PageSize)
 		srcB, _ := b.Malloc(2 * mem.PageSize)
+		scratchA, _ := a.Malloc(mem.PageSize)
+		scratchB, _ := b.Malloc(mem.PageSize)
 
 		done := false
 		if beat {
@@ -52,6 +57,8 @@ func spinPingPong(t *testing.T, beat bool, spin func(proc *Process, p *simProc, 
 			tick = func() {
 				if !done {
 					beats++
+					a.Write(scratchA, []byte{byte(beats)})
+					b.Write(scratchB, []byte{byte(beats)})
 					eng.After(c.Nodes[0].Prof.SpinCheckInterval/2, tick)
 				}
 			}
@@ -159,6 +166,7 @@ func TestSpinElisionPingPongExact(t *testing.T) {
 // engine sampling forever; it is now reported like any other deadlock.
 func TestWedgedSpinByteIsDeadlock(t *testing.T) {
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	c, err := NewCluster(eng, Options{Nodes: 2})
 	if err != nil {
 		t.Fatal(err)

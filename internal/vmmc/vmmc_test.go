@@ -19,6 +19,7 @@ func testCluster(t *testing.T, n int, fn func(p *simProc, c *Cluster)) *Cluster 
 func startCluster(t testing.TB, n int, poison bool, fn func(p *simProc, c *Cluster)) *Cluster {
 	t.Helper()
 	eng := sim.NewEngine()
+	eng.VerifySkips()
 	c, err := NewCluster(eng, Options{Nodes: n})
 	if err != nil {
 		t.Fatal(err)
