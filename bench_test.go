@@ -58,12 +58,13 @@ func BenchmarkFig1HostDMA(b *testing.B) {
 func BenchmarkFig2Latency(b *testing.B) {
 	iters := clamp(b.N, 10, 2000)
 	var lat float64
-	err := bench.RunPair(nil, 4096, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(nil, 4096, func(p *sim.Proc, pr *bench.Pair) error {
 		v, err := pr.PingPongLatency(p, 4, iters)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		lat = v
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -77,12 +78,13 @@ func BenchmarkFig2Latency(b *testing.B) {
 func BenchmarkFig3Bandwidth(b *testing.B) {
 	count := clamp(b.N, 8, 64)
 	var bw float64
-	err := bench.RunPair(nil, 1<<20, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(nil, 1<<20, func(p *sim.Proc, pr *bench.Pair) error {
 		v, err := pr.OneWayBandwidth(p, 1<<20, count)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		bw = v
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -95,12 +97,13 @@ func BenchmarkFig3Bandwidth(b *testing.B) {
 func BenchmarkFig3Bidirectional(b *testing.B) {
 	count := clamp(b.N, 6, 32)
 	var bw float64
-	err := bench.RunPair(nil, 1<<20, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(nil, 1<<20, func(p *sim.Proc, pr *bench.Pair) error {
 		v, err := pr.BidirectionalBandwidth(p, 1<<20, count)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		bw = v
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -114,14 +117,15 @@ func BenchmarkFig3Bidirectional(b *testing.B) {
 func BenchmarkFig4SendOverheadSync(b *testing.B) {
 	iters := clamp(b.N, 10, 2000)
 	var v4, v4k float64
-	err := bench.RunPair(nil, 8192, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(nil, 8192, func(p *sim.Proc, pr *bench.Pair) error {
 		var err error
 		if v4, err = pr.SendOverhead(p, 4, iters, true); err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if v4k, err = pr.SendOverhead(p, 4096, clamp(iters, 10, 200), true); err != nil {
-			b.Fatal(err)
+			return err
 		}
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -133,14 +137,15 @@ func BenchmarkFig4SendOverheadSync(b *testing.B) {
 func BenchmarkFig4SendOverheadAsync(b *testing.B) {
 	iters := clamp(b.N, 10, 2000)
 	var v4, v4k float64
-	err := bench.RunPair(nil, 8192, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(nil, 8192, func(p *sim.Proc, pr *bench.Pair) error {
 		var err error
 		if v4, err = pr.SendOverhead(p, 4, iters, false); err != nil {
-			b.Fatal(err)
+			return err
 		}
 		if v4k, err = pr.SendOverhead(p, 4096, clamp(iters, 10, 200), false); err != nil {
-			b.Fatal(err)
+			return err
 		}
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -412,12 +417,13 @@ func benchAblationBandwidth(b *testing.B, mutate func(*hw.Profile)) float64 {
 	mutate(&prof)
 	count := clamp(b.N, 6, 24)
 	var bw float64
-	err := bench.RunPair(&prof, 1<<20, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(&prof, 1<<20, func(p *sim.Proc, pr *bench.Pair) error {
 		v, err := pr.OneWayBandwidth(p, 1<<20, count)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		bw = v
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -448,11 +454,12 @@ func BenchmarkAblationThreshold64(b *testing.B) {
 	prof.ShortSendMax = 64
 	iters := clamp(b.N, 10, 500)
 	var v float64
-	err := bench.RunPair(&prof, 8192, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(&prof, 8192, func(p *sim.Proc, pr *bench.Pair) error {
 		var err error
 		if v, err = pr.SendOverhead(p, 128, iters, true); err != nil {
-			b.Fatal(err)
+			return err
 		}
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -463,16 +470,17 @@ func BenchmarkAblationThreshold64(b *testing.B) {
 func BenchmarkAblationColdTLB(b *testing.B) {
 	const size = 64 * mem.PageSize
 	var cold float64
-	err := bench.RunPair(nil, size, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(nil, size, func(p *sim.Proc, pr *bench.Pair) error {
 		buf, err := pr.A.Malloc(size)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		start := p.Now()
 		if err := pr.A.SendMsgSync(p, buf, pr.ToB, size, vmmc.SendOptions{}); err != nil {
-			b.Fatal(err)
+			return err
 		}
 		cold = (p.Now() - start).Micros()
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -483,17 +491,18 @@ func BenchmarkAblationColdTLB(b *testing.B) {
 func BenchmarkAblationSenders(b *testing.B) {
 	iters := clamp(b.N, 10, 500)
 	var lat float64
-	err := bench.RunPair(nil, 4096, func(p *sim.Proc, pr *bench.Pair) {
+	err := bench.RunPair(nil, 4096, func(p *sim.Proc, pr *bench.Pair) error {
 		for i := 0; i < 4; i++ {
 			if _, err := pr.C.Nodes[0].NewProcess(p); err != nil {
-				b.Fatal(err)
+				return err
 			}
 		}
 		v, err := pr.PingPongLatency(p, 4, iters)
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
 		lat = v
+		return nil
 	})
 	if err != nil {
 		b.Fatal(err)

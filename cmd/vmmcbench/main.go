@@ -21,12 +21,13 @@
 // Sweeps read their own flags: scalesweep takes -scale-nodes and
 // -scale-out (BENCH_scale.json), healsweep takes -heal-outages and
 // -heal-out (BENCH_heal.json), collsweep takes -coll-nodes and
-// -coll-out (BENCH_coll.json), servesweep takes -serve-rates,
-// -serve-shards, -serve-requests and -serve-out (BENCH_serve.json),
-// replicasweep takes -replica-r, -replica-rates, -replica-requests and
-// -replica-out (BENCH_replica.json). Every sweep artifact is
-// byte-identical across runs — each sweep re-runs a cell and fails on
-// drift.
+// -coll-out (BENCH_coll.json), tenantsweep takes -tenant-calls,
+// -tenant-rates and -tenant-out (BENCH_tenant.json), servesweep takes
+// -serve-rates, -serve-shards, -serve-requests and -serve-out
+// (BENCH_serve.json), replicasweep takes -replica-r, -replica-rates,
+// -replica-requests and -replica-out (BENCH_replica.json). Every sweep
+// artifact but scalesweep's wall-clock record is byte-identical across
+// runs — each sweep re-runs a cell and fails on drift.
 //
 // With -trace, each run records structured events over virtual time and
 // writes a Chrome trace_event JSON file (open in chrome://tracing or

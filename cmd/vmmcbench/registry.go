@@ -20,16 +20,16 @@ var (
 	healOut     = flag.String("heal-out", "", "healsweep: write the BENCH_heal.json artifact here")
 	collNodes   = flag.String("coll-nodes", "", "collsweep communicator sizes, comma-separated (default 4,8,16)")
 	collOut     = flag.String("coll-out", "", "collsweep: write the BENCH_coll.json artifact here")
-	tenantCalls = flag.String("tenant-calls", "", "tenantsweep victim vRPC calls per cell (default 32)")
+	tenantCalls = flag.Int("tenant-calls", 0, "tenantsweep victim vRPC calls per cell (0 = default 32)")
 	tenantRates = flag.String("tenant-rates", "", "tenantsweep qos=on aggressor budgets in bytes/sec, comma-separated (default 5e6,10e6,20e6)")
 	tenantOut   = flag.String("tenant-out", "", "tenantsweep: write the BENCH_tenant.json artifact here")
 	serveRates  = flag.String("serve-rates", "", "servesweep total offered loads in req/s, comma-separated (default 15000,30000,60000)")
 	serveShards = flag.String("serve-shards", "", "servesweep shard counts, comma-separated (default 2)")
-	serveReqs   = flag.String("serve-requests", "", "servesweep offered requests per cell (default 240)")
+	serveReqs   = flag.Int("serve-requests", 0, "servesweep offered requests per cell (0 = default 240)")
 	serveOut    = flag.String("serve-out", "", "servesweep: write the BENCH_serve.json artifact here")
 	replicaR    = flag.String("replica-r", "", "replicasweep replication factors, comma-separated (default 1,2,3)")
 	replicaRate = flag.String("replica-rates", "", "replicasweep total offered loads in req/s, comma-separated (default 30000,70000)")
-	replicaReqs = flag.String("replica-requests", "", "replicasweep offered requests per cell (default 240)")
+	replicaReqs = flag.Int("replica-requests", 0, "replicasweep offered requests per cell (0 = default 240)")
 	replicaOut  = flag.String("replica-out", "", "replicasweep: write the BENCH_replica.json artifact here")
 )
 
@@ -168,19 +168,11 @@ func runCollSweep(w io.Writer) error {
 }
 
 func runTenantSweep(w io.Writer) error {
-	calls := 0
-	if *tenantCalls != "" {
-		vals, err := parseIntList(*tenantCalls, "-tenant-calls", 2)
-		if err != nil || len(vals) != 1 {
-			return fmt.Errorf("bad -tenant-calls %q", *tenantCalls)
-		}
-		calls = vals[0]
-	}
 	rates, err := parseFloatList(*tenantRates, "-tenant-rates")
 	if err != nil {
 		return err
 	}
-	t, err := bench.TenantSweep(bench.TenantConfig{Calls: calls, Rates: rates, Out: *tenantOut})
+	t, err := bench.TenantSweep(bench.TenantConfig{Calls: *tenantCalls, Rates: rates, Out: *tenantOut})
 	return emit(w, t, err)
 }
 
@@ -193,16 +185,8 @@ func runServeSweep(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	requests := 0
-	if *serveReqs != "" {
-		vals, err := parseIntList(*serveReqs, "-serve-requests", 1)
-		if err != nil || len(vals) != 1 {
-			return fmt.Errorf("bad -serve-requests %q", *serveReqs)
-		}
-		requests = vals[0]
-	}
 	t, err := bench.ServeSweep(bench.ServeConfig{
-		Rates: rates, Shards: shards, Requests: requests, Out: *serveOut,
+		Rates: rates, Shards: shards, Requests: *serveReqs, Out: *serveOut,
 	})
 	return emit(w, t, err)
 }
@@ -216,16 +200,8 @@ func runReplicaSweep(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	requests := 0
-	if *replicaReqs != "" {
-		vals, err := parseIntList(*replicaReqs, "-replica-requests", 1)
-		if err != nil || len(vals) != 1 {
-			return fmt.Errorf("bad -replica-requests %q", *replicaReqs)
-		}
-		requests = vals[0]
-	}
 	t, err := bench.ReplicaSweep(bench.ReplicaConfig{
-		Rs: rs, Rates: rates, Requests: requests, Out: *replicaOut,
+		Rs: rs, Rates: rates, Requests: *replicaReqs, Out: *replicaOut,
 	})
 	return emit(w, t, err)
 }

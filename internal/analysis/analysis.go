@@ -79,12 +79,12 @@ func (c Config) withDefaults() Config {
 // Engine.Trace().Subscribe(a); call Finalize once the run is over.
 // An Analyzer is single-run: build a fresh one per experiment.
 type Analyzer struct {
-	cfg     Config
-	comps   map[string]*compState // nil entry = classified as untracked
-	classes map[string]*classState
-	occs    map[string]*occState
-	phases  []phaseMark
-	buckets bucketSet
+	cfg      Config
+	comps    map[string]*compState // nil entry = classified as untracked
+	classes  map[string]*classState
+	occs     map[string]*occState
+	phases   []phaseMark
+	buckets  bucketSet
 	tenants  map[string]*tenantState
 	serves   map[string]*tenantState
 	replicas map[string]*tenantState

@@ -21,8 +21,8 @@ func histBin(ns int64) int {
 		}
 		return int(ns)
 	}
-	o := bits.Len64(uint64(ns)) - 1     // octave, >= 3
-	sub := (ns >> uint(o-3)) & 7        // next 3 mantissa bits
+	o := bits.Len64(uint64(ns)) - 1 // octave, >= 3
+	sub := (ns >> uint(o-3)) & 7    // next 3 mantissa bits
 	return 8 + (o-3)*8 + int(sub)
 }
 

@@ -129,17 +129,6 @@ type OccupancyStat struct {
 	meanSum  float64
 }
 
-// Top returns the k top-ranked resources (k<=0 means the report's TopK).
-func (r *Report) Top(k int) []ResourceStat {
-	if k <= 0 {
-		k = r.TopK
-	}
-	if k > len(r.Resources) {
-		k = len(r.Resources)
-	}
-	return r.Resources[:k]
-}
-
 // verdict builds the one-paragraph conclusion.
 func (r *Report) verdict() string {
 	if len(r.Resources) == 0 {

@@ -232,14 +232,5 @@ func (ep *Endpoint) Extract(p *sim.Proc, max int) [][]byte {
 	return out
 }
 
-// TryExtract is Extract without blocking; it returns nil when no message
-// is complete.
-func (ep *Endpoint) TryExtract(p *sim.Proc, max int) [][]byte {
-	if len(ep.ring) == 0 {
-		return nil
-	}
-	return ep.Extract(p, max)
-}
-
 // PayloadCapacity returns how many bytes fit in k packets.
 func PayloadCapacity(k int) int { return k * PayloadBytes }

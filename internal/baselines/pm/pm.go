@@ -34,12 +34,11 @@ const (
 )
 
 var (
-	postCost      = sim.Micros(0.5) // write the send descriptor
-	lanaiPickup   = sim.Micros(0.8) // exclusive interface: no queue scan
-	lanaiRecv     = sim.Micros(1.3)
-	pollInterval  = sim.Micros(0.3)
-	recvLibCost   = sim.Micros(1.2)
-	channelSwitch = sim.Micros(180) // save/restore channel state (§7: expensive)
+	postCost     = sim.Micros(0.5) // write the send descriptor
+	lanaiPickup  = sim.Micros(0.8) // exclusive interface: no queue scan
+	lanaiRecv    = sim.Micros(1.3)
+	pollInterval = sim.Micros(0.3)
+	recvLibCost  = sim.Micros(1.2)
 
 	// pioMax: small messages are pushed with programmed I/O, skipping the
 	// host DMA (PM's eager small-message path).
@@ -50,8 +49,6 @@ var (
 type System struct {
 	Eng *sim.Engine
 	Rig *testbed.Rig
-
-	ContextSwitches int64
 }
 
 // Channel is a PM communication channel between the two hosts, with
@@ -103,13 +100,6 @@ func (s *System) OpenChannel(id uint32) (*Channel, error) {
 		})
 	}
 	return ch, nil
-}
-
-// ContextSwitch charges the channel save/restore PM needs when another
-// process takes over the exclusive interface (§7).
-func (s *System) ContextSwitch(p *sim.Proc) {
-	p.Sleep(channelSwitch)
-	s.ContextSwitches++
 }
 
 // Send transmits data from host `from`'s pre-allocated send buffer. When

@@ -34,12 +34,10 @@ func AblationPipeline() (Table, error) {
 		prof.PipelineChunks = c.pipeline
 		prof.PrecomputeHeaders = c.precomp
 		var bw float64
-		err := RunPair(&prof, 1<<20, func(p *sim.Proc, pr *Pair) {
+		err := RunPair(&prof, 1<<20, func(p *sim.Proc, pr *Pair) error {
 			v, err := pr.OneWayBandwidth(p, 1<<20, 12)
-			if err != nil {
-				panic(err)
-			}
 			bw = v
+			return err
 		})
 		if err != nil {
 			return t, err
@@ -61,17 +59,15 @@ func AblationTightLoop() (Table, error) {
 		prof := hw.Default()
 		prof.TightSendLoop = tight
 		var ow, bd float64
-		err := RunPair(&prof, 1<<20, func(p *sim.Proc, pr *Pair) {
+		err := RunPair(&prof, 1<<20, func(p *sim.Proc, pr *Pair) error {
 			v, err := pr.OneWayBandwidth(p, 1<<20, 12)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			ow = v
 			v, err = pr.BidirectionalBandwidth(p, 1<<20, 8)
-			if err != nil {
-				panic(err)
-			}
 			bd = v
+			return err
 		})
 		if err != nil {
 			return t, err
@@ -98,22 +94,20 @@ func AblationThreshold() (Table, error) {
 		prof := hw.Default()
 		prof.ShortSendMax = thr
 		var o64, o128, l128 float64
-		err := RunPair(&prof, 8192, func(p *sim.Proc, pr *Pair) {
+		err := RunPair(&prof, 8192, func(p *sim.Proc, pr *Pair) error {
 			v, err := pr.SendOverhead(p, 64, 30, true)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			o64 = v
 			v, err = pr.SendOverhead(p, 128, 30, true)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			o128 = v
 			v, err = pr.PingPongLatency(p, 128, 30)
-			if err != nil {
-				panic(err)
-			}
 			l128 = v
+			return err
 		})
 		if err != nil {
 			return t, err
@@ -137,25 +131,25 @@ func AblationTLB() (Table, error) {
 		Columns: []string{"send", "duration", "refill interrupts"},
 	}
 	const size = 64 * 4096 // 64 pages = 2 refill batches
-	err := RunPair(nil, size, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, size, func(p *sim.Proc, pr *Pair) error {
 		node := pr.C.Nodes[0]
 		// The Pair warmup already touched every page once; use a fresh
 		// buffer for the cold case.
 		cold, err := pr.A.Malloc(size)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		before, _, _ := node.Driver.Stats()
 		start := p.Now()
 		if err := pr.A.SendMsgSync(p, cold, pr.ToB, size, vmmc.SendOptions{}); err != nil {
-			panic(err)
+			return err
 		}
 		coldTime := p.Now() - start
 		after, _, _ := node.Driver.Stats()
 
 		start = p.Now()
 		if err := pr.A.SendMsgSync(p, cold, pr.ToB, size, vmmc.SendOptions{}); err != nil {
-			panic(err)
+			return err
 		}
 		warmTime := p.Now() - start
 		final, _, _ := node.Driver.Stats()
@@ -164,6 +158,7 @@ func AblationTLB() (Table, error) {
 			{"cold TLB (first touch)", fmt.Sprintf("%.0f us", coldTime.Micros()), fmt.Sprintf("%d", after-before)},
 			{"warm TLB (paper's benchmarks)", fmt.Sprintf("%.0f us", warmTime.Micros()), fmt.Sprintf("%d", final-after)},
 		}
+		return nil
 	})
 	return t, err
 }
@@ -177,30 +172,18 @@ func AblationReliability() (Table, error) {
 		Columns: []string{"configuration", "one-word latency", "peak bandwidth"},
 	}
 	for _, reliable := range []bool{false, true} {
-		eng := observedEngine()
+		var lat, bw float64
 		// 16 MB nodes: the retransmit window shares the 256 KB SRAM with
 		// the incoming page table, whose size scales with host memory.
-		c, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 16 << 20, Reliable: reliable})
-		if err != nil {
-			return t, err
-		}
-		var lat, bw float64
-		c.Go("bench", func(p *sim.Proc) {
-			pr, err := setupPair(p, c, 1<<20)
-			if err != nil {
-				panic(err)
-			}
+		opts := vmmc.Options{Nodes: 2, MemBytes: 16 << 20, Reliable: reliable}
+		_, err := runPair(opts, 1<<20, func(p *sim.Proc, pr *Pair) (err error) {
 			if lat, err = pr.PingPongLatency(p, 4, 50); err != nil {
-				panic(err)
+				return err
 			}
-			if bw, err = pr.OneWayBandwidth(p, 1<<20, 10); err != nil {
-				panic(err)
-			}
+			bw, err = pr.OneWayBandwidth(p, 1<<20, 10)
+			return err
 		})
-		if err := c.Start(); err != nil {
-			return t, err
-		}
-		if err := capture(eng); err != nil {
+		if err != nil {
 			return t, err
 		}
 		name := "CRC errors dropped (paper, §4.2)"
@@ -222,51 +205,44 @@ func ExtensionsTable() (Table, error) {
 	}
 
 	// Transfer redirection: posting cost vs the copy it replaces.
-	eng := observedEngine()
-	c, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 64 << 20})
-	if err != nil {
-		return t, err
-	}
 	var postUs, copyUs float64
-	c.Go("redirect", func(p *sim.Proc) {
+	_, err := newCell("redirection").cluster(vmmc.Options{Nodes: 2, MemBytes: 64 << 20}, "redirect", func(p *sim.Proc, c *vmmc.Cluster) error {
 		recv, err := c.Nodes[1].NewProcess(p)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		send, err := c.Nodes[0].NewProcess(p)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		const n = 8 * 4096
 		buf, _ := recv.Malloc(n)
 		if err := recv.Export(p, 1, buf, n, nil, false); err != nil {
-			panic(err)
+			return err
 		}
 		dest, _, err := send.Import(p, 1, 1)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		user, _ := recv.Malloc(n)
 		start := p.Now()
 		if _, err := recv.PostRedirect(p, 1, user, n); err != nil {
-			panic(err)
+			return err
 		}
 		postUs = (p.Now() - start).Micros()
 		src, _ := send.Malloc(n)
 		if err := send.SendMsgSync(p, src, dest, n, vmmc.SendOptions{}); err != nil {
-			panic(err)
+			return err
 		}
 		if _, err := recv.CompleteRedirect(p, 1); err != nil {
-			panic(err)
+			return err
 		}
 		start = p.Now()
 		recv.Node.CPU.Bcopy(p, n)
 		copyUs = (p.Now() - start).Micros()
+		return nil
 	})
-	if err := c.Start(); err != nil {
-		return t, err
-	}
-	if err := capture(eng); err != nil {
+	if err != nil {
 		return t, err
 	}
 	t.Rows = append(t.Rows, []string{
@@ -300,19 +276,17 @@ func AblationSenders() (Table, error) {
 	for _, extra := range []int{0, 2, 4} {
 		extra := extra
 		var lat float64
-		err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) {
+		err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
 			// Register idle processes; their empty queues still get
 			// scanned by the LCP on every pickup.
 			for i := 0; i < extra; i++ {
 				if _, err := pr.C.Nodes[0].NewProcess(p); err != nil {
-					panic(err)
+					return err
 				}
 			}
 			v, err := pr.PingPongLatency(p, 4, 50)
-			if err != nil {
-				panic(err)
-			}
 			lat = v
+			return err
 		})
 		if err != nil {
 			return t, err

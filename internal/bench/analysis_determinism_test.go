@@ -12,7 +12,7 @@ func analysisJSONFor(t *testing.T, run func() error) string {
 	if err := run(); err != nil {
 		t.Fatal(err)
 	}
-	rep := takeAnalysis()
+	rep := LastAnalysis()
 	if rep == nil {
 		t.Fatal("experiment produced no analysis report")
 	}

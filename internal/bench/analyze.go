@@ -73,9 +73,6 @@ func AnalysisTable(rep *analysis.Report) Table {
 
 // analysisNote renders a one-line verdict note for a sweep table.
 func analysisNote(label string, rep *analysis.Report) string {
-	if rep == nil {
-		return fmt.Sprintf("analysis (%s): disabled", label)
-	}
 	return fmt.Sprintf("analysis (%s): %s", label, rep.Verdict)
 }
 
@@ -86,7 +83,3 @@ func analysisJSON(rep *analysis.Report, indent string) string {
 	rep.WriteJSON(&b, indent) // strings.Builder writes cannot fail
 	return b.String()
 }
-
-// takeAnalysis pops the most recent run's report for sweeps that collect
-// one per configuration; nil when analysis is disabled.
-func takeAnalysis() *analysis.Report { return lastAnalysis }

@@ -12,12 +12,10 @@ import (
 
 func TestCalibrationOneWordLatency(t *testing.T) {
 	var lat float64
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
 		var err error
 		lat, err = pr.PingPongLatency(p, 4, 100)
-		if err != nil {
-			t.Error(err)
-		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -30,12 +28,10 @@ func TestCalibrationOneWordLatency(t *testing.T) {
 
 func TestCalibrationPeakBandwidth(t *testing.T) {
 	var bw float64
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		var err error
 		bw, err = pr.OneWayBandwidth(p, 1<<20, 20)
-		if err != nil {
-			t.Error(err)
-		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,12 +44,10 @@ func TestCalibrationPeakBandwidth(t *testing.T) {
 
 func TestCalibrationBidirectionalBandwidth(t *testing.T) {
 	var bw float64
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		var err error
 		bw, err = pr.BidirectionalBandwidth(p, 1<<20, 10)
-		if err != nil {
-			t.Error(err)
-		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -66,17 +60,16 @@ func TestCalibrationBidirectionalBandwidth(t *testing.T) {
 
 func TestCalibrationShortSendOverhead(t *testing.T) {
 	var sync4, sync128, async4 float64
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
 		var err error
 		if sync4, err = pr.SendOverhead(p, 4, 50, true); err != nil {
-			t.Error(err)
+			return err
 		}
 		if sync128, err = pr.SendOverhead(p, 128, 50, true); err != nil {
-			t.Error(err)
+			return err
 		}
-		if async4, err = pr.SendOverhead(p, 4, 50, false); err != nil {
-			t.Error(err)
-		}
+		async4, err = pr.SendOverhead(p, 4, 50, false)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,85 @@
+package bench
+
+import (
+	"fmt"
+
+	"repro/internal/analysis"
+	"repro/internal/sim"
+	"repro/internal/vmmc"
+)
+
+// cell is one run of one experiment configuration, and the only place the
+// package's run lifecycle is written down: a fresh observed engine, the
+// model built on it, the workload process, and — once the engine has
+// drained — the run's metrics summary, artifact files and bottleneck
+// report. Every figure, table and sweep cell runs through one, so a report
+// can only reach the code that holds the cell that produced it.
+//
+// Workload bodies return an error instead of panicking; the process names
+// they run under show up in deadlock reports and Engine.Parked.
+type cell struct {
+	name string // identifies the run in errors
+	eng  *sim.Engine
+	an   *analysis.Analyzer
+	rep  *analysis.Report // this run's report; nil unless the run completed
+	err  error            // the first error a workload process returned
+}
+
+// newCell makes the cell's engine. The model is built afterwards, so a
+// fault.Plan can be created on the engine before the cluster exists.
+func newCell(name string) *cell {
+	eng, an := observedEngine()
+	return &cell{name: name, eng: eng, an: an}
+}
+
+// cluster is the common whole run: build a cluster from opts, boot it, run
+// body as the workload process proc, capture. The cluster is returned for
+// counters read after the run.
+func (cl *cell) cluster(opts vmmc.Options, proc string, body func(p *sim.Proc, c *vmmc.Cluster) error) (*vmmc.Cluster, error) {
+	c, err := vmmc.NewCluster(cl.eng, opts)
+	if err != nil {
+		return nil, cl.fail(err)
+	}
+	cl.spawn(c, proc, func(p *sim.Proc) error { return body(p, c) })
+	return c, cl.drive(c.Start)
+}
+
+// spawn adds a workload process that starts once c has booted. Cells that
+// must touch the built cluster before it boots, or want several workload
+// processes, build it themselves and follow spawn with drive(c.Start).
+func (cl *cell) spawn(c *vmmc.Cluster, proc string, body func(p *sim.Proc) error) {
+	c.Go(proc, func(p *sim.Proc) { cl.done(body(p)) })
+}
+
+// run is the bare-engine form, for models that are not a vmmc.Cluster:
+// body is the workload process and the engine runs until it drains.
+func (cl *cell) run(proc string, body func(p *sim.Proc) error) error {
+	cl.eng.Go(proc, func(p *sim.Proc) { cl.done(body(p)) })
+	return cl.drive(cl.eng.Run)
+}
+
+// done keeps the first error a workload process returns.
+func (cl *cell) done(err error) {
+	if cl.err == nil {
+		cl.err = err
+	}
+}
+
+// drive runs the simulation and, if it and every workload process
+// succeeded, captures the run. A workload's error wins over the engine's:
+// a process that gives up early strands its peers, and the deadlock the
+// engine then reports is only the symptom.
+func (cl *cell) drive(run func() error) error {
+	err := run()
+	if cl.err != nil {
+		err = cl.err
+	}
+	if err != nil {
+		return cl.fail(err)
+	}
+	cl.rep, err = capture(cl.eng, cl.an)
+	return err
+}
+
+// fail names the cell in an error from its run.
+func (cl *cell) fail(err error) error { return fmt.Errorf("bench: %s: %w", cl.name, err) }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/coll"
 	"repro/internal/fault"
-	"repro/internal/lanai"
 	"repro/internal/sim"
 	"repro/internal/vmmc"
 )
@@ -76,52 +75,41 @@ func CollSweep(cfg CollConfig) (Table, error) {
 			"auto picks", "payload msgs", "credit stalls"},
 	}
 
-	var (
-		results []CollResult
-		reports []*analysis.Report
-	)
+	log := sweepLog[CollResult]{sweep: "collsweep", same: equal[CollResult], t: &t}
+	log.row = func(r CollResult) []string {
+		pick := ""
+		if r.ModelChoice {
+			pick = "<-"
+		}
+		return []string{
+			fmt.Sprintf("%d", r.Nodes),
+			fmt.Sprintf("%d", r.Bytes),
+			r.Algo.String(),
+			fmt.Sprintf("%.1f us", r.PerOp.Micros()),
+			fmt.Sprintf("%.1f us", r.ModelEst.Micros()),
+			pick,
+			fmt.Sprintf("%d", r.PayloadMsgs),
+			fmt.Sprintf("%d", r.CreditStalls),
+		}
+	}
 	for _, n := range cfg.Nodes {
 		for _, size := range cfg.Sizes {
 			for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
-				run := func() (CollResult, error) { return runCollCase(n, size, algo, cfg.Iters) }
-				var (
-					r   CollResult
-					rep *analysis.Report
-					err error
-				)
-				if len(results) == 0 {
-					r, rep, err = doubleRun("collsweep", fmt.Sprintf("%d nodes/%d B", n, size), run, equal[CollResult])
-				} else if r, err = run(); err == nil {
-					rep = takeAnalysis()
-				}
+				// Only the sweep's first cell pays for the determinism double run.
+				err := log.record(fmt.Sprintf("%d nodes/%d B", n, size), len(log.results) == 0, func() (CollResult, *analysis.Report, error) {
+					return runCollCase(n, size, algo, cfg.Iters)
+				})
 				if err != nil {
 					return t, err
 				}
-				results = append(results, r)
-				reports = append(reports, rep)
-				pick := ""
-				if r.ModelChoice {
-					pick = "<-"
-				}
-				t.Rows = append(t.Rows, []string{
-					fmt.Sprintf("%d", r.Nodes),
-					fmt.Sprintf("%d", r.Bytes),
-					r.Algo.String(),
-					fmt.Sprintf("%.1f us", r.PerOp.Micros()),
-					fmt.Sprintf("%.1f us", r.ModelEst.Micros()),
-					pick,
-					fmt.Sprintf("%d", r.PayloadMsgs),
-					fmt.Sprintf("%d", r.CreditStalls),
-				})
 			}
 		}
 	}
 
-	heal, err := runCollHealCase()
+	heal, healRep, err := runCollHealCase()
 	if err != nil {
 		return t, err
 	}
-	healRep := takeAnalysis()
 	t.Rows = append(t.Rows, []string{
 		fmt.Sprintf("%d", heal.Nodes),
 		fmt.Sprintf("%d", heal.Bytes),
@@ -135,95 +123,104 @@ func CollSweep(cfg CollConfig) (Table, error) {
 	t.Notes = append(t.Notes,
 		"auto picks: the calibrated cost model's per-cell choice; it must track the measured minimum at the extremes",
 		"ring+heal row: 3 chained ring all-reduces on the diamond fabric across a healed link outage; 'model est' column holds the fault-free elapsed time")
-	if n := len(results); n > 0 {
-		last := results[n-1]
-		t.Notes = append(t.Notes, analysisNote(
-			fmt.Sprintf("%d nodes, %d B, %s", last.Nodes, last.Bytes, last.Algo), reports[n-1]))
-	}
-	t.Notes = append(t.Notes, analysisNote("ring+heal", healRep))
+	n := len(log.results)
+	last := log.results[n-1]
+	t.Notes = append(t.Notes,
+		analysisNote(fmt.Sprintf("%d nodes, %d B, %s", last.Nodes, last.Bytes, last.Algo), log.reports[n-1]),
+		analysisNote("ring+heal", healRep))
 
-	return t, writeCollJSON(cfg, results, reports, heal, healRep)
+	return t, writeCollJSON(cfg, log.results, log.reports, heal, healRep)
+}
+
+// buildComms creates one process per node of c and the communicator over
+// them (rank i on node i).
+func buildComms(p *sim.Proc, c *vmmc.Cluster) ([]*vmmc.Process, []*coll.Comm, error) {
+	procs := make([]*vmmc.Process, len(c.Nodes))
+	for i := range procs {
+		var err error
+		if procs[i], err = c.Nodes[i].NewProcess(p); err != nil {
+			return nil, nil, err
+		}
+	}
+	comms, err := coll.Build(p, procs, coll.Options{})
+	return procs, comms, err
+}
+
+// forRanks runs body as n concurrent processes, rank0 .. rank<n-1>, and
+// parks p until all of them have returned or one has failed; it returns
+// that first failure without waiting for the ranks it stranded.
+func forRanks(p *sim.Proc, n int, body func(rp *sim.Proc, rank int) error) error {
+	var failed error
+	done := 0
+	cond := sim.NewCond(p.Engine())
+	for r := 0; r < n; r++ {
+		p.Engine().Go(fmt.Sprintf("rank%d", r), func(rp *sim.Proc) {
+			if err := body(rp, r); err != nil && failed == nil {
+				failed = fmt.Errorf("rank %d: %w", r, err)
+			}
+			done++
+			cond.Broadcast()
+		})
+	}
+	for done < n && failed == nil {
+		cond.Wait(p)
+	}
+	return failed
 }
 
 // runCollCase measures one sweep cell: barrier-synchronized warmup, then
 // iters all-reduces, all on a default single-fabric cluster.
-func runCollCase(nodes, size int, algo coll.Algorithm, iters int) (CollResult, error) {
-	eng := observedEngine()
-	c, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: nodes})
-	if err != nil {
-		return CollResult{}, err
-	}
+func runCollCase(nodes, size int, algo coll.Algorithm, iters int) (CollResult, *analysis.Report, error) {
 	res := CollResult{Nodes: nodes, Bytes: size, Algo: algo}
-	var runErr error
-	c.Go("collsweep", func(p *sim.Proc) {
-		procs := make([]*vmmc.Process, nodes)
-		for i := range procs {
-			if procs[i], err = c.Nodes[i].NewProcess(p); err != nil {
-				runErr = err
-				return
-			}
-		}
-		comms, err := coll.Build(p, procs, coll.Options{})
+	cl := newCell(fmt.Sprintf("collsweep %d nodes/%d B/%s", nodes, size, algo))
+	_, err := cl.cluster(vmmc.Options{Nodes: nodes}, "collsweep", func(p *sim.Proc, c *vmmc.Cluster) error {
+		_, comms, err := buildComms(p, c)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		model := comms[0].Model()
 		res.ModelEst = model.Estimate(coll.KAllReduce, algo, nodes, size, 16<<10)
 		res.ModelChoice = model.Choose(coll.KAllReduce, nodes, size, 16<<10) == algo
 
 		var start, finish sim.Time
-		done := 0
-		cond := sim.NewCond(eng)
-		for r := range comms {
-			r := r
-			eng.Go(fmt.Sprintf("rank%d", r), func(rp *sim.Proc) {
-				cm := comms[r]
-				in := collVector(size, r)
-				out := make([]byte, len(in))
-				work := func() {
-					if err := cm.AllReduce(rp, in, out, coll.OpSum, coll.Int32, algo); err != nil {
-						runErr = fmt.Errorf("bench: collsweep rank %d: %w", r, err)
-					}
+		err = forRanks(p, nodes, func(rp *sim.Proc, r int) error {
+			cm := comms[r]
+			in := collVector(size, r)
+			out := make([]byte, len(in))
+			work := func() error { return cm.AllReduce(rp, in, out, coll.OpSum, coll.Int32, algo) }
+			// warmup: pipelines, TLBs, and handlers are hot after this
+			if err := work(); err != nil {
+				return err
+			}
+			if err := cm.Barrier(rp); err != nil {
+				return err
+			}
+			if r == 0 {
+				start = rp.Now()
+			}
+			for i := 0; i < iters; i++ {
+				if err := work(); err != nil {
+					return err
 				}
-				work() // warmup: pipelines, TLBs, and handlers are hot after this
-				if err := cm.Barrier(rp); err != nil {
-					runErr = err
-				}
-				if r == 0 {
-					start = rp.Now()
-				}
-				for i := 0; i < iters && runErr == nil; i++ {
-					work()
-				}
-				if err := cm.Barrier(rp); err != nil {
-					runErr = err
-				}
-				if r == 0 {
-					finish = rp.Now()
-				}
-				done++
-				cond.Broadcast()
-			})
-		}
-		for done < nodes {
-			cond.Wait(p)
-		}
+			}
+			if err := cm.Barrier(rp); err != nil {
+				return err
+			}
+			if r == 0 {
+				finish = rp.Now()
+			}
+			return nil
+		})
 		res.PerOp = (finish - start) / sim.Time(iters)
+		return err
 	})
-	if err := c.Start(); err != nil {
-		return CollResult{}, err
+	if err != nil {
+		return CollResult{}, nil, err
 	}
-	if runErr != nil {
-		return CollResult{}, runErr
-	}
-	if err := capture(eng); err != nil {
-		return CollResult{}, err
-	}
-	snap := eng.MetricsSnapshot()
+	snap := cl.eng.MetricsSnapshot()
 	res.PayloadMsgs, _ = snap.Counter("coll/payload_msgs")
 	res.CreditStalls, _ = snap.Counter("coll/credit_stalls")
-	return res, nil
+	return res, cl.rep, nil
 }
 
 // collVector is the deterministic int32 sum input of one rank.
@@ -238,92 +235,48 @@ func collVector(bytes, rank int) []byte {
 // runCollHealCase chains ring all-reduces on the diamond fabric twice —
 // fault-free, then with a mid-sequence link outage under the healing
 // layer — and requires byte-identical results with zero visible errors.
-func runCollHealCase() (CollHealResult, error) {
+func runCollHealCase() (CollHealResult, *analysis.Report, error) {
 	const nodes = 4
 	const size = 16 << 10
 	const rounds = 3
-	run := func(withOutage bool) ([][]byte, sim.Time, int64, int64, error) {
-		eng := observedEngine()
-		pl := fault.NewPlan(eng, 0x4EA1)
-		relCfg := lanai.DefaultReliability()
-		relCfg.MaxRetries = 8
-		relCfg.AckDelay = 25 * sim.Microsecond
-		c, err := vmmc.NewCluster(eng, vmmc.Options{
-			Nodes:       nodes,
-			Reliable:    true,
-			Reliability: &relCfg,
-			Faults:      pl,
-			BuildFabric: DiamondFabric,
-			Heal: &vmmc.HealConfig{
-				ProbeInterval: 500 * sim.Microsecond,
-				MaxRounds:     64,
-				MaxDepth:      4,
-				ProbeTimeout:  8 * sim.Microsecond,
-			},
-		})
-		if err != nil {
-			return nil, 0, 0, 0, err
-		}
+	run := func(cl *cell, withOutage bool) ([][]byte, sim.Time, int64, int64, error) {
+		pl := fault.NewPlan(cl.eng, 0x4EA1)
 		results := make([][]byte, nodes)
 		var elapsed sim.Time
 		var fails int64
-		var runErr error
-		c.Go("collsweep:heal", func(p *sim.Proc) {
-			procs := make([]*vmmc.Process, nodes)
-			for i := range procs {
-				if procs[i], err = c.Nodes[i].NewProcess(p); err != nil {
-					runErr = err
-					return
-				}
-			}
-			comms, err := coll.Build(p, procs, coll.Options{})
+		_, err := cl.cluster(healing(nodes, pl, 8), "collsweep:heal", func(p *sim.Proc, c *vmmc.Cluster) error {
+			procs, comms, err := buildComms(p, c)
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if withOutage {
 				pl.LinkOutage(c.Nodes[2].Board.NIC.ID,
 					p.Now()+400*sim.Microsecond, p.Now()+3*sim.Millisecond)
 			}
 			start := p.Now()
-			done := 0
-			cond := sim.NewCond(eng)
-			for r := range comms {
-				r := r
-				eng.Go(fmt.Sprintf("rank%d", r), func(rp *sim.Proc) {
-					acc := collVector(size, r)
-					out := make([]byte, len(acc))
-					for i := 0; i < rounds; i++ {
-						if err := comms[r].AllReduce(rp, acc, out, coll.OpSum, coll.Int32, coll.Ring); err != nil {
-							runErr = fmt.Errorf("bench: collsweep heal rank %d: %w", r, err)
-							break
-						}
-						copy(acc, out)
+			err = forRanks(p, nodes, func(rp *sim.Proc, r int) error {
+				acc := collVector(size, r)
+				out := make([]byte, len(acc))
+				for i := 0; i < rounds; i++ {
+					if err := comms[r].AllReduce(rp, acc, out, coll.OpSum, coll.Int32, coll.Ring); err != nil {
+						return err
 					}
-					results[r] = out
-					done++
-					cond.Broadcast()
-				})
-			}
-			for done < nodes {
-				cond.Wait(p)
-			}
+					copy(acc, out)
+				}
+				results[r] = out
+				return nil
+			})
 			elapsed = p.Now() - start
 			for _, proc := range procs {
 				fails += proc.Errors().SendFailures
 			}
+			return err
 		})
-		if err := c.Start(); err != nil {
-			return nil, 0, 0, 0, err
-		}
-		if runErr != nil {
-			return nil, 0, 0, 0, runErr
-		}
-		if err := capture(eng); err != nil {
+		if err != nil {
 			return nil, 0, 0, 0, err
 		}
 		var retrans int64
-		for _, cv := range eng.MetricsSnapshot().Counters {
+		for _, cv := range cl.eng.MetricsSnapshot().Counters {
 			if strings.HasSuffix(cv.Name, "/rl_retransmits") {
 				retrans += cv.Value
 			}
@@ -331,13 +284,14 @@ func runCollHealCase() (CollHealResult, error) {
 		return results, elapsed, fails, retrans, nil
 	}
 
-	clean, cleanElapsed, cleanFails, _, err := run(false)
+	clean, cleanElapsed, cleanFails, _, err := run(newCell("collsweep ring+heal, fault-free"), false)
 	if err != nil {
-		return CollHealResult{}, err
+		return CollHealResult{}, nil, err
 	}
-	healed, healedElapsed, healedFails, retrans, err := run(true)
+	healedCell := newCell("collsweep ring+heal, outage")
+	healed, healedElapsed, healedFails, retrans, err := run(healedCell, true)
 	if err != nil {
-		return CollHealResult{}, err
+		return CollHealResult{}, nil, err
 	}
 	res := CollHealResult{
 		Nodes: nodes, Bytes: size, Rounds: rounds,
@@ -353,23 +307,19 @@ func runCollHealCase() (CollHealResult, error) {
 		}
 	}
 	if !res.ResultsMatch {
-		return res, fmt.Errorf("bench: collsweep heal cell: healed results differ from fault-free")
+		return res, nil, fmt.Errorf("bench: collsweep heal cell: healed results differ from fault-free")
 	}
 	if res.SendFailures != 0 {
-		return res, fmt.Errorf("bench: collsweep heal cell: %d application-visible send failures, want 0", res.SendFailures)
+		return res, nil, fmt.Errorf("bench: collsweep heal cell: %d application-visible send failures, want 0", res.SendFailures)
 	}
 	if healedElapsed <= cleanElapsed {
-		return res, fmt.Errorf("bench: collsweep heal cell: healed run (%v) not slower than fault-free (%v)",
+		return res, nil, fmt.Errorf("bench: collsweep heal cell: healed run (%v) not slower than fault-free (%v)",
 			healedElapsed, cleanElapsed)
 	}
-	return res, nil
+	return res, healedCell.rep, nil
 }
 
 func writeCollJSON(cfg CollConfig, rs []CollResult, reps []*analysis.Report, heal CollHealResult, healRep *analysis.Report) error {
-	healVerdict := ""
-	if healRep != nil {
-		healVerdict = healRep.Verdict
-	}
 	a := artifact{
 		what: "coll",
 		header: [][2]string{
@@ -385,7 +335,7 @@ func writeCollJSON(cfg CollConfig, rs []CollResult, reps []*analysis.Report, hea
 			"\"verdict\": %q},\n",
 			heal.Nodes, heal.Bytes, heal.Rounds,
 			heal.CleanElapsed.Micros(), heal.HealedElapsed.Micros(),
-			heal.ResultsMatch, heal.SendFailures, heal.Retransmits, healVerdict),
+			heal.ResultsMatch, heal.SendFailures, heal.Retransmits, healRep.Verdict),
 	}
 	for _, r := range rs {
 		a.cases = append(a.cases, fmt.Sprintf("\"nodes\": %d, \"bytes\": %d, \"algorithm\": %q, "+

@@ -45,7 +45,7 @@ func TestCollSweepCrossover(t *testing.T) {
 	perOp := map[cell]CollResult{}
 	for _, size := range []int{64, 128 << 10} {
 		for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
-			r, err := runCollCase(8, size, algo, 1)
+			r, _, err := runCollCase(8, size, algo, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,13 +1,17 @@
 // Package bench contains the workload generators, parameter sweeps and
 // measurement harnesses that regenerate every figure and table of the
-// paper's evaluation (§5-§7). Each experiment builds a fresh simulated
-// cluster, runs the paper's benchmark protocol, and reports the same
-// series the paper plots.
+// paper's evaluation (§5-§7). Every run is a cell (cell.go): a fresh
+// observed engine, the model built on it, the workload process running
+// the paper's benchmark protocol, and the run's own bottleneck report.
+// Experiments report the same series the paper plots; sweeps file their
+// cells in a sweepLog (sweep.go) that owns the determinism double-run,
+// the table and the artifact's per-cell reports.
 package bench
 
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -46,32 +50,27 @@ const (
 )
 
 // RunPair boots a two-node cluster (profile prof; nil = default), sets up
-// the standard pair, runs fn as the workload, and returns any simulation
-// error. The workload drives both processes from one simulation process —
-// fine for request/response protocols; concurrent senders spawn their own
-// processes via p.Engine().Go.
-func RunPair(prof *hw.Profile, window int, fn func(p *sim.Proc, pr *Pair)) error {
-	eng := observedEngine()
-	c, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 64 << 20, Prof: prof})
-	if err != nil {
-		return err
-	}
-	var inner error
-	c.Go("bench", func(p *sim.Proc) {
+// the standard pair, runs fn as the workload, and returns fn's error or
+// any simulation error. The workload drives both processes from one
+// simulation process — fine for request/response protocols; concurrent
+// senders spawn their own processes via p.Engine().Go.
+func RunPair(prof *hw.Profile, window int, fn func(p *sim.Proc, pr *Pair) error) error {
+	_, err := runPair(vmmc.Options{Nodes: 2, MemBytes: 64 << 20, Prof: prof}, window, fn)
+	return err
+}
+
+// runPair is RunPair on a cluster built from the caller's options; it
+// also returns the run's bottleneck report.
+func runPair(opts vmmc.Options, window int, fn func(p *sim.Proc, pr *Pair) error) (*analysis.Report, error) {
+	cl := newCell("pair")
+	_, err := cl.cluster(opts, "bench", func(p *sim.Proc, c *vmmc.Cluster) error {
 		pr, err := setupPair(p, c, window)
 		if err != nil {
-			inner = err
-			return
+			return err
 		}
-		fn(p, pr)
+		return fn(p, pr)
 	})
-	if err := c.Start(); err != nil {
-		return err
-	}
-	if err := capture(eng); err != nil {
-		return err
-	}
-	return inner
+	return cl.rep, err
 }
 
 func setupPair(p *sim.Proc, c *vmmc.Cluster, window int) (*Pair, error) {

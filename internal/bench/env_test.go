@@ -11,22 +11,23 @@ import (
 )
 
 func TestRunPairSetsUpBothDirections(t *testing.T) {
-	err := RunPair(nil, 8192, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 8192, func(p *sim.Proc, pr *Pair) error {
 		// A->B and B->A both work after setup.
 		if err := pr.A.Write(pr.SrcA, []byte{0x11}); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if err := pr.A.SendMsgSync(p, pr.SrcA, pr.ToB, 1, vmmc.SendOptions{}); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		pr.B.SpinByte(p, pr.BufB, 0x11)
 		if err := pr.B.Write(pr.SrcB, []byte{0x22}); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if err := pr.B.SendMsgSync(p, pr.SrcB, pr.ToA, 1, vmmc.SendOptions{}); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		pr.A.SpinByte(p, pr.BufA, 0x22)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -35,15 +36,16 @@ func TestRunPairSetsUpBothDirections(t *testing.T) {
 
 func TestRunPairWarmTLB(t *testing.T) {
 	// After setup the TLBs are warm: a full-window send takes no refills.
-	err := RunPair(nil, 64*4096, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 64*4096, func(p *sim.Proc, pr *Pair) error {
 		before, _, _ := pr.C.Nodes[0].Driver.Stats()
 		if err := pr.A.SendMsgSync(p, pr.SrcA, pr.ToB, pr.Window, vmmc.SendOptions{}); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		after, _, _ := pr.C.Nodes[0].Driver.Stats()
 		if after != before {
 			t.Errorf("warm pair took %d refills", after-before)
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,25 +54,26 @@ func TestRunPairWarmTLB(t *testing.T) {
 
 func TestFenceOrdering(t *testing.T) {
 	// Fence returns only after all previously posted traffic delivered.
-	err := RunPair(nil, 64*4096, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 64*4096, func(p *sim.Proc, pr *Pair) error {
 		const n = 32 * 4096
 		if err := pr.A.Write(pr.SrcA+mem.VirtAddr(n)-1, []byte{0x5E}); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if _, err := pr.A.SendMsg(p, pr.SrcA, pr.ToB, n, vmmc.SendOptions{}); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if err := pr.Fence(p); err != nil {
-			t.Fatal(err)
+			return err
 		}
 		// No spin needed: the fence guarantees delivery.
 		got, err := pr.B.Read(pr.BufB+mem.VirtAddr(n)-1, 1)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		if got[0] != 0x5E {
 			t.Error("fence returned before prior traffic was delivered")
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +81,7 @@ func TestFenceOrdering(t *testing.T) {
 }
 
 func TestSendOverheadRejectsBadSizes(t *testing.T) {
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
 		if _, err := pr.SendOverhead(p, 0, 1, true); err == nil {
 			t.Error("zero-size overhead accepted")
 		}
@@ -88,6 +91,7 @@ func TestSendOverheadRejectsBadSizes(t *testing.T) {
 		if _, err := pr.OneWayBandwidth(p, 8192, 1); err == nil {
 			t.Error("oversized stream accepted")
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,21 +102,23 @@ func TestRunPairProfileOverride(t *testing.T) {
 	prof := hw.Default()
 	prof.LCPDispatch *= 8
 	var slow, fast float64
-	if err := RunPair(&prof, 4096, func(p *sim.Proc, pr *Pair) {
+	if err := RunPair(&prof, 4096, func(p *sim.Proc, pr *Pair) error {
 		v, err := pr.PingPongLatency(p, 4, 20)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		slow = v
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) {
+	if err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
 		v, err := pr.PingPongLatency(p, 4, 20)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		fast = v
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}

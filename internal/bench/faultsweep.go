@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/analysis"
 	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -34,7 +35,7 @@ func FaultSweep() (Table, error) {
 	}
 	for _, reliable := range []bool{false, true} {
 		for _, ber := range faultSweepBERs {
-			row, err := faultSweepCase(reliable, ber)
+			row, rep, err := faultSweepCase(reliable, ber)
 			if err != nil {
 				return t, err
 			}
@@ -42,7 +43,7 @@ func FaultSweep() (Table, error) {
 			// The harshest cell of each configuration gets its bottleneck
 			// verdict in the notes.
 			if ber == faultSweepBERs[len(faultSweepBERs)-1] {
-				t.Notes = append(t.Notes, analysisNote(row[0], takeAnalysis()))
+				t.Notes = append(t.Notes, analysisNote(row[0], rep))
 			}
 		}
 	}
@@ -52,22 +53,23 @@ func FaultSweep() (Table, error) {
 // faultSweepCase runs one cell of the sweep: a two-node cluster with the
 // given configuration moving 32 page-sized messages from node 0 into
 // node 1's export.
-func faultSweepCase(reliable bool, ber float64) ([]string, error) {
+func faultSweepCase(reliable bool, ber float64) ([]string, *analysis.Report, error) {
 	const (
 		msgs    = 32
 		msgSize = 4096
 		window  = msgs * msgSize
 	)
-	eng := observedEngine()
-	pl := fault.NewPlan(eng, faultSweepSeed)
-	c, err := vmmc.NewCluster(eng, vmmc.Options{
+	cl := newCell(fmt.Sprintf("faultsweep reliable=%v ber=%g", reliable, ber))
+	pl := fault.NewPlan(cl.eng, faultSweepSeed)
+	c, err := vmmc.NewCluster(cl.eng, vmmc.Options{
 		Nodes: 2, MemBytes: 16 << 20, Reliable: reliable, Faults: pl,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, cl.fail(err)
 	}
 	// Errors on both directions of the sender's link: data packets out,
-	// acknowledgements (when reliable) back in.
+	// acknowledgements (when reliable) back in. Armed before the cluster
+	// boots: the RNG draws boot traffic consumes are part of the result.
 	pl.SetLinkBER(c.Nodes[0].Board.NIC.ID, ber)
 	pl.SetLinkBER(c.Nodes[1].Board.NIC.ID, ber)
 
@@ -79,22 +81,22 @@ func faultSweepCase(reliable bool, ber float64) ([]string, error) {
 		deliveredSlots int
 		elapsed        sim.Time
 	)
-	c.Go("faultsweep", func(p *sim.Proc) {
+	cl.spawn(c, "faultsweep", func(p *sim.Proc) error {
 		recv, err := c.Nodes[1].NewProcess(p)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		send, err := c.Nodes[0].NewProcess(p)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		buf, _ := recv.Malloc(window)
 		if err := recv.Export(p, 1, buf, window, nil, false); err != nil {
-			panic(err)
+			return err
 		}
 		dest, _, err := send.Import(p, 1, 1)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		src, _ := send.Malloc(window)
 		data := make([]byte, window)
@@ -104,7 +106,7 @@ func faultSweepCase(reliable bool, ber float64) ([]string, error) {
 			}
 		}
 		if err := send.Write(src, data); err != nil {
-			panic(err)
+			return err
 		}
 
 		start := p.Now()
@@ -113,7 +115,7 @@ func faultSweepCase(reliable bool, ber float64) ([]string, error) {
 			off := i * msgSize
 			seq, err := send.SendMsg(p, src+mem.VirtAddr(off), dest+vmmc.ProxyAddr(off), msgSize, vmmc.SendOptions{})
 			if err != nil {
-				panic(err)
+				return err
 			}
 			seqs = append(seqs, seq)
 		}
@@ -139,7 +141,7 @@ func faultSweepCase(reliable bool, ber float64) ([]string, error) {
 
 		got, err := recv.Read(buf, window)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		for i := 0; i < msgs; i++ {
 			exact := true
@@ -153,16 +155,13 @@ func faultSweepCase(reliable bool, ber float64) ([]string, error) {
 				deliveredSlots++
 			}
 		}
+		if reliable && deliveredSlots != msgs {
+			return fmt.Errorf("delivered %d/%d slots", deliveredSlots, msgs)
+		}
+		return nil
 	})
-	if err := c.Start(); err != nil {
-		return nil, err
-	}
-	if err := capture(eng); err != nil {
-		return nil, err
-	}
-	if reliable && deliveredSlots != msgs {
-		return nil, fmt.Errorf("bench: reliable fault sweep at ber %g delivered %d/%d slots",
-			ber, deliveredSlots, msgs)
+	if err := cl.drive(c.Start); err != nil {
+		return nil, nil, err
 	}
 
 	name := "unreliable (paper §4.2)"
@@ -184,5 +183,5 @@ func faultSweepCase(reliable bool, ber float64) ([]string, error) {
 		fmt.Sprintf("%.1f us", elapsed.Micros()),
 		fmt.Sprintf("%d", pl.Stats().Corruptions),
 		recovery,
-	}, nil
+	}, cl.rep, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
+	"repro/internal/vmmc"
 )
 
 // Fig1Sizes are the block sizes of Figure 1.
@@ -22,7 +23,8 @@ var Fig1Sizes = []int{64, 128, 256, 512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 
 // EXPERIMENTS.md for how the figure's two roles are split across the
 // directions in this reproduction).
 func Fig1HostDMA() ([]Series, error) {
-	eng := observedEngine()
+	cl := newCell("fig1")
+	eng := cl.eng
 	prof := hw.Default()
 	net := myrinet.New(eng, prof)
 	sw := net.AddSwitch(8)
@@ -47,47 +49,35 @@ func Fig1HostDMA() ([]Series, error) {
 
 	read := Series{Name: "host-to-LANai DMA (PCI reads)", Unit: "MB/s"}
 	write := Series{Name: "LANai-to-host DMA (PCI writes)", Unit: "MB/s"}
-	var runErr error
-	eng.Go("fig1", func(p *sim.Proc) {
+	err = cl.run("fig1", func(p *sim.Proc) error {
 		// Each direction is swept separately, as the paper's benchmark
 		// would: alternating directions per transfer would charge the
 		// PCI read/write turnaround to every block.
 		for _, n := range Fig1Sizes {
 			start := p.Now()
 			if err := board.HostToSRAM(p, pa, sramOff, n); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			read.Points = append(read.Points, Point{X: float64(n), Y: mbps(n, p.Now()-start)})
 		}
 		for i, n := range Fig1Sizes {
 			start := p.Now()
 			if err := board.SRAMToHost(p, sramOff, pa, n); err != nil {
-				runErr = err
-				return
+				return err
 			}
 			if i == 0 {
 				// Discard the first write: it pays the one-time direction
 				// turnaround after the read sweep.
 				start = p.Now()
 				if err := board.SRAMToHost(p, sramOff, pa, n); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 			write.Points = append(write.Points, Point{X: float64(n), Y: mbps(n, p.Now()-start)})
 		}
+		return nil
 	})
-	if err := eng.Run(); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := capture(eng); err != nil {
-		return nil, err
-	}
-	return []Series{read, write}, nil
+	return []Series{read, write}, err
 }
 
 func mbps(n int, d sim.Time) float64 {
@@ -103,14 +93,15 @@ var Fig2Sizes = []int{4, 8, 16, 32, 64, 96, 128, 192, 256, 512, 1024}
 // the short-to-long protocol switch onto the host DMA engine.
 func Fig2Latency() (Series, error) {
 	out := Series{Name: "VMMC one-way latency (ping-pong)", Unit: "us"}
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
 		for _, n := range Fig2Sizes {
 			lat, err := pr.PingPongLatency(p, n, 30)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			out.Points = append(out.Points, Point{X: float64(n), Y: lat})
 		}
+		return nil
 	})
 	return out, err
 }
@@ -125,7 +116,7 @@ var Fig3Sizes = []int{1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 1
 func Fig3Bandwidth() ([]Series, error) {
 	oneway := Series{Name: "VMMC one-way bandwidth", Unit: "MB/s"}
 	bidir := Series{Name: "VMMC bidirectional total bandwidth", Unit: "MB/s"}
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		for _, n := range Fig3Sizes {
 			count := 4 << 20 / n
 			if count > 256 {
@@ -133,7 +124,7 @@ func Fig3Bandwidth() ([]Series, error) {
 			}
 			bw, err := pr.OneWayBandwidth(p, n, count)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			oneway.Points = append(oneway.Points, Point{X: float64(n), Y: bw})
 		}
@@ -144,10 +135,11 @@ func Fig3Bandwidth() ([]Series, error) {
 			}
 			bw, err := pr.BidirectionalBandwidth(p, n, count)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			bidir.Points = append(bidir.Points, Point{X: float64(n), Y: bw})
 		}
+		return nil
 	})
 	return []Series{oneway, bidir}, err
 }
@@ -164,21 +156,22 @@ var Fig4Sizes = []int{4, 8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 2048, 4096
 func Fig4SendOverhead() ([]Series, error) {
 	syncS := Series{Name: "synchronous send overhead", Unit: "us"}
 	asyncS := Series{Name: "asynchronous send overhead", Unit: "us"}
-	err := RunPair(nil, 8192, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 8192, func(p *sim.Proc, pr *Pair) error {
 		for _, n := range Fig4Sizes {
 			v, err := pr.SendOverhead(p, n, 30, true)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			syncS.Points = append(syncS.Points, Point{X: float64(n), Y: v})
 		}
 		for _, n := range Fig4Sizes {
 			v, err := pr.SendOverhead(p, n, 30, false)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			asyncS.Points = append(asyncS.Points, Point{X: float64(n), Y: v})
 		}
+		return nil
 	})
 	return []Series{syncS, asyncS}, err
 }
@@ -189,27 +182,28 @@ func Headline() (Table, error) {
 		Title:   "Headline results (paper: 9.8 us one-way latency, 80.4 MB/s user-to-user bandwidth)",
 		Columns: []string{"metric", "measured", "paper"},
 	}
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) {
+	rep, err := runPair(vmmc.Options{Nodes: 2, MemBytes: 64 << 20}, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		lat, err := pr.PingPongLatency(p, 4, 100)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		bw, err := pr.OneWayBandwidth(p, 1<<20, 20)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		bid, err := pr.BidirectionalBandwidth(p, 1<<20, 10)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		t.Rows = [][]string{
 			{"one-word one-way latency", fmt.Sprintf("%.1f us", lat), "9.8 us"},
 			{"peak user-to-user bandwidth", fmt.Sprintf("%.1f MB/s", bw), "80.4 MB/s (98% of 82)"},
 			{"bidirectional total bandwidth", fmt.Sprintf("%.1f MB/s", bid), "91 MB/s"},
 		}
+		return nil
 	})
 	if err == nil {
-		t.Notes = append(t.Notes, analysisNote("pair", takeAnalysis()))
+		t.Notes = append(t.Notes, analysisNote("pair", rep))
 	}
 	return t, err
 }

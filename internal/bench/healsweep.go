@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/analysis"
@@ -120,25 +121,9 @@ func HealSweep(cfg HealConfigSweep) (Table, error) {
 	}
 	cells = append(cells, cell{name: "spine failover", spine: true})
 
-	var (
-		results []HealResult
-		reports []*analysis.Report
-	)
-	for _, cl := range cells {
-		label := cl.name
-		if cl.outage > 0 {
-			label = fmt.Sprintf("%s %.0f us", cl.name, cl.outage.Micros())
-		}
-		r, rep, err := doubleRun("healsweep", label, func() (HealResult, error) {
-			return runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
-		}, equal[HealResult])
-		if err != nil {
-			return t, err
-		}
-		results = append(results, r)
-		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(label, rep))
-		t.Rows = append(t.Rows, []string{
+	log := sweepLog[HealResult]{sweep: "healsweep", same: equal[HealResult], note: true, t: &t}
+	log.row = func(r HealResult) []string {
+		return []string{
 			r.Case,
 			fmt.Sprintf("%.0f us", r.OutageUS),
 			fmt.Sprintf("%d/%d", r.Messages, cfg.Msgs),
@@ -149,27 +134,33 @@ func HealSweep(cfg HealConfigSweep) (Table, error) {
 			fmt.Sprintf("%d", r.RouteSwaps),
 			fmt.Sprintf("%d", r.Healed),
 			fmt.Sprintf("%d", r.Retransmits),
-		})
+		}
 	}
-	return t, writeHealJSON(cfg, results, reports)
+	for _, cl := range cells {
+		label := cl.name
+		if cl.outage > 0 {
+			label = fmt.Sprintf("%s %.0f us", cl.name, cl.outage.Micros())
+		}
+		if err := log.record(label, true, func() (HealResult, *analysis.Report, error) {
+			return runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
+		}); err != nil {
+			return t, err
+		}
+	}
+	return t, writeHealJSON(cfg, log.results, log.reports)
 }
 
-// runHealCase boots a 4-node cluster on the diamond fabric with healing
-// on and streams msgs page-sized messages from node 0 to node 2 (across
-// the spines) while the scripted outage bites mid-stream.
-func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult, error) {
-	eng := observedEngine()
-	pl := fault.NewPlan(eng, healSweepSeed)
-
+// healing returns the options of the sweeps' self-healing cells: nodes
+// hosts on the diamond fabric with pl's faults, go-back-N reliability on a
+// retransmit budget of retries, and the healing layer on.
+func healing(nodes int, pl *fault.Plan, retries int) vmmc.Options {
 	// Stall fast: a small retransmit budget moves the virtual time from
 	// doomed retransmissions into the heal path under test.
 	relCfg := lanai.DefaultReliability()
-	relCfg.MaxRetries = 4
+	relCfg.MaxRetries = retries
 	relCfg.AckDelay = 25 * sim.Microsecond
-
-	c, err := vmmc.NewCluster(eng, vmmc.Options{
-		Nodes:       4,
-		MemBytes:    16 << 20,
+	return vmmc.Options{
+		Nodes:       nodes,
 		Reliable:    true,
 		Reliability: &relCfg,
 		Faults:      pl,
@@ -186,10 +177,15 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 			// able to resolve outage duration.
 			ProbeTimeout: 8 * sim.Microsecond,
 		},
-	})
-	if err != nil {
-		return HealResult{}, err
 	}
+}
+
+// runHealCase boots a 4-node cluster on the diamond fabric with healing
+// on and streams msgs page-sized messages from node 0 to node 2 (across
+// the spines) while the scripted outage bites mid-stream.
+func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult, *analysis.Report, error) {
+	cl := newCell("healsweep " + name)
+	pl := fault.NewPlan(cl.eng, healSweepSeed)
 
 	// slotByte is the expected fill of slot i; the last byte doubles as
 	// the arrival flag the receiver spins on.
@@ -200,23 +196,23 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 		elapsed   sim.Time
 		sendFails int64
 	)
-	c.Go("healsweep", func(p *sim.Proc) {
+	c, err := cl.cluster(healing(4, pl, 4), "healsweep", func(p *sim.Proc, c *vmmc.Cluster) error {
 		recv, err := c.Nodes[2].NewProcess(p)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		send, err := c.Nodes[0].NewProcess(p)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		window := msgs * mem.PageSize
 		buf, _ := recv.Malloc(window)
 		if err := recv.Export(p, 1, buf, window, nil, false); err != nil {
-			panic(err)
+			return err
 		}
 		dest, _, err := send.Import(p, 2, 1)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		src, _ := send.Malloc(mem.PageSize)
 
@@ -244,11 +240,11 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 				page[j] = slotByte(i)
 			}
 			if err := send.Write(src, page); err != nil {
-				panic(err)
+				return err
 			}
 			off := i * mem.PageSize
 			if err := send.SendMsgChecked(p, src, dest+vmmc.ProxyAddr(off), mem.PageSize, vmmc.SendOptions{}); err != nil {
-				panic(fmt.Sprintf("bench: healsweep %s: send %d surfaced %v", name, i, err))
+				return fmt.Errorf("send %d surfaced %w", i, err)
 			}
 		}
 		// In-order delivery: the final slot's flag landing means all did.
@@ -257,7 +253,7 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 
 		got, err := recv.Read(buf, window)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		for i := 0; i < msgs; i++ {
 			exact := true
@@ -271,19 +267,16 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 				delivered++
 			}
 		}
-		sendFails = send.Errors().SendFailures
+		if delivered != msgs {
+			return fmt.Errorf("delivered %d/%d slots", delivered, msgs)
+		}
+		if sendFails = send.Errors().SendFailures; sendFails != 0 {
+			return fmt.Errorf("%d application-visible send failures, want 0", sendFails)
+		}
+		return nil
 	})
-	if err := c.Start(); err != nil {
-		return HealResult{}, err
-	}
-	if err := capture(eng); err != nil {
-		return HealResult{}, err
-	}
-	if delivered != msgs {
-		return HealResult{}, fmt.Errorf("bench: healsweep %s delivered %d/%d slots", name, delivered, msgs)
-	}
-	if sendFails != 0 {
-		return HealResult{}, fmt.Errorf("bench: healsweep %s: %d application-visible send failures, want 0", name, sendFails)
+	if err != nil {
+		return HealResult{}, nil, err
 	}
 
 	// Short link outages may ride inside the go-back-N retransmit budget
@@ -292,10 +285,10 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 	// finish solely on a remapped detour.
 	st := c.Healer().Stats()
 	if spine && st.Healed == 0 {
-		return HealResult{}, fmt.Errorf("bench: healsweep %s: spine died but no window healed", name)
+		return HealResult{}, nil, cl.fail(errors.New("spine died but no window healed"))
 	}
 	if spine && st.RouteSwaps == 0 {
-		return HealResult{}, fmt.Errorf("bench: healsweep %s: spine died but no route swapped", name)
+		return HealResult{}, nil, cl.fail(errors.New("spine died but no route swapped"))
 	}
 
 	r := HealResult{
@@ -314,7 +307,7 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 	if elapsed > 0 {
 		r.GoodputMBps = float64(delivered*mem.PageSize) / elapsed.Seconds() / 1e6
 	}
-	return r, nil
+	return r, cl.rep, nil
 }
 
 // writeHealJSON emits the heal-trajectory artifact: every value is

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -11,12 +12,12 @@ import (
 )
 
 // Observability configures trace and metrics artifact capture for the
-// harness. Experiments build their own engines (sometimes several, for a
-// sweep of configurations), so the configuration is applied at every
-// engine construction and artifacts are captured when each run completes.
-// When an experiment runs more than one engine, the last run's artifacts
-// win — runs are deterministic, so the files are still reproducible
-// byte for byte.
+// harness. Every run is a cell with an engine of its own (an experiment
+// may run several, for a sweep of configurations), so the configuration
+// is applied at every cell's construction and artifacts are captured when
+// its run completes. When an experiment runs more than one cell, the last
+// run's artifacts win — runs are deterministic, so the files are still
+// reproducible byte for byte.
 type Observability struct {
 	// TracePath, when non-empty, arms each engine's trace collector and
 	// writes a Chrome trace_event JSON file here after every run.
@@ -31,20 +32,18 @@ type Observability struct {
 	// report JSON here after every run (last run wins, like the other
 	// artifacts).
 	AnalysisPath string
-	// DisableAnalysis turns the always-on bottleneck analyzer off. The
-	// analyzer is a streaming trace sink with no effect on virtual time,
-	// so it defaults to on: every experiment ends with a report.
-	DisableAnalysis bool
 	// VerifySkips turns on sim.Engine.VerifySkips in every engine: a spin
 	// predicate that reads outside its watch panics instead of silently
 	// missing a change. The golden test sets it; results are unaffected.
 	VerifySkips bool
 }
 
+// lastSummary and lastAnalysis are written by capture and read only
+// through LastMetricsSummary and LastAnalysis, for vmmcbench's -trace and
+// -analyze output; a cell hands its own report to the code that ran it.
 var (
 	obs          Observability
 	lastSummary  string
-	curAnalyzer  *analysis.Analyzer
 	lastAnalysis *analysis.Report
 )
 
@@ -52,11 +51,11 @@ var (
 // subsequent experiment runs. A zero value turns capture off.
 func SetObservability(o Observability) { obs = o }
 
-// observedEngine is the engine constructor every experiment uses: a fresh
+// observedEngine is the engine constructor behind every cell: a fresh
 // engine with the trace collector armed when a trace artifact was
-// requested, and the bottleneck analyzer subscribed as a streaming sink
-// unless analysis is disabled.
-func observedEngine() *sim.Engine {
+// requested, and a bottleneck analyzer subscribed as a streaming sink —
+// it has no effect on virtual time, so every run ends with a report.
+func observedEngine() (*sim.Engine, *analysis.Analyzer) {
 	eng := sim.NewEngine()
 	if obs.VerifySkips {
 		eng.VerifySkips()
@@ -64,11 +63,9 @@ func observedEngine() *sim.Engine {
 	if obs.TracePath != "" {
 		eng.Trace().Enable(obs.TraceCapacity)
 	}
-	if !obs.DisableAnalysis {
-		curAnalyzer = analysis.NewAnalyzer(analysis.Config{})
-		eng.Trace().Subscribe(curAnalyzer)
-	}
-	return eng
+	an := analysis.NewAnalyzer(analysis.Config{})
+	eng.Trace().Subscribe(an)
+	return eng, an
 }
 
 // markPhase splits the analysis attribution window: busy time and waits
@@ -78,59 +75,50 @@ func markPhase(eng *sim.Engine, name string) {
 	eng.TraceInstant("bench", "phase", name)
 }
 
-// capture records the run's metrics summary and writes the configured
-// artifact files. Called after every experiment run, whether or not
-// artifacts were requested — the summary is cheap and always available
-// via LastMetricsSummary.
-func capture(eng *sim.Engine) error {
+// capture finalizes a completed run: it records the metrics summary and
+// the analyzer's report, writes the configured artifact files, and
+// returns the report. Called after every run, whether or not artifacts
+// were requested — the summary is cheap and always available via
+// LastMetricsSummary.
+func capture(eng *sim.Engine, an *analysis.Analyzer) (*analysis.Report, error) {
 	snap := eng.MetricsSnapshot()
 	lastSummary = summarize(snap)
-	if curAnalyzer != nil {
-		lastAnalysis = curAnalyzer.Finalize(snap.NowNS, snap)
-		eng.Trace().Unsubscribe(curAnalyzer)
-		curAnalyzer = nil
-		if obs.AnalysisPath != "" {
-			f, err := os.Create(obs.AnalysisPath)
-			if err != nil {
-				return fmt.Errorf("bench: analysis artifact: %w", err)
-			}
-			werr := lastAnalysis.WriteJSON(f, "")
-			if werr == nil {
-				_, werr = fmt.Fprintln(f)
-			}
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return fmt.Errorf("bench: analysis artifact: %w", werr)
-			}
+	rep := an.Finalize(snap.NowNS, snap)
+	eng.Trace().Unsubscribe(an)
+	lastAnalysis = rep
+	err := writeArtifact("analysis", obs.AnalysisPath, func(w io.Writer) error {
+		if err := rep.WriteJSON(w, ""); err != nil {
+			return err
+		}
+		_, err := fmt.Fprintln(w)
+		return err
+	})
+	if err == nil {
+		err = writeArtifact("trace", obs.TracePath, func(w io.Writer) error {
+			return trace.WriteChromeTrace(w, eng.Trace().Events(), eng.Trace().Dropped())
+		})
+	}
+	if err == nil {
+		err = writeArtifact("metrics", obs.MetricsPath, snap.WriteJSON)
+	}
+	return rep, err
+}
+
+// writeArtifact creates the file at path, when one was asked for, and
+// fills it with write; an error names the artifact.
+func writeArtifact(what, path string, write func(w io.Writer) error) error {
+	if path == "" {
+		return nil
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
 	}
-	if obs.TracePath != "" {
-		f, err := os.Create(obs.TracePath)
-		if err != nil {
-			return fmt.Errorf("bench: trace artifact: %w", err)
-		}
-		werr := trace.WriteChromeTrace(f, eng.Trace().Events(), eng.Trace().Dropped())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("bench: trace artifact: %w", werr)
-		}
-	}
-	if obs.MetricsPath != "" {
-		f, err := os.Create(obs.MetricsPath)
-		if err != nil {
-			return fmt.Errorf("bench: metrics artifact: %w", err)
-		}
-		werr := snap.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return fmt.Errorf("bench: metrics artifact: %w", werr)
-		}
+	if err != nil {
+		return fmt.Errorf("bench: %s artifact: %w", what, err)
 	}
 	return nil
 }
@@ -142,9 +130,8 @@ func capture(eng *sim.Engine) error {
 func LastMetricsSummary() string { return lastSummary }
 
 // LastAnalysis returns the bottleneck report of the most recently
-// completed run (the last engine captured — for sweeps, the last
-// configuration). Nil until an experiment has run or when analysis is
-// disabled.
+// completed run (the last cell captured — for sweeps, the last
+// configuration). Nil until an experiment has run.
 func LastAnalysis() *analysis.Report { return lastAnalysis }
 
 // summarize renders the headline metrics of a snapshot. Snapshot sections

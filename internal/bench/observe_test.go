@@ -18,13 +18,14 @@ func runSmallObserved(t *testing.T, tracePath, metricsPath string) (traceJSON, m
 	t.Helper()
 	SetObservability(Observability{TracePath: tracePath, MetricsPath: metricsPath})
 	defer SetObservability(Observability{})
-	err := RunPair(nil, 64<<10, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 64<<10, func(p *sim.Proc, pr *Pair) error {
 		if _, err := pr.PingPongLatency(p, 4, 5); err != nil {
-			panic(err)
+			return err
 		}
 		if _, err := pr.OneWayBandwidth(p, 64<<10, 2); err != nil {
-			panic(err)
+			return err
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +95,7 @@ func TestArtifactsDeterministic(t *testing.T) {
 // with the driver's own statistics.
 func TestTLBMetricsMatchDriver(t *testing.T) {
 	const size = 64 * 4096 // 64 pages = 2 refill batches of 32
-	err := RunPair(nil, size, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, size, func(p *sim.Proc, pr *Pair) error {
 		m := pr.Eng.Metrics()
 		misses := m.Counter("node0/tlb_misses")
 		refills := m.Counter("node0/tlb_refills")
@@ -103,10 +104,10 @@ func TestTLBMetricsMatchDriver(t *testing.T) {
 
 		cold, err := pr.A.Malloc(size)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		if err := pr.A.SendMsgSync(p, cold, pr.ToB, size, vmmc.SendOptions{}); err != nil {
-			panic(err)
+			return err
 		}
 		drvAfter, _, _ := pr.C.Nodes[0].Driver.Stats()
 		missDelta := misses.Value() - missesBefore
@@ -125,7 +126,7 @@ func TestTLBMetricsMatchDriver(t *testing.T) {
 		// The same send again is fully warm: no new misses.
 		missesWarm, refillsWarm := misses.Value(), refills.Value()
 		if err := pr.A.SendMsgSync(p, cold, pr.ToB, size, vmmc.SendOptions{}); err != nil {
-			panic(err)
+			return err
 		}
 		if d := misses.Value() - missesWarm; d != 0 {
 			t.Errorf("warm resend: tlb_misses delta = %d, want 0", d)
@@ -133,6 +134,7 @@ func TestTLBMetricsMatchDriver(t *testing.T) {
 		if d := refills.Value() - refillsWarm; d != 0 {
 			t.Errorf("warm resend: tlb_refills delta = %d, want 0", d)
 		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +147,7 @@ func runFaultedObserved(t *testing.T, tracePath, metricsPath string) (traceJSON,
 	t.Helper()
 	SetObservability(Observability{TracePath: tracePath, MetricsPath: metricsPath})
 	defer SetObservability(Observability{})
-	if _, err := faultSweepCase(true, 1e-4); err != nil {
+	if _, _, err := faultSweepCase(true, 1e-4); err != nil {
 		t.Fatal(err)
 	}
 	traceJSON, err := os.ReadFile(tracePath)

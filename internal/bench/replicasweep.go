@@ -125,6 +125,9 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = []float64{30000, 70000}
 	}
+	if cfg.Requests < 0 {
+		return Table{}, fmt.Errorf("bench: replicasweep: %w: %d offered requests per cell", errConfig, cfg.Requests)
+	}
 	if cfg.Requests == 0 {
 		cfg.Requests = 240
 	}
@@ -189,27 +192,19 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 		})
 	}
 
-	var (
-		results []ReplicaResult
-		reports []*analysis.Report
-	)
+	log := sweepLog[ReplicaResult]{sweep: "replicasweep", same: equal[ReplicaResult], row: replicaRow, note: true, t: &t}
 	for _, cl := range cells {
-		r, rep, err := doubleRun("replicasweep", cl.name, func() (ReplicaResult, error) {
+		if err := log.record(cl.name, true, func() (ReplicaResult, *analysis.Report, error) {
 			return runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
-		}, equal[ReplicaResult])
-		if err != nil {
+		}); err != nil {
 			return t, err
 		}
-		results = append(results, r)
-		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(cl.name, rep))
-		t.Rows = append(t.Rows, replicaRow(r))
 	}
 
-	if err := replicaAcceptance(cfg, results); err != nil {
+	if err := replicaAcceptance(cfg, log.results); err != nil {
 		return t, err
 	}
-	return t, writeReplicaJSON(cfg, results, reports)
+	return t, writeReplicaJSON(cfg, log.results, log.reports)
 }
 
 // replicaAcceptance enforces the sweep's replication properties on the
@@ -332,16 +327,12 @@ func replicaRow(r ReplicaResult) []string {
 // count per client process at half the send-queue depth, so concurrent
 // sends can never overflow the doorbell ring. kill schedules a follower
 // KillProcess two milliseconds into the measured stream.
-func runReplicaCell(name string, r int, rate float64, static bool, theta, putFrac float64, deadline sim.Time, kill bool, requests int) (ReplicaResult, error) {
-	eng := observedEngine()
-	c, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: replicaServers + replicaClients, MemBytes: 32 << 20})
-	if err != nil {
-		return ReplicaResult{}, err
-	}
+func runReplicaCell(name string, r int, rate float64, static bool, theta, putFrac float64, deadline sim.Time, kill bool, requests int) (ReplicaResult, *analysis.Report, error) {
 	shards := replicaServers / r
 	res := ReplicaResult{Case: name, R: r, Shards: shards, Rate: rate, Static: static}
-	var runErr error
-	c.Go("replicasweep", func(p *sim.Proc) {
+	cl := newCell("replicasweep " + name)
+	opts := vmmc.Options{Nodes: replicaServers + replicaClients, MemBytes: 32 << 20}
+	_, err := cl.cluster(opts, "replicasweep", func(p *sim.Proc, c *vmmc.Cluster) error {
 		nodes := make([]int, replicaServers)
 		for i := range nodes {
 			nodes[i] = i + 1
@@ -366,8 +357,7 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 			},
 		})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		start := p.Now()
 		stats, err := tier.RunOpenLoop(p, serve.WorkloadConfig{
@@ -380,7 +370,7 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 			Retry:    serve.DefaultRetryPolicy(replicaSeed + 1),
 			OnMeasure: func(measure sim.Time) {
 				if kill {
-					eng.Go("replicasweep:kill", func(kp *sim.Proc) {
+					cl.eng.Go("replicasweep:kill", func(kp *sim.Proc) {
 						kp.Sleep(measure + 2*sim.Millisecond - kp.Now())
 						tier.KillReplica(0, 1)
 					})
@@ -388,21 +378,12 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 			},
 		})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		fillReplicaResult(&res, tier, stats, p.Now()-start)
+		return nil
 	})
-	if err := c.Start(); err != nil {
-		return ReplicaResult{}, err
-	}
-	if runErr != nil {
-		return ReplicaResult{}, fmt.Errorf("bench: replicasweep %s: %w", name, runErr)
-	}
-	if err := capture(eng); err != nil {
-		return ReplicaResult{}, err
-	}
-	return res, nil
+	return res, cl.rep, err
 }
 
 // fillReplicaResult distills workload stats and tier counters into a

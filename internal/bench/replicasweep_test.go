@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,5 +61,14 @@ func TestReplicaSweepSmall(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Fatal("BENCH_replica.json not byte-identical across sweeps")
+	}
+}
+
+// TestReplicaSweepRejectsNegativeRequests: the request count arrives from
+// the -replica-requests flag, so the sweep checks it before running.
+func TestReplicaSweepRejectsNegativeRequests(t *testing.T) {
+	_, err := ReplicaSweep(ReplicaConfig{Requests: -160})
+	if !errors.Is(err, errConfig) || !strings.Contains(err.Error(), "offered requests per cell") {
+		t.Errorf("err = %v, want a configuration error naming the offered request count", err)
 	}
 }

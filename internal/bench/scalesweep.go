@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -129,33 +128,14 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 			"whenever a change removes the cheapest events (elided spin samples), even as the run gets faster"},
 	}
 
-	var (
-		results []ScaleResult
-		reports []*analysis.Report
-	)
-	for i, n := range cfg.Nodes {
-		run := func() (ScaleResult, error) { return runScaleCase(n, cfg.MsgBytes, cfg.Rounds) }
-		var (
-			r   ScaleResult
-			rep *analysis.Report
-			err error
-		)
-		if i == 0 {
-			// Wall-clock fields differ run to run; the virtual-time ones
-			// (and the virtual-time-only bottleneck report) may not.
-			r, rep, err = doubleRun("scalesweep", fmt.Sprintf("%d nodes", n), run, func(a, b ScaleResult) bool {
-				return a.VirtualElapsed == b.VirtualElapsed && a.Events == b.Events
-			})
-		} else if r, err = run(); err == nil {
-			rep = takeAnalysis()
-		}
-		if err != nil {
-			return t, err
-		}
-		results = append(results, r)
-		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(fmt.Sprintf("%d nodes", n), rep))
-		t.Rows = append(t.Rows, []string{
+	log := sweepLog[ScaleResult]{sweep: "scalesweep", note: true, t: &t}
+	// Wall-clock fields differ run to run; the virtual-time ones (and the
+	// virtual-time-only bottleneck report) may not.
+	log.same = func(a, b ScaleResult) bool {
+		return a.VirtualElapsed == b.VirtualElapsed && a.Events == b.Events
+	}
+	log.row = func(r ScaleResult) []string {
+		return []string{
 			fmt.Sprintf("%d", r.Nodes),
 			fmt.Sprintf("%d", r.Messages),
 			fmt.Sprintf("%.1f us", r.VirtualElapsed.Micros()),
@@ -167,16 +147,26 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 			fmt.Sprintf("%.2f", r.AllocsPerEvent),
 			fmt.Sprintf("%d", r.PeakEventHeap),
 			fmt.Sprintf("%d", r.Compactions),
-		})
+		}
 	}
-	return t, writeScaleJSON(cfg, results, reports)
+	for i, n := range cfg.Nodes {
+		// Only the smallest configuration pays for the determinism double run.
+		err := log.record(fmt.Sprintf("%d nodes", n), i == 0, func() (ScaleResult, *analysis.Report, error) {
+			return runScaleCase(n, cfg.MsgBytes, cfg.Rounds)
+		})
+		if err != nil {
+			return t, err
+		}
+	}
+	return t, writeScaleJSON(cfg, log.results, log.reports)
 }
 
 // runScaleCase boots an n-node cluster with the reliability layer on (the
 // retransmit timers are the cancel-churn stress the heap compaction
 // exists for) and runs the all-to-all exchange.
-func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
-	eng := observedEngine()
+func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, error) {
+	cl := newCell(fmt.Sprintf("scalesweep %d nodes", nodes))
+	eng := cl.eng
 	eng.ObserveScheduler()
 
 	// Each node exports one page per sender (tag = sender ID); importers
@@ -207,7 +197,7 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 		Nodes: nodes, MemBytes: memBytes, Reliable: true, Reliability: &relCfg,
 	})
 	if err != nil {
-		return ScaleResult{}, err
+		return ScaleResult{}, nil, cl.fail(err)
 	}
 
 	var (
@@ -221,18 +211,17 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 	)
 	final := byte(rounds%250 + 1)
 	for i := 0; i < nodes; i++ {
-		i := i
-		c.Go(fmt.Sprintf("sweep:%d", i), func(p *sim.Proc) {
+		cl.spawn(c, fmt.Sprintf("sweep:%d", i), func(p *sim.Proc) error {
 			if i == 0 {
 				markPhase(eng, "export")
 			}
 			proc, err := c.Nodes[i].NewProcess(p)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			buf, err := proc.Malloc(window)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			for j := 0; j < nodes; j++ {
 				if j == i {
@@ -240,7 +229,7 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 				}
 				off := mem.VirtAddr(j * mem.PageSize)
 				if err := proc.Export(p, uint32(j+1), buf+off, mem.PageSize, nil, false); err != nil {
-					panic(err)
+					return err
 				}
 			}
 			exported.await(p)
@@ -256,14 +245,14 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 				}
 				dest, _, err := proc.Import(p, j, uint32(i+1))
 				if err != nil {
-					panic(err)
+					return err
 				}
 				dests[j] = dest
 			}
 			importSem.release()
 			src, err := proc.Malloc(mem.PageSize)
 			if err != nil {
-				panic(err)
+				return err
 			}
 			payload := make([]byte, msgBytes)
 			imported.await(p)
@@ -283,19 +272,19 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 					payload[k] = marker
 				}
 				if err := proc.Write(src, payload); err != nil {
-					panic(err)
+					return err
 				}
 				for s := 1; s < nodes; s++ {
 					j := (i + s) % nodes
 					seq, err := proc.SendMsg(p, src, dests[j], msgBytes, vmmc.SendOptions{})
 					if err != nil {
-						panic(err)
+						return err
 					}
 					// Local completion frees the source page for the
 					// next step; delivery is confirmed by the flag scan
 					// at the end.
 					if err := proc.WaitSend(p, seq); err != nil {
-						panic(err)
+						return err
 					}
 					step.await(p)
 				}
@@ -324,28 +313,26 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 			if i == 0 {
 				elapsed = p.Now() - start
 			}
+			return nil
 		})
 	}
 
-	var msBefore, msAfter runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&msBefore)
-	wallStart := time.Now()
-	if err := c.Start(); err != nil {
-		if os.Getenv("SCALE_DEBUG") != "" {
-			snap := eng.MetricsSnapshot()
-			for _, cv := range snap.Counters {
-				fmt.Printf("DBG counter %-44s %v\n", cv.Name, cv.Value)
-			}
-			n, reason := c.Net.Dropped()
-			fmt.Printf("DBG net dropped %d, last reason: %s\n", n, reason)
-		}
-		return ScaleResult{}, err
-	}
-	wall := time.Since(wallStart).Seconds()
-	runtime.ReadMemStats(&msAfter)
-	if err := capture(eng); err != nil {
-		return ScaleResult{}, err
+	// The timed window is the simulation alone; drive captures after it.
+	var (
+		msBefore, msAfter runtime.MemStats
+		wall              float64
+	)
+	err = cl.drive(func() error {
+		runtime.GC()
+		runtime.ReadMemStats(&msBefore)
+		wallStart := time.Now()
+		err := c.Start()
+		wall = time.Since(wallStart).Seconds()
+		runtime.ReadMemStats(&msAfter)
+		return err
+	})
+	if err != nil {
+		return ScaleResult{}, nil, err
 	}
 
 	st := eng.SchedStats()
@@ -372,7 +359,7 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, error) {
 	if st.Dispatched > 0 {
 		r.AllocsPerEvent = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(st.Dispatched)
 	}
-	return r, nil
+	return r, cl.rep, nil
 }
 
 // writeScaleJSON emits the bench-trajectory artifact. Wall-clock fields

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/fault"
-	"repro/internal/lanai"
 	"repro/internal/serve"
 	"repro/internal/sim"
 	"repro/internal/vmmc"
@@ -75,6 +74,9 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 	if len(cfg.Shards) == 0 {
 		cfg.Shards = []int{2}
 	}
+	if cfg.Requests < 0 {
+		return Table{}, fmt.Errorf("bench: servesweep: %w: %d offered requests per cell", errConfig, cfg.Requests)
+	}
 	if cfg.Requests == 0 {
 		cfg.Requests = 240
 	}
@@ -118,24 +120,9 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 		theta: serveHotTheta, edge: 25 * sim.Microsecond,
 	})
 
-	var (
-		results []ServeResult
-		reports []*analysis.Report
-	)
-	// record double-runs one cell and files its result.
-	record := func(name string, run func() (ServeResult, error)) error {
-		r, rep, err := doubleRun("servesweep", name, run, equal[ServeResult])
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
-		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(name, rep))
-		t.Rows = append(t.Rows, serveRow(r))
-		return nil
-	}
+	log := sweepLog[ServeResult]{sweep: "servesweep", same: equal[ServeResult], row: serveRow, note: true, t: &t}
 	for _, cl := range cells {
-		if err := record(cl.name, func() (ServeResult, error) {
+		if err := log.record(cl.name, true, func() (ServeResult, *analysis.Report, error) {
 			return runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
 		}); err != nil {
 			return t, err
@@ -149,17 +136,17 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 		if outage {
 			name = "fault outage+heal"
 		}
-		if err := record(name, func() (ServeResult, error) {
+		if err := log.record(name, true, func() (ServeResult, *analysis.Report, error) {
 			return runServeFaultCell(name, outage, cfg.Requests)
 		}); err != nil {
 			return t, err
 		}
 	}
 
-	if err := serveAcceptance(cfg, results); err != nil {
+	if err := serveAcceptance(cfg, log.results); err != nil {
 		return t, err
 	}
-	return t, writeServeJSON(cfg, results, reports)
+	return t, writeServeJSON(cfg, log.results, log.reports)
 }
 
 // serveAcceptance enforces the sweep's robustness properties on the
@@ -256,15 +243,10 @@ func serveRow(r ServeResult) []string {
 // runServeCell boots a fresh cluster (node 0 = client front end, nodes
 // 1..shards = shard servers), builds the tier, and runs one open-loop
 // workload through it.
-func runServeCell(name string, shards int, rate float64, admission bool, theta float64, edge sim.Time, requests int) (ServeResult, error) {
-	eng := observedEngine()
-	c, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: shards + 1, MemBytes: 16 << 20})
-	if err != nil {
-		return ServeResult{}, err
-	}
+func runServeCell(name string, shards int, rate float64, admission bool, theta float64, edge sim.Time, requests int) (ServeResult, *analysis.Report, error) {
 	res := ServeResult{Case: name, Shards: shards, Rate: rate, Admission: admission}
-	var runErr error
-	c.Go("servesweep", func(p *sim.Proc) {
+	cl := newCell("servesweep " + name)
+	_, err := cl.cluster(vmmc.Options{Nodes: shards + 1, MemBytes: 16 << 20}, "servesweep", func(p *sim.Proc, c *vmmc.Cluster) error {
 		shardNodes := make([]int, shards)
 		for i := range shardNodes {
 			shardNodes[i] = i + 1
@@ -279,13 +261,7 @@ func runServeCell(name string, shards int, rate float64, admission bool, theta f
 		if admission {
 			tcfg.Admission = &serve.AdmissionConfig{MaxQueue: serveMaxQueue, Target: serveTarget}
 		}
-		tier, err := serve.Build(p, c, tcfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		start := p.Now()
-		stats, err := tier.RunOpenLoop(p, serve.WorkloadConfig{
+		return runServeLoad(p, c, &res, tcfg, serve.WorkloadConfig{
 			Rate:        rate,
 			Requests:    requests,
 			Theta:       theta,
@@ -294,22 +270,8 @@ func runServeCell(name string, shards int, rate float64, admission bool, theta f
 			Seed:        serveSeed ^ uint64(shards)<<32 ^ uint64(rate),
 			Retry:       serve.DefaultRetryPolicy(serveSeed + 1),
 		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		fillServeResult(&res, tier, stats, p.Now()-start)
 	})
-	if err := c.Start(); err != nil {
-		return ServeResult{}, err
-	}
-	if runErr != nil {
-		return ServeResult{}, fmt.Errorf("bench: servesweep %s: %w", name, runErr)
-	}
-	if err := capture(eng); err != nil {
-		return ServeResult{}, err
-	}
-	return res, nil
+	return res, cl.rep, err
 }
 
 // runServeFaultCell runs a single-shard tier across the diamond fabric
@@ -318,46 +280,20 @@ func runServeCell(name string, shards int, rate float64, admission bool, theta f
 // the shard's link down mid-run; recovery must be invisible to clients:
 // no deadline is set, so every request simply completes once healing
 // and retransmission deliver it.
-func runServeFaultCell(name string, outage bool, requests int) (ServeResult, error) {
-	eng := observedEngine()
-	pl := fault.NewPlan(eng, serveSeed)
-	relCfg := lanai.DefaultReliability()
-	relCfg.MaxRetries = 8
-	relCfg.AckDelay = 25 * sim.Microsecond
-	c, err := vmmc.NewCluster(eng, vmmc.Options{
-		Nodes:       4,
-		MemBytes:    16 << 20,
-		Reliable:    true,
-		Reliability: &relCfg,
-		Faults:      pl,
-		BuildFabric: DiamondFabric,
-		Heal: &vmmc.HealConfig{
-			ProbeInterval: 500 * sim.Microsecond,
-			MaxRounds:     64,
-			MaxDepth:      4,
-			ProbeTimeout:  8 * sim.Microsecond,
-		},
-	})
-	if err != nil {
-		return ServeResult{}, err
-	}
+func runServeFaultCell(name string, outage bool, requests int) (ServeResult, *analysis.Report, error) {
 	const faultRate = 10000
 	res := ServeResult{Case: name, Shards: 1, Rate: faultRate}
-	var runErr error
-	c.Go("servesweep:fault", func(p *sim.Proc) {
-		tier, err := serve.Build(p, c, serve.Config{
+	cl := newCell("servesweep " + name)
+	pl := fault.NewPlan(cl.eng, serveSeed)
+	_, err := cl.cluster(healing(4, pl, 8), "servesweep:fault", func(p *sim.Proc, c *vmmc.Cluster) error {
+		tcfg := serve.Config{
 			ShardNodes:  []int{2},
 			ClientNodes: []int{0},
 			Conns:       4,
 			ServiceTime: serveService,
 			Keys:        serveKeys,
-		})
-		if err != nil {
-			runErr = err
-			return
 		}
-		start := p.Now()
-		stats, err := tier.RunOpenLoop(p, serve.WorkloadConfig{
+		return runServeLoad(p, c, &res, tcfg, serve.WorkloadConfig{
 			Rate:     faultRate,
 			Requests: requests,
 			Seed:     serveSeed + 2,
@@ -372,28 +308,24 @@ func runServeFaultCell(name string, outage bool, requests int) (ServeResult, err
 				}
 			},
 		})
-		if err != nil {
-			runErr = err
-			return
-		}
-		fillServeResult(&res, tier, stats, p.Now()-start)
 	})
-	if err := c.Start(); err != nil {
-		return ServeResult{}, err
-	}
-	if runErr != nil {
-		return ServeResult{}, fmt.Errorf("bench: servesweep %s: %w", name, runErr)
-	}
-	if err := capture(eng); err != nil {
-		return ServeResult{}, err
-	}
-	return res, nil
+	return res, cl.rep, err
 }
 
-// fillServeResult distills workload stats and tier counters into a cell
-// result.
-func fillServeResult(res *ServeResult, tier *serve.Tier, stats *serve.Stats, elapsed sim.Time) {
-	res.loadResult = fillLoadResult(stats, elapsed, tier.TransportErrors())
+// runServeLoad is the tail every serve cell shares: build the tier on the
+// booted cluster, run one open-loop workload through it, and distill the
+// workload stats and tier counters into res.
+func runServeLoad(p *sim.Proc, c *vmmc.Cluster, res *ServeResult, tcfg serve.Config, wcfg serve.WorkloadConfig) error {
+	tier, err := serve.Build(p, c, tcfg)
+	if err != nil {
+		return err
+	}
+	start := p.Now()
+	stats, err := tier.RunOpenLoop(p, wcfg)
+	if err != nil {
+		return err
+	}
+	res.loadResult = fillLoadResult(stats, p.Now()-start, tier.TransportErrors())
 	for _, sh := range tier.Shards() {
 		res.ShedArrive += sh.ShedArrive
 		res.ShedServe += sh.ShedServe
@@ -402,6 +334,7 @@ func fillServeResult(res *ServeResult, tier *serve.Tier, stats *serve.Stats, ela
 		}
 	}
 	res.HotOffered = tier.Shard(0).Offered
+	return nil
 }
 
 // writeServeJSON emits the serving-tier artifact: the full load-vs-

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,5 +59,14 @@ func TestServeSweepSmall(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Fatal("BENCH_serve.json not byte-identical across sweeps")
+	}
+}
+
+// TestServeSweepRejectsNegativeRequests: the request count arrives from
+// the -serve-requests flag, so the sweep checks it before running.
+func TestServeSweepRejectsNegativeRequests(t *testing.T) {
+	_, err := ServeSweep(ServeConfig{Requests: -160})
+	if !errors.Is(err, errConfig) || !strings.Contains(err.Error(), "offered requests per cell") {
+		t.Errorf("err = %v, want a configuration error naming the offered request count", err)
 	}
 }

@@ -1,8 +1,9 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 
 	"repro/internal/analysis"
@@ -10,28 +11,30 @@ import (
 	"repro/internal/sim"
 )
 
+// errConfig marks a sweep configuration rejected before any cell ran.
+// The counts arrive from vmmcbench's flags, so each sweep checks them.
+var errConfig = errors.New("bad sweep configuration")
+
 // doubleRun is the sweeps' determinism check: it runs a cell twice on
 // fresh engines and fails, naming the sweep and the cell, if the two
 // results differ under same or the two bottleneck reports differ as
 // JSON. It returns the second run and its report. Wall-clock sweeps
 // pass a same that compares only their virtual-time fields; every other
 // sweep passes equal.
-func doubleRun[R any](sweep, cell string, run func() (R, error), same func(a, b R) bool) (R, *analysis.Report, error) {
+func doubleRun[R any](sweep, cell string, run func() (R, *analysis.Report, error), same func(a, b R) bool) (R, *analysis.Report, error) {
 	var zero R
-	first, err := run()
+	first, firstRep, err := run()
 	if err != nil {
 		return zero, nil, err
 	}
-	firstRep := takeAnalysis()
-	again, err := run()
+	again, rep, err := run()
 	if err != nil {
 		return zero, nil, err
 	}
-	rep := takeAnalysis()
 	if !same(first, again) {
 		return zero, nil, fmt.Errorf("bench: %s determinism drift in %q: %+v vs %+v", sweep, cell, first, again)
 	}
-	if rep != nil && firstRep != nil && analysisJSON(rep, "") != analysisJSON(firstRep, "") {
+	if analysisJSON(rep, "") != analysisJSON(firstRep, "") {
 		return zero, nil, fmt.Errorf("bench: %s analysis drift in %q", sweep, cell)
 	}
 	return again, rep, nil
@@ -41,6 +44,40 @@ func doubleRun[R any](sweep, cell string, run func() (R, error), same func(a, b 
 // field.
 func equal[R comparable](a, b R) bool { return a == b }
 
+// sweepLog is what a sweep accumulates cell by cell: the results its
+// acceptance checks read, the reports its artifact embeds, and the table
+// it prints.
+type sweepLog[R any] struct {
+	sweep string             // names the sweep in drift errors
+	same  func(a, b R) bool  // doubleRun's equality
+	row   func(r R) []string // renders a result as its table row
+	note  bool               // the table carries every cell's verdict note
+	t     *Table             // the sweep's table; record appends to it
+
+	results []R
+	reports []*analysis.Report
+}
+
+// record runs one cell — twice, through doubleRun, when asked — and files
+// its result, report, table row and verdict note.
+func (l *sweepLog[R]) record(label string, twice bool, run func() (R, *analysis.Report, error)) error {
+	do := run
+	if twice {
+		do = func() (R, *analysis.Report, error) { return doubleRun(l.sweep, label, run, l.same) }
+	}
+	r, rep, err := do()
+	if err != nil {
+		return err
+	}
+	l.results = append(l.results, r)
+	l.reports = append(l.reports, rep)
+	l.t.Rows = append(l.t.Rows, l.row(r))
+	if l.note {
+		l.t.Notes = append(l.t.Notes, analysisNote(label, rep))
+	}
+	return nil
+}
+
 // artifact is a sweep's machine-readable BENCH_*.json file. Members are
 // written in a fixed order with pre-rendered values, so a sweep whose
 // values are all virtual-time derived gets a byte-identical file on
@@ -49,8 +86,8 @@ type artifact struct {
 	what    string             // names the artifact in errors: "heal", "serve", ...
 	header  [][2]string        // top-level members ahead of the list: key, rendered value
 	listKey string             // "cases" or "configs"
-	cases   []string           // one object per cell: its members, without braces or verdict
-	reports []*analysis.Report // per cell; supplies each verdict and the embedded analysis
+	cases   []string           // one object per cell (at least one): its members, without braces or verdict
+	reports []*analysis.Report // one per cell; supplies each verdict and the embedded analysis
 	extra   string             // rendered member lines between the list and the analysis
 }
 
@@ -59,38 +96,27 @@ type artifact struct {
 // full analysis report embedded. An empty path (no -*-out flag) writes
 // nothing.
 func (a artifact) write(path string) error {
-	if path == "" {
-		return nil
-	}
-	var b strings.Builder
-	b.WriteString("{\n")
-	for _, kv := range a.header {
-		fmt.Fprintf(&b, "  %q: %s,\n", kv[0], kv[1])
-	}
-	fmt.Fprintf(&b, "  %q: [\n", a.listKey)
-	for i, c := range a.cases {
-		comma := ","
-		if i == len(a.cases)-1 {
-			comma = ""
+	return writeArtifact(a.what, path, func(w io.Writer) error {
+		var b strings.Builder
+		b.WriteString("{\n")
+		for _, kv := range a.header {
+			fmt.Fprintf(&b, "  %q: %s,\n", kv[0], kv[1])
 		}
-		verdict := ""
-		if i < len(a.reports) && a.reports[i] != nil {
-			verdict = a.reports[i].Verdict
+		fmt.Fprintf(&b, "  %q: [\n", a.listKey)
+		for i, c := range a.cases {
+			comma := ","
+			if i == len(a.cases)-1 {
+				comma = ""
+			}
+			fmt.Fprintf(&b, "    {%s, \"verdict\": %q}%s\n", c, a.reports[i].Verdict, comma)
 		}
-		fmt.Fprintf(&b, "    {%s, \"verdict\": %q}%s\n", c, verdict, comma)
-	}
-	b.WriteString("  ],\n")
-	b.WriteString(a.extra)
-	if n := len(a.reports); n > 0 && a.reports[n-1] != nil {
-		fmt.Fprintf(&b, "  \"analysis\": %s\n", analysisJSON(a.reports[n-1], "  ")[2:])
-	} else {
-		b.WriteString("  \"analysis\": null\n")
-	}
-	b.WriteString("}\n")
-	if err := os.WriteFile(path, []byte(b.String()), 0o666); err != nil {
-		return fmt.Errorf("bench: %s artifact: %w", a.what, err)
-	}
-	return nil
+		b.WriteString("  ],\n")
+		b.WriteString(a.extra)
+		fmt.Fprintf(&b, "  \"analysis\": %s\n", analysisJSON(a.reports[len(a.reports)-1], "  ")[2:])
+		b.WriteString("}\n")
+		_, err := io.WriteString(w, b.String())
+		return err
+	})
 }
 
 // floatList renders a JSON array of whole-number floats.

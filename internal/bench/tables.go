@@ -24,7 +24,7 @@ func TableHardwareCosts() (Table, error) {
 		Columns: []string{"operation", "measured", "paper"},
 	}
 	prof := hw.Default()
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
 		cpu := pr.C.Nodes[0].CPU
 
 		start := p.Now()
@@ -41,7 +41,7 @@ func TableHardwareCosts() (Table, error) {
 
 		lat, err := pr.PingPongLatency(p, 4, 100)
 		if err != nil {
-			panic(err)
+			return err
 		}
 
 		// The hardware floor: posting plus the LANai path with all
@@ -58,6 +58,7 @@ func TableHardwareCosts() (Table, error) {
 			{"minimum hardware latency (est.)", fmt.Sprintf("%.1f us", hwMin.Micros()), "~5 us"},
 			{"measured one-way latency", fmt.Sprintf("%.1f us", lat), "9.8 us"},
 		}
+		return nil
 	})
 	return t, err
 }
@@ -71,70 +72,64 @@ func TableVRPC() (Table, error) {
 	}
 
 	// Myrinet.
-	eng := observedEngine()
-	cl, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 64 << 20})
-	if err != nil {
-		return t, err
-	}
 	var myriRTT, myriBW float64
-	cl.Go("vrpc", func(p *sim.Proc) {
+	_, err := newCell("vrpc on myrinet").cluster(vmmc.Options{Nodes: 2, MemBytes: 64 << 20}, "vrpc", func(p *sim.Proc, cl *vmmc.Cluster) error {
 		sproc, err := cl.Nodes[1].NewProcess(p)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		srv, err := rpc.NewServer(p, sproc, 1)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		registerBenchProcs(srv)
 		srv.Start()
 		cproc, err := cl.Nodes[0].NewProcess(p)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		c, err := rpc.Dial(p, cproc, 1, 0)
 		if err != nil {
-			panic(err)
+			return err
 		}
-		myriRTT = nullRTT(p, 50, func(q *sim.Proc) error {
+		myriRTT, err = nullRTT(p, 50, func(q *sim.Proc) error {
 			return c.Call(q, benchProg, 1, 0, nil, nil)
 		})
-		myriBW = echoBW(p, 10, 100<<10, func(q *sim.Proc, payload []byte) error {
+		if err != nil {
+			return err
+		}
+		myriBW, err = echoBW(p, 10, 100<<10, func(q *sim.Proc, payload []byte) error {
 			return c.Call(q, benchProg, 1, 1,
 				func(e *xdr.Encoder) { e.PutOpaque(payload) },
 				func(d *xdr.Decoder) error { _, err := d.Opaque(1 << 20); return err })
 		})
+		return err
 	})
-	if err := cl.Start(); err != nil {
-		return t, err
-	}
-	if err := capture(eng); err != nil {
+	if err != nil {
 		return t, err
 	}
 
 	// SHRIMP.
-	eng2 := observedEngine()
-	sys := shrimp.New(eng2, hw.DefaultSHRIMP(), 2, 16<<20)
+	shrimpCell := newCell("vrpc on shrimp")
+	sys := shrimp.New(shrimpCell.eng, hw.DefaultSHRIMP(), 2, 16<<20)
 	var shrimpRTT float64
-	eng2.Go("vrpc-shrimp", func(p *sim.Proc) {
+	err = shrimpCell.run("vrpc-shrimp", func(p *sim.Proc) error {
 		srv, err := rpc.NewShrimpServer(p, sys, 1)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		registerBenchProcs(srv)
 		srv.Start()
 		c, err := rpc.DialShrimp(p, sys, 0, 1)
 		if err != nil {
-			panic(err)
+			return err
 		}
-		shrimpRTT = nullRTT(p, 50, func(q *sim.Proc) error {
+		shrimpRTT, err = nullRTT(p, 50, func(q *sim.Proc) error {
 			return c.Call(q, benchProg, 1, 0, nil, nil)
 		})
+		return err
 	})
-	if err := eng2.Run(); err != nil {
-		return t, err
-	}
-	if err := capture(eng2); err != nil {
+	if err != nil {
 		return t, err
 	}
 
@@ -166,32 +161,32 @@ func registerBenchProcs(r registrar) {
 	})
 }
 
-func nullRTT(p *sim.Proc, iters int, call func(*sim.Proc) error) float64 {
+func nullRTT(p *sim.Proc, iters int, call func(*sim.Proc) error) (float64, error) {
 	if err := call(p); err != nil { // warm
-		panic(err)
+		return 0, err
 	}
 	start := p.Now()
 	for i := 0; i < iters; i++ {
 		if err := call(p); err != nil {
-			panic(err)
+			return 0, err
 		}
 	}
-	return (p.Now() - start).Micros() / float64(iters)
+	return (p.Now() - start).Micros() / float64(iters), nil
 }
 
-func echoBW(p *sim.Proc, iters, size int, call func(*sim.Proc, []byte) error) float64 {
+func echoBW(p *sim.Proc, iters, size int, call func(*sim.Proc, []byte) error) (float64, error) {
 	payload := make([]byte, size)
 	if err := call(p, payload); err != nil { // warm
-		panic(err)
+		return 0, err
 	}
 	start := p.Now()
 	for i := 0; i < iters; i++ {
 		if err := call(p, payload); err != nil {
-			panic(err)
+			return 0, err
 		}
 	}
 	perDir := (p.Now() - start).Seconds() / float64(2*iters)
-	return float64(size) / perDir / 1e6
+	return float64(size) / perDir / 1e6, nil
 }
 
 // TableShrimpComparison regenerates the Section 6 design-tradeoff
@@ -204,15 +199,15 @@ func TableShrimpComparison() (Table, error) {
 
 	// Myrinet side.
 	var myriLat, myriBW, myriInit float64
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) {
+	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		lat, err := pr.PingPongLatency(p, 4, 100)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		myriLat = lat
 		bw, err := pr.OneWayBandwidth(p, 1<<20, 20)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		myriBW = bw
 		// Send initiation on Myrinet: posting is cheap but the LCP must
@@ -220,52 +215,51 @@ func TableShrimpComparison() (Table, error) {
 		// async post cost is the host-visible part.
 		v, err := pr.SendOverhead(p, 4, 50, false)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		myriInit = v
+		return nil
 	})
 	if err != nil {
 		return t, err
 	}
 
 	// SHRIMP side.
-	eng := observedEngine()
-	sys := shrimp.New(eng, hw.DefaultSHRIMP(), 2, 16<<20)
+	cl := newCell("shrimp")
+	sys := shrimp.New(cl.eng, hw.DefaultSHRIMP(), 2, 16<<20)
 	var shLat, shBW, shInit float64
-	eng.Go("shrimp-bench", func(p *sim.Proc) {
+	err = cl.run("shrimp-bench", func(p *sim.Proc) error {
 		recv := sys.Nodes[1].NewProcess()
 		send := sys.Nodes[0].NewProcess()
 		buf, err := recv.Malloc(256 * mem.PageSize)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		if err := recv.Export(p, 1, buf, 256*mem.PageSize, nil); err != nil {
-			panic(err)
+			return err
 		}
 		dest, _, err := send.Import(p, 1, 1)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		lat, err := sys.OneWordLatency(p, send, dest)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		shLat = lat.Micros()
 		src, err := send.Malloc(256 * mem.PageSize)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		start := p.Now()
 		if err := send.SendDeliberate(p, src, dest, 256*mem.PageSize); err != nil {
-			panic(err)
+			return err
 		}
 		shBW = float64(256*mem.PageSize) / (p.Now() - start).Seconds() / 1e6
 		shInit = sys.InitiationOverhead().Micros()
+		return nil
 	})
-	if err := eng.Run(); err != nil {
-		return t, err
-	}
-	if err := capture(eng); err != nil {
+	if err != nil {
 		return t, err
 	}
 
@@ -289,17 +283,18 @@ func TableRelatedWork() (Table, error) {
 
 	// VMMC numbers.
 	var vmmcLat, vmmcBW float64
-	if err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) {
+	if err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		lat, err := pr.PingPongLatency(p, 4, 100)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		vmmcLat = lat
 		bw, err := pr.OneWayBandwidth(p, 1<<20, 20)
 		if err != nil {
-			panic(err)
+			return err
 		}
 		vmmcBW = bw
+		return nil
 	}); err != nil {
 		return t, err
 	}
@@ -331,17 +326,17 @@ func TableRelatedWork() (Table, error) {
 }
 
 func measureGMAPI() (lat, bw float64, err error) {
-	eng := observedEngine()
-	r, err := testbed.New(eng, hw.Default())
+	cl := newCell("myrinet api")
+	r, err := testbed.New(cl.eng, hw.Default())
 	if err != nil {
 		return 0, 0, err
 	}
-	sys := gmapi.New(eng, r)
-	eng.Go("gmapi-bench", func(p *sim.Proc) {
+	sys := gmapi.New(cl.eng, r)
+	err = cl.run("gmapi-bench", func(p *sim.Proc) error {
 		sys.Eps[0].Send(p, make([]byte, 4))
 		sys.Eps[1].Recv(p)
 		const iters = 20
-		eng.Go("echo", func(bp *sim.Proc) {
+		cl.eng.Go("echo", func(bp *sim.Proc) {
 			for i := 0; i < 2*iters; i++ {
 				m := sys.Eps[1].Recv(bp)
 				sys.Eps[1].Send(bp, m)
@@ -360,25 +355,23 @@ func measureGMAPI() (lat, bw float64, err error) {
 		}
 		oneWay := (p.Now() - start).Seconds() / float64(2*iters)
 		bw = float64(8<<10) / oneWay / 1e6
+		return nil
 	})
-	if err = eng.Run(); err != nil {
-		return lat, bw, err
-	}
-	return lat, bw, capture(eng)
+	return lat, bw, err
 }
 
 func measureFM() (lat, bw float64, err error) {
-	eng := observedEngine()
-	r, err := testbed.New(eng, hw.Default())
+	cl := newCell("fm")
+	r, err := testbed.New(cl.eng, hw.Default())
 	if err != nil {
 		return 0, 0, err
 	}
-	sys := fm.New(eng, r)
-	eng.Go("fm-bench", func(p *sim.Proc) {
+	sys := fm.New(cl.eng, r)
+	err = cl.run("fm-bench", func(p *sim.Proc) error {
 		sys.Eps[0].Send(p, make([]byte, 8))
 		sys.Eps[1].Extract(p, 1)
 		const iters = 30
-		eng.Go("echo", func(bp *sim.Proc) {
+		cl.eng.Go("echo", func(bp *sim.Proc) {
 			for i := 0; i < iters; i++ {
 				m := sys.Eps[1].Extract(bp, 1)
 				sys.Eps[1].Send(bp, m[0])
@@ -394,7 +387,7 @@ func measureFM() (lat, bw float64, err error) {
 		const count = 30
 		got := 0
 		var doneAt sim.Time
-		eng.Go("sink", func(bp *sim.Proc) {
+		cl.eng.Go("sink", func(bp *sim.Proc) {
 			for got < count {
 				got += len(sys.Eps[1].Extract(bp, 8))
 			}
@@ -408,31 +401,27 @@ func measureFM() (lat, bw float64, err error) {
 			p.Sleep(10 * sim.Microsecond)
 		}
 		bw = float64(count*8<<10) / (doneAt - start).Seconds() / 1e6
+		return nil
 	})
-	if err = eng.Run(); err != nil {
-		return lat, bw, err
-	}
-	return lat, bw, capture(eng)
+	return lat, bw, err
 }
 
 func measurePM() (lat, bw float64, err error) {
-	eng := observedEngine()
-	r, err := testbed.New(eng, hw.Default())
+	cl := newCell("pm")
+	r, err := testbed.New(cl.eng, hw.Default())
 	if err != nil {
 		return 0, 0, err
 	}
-	sys := pm.New(eng, r)
-	var runErr error
-	eng.Go("pm-bench", func(p *sim.Proc) {
+	sys := pm.New(cl.eng, r)
+	err = cl.run("pm-bench", func(p *sim.Proc) error {
 		ch, err := sys.OpenChannel(1)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		ch.Send(p, 0, make([]byte, 8), false)
 		ch.Recv(p, 1)
 		const iters = 30
-		eng.Go("echo", func(bp *sim.Proc) {
+		cl.eng.Go("echo", func(bp *sim.Proc) {
 			for i := 0; i < iters; i++ {
 				m := ch.Recv(bp, 1)
 				ch.Send(bp, 1, m, false)
@@ -448,7 +437,7 @@ func measurePM() (lat, bw float64, err error) {
 		const count = 10
 		recvd := 0
 		var doneAt sim.Time
-		eng.Go("sink", func(bp *sim.Proc) {
+		cl.eng.Go("sink", func(bp *sim.Proc) {
 			for recvd < count {
 				ch.Recv(bp, 1)
 				recvd++
@@ -458,20 +447,14 @@ func measurePM() (lat, bw float64, err error) {
 		start = p.Now()
 		for i := 0; i < count; i++ {
 			if err := ch.Send(p, 0, make([]byte, 256<<10), false); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		for doneAt == 0 {
 			p.Sleep(10 * sim.Microsecond)
 		}
 		bw = float64(count*256<<10) / (doneAt - start).Seconds() / 1e6
+		return nil
 	})
-	if err := eng.Run(); err != nil {
-		return 0, 0, err
-	}
-	if runErr != nil {
-		return lat, bw, runErr
-	}
-	return lat, bw, capture(eng)
+	return lat, bw, err
 }

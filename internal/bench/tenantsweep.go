@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -15,7 +16,8 @@ import (
 
 // TenantConfig parameterizes the tenantsweep experiment.
 type TenantConfig struct {
-	// Calls is the victim's vRPC count per cell. Zero selects 32.
+	// Calls is the victim's vRPC count per cell. Zero selects 32; a cell
+	// needs at least two (the crash cell kills the neighbor half way).
 	Calls int
 	// AggBytes is the aggressor's all-reduce payload. Zero selects 128 KB
 	// (the noisy-neighbor size from the issue).
@@ -66,6 +68,9 @@ type TenantResult struct {
 // BENCH_tenant.json artifact is a determinism witness; per-tenant
 // attribution rides in each cell's analysis report.
 func TenantSweep(cfg TenantConfig) (Table, error) {
+	if cfg.Calls < 0 || cfg.Calls == 1 {
+		return Table{}, fmt.Errorf("bench: tenantsweep: %w: %d victim calls per cell, want at least 2", errConfig, cfg.Calls)
+	}
 	if cfg.Calls == 0 {
 		cfg.Calls = 32
 	}
@@ -109,25 +114,9 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 		})
 	}
 
-	var (
-		results []TenantResult
-		reports []*analysis.Report
-	)
-	for _, cl := range cells {
-		caseCfg := cfg
-		if cl.rate != 0 {
-			caseCfg.AggRate = cl.rate
-		}
-		r, rep, err := doubleRun("tenantsweep", cl.name, func() (TenantResult, error) {
-			return runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
-		}, equal[TenantResult])
-		if err != nil {
-			return t, err
-		}
-		results = append(results, r)
-		reports = append(reports, rep)
-		t.Notes = append(t.Notes, analysisNote(cl.name, rep))
-		t.Rows = append(t.Rows, []string{
+	log := sweepLog[TenantResult]{sweep: "tenantsweep", same: equal[TenantResult], note: true, t: &t}
+	log.row = func(r TenantResult) []string {
+		return []string{
 			r.Case,
 			fmt.Sprintf("%d", r.Calls),
 			fmt.Sprintf("%.1f us", r.P50.Micros()),
@@ -137,7 +126,18 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 			fmt.Sprintf("%d", r.Throttles),
 			fmt.Sprintf("%.1f us", r.Throttled.Micros()),
 			fmt.Sprintf("%d", r.Preempts),
-		})
+		}
+	}
+	for _, cl := range cells {
+		caseCfg := cfg
+		if cl.rate != 0 {
+			caseCfg.AggRate = cl.rate
+		}
+		if err := log.record(cl.name, true, func() (TenantResult, *analysis.Report, error) {
+			return runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
+		}); err != nil {
+			return t, err
+		}
 	}
 
 	// The acceptance property: QoS must bound the victim's tail. A shared
@@ -146,7 +146,7 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 	// floor.
 	var off, on TenantResult
 	var sweep []TenantResult
-	for _, r := range results {
+	for _, r := range log.results {
 		switch {
 		case r.Case == "shared qos=off":
 			off = r
@@ -183,29 +183,24 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 		}
 	}
 
-	return t, writeTenantJSON(cfg, results, reports)
+	return t, writeTenantJSON(cfg, log.results, log.reports)
 }
 
 // runTenantCase boots a two-node reliable cluster, admits the victim
 // (and optionally the aggressor) through the tenant manager, runs the
 // workloads, and distills the victim's latency distribution.
-func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (TenantResult, error) {
-	eng := observedEngine()
-	c, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: 2, MemBytes: 16 << 20, Reliable: true})
-	if err != nil {
-		return TenantResult{}, err
-	}
-	mgr := tenant.NewManager(c)
-	mgr.SetQoS(qos)
-
+func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (TenantResult, *analysis.Report, error) {
 	res := TenantResult{Case: name, QoS: qos}
 	if aggressor {
 		res.Rate = cfg.AggRate
 	}
-	var runErr error
 	var latencies []sim.Time
 
-	c.Go("tenantsweep", func(p *sim.Proc) {
+	cl := newCell("tenantsweep " + name)
+	c, err := cl.cluster(vmmc.Options{Nodes: 2, MemBytes: 16 << 20, Reliable: true}, "tenantsweep", func(p *sim.Proc, c *vmmc.Cluster) error {
+		mgr := tenant.NewManager(c)
+		mgr.SetQoS(qos)
+
 		// Two tenants per node means partitioned budgets: two full-size
 		// TLB carves do not fit one board's SRAM.
 		small := vmmc.ProcLimits{SendQueueEntries: 8, TLBEntries: 256}
@@ -214,27 +209,26 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 		var aggOps int64
 		stop := false
 		aggDone := 0
-		aggCond := sim.NewCond(eng)
+		aggCond := sim.NewCond(cl.eng)
 		if aggressor {
+			var err error
 			agg, err = mgr.Admit(p, tenant.Spec{
 				Name: "bulk", Nodes: []int{0, 1}, Limits: small,
 				LinkBytesPerSec: cfg.AggRate, LinkBurstBytes: 16 << 10,
 			})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			// Default credit depth (2×16 KB): the ring algorithms split
 			// oversized rounds into credit-window sub-rounds, so the 64 KB
 			// per-round block at n=2 no longer needs a deepened pipeline.
 			comms, err := coll.Build(p, agg.Procs, coll.Options{})
 			if err != nil {
-				runErr = err
-				return
+				return err
 			}
 			for r := range comms {
 				r := r
-				w := eng.Go(fmt.Sprintf("bulk-rank%d", r), func(rp *sim.Proc) {
+				w := cl.eng.Go(fmt.Sprintf("bulk-rank%d", r), func(rp *sim.Proc) {
 					defer func() { aggDone++; aggCond.Broadcast() }()
 					cm := comms[r]
 					in := collVector(cfg.AggBytes, r)
@@ -252,8 +246,8 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 							flag[0] = 1
 						}
 						if err := cm.AllReduce(rp, coll.EncodeInt32s(flag), fout, coll.OpMax, coll.Int32, coll.Tree); err != nil {
-							if agg.State() == tenant.Admitted && runErr == nil {
-								runErr = fmt.Errorf("bench: tenantsweep %s: aggressor rank %d: %w", name, r, err)
+							if agg.State() == tenant.Admitted {
+								cl.done(fmt.Errorf("aggressor rank %d: %w", r, err))
 							}
 							return
 						}
@@ -263,8 +257,8 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 						if err := cm.AllReduce(rp, in, out, coll.OpSum, coll.Int32, coll.Ring); err != nil {
 							// Expected only after a kill (the crash cell);
 							// anywhere else it is a real failure.
-							if agg.State() == tenant.Admitted && runErr == nil {
-								runErr = fmt.Errorf("bench: tenantsweep %s: aggressor rank %d: %w", name, r, err)
+							if agg.State() == tenant.Admitted {
+								cl.done(fmt.Errorf("aggressor rank %d: %w", r, err))
 							}
 							return
 						}
@@ -281,13 +275,11 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 			Name: "victim", Nodes: []int{0, 1}, Limits: small,
 		})
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		srv, err := rpc.NewServer(p, victim.Procs[1], 1)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		srv.Register(1, 1, 1, func(sp *sim.Proc, args *xdr.Decoder, results *xdr.Encoder) uint32 {
 			v, err := args.Uint32()
@@ -300,8 +292,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 		srv.Start()
 		cli, err := rpc.Dial(p, victim.Procs[0], 1, 0)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 
 		// Warmup calls populate the TLBs and pin the RPC windows so the
@@ -322,8 +313,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 				return nil
 			})
 			if callErr != nil {
-				runErr = fmt.Errorf("bench: tenantsweep %s: call %d: %w", name, i, callErr)
-				return
+				return fmt.Errorf("call %d: %w", i, callErr)
 			}
 			if i < warmup {
 				continue
@@ -332,8 +322,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 			if crash && i-warmup == cfg.Calls/2-1 {
 				// The neighbor crashes mid-run; the victim must not notice.
 				if err := mgr.Kill("bulk"); err != nil {
-					runErr = err
-					return
+					return err
 				}
 				res.Crashed = true
 			}
@@ -350,9 +339,8 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 				if ls := c.Nodes[id].Board.LinkScheduler(); ls != nil {
 					n, d := ls.ClassStats(agg.Class)
 					if n != ls.Throttles || d != ls.ThrottledTime {
-						runErr = fmt.Errorf("bench: tenantsweep %s: node %d pacer attribution leak: class (%d, %v) vs total (%d, %v)",
-							name, id, n, d, ls.Throttles, ls.ThrottledTime)
-						return
+						return fmt.Errorf("node %d pacer attribution leak: class (%d, %v) vs total (%d, %v)",
+							id, n, d, ls.Throttles, ls.ThrottledTime)
 					}
 					res.Throttles += n
 					res.Throttled += d
@@ -373,22 +361,16 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 		rerrs := victim.Procs[1].Errors()
 		res.VictimErrs = verrs.SendFailures + verrs.ImportFailures +
 			rerrs.SendFailures + rerrs.ImportFailures
+		if res.VictimErrs != 0 {
+			return fmt.Errorf("victim surfaced %d errors, want 0", res.VictimErrs)
+		}
+		if crash && !res.Crashed {
+			return errors.New("crash cell never killed the aggressor")
+		}
+		return nil
 	})
-	if err := c.Start(); err != nil {
-		return TenantResult{}, err
-	}
-	if runErr != nil {
-		return TenantResult{}, runErr
-	}
-	if err := capture(eng); err != nil {
-		return TenantResult{}, err
-	}
-	if res.VictimErrs != 0 {
-		return TenantResult{}, fmt.Errorf("bench: tenantsweep %s: victim surfaced %d errors, want 0",
-			name, res.VictimErrs)
-	}
-	if crash && !res.Crashed {
-		return TenantResult{}, fmt.Errorf("bench: tenantsweep %s: crash cell never killed the aggressor", name)
+	if err != nil {
+		return TenantResult{}, nil, err
 	}
 
 	res.Calls = len(latencies)
@@ -401,7 +383,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 		st := c.Nodes[i].LCP.Stats()
 		res.Preempts += st.ShortPreempts
 	}
-	return res, nil
+	return res, cl.rep, nil
 }
 
 // writeTenantJSON emits the noisy-neighbor artifact: per-cell victim

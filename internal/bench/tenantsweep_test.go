@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,5 +56,18 @@ func TestTenantSweepSmall(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Fatal("BENCH_tenant.json not byte-identical across sweeps")
+	}
+}
+
+// TestTenantSweepRejectsBadCalls: the call count arrives from the
+// -tenant-calls flag, so the sweep itself refuses what no cell can run —
+// a negative count, or one call (the crash cell kills its neighbor half
+// way through the victim's calls) — before running anything.
+func TestTenantSweepRejectsBadCalls(t *testing.T) {
+	for _, calls := range []int{-3, 1} {
+		_, err := TenantSweep(TenantConfig{Calls: calls})
+		if !errors.Is(err, errConfig) || !strings.Contains(err.Error(), "victim calls per cell") {
+			t.Errorf("Calls=%d: err = %v, want a configuration error naming the victim's call count", calls, err)
+		}
 	}
 }

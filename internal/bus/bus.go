@@ -57,9 +57,8 @@ type DMAEngine struct {
 	lastProfile hw.DMAProfile
 	haveLast    bool
 
-	transfers   int64
-	bytes       int64
-	turnarounds int64
+	transfers int64
+	bytes     int64
 
 	// Observability: occupancy in the metrics registry plus per-transfer
 	// counters; spans are emitted into the engine's trace collector.
@@ -96,9 +95,6 @@ func NewDMAEngine(eng *sim.Engine, name string, profile hw.DMAProfile, b *Bus) *
 // Profile returns the engine's cost profile.
 func (d *DMAEngine) Profile() hw.DMAProfile { return d.profile }
 
-// SetProfile replaces the cost profile (used by ablation benchmarks).
-func (d *DMAEngine) SetProfile(p hw.DMAProfile) { d.profile = p }
-
 // Transfer charges p for moving n bytes through the engine: it waits for
 // the engine to be free, then for the bus (if any), and holds both for the
 // profile's cost. The caller performs the actual byte copy around this
@@ -128,7 +124,6 @@ func (d *DMAEngine) TransferWith(p *sim.Proc, n int, prof hw.DMAProfile) {
 	defer d.res.Release(p)
 	if d.haveLast && d.lastProfile != prof && d.turnaround > 0 {
 		cost += d.turnaround
-		d.turnarounds++
 		d.mTurnarounds.Add(1)
 		d.eng.TraceInstant(d.comp, "dma", "turnaround")
 	}
@@ -170,6 +165,3 @@ func (d *DMAEngine) Busy() bool { return d.res.Busy() }
 
 // Stats reports the number of transfers and total bytes moved.
 func (d *DMAEngine) Stats() (transfers, bytes int64) { return d.transfers, d.bytes }
-
-// Turnarounds reports how many direction switches the engine has paid.
-func (d *DMAEngine) Turnarounds() int64 { return d.turnarounds }

@@ -70,7 +70,6 @@ func (b *Bus) Send(p *sim.Proc, from, to int, kind string, body any) {
 	if b.faults.DropMessage() {
 		b.dropped++
 		b.mDrops.Add(1)
-		b.eng.Tracef("ether: dropped %s %d->%d", kind, from, to)
 		return
 	}
 	m := Message{From: from, To: to, Kind: kind, Body: body}

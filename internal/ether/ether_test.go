@@ -1,8 +1,10 @@
 package ether
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/sim"
 )
 
@@ -81,5 +83,72 @@ func TestRegisterIdempotent(t *testing.T) {
 	b := New(e, sim.Millisecond)
 	if b.Register(3) != b.Register(3) {
 		t.Error("Register returned different mailboxes for same node")
+	}
+}
+
+// jitterDelays sends n well-spaced datagrams over a bus whose fault plan
+// (seeded with seed) has the given Ethernet jitter, and returns each
+// datagram's delivery delay beyond the bus latency, in send order.
+func jitterDelays(t *testing.T, seed uint64, jitter sim.Time, n int) []sim.Time {
+	t.Helper()
+	e := sim.NewEngine()
+	b := New(e, sim.Millisecond)
+	pl := fault.NewPlan(e, seed)
+	if jitter > 0 {
+		pl.SetEtherJitter(jitter)
+	}
+	b.SetFaults(pl)
+	box := b.Register(1)
+	sent := make([]sim.Time, n)
+	extra := make([]sim.Time, n)
+	e.Go("recv", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			m := box.Get(p)
+			extra[m.Body.(int)] = p.Now() - sim.Millisecond
+		}
+	})
+	e.Go("send", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			b.Send(p, 0, 1, "d", i)
+			sent[i] = p.Now() // Send returns at the instant it schedules the delivery
+			p.Sleep(10 * sim.Millisecond)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range extra {
+		extra[i] -= sent[i]
+	}
+	return extra
+}
+
+// TestEtherJitter pins fault.Plan.SetEtherJitter at the layer that
+// consumes it: each daemon datagram is delayed by a seed-determined
+// extra amount in [0, max), and a plan with no jitter set adds none.
+func TestEtherJitter(t *testing.T) {
+	const (
+		n   = 32
+		max = 4 * sim.Millisecond
+	)
+	delays := jitterDelays(t, 0xE7E2, max, n)
+	for i, d := range delays {
+		if d < 0 || d >= max {
+			t.Errorf("datagram %d: extra delay %v outside [0, %v)", i, d, max)
+		}
+	}
+	if slices.Max(delays) == slices.Min(delays) {
+		t.Errorf("all %d datagrams were delayed by %v: jitter drew no randomness", n, delays[0])
+	}
+	if again := jitterDelays(t, 0xE7E2, max, n); !slices.Equal(delays, again) {
+		t.Errorf("same seed, different delays:\n%v\n%v", delays, again)
+	}
+	if other := jitterDelays(t, 0xE7E3, max, n); slices.Equal(delays, other) {
+		t.Error("a different seed drew the same delays")
+	}
+	for i, d := range jitterDelays(t, 0xE7E2, 0, n) {
+		if d != 0 {
+			t.Errorf("no jitter set: datagram %d delayed by an extra %v", i, d)
+		}
 	}
 }

@@ -41,9 +41,6 @@ type Board struct {
 	// linksched is the optional per-class link bandwidth pacer
 	// (linksched.go); nil until ConfigureLinkClass installs a budget.
 	linksched *LinkScheduler
-	// onUnreachable fires when the reliability layer exhausts a
-	// destination's retransmit budget; the route identifies the peer.
-	onUnreachable func(route []byte)
 	// rawFilter, when set, sees every arriving packet before the
 	// reliability layer; returning true consumes the packet. The vmmc
 	// self-healing layer uses it for mapping probes and replies, which are
@@ -81,9 +78,6 @@ func NewBoard(eng *sim.Engine, prof hw.Profile, nic *myrinet.NIC, hostMem *mem.P
 	b.mInterrupts = eng.Metrics().Counter(comp + "/interrupts")
 	return b
 }
-
-// HostMem returns the node's physical memory the board DMAs against.
-func (b *Board) HostMem() *mem.Physical { return b.hostMem }
 
 // SetInterruptHandler registers the host-side (driver) interrupt handler.
 func (b *Board) SetInterruptHandler(fn func(cause any)) { b.intr = fn }
@@ -232,10 +226,6 @@ func (b *Board) SendFrameCharged(p *sim.Proc, route []byte, frame []byte, class 
 	b.NIC.SendOwned(p, route, frame)
 	return nil
 }
-
-// SetUnreachableHandler registers the callback invoked when the
-// reliability layer declares a destination unreachable.
-func (b *Board) SetUnreachableHandler(fn func(route []byte)) { b.onUnreachable = fn }
 
 // SetRawFilter registers a tap consulted on every arriving packet, after
 // the receive DMA is charged but before the reliability layer. Returning

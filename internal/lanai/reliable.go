@@ -466,9 +466,6 @@ func (rl *ReliableLink) declareUnreachable(st *txState) {
 	rl.mUnreachable.Add(1)
 	rl.board.Eng.TraceInstant(fmt.Sprintf("lanai%d", rl.board.NIC.ID), "rl", "peer_unreachable")
 	rl.windowFree.Broadcast()
-	if rl.board.onUnreachable != nil {
-		rl.board.onUnreachable(st.route)
-	}
 }
 
 // dropState removes a window and every route alias pointing at it.

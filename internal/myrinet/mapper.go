@@ -366,9 +366,6 @@ func (m *Mapping) Wait(p *sim.Proc) {
 	}
 }
 
-// Done reports whether mapping has completed.
-func (m *Mapping) Done() bool { return m.done }
-
 // Tables returns the per-node route tables. It panics if mapping has not
 // completed — run the engine first.
 func (m *Mapping) Tables() map[int]RouteTable {

@@ -71,9 +71,6 @@ type Switch struct {
 	ports []endpoint
 }
 
-// Ports returns the switch's port count.
-func (s *Switch) Ports() int { return len(s.ports) }
-
 // NIC is a network attachment point: one full-duplex link into the fabric,
 // a serializing injection resource, and a receive queue drained by whatever
 // control program owns the interface.
@@ -270,9 +267,6 @@ func (n *Network) InjectBitError(k int) { n.corruptNext += k }
 // deliveries drop and count; the cluster uses this for node crashes.
 func (nic *NIC) SetDown(down bool) { nic.down = down }
 
-// Down reports whether the NIC is marked dead.
-func (nic *NIC) Down() bool { return nic.down }
-
 // Dropped reports how many packets died in the fabric (invalid routes and
 // dead links alike), and the last drop's reason.
 func (n *Network) Dropped() (int64, string) { return n.dropped, n.lastDrop }
@@ -410,7 +404,6 @@ func (n *Network) drop(nic *NIC, reason string) {
 	n.dropped++
 	n.lastDrop = reason
 	n.mDrops.Add(1)
-	n.eng.Tracef("myrinet: packet from NIC %d dropped: %s", nic.ID, reason)
 	n.eng.TraceInstant(fmt.Sprintf("nic%d", nic.ID), "net", "packet_dropped: "+reason)
 }
 

@@ -32,9 +32,6 @@ type applyQueue struct {
 	cond   *sim.Cond
 }
 
-// Backlog reports the queued (not yet applied) update count (tests).
-func (q *applyQueue) Backlog() int { return len(q.items) }
-
 // ApplyBacklog sums the queued follower updates for shard g (tests).
 func (t *Tier) ApplyBacklog(g int) int {
 	total := 0

@@ -156,7 +156,6 @@ type Engine struct {
 	seq     uint64
 	procs   map[*Proc]struct{} // live (spawned, not finished) processes, for checkStall and Parked
 	stopped bool
-	trace   func(t Time, format string, args ...any)
 
 	// The baton. Exactly one goroutine at a time runs the simulation: the
 	// Run/RunUntil/Step caller, or a process's. Whoever holds the baton
@@ -228,19 +227,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// SetTrace installs a trace sink invoked by Tracef. A nil sink disables
-// tracing.
-func (e *Engine) SetTrace(fn func(t Time, format string, args ...any)) {
-	e.trace = fn
-}
-
-// Tracef emits a trace line at the current virtual time if tracing is on.
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.trace != nil {
-		e.trace(e.now, format, args...)
-	}
-}
 
 // Trace returns the engine's structured trace collector. It is disabled by
 // default; call Trace().Enable to start recording typed events.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -23,23 +22,6 @@ func TestParkedIntrospection(t *testing.T) {
 	if got := e.Parked(); len(got) != 0 {
 		t.Errorf("Parked() after completion = %v", got)
 	}
-}
-
-func TestTraceSink(t *testing.T) {
-	e := NewEngine()
-	var lines []string
-	e.SetTrace(func(tm Time, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%v: ", tm)+fmt.Sprintf(format, args...))
-	})
-	e.At(5, func() { e.Tracef("event %d", 1) })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 1 || !strings.Contains(lines[0], "event 1") {
-		t.Errorf("trace = %v", lines)
-	}
-	e.SetTrace(nil)
-	e.Tracef("dropped") // must not panic
 }
 
 func TestDaemonProcsDoNotDeadlock(t *testing.T) {

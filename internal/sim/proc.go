@@ -216,8 +216,3 @@ func (p *Proc) Kill() {
 	p.eng.pollOwe(p)
 	p.eng.postWake(0, p)
 }
-
-// Tracef emits an engine trace line tagged with the process name.
-func (p *Proc) Tracef(format string, args ...any) {
-	p.eng.Tracef("["+p.name+"] "+format, args...)
-}

@@ -127,9 +127,6 @@ func (r *Resource) Use(p *Proc, d Time) {
 // Busy reports whether the resource is currently held.
 func (r *Resource) Busy() bool { return r.holder != nil }
 
-// QueueLen reports the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) - r.qhead }
-
 // Utilization reports the fraction of virtual time the resource has been
 // held, up to the current time.
 func (r *Resource) Utilization() float64 {

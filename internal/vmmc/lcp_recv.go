@@ -67,13 +67,11 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 	// messages and the range must stay inside the exported extent.
 	if err := l.incoming.check(hdr.Addr1, len1); err != nil {
 		l.protViolation(eng)
-		eng.Tracef("lcp%d: dropped packet: %v", l.node.ID, err)
 		return
 	}
 	if len2 > 0 {
 		if err := l.incoming.check(hdr.Addr2, len2); err != nil {
 			l.protViolation(eng)
-			eng.Tracef("lcp%d: dropped packet: %v", l.node.ID, err)
 			return
 		}
 	}
