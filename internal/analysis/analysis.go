@@ -45,54 +45,40 @@ type Config struct {
 	// Caps are the capacity constants achieved rates and SRAM occupancy
 	// are normalized against. The zero value selects hw.Default().
 	Caps hw.Capacities
-	// TopK is how many resources the report's ranking highlights
-	// (default 3). The report always carries every class; TopK only
-	// drives the verdict and table formatting.
-	TopK int
-	// InitialBucketNS is the starting virtual-time bucket width for
-	// peak-window utilization (default 8192 ns). Buckets fold-double
-	// whenever the run outgrows MaxBuckets of them, so memory stays
-	// bounded for any run length.
-	InitialBucketNS int64
-	// MaxBuckets bounds the bucket array (default 1024).
-	MaxBuckets int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Caps.SRAMBytes == 0 {
-		c.Caps = hw.Default().Capacities()
-	}
-	if c.TopK <= 0 {
-		c.TopK = 3
-	}
-	if c.InitialBucketNS <= 0 {
-		c.InitialBucketNS = 8192
-	}
-	if c.MaxBuckets <= 0 {
-		c.MaxBuckets = 1024
-	}
-	return c
-}
+const (
+	// topK is how many resources the report's ranking highlights. The
+	// report always carries every class; topK only drives the verdict and
+	// table formatting.
+	topK = 3
+	// initialBucketNS is the starting virtual-time bucket width for
+	// peak-window utilization. Buckets fold-double whenever the run
+	// outgrows maxBuckets of them, so memory stays bounded for any run
+	// length.
+	initialBucketNS = 8192
+	maxBuckets      = 1024
+)
 
 // Analyzer consumes trace events and accumulates per-resource busy,
 // wait and occupancy statistics. Attach it with
 // Engine.Trace().Subscribe(a); call Finalize once the run is over.
 // An Analyzer is single-run: build a fresh one per experiment.
 type Analyzer struct {
-	cfg      Config
-	comps    map[string]*compState // nil entry = classified as untracked
-	classes  map[string]*classState
-	occs     map[string]*occState
-	phases   []phaseMark
-	buckets  bucketSet
-	tenants  map[string]*tenantState
-	serves   map[string]*tenantState
-	replicas map[string]*tenantState
+	cfg     Config
+	comps   map[string]*compState // nil entry = classified as untracked
+	classes map[string]*classState
+	occs    map[string]*occState
+	phases  []phaseMark
+	buckets bucketSet
+	// attr holds the attribution buckets by category ("tenant", "serve",
+	// "replica"), then by bare name.
+	attr map[string]map[string]*tenantState
 }
 
-// tenantState accumulates one tenant's attribution: lifecycle instant
-// counts and the last sample of each usage counter, both category
-// "tenant" on a "tenant/<name>" component (emitted by internal/tenant).
+// tenantState accumulates one attribution bucket: lifecycle instant counts
+// and the last sample of each usage counter, both in the bucket's category
+// on a "<category>/<name>" component.
 type tenantState struct {
 	events   map[string]int64
 	counters map[string]float64
@@ -154,14 +140,17 @@ type occState struct {
 
 // NewAnalyzer returns an analyzer ready to Subscribe.
 func NewAnalyzer(cfg Config) *Analyzer {
-	cfg = cfg.withDefaults()
+	if cfg.Caps.SRAMBytes == 0 {
+		cfg.Caps = hw.Default().Capacities()
+	}
 	return &Analyzer{
 		cfg:     cfg,
 		comps:   make(map[string]*compState),
 		classes: make(map[string]*classState),
 		occs:    make(map[string]*occState),
 		phases:  []phaseMark{{name: "run", startNS: 0}},
-		buckets: newBucketSet(cfg.InitialBucketNS, cfg.MaxBuckets),
+		buckets: newBucketSet(initialBucketNS, maxBuckets),
+		attr:    make(map[string]map[string]*tenantState),
 	}
 }
 
@@ -228,70 +217,34 @@ func (a *Analyzer) Consume(ev trace.Event) {
 			if ev.Name == "window_occupancy" {
 				a.occ(ev.Component, "rl").sample(ev.T, ev.Value)
 			}
-		case "tenant":
-			a.tenant(ev.Component).counters[ev.Name] = ev.Value
-		case "serve":
-			a.serve(ev.Component).counters[ev.Name] = ev.Value
-		case "replica":
-			a.replica(ev.Component).counters[ev.Name] = ev.Value
+		case "tenant", "serve", "replica":
+			a.attribution(ev.Category, ev.Component).counters[ev.Name] = ev.Value
 		}
 	case trace.PhaseInstant:
 		switch ev.Category {
 		case "phase":
 			a.beginPhase(ev.Name, ev.T)
-		case "tenant":
-			a.tenant(ev.Component).events[ev.Name]++
-		case "serve":
-			a.serve(ev.Component).events[ev.Name]++
-		case "replica":
-			a.replica(ev.Component).events[ev.Name]++
+		case "tenant", "serve", "replica":
+			a.attribution(ev.Category, ev.Component).events[ev.Name]++
 		}
 	}
 }
 
-// tenant returns the attribution bucket for a "tenant/<name>" component,
-// keyed by the bare tenant name.
-func (a *Analyzer) tenant(comp string) *tenantState {
-	name := strings.TrimPrefix(comp, "tenant/")
-	if a.tenants == nil {
-		a.tenants = make(map[string]*tenantState)
+// attribution returns the bucket for a "<category>/<name>" component,
+// keyed by the bare name: a tenant (emitted by internal/tenant), a serving
+// shard (internal/serve), or a replica (names look like "s2r1": shard 2,
+// replica 1; internal/replica's EmitUsage).
+func (a *Analyzer) attribution(category, comp string) *tenantState {
+	byName := a.attr[category]
+	if byName == nil {
+		byName = make(map[string]*tenantState)
+		a.attr[category] = byName
 	}
-	ts, ok := a.tenants[name]
+	name := strings.TrimPrefix(strings.TrimPrefix(comp, category), "/")
+	ts, ok := byName[name]
 	if !ok {
 		ts = &tenantState{events: make(map[string]int64), counters: make(map[string]float64)}
-		a.tenants[name] = ts
-	}
-	return ts
-}
-
-// serve returns the attribution bucket for a "serve/<shard>" component,
-// keyed by the bare shard name — the serving tier's counterpart of the
-// tenant buckets (emitted by internal/serve).
-func (a *Analyzer) serve(comp string) *tenantState {
-	name := strings.TrimPrefix(comp, "serve/")
-	if a.serves == nil {
-		a.serves = make(map[string]*tenantState)
-	}
-	ts, ok := a.serves[name]
-	if !ok {
-		ts = &tenantState{events: make(map[string]int64), counters: make(map[string]float64)}
-		a.serves[name] = ts
-	}
-	return ts
-}
-
-// replica returns the attribution bucket for a "replica/<name>"
-// component (names look like "s2r1": shard 2, replica 1), keyed by the
-// bare name — emitted by internal/replica's EmitUsage.
-func (a *Analyzer) replica(comp string) *tenantState {
-	name := strings.TrimPrefix(comp, "replica/")
-	if a.replicas == nil {
-		a.replicas = make(map[string]*tenantState)
-	}
-	ts, ok := a.replicas[name]
-	if !ok {
-		ts = &tenantState{events: make(map[string]int64), counters: make(map[string]float64)}
-		a.replicas[name] = ts
+		byName[name] = ts
 	}
 	return ts
 }
@@ -517,7 +470,7 @@ func (a *Analyzer) Finalize(now int64, snap trace.Snapshot) *Report {
 	rep := &Report{
 		WindowNS: now,
 		BucketNS: a.buckets.widthNS,
-		TopK:     a.cfg.TopK,
+		TopK:     topK,
 	}
 	for i, ph := range a.phases {
 		end := now
@@ -640,9 +593,9 @@ func (a *Analyzer) Finalize(now int64, snap trace.Snapshot) *Report {
 		rep.Occupancies = append(rep.Occupancies, *os)
 	}
 
-	rep.Tenants = collectAttr(a.tenants)
-	rep.Serve = collectAttr(a.serves)
-	rep.Replica = collectAttr(a.replicas)
+	rep.Tenants = collectAttr(a.attr["tenant"])
+	rep.Serve = collectAttr(a.attr["serve"])
+	rep.Replica = collectAttr(a.attr["replica"])
 
 	rep.Verdict = rep.verdict()
 	return rep

@@ -167,7 +167,6 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, error) {
 	cl := newCell(fmt.Sprintf("scalesweep %d nodes", nodes))
 	eng := cl.eng
-	eng.ObserveScheduler()
 
 	// Each node exports one page per sender (tag = sender ID); importers
 	// map exactly one page per peer, staying far inside the 2048-entry

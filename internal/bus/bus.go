@@ -95,24 +95,11 @@ func NewDMAEngine(eng *sim.Engine, name string, profile hw.DMAProfile, b *Bus) *
 // Profile returns the engine's cost profile.
 func (d *DMAEngine) Profile() hw.DMAProfile { return d.profile }
 
-// Transfer charges p for moving n bytes through the engine: it waits for
-// the engine to be free, then for the bus (if any), and holds both for the
-// profile's cost. The caller performs the actual byte copy around this
-// call; Transfer accounts only for time.
-func (d *DMAEngine) Transfer(p *sim.Proc, n int) {
-	cost := d.profile.Cost(n)
-	d.res.Acquire(p)
-	// Deferred so a kill-unwind mid-transfer frees the engine.
-	defer d.res.Release(p)
-	d.eng.TraceBegin(d.comp, "dma", "transfer")
-	if d.bus != nil {
-		d.bus.Use(p, cost)
-	} else {
-		p.Sleep(cost)
-	}
-	d.eng.TraceEnd(d.comp, "dma", "transfer")
-	d.account(n)
-}
+// Transfer charges p for moving n bytes through the engine at the engine's
+// own cost profile: it waits for the engine to be free, then for the bus
+// (if any), and holds both for the profile's cost. The caller performs the
+// actual byte copy around this call; Transfer accounts only for time.
+func (d *DMAEngine) Transfer(p *sim.Proc, n int) { d.TransferWith(p, n, d.profile) }
 
 // TransferWith is Transfer with an explicit cost profile, for engines whose
 // cost depends on direction — the LANai's single host-DMA engine masters
@@ -121,6 +108,7 @@ func (d *DMAEngine) Transfer(p *sim.Proc, n int) {
 func (d *DMAEngine) TransferWith(p *sim.Proc, n int, prof hw.DMAProfile) {
 	cost := prof.Cost(n)
 	d.res.Acquire(p)
+	// Deferred so a kill-unwind mid-transfer frees the engine.
 	defer d.res.Release(p)
 	if d.haveLast && d.lastProfile != prof && d.turnaround > 0 {
 		cost += d.turnaround
@@ -145,19 +133,6 @@ func (d *DMAEngine) account(n int) {
 	d.bytes += int64(n)
 	d.mTransfers.Add(1)
 	d.mBytes.Add(int64(n))
-}
-
-// TransferAsync starts a transfer that completes in the background,
-// invoking done (in event context) when the engine finishes. It still
-// serializes on the engine and bus. Use for modeling overlap, e.g. the
-// send-side pipeline posting host DMA while preparing the next header.
-func (d *DMAEngine) TransferAsync(n int, done func()) {
-	d.eng.Go(d.comp+":async", func(p *sim.Proc) {
-		d.Transfer(p, n)
-		if done != nil {
-			done()
-		}
-	})
 }
 
 // Busy reports whether a transfer is in progress.

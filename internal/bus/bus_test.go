@@ -101,24 +101,3 @@ func TestDMAEngineContendsForBus(t *testing.T) {
 		t.Errorf("bus utilization = %v, want ~1.0", u)
 	}
 }
-
-func TestTransferAsyncOverlapsCaller(t *testing.T) {
-	e := sim.NewEngine()
-	d := NewDMAEngine(e, "h2l", hw.DMAProfile{Setup: 0, Rate: 100e6}, nil)
-	var asyncDone sim.Time
-	var callerResumed sim.Time
-	e.Go("caller", func(p *sim.Proc) {
-		d.TransferAsync(1000, func() { asyncDone = e.Now() })
-		callerResumed = p.Now()
-		p.Sleep(2 * sim.Microsecond) // caller works while DMA runs
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if callerResumed != 0 {
-		t.Errorf("TransferAsync blocked the caller until %v", callerResumed)
-	}
-	if asyncDone != 10*sim.Microsecond {
-		t.Errorf("async completion at %v, want 10us", asyncDone)
-	}
-}

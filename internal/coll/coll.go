@@ -58,9 +58,6 @@ type Options struct {
 	// SlotBytes is the payload slot size, the unit large messages are
 	// chunked into (default 16 KB, rounded up to whole pages).
 	SlotBytes int
-	// Model overrides the algorithm-selection cost model (default:
-	// derived from the first rank's hardware profile).
-	Model *CostModel
 }
 
 func (o Options) withDefaults() Options {
@@ -187,12 +184,7 @@ func Build(p *sim.Proc, procs []*vmmc.Process, opts Options) ([]*Comm, error) {
 	}
 	opts = opts.withDefaults()
 	eng := procs[0].Node.Eng
-	g := &group{n: n, opts: opts, m: newMetrics(eng.Metrics())}
-	if opts.Model != nil {
-		g.model = *opts.Model
-	} else {
-		g.model = ModelFromProfile(procs[0].Node.Prof)
-	}
+	g := &group{n: n, opts: opts, m: newMetrics(eng.Metrics()), model: ModelFromProfile(procs[0].Node.Prof)}
 
 	comms := make([]*Comm, n)
 	for r, proc := range procs {

@@ -5,7 +5,9 @@
 package coll
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/xdr"
 )
@@ -120,46 +122,47 @@ func lookupOp(op Op, dt DType) (CombineFunc, error) {
 	return fn, nil
 }
 
+// The built-in folds work on the encoded vectors in place: an XDR int32 or
+// float64 is a big-endian word, so there is nothing to decode into.
+
 func combineInt32(f func(a, b int32) int32) CombineFunc {
 	return func(dst, src []byte) error {
-		a, err := DecodeInt32s(dst)
-		if err != nil {
+		if err := checkVectors(dst, src, 4); err != nil {
 			return err
 		}
-		b, err := DecodeInt32s(src)
-		if err != nil {
-			return err
+		for i := 0; i < len(dst); i += 4 {
+			a := int32(binary.BigEndian.Uint32(dst[i:]))
+			b := int32(binary.BigEndian.Uint32(src[i:]))
+			binary.BigEndian.PutUint32(dst[i:], uint32(f(a, b)))
 		}
-		if len(a) != len(b) {
-			return fmt.Errorf("coll: combine length mismatch: %d vs %d elements", len(a), len(b))
-		}
-		for i := range a {
-			a[i] = f(a[i], b[i])
-		}
-		copy(dst, EncodeInt32s(a))
 		return nil
 	}
 }
 
 func combineFloat64(f func(a, b float64) float64) CombineFunc {
 	return func(dst, src []byte) error {
-		a, err := DecodeFloat64s(dst)
-		if err != nil {
+		if err := checkVectors(dst, src, 8); err != nil {
 			return err
 		}
-		b, err := DecodeFloat64s(src)
-		if err != nil {
-			return err
+		for i := 0; i < len(dst); i += 8 {
+			a := math.Float64frombits(binary.BigEndian.Uint64(dst[i:]))
+			b := math.Float64frombits(binary.BigEndian.Uint64(src[i:]))
+			binary.BigEndian.PutUint64(dst[i:], math.Float64bits(f(a, b)))
 		}
-		if len(a) != len(b) {
-			return fmt.Errorf("coll: combine length mismatch: %d vs %d elements", len(a), len(b))
-		}
-		for i := range a {
-			a[i] = f(a[i], b[i])
-		}
-		copy(dst, EncodeFloat64s(a))
 		return nil
 	}
+}
+
+// checkVectors validates two encoded vectors of esz-byte elements for an
+// element-wise fold.
+func checkVectors(dst, src []byte, esz int) error {
+	if len(dst)%esz != 0 {
+		return fmt.Errorf("coll: vector length %d not a multiple of %d", len(dst), esz)
+	}
+	if len(dst) != len(src) {
+		return fmt.Errorf("coll: combine length mismatch: %d vs %d bytes", len(dst), len(src))
+	}
+	return nil
 }
 
 // EncodeInt32s XDR-encodes a vector of int32 (no length prefix: the

@@ -71,50 +71,56 @@ func (c *Comm) bcastChain(p *simProc, buf []byte, root int) error {
 	return nil
 }
 
+// ringStep is one round of a ring algorithm: send goes to the right
+// neighbor while recv fills from the left one. Blocks larger than the
+// credit window are exchanged in interleaved sub-rounds (see pipeBytes); a
+// block that fits is sent whole and then received. Either block may be
+// empty (fewer elements than ranks), skipped by sender and receiver alike.
+// fold, when set, is handed each piece of recv as it lands, with its offset
+// in the block.
+func (c *Comm) ringStep(p *simProc, align int, send, recv []byte, fold func(off int, piece []byte) error) error {
+	right := (c.rank + 1) % c.g.n
+	left := mod(c.rank-1, c.g.n)
+	pipe := c.pipeBytes(align)
+	for so := 0; so < len(send) || so < len(recv); so += pipe {
+		if so < len(send) {
+			if err := c.sendPayload(p, right, send[so:min(so+pipe, len(send))]); err != nil {
+				return err
+			}
+		}
+		if so < len(recv) {
+			piece := recv[so:min(so+pipe, len(recv))]
+			if err := c.recvPayload(p, left, piece); err != nil {
+				return err
+			}
+			if fold != nil {
+				if err := fold(so, piece); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // reduceScatterRing runs the n-1 reduce-scatter rounds of the ring
 // algorithm over acc: in round t, each rank sends block (rank-t) to its
 // right neighbor and folds the arriving block (rank-t-1) from its left
 // neighbor into acc. Afterwards rank r holds the fully reduced block
-// (r+1) mod n. Empty blocks (fewer elements than ranks) are skipped by
-// sender and receiver alike.
+// (r+1) mod n.
 func (c *Comm) reduceScatterRing(p *simProc, op Op, dt DType, acc []byte) error {
 	n := c.g.n
 	esz := dt.Size()
-	right := (c.rank + 1) % n
-	left := mod(c.rank-1, n)
 	tmp := make([]byte, len(acc))
 	for t := 0; t < n-1; t++ {
-		sb := mod(c.rank-t, n)
-		rb := mod(c.rank-t-1, n)
-		soff, slen := blockRange(len(acc), esz, n, sb)
-		roff, rlen := blockRange(len(acc), esz, n, rb)
+		soff, slen := blockRange(len(acc), esz, n, mod(c.rank-t, n))
+		roff, rlen := blockRange(len(acc), esz, n, mod(c.rank-t-1, n))
 		c.step("allreduce_ring_rs")
-		// Blocks larger than the credit window are exchanged in interleaved
-		// sub-rounds (see pipeBytes); a block that fits runs the legacy
-		// send-whole-block-then-receive sequence unchanged.
-		pipe := c.pipeBytes(esz)
-		for so := 0; so < slen || so < rlen; so += pipe {
-			if so < slen {
-				sn := slen - so
-				if sn > pipe {
-					sn = pipe
-				}
-				if err := c.sendPayload(p, right, acc[soff+so:soff+so+sn]); err != nil {
-					return err
-				}
-			}
-			if so < rlen {
-				rn := rlen - so
-				if rn > pipe {
-					rn = pipe
-				}
-				if err := c.recvPayload(p, left, tmp[roff+so:roff+so+rn]); err != nil {
-					return err
-				}
-				if err := c.combine(p, op, dt, acc[roff+so:roff+so+rn], tmp[roff+so:roff+so+rn]); err != nil {
-					return err
-				}
-			}
+		err := c.ringStep(p, esz, acc[soff:soff+slen], tmp[roff:roff+rlen], func(off int, piece []byte) error {
+			return c.combine(p, op, dt, acc[roff+off:roff+off+len(piece)], piece)
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -125,37 +131,15 @@ func (c *Comm) reduceScatterRing(p *simProc, op Op, dt DType, acc []byte) error 
 func (c *Comm) allReduceRing(p *simProc, op Op, dt DType, acc []byte) error {
 	n := c.g.n
 	esz := dt.Size()
-	right := (c.rank + 1) % n
-	left := mod(c.rank-1, n)
 	if err := c.reduceScatterRing(p, op, dt, acc); err != nil {
 		return err
 	}
 	for t := 0; t < n-1; t++ {
-		sb := mod(c.rank+1-t, n)
-		rb := mod(c.rank-t, n)
-		soff, slen := blockRange(len(acc), esz, n, sb)
-		roff, rlen := blockRange(len(acc), esz, n, rb)
+		soff, slen := blockRange(len(acc), esz, n, mod(c.rank+1-t, n))
+		roff, rlen := blockRange(len(acc), esz, n, mod(c.rank-t, n))
 		c.step("allreduce_ring_ag")
-		pipe := c.pipeBytes(esz)
-		for so := 0; so < slen || so < rlen; so += pipe {
-			if so < slen {
-				sn := slen - so
-				if sn > pipe {
-					sn = pipe
-				}
-				if err := c.sendPayload(p, right, acc[soff+so:soff+so+sn]); err != nil {
-					return err
-				}
-			}
-			if so < rlen {
-				rn := rlen - so
-				if rn > pipe {
-					rn = pipe
-				}
-				if err := c.recvPayload(p, left, acc[roff+so:roff+so+rn]); err != nil {
-					return err
-				}
-			}
+		if err := c.ringStep(p, esz, acc[soff:soff+slen], acc[roff:roff+rlen], nil); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -202,25 +186,13 @@ func (c *Comm) reduceRing(p *simProc, op Op, dt DType, acc []byte, root int) err
 func (c *Comm) allGatherRing(p *simProc, in, out []byte) error {
 	n := c.g.n
 	blk := len(in)
-	right := (c.rank + 1) % n
-	left := mod(c.rank-1, n)
 	copy(out[c.rank*blk:], in)
 	for t := 0; t < n-1; t++ {
 		sb := mod(c.rank-t, n)
 		rb := mod(c.rank-t-1, n)
 		c.step("allgather_ring")
-		pipe := c.pipeBytes(1)
-		for so := 0; so < blk; so += pipe {
-			sn := blk - so
-			if sn > pipe {
-				sn = pipe
-			}
-			if err := c.sendPayload(p, right, out[sb*blk+so:sb*blk+so+sn]); err != nil {
-				return err
-			}
-			if err := c.recvPayload(p, left, out[rb*blk+so:rb*blk+so+sn]); err != nil {
-				return err
-			}
+		if err := c.ringStep(p, 1, out[sb*blk:(sb+1)*blk], out[rb*blk:(rb+1)*blk], nil); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -145,9 +145,7 @@ func (pl *Plan) SetLinkBER(nic int, ber float64) {
 	pl.link(nic).ber = ber
 }
 
-// CorruptNextOn corrupts the next k packets injected on NIC nic's link —
-// the per-link replacement for the deprecated global
-// myrinet.Network.InjectBitError.
+// CorruptNextOn corrupts the next k packets injected on NIC nic's link.
 func (pl *Plan) CorruptNextOn(nic, k int) { pl.link(nic).burstTX += k }
 
 // LinkOutage schedules the cable attached to NIC nic to be dead during

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/bus"
+	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/myrinet"
@@ -333,7 +334,9 @@ func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
 		}
 	})
 	e.Go("a:tx", func(p *sim.Proc) {
-		net.InjectBitError(1)
+		pl := fault.NewPlan(e, 1)
+		net.SetFaults(pl)
+		pl.CorruptNextOn(a.NIC.ID, 1)
 		frame := append(a.NewFrame(len(payload)), payload...)
 		if err := a.SendFrameClass(p, []byte{1}, frame, 0); err != nil {
 			t.Error(err)

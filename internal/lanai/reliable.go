@@ -387,6 +387,14 @@ func (rl *ReliableLink) rto(st *txState) sim.Time {
 	return t
 }
 
+// stopTimer cancels the window's retransmit timer, if one is armed.
+func (st *txState) stopTimer() {
+	if st.timer != nil {
+		st.timer.Cancel()
+		st.timer = nil
+	}
+}
+
 func (rl *ReliableLink) armTimer(st *txState) {
 	if st.timer != nil || len(st.unacked) == 0 || st.dead || st.suspended {
 		return
@@ -441,10 +449,7 @@ func (rl *ReliableLink) retransmit(st *txState) {
 func (rl *ReliableLink) suspend(st *txState) {
 	st.suspended = true
 	st.retries = 0
-	if st.timer != nil {
-		st.timer.Cancel()
-		st.timer = nil
-	}
+	st.stopTimer()
 	rl.Suspends++
 	rl.board.Eng.TraceInstant(fmt.Sprintf("lanai%d", rl.board.NIC.ID), "rl", "window_suspended")
 }
@@ -453,23 +458,25 @@ func (rl *ReliableLink) suspend(st *txState) {
 // discarded (a post-repair send restarts at sequence zero) and every
 // sender parked on the full window wakes up to fail.
 func (rl *ReliableLink) declareUnreachable(st *txState) {
-	st.dead = true
-	st.suspended = false
-	st.unacked = nil
+	rl.kill(st)
 	rl.emitWindowOccupancy(st)
-	if st.timer != nil {
-		st.timer.Cancel()
-		st.timer = nil
-	}
-	rl.dropState(st)
 	rl.Unreachables++
 	rl.mUnreachable.Add(1)
 	rl.board.Eng.TraceInstant(fmt.Sprintf("lanai%d", rl.board.NIC.ID), "rl", "peer_unreachable")
 	rl.windowFree.Broadcast()
 }
 
-// dropState removes a window and every route alias pointing at it.
-func (rl *ReliableLink) dropState(st *txState) {
+// kill discards one transmit window, whatever the reason — retransmit
+// budget exhausted, board reset, peer restart, class teardown: its packets
+// drop, its timer stops, and the window and every route alias pointing at
+// it are forgotten, so a later send starts a fresh conversation at sequence
+// zero. Senders parked on the window read it as dead once the caller
+// broadcasts windowFree.
+func (rl *ReliableLink) kill(st *txState) {
+	st.dead = true
+	st.suspended = false
+	st.unacked = nil
+	st.stopTimer()
 	delete(rl.tx, st.key)
 	for k, v := range rl.routeKey {
 		if v == st.key {
@@ -529,17 +536,9 @@ func (rl *ReliableLink) sampleRTT(st *txState, rtt sim.Time) {
 // sequencing — as a crashed-and-restarted node's board does. Parked
 // senders are woken (their windows read as dead).
 func (rl *ReliableLink) Reset() {
-	for key, st := range rl.tx {
-		st.dead = true
-		st.suspended = false
-		st.unacked = nil
-		if st.timer != nil {
-			st.timer.Cancel()
-			st.timer = nil
-		}
-		delete(rl.tx, key)
+	for _, st := range rl.tx {
+		rl.kill(st)
 	}
-	rl.routeKey = make(map[int]int)
 	rl.rxExpected = make(map[rxKey]uint32)
 	for k := range rl.rxAckPending {
 		rl.cancelDelayedAck(k)
@@ -555,14 +554,7 @@ func (rl *ReliableLink) Reset() {
 func (rl *ReliableLink) ResetPeer(route []byte, nic int) {
 	if sts := rl.statesFor(route); len(sts) > 0 {
 		for _, st := range sts {
-			st.dead = true
-			st.suspended = false
-			st.unacked = nil
-			if st.timer != nil {
-				st.timer.Cancel()
-				st.timer = nil
-			}
-			rl.dropState(st)
+			rl.kill(st)
 		}
 		rl.windowFree.Broadcast()
 	}
@@ -601,17 +593,23 @@ func (rl *ReliableLink) DropClass(class int) {
 	}
 	sort.Slice(doomed, func(i, j int) bool { return doomed[i].key < doomed[j].key })
 	for _, st := range doomed {
-		st.dead = true
-		st.suspended = false
-		st.unacked = nil
-		if st.timer != nil {
-			st.timer.Cancel()
-			st.timer = nil
-		}
-		rl.dropState(st)
+		rl.kill(st)
 	}
 	rl.board.Eng.TraceInstant(rl.comp, "rl", fmt.Sprintf("class_dropped:%d", class))
 	rl.windowFree.Broadcast()
+}
+
+// Unacked reports how many packets the transmit windows of one traffic
+// class hold for retransmission — the class's share of the retransmit
+// buffers, which a teardown of its owner must return.
+func (rl *ReliableLink) Unacked(class int) int {
+	n := 0
+	for _, st := range rl.tx {
+		if st.class == class {
+			n += len(st.unacked)
+		}
+	}
+	return n
 }
 
 // SetStallHandler registers the heal hook consulted when a destination's

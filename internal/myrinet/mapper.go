@@ -52,96 +52,62 @@ func decodeMapMsg(b []byte) (typ byte, seq uint32, nicID uint32, ok bool) {
 
 // Mapping is an in-progress or finished network-mapping run.
 type Mapping struct {
-	eng    *sim.Engine
-	net    *Network
 	tables map[int]RouteTable
 	done   bool
 	cond   *sim.Cond
-	err    error
 }
 
-type mapReplyMsg struct {
-	seq       uint32
-	responder int
-	ingress   []byte
-}
-
-// StartMapping boots the mapping LCP on every NIC of the network and
-// probes breadth-first from each node up to maxDepth switch hops. It
-// returns immediately; the run completes as the simulation executes. Use
-// Wait from a process, or run the engine and then call Tables.
-func StartMapping(net *Network, maxDepth int, probeTimeout sim.Time) *Mapping {
-	m := &Mapping{
-		eng:    net.Engine(),
-		net:    net,
-		tables: make(map[int]RouteTable),
-		cond:   sim.NewCond(net.Engine()),
-	}
-
-	replies := sim.NewQueue[mapReplyMsg](m.eng, "map:replies")
-	nics := net.NICs()
-
-	// Mapping responders: every NIC answers probes and funnels replies to
-	// the coordinator. They are killed once mapping finishes, freeing the
-	// RX queues for the VMMC LCP (§4.3: "replaces the mapping LCP").
-	responders := make([]*sim.Proc, len(nics))
-	for _, nic := range nics {
-		nic := nic
-		responders[nic.ID] = m.eng.Go(fmt.Sprintf("maplcp:%d", nic.ID), func(p *sim.Proc) {
+// bootMapping loads the mapping LCP on every NIC of the network — a
+// process feeding its receive queue to Remap.HandlePacket, which answers
+// probes and funnels replies to the coordinator — and runs round as that
+// coordinator. The responders are killed once the round returns, freeing
+// the RX queues for the VMMC LCP (§4.3: "replaces the mapping LCP"). It
+// returns immediately; the run completes as the simulation executes.
+func bootMapping(net *Network, round func(p *sim.Proc, r *Remap) map[int]RouteTable) *Mapping {
+	eng := net.Engine()
+	m := &Mapping{cond: sim.NewCond(eng)}
+	r := NewRemap(net)
+	var responders []*sim.Proc
+	for _, nic := range net.NICs() {
+		responders = append(responders, eng.Go(fmt.Sprintf("maplcp:%d", nic.ID), func(p *sim.Proc) {
 			for {
-				pk := nic.RX.Get(p)
-				typ, seq, id, ok := decodeMapMsg(pk.Payload)
-				if !ok || !pk.CheckCRC() {
-					continue
-				}
-				switch typ {
-				case mapProbe:
-					reply := encodeMapMsg(mapReply, seq, uint32(nic.ID))
-					nic.Send(p, ReverseRoute(pk.Ingress), reply)
-				case mapReply:
-					replies.Put(mapReplyMsg{seq: seq, responder: int(id), ingress: pk.Ingress})
-				}
+				r.HandlePacket(p, nic, nic.RX.Get(p))
 			}
-		})
+		}))
 	}
-
-	m.eng.Go("map:coordinator", func(p *sim.Proc) {
+	eng.Go("map:coordinator", func(p *sim.Proc) {
 		defer func() {
-			for _, r := range responders {
-				r.Kill()
+			for _, rp := range responders {
+				rp.Kill()
 			}
 			m.done = true
 			m.cond.Broadcast()
 		}()
-		var seq uint32
-		for _, nic := range nics {
+		m.tables = round(p, r)
+	})
+	return m
+}
+
+// StartMapping probes breadth-first from each node in turn, up to maxDepth
+// switch hops: the exhaustive mapper, which assumes nothing about the
+// wiring and costs a number of probes exponential in the depth. Use Wait
+// from a process, or run the engine and then call Tables.
+func StartMapping(net *Network, maxDepth int, probeTimeout sim.Time) *Mapping {
+	return bootMapping(net, func(p *sim.Proc, r *Remap) map[int]RouteTable {
+		tables := make(map[int]RouteTable)
+		for _, nic := range net.NICs() {
 			table := RouteTable{}
-			reverse := map[int][]byte{} // responder -> route back to prober
 			// Breadth-first candidate routes. The empty route covers a
 			// direct NIC-to-NIC cable.
 			frontier := [][]byte{{}}
 			for depth := 0; depth <= maxDepth && len(frontier) > 0; depth++ {
 				var next [][]byte
 				for _, route := range frontier {
-					seq++
-					nic.Send(p, route, encodeMapMsg(mapProbe, seq, uint32(nic.ID)))
-					found := false
-					for {
-						r, ok := replies.GetTimeout(p, probeTimeout)
-						if !ok {
-							break
+					if reply, ok := r.probe(p, nic, route, probeTimeout); ok {
+						if _, dup := table[reply.responder]; !dup {
+							table[reply.responder] = append([]byte(nil), route...)
 						}
-						if r.seq != seq {
-							continue // stale reply from a timed-out probe
-						}
-						if _, dup := table[r.responder]; !dup {
-							table[r.responder] = append([]byte(nil), route...)
-							reverse[r.responder] = ReverseRoute(r.ingress)
-						}
-						found = true
-						break
-					}
-					if !found && depth < maxDepth {
+					} else if depth < maxDepth {
 						// Possibly a switch behind this prefix: extend.
 						for port := 0; port < 8; port++ {
 							ext := make([]byte, len(route)+1)
@@ -153,18 +119,19 @@ func StartMapping(net *Network, maxDepth int, probeTimeout sim.Time) *Mapping {
 				}
 				frontier = next
 			}
-			m.tables[nic.ID] = table
+			tables[nic.ID] = table
 		}
+		return tables
 	})
-	return m
 }
 
 // StartMappingCentral maps the fabric from a single host and computes
 // every node's route table from the discovered tree — the way deployed
 // Myrinet mapping worked: one mapper host explores, then distributes
-// routes. The prober still learns only what probe packets tell it, but
-// two prunings keep the search linear in the fabric size where the
-// per-node prober of StartMapping is exponential:
+// routes. It is one Remap.Probe round from the first NIC, run at boot. The
+// prober still learns only what probe packets tell it, but two prunings
+// keep the search linear in the fabric size where the per-node prober of
+// StartMapping is exponential:
 //
 //   - switch fingerprinting: the 8-port reply pattern of a switch with at
 //     least one attached host identifies it uniquely (host NIC ids are
@@ -185,89 +152,19 @@ func StartMapping(net *Network, maxDepth int, probeTimeout sim.Time) *Mapping {
 // route i->j climbs i's reply route to the divergence switch and descends
 // j's probe route: R(i)[:len(P(i))-1-c] + P(j)[c:].
 func StartMappingCentral(net *Network, maxDepth int, probeTimeout sim.Time) *Mapping {
-	m := &Mapping{
-		eng:    net.Engine(),
-		net:    net,
-		tables: make(map[int]RouteTable),
-		cond:   sim.NewCond(net.Engine()),
-	}
-
-	replies := sim.NewQueue[mapReplyMsg](m.eng, "map:replies")
-	nics := net.NICs()
-	if len(nics) == 0 {
-		m.done = true
-		return m
-	}
-
-	responders := make([]*sim.Proc, len(nics))
-	for _, nic := range nics {
-		nic := nic
-		responders[nic.ID] = m.eng.Go(fmt.Sprintf("maplcp:%d", nic.ID), func(p *sim.Proc) {
-			for {
-				pk := nic.RX.Get(p)
-				typ, seq, id, ok := decodeMapMsg(pk.Payload)
-				if !ok || !pk.CheckCRC() {
-					continue
-				}
-				switch typ {
-				case mapProbe:
-					reply := encodeMapMsg(mapReply, seq, uint32(nic.ID))
-					nic.Send(p, ReverseRoute(pk.Ingress), reply)
-				case mapReply:
-					// The reply's route field IS the responder->prober
-					// route (the reversed probe ingress it was sent on).
-					replies.Put(mapReplyMsg{seq: seq, responder: int(id), ingress: pk.Route})
-				}
-			}
-		})
-	}
-
-	prober := nics[0]
-	m.eng.Go("map:coordinator", func(p *sim.Proc) {
-		defer func() {
-			for _, r := range responders {
-				r.Kill()
-			}
-			m.done = true
-			m.cond.Broadcast()
-		}()
-
-		forward := map[int][]byte{} // host -> probe route from prober
-		back := map[int][]byte{}    // host -> reply route to prober
-		var seq uint32
-		// probe sends one candidate route and waits for its reply or the
-		// timeout. It reports the responder, recording first-seen routes.
-		probe := func(route []byte) (int, bool) {
-			seq++
-			prober.Send(p, route, encodeMapMsg(mapProbe, seq, uint32(prober.ID)))
-			for {
-				r, ok := replies.GetTimeout(p, probeTimeout)
-				if !ok {
-					return 0, false
-				}
-				if r.seq != seq {
-					continue // stale reply from a timed-out probe
-				}
-				if _, dup := forward[r.responder]; !dup {
-					forward[r.responder] = append([]byte(nil), route...)
-					back[r.responder] = append([]byte(nil), r.ingress...)
-				}
-				return r.responder, true
-			}
+	return bootMapping(net, func(p *sim.Proc, r *Remap) map[int]RouteTable {
+		if len(net.NICs()) == 0 {
+			return nil
 		}
-
-		centralExplore(probe, maxDepth)
-		m.tables = composeCentralTables(prober.ID, forward, back)
+		return r.Probe(p, net.NICs()[0], maxDepth, probeTimeout)
 	})
-	return m
 }
 
 // centralExplore drives one central mapping round: a direct-cable check
 // followed by the BFS over switch-port prefixes with fingerprint dedup and
 // the silent cutoff. probe sends one candidate route and reports the
 // responding host (recording routes is the caller's business, via the
-// closure). Shared by the boot-time StartMappingCentral and the post-boot
-// Remap service.
+// closure).
 func centralExplore(probe func(route []byte) (int, bool), maxDepth int) {
 	if _, direct := probe(nil); direct {
 		return

@@ -1,6 +1,7 @@
 package myrinet
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/hw"
@@ -103,5 +104,85 @@ func TestCentralMappingDirectCable(t *testing.T) {
 	}
 	if r, ok := tables[b.ID][a.ID]; !ok || len(r) != 0 {
 		t.Errorf("b->a route = %v,%v, want empty route", r, ok)
+	}
+}
+
+// buildDiamond wires two edge switches, each hosting half the nodes,
+// cross-connected through two hostless spine switches — the redundant
+// fabric the self-healing layer fails over on.
+func buildDiamond(t *testing.T, e *sim.Engine, hosts int) *Network {
+	t.Helper()
+	n := New(e, hw.Default())
+	edge0, edge1, spineA, spineB := n.AddSwitch(8), n.AddSwitch(8), n.AddSwitch(8), n.AddSwitch(8)
+	for _, c := range []struct {
+		a  *Switch
+		ap int
+		b  *Switch
+		bp int
+	}{{edge0, 6, spineA, 0}, {edge0, 7, spineB, 0}, {edge1, 6, spineA, 1}, {edge1, 7, spineB, 1}} {
+		if err := n.ConnectSwitches(c.a, c.ap, c.b, c.bp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < hosts; i++ {
+		sw, port := edge0, i
+		if i >= hosts/2 {
+			sw, port = edge1, i-hosts/2
+		}
+		if err := n.AttachNIC(n.AddNIC(), sw, port); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// TestCentralMappingIsOneRemapRound pins what lets the boot mapper and the
+// post-boot remap service share their code: the tables StartMappingCentral
+// hands the VMMC LCPs are exactly those a Remap.Probe round from the first
+// NIC computes on the same fabric with live responders, and both finish at
+// the same virtual time.
+func TestCentralMappingIsOneRemapRound(t *testing.T) {
+	timeout := 20*sim.Microsecond + sim.Time(16)*hw.Default().SwitchLatency
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T, e *sim.Engine) *Network
+	}{
+		{"6-switch chain", func(t *testing.T, e *sim.Engine) *Network { return buildChain(t, e, 6, 34) }},
+		{"diamond", func(t *testing.T, e *sim.Engine) *Network { return buildDiamond(t, e, 8) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			m := StartMappingCentral(tc.build(t, e), 8, timeout)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+
+			e2 := sim.NewEngine()
+			n := tc.build(t, e2)
+			r := NewRemap(n)
+			for _, nic := range n.NICs() {
+				e2.Go("responder", func(p *sim.Proc) {
+					p.SetDaemon(true)
+					for {
+						r.HandlePacket(p, nic, nic.RX.Get(p))
+					}
+				})
+			}
+			var probed map[int]RouteTable
+			e2.Go("prober", func(p *sim.Proc) { probed = r.Probe(p, n.NICs()[0], 8, timeout) })
+			if err := e2.Run(); err != nil {
+				t.Fatal(err)
+			}
+
+			if len(probed) != len(n.NICs()) {
+				t.Fatalf("probe round mapped %d hosts of %d", len(probed), len(n.NICs()))
+			}
+			if !reflect.DeepEqual(m.Tables(), probed) {
+				t.Errorf("boot tables differ from a Remap.Probe round's:\n%v\n%v", m.Tables(), probed)
+			}
+			if e.Now() != e2.Now() {
+				t.Errorf("boot mapping ended at %v, the probe round at %v", e.Now(), e2.Now())
+			}
+		})
 	}
 }

@@ -108,10 +108,9 @@ type Network struct {
 	switches []*Switch
 	nics     []*NIC
 
-	dropped     int64
-	routeDrops  int64
-	lastDrop    string
-	corruptNext int // pending bit-error injections (deprecated shim)
+	dropped    int64
+	routeDrops int64
+	lastDrop   string
 
 	faults      *fault.Plan
 	mDrops      *trace.Counter
@@ -253,16 +252,6 @@ func (n *Network) ConnectSwitches(a *Switch, ap int, b *Switch, bp int) error {
 	return nil
 }
 
-// InjectBitError corrupts the payload of the next k injected packets after
-// their CRC is computed, so the receiver's CRC check fails (§4.2: errors
-// are detected but not recovered).
-//
-// Deprecated: the counter is global — it corrupts whichever NIC injects
-// next, acks and probes included. Attach a fault.Plan with SetFaults and
-// use Plan.CorruptNextOn (per link) or Plan.SetLinkBER (rate-based)
-// instead. The shim remains so existing tests keep their exact semantics.
-func (n *Network) InjectBitError(k int) { n.corruptNext += k }
-
 // SetDown marks the NIC dead or alive. A dead NIC's injections and
 // deliveries drop and count; the cluster uses this for node crashes.
 func (nic *NIC) SetDown(down bool) { nic.down = down }
@@ -340,15 +329,10 @@ func (nic *NIC) inject(p *sim.Proc, pk *Packet) {
 
 	n := nic.net
 	wire := wireBytes(pk)
-	// Bit errors on the injecting end of the cable: the deprecated global
-	// burst first (exact legacy semantics), then the per-link fault plan.
-	if len(pk.Payload) > 0 {
-		if n.corruptNext > 0 {
-			n.corruptNext--
-			pk.corrupt(len(pk.Payload)/2, 0x10)
-		} else if n.faults.CorruptWire(nic.ID, wire, true) {
-			pk.corrupt(len(pk.Payload)/2, 0x10)
-		}
+	// Bit errors on the injecting end of the cable (§4.2: detected by the
+	// receiver's CRC check, not recovered).
+	if len(pk.Payload) > 0 && n.faults.CorruptWire(nic.ID, wire, true) {
+		pk.corrupt(len(pk.Payload)/2, 0x10)
 	}
 
 	cost := n.prof.LinkFlitCost +

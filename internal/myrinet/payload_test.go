@@ -72,7 +72,6 @@ func TestBitErrorLeavesSendersBufferIntact(t *testing.T) {
 			n.SetFaults(pl)
 			pl.CorruptNextOn(nic.ID, 1)
 		}},
-		{"legacy shim", func(n *Network, nic *NIC) { n.InjectBitError(1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, n := star4(t)

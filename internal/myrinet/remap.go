@@ -1,16 +1,15 @@
 package myrinet
 
-import (
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Remap is the post-boot incarnation of the network mapper — a deliberate
 // extension beyond the paper, whose tables are static after boot (§4.3).
-// Where StartMappingCentral runs dedicated mapping LCPs that the VMMC LCP
-// replaces, Remap shares the live control programs: every node's receive
-// path passes raw packets through HandlePacket (answering probes and
-// funneling replies), and a coordinator — the vmmc self-healing layer —
-// calls Probe to run one central mapping round on demand.
+// At boot (mapper.go) dedicated mapping LCPs feed HandlePacket and the VMMC
+// LCP then replaces them; afterwards Remap shares the live control
+// programs: every node's receive path passes raw packets through
+// HandlePacket (answering probes and funneling replies), and a coordinator
+// — the vmmc self-healing layer — calls Probe to run one central mapping
+// round on demand.
 //
 // Alternate-route discovery needs no extra machinery: probes crossing a
 // dead link or switch draw no reply, so the BFS simply never records the
@@ -52,39 +51,51 @@ func (r *Remap) HandlePacket(p *sim.Proc, nic *NIC, pk *Packet) bool {
 	case mapReply:
 		// The reply's route field IS the responder->prober route (the
 		// reversed probe ingress it was sent on).
-		r.replies.Put(mapReplyMsg{seq: seq, responder: int(id), ingress: pk.Route})
+		r.replies.Put(mapReplyMsg{seq: seq, responder: int(id), back: pk.Route})
 	}
 	return true
 }
 
+// mapReplyMsg is a probe's answer as the coordinator sees it: back is the
+// route from the responder to the prober.
+type mapReplyMsg struct {
+	seq       uint32
+	responder int
+	back      []byte
+}
+
+// probe sends one candidate route from prober and waits for its reply or
+// the timeout. The sequence counter is shared across rounds, so stale
+// replies from an earlier probe that timed out are discarded, not mistaken
+// for answers.
+func (r *Remap) probe(p *sim.Proc, prober *NIC, route []byte, timeout sim.Time) (mapReplyMsg, bool) {
+	r.seq++
+	prober.Send(p, route, encodeMapMsg(mapProbe, r.seq, uint32(prober.ID)))
+	for {
+		reply, ok := r.replies.GetTimeout(p, timeout)
+		if !ok || reply.seq == r.seq {
+			return reply, ok
+		}
+		// A stale reply from a timed-out probe: keep waiting.
+	}
+}
+
 // Probe runs one central mapping round from prober and returns fresh
 // pairwise route tables covering every host that answered. It blocks p for
-// the round's duration (every silent prefix costs one probeTimeout). The
-// sequence counter is shared across rounds, so stale replies from an
-// earlier round's timed-out probes are discarded, not mistaken for
-// answers.
+// the round's duration (every silent prefix costs one probeTimeout).
 func (r *Remap) Probe(p *sim.Proc, prober *NIC, maxDepth int, probeTimeout sim.Time) map[int]RouteTable {
 	forward := map[int][]byte{} // host -> probe route from prober
 	back := map[int][]byte{}    // host -> reply route to prober
-	probe := func(route []byte) (int, bool) {
-		r.seq++
-		seq := r.seq
-		prober.Send(p, route, encodeMapMsg(mapProbe, seq, uint32(prober.ID)))
-		for {
-			reply, ok := r.replies.GetTimeout(p, probeTimeout)
-			if !ok {
-				return 0, false
-			}
-			if reply.seq != seq {
-				continue // stale reply from a timed-out probe
-			}
-			if _, dup := forward[reply.responder]; !dup {
-				forward[reply.responder] = append([]byte(nil), route...)
-				back[reply.responder] = append([]byte(nil), reply.ingress...)
-			}
-			return reply.responder, true
+	centralExplore(func(route []byte) (int, bool) {
+		reply, ok := r.probe(p, prober, route, probeTimeout)
+		if !ok {
+			return 0, false
 		}
-	}
-	centralExplore(probe, maxDepth)
+		if _, dup := forward[reply.responder]; !dup {
+			forward[reply.responder] = append([]byte(nil), route...)
+			back[reply.responder] = append([]byte(nil), reply.back...)
+		}
+		return reply.responder, true
+	}, maxDepth)
 	return composeCentralTables(prober.ID, forward, back)
 }

@@ -161,74 +161,3 @@ func TestVRPCHintsOnRejection(t *testing.T) {
 		}
 	})
 }
-
-// TestVRPCReplyGraceConfig: ReplyGrace is per-connection via
-// ClientConfig. A custom grace moves the timeout edge exactly there
-// (not the package default), the dirtied connection still drains its
-// stale reply on the next call, and a grace generous enough to hear
-// the server's verdict converts the timeout into the typed rejection.
-func TestVRPCReplyGraceConfig(t *testing.T) {
-	const service = 200 * sim.Microsecond
-	twoClientSetup(t, service, func(p *sim.Proc, eng *sim.Engine, a, b *Client, srv *Server) {
-		grace := sim.Micros(100)
-		b.SetConfig(ClientConfig{ReplyGrace: grace})
-
-		occupied := 0
-		occupy := func() {
-			occupied++
-			eng.Go("occupier", func(ap *sim.Proc) {
-				defer func() { occupied-- }()
-				if err := a.Call(ap, progTest, versTest, procSlow, nil, nil); err != nil {
-					t.Error(err)
-				}
-			})
-			p.Sleep(sim.Micros(60))
-		}
-
-		// Phase 1: the 100 us grace is still far shorter than the 200 us
-		// occupancy — the call times out, but at deadline+100 us, not at
-		// the package default's deadline+25 us.
-		occupy()
-		deadline := p.Now() + sim.Micros(50)
-		err := b.CallDeadline(p, deadline, progTest, versTest, procNull, nil, nil)
-		if !errors.Is(err, ErrRPCTimeout) {
-			t.Fatalf("call err = %v, want ErrRPCTimeout", err)
-		}
-		if now := p.Now(); now < deadline+grace || now > deadline+grace+sim.Micros(10) {
-			t.Errorf("timeout fired at %v, want within 10 us of deadline+grace %v", now, deadline+grace)
-		}
-		if b.Stale() != 1 {
-			t.Fatalf("stale = %d, want 1", b.Stale())
-		}
-
-		// The dirty connection drains the late reply and recovers.
-		var sum int32
-		err = b.CallDeadline(p, p.Now()+2*sim.Millisecond, progTest, versTest, procAdd,
-			func(e *xdr.Encoder) { e.PutInt32(40); e.PutInt32(2) },
-			func(d *xdr.Decoder) error { v, err := d.Int32(); sum = v; return err })
-		if err != nil || sum != 42 {
-			t.Fatalf("post-timeout call err=%v sum=%d", err, sum)
-		}
-		if b.Stale() != 0 {
-			t.Errorf("stale = %d after drain, want 0", b.Stale())
-		}
-		for occupied > 0 {
-			p.Sleep(sim.Micros(50))
-		}
-
-		// Phase 2: a grace that outlasts the occupancy hears the server's
-		// typed verdict — no timeout, no stale reply to drain.
-		b.SetConfig(ClientConfig{ReplyGrace: sim.Micros(500)})
-		occupy()
-		err = b.CallDeadline(p, p.Now()+sim.Micros(50), progTest, versTest, procNull, nil, nil)
-		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("generous-grace call err = %v, want ErrDeadlineExceeded", err)
-		}
-		if b.Stale() != 0 {
-			t.Errorf("stale = %d after typed verdict, want 0", b.Stale())
-		}
-		for occupied > 0 {
-			p.Sleep(sim.Micros(50))
-		}
-	})
-}

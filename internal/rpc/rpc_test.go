@@ -307,6 +307,61 @@ func TestShrimpVRPCLatency(t *testing.T) {
 	}
 }
 
+// vRPC is one library over two transports (§5.4): the same first call on
+// Myrinet and on SHRIMP leaves the same XDR call message in the server's
+// request window behind each side's own trailer, and the same framed reply
+// in the client's reply window.
+func TestVRPCSameWireBytesOnBothTransports(t *testing.T) {
+	call := func(c interface {
+		Call(p *sim.Proc, prog, vers, proc uint32, args func(*xdr.Encoder), res func(*xdr.Decoder) error) error
+	}, p *sim.Proc) {
+		var sum int32
+		err := c.Call(p, progTest, versTest, procAdd,
+			func(e *xdr.Encoder) { e.PutInt32(19); e.PutInt32(23) },
+			func(d *xdr.Decoder) error { v, err := d.Int32(); sum = v; return err })
+		if err != nil || sum != 42 {
+			t.Errorf("add = %d, %v", sum, err)
+		}
+	}
+
+	var myriReq, myriRep, shrimpReq, shrimpRep []byte
+	vrpcSetup(t, func(p *sim.Proc, c *Client, srv *Server) {
+		call(c, p)
+		myriReq, _ = slotMessage(srv.proc.AS, srv.reqBuf, 1)
+		myriRep, _ = slotMessage(c.proc.AS, c.repBuf, 1)
+	})
+	eng := sim.NewEngine()
+	sys := shrimp.New(eng, hw.DefaultSHRIMP(), 2, 16<<20)
+	eng.Go("test", func(p *sim.Proc) {
+		srv, err := NewShrimpServer(p, sys, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		registerTestProcs(srv)
+		srv.Start()
+		c, err := DialShrimp(p, sys, 0, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		call(c, p)
+		shrimpReq, _ = slotMessage(srv.proc.AS, srv.reqBuf, 1)
+		shrimpRep, _ = slotMessage(c.proc.AS, c.repBuf, 1)
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Myrinet's trailer is [client node][reply tag], SHRIMP's [client node].
+	if len(myriReq) <= 8 || len(shrimpReq) <= 4 || !bytes.Equal(myriReq[8:], shrimpReq[4:]) {
+		t.Errorf("call messages differ:\nmyrinet %x\nshrimp  %x", myriReq, shrimpReq)
+	}
+	if len(myriRep) == 0 || !bytes.Equal(myriRep, shrimpRep) {
+		t.Errorf("replies differ:\nmyrinet %x\nshrimp  %x", myriRep, shrimpRep)
+	}
+}
+
 func TestUDPSunRPC(t *testing.T) {
 	// The compatibility baseline: same wire format over the kernel UDP
 	// stack and Ethernet — milliseconds, not microseconds.

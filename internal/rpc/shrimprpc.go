@@ -82,48 +82,8 @@ func (s *ShrimpServer) Start() {
 	})
 }
 
-func shrimpSlotMessage(proc *shrimp.Process, base mem.VirtAddr, expect uint32) ([]byte, bool) {
-	head, err := proc.Read(base, 4)
-	if err != nil {
-		return nil, false
-	}
-	n := int(binary.BigEndian.Uint32(head))
-	if n <= 0 || n > slotMax {
-		return nil, false
-	}
-	tail, err := proc.Read(base+4+mem.VirtAddr(n), 4)
-	if err != nil {
-		return nil, false
-	}
-	if binary.BigEndian.Uint32(tail) != expect {
-		return nil, false
-	}
-	payload, err := proc.Read(base+4, n)
-	if err != nil {
-		return nil, false
-	}
-	return payload, true
-}
-
-func shrimpSendFramed(p *sim.Proc, proc *shrimp.Process, src mem.VirtAddr, dest shrimp.ProxyAddr, payload []byte, seq *uint32, trailer []byte) error {
-	total := len(trailer) + len(payload)
-	if total > slotMax {
-		return ErrTooBig
-	}
-	msg := make([]byte, 4+total+4)
-	binary.BigEndian.PutUint32(msg[0:], uint32(total))
-	copy(msg[4:], trailer)
-	copy(msg[4+len(trailer):], payload)
-	binary.BigEndian.PutUint32(msg[4+total:], *seq)
-	*seq++
-	if err := proc.Write(src, msg); err != nil {
-		return err
-	}
-	return proc.SendDeliberate(p, src, dest, len(msg))
-}
-
 func (s *ShrimpServer) serveOne(p *sim.Proc) bool {
-	raw, ok := shrimpSlotMessage(s.proc, s.reqBuf, s.expectSeq)
+	raw, ok := slotMessage(s.proc.AS, s.reqBuf, s.expectSeq)
 	if !ok {
 		return false
 	}
@@ -146,24 +106,21 @@ func (s *ShrimpServer) serveOne(p *sim.Proc) bool {
 		s.replyReady = true
 	}
 
-	var enc *xdr.Encoder
-	switch {
-	case err != nil:
-		enc = xdr.EncodeReply(hdr.XID, xdr.AcceptGarbageArgs)
-	default:
-		h, found := s.handlers[procKey{hdr.Prog, hdr.Vers, hdr.Proc}]
-		if !found {
-			enc = xdr.EncodeReply(hdr.XID, xdr.AcceptProcUnavail)
-		} else {
-			enc = xdr.EncodeReply(hdr.XID, xdr.AcceptSuccess)
-			if stat := h(p, args, enc); stat != xdr.AcceptSuccess {
-				enc = xdr.EncodeReply(hdr.XID, stat)
-			}
-		}
-	}
+	enc := dispatch(p, s.handlers, hdr, args, err)
 	p.Sleep(xdrCost(enc.Len()))
-	_ = shrimpSendFramed(p, s.proc, s.replySrc, s.replyTo, enc.Bytes(), &s.replySeq, nil)
+	// A reply that cannot be sent is dropped, as UDP SunRPC would.
+	_ = sendShrimp(p, s.proc, s.replySrc, s.replyTo, enc.Bytes(), &s.replySeq, nil)
 	return true
+}
+
+// sendShrimp frames a message and sends it as one hardware deliberate
+// update.
+func sendShrimp(p *sim.Proc, proc *shrimp.Process, src mem.VirtAddr, dest shrimp.ProxyAddr, payload []byte, seq *uint32, trailer []byte) error {
+	n, err := frameMessage(proc.AS, src, payload, seq, trailer)
+	if err != nil {
+		return err
+	}
+	return proc.SendDeliberate(p, src, dest, n)
 }
 
 // hostBcopy charges the SunRPC receive copy at the paper's ~50 MB/s.
@@ -228,13 +185,13 @@ func (c *ShrimpClient) Call(p *sim.Proc, prog, vers, proc uint32, args func(*xdr
 
 	trailer := make([]byte, 4)
 	binary.BigEndian.PutUint32(trailer, uint32(c.node))
-	if err := shrimpSendFramed(p, c.proc, c.src, c.dest, enc.Bytes(), &c.seq, trailer); err != nil {
+	if err := sendShrimp(p, c.proc, c.src, c.dest, enc.Bytes(), &c.seq, trailer); err != nil {
 		return err
 	}
 
 	var raw []byte
 	for {
-		m, ok := shrimpSlotMessage(c.proc, c.repBuf, c.repSeq)
+		m, ok := slotMessage(c.proc.AS, c.repBuf, c.repSeq)
 		if ok {
 			raw = m
 			break
@@ -246,18 +203,5 @@ func (c *ShrimpClient) Call(p *sim.Proc, prog, vers, proc uint32, args func(*xdr
 
 	hostBcopy(p, len(raw))
 	p.Sleep(xdrCost(len(raw)))
-	gotXID, stat, dec, err := xdr.DecodeReply(raw)
-	if err != nil {
-		return err
-	}
-	if gotXID != xid {
-		return fmt.Errorf("rpc: reply xid %d, want %d", gotXID, xid)
-	}
-	if stat != xdr.AcceptSuccess {
-		return ErrSystem
-	}
-	if res != nil {
-		return res(dec)
-	}
-	return nil
+	return decodeReply(raw, xid, res)
 }

@@ -329,7 +329,7 @@ func (s *Server) scan(p *sim.Proc) {
 			continue
 		}
 		base := s.reqBuf + mem.VirtAddr(slot*SlotBytes)
-		raw, ok := slotMessage(s.proc, base, s.expectSeq[slot])
+		raw, ok := slotMessage(s.proc.AS, base, s.expectSeq[slot])
 		if !ok {
 			continue
 		}
@@ -357,7 +357,7 @@ func (s *Server) serveOne(p *sim.Proc) {
 	s.pending = s.pending[1:]
 	s.noted[req.slot] = false
 	base := s.reqBuf + mem.VirtAddr(req.slot*SlotBytes)
-	raw, ok := slotMessage(s.proc, base, s.expectSeq[req.slot])
+	raw, ok := slotMessage(s.proc.AS, base, s.expectSeq[req.slot])
 	if !ok {
 		return // unreachable: clients never overwrite an unconsumed slot
 	}
@@ -397,27 +397,35 @@ func requestDeadline(raw []byte) sim.Time {
 	return sim.Time(binary.BigEndian.Uint64(raw[8:]))
 }
 
+// requestTrailer splits a raw request into the trailer the client prepends
+// and the RPC message proper. The trailer's first two words are the
+// client's node id and reply tag, used to establish the reply window on
+// first contact; a set deadlineFlag bit extends it with the absolute
+// deadline (see requestDeadline).
+func requestTrailer(raw []byte) (clientNode int, replyTag uint32, msg []byte) {
+	n := 8
+	if requestDeadline(raw) != 0 {
+		n = 16
+	}
+	return int(binary.BigEndian.Uint32(raw[0:])), binary.BigEndian.Uint32(raw[4:]) &^ deadlineFlag, raw[n:]
+}
+
 // reject consumes a request without serving it: a short fixed stub, a
 // one-word typed error reply, no handler work. Failing fast is the
 // point — the reply must cost far less than the dispatch it replaces.
 func (s *Server) reject(p *sim.Proc, slot int, raw []byte, stat uint32) {
 	s.expectSeq[slot]++
 	p.Sleep(rejectStub)
-	hdrOff := 8
-	if requestDeadline(raw) != 0 {
-		hdrOff = 16
-	}
-	hdr, _, err := xdr.DecodeCall(raw[hdrOff:])
+	clientNode, replyTag, msg := requestTrailer(raw)
+	hdr, _, err := xdr.DecodeCall(msg)
 	if err != nil {
 		stat = xdr.AcceptGarbageArgs
 	}
-	clientNode := int(binary.BigEndian.Uint32(raw[0:]))
-	replyTag := binary.BigEndian.Uint32(raw[4:]) &^ deadlineFlag
 	if !s.ensureReplyWindow(p, slot, clientNode, replyTag) {
 		return
 	}
 	enc := xdr.EncodeReply(hdr.XID, stat)
-	s.sendMessage(p, s.proc, s.replySrc, s.replyTo[slot], enc.Bytes(), &s.replySeq[slot], s.replyTrailer())
+	sendFramed(p, s.proc, s.replySrc, s.replyTo[slot], enc.Bytes(), &s.replySeq[slot], s.replyTrailer())
 }
 
 // ensureReplyWindow imports the client's reply window on first contact.
@@ -436,27 +444,26 @@ func (s *Server) ensureReplyWindow(p *sim.Proc, slot int, clientNode int, replyT
 }
 
 // slotMessage checks a slot window for a complete message with the
-// expected trailing sequence flag and returns its payload.
-func slotMessage(proc *vmmc.Process, base mem.VirtAddr, expect uint32) ([]byte, bool) {
+// expected trailing sequence flag and returns its payload. It reads the
+// window through the owner's address space, which is all it needs of the
+// transport (a vmmc.Process or a shrimp.Process).
+func slotMessage(as *mem.AddressSpace, base mem.VirtAddr, expect uint32) ([]byte, bool) {
 	var word [4]byte
-	if proc.AS.ReadInto(base, word[:]) != nil {
+	if as.ReadInto(base, word[:]) != nil {
 		return nil, false
 	}
 	n := int(binary.BigEndian.Uint32(word[:]))
 	if n <= 0 || n > slotMax {
 		return nil, false
 	}
-	if proc.AS.ReadInto(base+4+mem.VirtAddr(n), word[:]) != nil {
+	if as.ReadInto(base+4+mem.VirtAddr(n), word[:]) != nil {
 		return nil, false
 	}
 	if binary.BigEndian.Uint32(word[:]) != expect {
 		return nil, false
 	}
-	payload, err := proc.Read(base+4, n)
-	if err != nil {
-		return nil, false
-	}
-	return payload, true
+	payload, err := as.ReadBytes(base+4, n)
+	return payload, err == nil
 }
 
 // serve dispatches one admitted request from the slot.
@@ -477,52 +484,45 @@ func (s *Server) serve(p *sim.Proc, slot int, raw []byte) {
 		p.Sleep(myrinetPortOverhead)
 	}
 
-	// First two words of the trailer the client prepends before the RPC
-	// message proper: its node id and reply tag, used to establish the
-	// reply window on first contact. A set deadlineFlag bit extends the
-	// trailer with the absolute deadline.
-	var enc *xdr.Encoder
-	clientNode := int(binary.BigEndian.Uint32(raw[0:]))
-	replyTag := binary.BigEndian.Uint32(raw[4:]) &^ deadlineFlag
-	hdrOff := 8
-	if requestDeadline(raw) != 0 {
-		hdrOff = 16
-	}
-	hdr, args, err := xdr.DecodeCall(raw[hdrOff:])
+	clientNode, replyTag, msg := requestTrailer(raw)
+	hdr, args, err := xdr.DecodeCall(msg)
 	p.Sleep(xdrCost(len(raw)))
 
 	if !s.ensureReplyWindow(p, slot, clientNode, replyTag) {
 		return
 	}
 
-	switch {
-	case err != nil:
-		enc = xdr.EncodeReply(hdr.XID, xdr.AcceptGarbageArgs)
-	default:
-		h, found := s.handlers[procKey{hdr.Prog, hdr.Vers, hdr.Proc}]
-		if !found {
-			enc = xdr.EncodeReply(hdr.XID, xdr.AcceptProcUnavail)
-		} else {
-			enc = xdr.EncodeReply(hdr.XID, xdr.AcceptSuccess)
-			if stat := h(p, args, enc); stat != xdr.AcceptSuccess {
-				enc = xdr.EncodeReply(hdr.XID, stat)
-			}
-		}
-	}
+	enc := dispatch(p, s.handlers, hdr, args, err)
 	p.Sleep(xdrCost(enc.Len()))
-	s.sendMessage(p, s.proc, s.replySrc, s.replyTo[slot], enc.Bytes(), &s.replySeq[slot], s.replyTrailer())
+	sendFramed(p, s.proc, s.replySrc, s.replyTo[slot], enc.Bytes(), &s.replySeq[slot], s.replyTrailer())
 }
 
-// sendMessage frames [len][payload(+trailer)][seq] into src memory and
-// deliberate-updates it into the destination window as one VMMC send.
-func (s *Server) sendMessage(p *sim.Proc, proc *vmmc.Process, src mem.VirtAddr, dest vmmc.ProxyAddr, payload []byte, seq *uint32, trailer []byte) error {
-	return sendFramed(p, proc, src, dest, payload, seq, trailer)
+// dispatch runs the handler registered for a decoded call (err is
+// DecodeCall's verdict) and returns the encoded reply: the handler's
+// results, or the accept status that says why there are none.
+func dispatch(p *sim.Proc, handlers map[procKey]Handler, hdr xdr.CallHeader, args *xdr.Decoder, err error) *xdr.Encoder {
+	if err != nil {
+		return xdr.EncodeReply(hdr.XID, xdr.AcceptGarbageArgs)
+	}
+	h, found := handlers[procKey{hdr.Prog, hdr.Vers, hdr.Proc}]
+	if !found {
+		return xdr.EncodeReply(hdr.XID, xdr.AcceptProcUnavail)
+	}
+	enc := xdr.EncodeReply(hdr.XID, xdr.AcceptSuccess)
+	if stat := h(p, args, enc); stat != xdr.AcceptSuccess {
+		enc = xdr.EncodeReply(hdr.XID, stat)
+	}
+	return enc
 }
 
-func sendFramed(p *sim.Proc, proc *vmmc.Process, src mem.VirtAddr, dest vmmc.ProxyAddr, payload []byte, seq *uint32, trailer []byte) error {
+// frameMessage lays [len][trailer][payload][seq] out at src in the
+// sender's memory and returns the framed length; what is left to the
+// transport is one deliberate update of that many bytes into the peer's
+// window (SendMsgSync on Myrinet, SendDeliberate on SHRIMP).
+func frameMessage(as *mem.AddressSpace, src mem.VirtAddr, payload []byte, seq *uint32, trailer []byte) (int, error) {
 	total := len(trailer) + len(payload)
 	if total > slotMax {
-		return ErrTooBig
+		return 0, ErrTooBig
 	}
 	msg := make([]byte, 4+total+4)
 	binary.BigEndian.PutUint32(msg[0:], uint32(total))
@@ -530,20 +530,16 @@ func sendFramed(p *sim.Proc, proc *vmmc.Process, src mem.VirtAddr, dest vmmc.Pro
 	copy(msg[4+len(trailer):], payload)
 	binary.BigEndian.PutUint32(msg[4+total:], *seq)
 	*seq++
-	if err := proc.Write(src, msg); err != nil {
-		return err
-	}
-	return proc.SendMsgSync(p, src, dest, len(msg), vmmc.SendOptions{})
+	return len(msg), as.WriteBytes(src, msg)
 }
 
-// ClientConfig carries per-connection client tuning. The zero value
-// preserves the historical behavior exactly.
-type ClientConfig struct {
-	// ReplyGrace overrides the package-level ReplyGrace for this
-	// connection: how long past its deadline a CallDeadline call waits
-	// for the server's verdict before ErrRPCTimeout. Zero selects the
-	// package default (25 µs).
-	ReplyGrace sim.Time
+// sendFramed frames a message and sends it as one VMMC send.
+func sendFramed(p *sim.Proc, proc *vmmc.Process, src mem.VirtAddr, dest vmmc.ProxyAddr, payload []byte, seq *uint32, trailer []byte) error {
+	n, err := frameMessage(proc.AS, src, payload, seq, trailer)
+	if err != nil {
+		return err
+	}
+	return proc.SendMsgSync(p, src, dest, n, vmmc.SendOptions{})
 }
 
 // Client is a vRPC client bound to one server slot.
@@ -557,7 +553,6 @@ type Client struct {
 	repSeq   uint32
 	nextXID  uint32
 	zeroCopy bool
-	cfg      ClientConfig
 
 	// lastHint is the most recent load-hint trailer stripped from a
 	// reply on this connection; hintSeen reports one arrived at all.
@@ -580,17 +575,6 @@ func (c *Client) Stale() int { return c.stale }
 // SetZeroCopy switches the client to the compatibility-free in-place
 // receive path. Must match the server's setting.
 func (c *Client) SetZeroCopy(on bool) { c.zeroCopy = on }
-
-// SetConfig installs per-connection tuning; see ClientConfig.
-func (c *Client) SetConfig(cfg ClientConfig) { c.cfg = cfg }
-
-// replyGrace resolves the connection's effective reply grace.
-func (c *Client) replyGrace() sim.Time {
-	if c.cfg.ReplyGrace > 0 {
-		return c.cfg.ReplyGrace
-	}
-	return ReplyGrace
-}
 
 // LastHint returns the most recent load hint the server piggybacked on
 // a reply over this connection, and whether any hint has arrived. Hints
@@ -667,7 +651,7 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 	// timeout; the deadline marshaled to the server stays exact.
 	waitUntil := deadline
 	if deadline != 0 {
-		waitUntil = deadline + c.replyGrace()
+		waitUntil = deadline + ReplyGrace
 	}
 	if err := c.drainStale(p, waitUntil); err != nil {
 		return err
@@ -724,6 +708,13 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 		c.hintSeen = true
 		raw = raw[hintBytes:]
 	}
+	return decodeReply(raw, xid, res)
+}
+
+// decodeReply matches a reply message to the call it answers, maps the
+// accept status to the library's typed errors, and hands the results to
+// res.
+func decodeReply(raw []byte, xid uint32, res func(*xdr.Decoder) error) error {
 	gotXID, stat, dec, err := xdr.DecodeReply(raw)
 	if err != nil {
 		return err
@@ -760,7 +751,7 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 func (c *Client) awaitReply(p *sim.Proc, deadline sim.Time) ([]byte, bool) {
 	var raw []byte
 	ok := c.proc.SpinOnMemory(p, deadline, func() bool {
-		m, ok := slotMessage(c.proc, c.repBuf, c.repSeq)
+		m, ok := slotMessage(c.proc.AS, c.repBuf, c.repSeq)
 		if ok {
 			raw = m
 		}

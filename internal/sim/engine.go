@@ -128,7 +128,6 @@ const (
 	compactMinCanceled = 64
 	compactMinFraction = 1
 	compactFractionDen = 2
-	heapSampleInterval = 4096 // dispatches between trace counter samples
 )
 
 // SchedStats is a point-in-time snapshot of the scheduler's internals,
@@ -200,13 +199,6 @@ type Engine struct {
 	collector *trace.Collector
 	metrics   *trace.Registry
 
-	// Optional scheduler observability (ObserveScheduler). Nil by
-	// default so existing experiments' metrics artifacts are unchanged.
-	obsHeap        *trace.Gauge
-	obsCanceled    *trace.Gauge
-	obsDispatched  *trace.Counter
-	obsCompactions *trace.Counter
-
 	// deadlockWraps are applied, in registration order, to the stall
 	// error checkStall constructs. Protocol layers register one to turn
 	// the engine's generic parked-forever report into a typed error
@@ -236,21 +228,6 @@ func (e *Engine) Trace() *trace.Collector { return e.collector }
 // components register counters, gauges and utilizations here at
 // construction time and update them as the model runs.
 func (e *Engine) Metrics() *trace.Registry { return e.metrics }
-
-// ObserveScheduler registers the scheduler's own health metrics —
-// "sim/event_heap_len", "sim/event_heap_canceled", "sim/events_dispatched",
-// "sim/compactions" — in the metrics registry and, when the trace
-// collector is enabled, samples heap occupancy as a counter track every
-// few thousand dispatches. Off by default so that artifacts of existing
-// experiments stay byte-identical; the scalesweep harness turns it on.
-func (e *Engine) ObserveScheduler() {
-	e.obsHeap = e.metrics.Gauge("sim/event_heap_len")
-	e.obsCanceled = e.metrics.Gauge("sim/event_heap_canceled")
-	e.obsDispatched = e.metrics.Counter("sim/events_dispatched")
-	e.obsCompactions = e.metrics.Counter("sim/compactions")
-	e.obsHeap.Set(float64(len(e.events)))
-	e.obsCanceled.Set(float64(e.canceledInHeap))
-}
 
 // SchedStats reports the scheduler's internal occupancy and reuse state.
 func (e *Engine) SchedStats() SchedStats {
@@ -332,9 +309,6 @@ func (e *Engine) newEvent(t Time, pooled bool) *Event {
 	if n := len(e.events); n > e.peakHeapLen {
 		e.peakHeapLen = n
 	}
-	if e.obsHeap != nil {
-		e.obsHeap.Set(float64(len(e.events)))
-	}
 	return ev
 }
 
@@ -413,9 +387,6 @@ func (e *Engine) postTimeout(d Time, w *condWaiter) *Event {
 // without bound and slowing every push and pop.
 func (e *Engine) noteCancel() {
 	e.canceledInHeap++
-	if e.obsCanceled != nil {
-		e.obsCanceled.Set(float64(e.canceledInHeap))
-	}
 	if e.canceledInHeap >= compactMinCanceled &&
 		e.canceledInHeap*compactFractionDen >= len(e.events)*compactMinFraction {
 		e.compact()
@@ -447,11 +418,6 @@ func (e *Engine) compact() {
 	}
 	e.canceledInHeap = 0
 	e.compactions++
-	if e.obsHeap != nil {
-		e.obsHeap.Set(float64(len(e.events)))
-		e.obsCanceled.Set(0)
-		e.obsCompactions.Add(1)
-	}
 }
 
 // Stop makes Run return after the current event completes.
@@ -561,9 +527,6 @@ func (e *Engine) step(until Time) bool {
 		}
 		e.heapPop()
 		e.canceledInHeap--
-		if e.obsCanceled != nil {
-			e.obsCanceled.Set(float64(e.canceledInHeap))
-		}
 		e.recycle(ev)
 		ev = nil
 	}
@@ -604,13 +567,6 @@ func (e *Engine) step(until Time) bool {
 // noteDispatch counts one executed event or poll sample.
 func (e *Engine) noteDispatch() {
 	e.dispatched++
-	if e.obsDispatched != nil {
-		e.obsDispatched.Add(1)
-		e.obsHeap.Set(float64(len(e.events)))
-		if e.dispatched%heapSampleInterval == 0 {
-			e.TraceCounter("sim", "sched", "event_heap", float64(len(e.events)))
-		}
-	}
 }
 
 // Run executes events until none remain or Stop is called. It returns an

@@ -258,23 +258,11 @@ func TestEventPoolDoesNotCrossContaminate(t *testing.T) {
 	}
 }
 
-// TestObserveScheduler checks the opt-in metrics registration: heap
-// occupancy and dispatch counters appear in the registry only after
-// ObserveScheduler, so existing experiments' artifacts are unchanged.
-func TestObserveScheduler(t *testing.T) {
-	plain := NewEngine()
-	plain.At(1, func() {})
-	if err := plain.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range plain.MetricsSnapshot().Counters {
-		if strings.HasPrefix(c.Name, "sim/") {
-			t.Errorf("unobserved engine registered %q", c.Name)
-		}
-	}
-
+// TestSchedStatsCountsDispatchesAndPeak checks the scheduler's own health
+// numbers — what scalesweep reports — and that they stay out of the metrics
+// registry, so no experiment's metrics artifact carries a sim/* entry.
+func TestSchedStatsCountsDispatchesAndPeak(t *testing.T) {
 	e := NewEngine()
-	e.ObserveScheduler()
 	for i := 0; i < 10; i++ {
 		e.At(Time(i), func() {})
 	}
@@ -283,13 +271,23 @@ func TestObserveScheduler(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	snap := e.MetricsSnapshot()
-	if v, ok := snap.Counter("sim/events_dispatched"); !ok || v != 10 {
-		t.Errorf("sim/events_dispatched = %d,%v, want 10,true", v, ok)
+	st := e.SchedStats()
+	if st.Dispatched != 10 {
+		t.Errorf("Dispatched = %d, want 10 (the canceled event does not count)", st.Dispatched)
 	}
-	g, ok := snap.Gauge("sim/event_heap_len")
-	if !ok || g.High < 10 {
-		t.Errorf("sim/event_heap_len high = %v,%v, want >= 10", g.High, ok)
+	if st.PeakHeapLen < 10 {
+		t.Errorf("PeakHeapLen = %d, want >= 10", st.PeakHeapLen)
+	}
+	snap := e.MetricsSnapshot()
+	for _, c := range snap.Counters {
+		if strings.HasPrefix(c.Name, "sim/") {
+			t.Errorf("engine registered %q", c.Name)
+		}
+	}
+	for _, g := range snap.Gauges {
+		if strings.HasPrefix(g.Name, "sim/") {
+			t.Errorf("engine registered %q", g.Name)
+		}
 	}
 }
 

@@ -198,19 +198,26 @@ func (d *Daemon) unexportLocal(p *simProc, proc *Process, tag uint32) error {
 	if _, active := d.node.LCP.redirects[tag]; active {
 		return ErrStillImported // a posted redirect holds the export live
 	}
-	for _, f := range info.frames {
-		d.node.LCP.incoming.clear(f)
-	}
-	d.node.Driver.unlock(proc.lcpState, info.frames)
-	delete(d.exports, tag)
-	delete(d.node.LCP.arrivedHW, tag)
+	d.dropExport(proc.lcpState, info)
 	return nil
 }
 
-// scrubProcess is the kill path's local-only teardown of a process's
-// daemon state: exports vanish (incoming page-table entries cleared,
-// frames unlocked) and imports release their proxy ranges — all without
-// any Ethernet traffic, because the owner died abruptly and the OS
+// dropExport forgets one export, for the polite path and the abrupt one
+// alike: its incoming page-table entries are cleared, its frames unlocked,
+// and the registry entry and arrival high-water mark dropped.
+func (d *Daemon) dropExport(st *lcpProcState, info *exportInfo) {
+	for _, f := range info.frames {
+		d.node.LCP.incoming.clear(f)
+	}
+	d.node.Driver.unlock(st, info.frames)
+	delete(d.exports, info.tag)
+	delete(d.node.LCP.arrivedHW, info.tag)
+}
+
+// scrubProcess is the local-only teardown of a dead process's daemon state
+// (KillProcess, and every process of a crashing node): exports vanish with
+// any redirect posted on them, and imports release their proxy ranges — all
+// without any Ethernet traffic, because the owner died abruptly and the OS
 // reclaims silently. Remote importers of the scrubbed exports keep their
 // (now dangling) reference counts; a tenant kill scrubs every node's
 // side of the tenant, so those counters die with their owners. All
@@ -221,12 +228,7 @@ func (d *Daemon) scrubProcess(proc *Process) {
 		if info.pid != proc.Pid {
 			continue
 		}
-		for _, f := range info.frames {
-			d.node.LCP.incoming.clear(f)
-		}
-		d.node.Driver.unlock(proc.lcpState, info.frames)
-		delete(d.exports, tag)
-		delete(d.node.LCP.arrivedHW, tag)
+		d.dropExport(proc.lcpState, info)
 		if rd, ok := d.node.LCP.redirects[tag]; ok && rd.pid == proc.Pid {
 			d.node.Driver.unlock(proc.lcpState, rd.frames)
 			delete(d.node.LCP.redirects, tag)
@@ -256,8 +258,17 @@ func (d *Daemon) importRemote(p *simProc, proc *Process, exporterNode int, tag u
 		d.eth.Send(p, d.node.ID, exporterNode, "unimport", unimportMsg{Tag: tag})
 		return 0, 0, err
 	}
-	// The daemon writes the entries into board SRAM across the PCI bus.
-	d.node.CPU.MMIOWriteWords(p, pages)
+	d.installImport(p, proc, exporterNode, tag, base, rep)
+	return ProxyAddr(base) << mem.PageShift, rep.Length, nil
+}
+
+// installImport maps the proxy pages from base onto the frame list of an
+// import reply — the daemon writes the entries into board SRAM across the
+// PCI bus, the final one clipped to the buffer's extent — and records the
+// import. A revalidation installs over the range it already holds, which
+// also clears the stale mark.
+func (d *Daemon) installImport(p *simProc, proc *Process, exporterNode int, tag uint32, base int, rep importRep) {
+	d.node.CPU.MMIOWriteWords(p, len(rep.Frames))
 	for i, f := range rep.Frames {
 		vb := mem.PageSize
 		if last := rep.Length - i*mem.PageSize; last < vb {
@@ -274,10 +285,9 @@ func (d *Daemon) importRemote(p *simProc, proc *Process, exporterNode int, tag u
 		exporterNode: exporterNode,
 		tag:          tag,
 		basePage:     base,
-		pages:        pages,
+		pages:        len(rep.Frames),
 		length:       rep.Length,
 	}
-	return ProxyAddr(base) << mem.PageShift, rep.Length, nil
 }
 
 // requestImport runs the Ethernet half of the import handshake: it asks
@@ -346,22 +356,7 @@ func (d *Daemon) revalidateImport(p *simProc, proc *Process, rec importRec) erro
 		return fmt.Errorf("vmmc: re-export of tag %d spans %d pages, import had %d: %w",
 			rec.tag, len(rep.Frames), rec.pages, ErrBadBuffer)
 	}
-	d.node.CPU.MMIOWriteWords(p, rec.pages)
-	for i, f := range rep.Frames {
-		vb := mem.PageSize
-		if last := rep.Length - i*mem.PageSize; last < vb {
-			vb = last
-		}
-		proc.lcpState.outPT.entries[rec.basePage+i] = outEntry{
-			valid:      true,
-			destNode:   rec.exporterNode,
-			destFrame:  f,
-			validBytes: vb,
-		}
-	}
-	rec.length = rep.Length
-	rec.stale = false
-	proc.imports[rec.basePage] = rec
+	d.installImport(p, proc, rec.exporterNode, rec.tag, rec.basePage, rep)
 	if d.node.heal != nil {
 		d.node.heal.noteRevalidation()
 	}

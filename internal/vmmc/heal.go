@@ -49,8 +49,8 @@ func (cfg HealConfig) withDefaults() HealConfig {
 	return cfg
 }
 
-// HealStats counts the self-healing layer's activity. All fields are also
-// exported as heal/* trace metrics.
+// HealStats counts the self-healing layer's activity: a snapshot of the
+// heal/* trace metrics.
 type HealStats struct {
 	Stalls        int64 // reliable windows suspended pending a remap
 	Remaps        int64 // remap rounds that produced a usable map
@@ -86,9 +86,8 @@ type HealService struct {
 	stalled map[stallKey]*stallRec
 	// last holds the most recent remap's tables; a restarting node re-syncs
 	// its routes from here so it rejoins on the healed topology.
-	last  map[int]myrinet.RouteTable
-	stats HealStats
-	m     healMetrics
+	last map[int]myrinet.RouteTable
+	m    healMetrics
 }
 
 // newHealService wires the heal layer into every node: boards pass mapping
@@ -127,7 +126,16 @@ func newHealService(c *Cluster, cfg HealConfig) *HealService {
 }
 
 // Stats returns a snapshot of the heal counters.
-func (h *HealService) Stats() HealStats { return h.stats }
+func (h *HealService) Stats() HealStats {
+	return HealStats{
+		Stalls:        h.m.stalls.Value(),
+		Remaps:        h.m.remaps.Value(),
+		RouteSwaps:    h.m.swaps.Value(),
+		Healed:        h.m.healed.Value(),
+		Abandoned:     h.m.abandoned.Value(),
+		Revalidations: h.m.revals.Value(),
+	}
+}
 
 // onStall runs in the stalling sender's timer context; it must decide
 // quickly and without blocking. It accepts the stall (suspending the
@@ -145,7 +153,6 @@ func (h *HealService) onStall(n *Node, route []byte) bool {
 	if _, dup := h.stalled[k]; !dup {
 		h.stalled[k] = &stallRec{}
 	}
-	h.stats.Stalls++
 	h.m.stalls.Add(1)
 	h.c.Eng.TraceInstant("heal", "heal", fmt.Sprintf("stall node%d->node%d", n.ID, peer))
 	h.work.Signal()
@@ -204,7 +211,6 @@ func (h *HealService) round(p *simProc) {
 		h.expire()
 		return
 	}
-	h.stats.Remaps++
 	h.m.remaps.Add(1)
 	h.last = tables
 	h.distribute(p, tables)
@@ -242,7 +248,6 @@ func (h *HealService) distribute(p *simProc, tables map[int]myrinet.RouteTable) 
 				rl.SwapRoute(old, route)
 			}
 			n.LCP.routes[d] = append([]byte(nil), route...)
-			h.stats.RouteSwaps++
 			h.m.swaps.Add(1)
 			h.c.Eng.TraceInstant("heal", "heal",
 				fmt.Sprintf("route_swap node%d->node%d", n.ID, d))
@@ -285,7 +290,6 @@ func (h *HealService) resolve() {
 		if _, reachable := h.last[k.node][k.peer]; reachable {
 			src.Board.Reliable().Resume(src.LCP.routes[k.peer])
 			delete(h.stalled, k)
-			h.stats.Healed++
 			h.m.healed.Add(1)
 			h.c.Eng.TraceInstant("heal", "heal",
 				fmt.Sprintf("healed node%d->node%d", k.node, k.peer))
@@ -296,7 +300,6 @@ func (h *HealService) resolve() {
 		if rec.rounds >= h.cfg.MaxRounds {
 			src.Board.Reliable().Abandon(src.LCP.routes[k.peer])
 			delete(h.stalled, k)
-			h.stats.Abandoned++
 			h.m.abandoned.Add(1)
 			h.c.Eng.TraceInstant("heal", "heal",
 				fmt.Sprintf("abandoned node%d->node%d", k.node, k.peer))
@@ -329,7 +332,6 @@ func (h *HealService) expire() {
 		if rec.rounds >= h.cfg.MaxRounds {
 			src.Board.Reliable().Abandon(src.LCP.routes[k.peer])
 			delete(h.stalled, k)
-			h.stats.Abandoned++
 			h.m.abandoned.Add(1)
 			h.c.Eng.TraceInstant("heal", "heal",
 				fmt.Sprintf("abandoned node%d->node%d", k.node, k.peer))
@@ -381,6 +383,5 @@ func (h *HealService) noteRestart(node int) {
 
 // noteRevalidation is called by the daemon when RevalidateImport succeeds.
 func (h *HealService) noteRevalidation() {
-	h.stats.Revalidations++
 	h.m.revals.Add(1)
 }

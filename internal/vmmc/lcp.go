@@ -279,16 +279,14 @@ func newLCP(n *Node, routes myrinet.RouteTable) (*LCP, error) {
 	return l, nil
 }
 
-// teardown kills the LCP's processes and releases its SRAM — the crash
-// path. A restarted node builds a fresh LCP from scratch; nothing of this
-// one survives.
+// teardown kills the LCP's processes and releases its own SRAM — the crash
+// path, after every process has given its carve back (Process.release). A
+// restarted node builds a fresh LCP from scratch; nothing of this one
+// survives.
 func (l *LCP) teardown() {
 	l.rxProc.Kill()
 	l.mainProc.Kill()
 	sram := l.node.Board.SRAM
-	for pid := range l.states {
-		l.unregisterProcess(pid)
-	}
 	sram.Free(l.codeOff)
 	sram.Free(l.incoming.sramOff)
 	for _, off := range l.stagingOff {
@@ -811,70 +809,114 @@ func (l *LCP) writeCompletion(p *simProc, st *lcpProcState, seq uint32, code uin
 }
 
 // handleShort processes a short send: the data is already inline in the
-// queue entry in SRAM; the LCP copies it to the network buffer, builds the
-// header, reports completion (the send buffer — the queue entry — is
-// reusable immediately) and injects one packet.
+// queue entry in SRAM, so the message is one chunk that needs no staging —
+// the LCP copies it to the network buffer, builds the header, reports
+// completion (the send buffer — the queue entry — is reusable immediately)
+// and injects one packet.
 func (l *LCP) handleShort(p *simProc, st *lcpProcState, e sqEntry) {
 	l.stats.SendsShort++
 	l.m.sendsShort.Add(1)
 	l.node.Eng.TraceBegin(l.comp, "lcp", "short_send")
 	defer l.node.Eng.TraceEnd(l.comp, "lcp", "short_send")
 	p.Sleep(l.node.Prof.LCPShortSend)
-	destNode, err := st.outPT.checkTransfer(e.dest, e.length)
-	if err != nil {
-		l.completeError(p, st, e.seq, err)
-		return
+	if j, ok := l.resolve(p, st, e); ok {
+		l.inject(p, &j, stagedChunk{n: e.length, sramOff: inlineChunk, last: true})
 	}
-	route, ok := l.routes[destNode]
-	if !ok {
-		l.writeCompletion(p, st, e.seq, ceNoRoute)
-		return
-	}
-	addr1, len1, addr2 := scatterFor(st.outPT, e.dest, e.length)
-	hdr := msgHeader{
-		DataLen: uint32(e.length),
-		Addr1:   addr1,
-		Addr2:   addr2,
-		Len1:    uint32(len1),
-		Flags:   flagLastChunk,
-		SrcNode: uint8(l.node.ID),
-		SrcPid:  uint16(st.pid),
-		Seq:     e.seq,
-	}
-	if e.notify {
-		hdr.Flags |= flagNotify
-		l.stats.NotificationsRequested++
-		l.m.notifyRequested.Add(1)
-	}
-	frame := append(hdr.appendTo(l.node.Board.NewFrame(hdrSize+len(e.inline))), e.inline...)
-	if l.node.Board.Reliable() == nil {
-		// The paper's fire-and-forget path: the inline data is already
-		// safe in the queue entry, so completion precedes injection and
-		// injection cannot fail (§4.2/§4.5).
-		l.writeCompletion(p, st, e.seq, ceOK)
-		l.sendPaced(p, route, frame, st.limits.Class)
-	} else {
-		// With the link layer the injection can fail (retransmit budget
-		// exhausted); completion follows it so the error is reportable.
-		if err := l.sendPaced(p, route, frame, st.limits.Class); err != nil {
-			l.writeCompletion(p, st, e.seq, ceUnreachable)
-			return
-		}
-		l.writeCompletion(p, st, e.seq, ceOK)
-	}
-	l.stats.PacketsOut++
-	l.stats.BytesOut += int64(e.length)
-	l.m.packetsOut.Add(1)
-	l.m.bytesOut.Add(int64(e.length))
 }
 
-func (l *LCP) completeError(p *simProc, st *lcpProcState, seq uint32, err error) {
-	code := uint32(ceBadSource)
+// resolve is the check every send starts with: the destination must lie
+// inside one import of the sender's outgoing page table, and the node it
+// names must have a route. It returns the send's state, or reports the
+// typed failure to the sender's status page.
+func (l *LCP) resolve(p *simProc, st *lcpProcState, e sqEntry) (sendJob, bool) {
+	destNode, err := st.outPT.checkTransfer(e.dest, e.length)
+	code := uint32(ceNoRoute)
 	switch err {
+	case nil:
+		if route, ok := l.routes[destNode]; ok {
+			return sendJob{st: st, e: e, route: route, total: e.length}, true
+		}
 	case ErrNotImported:
 		code = ceNotImported
 	case ErrOutOfRange:
 		code = ceOutOfRange
+	default:
+		code = ceBadSource
 	}
-	l.writeCompletion(p, st, seq, code)
+	l.writeCompletion(p, st, e.seq, code)
+	return sendJob{}, false
+}
+
+// inject sends chunk c of j's message as one packet: header with the
+// precomputed one- or two-piece scatter, then the bytes — a short send's
+// inline data, or a long send's chunk out of SRAM staging — straight into
+// the packet buffer, and the completion report on the right side of the
+// injection.
+func (l *LCP) inject(p *simProc, j *sendJob, c stagedChunk) {
+	// The last chunk is safely stored on the board — in the queue entry, or
+	// in the LANai buffer once its host DMA finished — so completion is
+	// reported before injecting, which in the paper's fire-and-forget
+	// configuration cannot fail (§4.2/§4.5). With the reliability layer the
+	// injection can fail (retransmit budget exhausted); completion follows
+	// it so the error is reportable.
+	reliable := l.node.Board.Reliable() != nil
+	if !reliable && c.last && !j.completed {
+		l.writeCompletion(p, j.st, j.e.seq, ceOK)
+		j.completed = true
+	}
+
+	addr1, len1, addr2 := scatterFor(j.st.outPT, j.e.dest+ProxyAddr(c.off), c.n)
+	hdr := msgHeader{
+		DataLen: uint32(c.n),
+		Addr1:   addr1,
+		Addr2:   addr2,
+		Len1:    uint32(len1),
+		SrcNode: uint8(l.node.ID),
+		SrcPid:  uint16(j.st.pid),
+		Seq:     j.e.seq,
+	}
+	// Every chunk of a notifying message carries flagNotify so the
+	// receiver can accumulate the message-level extent; the interrupt
+	// itself is raised only on the flagLastChunk chunk.
+	if j.e.notify {
+		hdr.Flags |= flagNotify
+	}
+	if c.last {
+		hdr.Flags |= flagLastChunk
+		if j.e.notify {
+			l.stats.NotificationsRequested++
+			l.m.notifyRequested.Add(1)
+		}
+	}
+	board := l.node.Board
+	frame := hdr.appendTo(board.NewFrame(hdrSize + c.n))
+	if c.sramOff == inlineChunk {
+		frame = append(frame, j.e.inline...)
+	} else {
+		// With the chunk's bytes in the packet its staging buffer is free
+		// for the next host DMA.
+		frame = append(frame, board.SRAM.Bytes(c.sramOff, c.n)...)
+		l.stagingFree = append(l.stagingFree, c.sramOff)
+	}
+	if err := l.sendPaced(p, j.route, frame, j.st.limits.Class); err != nil {
+		// Destination unreachable: abandon the transfer and report the
+		// typed failure (the remaining chunks would only burn the budget
+		// again).
+		j.failed = true
+		l.dropStaged(j)
+		if !j.completed {
+			l.writeCompletion(p, j.st, j.e.seq, ceUnreachable)
+			j.completed = true
+		}
+		return
+	}
+	j.injOff += c.n
+	l.stats.PacketsOut++
+	l.stats.BytesOut += int64(c.n)
+	l.m.packetsOut.Add(1)
+	l.m.bytesOut.Add(int64(c.n))
+	if reliable && c.last && !j.completed {
+		l.writeCompletion(p, j.st, j.e.seq, ceOK)
+		j.completed = true
+	}
 }

@@ -15,10 +15,9 @@ import (
 // are precomputed while the host DMA is still in flight — the pipelining
 // that yields 98% of the host-DMA bandwidth limit.
 type sendJob struct {
-	st       *lcpProcState
-	e        sqEntry
-	destNode int
-	route    []byte
+	st    *lcpProcState
+	e     sqEntry
+	route []byte
 
 	total   int // message length
 	nextOff int // next byte to start a host DMA for
@@ -37,9 +36,13 @@ type sendJob struct {
 type stagedChunk struct {
 	off     int // offset within the message
 	n       int
-	sramOff int
+	sramOff int // staging buffer holding the bytes, or inlineChunk
 	last    bool
 }
+
+// inlineChunk stands in for a staging buffer in the one chunk of a short
+// send, whose bytes sit inline in the queue entry.
+const inlineChunk = -1
 
 func (j *sendJob) done() bool {
 	return (j.failed || (j.sentDMA == j.total && j.injOff == j.total)) && len(j.staged) == 0 && !j.dmaBusy
@@ -56,23 +59,11 @@ func (l *LCP) startLong(p *simProc, st *lcpProcState, e sqEntry) {
 	l.stats.SendsLong++
 	l.m.sendsLong.Add(1)
 	p.Sleep(l.node.Prof.LCPLongSendSetup)
-	destNode, err := st.outPT.checkTransfer(e.dest, e.length)
-	if err != nil {
-		l.completeError(p, st, e.seq, err)
-		return
-	}
-	route, ok := l.routes[destNode]
+	job, ok := l.resolve(p, st, e)
 	if !ok {
-		l.writeCompletion(p, st, e.seq, ceNoRoute)
 		return
 	}
-	j := &sendJob{
-		st:       st,
-		e:        e,
-		destNode: destNode,
-		route:    route,
-		total:    e.length,
-	}
+	j := &job
 	l.jobs = append(l.jobs, j)
 	l.node.Eng.TraceBegin(l.comp, "lcp", "long_send")
 	l.stepJob(p, j)
@@ -127,66 +118,7 @@ func (l *LCP) stepJob(p *simProc, j *sendJob) {
 		}
 		j.hdrReady = prof.PrecomputeHeaders // next header overlaps the DMA now in flight
 
-		// The last chunk is safely stored in the LANai buffer once its
-		// host DMA finished — report completion before injecting (§4.5).
-		// With the reliability layer, injection can fail, so completion
-		// moves after it (below).
-		reliable := l.node.Board.Reliable() != nil
-		if !reliable && c.last && !j.completed {
-			l.writeCompletion(p, j.st, j.e.seq, ceOK)
-			j.completed = true
-		}
-
-		addr1, len1, addr2 := scatterFor(j.st.outPT, j.e.dest+ProxyAddr(c.off), c.n)
-		hdr := msgHeader{
-			DataLen: uint32(c.n),
-			Addr1:   addr1,
-			Addr2:   addr2,
-			Len1:    uint32(len1),
-			SrcNode: uint8(l.node.ID),
-			SrcPid:  uint16(j.st.pid),
-			Seq:     j.e.seq,
-		}
-		// Every chunk of a notifying message carries flagNotify so the
-		// receiver can accumulate the message-level extent; the interrupt
-		// itself is raised only on the flagLastChunk chunk.
-		if j.e.notify {
-			hdr.Flags |= flagNotify
-		}
-		if c.last {
-			hdr.Flags |= flagLastChunk
-			if j.e.notify {
-				l.stats.NotificationsRequested++
-				l.m.notifyRequested.Add(1)
-			}
-		}
-		// The net-send DMA: header, then the chunk out of SRAM staging,
-		// straight into the packet buffer. With the chunk's bytes in the
-		// packet its staging buffer is free for the next host DMA.
-		board := l.node.Board
-		frame := append(hdr.appendTo(board.NewFrame(hdrSize+c.n)), board.SRAM.Bytes(c.sramOff, c.n)...)
-		l.stagingFree = append(l.stagingFree, c.sramOff)
-		if err := l.sendPaced(p, j.route, frame, j.st.limits.Class); err != nil {
-			// Destination unreachable: abandon the transfer and report
-			// the typed failure (the remaining chunks would only burn
-			// the budget again).
-			j.failed = true
-			l.dropStaged(j)
-			if !j.completed {
-				l.writeCompletion(p, j.st, j.e.seq, ceUnreachable)
-				j.completed = true
-			}
-		} else {
-			j.injOff += c.n
-			l.stats.PacketsOut++
-			l.stats.BytesOut += int64(c.n)
-			l.m.packetsOut.Add(1)
-			l.m.bytesOut.Add(int64(c.n))
-			if reliable && c.last && !j.completed {
-				l.writeCompletion(p, j.st, j.e.seq, ceOK)
-				j.completed = true
-			}
-		}
+		l.inject(p, j, c)
 	}
 
 	if j.done() {

@@ -87,23 +87,25 @@ func (n *Node) start(routes myrinet.RouteTable) error {
 // Crashed reports whether the node is currently down.
 func (n *Node) Crashed() bool { return n.crashed }
 
-// crash models abrupt node death: the NIC goes dark, the LCP and daemon
-// die, every page pin vanishes with the rebooting OS, and the node's
-// process handles turn permanently stale.
+// crash models abrupt node death: the NIC goes dark, every process dies
+// the way a killed one does and its handle turns permanently stale, the LCP
+// and daemon die, and whatever page pin is left vanishes with the rebooting
+// OS.
 func (n *Node) crash() {
 	if n.crashed {
 		return
 	}
 	n.crashed = true
 	n.Board.NIC.SetDown(true)
+	for _, proc := range n.procs {
+		proc.dead = true
+		n.Daemon.scrubProcess(proc)
+		proc.release()
+	}
 	n.LCP.teardown()
 	n.Daemon.reset()
 	if rl := n.Board.Reliable(); rl != nil {
 		rl.Reset()
-	}
-	for pid, proc := range n.procs {
-		proc.dead = true
-		delete(n.procs, pid)
 	}
 	n.Phys.ResetPins()
 	n.Phys.Touch() // crashed and dead are inputs of the memory-scoped spins
@@ -234,15 +236,22 @@ func (proc *Process) Close(p *sim.Proc) error {
 			return err
 		}
 	}
-	frames := proc.lcpState.tlb.InvalidateAll()
-	for _, f := range frames {
-		n.Phys.Unpin(f)
-	}
-	proc.lcpState.releasePin(len(frames))
+	proc.release()
+	return nil
+}
+
+// release is the tail every process teardown ends with — Close after its
+// daemon round trips, KillProcess and a node crash after the local scrub:
+// TLB translations are invalidated and their page locks and pin budget
+// returned, the status page is unpinned, and the SRAM carve (send queue,
+// page table, TLB) is freed. Pure state manipulation: no time passes.
+func (proc *Process) release() {
+	n := proc.Node
+	st := proc.lcpState
+	n.Driver.unlock(st, st.tlb.InvalidateAll())
 	proc.AS.Unpin(proc.statusVA, mem.PageSize)
 	n.LCP.unregisterProcess(proc.Pid)
 	delete(n.procs, proc.Pid)
-	return nil
 }
 
 // KillProcess models abrupt process death — the tenant-crash path. It is
@@ -255,11 +264,10 @@ func (proc *Process) Close(p *sim.Proc) error {
 //     because the status page is unpinned here);
 //   - the daemon scrubs the victim's exports and imports locally, with
 //     no wire traffic (the owner died; the OS reclaims silently);
-//   - TLB translations are invalidated, their page locks and the pin
-//     budget released, and the status page unpinned;
 //   - the victim's reliable-link windows — its traffic class's — are
 //     dropped silently, never the shared class 0;
-//   - the SRAM carve (send queue, page table, TLB) is freed.
+//   - TLB translations, page locks, pin budget, status page and SRAM carve
+//     go the way Close releases them (release).
 //
 // All of this is pure state manipulation: no time passes, no events are
 // scheduled, so the kill is atomic with respect to the simulation.
@@ -280,17 +288,10 @@ func (n *Node) KillProcess(pid int) {
 		}
 	}
 	n.Daemon.scrubProcess(proc)
-	frames := st.tlb.InvalidateAll()
-	for _, f := range frames {
-		n.Phys.Unpin(f)
-	}
-	st.releasePin(len(frames))
-	proc.AS.Unpin(proc.statusVA, mem.PageSize)
 	if rl := n.Board.Reliable(); rl != nil {
 		rl.DropClass(st.limits.Class)
 	}
-	n.LCP.unregisterProcess(pid)
-	delete(n.procs, pid)
+	proc.release()
 	n.LCP.work.Signal()
 }
 

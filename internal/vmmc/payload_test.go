@@ -28,7 +28,6 @@ func TestFaultedChunkRetransmitsOriginalBytes(t *testing.T) {
 			c.Net.SetFaults(pl)
 			pl.CorruptNextOn(c.Nodes[0].Board.NIC.ID, 1)
 		}},
-		{"legacy shim", func(c *Cluster) { c.Net.InjectBitError(1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reliableCluster(t, func(p *simProc, c *Cluster) {
