@@ -35,8 +35,9 @@ func TestResultsGolden(t *testing.T) {
 		*flag = filepath.Join(dir, name)
 		defer func() { *flag = "" }()
 	}
-	// Every spin the experiments park is checked against its watch.
-	bench.SetObservability(bench.Observability{VerifySkips: true})
+	// Every spin the experiments park is checked against its watch, and
+	// every undamaged packet against the bytes it was injected with.
+	bench.SetObservability(bench.Observability{VerifySkips: true, VerifyIntact: true})
 	defer bench.SetObservability(bench.Observability{})
 	var buf bytes.Buffer
 	ran, err := runExperiments(&buf, "", true, false, false)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/baselines/testbed"
+	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/vmmc"
 )
@@ -36,17 +38,37 @@ func newCell(name string) *cell {
 // body as the workload process proc, capture. The cluster is returned for
 // counters read after the run.
 func (cl *cell) cluster(opts vmmc.Options, proc string, body func(p *sim.Proc, c *vmmc.Cluster) error) (*vmmc.Cluster, error) {
-	c, err := vmmc.NewCluster(cl.eng, opts)
+	c, err := cl.newCluster(opts)
 	if err != nil {
-		return nil, cl.fail(err)
+		return nil, err
 	}
 	cl.spawn(c, proc, func(p *sim.Proc) error { return body(p, c) })
 	return c, cl.drive(c.Start)
 }
 
-// spawn adds a workload process that starts once c has booted. Cells that
-// must touch the built cluster before it boots, or want several workload
-// processes, build it themselves and follow spawn with drive(c.Start).
+// newCluster builds a cluster on the cell's engine. Cells that must touch
+// it before it boots, or want several workload processes, follow it with
+// spawn and drive(c.Start) themselves.
+func (cl *cell) newCluster(opts vmmc.Options) (*vmmc.Cluster, error) {
+	c, err := vmmc.NewCluster(cl.eng, opts)
+	if err != nil {
+		return nil, cl.fail(err)
+	}
+	verifyFabric(c.Net)
+	return c, nil
+}
+
+// testbed is newCluster for the baselines' two-node rig.
+func (cl *cell) testbed() (*testbed.Rig, error) {
+	r, err := testbed.New(cl.eng, hw.Default())
+	if err != nil {
+		return nil, cl.fail(err)
+	}
+	verifyFabric(r.Net)
+	return r, nil
+}
+
+// spawn adds a workload process that starts once c has booted.
 func (cl *cell) spawn(c *vmmc.Cluster, proc string, body func(p *sim.Proc) error) {
 	c.Go(proc, func(p *sim.Proc) { cl.done(body(p)) })
 }

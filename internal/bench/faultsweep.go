@@ -61,11 +61,11 @@ func faultSweepCase(reliable bool, ber float64) ([]string, *analysis.Report, err
 	)
 	cl := newCell(fmt.Sprintf("faultsweep reliable=%v ber=%g", reliable, ber))
 	pl := fault.NewPlan(cl.eng, faultSweepSeed)
-	c, err := vmmc.NewCluster(cl.eng, vmmc.Options{
+	c, err := cl.newCluster(vmmc.Options{
 		Nodes: 2, MemBytes: 16 << 20, Reliable: reliable, Faults: pl,
 	})
 	if err != nil {
-		return nil, nil, cl.fail(err)
+		return nil, nil, err
 	}
 	// Errors on both directions of the sender's link: data packets out,
 	// acknowledgements (when reliable) back in. Armed before the cluster

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
+	"repro/internal/myrinet"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -36,6 +37,12 @@ type Observability struct {
 	// predicate that reads outside its watch panics instead of silently
 	// missing a change. The golden test sets it; results are unaffected.
 	VerifySkips bool
+	// VerifyIntact turns on myrinet.Network.VerifyIntact in every fabric:
+	// a packet nobody damaged is still checked against the CRC of the
+	// bytes it was injected with, so a sender that writes into a buffer it
+	// has handed to the fabric panics instead of going unnoticed. The
+	// golden test sets it; results are unaffected.
+	VerifyIntact bool
 }
 
 // lastSummary and lastAnalysis are written by capture and read only
@@ -66,6 +73,13 @@ func observedEngine() (*sim.Engine, *analysis.Analyzer) {
 	an := analysis.NewAnalyzer(analysis.Config{})
 	eng.Trace().Subscribe(an)
 	return eng, an
+}
+
+// verifyFabric applies Observability.VerifyIntact to a fabric a cell built.
+func verifyFabric(n *myrinet.Network) {
+	if obs.VerifyIntact {
+		n.VerifyIntact()
+	}
 }
 
 // markPhase splits the analysis attribution window: busy time and waits

@@ -192,11 +192,11 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, e
 	relCfg.AckDelay = 25 * sim.Microsecond
 	relCfg.MaxRTO = 50 * sim.Millisecond
 	relCfg.MaxRetries = 12
-	c, err := vmmc.NewCluster(eng, vmmc.Options{
+	c, err := cl.newCluster(vmmc.Options{
 		Nodes: nodes, MemBytes: memBytes, Reliable: true, Reliability: &relCfg,
 	})
 	if err != nil {
-		return ScaleResult{}, nil, cl.fail(err)
+		return ScaleResult{}, nil, err
 	}
 
 	var (

@@ -6,7 +6,6 @@ import (
 	"repro/internal/baselines/fm"
 	"repro/internal/baselines/gmapi"
 	"repro/internal/baselines/pm"
-	"repro/internal/baselines/testbed"
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/rpc"
@@ -327,7 +326,7 @@ func TableRelatedWork() (Table, error) {
 
 func measureGMAPI() (lat, bw float64, err error) {
 	cl := newCell("myrinet api")
-	r, err := testbed.New(cl.eng, hw.Default())
+	r, err := cl.testbed()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -362,7 +361,7 @@ func measureGMAPI() (lat, bw float64, err error) {
 
 func measureFM() (lat, bw float64, err error) {
 	cl := newCell("fm")
-	r, err := testbed.New(cl.eng, hw.Default())
+	r, err := cl.testbed()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -408,7 +407,7 @@ func measureFM() (lat, bw float64, err error) {
 
 func measurePM() (lat, bw float64, err error) {
 	cl := newCell("pm")
-	r, err := testbed.New(cl.eng, hw.Default())
+	r, err := cl.testbed()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -59,6 +59,7 @@ type DMAEngine struct {
 
 	transfers int64
 	bytes     int64
+	idle      []*transfer // records of finished Starts, for reuse
 
 	// Observability: occupancy in the metrics registry plus per-transfer
 	// counters; spans are emitted into the engine's trace collector.
@@ -106,10 +107,23 @@ func (d *DMAEngine) Transfer(p *sim.Proc, n int) { d.TransferWith(p, n, d.profil
 // PCI reads (host to SRAM, slower) and PCI writes (SRAM to host) with
 // different profiles.
 func (d *DMAEngine) TransferWith(p *sim.Proc, n int, prof hw.DMAProfile) {
-	cost := prof.Cost(n)
 	d.res.Acquire(p)
 	// Deferred so a kill-unwind mid-transfer frees the engine.
 	defer d.res.Release(p)
+	cost := d.begin(n, prof)
+	if d.bus != nil {
+		d.bus.Use(p, cost)
+	} else {
+		p.Sleep(cost)
+	}
+	d.end(n)
+}
+
+// begin opens a transfer on the engine its caller has just been granted —
+// the direction-turnaround charge, the trace span — and returns the time
+// the bus (or, with none, the engine alone) is held for it.
+func (d *DMAEngine) begin(n int, prof hw.DMAProfile) sim.Time {
+	cost := prof.Cost(n)
 	if d.haveLast && d.lastProfile != prof && d.turnaround > 0 {
 		cost += d.turnaround
 		d.mTurnarounds.Add(1)
@@ -117,22 +131,76 @@ func (d *DMAEngine) TransferWith(p *sim.Proc, n int, prof hw.DMAProfile) {
 	}
 	d.lastProfile, d.haveLast = prof, true
 	d.eng.TraceBegin(d.comp, "dma", "transfer")
-	if d.bus != nil {
-		d.bus.Use(p, cost)
-	} else {
-		p.Sleep(cost)
-	}
-	d.eng.TraceEnd(d.comp, "dma", "transfer")
-	d.account(n)
+	return cost
 }
 
-// account updates the engine's legacy counters and metrics after a
-// transfer.
-func (d *DMAEngine) account(n int) {
+// end closes the transfer's span and counts it, just before the engine is
+// released.
+func (d *DMAEngine) end(n int) {
+	d.eng.TraceEnd(d.comp, "dma", "transfer")
 	d.transfers++
 	d.bytes += int64(n)
 	d.mTransfers.Add(1)
 	d.mBytes.Add(int64(n))
+}
+
+// Start is TransferWith for a caller with no process to block: the
+// transfer waits for the engine, then the bus, holds both for the cost and
+// calls done, all in event context. It queues where a process calling
+// TransferWith at this instant would, is charged the same turnaround,
+// leaves the same span and counters, and every step that was an event for
+// the process — a contended grant, the hold — is one event here, so the
+// two forms can be mixed on one engine without moving anything in virtual
+// time. label names the transfer as a holder of the engine and the bus
+// (sim.Resource.AcquireFn). A transfer in flight cannot be killed; it ends
+// when its time is up.
+func (d *DMAEngine) Start(label string, n int, prof hw.DMAProfile, done func()) {
+	var t *transfer
+	if k := len(d.idle); k > 0 {
+		t, d.idle = d.idle[k-1], d.idle[:k-1]
+	} else {
+		t = d.newTransfer()
+	}
+	t.label, t.n, t.prof, t.done = label, n, prof, done
+	d.res.AcquireFn(label, t.onEngine)
+}
+
+// transfer is one Start in flight. Its three steps are bound to the record
+// once and the record goes back on DMAEngine.idle when the transfer ends,
+// so steady-state transfers allocate nothing.
+type transfer struct {
+	label string
+	n     int
+	prof  hw.DMAProfile
+	cost  sim.Time
+	done  func()
+
+	onEngine, onBus, onEnd func()
+}
+
+func (d *DMAEngine) newTransfer() *transfer {
+	t := new(transfer)
+	t.onEngine = func() {
+		t.cost = d.begin(t.n, t.prof)
+		if d.bus != nil {
+			d.bus.res.AcquireFn(t.label, t.onBus)
+		} else {
+			t.onBus()
+		}
+	}
+	t.onBus = func() { d.eng.Post(t.cost, t.onEnd) }
+	t.onEnd = func() {
+		if d.bus != nil {
+			d.bus.res.ReleaseFn(t.label)
+		}
+		d.end(t.n)
+		d.res.ReleaseFn(t.label)
+		done := t.done
+		t.done = nil
+		d.idle = append(d.idle, t)
+		done()
+	}
+	return t
 }
 
 // Busy reports whether a transfer is in progress.

@@ -27,8 +27,10 @@ func runRanks(t *testing.T, nodes int, clOpts vmmc.Options, opts coll.Options,
 	}
 	// Packet buffers are overwritten with 0xDB as they return to the
 	// fabric's free list, so a step that reduced from a recycled buffer
-	// would produce a wrong vector, not a plausible stale one.
+	// would produce a wrong vector, not a plausible stale one; and a frame
+	// written after its injection fails the fabric's CRC oracle.
 	cluster.Net.PoisonReleased()
+	cluster.Net.VerifyIntact()
 	cluster.Go("coll-test", func(p *sim.Proc) {
 		procs := make([]*vmmc.Process, nodes)
 		for i := range procs {

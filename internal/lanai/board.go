@@ -105,15 +105,31 @@ func (b *Board) Interrupts() int64 { return b.interrupts }
 // engine (§3). The frames under the transfer must be pinned — DMA to
 // pageable memory is the classic corruption bug this checks for.
 func (b *Board) HostToSRAM(p *sim.Proc, pa mem.PhysAddr, sramOff, n int) error {
-	if err := b.checkPinned(pa, n); err != nil {
-		return err
-	}
-	dst := b.SRAM.Bytes(sramOff, n)
-	if err := b.hostMem.Read(pa, dst); err != nil {
+	if err := b.readHost(pa, sramOff, n); err != nil {
 		return err
 	}
 	b.HostDMA.TransferWith(p, n, b.Prof.HostToLANai)
 	return nil
+}
+
+// StartHostToSRAM is HostToSRAM for a caller with no process to block
+// (bus.DMAEngine.Start): the same check and copy now, done called in
+// event context when the transfer's time is up.
+func (b *Board) StartHostToSRAM(label string, pa mem.PhysAddr, sramOff, n int, done func()) error {
+	if err := b.readHost(pa, sramOff, n); err != nil {
+		return err
+	}
+	b.HostDMA.Start(label, n, b.Prof.HostToLANai, done)
+	return nil
+}
+
+// readHost is the data half of a host-to-SRAM DMA: the pinned-frame check
+// and the copy, which the model performs when the transfer starts.
+func (b *Board) readHost(pa mem.PhysAddr, sramOff, n int) error {
+	if err := b.checkPinned(pa, n); err != nil {
+		return err
+	}
+	return b.hostMem.Read(pa, b.SRAM.Bytes(sramOff, n))
 }
 
 // SRAMToHost DMAs n bytes from SRAM at sramOff into host physical memory

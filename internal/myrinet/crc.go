@@ -7,10 +7,14 @@ package myrinet
 import "encoding/binary"
 
 // CRC-8 with the ATM HEC polynomial p = x^8+x^2+x+1 (0x07), the generator
-// used by Myrinet's link-level packet check, computed over the packet
-// payload (header + data) at injection and verified at the sink. The link
-// hardware does this for free; the simulator has to touch every byte, so
-// the kernel works a 64-bit word at a time.
+// used by Myrinet's link-level packet check, over the packet payload
+// (header + data): appended at injection, verified at the sink. The link
+// hardware does both for free, and so does the simulator for every packet
+// nothing damaged — its payload is immutable from injection on, so the
+// check holds by construction and no byte is read (Packet.CheckCRC). The
+// real CRC-8 is computed for the packets a fault touched, from the bytes
+// as they were before the damage, and for all of them under
+// Network.VerifyIntact; the kernel works a 64-bit word at a time.
 //
 // A message is a polynomial M(x) over GF(2), first byte highest, and its
 // CRC is M(x)·x^8 mod p. Because p is sparse, x^8 ≡ x^2+x+1 (mod p), and

@@ -12,7 +12,7 @@ import (
 // Packet is a Myrinet packet in flight. The route is a sequence of absolute
 // output-port bytes consumed one per switch hop; the payload (header + data)
 // is opaque to the fabric; the CRC is appended by sending hardware and
-// checked by the receiver.
+// checked by the receiver (CheckCRC).
 type Packet struct {
 	// Route holds the output port for each switch on the path, in order.
 	Route []byte
@@ -27,11 +27,21 @@ type Packet struct {
 	// it (a retransmit window does) and the fabric never writes to it — a
 	// bit error gives the damaged packet a private copy (see corrupt).
 	Payload []byte
-	// CRC is the link-level check computed over Payload at injection.
-	CRC byte
 	// Src is the injecting NIC's id (diagnostic only; routing never
 	// consults it).
 	Src int
+
+	// intact marks an injected packet no fault has touched. Its payload is
+	// byte for byte what the sending hardware computed the CRC over, so the
+	// check holds by construction and crc is never computed; corrupt, the
+	// only writer, materialises crc before it flips anything. The zero
+	// value — a Packet literal that was never injected — is not intact and
+	// is checked against crc in full.
+	intact bool
+	crc    byte
+	// verify is Network.VerifyIntact's mark: crc was recorded at injection
+	// anyway, and CheckCRC holds the intact payload to it.
+	verify bool
 
 	// owned marks a packet injected with SendOwned: the sender kept no
 	// reference to Payload, so whoever consumes the packet may hand the
@@ -42,14 +52,32 @@ type Packet struct {
 // corrupt flips bits of one payload byte, as a bit error on the wire does.
 // The damage must stay on this transmission: a retransmit window holding
 // the same buffer would otherwise resend the flipped byte under a freshly
-// computed — and therefore matching — CRC.
+// computed — and therefore matching — CRC. The carried CRC is the one the
+// sending hardware appended, over the bytes as they were before any
+// damage: a packet hit at both ends of its cable keeps the first.
 func (pk *Packet) corrupt(i int, mask byte) {
+	if pk.intact {
+		pk.crc = CRC8(pk.Payload)
+		pk.intact = false
+	}
 	pk.Payload = append([]byte(nil), pk.Payload...)
 	pk.Payload[i] ^= mask
 }
 
-// CheckCRC recomputes the payload CRC and compares it with the carried one.
-func (pk *Packet) CheckCRC() bool { return CRC8(pk.Payload) == pk.CRC }
+// CheckCRC reports whether the payload still matches the CRC the sender
+// appended — the receiving hardware's check. Only a packet a fault touched
+// (or one that was never injected) can fail it, so only those are
+// recomputed; Network.VerifyIntact recomputes the rest as well.
+func (pk *Packet) CheckCRC() bool {
+	if !pk.intact {
+		return CRC8(pk.Payload) == pk.crc
+	}
+	if pk.verify && CRC8(pk.Payload) != pk.crc {
+		panic(fmt.Sprintf("myrinet: payload of a packet from NIC %d changed after injection (%d bytes): "+
+			"route and payload belong to the fabric from Send on", pk.Src, len(pk.Payload)))
+	}
+	return true
+}
 
 // Endpoint kinds inside the fabric graph.
 const (
@@ -122,6 +150,7 @@ type Network struct {
 	// allocation count repeats exactly.
 	freeBufs [][]byte
 	poison   bool
+	verify   bool
 }
 
 const (
@@ -172,6 +201,14 @@ func (nic *NIC) Release(pk *Packet) {
 // 0xDB, so a reader that kept a packet's bytes past its Release sees
 // garbage instead of plausible stale data. A debugging aid for tests.
 func (n *Network) PoisonReleased() { n.poison = true }
+
+// VerifyIntact makes every injection record the payload's CRC and every
+// CheckCRC of an undamaged packet recompute it, panicking on a mismatch.
+// An intact packet passes its check without being read, which would hide
+// exactly one bug: a sender writing into a buffer it has already injected
+// (eagerly checked, that surfaced as a CRC error at the receiver). A
+// debugging aid for tests; results are unaffected.
+func (n *Network) VerifyIntact() { n.verify = true }
 
 // New returns an empty fabric.
 func New(eng *sim.Engine, prof hw.Profile) *Network {
@@ -325,9 +362,14 @@ func (nic *NIC) SendOwned(p *sim.Proc, route []byte, payload []byte) {
 }
 
 func (nic *NIC) inject(p *sim.Proc, pk *Packet) {
-	pk.CRC = CRC8(pk.Payload)
-
 	n := nic.net
+	// The link hardware appends the CRC for free (§3); so does the model,
+	// by not computing it until a fault makes the answer matter.
+	pk.intact = true
+	if n.verify {
+		pk.verify, pk.crc = true, CRC8(pk.Payload)
+	}
+
 	wire := wireBytes(pk)
 	// Bit errors on the injecting end of the cable (§4.2: detected by the
 	// receiver's CRC check, not recovered).

@@ -110,6 +110,7 @@ func TestBitErrorLeavesSendersBufferIntact(t *testing.T) {
 func TestPacketBufferRecycling(t *testing.T) {
 	e, n := star4(t)
 	n.PoisonReleased()
+	n.VerifyIntact()
 	nics := n.NICs()
 	var owned, shared *Packet
 	e.Go("recv", func(p *sim.Proc) {
@@ -125,6 +126,9 @@ func TestPacketBufferRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if !owned.CheckCRC() || !shared.CheckCRC() {
+		t.Error("an undamaged packet failed its CRC check")
+	}
 	stale := owned.Payload
 	nics[1].Release(owned)
 	nics[1].Release(shared)

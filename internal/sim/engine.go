@@ -345,6 +345,12 @@ func (e *Engine) After(d Time, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
+// Post schedules fn to run d after the current time, like After, but hands
+// out no handle: an event nobody can cancel or query is recycled the
+// moment it fires, so posting one does not allocate. It is what a
+// continuation uses where a process would sleep.
+func (e *Engine) Post(d Time, fn func()) { e.postFn(d, fn) }
+
 // postFn schedules an internal, pooled callback event. The returned event
 // must not escape the package: it is recycled as soon as it leaves the
 // heap.

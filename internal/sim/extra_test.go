@@ -91,35 +91,6 @@ func TestKillWhileQueueWaiting(t *testing.T) {
 	}
 }
 
-func TestResourceQueueSurvivesKilledWaiter(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "res")
-	e.Go("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(100)
-		r.Release(p)
-	})
-	victim := e.Go("victim", func(p *Proc) {
-		p.Sleep(1)
-		r.Acquire(p)
-		t.Error("killed waiter acquired the resource")
-	})
-	acquired := false
-	e.Go("next", func(p *Proc) {
-		p.Sleep(2)
-		r.Acquire(p)
-		acquired = true
-		r.Release(p)
-	})
-	e.At(10, func() { victim.Kill() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !acquired {
-		t.Error("queue stalled behind the killed waiter")
-	}
-}
-
 func TestYield(t *testing.T) {
 	e := NewEngine()
 	var order []string

@@ -26,6 +26,7 @@ func delayedAckCluster(t *testing.T, ackDelay sim.Time, fn func(p *simProc, c *C
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net.VerifyIntact()
 	c.Go("workload", func(p *simProc) { fn(p, c) })
 	if err := c.Start(); err != nil {
 		t.Fatal(err)

@@ -28,6 +28,7 @@ func TestCrashMidTrafficSurfacesUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net.VerifyIntact()
 	c.Go("crash", func(p *simProc) {
 		recv1, _ := c.Nodes[1].NewProcess(p)
 		recv2, _ := c.Nodes[2].NewProcess(p)
@@ -130,6 +131,7 @@ func TestRestartRejoinsCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net.VerifyIntact()
 	c.Go("restart", func(p *simProc) {
 		recv, _ := c.Nodes[1].NewProcess(p)
 		send, _ := c.Nodes[0].NewProcess(p)

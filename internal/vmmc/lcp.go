@@ -85,8 +85,10 @@ type LCP struct {
 	// always-on metrics counters mirroring the hot LCPStats fields.
 	comp string
 	m    lcpMetrics
-	// Names of the helper processes a long send spawns per chunk.
-	dmaProcName, failProcName string
+	// dmaLabel names a chunk's host DMA as the holder of the engine and the
+	// PCI bus; failProcName the process a failed TLB refill starts for its
+	// completion write.
+	dmaLabel, failProcName string
 }
 
 // lcpMetrics are the LCP's registry counters, resolved once at boot so the
@@ -234,7 +236,7 @@ func newLCP(n *Node, routes myrinet.RouteTable) (*LCP, error) {
 		comp:      fmt.Sprintf("node%d/lcp", n.ID),
 		m:         newLCPMetrics(n.Eng.Metrics(), n.ID),
 
-		dmaProcName:  fmt.Sprintf("lcp:%d:hostdma", n.ID),
+		dmaLabel:     fmt.Sprintf("lcp:%d:hostdma", n.ID),
 		failProcName: fmt.Sprintf("lcp:%d:fail", n.ID),
 	}
 	sram := n.Board.SRAM
@@ -521,7 +523,7 @@ func (l *LCP) dropStaged(j *sendJob) {
 	for _, c := range j.staged {
 		l.stagingFree = append(l.stagingFree, c.sramOff)
 	}
-	j.staged = nil
+	j.staged = j.staged[:0]
 }
 
 // requestReady is the dispatch gate for a queue-head request: its class
@@ -642,8 +644,12 @@ func (l *LCP) run(p *simProc) {
 				l.node.Eng.TraceInstant(l.comp, "lcp", "tight_loop_abandoned")
 				p.Sleep(prof.LCPLoopSwitch)
 			}
+			// Popped in place, so the next arrival reuses the array instead
+			// of growing a fresh one behind a head that only moves forward.
 			item := l.rxq[0]
-			l.rxq = l.rxq[1:]
+			n := copy(l.rxq, l.rxq[1:])
+			l.rxq[n] = rxItem{}
+			l.rxq = l.rxq[:n]
 			l.handleRecv(p, item)
 			continue
 		}

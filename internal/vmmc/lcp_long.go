@@ -28,6 +28,14 @@ type sendJob struct {
 	tlbWait bool
 	staged  []stagedChunk // chunks ready to inject (<= 2)
 
+	// The chunk whose host DMA is in flight (dmaBusy) and where its bytes
+	// come from. A job has at most one, so the two steps of the transfer —
+	// its start and its completion, both event callbacks — are bound to the
+	// job once (startLong) instead of per chunk.
+	dma               stagedChunk
+	dmaSrc            mem.PhysAddr
+	dmaStart, dmaDone func()
+
 	completed bool // completion status written
 	hdrReady  bool // next header precomputed during host DMA
 	failed    bool
@@ -64,6 +72,8 @@ func (l *LCP) startLong(p *simProc, st *lcpProcState, e sqEntry) {
 		return
 	}
 	j := &job
+	j.dmaStart = func() { l.chunkDMAStart(j) }
+	j.dmaDone = func() { l.chunkDMADone(j) }
 	l.jobs = append(l.jobs, j)
 	l.node.Eng.TraceBegin(l.comp, "lcp", "long_send")
 	l.stepJob(p, j)
@@ -101,7 +111,7 @@ func (l *LCP) stepJob(p *simProc, j *sendJob) {
 			return
 		}
 		c := j.staged[0]
-		j.staged = j.staged[1:]
+		j.staged = j.staged[:copy(j.staged, j.staged[1:])] // in place: the next append reuses the array
 
 		// Start the following chunk's host DMA before injecting, so the
 		// two overlap (§4.5). Without the pipelining knob this is skipped
@@ -140,8 +150,10 @@ func (j *sendJob) chunkAt(off int) int {
 
 // startChunkDMA looks the chunk's source page up in the process TLB —
 // raising a refill interrupt on a miss — and starts the host DMA into a
-// staging buffer. The transfer runs concurrently with the LCP; its
-// completion event stages the chunk and rings the work flag.
+// staging buffer. The host-DMA engine is a piece of silicon beside the
+// LANai processor, not a thread of it (§3): the transfer is a continuation
+// on the engine (lanai.Board.StartHostToSRAM) that runs concurrently with
+// the LCP, and its completion stages the chunk and rings the work flag.
 func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 	prof := l.node.Prof
 	off := j.nextOff
@@ -199,24 +211,36 @@ func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 	l.stagingFree = l.stagingFree[:len(l.stagingFree)-1]
 	j.nextOff += n
 	j.dmaBusy = true
-	last := j.nextOff == j.total
-	l.node.Eng.Go(l.dmaProcName, func(dp *simProc) {
-		if j.st.gone {
-			// The owner was killed between scheduling and start: its
-			// TLB pins are already released, so the DMA must not run.
-			j.dmaBusy = false
-			j.failed = true
-			l.stagingFree = append(l.stagingFree, slot)
-			l.work.Signal()
-			return
-		}
-		if err := l.node.Board.HostToSRAM(dp, srcPA, slot, n); err != nil {
-			// The TLB pinned this page; a failure here is a model bug.
-			panic(fmt.Sprintf("lcp%d: chunk DMA failed: %v", l.node.ID, err))
-		}
+	j.dma = stagedChunk{off: off, n: n, sramOff: slot, last: j.nextOff == j.total}
+	j.dmaSrc = srcPA
+	// The transfer starts one zero-delay event from now: whatever is
+	// already scheduled for this instant — a kill, a store into the source
+	// page — happens before the owner check and the copy.
+	l.node.Eng.Post(0, j.dmaStart)
+}
+
+// chunkDMAStart begins the host DMA of j.dma.
+func (l *LCP) chunkDMAStart(j *sendJob) {
+	c := j.dma
+	if j.st.gone {
+		// The owner was killed between scheduling and start: its
+		// TLB pins are already released, so the DMA must not run.
 		j.dmaBusy = false
-		j.sentDMA += n
-		j.staged = append(j.staged, stagedChunk{off: off, n: n, sramOff: slot, last: last})
+		j.failed = true
+		l.stagingFree = append(l.stagingFree, c.sramOff)
 		l.work.Signal()
-	})
+		return
+	}
+	if err := l.node.Board.StartHostToSRAM(l.dmaLabel, j.dmaSrc, c.sramOff, c.n, j.dmaDone); err != nil {
+		// The TLB pinned this page; a failure here is a model bug.
+		panic(fmt.Sprintf("lcp%d: chunk DMA failed: %v", l.node.ID, err))
+	}
+}
+
+// chunkDMADone stages the chunk whose host DMA has just completed.
+func (l *LCP) chunkDMADone(j *sendJob) {
+	j.dmaBusy = false
+	j.sentDMA += j.dma.n
+	j.staged = append(j.staged, j.dma)
+	l.work.Signal()
 }

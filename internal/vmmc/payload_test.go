@@ -163,14 +163,17 @@ func TestStreamUnderBufferPoison(t *testing.T) {
 	})
 }
 
-// Allocation ceilings for the steady state, so the per-packet copies and
-// per-transfer strings cannot creep back: at the parent of this change a
-// 64 KB message cost about 360 allocations and 160 KB, two fresh
-// page-sized buffers per chunk among them. What remains is the
-// simulator's own bookkeeping — packet structs, closures, process
-// spawns — and none of it scales with payload bytes.
+// Allocation ceilings for the steady state, so the per-packet copies,
+// per-transfer strings and per-chunk processes cannot creep back: two PRs
+// ago a 64 KB message cost about 360 allocations and 160 KB, two fresh
+// page-sized buffers per chunk among them; with a process per chunk's host
+// DMA, and a receive queue that grew a fresh array per packet, it cost
+// 149. What remains is the simulator's own bookkeeping per packet — the
+// packet struct, its delivery event and closure, the ingress record — and
+// none of it scales with payload bytes. The long ceiling is the measured
+// count (go1.24).
 func TestSteadyStateAllocationCeilings(t *testing.T) {
-	const longCeiling, shortCeiling = 165, 12
+	const longCeiling, shortCeiling = 72, 12
 	longSendRig(t, false, func(_ *simProc, long, short func(), check func() bool) {
 		for i := 0; i < 4; i++ { // fill the free list, warm the TLBs
 			long()
@@ -197,11 +200,14 @@ func TestSteadyStateAllocationCeilings(t *testing.T) {
 // exact count, and it is what a process switch costs. A park that the
 // parking goroutine ends itself (SchedStats.SelfResumes: a DMA engine
 // sleeping for its transfer time, a spin that sees its own send land) is
-// free; only a resume of a different process sends a token. Measured: 147
-// and 4, against 219 and 17 process activations — a scheduler that went
-// back to a round trip per activation would send 438 and 34.
+// free; only a resume of a different process sends a token. Measured: 100
+// and 4, against 187 and 17 process activations — a scheduler that went
+// back to a round trip per activation would send 374 and 34. A chunk's
+// host DMA is a continuation and costs none (it was a process: 147); the
+// six or so that remain per chunk are the sender's LCP, the receiver's rx
+// pump and the receiver's LCP taking turns.
 func TestSteadyStateHandoffCeilings(t *testing.T) {
-	const longCeiling, shortCeiling = 160, 6
+	const longCeiling, shortCeiling = 100, 6
 	longSendRig(t, false, func(p *simProc, long, short func(), check func() bool) {
 		for i := 0; i < 4; i++ {
 			long()

@@ -31,6 +31,7 @@ func TestReliableSoakUnderLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.Net.VerifyIntact()
 			c.Go("soak", func(p *simProc) {
 				recv, _ := c.Nodes[1].NewProcess(p)
 				send, _ := c.Nodes[0].NewProcess(p)

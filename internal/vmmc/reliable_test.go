@@ -23,6 +23,7 @@ func reliableCluster(t *testing.T, fn func(p *simProc, c *Cluster)) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net.VerifyIntact()
 	c.Go("workload", func(p *simProc) { fn(p, c) })
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
@@ -157,6 +158,7 @@ func TestReliabilityCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.Net.VerifyIntact()
 		c.Go("bench", func(p *simProc) {
 			recv, _ := c.Nodes[1].NewProcess(p)
 			send, _ := c.Nodes[0].NewProcess(p)
@@ -223,6 +225,7 @@ func TestReliabilityWindowCompetesForSRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net.VerifyIntact()
 	var procErr error
 	c.Go("probe", func(p *simProc) {
 		_, procErr = c.Nodes[0].NewProcess(p)

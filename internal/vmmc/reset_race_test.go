@@ -29,6 +29,7 @@ func resetRaceCluster(t *testing.T, fn func(p *simProc, c *Cluster)) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Net.VerifyIntact()
 	c.Go("workload", func(p *simProc) { fn(p, c) })
 	if err := c.Start(); err != nil {
 		t.Fatal(err)

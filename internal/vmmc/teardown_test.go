@@ -131,3 +131,127 @@ func TestTeardownPathsLeaveSameBaseline(t *testing.T) {
 		})
 	}
 }
+
+// A chunk's host DMA is a continuation on the engine, not a process: nobody
+// can kill it, so when its owner dies mid-transfer — alone, or with the
+// whole node — the transfer runs out its time and then everything it held
+// must come back: the engine and the PCI bus under it, the staging buffer
+// (to the free list after a kill; with the dead LCP's SRAM after a crash),
+// and the chunk it fetched must go nowhere.
+func TestTeardownDuringChunkDMA(t *testing.T) {
+	const (
+		class = 3
+		size  = 8 * mem.PageSize
+	)
+	for _, tc := range []struct {
+		name     string
+		teardown func(c *Cluster, victim *Process)
+		crash    bool
+	}{
+		{"kill", func(c *Cluster, victim *Process) { c.Nodes[0].KillProcess(victim.Pid) }, false},
+		{"crash", func(c *Cluster, victim *Process) { c.CrashNode(0) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reliableCluster(t, func(p *simProc, c *Cluster) {
+				node := c.Nodes[0]
+				peer, _ := c.Nodes[1].NewProcess(p)
+				peerBuf, _ := peer.Malloc(size)
+				if err := peer.Export(p, 9, peerBuf, size, nil, false); err != nil {
+					t.Fatal(err)
+				}
+				base := takeBaseline(node, class)
+
+				// stream sends size bytes of fill from a fresh process in a
+				// class of its own (a killed class's id is never reused); with
+				// wait unset it returns with the send posted.
+				stream := func(class int, fill byte, wait bool) *Process {
+					proc, err := node.NewProcessWith(p, ProcLimits{Class: class})
+					if err != nil {
+						t.Fatal(err)
+					}
+					dest, _, err := proc.Import(p, 1, 9)
+					if err != nil {
+						t.Fatal(err)
+					}
+					src, _ := proc.Malloc(size)
+					if err := proc.Write(src, bytes.Repeat([]byte{fill}, size)); err != nil {
+						t.Fatal(err)
+					}
+					if wait {
+						if err := proc.SendMsgSync(p, src, dest, size, SendOptions{}); err != nil {
+							t.Fatal(err)
+						}
+					} else if _, err := proc.SendMsg(p, src, dest, size, SendOptions{}); err != nil {
+						t.Fatal(err)
+					}
+					return proc
+				}
+
+				victim := stream(class, 0x11, false)
+				lcp := node.LCP
+				// Into the second chunk's transfer, the first chunk injected
+				// and the control program idle until the DMA completes.
+				inFlight := func() bool {
+					if len(lcp.jobs) == 0 {
+						return false
+					}
+					j := lcp.jobs[0]
+					return j.dmaBusy && node.Board.HostDMA.Busy() && j.sentDMA > 0 && j.injOff == j.sentDMA
+				}
+				for !inFlight() {
+					p.Sleep(sim.Micros(1))
+				}
+				j := lcp.jobs[0]
+				sent := lcp.Stats().PacketsOut
+				transfers, _ := node.Board.HostDMA.Stats()
+
+				tc.teardown(c, victim)
+				if !node.Board.HostDMA.Busy() {
+					t.Error("teardown cut a host DMA short: the engine is free before the transfer's time is up")
+				}
+				p.Sleep(sim.Micros(100)) // a 4 KB transfer is about 50 us
+				if node.Board.HostDMA.Busy() {
+					t.Error("host-DMA engine still held after the transfer's end")
+				}
+				if n, _ := node.Board.HostDMA.Stats(); n != transfers+1 {
+					t.Errorf("%d host DMAs completed after the teardown, want the one in flight", n-transfers)
+				}
+				if j.dmaBusy || len(j.staged) > 0 && !tc.crash {
+					t.Errorf("dead job: dmaBusy=%v, %d chunks staged", j.dmaBusy, len(j.staged))
+				}
+				if got := lcp.Stats().PacketsOut; got != sent {
+					t.Errorf("%d packets injected for the dead job", got-sent)
+				}
+				if tc.crash {
+					if lcp.stagingFree != nil || lcp.jobs != nil {
+						t.Errorf("crashed LCP kept %d staging buffers and %d jobs", len(lcp.stagingFree), len(lcp.jobs))
+					}
+					if err := c.RestartNode(0); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if l := node.LCP; len(l.stagingFree) != len(l.stagingOff) || len(l.jobs) != 0 {
+					t.Errorf("%d of %d staging buffers free, %d jobs", len(l.stagingFree), len(l.stagingOff), len(l.jobs))
+				}
+
+				// The engine, the bus and both staging buffers are usable: a
+				// whole message goes through them.
+				next := stream(class+1, 0x22, true)
+				peer.SpinByte(p, peerBuf+size-1, 0x22)
+				if got, _ := peer.Read(peerBuf, size); !bytes.Equal(got, bytes.Repeat([]byte{0x22}, size)) {
+					t.Error("the message sent after the teardown did not arrive whole")
+				}
+				if err := next.Close(p); err != nil {
+					t.Fatal(err)
+				}
+				p.Sleep(5 * sim.Millisecond)
+				if got := takeBaseline(node, class); got != base {
+					t.Errorf("after teardown %+v, want the baseline %+v", got, base)
+				}
+				if n := victim.PinnedFrames(); n != 0 {
+					t.Errorf("%d frames still charged to the dead process", n)
+				}
+			})
+		})
+	}
+}

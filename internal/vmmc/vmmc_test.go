@@ -11,12 +11,16 @@ import (
 // testCluster boots an n-node cluster and runs fn as a workload on it.
 func testCluster(t *testing.T, n int, fn func(p *simProc, c *Cluster)) *Cluster {
 	t.Helper()
-	// Every fire-and-forget test doubles as a use-after-release check: a
-	// packet buffer read after it went back to the free list reads 0xDB.
+	// Every fire-and-forget test doubles as a buffer-ownership check: a
+	// packet buffer read after it went back to the free list reads 0xDB,
+	// and one written after it was injected fails the fabric's CRC oracle.
 	return startCluster(t, n, true, fn)
 }
 
-func startCluster(t testing.TB, n int, poison bool, fn func(p *simProc, c *Cluster)) *Cluster {
+// startCluster is testCluster with the fabric's two buffer oracles
+// optional: tests that count allocations or time the payload path run
+// without the poison fill and the eager CRC.
+func startCluster(t testing.TB, n int, oracles bool, fn func(p *simProc, c *Cluster)) *Cluster {
 	t.Helper()
 	eng := sim.NewEngine()
 	eng.VerifySkips()
@@ -24,8 +28,9 @@ func startCluster(t testing.TB, n int, poison bool, fn func(p *simProc, c *Clust
 	if err != nil {
 		t.Fatal(err)
 	}
-	if poison {
+	if oracles {
 		c.Net.PoisonReleased()
+		c.Net.VerifyIntact()
 	}
 	c.Go("workload", func(p *simProc) { fn(p, c) })
 	if err := c.Start(); err != nil {
