@@ -1,0 +1,107 @@
+package coll_test
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"repro/internal/coll"
+	"repro/internal/sim"
+	"repro/internal/vmmc"
+)
+
+// allocStats is what the host allocated over some runs of an op, per run.
+type allocStats struct {
+	allocs, bytes float64
+	// large counts allocations in the size classes from 4 KB — a page, the
+	// smallest piece a ring step or a slot carries — to 32 KB; a larger
+	// one shows in bytes. Per-message bookkeeping (packets, closures,
+	// processes) never comes near it; a payload-sized buffer does.
+	large float64
+}
+
+func measureAllocs(runs int, op func()) allocStats {
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		op()
+	}
+	runtime.ReadMemStats(&m1)
+	large := uint64(0)
+	for i, c := range m1.BySize {
+		if c.Size >= 4096 {
+			large += c.Mallocs - m0.BySize[i].Mallocs
+		}
+	}
+	return allocStats{
+		// Whole allocations per run, as testing.AllocsPerRun counts them:
+		// the runtime's own rare allocations (a GC cycle starting its
+		// workers) average out below one.
+		allocs: float64((m1.Mallocs - m0.Mallocs) / uint64(runs)),
+		bytes:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs),
+		large:  float64(large) / float64(runs),
+	}
+}
+
+// TestAllReduceAllocationCeilings holds the host allocations of one
+// all-reduce on a warmed 8-rank communicator, summed over the ranks (and
+// the eight spawns that start them): a 64 B tree all-reduce and a 64 KB
+// ring all-reduce, the two sizes the allreduce benchmark mixes. What is
+// left is the simulator's per-message bookkeeping — packets and their
+// delivery closures, long-send jobs, the driver's notification processes —
+// about 50 bytes an allocation; no buffer of a page or more is allocated,
+// where each rank used to allocate a result-sized accumulator, a
+// result-sized scratch vector and a copy of every slot it drained (1.9 MB
+// per 64 KB op). The ceilings are the measured counts (go1.24); bytes get
+// 4% of slack, because under the race detector the runtime has no tiny
+// allocator and the same allocations take a little more room.
+func TestAllReduceAllocationCeilings(t *testing.T) {
+	const n = 8
+	cases := []struct {
+		name   string
+		bytes  int
+		algo   coll.Algorithm
+		allocs float64 // ceiling
+		kb     float64 // ceiling
+	}{
+		{"64 B tree all-reduce", 64, coll.Tree, 249, 12},
+		{"64 KB ring all-reduce", 64 << 10, coll.Ring, 2713, 134},
+	}
+	withRanks(t, n, vmmc.Options{}, coll.Options{}, func(_ *sim.Proc, all func(func(*sim.Proc, *coll.Comm))) {
+		for _, tc := range cases {
+			in := make([][]byte, n)
+			out := make([][]byte, n)
+			for r := range in {
+				in[r] = seededVector(coll.Int32, tc.bytes/4, r)
+				out[r] = make([]byte, tc.bytes)
+			}
+			op := func() {
+				all(func(rp *sim.Proc, c *coll.Comm) {
+					if err := c.AllReduce(rp, in[c.Rank()], out[c.Rank()], coll.OpSum, coll.Int32, tc.algo); err != nil {
+						t.Errorf("rank %d: %v", c.Rank(), err)
+					}
+				})
+			}
+			for i := 0; i < 3; i++ { // pipelines, TLBs, free lists, scratch
+				op()
+			}
+			m := measureAllocs(20, op)
+			kb := m.bytes / 1024
+			t.Logf("%s, 8 ranks: %.0f allocations, %.1f KB", tc.name, m.allocs, kb)
+			if m.allocs > tc.allocs {
+				t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, m.allocs, tc.allocs)
+			}
+			if kb > tc.kb*1.04 {
+				t.Errorf("%s: %.1f KB allocated, ceiling %.0f", tc.name, kb, tc.kb)
+			}
+			if m.large != 0 {
+				t.Errorf("%s: %.2f allocations of 4 KB or more per op: a payload-sized buffer is back", tc.name, m.large)
+			}
+			for r := 1; r < n; r++ {
+				if !bytes.Equal(out[r], out[0]) {
+					t.Errorf("%s: ranks 0 and %d disagree", tc.name, r)
+				}
+			}
+		}
+	})
+}

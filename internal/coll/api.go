@@ -67,7 +67,9 @@ func (c *Comm) Reduce(p *simProc, in, out []byte, op Op, dt DType, root int, alg
 }
 
 // AllReduce folds every rank's in vector with op and leaves the full
-// result in every rank's out (same length as in).
+// result in every rank's out (same length as in). The reduction runs inside
+// out, so out may be in itself; after an error its contents are
+// unspecified.
 func (c *Comm) AllReduce(p *simProc, in, out []byte, op Op, dt DType, algo Algorithm) error {
 	if err := checkVector(dt, in); err != nil {
 		return err
@@ -75,23 +77,21 @@ func (c *Comm) AllReduce(p *simProc, in, out []byte, op Op, dt DType, algo Algor
 	if len(out) != len(in) {
 		return fmt.Errorf("coll: out is %d bytes, want %d", len(out), len(in))
 	}
+	copy(out, in)
 	if c.g.n == 1 {
-		copy(out, in)
 		return nil
 	}
 	a := c.resolve(KAllReduce, algo, len(in))
 	defer c.span("allreduce_" + a.String())()
-	acc := append([]byte(nil), in...)
 	var err error
 	if a == Tree {
-		err = c.allReduceTree(p, op, dt, acc)
+		err = c.allReduceTree(p, op, dt, out)
 	} else {
-		err = c.allReduceRing(p, op, dt, acc)
+		err = c.allReduceRing(p, op, dt, out)
 	}
 	if err != nil {
 		return err
 	}
-	copy(out, acc)
 	c.g.m.allreduces.Add(1)
 	return nil
 }

@@ -144,6 +144,9 @@ type Comm struct {
 	sendBuf mem.VirtAddr // staging for one outgoing payload chunk
 	sigBuf  mem.VirtAddr // staging for 4-byte signals (content ignored)
 
+	// scratch receives the pieces a reduction folds in (see reduceScratch).
+	scratch []byte
+
 	// round counts step() calls and lastStep names the latest, so a wedged
 	// credit wait can report where in the algorithm it stuck; stall is
 	// non-nil exactly while this rank is parked awaiting credits (read by
@@ -359,9 +362,10 @@ func (c *Comm) sendPayload(p *sim.Proc, peer int, data []byte) error {
 }
 
 // recvPayload waits for len(dst) bytes from peer — the chunks the peer's
-// matching sendPayload produced — copies them out of the bounce slots
-// (the one library copy this design pays, charged at bcopy rate) and
-// returns each slot's credit.
+// matching sendPayload produced — copies each one out of its bounce slot
+// straight into dst (the one library copy this design pays, charged at
+// bcopy rate, and the only one the host makes) and returns the slot's
+// credit.
 func (c *Comm) recvPayload(p *sim.Proc, peer int, dst []byte) error {
 	g := c.g
 	in := &c.in[peer]
@@ -371,18 +375,17 @@ func (c *Comm) recvPayload(p *sim.Proc, peer int, dst []byte) error {
 		for len(in.queue) == 0 {
 			c.cond.Wait(p)
 		}
+		// Popped in place, so the handler's next append reuses the array.
 		a := in.queue[0]
-		in.queue = in.queue[1:]
+		in.queue = in.queue[:copy(in.queue, in.queue[1:])]
 		if got+a.n > len(dst) {
 			return fmt.Errorf("coll: rank %d overrun from %d: %d+%d > %d",
 				c.rank, peer, got, a.n, len(dst))
 		}
-		data, err := c.proc.Read(in.va+mem.VirtAddr(a.off), a.n)
-		if err != nil {
+		if err := c.proc.ReadInto(in.va+mem.VirtAddr(a.off), dst[got:got+a.n]); err != nil {
 			return err
 		}
 		c.proc.Node.CPU.Bcopy(p, a.n)
-		copy(dst[got:], data)
 		got += a.n
 		if err := c.signal(p, peer, offCredit); err != nil {
 			return err
@@ -393,6 +396,17 @@ func (c *Comm) recvPayload(p *sim.Proc, peer int, dst []byte) error {
 			c.rank, peer, got, len(dst))
 	}
 	return nil
+}
+
+// reduceScratch returns an n-byte buffer for the pieces a reduction receives
+// before folding them in. It is the rank's own and grows only when a call
+// needs more than any before: a tree step asks for the whole vector, a ring
+// step for at most one credit window (pipeBytes).
+func (c *Comm) reduceScratch(n int) []byte {
+	if cap(c.scratch) < n {
+		c.scratch = make([]byte, n)
+	}
+	return c.scratch[:n]
 }
 
 // span wraps a collective in a trace duration event and emits nothing

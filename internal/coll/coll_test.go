@@ -16,6 +16,17 @@ import (
 func runRanks(t *testing.T, nodes int, clOpts vmmc.Options, opts coll.Options,
 	body func(p *sim.Proc, c *coll.Comm)) {
 	t.Helper()
+	withRanks(t, nodes, clOpts, opts, func(_ *sim.Proc, all func(func(*sim.Proc, *coll.Comm))) { all(body) })
+}
+
+// withRanks boots a cluster, forms a communicator with one rank per node
+// and hands fn, in the driver process, a runner: all(body) runs body once
+// in every rank's own simulation process and returns when all of them
+// have. The rank processes' names and bodies are built once, so a call
+// costs the engine one spawn per rank and nothing else of its own.
+func withRanks(t *testing.T, nodes int, clOpts vmmc.Options, opts coll.Options,
+	fn func(p *sim.Proc, all func(body func(rp *sim.Proc, c *coll.Comm)))) {
+	t.Helper()
 	eng := sim.NewEngine()
 	eng.VerifySkips()
 	if clOpts.Nodes == 0 {
@@ -45,17 +56,26 @@ func runRanks(t *testing.T, nodes int, clOpts vmmc.Options, opts coll.Options,
 		}
 		done := 0
 		cond := sim.NewCond(eng)
+		var body func(rp *sim.Proc, c *coll.Comm)
+		names := make([]string, nodes)
+		ranks := make([]func(rp *sim.Proc), nodes)
 		for r := range comms {
-			r := r
-			eng.Go(fmt.Sprintf("rank%d", r), func(rp *sim.Proc) {
+			names[r] = fmt.Sprintf("rank%d", r)
+			ranks[r] = func(rp *sim.Proc) {
 				body(rp, comms[r])
 				done++
 				cond.Broadcast()
-			})
+			}
 		}
-		for done < nodes {
-			cond.Wait(p)
-		}
+		fn(p, func(b func(rp *sim.Proc, c *coll.Comm)) {
+			body, done = b, 0
+			for r := range comms {
+				eng.Go(names[r], ranks[r])
+			}
+			for done < nodes {
+				cond.Wait(p)
+			}
+		})
 	})
 	if err := cluster.Start(); err != nil {
 		t.Fatal(err)
@@ -268,6 +288,27 @@ func TestRingAllReduceRecyclesBuffersSafely(t *testing.T) {
 			}
 		}
 	})
+}
+
+// AllReduce reduces inside out, so out may be in itself: every rank passes
+// one buffer as both and must find the full reduction in it.
+func TestAllReduceInPlace(t *testing.T) {
+	const n = 5
+	const elems = 6 << 10 // 24 KB: two slots a tree step, uneven ring blocks
+	for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
+		t.Run(algo.String(), func(t *testing.T) {
+			runRanks(t, n, vmmc.Options{}, coll.Options{}, func(p *sim.Proc, c *coll.Comm) {
+				buf, want := reduceVectors(t, coll.OpSum, coll.Int32, n, elems, c.Rank())
+				if err := c.AllReduce(p, buf, buf, coll.OpSum, coll.Int32, algo); err != nil {
+					t.Errorf("rank %d: %v", c.Rank(), err)
+					return
+				}
+				if !bytes.Equal(buf, want) {
+					t.Errorf("rank %d: in-place %v all-reduce differs from the local sum", c.Rank(), algo)
+				}
+			})
+		})
+	}
 }
 
 func TestAllGatherBothAlgorithms(t *testing.T) {

@@ -86,32 +86,10 @@ func RegisterOp(op Op, dt DType, fn CombineFunc) {
 }
 
 func init() {
-	RegisterOp(OpSum, Int32, combineInt32(func(a, b int32) int32 { return a + b }))
-	RegisterOp(OpMin, Int32, combineInt32(func(a, b int32) int32 {
-		if b < a {
-			return b
-		}
-		return a
-	}))
-	RegisterOp(OpMax, Int32, combineInt32(func(a, b int32) int32 {
-		if b > a {
-			return b
-		}
-		return a
-	}))
-	RegisterOp(OpSum, Float64, combineFloat64(func(a, b float64) float64 { return a + b }))
-	RegisterOp(OpMin, Float64, combineFloat64(func(a, b float64) float64 {
-		if b < a {
-			return b
-		}
-		return a
-	}))
-	RegisterOp(OpMax, Float64, combineFloat64(func(a, b float64) float64 {
-		if b > a {
-			return b
-		}
-		return a
-	}))
+	for _, op := range []Op{OpSum, OpMin, OpMax} {
+		RegisterOp(op, Int32, func(dst, src []byte) error { return foldInt32(op, dst, src) })
+		RegisterOp(op, Float64, func(dst, src []byte) error { return foldFloat64(op, dst, src) })
+	}
 }
 
 func lookupOp(op Op, dt DType) (CombineFunc, error) {
@@ -123,34 +101,72 @@ func lookupOp(op Op, dt DType) (CombineFunc, error) {
 }
 
 // The built-in folds work on the encoded vectors in place: an XDR int32 or
-// float64 is a big-endian word, so there is nothing to decode into.
+// float64 is a big-endian word, so there is nothing to decode into. Each is
+// one loop per operator, chosen once per call; each step takes word-sized
+// subslices, which the compiler bounds-checks once instead of at every
+// access. min and max replace dst's element only when src's compares
+// strictly below (above) it, so on a tie or a NaN on either side dst keeps
+// its own bits. A sum adds dst+src in that order: with a NaN on both sides,
+// which payload survives depends on it.
 
-func combineInt32(f func(a, b int32) int32) CombineFunc {
-	return func(dst, src []byte) error {
-		if err := checkVectors(dst, src, 4); err != nil {
-			return err
-		}
-		for i := 0; i < len(dst); i += 4 {
-			a := int32(binary.BigEndian.Uint32(dst[i:]))
-			b := int32(binary.BigEndian.Uint32(src[i:]))
-			binary.BigEndian.PutUint32(dst[i:], uint32(f(a, b)))
-		}
-		return nil
+func foldInt32(op Op, dst, src []byte) error {
+	if err := checkVectors(dst, src, 4); err != nil {
+		return err
 	}
+	be := binary.BigEndian
+	switch op {
+	case OpSum:
+		for i := 0; i < len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			be.PutUint32(d, be.Uint32(d)+be.Uint32(s))
+		}
+	case OpMin:
+		for i := 0; i < len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			if int32(be.Uint32(s)) < int32(be.Uint32(d)) {
+				copy(d, s)
+			}
+		}
+	case OpMax:
+		for i := 0; i < len(dst); i += 4 {
+			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
+			if int32(be.Uint32(s)) > int32(be.Uint32(d)) {
+				copy(d, s)
+			}
+		}
+	}
+	return nil
 }
 
-func combineFloat64(f func(a, b float64) float64) CombineFunc {
-	return func(dst, src []byte) error {
-		if err := checkVectors(dst, src, 8); err != nil {
-			return err
-		}
-		for i := 0; i < len(dst); i += 8 {
-			a := math.Float64frombits(binary.BigEndian.Uint64(dst[i:]))
-			b := math.Float64frombits(binary.BigEndian.Uint64(src[i:]))
-			binary.BigEndian.PutUint64(dst[i:], math.Float64bits(f(a, b)))
-		}
-		return nil
+func foldFloat64(op Op, dst, src []byte) error {
+	if err := checkVectors(dst, src, 8); err != nil {
+		return err
 	}
+	be := binary.BigEndian
+	switch op {
+	case OpSum:
+		for i := 0; i < len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			a := math.Float64frombits(be.Uint64(d))
+			b := math.Float64frombits(be.Uint64(s))
+			be.PutUint64(d, math.Float64bits(a+b))
+		}
+	case OpMin:
+		for i := 0; i < len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			if math.Float64frombits(be.Uint64(s)) < math.Float64frombits(be.Uint64(d)) {
+				copy(d, s)
+			}
+		}
+	case OpMax:
+		for i := 0; i < len(dst); i += 8 {
+			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
+			if math.Float64frombits(be.Uint64(s)) > math.Float64frombits(be.Uint64(d)) {
+				copy(d, s)
+			}
+		}
+	}
+	return nil
 }
 
 // checkVectors validates two encoded vectors of esz-byte elements for an

@@ -76,9 +76,10 @@ func (c *Comm) bcastChain(p *simProc, buf []byte, root int) error {
 // credit window are exchanged in interleaved sub-rounds (see pipeBytes); a
 // block that fits is sent whole and then received. Either block may be
 // empty (fewer elements than ranks), skipped by sender and receiver alike.
-// fold, when set, is handed each piece of recv as it lands, with its offset
-// in the block.
-func (c *Comm) ringStep(p *simProc, align int, send, recv []byte, fold func(off int, piece []byte) error) error {
+// fold, when set, makes recv the block the arriving one is reduced into:
+// each piece lands in the rank's reduce scratch instead and fold(dst, piece)
+// merges it into the matching piece dst of recv.
+func (c *Comm) ringStep(p *simProc, align int, send, recv []byte, fold func(dst, piece []byte) error) error {
 	right := (c.rank + 1) % c.g.n
 	left := mod(c.rank-1, c.g.n)
 	pipe := c.pipeBytes(align)
@@ -89,14 +90,19 @@ func (c *Comm) ringStep(p *simProc, align int, send, recv []byte, fold func(off 
 			}
 		}
 		if so < len(recv) {
-			piece := recv[so:min(so+pipe, len(recv))]
+			dst := recv[so:min(so+pipe, len(recv))]
+			if fold == nil {
+				if err := c.recvPayload(p, left, dst); err != nil {
+					return err
+				}
+				continue
+			}
+			piece := c.reduceScratch(len(dst))
 			if err := c.recvPayload(p, left, piece); err != nil {
 				return err
 			}
-			if fold != nil {
-				if err := fold(so, piece); err != nil {
-					return err
-				}
+			if err := fold(dst, piece); err != nil {
+				return err
 			}
 		}
 	}
@@ -111,15 +117,12 @@ func (c *Comm) ringStep(p *simProc, align int, send, recv []byte, fold func(off 
 func (c *Comm) reduceScatterRing(p *simProc, op Op, dt DType, acc []byte) error {
 	n := c.g.n
 	esz := dt.Size()
-	tmp := make([]byte, len(acc))
+	fold := func(dst, piece []byte) error { return c.combine(p, op, dt, dst, piece) }
 	for t := 0; t < n-1; t++ {
 		soff, slen := blockRange(len(acc), esz, n, mod(c.rank-t, n))
 		roff, rlen := blockRange(len(acc), esz, n, mod(c.rank-t-1, n))
 		c.step("allreduce_ring_rs")
-		err := c.ringStep(p, esz, acc[soff:soff+slen], tmp[roff:roff+rlen], func(off int, piece []byte) error {
-			return c.combine(p, op, dt, acc[roff+off:roff+off+len(piece)], piece)
-		})
-		if err != nil {
+		if err := c.ringStep(p, esz, acc[soff:soff+slen], acc[roff:roff+rlen], fold); err != nil {
 			return err
 		}
 	}

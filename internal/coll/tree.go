@@ -49,7 +49,7 @@ func (c *Comm) bcastTree(p *simProc, buf []byte, root int) error {
 func (c *Comm) reduceTree(p *simProc, op Op, dt DType, acc []byte, root int) error {
 	n := c.g.n
 	vr := (c.rank - root + n) % n
-	tmp := make([]byte, len(acc))
+	tmp := c.reduceScratch(len(acc))
 	for mask := 1; mask < n; mask <<= 1 {
 		if vr&mask != 0 {
 			parent := ((vr &^ mask) + root) % n

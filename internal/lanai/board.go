@@ -47,6 +47,7 @@ type Board struct {
 	// not link-layer framed and must bypass the go-back-N filter.
 	rawFilter func(p *sim.Proc, pk *myrinet.Packet) bool
 
+	comp        string // trace component, "lanai<id>"
 	interrupts  int64
 	mInterrupts *trace.Counter
 }
@@ -66,16 +67,16 @@ func NewBoard(eng *sim.Engine, prof hw.Profile, nic *myrinet.NIC, hostMem *mem.P
 		NetSend: bus.NewDMAEngine(eng, fmt.Sprintf("lanai%d:netsend", id), prof.NetSend, nil),
 		NetRecv: bus.NewDMAEngine(eng, fmt.Sprintf("lanai%d:netrecv", id), prof.NetRecv, nil),
 		hostMem: hostMem,
+		comp:    fmt.Sprintf("lanai%d", id),
 	}
 	// SRAM occupancy: a gauge whose high-water mark survives frees, plus a
 	// counter track in the trace for watching allocation over time.
-	comp := fmt.Sprintf("lanai%d", id)
-	sramGauge := eng.Metrics().Gauge(comp + "/sram_used_bytes")
+	sramGauge := eng.Metrics().Gauge(b.comp + "/sram_used_bytes")
 	b.SRAM.SetUsageHook(func(used int) {
 		sramGauge.Set(float64(used))
-		eng.TraceCounter(comp, "sram", "sram_used_bytes", float64(used))
+		eng.TraceCounter(b.comp, "sram", "sram_used_bytes", float64(used))
 	})
-	b.mInterrupts = eng.Metrics().Counter(comp + "/interrupts")
+	b.mInterrupts = eng.Metrics().Counter(b.comp + "/interrupts")
 	return b
 }
 
@@ -83,18 +84,19 @@ func NewBoard(eng *sim.Engine, prof hw.Profile, nic *myrinet.NIC, hostMem *mem.P
 func (b *Board) SetInterruptHandler(fn func(cause any)) { b.intr = fn }
 
 // RaiseInterrupt asserts the board's host interrupt line with a cause.
-// The handler runs in event context at the current time; it is expected to
-// charge the host's interrupt entry cost itself.
+// The handler runs in event context at the current time, after the events
+// already scheduled for it; it is expected to charge the host's interrupt
+// entry cost itself.
 func (b *Board) RaiseInterrupt(cause any) {
 	b.interrupts++
 	b.mInterrupts.Add(1)
 	if b.Eng.Trace().Enabled() {
-		b.Eng.TraceInstant(fmt.Sprintf("lanai%d", b.NIC.ID), "irq", fmt.Sprintf("%T", cause))
+		b.Eng.TraceInstant(b.comp, "irq", fmt.Sprintf("%T", cause))
 	}
 	if b.intr == nil {
 		panic(fmt.Sprintf("lanai%d: interrupt %v with no handler", b.NIC.ID, cause))
 	}
-	b.Eng.After(0, func() { b.intr(cause) })
+	b.Eng.Post(0, func() { b.intr(cause) })
 }
 
 // Interrupts reports how many interrupts the board has raised.

@@ -75,6 +75,8 @@ type ReliableLink struct {
 	windowFree *sim.Cond
 	sramOff    int
 	comp       string // trace component, "lanai<id>"
+	// Names of the retransmit and delayed-ack sender processes.
+	retxName, dackName string
 
 	// onStall, when set, is consulted instead of declaring a destination
 	// unreachable; see SetStallHandler.
@@ -222,7 +224,7 @@ func (b *Board) EnableReliability(cfg ReliabilityConfig) (*ReliableLink, error) 
 	if err != nil {
 		return nil, err
 	}
-	comp := fmt.Sprintf("lanai%d", b.NIC.ID)
+	comp := b.comp
 	rl := &ReliableLink{
 		board:        b,
 		cfg:          cfg,
@@ -233,6 +235,8 @@ func (b *Board) EnableReliability(cfg ReliabilityConfig) (*ReliableLink, error) 
 		windowFree:   sim.NewCond(b.Eng),
 		sramOff:      off,
 		comp:         comp,
+		retxName:     comp + ":retx",
+		dackName:     comp + ":dack",
 		mRetx:        b.Eng.Metrics().Counter(comp + "/rl_retransmits"),
 		mUnreachable: b.Eng.Metrics().Counter(comp + "/rl_unreachable"),
 	}
@@ -423,7 +427,7 @@ func (rl *ReliableLink) retransmit(st *txState) {
 		return
 	}
 	st.retries++
-	rl.board.Eng.Go(fmt.Sprintf("lanai%d:retx", rl.board.NIC.ID), func(p *sim.Proc) {
+	rl.board.Eng.Go(rl.retxName, func(p *sim.Proc) {
 		// Snapshot: acks arriving during the resend sleeps trim the live
 		// window; the backing array keeps the snapshot elements valid.
 		win := st.unacked
@@ -451,7 +455,7 @@ func (rl *ReliableLink) suspend(st *txState) {
 	st.retries = 0
 	st.stopTimer()
 	rl.Suspends++
-	rl.board.Eng.TraceInstant(fmt.Sprintf("lanai%d", rl.board.NIC.ID), "rl", "window_suspended")
+	rl.board.Eng.TraceInstant(rl.comp, "rl", "window_suspended")
 }
 
 // declareUnreachable gives up on a destination: the window state is
@@ -462,7 +466,7 @@ func (rl *ReliableLink) declareUnreachable(st *txState) {
 	rl.emitWindowOccupancy(st)
 	rl.Unreachables++
 	rl.mUnreachable.Add(1)
-	rl.board.Eng.TraceInstant(fmt.Sprintf("lanai%d", rl.board.NIC.ID), "rl", "peer_unreachable")
+	rl.board.Eng.TraceInstant(rl.comp, "rl", "peer_unreachable")
 	rl.windowFree.Broadcast()
 }
 
@@ -646,7 +650,7 @@ func (rl *ReliableLink) Resume(route []byte) {
 		}
 		st.suspended = false
 		st.retries = 0
-		rl.board.Eng.TraceInstant(fmt.Sprintf("lanai%d", rl.board.NIC.ID), "rl", "window_resumed")
+		rl.board.Eng.TraceInstant(rl.comp, "rl", "window_resumed")
 		if len(st.unacked) > 0 {
 			rl.retransmit(st)
 		}
@@ -746,7 +750,7 @@ func (rl *ReliableLink) armDelayedAck(k rxKey, pk *myrinet.Packet) {
 	pa.timer = rl.board.Eng.After(rl.cfg.AckDelay, func() {
 		delete(rl.rxAckPending, k)
 		ackSeq := rl.rxExpected[k]
-		rl.board.Eng.Go(fmt.Sprintf("lanai%d:dack", rl.board.NIC.ID), func(p *sim.Proc) {
+		rl.board.Eng.Go(rl.dackName, func(p *sim.Proc) {
 			rl.sendAckRoute(p, pa.route, pa.winKey, ackSeq)
 		})
 	})

@@ -103,8 +103,9 @@ type Switch struct {
 // a serializing injection resource, and a receive queue drained by whatever
 // control program owns the interface.
 type NIC struct {
-	ID  int
-	net *Network
+	ID   int
+	net  *Network
+	comp string // trace and metrics component, "nic<id>"
 
 	peer endpoint      // what the NIC's cable plugs into
 	tx   *sim.Resource // injection serialization (one packet at a time)
@@ -244,18 +245,18 @@ func (n *Network) AddSwitch(nports int) *Switch {
 func (n *Network) AddNIC() *NIC {
 	id := len(n.nics)
 	nic := &NIC{
-		ID:  id,
-		net: n,
-		tx:  sim.NewResource(n.eng, fmt.Sprintf("myri:nic%d:tx", id)),
-		RX:  sim.NewQueue[*Packet](n.eng, fmt.Sprintf("myri:nic%d:rx", id)),
+		ID:   id,
+		net:  n,
+		comp: fmt.Sprintf("nic%d", id),
+		tx:   sim.NewResource(n.eng, fmt.Sprintf("myri:nic%d:tx", id)),
+		RX:   sim.NewQueue[*Packet](n.eng, fmt.Sprintf("myri:nic%d:rx", id)),
 	}
 	m := n.eng.Metrics()
-	comp := fmt.Sprintf("nic%d", id)
-	nic.tx.Observe(m.Utilization(comp + "/link_out_utilization"))
-	nic.mPktsOut = m.Counter(comp + "/packets_injected")
-	nic.mPktsIn = m.Counter(comp + "/packets_delivered")
-	nic.mBytesOut = m.Counter(comp + "/bytes_injected")
-	nic.mBytesIn = m.Counter(comp + "/bytes_delivered")
+	nic.tx.Observe(m.Utilization(nic.comp + "/link_out_utilization"))
+	nic.mPktsOut = m.Counter(nic.comp + "/packets_injected")
+	nic.mPktsIn = m.Counter(nic.comp + "/packets_delivered")
+	nic.mBytesOut = m.Counter(nic.comp + "/bytes_injected")
+	nic.mBytesIn = m.Counter(nic.comp + "/bytes_delivered")
 	n.nics = append(n.nics, nic)
 	return nic
 }
@@ -415,7 +416,7 @@ func (nic *NIC) inject(p *sim.Proc, pk *Packet) {
 		pk.corrupt(len(pk.Payload)/3, 0x04)
 	}
 	pk.Ingress = ingress
-	n.eng.After(sim.Time(hops)*n.prof.SwitchLatency, func() {
+	n.eng.Post(sim.Time(hops)*n.prof.SwitchLatency, func() {
 		dst.delivered++
 		dst.mPktsIn.Add(1)
 		dst.mBytesIn.Add(int64(wire))
@@ -430,7 +431,7 @@ func (n *Network) drop(nic *NIC, reason string) {
 	n.dropped++
 	n.lastDrop = reason
 	n.mDrops.Add(1)
-	n.eng.TraceInstant(fmt.Sprintf("nic%d", nic.ID), "net", "packet_dropped: "+reason)
+	n.eng.TraceInstant(nic.comp, "net", "packet_dropped: "+reason)
 }
 
 // Stats reports packets injected by and delivered to this NIC.

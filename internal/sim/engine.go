@@ -20,8 +20,8 @@ type Event struct {
 	eng      *Engine
 	at       Time
 	seq      uint64
-	fn       func()      // generic callback (public events, spawns)
-	proc     *Proc       // wake this process (closure-free fast path)
+	fn       func()      // generic callback (public events, Post)
+	proc     *Proc       // start or wake this process (closure-free fast path)
 	waiter   *condWaiter // expire this condition-wait timeout
 	canceled bool
 	pooled   bool
@@ -557,7 +557,11 @@ func (e *Engine) step(until Time) bool {
 	case ev.proc != nil:
 		p := ev.proc
 		e.recycle(ev)
-		e.schedule(p)
+		if p.start != nil {
+			e.startProc(p)
+		} else {
+			e.schedule(p)
+		}
 	case ev.waiter != nil:
 		w := ev.waiter
 		e.recycle(ev)

@@ -15,8 +15,9 @@ import "fmt"
 type Proc struct {
 	eng      *Engine
 	name     string
-	w        *worker // bound at spawn, released when the body returns
-	parkedAt string  // human-readable blocking site, "" while runnable
+	start    func(p *Proc) // the body, until the start event binds it to a worker
+	w        *worker       // bound at start, released when the body returns
+	parkedAt string        // human-readable blocking site, "" while runnable
 	killed   bool
 	daemon   bool
 	finished bool // body returned or unwound; stale wakeups are dropped
@@ -47,16 +48,21 @@ func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 type procKilled struct{ p *Proc }
 
 // Go spawns a process named name running fn. The process starts at the
-// current virtual time, after already-scheduled same-time events.
+// current virtual time, after already-scheduled same-time events. The start
+// is an ordinary pooled wake: the body waits on the Proc until the event
+// fires (Engine.step hands a never-started process to startProc).
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name}
+	p := &Proc{eng: e, name: name, start: fn}
 	e.procs[p] = struct{}{}
-	e.postFn(0, func() { e.startProc(p, fn) })
+	e.postWake(0, p)
 	return p
 }
 
-// startProc binds a worker to p and schedules its first turn.
-func (e *Engine) startProc(p *Proc, fn func(p *Proc)) {
+// startProc binds a worker to p, hands it the body, and schedules its first
+// turn.
+func (e *Engine) startProc(p *Proc) {
+	fn := p.start
+	p.start = nil
 	var w *worker
 	if n := len(e.freeWorkers); n > 0 {
 		w = e.freeWorkers[n-1]

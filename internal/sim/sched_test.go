@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -222,6 +223,56 @@ func TestSameNameKillTargetsOnlyVictim(t *testing.T) {
 	}
 	if !survived {
 		t.Error("kill of one 'twin' unwound the other")
+	}
+}
+
+// TestKillAtSpawnInstant: a process killed in the instant it was spawned —
+// before its start event has fired — still starts, runs its body to the
+// first park, and unwinds there with its defers run; an event posted
+// between the spawn and the kill runs between the two. The start is a
+// pooled wake like any other, so this pins its place in the order.
+func TestKillAtSpawnInstant(t *testing.T) {
+	want := []string{
+		"killed@0",
+		"victim started@0",
+		"same-instant event@0",
+		"victim unwound@0",
+	}
+	for _, from := range []string{"caller", "spawner"} {
+		t.Run(from, func(t *testing.T) {
+			e := NewEngine()
+			var log []string
+			note := func(s string) { log = append(log, fmt.Sprintf("%s@%v", s, int64(e.Now()))) }
+			spawn := func() {
+				v := e.Go("victim", func(p *Proc) {
+					defer note("victim unwound")
+					note("victim started")
+					p.Sleep(5)
+					note("victim woke")
+				})
+				e.Post(0, func() { note("same-instant event") })
+				v.Kill()
+				note("killed")
+			}
+			if from == "caller" {
+				spawn()
+			} else {
+				e.Go("spawner", func(p *Proc) { spawn() })
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(log) != fmt.Sprint(want) {
+				t.Errorf("log %v, want %v", log, want)
+			}
+			if parked := e.Parked(); len(parked) != 0 {
+				t.Errorf("still parked: %v", parked)
+			}
+			// The victim's sleep wake still fires, as a no-op.
+			if e.Now() != 5 {
+				t.Errorf("clock %v, want 5", e.Now())
+			}
+		})
 	}
 }
 

@@ -20,15 +20,22 @@ type Driver struct {
 	notifications int64
 
 	mRefills, mLocked, mNotify *trace.Counter
+
+	// Names of the service processes and the trace component, built once:
+	// an interrupt arrives for every notifying message.
+	notifyName, tlbMissName, comp string
 }
 
 func newDriver(n *Node) *Driver {
 	m := n.Eng.Metrics()
 	return &Driver{
-		node:     n,
-		mRefills: m.Counter(fmt.Sprintf("node%d/tlb_refills", n.ID)),
-		mLocked:  m.Counter(fmt.Sprintf("node%d/pages_locked", n.ID)),
-		mNotify:  m.Counter(fmt.Sprintf("node%d/notifications_delivered", n.ID)),
+		node:        n,
+		mRefills:    m.Counter(fmt.Sprintf("node%d/tlb_refills", n.ID)),
+		mLocked:     m.Counter(fmt.Sprintf("node%d/pages_locked", n.ID)),
+		mNotify:     m.Counter(fmt.Sprintf("node%d/notifications_delivered", n.ID)),
+		notifyName:  fmt.Sprintf("driver%d:notify", n.ID),
+		tlbMissName: fmt.Sprintf("driver%d:tlbmiss", n.ID),
+		comp:        fmt.Sprintf("node%d/driver", n.ID),
 	}
 }
 
@@ -64,21 +71,20 @@ func (d *Driver) handleInterrupt(cause any) {
 	}
 	switch irq := cause.(type) {
 	case tlbMissIRQ:
-		n.Eng.Go(fmt.Sprintf("driver%d:tlbmiss", n.ID), func(p *simProc) {
-			comp := fmt.Sprintf("node%d/driver", n.ID)
-			n.Eng.TraceBegin(comp, "irq", "tlb_refill")
+		n.Eng.Go(d.tlbMissName, func(p *simProc) {
+			n.Eng.TraceBegin(d.comp, "irq", "tlb_refill")
 			p.Sleep(n.Prof.InterruptCost)
 			err := d.refillTLB(p, irq.pid, irq.vpage)
-			n.Eng.TraceEnd(comp, "irq", "tlb_refill")
+			n.Eng.TraceEnd(d.comp, "irq", "tlb_refill")
 			irq.done(err)
 		})
 	case notifyIRQ:
-		n.Eng.Go(fmt.Sprintf("driver%d:notify", n.ID), func(p *simProc) {
+		n.Eng.Go(d.notifyName, func(p *simProc) {
 			p.Sleep(n.Prof.InterruptCost)
 			d.deliverNotification(p, irq)
 		})
 	default:
-		panic(fmt.Sprintf("driver%d: unknown interrupt %T", n.ID, cause))
+		panic(fmt.Errorf("driver%d: unknown interrupt %T", n.ID, cause))
 	}
 }
 
@@ -149,7 +155,7 @@ func (d *Driver) deliverNotification(p *simProc, irq notifyIRQ) {
 	p.Sleep(n.Prof.SignalCost)
 	d.notifications++
 	d.mNotify.Add(1)
-	n.Eng.TraceInstant(fmt.Sprintf("node%d/driver", n.ID), "irq", "notification_signal")
+	n.Eng.TraceInstant(d.comp, "irq", "notification_signal")
 	h(p, irq.from, irq.tag, irq.offset, irq.length)
 }
 

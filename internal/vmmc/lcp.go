@@ -68,7 +68,7 @@ type LCP struct {
 	// Chunks of one message arrive contiguously per channel (the sender
 	// LCP serializes its send queue and links deliver in order), so one
 	// accumulator per (sender, tag) suffices.
-	notifyAcc map[notifyKey]*notifyAccum
+	notifyAcc map[notifyKey]notifyAccum
 
 	// SRAM regions.
 	codeOff    int
@@ -232,7 +232,7 @@ func newLCP(n *Node, routes myrinet.RouteTable) (*LCP, error) {
 		work:      sim.NewCond(n.Eng),
 		redirects: make(map[uint32]*redirectRec),
 		arrivedHW: make(map[uint32]int),
-		notifyAcc: make(map[notifyKey]*notifyAccum),
+		notifyAcc: make(map[notifyKey]notifyAccum),
 		comp:      fmt.Sprintf("node%d/lcp", n.ID),
 		m:         newLCPMetrics(n.Eng.Metrics(), n.ID),
 
@@ -302,7 +302,7 @@ func (l *LCP) teardown() {
 	l.rxq = nil
 	l.redirects = make(map[uint32]*redirectRec)
 	l.arrivedHW = make(map[uint32]int)
-	l.notifyAcc = make(map[notifyKey]*notifyAccum)
+	l.notifyAcc = make(map[notifyKey]notifyAccum)
 }
 
 // Stats returns a copy of the LCP's counters.

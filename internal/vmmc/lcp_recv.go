@@ -133,24 +133,29 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 			// (Without the reliability layer a lost final chunk can leave
 			// an accumulator behind; the next notifying message from the
 			// same sender then reports a merged extent — the price of the
-			// paper's detect-but-don't-recover link, §4.2.)
+			// paper's detect-but-don't-recover link, §4.2.) Only a message
+			// still arriving is stored: a single-chunk one with nothing
+			// to merge into leaves the map as it found it.
 			key := notifyKey{src: hdr.SrcNode, pid: hdr.SrcPid, tag: entry.tag}
 			acc, live := l.notifyAcc[key]
 			if !live {
-				acc = &notifyAccum{start: chunkOff}
-				l.notifyAcc[key] = acc
+				acc = notifyAccum{start: chunkOff}
 			}
 			acc.bytes += int(hdr.DataLen)
-			if hdr.Flags&flagLastChunk != 0 {
-				delete(l.notifyAcc, key)
-				board.RaiseInterrupt(notifyIRQ{
-					pid:    entry.owner,
-					tag:    entry.tag,
-					offset: acc.start,
-					length: acc.bytes,
-					from:   ProcID{Node: int(hdr.SrcNode), Pid: int(hdr.SrcPid)},
-				})
+			if hdr.Flags&flagLastChunk == 0 {
+				l.notifyAcc[key] = acc
+				return
 			}
+			if live {
+				delete(l.notifyAcc, key)
+			}
+			board.RaiseInterrupt(notifyIRQ{
+				pid:    entry.owner,
+				tag:    entry.tag,
+				offset: acc.start,
+				length: acc.bytes,
+				from:   ProcID{Node: int(hdr.SrcNode), Pid: int(hdr.SrcPid)},
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package vmmc
 import (
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -146,6 +147,99 @@ func TestNotificationOnLongSendFiresOnceAfterLastChunk(t *testing.T) {
 		// whole chunked message, not the final chunk's.
 		if gotOffset != 0 || gotLen != size {
 			t.Errorf("notification reported offset=%d len=%d, want 0/%d", gotOffset, gotLen, size)
+		}
+	})
+}
+
+// TestLostFinalChunkMergesIntoNextNotification pins the price §4.2's
+// detect-but-don't-recover link charges the notification path, as
+// handleRecv documents it: when the final chunk of a notifying long send
+// dies on the wire (a bit error the receiver's CRC check catches), no
+// notification fires and the message's accumulator stays behind; the next
+// notifying message from the same sender on the same export then reports
+// the merged extent — the lost message's base offset and the bytes of both
+// — and leaves nothing behind. A clean single-chunk notification before
+// all this never enters the accumulator map.
+func TestLostFinalChunkMergesIntoNextNotification(t *testing.T) {
+	testCluster(t, 2, func(p *simProc, c *Cluster) {
+		pl := fault.NewPlan(c.Eng, 1)
+		c.Net.SetFaults(pl)
+		recv, _ := c.Nodes[1].NewProcess(p)
+		send, _ := c.Nodes[0].NewProcess(p)
+		const size = 4 * mem.PageSize
+		buf, _ := recv.Malloc(size)
+		if err := recv.Export(p, 9, buf, size, nil, true); err != nil {
+			t.Error(err)
+			return
+		}
+		type note struct{ offset, length int }
+		var notes []note
+		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
+			notes = append(notes, note{offset, length})
+		})
+		dest, _, err := send.Import(p, 1, 9)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		src, _ := send.Malloc(size)
+		lcp := c.Nodes[1].LCP
+		sendNotify := func(off, n int) bool {
+			if err := send.SendMsgSync(p, src, dest+ProxyAddr(off), n, SendOptions{Notify: true}); err != nil {
+				t.Error(err)
+				return false
+			}
+			p.Sleep(sim.Millisecond)
+			return true
+		}
+
+		if !sendNotify(3*mem.PageSize, 64) {
+			return
+		}
+		if len(notes) != 1 || notes[0] != (note{3 * mem.PageSize, 64}) {
+			t.Errorf("single-chunk notification: %v, want [{%d 64}]", notes, 3*mem.PageSize)
+			return
+		}
+		if n := len(lcp.notifyAcc); n != 0 {
+			t.Errorf("single-chunk notification left %d accumulators", n)
+			return
+		}
+
+		// Two chunks at offset 0; the fault is armed once the first chunk
+		// has left the sender's NIC, so it hits exactly the second.
+		nic := c.Nodes[0].Board.NIC
+		before, _ := nic.Stats()
+		c.Eng.Go("arm-fault", func(wp *simProc) {
+			wp.PollUntil(c.Nodes[0].Prof.SpinCheckInterval, 0, nil, func() bool {
+				n, _ := nic.Stats()
+				return n > before
+			})
+			pl.CorruptNextOn(nic.ID, 1)
+		})
+		if !sendNotify(0, 2*mem.PageSize) {
+			return
+		}
+		if got := lcp.Stats().CRCErrors; got != 1 {
+			t.Errorf("CRC errors at the receiver: %d, want 1 (the final chunk)", got)
+			return
+		}
+		if len(notes) != 1 {
+			t.Errorf("a message whose final chunk was lost notified: %v", notes[1:])
+			return
+		}
+		if n := len(lcp.notifyAcc); n != 1 {
+			t.Errorf("%d accumulators after the lost final chunk, want 1", n)
+			return
+		}
+
+		if !sendNotify(2*mem.PageSize, 100) {
+			return
+		}
+		if want := (note{0, mem.PageSize + 100}); len(notes) != 2 || notes[1] != want {
+			t.Errorf("notifications %v, want the merged extent %v second", notes, want)
+		}
+		if n := len(lcp.notifyAcc); n != 0 {
+			t.Errorf("%d accumulators left after the merged notification", n)
 		}
 	})
 }

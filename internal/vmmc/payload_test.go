@@ -169,11 +169,12 @@ func TestStreamUnderBufferPoison(t *testing.T) {
 // page-sized buffers per chunk among them; with a process per chunk's host
 // DMA, and a receive queue that grew a fresh array per packet, it cost
 // 149. What remains is the simulator's own bookkeeping per packet — the
-// packet struct, its delivery event and closure, the ingress record — and
-// none of it scales with payload bytes. The long ceiling is the measured
-// count (go1.24).
+// packet struct, its delivery closure, the ingress record — and none of it
+// scales with payload bytes. Both ceilings are the measured
+// counts (go1.24); they were 72 and 12 while a packet's delivery was an
+// unpooled event and a send built its queue-full spin closure every time.
 func TestSteadyStateAllocationCeilings(t *testing.T) {
-	const longCeiling, shortCeiling = 72, 12
+	const longCeiling, shortCeiling = 55, 5
 	longSendRig(t, false, func(_ *simProc, long, short func(), check func() bool) {
 		for i := 0; i < 4; i++ { // fill the free list, warm the TLBs
 			long()
@@ -191,6 +192,61 @@ func TestSteadyStateAllocationCeilings(t *testing.T) {
 		}
 		if !check() {
 			t.Error("received window differs from the sent one")
+		}
+	})
+}
+
+// The allocation ceiling of a notification: one notifying 4-byte
+// SendMsgSync through to the receiver's handler. On top of the short send
+// it costs the driver's service process (the Proc and its body), the
+// interrupt's cause and the closure that delivers it — no names built, no
+// unpooled event, no accumulator for a single-chunk message. Measured
+// (go1.24): 8; it was 15.
+func TestNotificationAllocationCeilings(t *testing.T) {
+	const ceiling = 8
+	startCluster(t, 2, false, func(p *simProc, c *Cluster) {
+		recv, _ := c.Nodes[1].NewProcess(p)
+		send, _ := c.Nodes[0].NewProcess(p)
+		buf, _ := recv.Malloc(mem.PageSize)
+		if err := recv.Export(p, 9, buf, mem.PageSize, nil, true); err != nil {
+			t.Error(err)
+			return
+		}
+		fired := 0
+		arrived := sim.NewCond(c.Eng)
+		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
+			if offset != 8 || length != 4 {
+				t.Errorf("notification for %d bytes at %d, want 4 at 8", length, offset)
+			}
+			fired++
+			arrived.Broadcast()
+		})
+		dest, _, err := send.Import(p, 1, 9)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		src, _ := send.Malloc(mem.PageSize)
+		notify := func() {
+			want := fired + 1
+			if err := send.SendMsgSync(p, src, dest+8, 4, SendOptions{Notify: true}); err != nil {
+				t.Error(err)
+				return
+			}
+			for fired < want {
+				arrived.Wait(p)
+			}
+		}
+		for i := 0; i < 4; i++ {
+			notify()
+		}
+		if n := testing.AllocsPerRun(50, notify); n > ceiling {
+			t.Errorf("notifying 4-byte SendMsgSync + handler: %.0f allocations, ceiling %d", n, ceiling)
+		} else {
+			t.Logf("notifying 4-byte SendMsgSync + handler: %.0f allocations", n)
+		}
+		if n := len(c.Nodes[1].LCP.notifyAcc); n != 0 {
+			t.Errorf("%d notification accumulators left behind by single-chunk messages", n)
 		}
 	})
 }

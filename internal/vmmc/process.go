@@ -115,6 +115,12 @@ func (proc *Process) Read(va mem.VirtAddr, n int) ([]byte, error) {
 	return proc.AS.ReadBytes(va, n)
 }
 
+// ReadInto loads len(dst) bytes from the process's virtual memory into dst:
+// Read for a caller that already has the destination.
+func (proc *Process) ReadInto(va mem.VirtAddr, dst []byte) error {
+	return proc.AS.ReadInto(va, dst)
+}
+
 // Export makes [va, va+n) available as a receive buffer under tag (§2).
 // The buffer must be page aligned. allowed restricts the importers; nil
 // allows any. notifyOK permits senders to attach notifications.
@@ -300,9 +306,12 @@ func (proc *Process) SendMsg(p *simProc, src mem.VirtAddr, dest ProxyAddr, n int
 
 	// The send queue is preallocated in SRAM; if it is full the library
 	// spins until the LCP drains an entry. The ring lives on the board,
-	// not in host memory, so this spin is not memory-scoped.
+	// not in host memory, so this spin is not memory-scoped. A spin on a
+	// true predicate returns at once, so it is entered only when full.
 	sq := proc.lcpState.sq
-	proc.Node.CPU.Spin(p, 0, nil, func() bool { return !sq.full() })
+	if sq.full() {
+		proc.Node.CPU.Spin(p, 0, nil, func() bool { return !sq.full() })
+	}
 	proc.Node.CPU.MMIOWriteWords(p, postWords(e))
 	sq.post(e)
 	proc.Node.LCP.doorbell()
