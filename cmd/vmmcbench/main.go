@@ -90,7 +90,13 @@ func main() {
 		os.Exit(1)
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "vmmcbench: unknown experiment %q (try -list)\n", *id)
+		why := "unknown experiment %q (try -list)"
+		for _, e := range experiments {
+			if e.id == *id {
+				why = "experiment %q is not in the -deterministic set (try -list)"
+			}
+		}
+		fmt.Fprintf(os.Stderr, "vmmcbench: "+why+"\n", *id)
 		os.Exit(2)
 	}
 }

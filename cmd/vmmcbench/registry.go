@@ -12,26 +12,69 @@ import (
 )
 
 // Per-experiment flags. Each sweep owns the flags carrying its prefix;
-// every other experiment ignores them.
+// every other experiment ignores them. A list flag's second argument is
+// its floor: every entry must exceed it. An unset list flag leaves the
+// sweep on its defaults.
 var (
-	scaleNodes  = flag.String("scale-nodes", "", "scalesweep cluster sizes, comma-separated (default 16,64,256)")
+	scaleNodes  = listFlag("scale-nodes", 1, "scalesweep cluster sizes, comma-separated (default 16,64,256)")
 	scaleOut    = flag.String("scale-out", "", "scalesweep: write the BENCH_scale.json artifact here")
-	healOutages = flag.String("heal-outages", "", "healsweep link-outage durations in microseconds, comma-separated (default 2000,6000,12000)")
+	healOutages = listFlag("heal-outages", 0, "healsweep link-outage durations in microseconds, comma-separated (default 2000,6000,12000)")
 	healOut     = flag.String("heal-out", "", "healsweep: write the BENCH_heal.json artifact here")
-	collNodes   = flag.String("coll-nodes", "", "collsweep communicator sizes, comma-separated (default 4,8,16)")
+	collNodes   = listFlag("coll-nodes", 1, "collsweep communicator sizes, comma-separated (default 4,8,16)")
 	collOut     = flag.String("coll-out", "", "collsweep: write the BENCH_coll.json artifact here")
 	tenantCalls = flag.Int("tenant-calls", 0, "tenantsweep victim vRPC calls per cell (0 = default 32)")
-	tenantRates = flag.String("tenant-rates", "", "tenantsweep qos=on aggressor budgets in bytes/sec, comma-separated (default 5e6,10e6,20e6)")
+	tenantRates = listFlag("tenant-rates", 0.0, "tenantsweep qos=on aggressor budgets in bytes/sec, comma-separated (default 5e6,10e6,20e6)")
 	tenantOut   = flag.String("tenant-out", "", "tenantsweep: write the BENCH_tenant.json artifact here")
-	serveRates  = flag.String("serve-rates", "", "servesweep total offered loads in req/s, comma-separated (default 15000,30000,60000)")
-	serveShards = flag.String("serve-shards", "", "servesweep shard counts, comma-separated (default 2)")
+	serveRates  = listFlag("serve-rates", 0.0, "servesweep total offered loads in req/s, comma-separated (default 15000,30000,60000)")
+	serveShards = listFlag("serve-shards", 0, "servesweep shard counts, comma-separated (default 2)")
 	serveReqs   = flag.Int("serve-requests", 0, "servesweep offered requests per cell (0 = default 240)")
 	serveOut    = flag.String("serve-out", "", "servesweep: write the BENCH_serve.json artifact here")
-	replicaR    = flag.String("replica-r", "", "replicasweep replication factors, comma-separated (default 1,2,3)")
-	replicaRate = flag.String("replica-rates", "", "replicasweep total offered loads in req/s, comma-separated (default 30000,70000)")
+	replicaR    = listFlag("replica-r", 0, "replicasweep replication factors, comma-separated (default 1,2,3)")
+	replicaRate = listFlag("replica-rates", 0.0, "replicasweep total offered loads in req/s, comma-separated (default 30000,70000)")
 	replicaReqs = flag.Int("replica-requests", 0, "replicasweep offered requests per cell (0 = default 240)")
 	replicaOut  = flag.String("replica-out", "", "replicasweep: write the BENCH_replica.json artifact here")
 )
+
+// listValue is a comma-separated list flag. Set rejects an entry that
+// does not parse or is not above floor, so flag.Parse refuses a bad
+// value before any experiment runs.
+type listValue[T int | float64] struct {
+	name  string
+	floor T
+	vals  []T
+}
+
+// listFlag defines a list flag and returns its parsed entries (nil when
+// unset).
+func listFlag[T int | float64](name string, floor T, usage string) *[]T {
+	l := &listValue[T]{name: name, floor: floor}
+	flag.Var(l, name, usage)
+	return &l.vals
+}
+
+func (l *listValue[T]) String() string { return strings.Trim(fmt.Sprint(l.vals), "[]") }
+
+func (l *listValue[T]) Set(s string) error {
+	l.vals = nil
+	if s == "" {
+		return nil
+	}
+	for _, part := range strings.Split(s, ",") {
+		var v T
+		var err error
+		switch p := any(&v).(type) {
+		case *int:
+			*p, err = strconv.Atoi(strings.TrimSpace(part))
+		case *float64:
+			*p, err = strconv.ParseFloat(strings.TrimSpace(part), 64)
+		}
+		if err != nil || v <= l.floor {
+			return fmt.Errorf("bad -%s entry %q", l.name, part)
+		}
+		l.vals = append(l.vals, v)
+	}
+	return nil
+}
 
 // experiment is one registry entry. Deterministic experiments print only
 // virtual-time-derived quantities, so their output is byte-identical
@@ -72,33 +115,47 @@ var experiments = []experiment{
 	{"faultsweep", "robustness: goodput vs injected wire error rate, reliability off/on", true,
 		tableExp(bench.FaultSweep)},
 	{"scalesweep", "scaling: all-to-all goodput and simulator events/sec, 16-256 nodes", false,
-		runScaleSweep},
+		tableExp(func() (bench.Table, error) {
+			return bench.ScaleSweep(bench.ScaleConfig{Nodes: *scaleNodes, Out: *scaleOut})
+		})},
 	{"healsweep", "self-healing: goodput vs link/switch outage on a redundant fabric", true,
-		runHealSweep},
+		tableExp(func() (bench.Table, error) {
+			var outages []sim.Time
+			for _, us := range *healOutages {
+				outages = append(outages, sim.Time(us)*sim.Microsecond)
+			}
+			return bench.HealSweep(bench.HealConfigSweep{Outages: outages, Out: *healOut})
+		})},
 	{"collsweep", "collectives: all-reduce tree vs ring crossover, heal interop", true,
-		runCollSweep},
+		tableExp(func() (bench.Table, error) {
+			return bench.CollSweep(bench.CollConfig{Nodes: *collNodes, Out: *collOut})
+		})},
 	{"tenantsweep", "multi-tenancy: victim vRPC latency vs bulk neighbor, QoS off/on, crash", true,
-		runTenantSweep},
+		tableExp(func() (bench.Table, error) {
+			return bench.TenantSweep(bench.TenantConfig{Calls: *tenantCalls, Rates: *tenantRates, Out: *tenantOut})
+		})},
 	{"servesweep", "serving tier: open-loop load vs tail latency, admission off/on, hot shard, outage", true,
-		runServeSweep},
+		tableExp(func() (bench.Table, error) {
+			return bench.ServeSweep(bench.ServeConfig{
+				Rates: *serveRates, Shards: *serveShards, Requests: *serveReqs, Out: *serveOut,
+			})
+		})},
 	{"replicasweep", "replication: R-way shards at equal capacity, load-aware routing, replica kill", true,
-		runReplicaSweep},
-}
-
-// emit renders an experiment's table, or passes its error through.
-func emit(w io.Writer, t bench.Table, err error) error {
-	if err != nil {
-		return err
-	}
-	writeTable(w, t)
-	return nil
+		tableExp(func() (bench.Table, error) {
+			return bench.ReplicaSweep(bench.ReplicaConfig{
+				Rs: *replicaR, Rates: *replicaRate, Requests: *replicaReqs, Out: *replicaOut,
+			})
+		})},
 }
 
 // tableExp adapts a table-producing benchmark to a registry run func.
 func tableExp(f func() (bench.Table, error)) func(io.Writer) error {
 	return func(w io.Writer) error {
 		t, err := f()
-		return emit(w, t, err)
+		if err == nil {
+			writeTable(w, t)
+		}
+		return err
 	}
 }
 
@@ -109,7 +166,9 @@ func seriesExp(f func() ([]bench.Series, error)) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		writeSeries(w, ss...)
+		for _, s := range ss {
+			fmt.Fprintln(w, s.Format())
+		}
 		return nil
 	}
 }
@@ -138,120 +197,6 @@ func runAblations(w io.Writer) error {
 		writeTable(w, t)
 	}
 	return nil
-}
-
-func runScaleSweep(w io.Writer) error {
-	nodes, err := parseIntList(*scaleNodes, "-scale-nodes", 2)
-	if err != nil {
-		return err
-	}
-	t, err := bench.ScaleSweep(bench.ScaleConfig{Nodes: nodes, Out: *scaleOut})
-	return emit(w, t, err)
-}
-
-func runHealSweep(w io.Writer) error {
-	outages, err := parseHealOutages(*healOutages)
-	if err != nil {
-		return err
-	}
-	t, err := bench.HealSweep(bench.HealConfigSweep{Outages: outages, Out: *healOut})
-	return emit(w, t, err)
-}
-
-func runCollSweep(w io.Writer) error {
-	nodes, err := parseIntList(*collNodes, "-coll-nodes", 2)
-	if err != nil {
-		return err
-	}
-	t, err := bench.CollSweep(bench.CollConfig{Nodes: nodes, Out: *collOut})
-	return emit(w, t, err)
-}
-
-func runTenantSweep(w io.Writer) error {
-	rates, err := parseFloatList(*tenantRates, "-tenant-rates")
-	if err != nil {
-		return err
-	}
-	t, err := bench.TenantSweep(bench.TenantConfig{Calls: *tenantCalls, Rates: rates, Out: *tenantOut})
-	return emit(w, t, err)
-}
-
-func runServeSweep(w io.Writer) error {
-	rates, err := parseFloatList(*serveRates, "-serve-rates")
-	if err != nil {
-		return err
-	}
-	shards, err := parseIntList(*serveShards, "-serve-shards", 1)
-	if err != nil {
-		return err
-	}
-	t, err := bench.ServeSweep(bench.ServeConfig{
-		Rates: rates, Shards: shards, Requests: *serveReqs, Out: *serveOut,
-	})
-	return emit(w, t, err)
-}
-
-func runReplicaSweep(w io.Writer) error {
-	rs, err := parseIntList(*replicaR, "-replica-r", 1)
-	if err != nil {
-		return err
-	}
-	rates, err := parseFloatList(*replicaRate, "-replica-rates")
-	if err != nil {
-		return err
-	}
-	t, err := bench.ReplicaSweep(bench.ReplicaConfig{
-		Rs: rs, Rates: rates, Requests: *replicaReqs, Out: *replicaOut,
-	})
-	return emit(w, t, err)
-}
-
-func parseIntList(s, flagName string, min int) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var vals []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < min {
-			return nil, fmt.Errorf("bad %s entry %q", flagName, part)
-		}
-		vals = append(vals, n)
-	}
-	return vals, nil
-}
-
-func parseFloatList(s, flagName string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var vals []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad %s entry %q", flagName, part)
-		}
-		vals = append(vals, v)
-	}
-	return vals, nil
-}
-
-func parseHealOutages(s string) ([]sim.Time, error) {
-	us, err := parseIntList(s, "-heal-outages", 1)
-	if err != nil {
-		return nil, err
-	}
-	outs := make([]sim.Time, len(us))
-	for i, u := range us {
-		outs[i] = sim.Time(u) * sim.Microsecond
-	}
-	return outs, nil
-}
-
-func writeSeries(w io.Writer, ss ...bench.Series) {
-	for _, s := range ss {
-		fmt.Fprintln(w, s.Format())
-	}
 }
 
 func writeTable(w io.Writer, t bench.Table) { fmt.Fprintln(w, t.Format()) }

@@ -1,5 +1,5 @@
-// Package testbed provides the shared two-node hardware rig the related-
-// work protocol models (Myrinet API, FM, PM, AM) run on: the same
+// Package testbed provides the shared two-node hardware rig the three
+// related-work protocol models (Myrinet API, FM, PM) run on: the same
 // simulated Myrinet boards and PCI buses as the VMMC implementation, so
 // the Section 7 comparison varies only the protocol design.
 package testbed

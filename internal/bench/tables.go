@@ -319,7 +319,7 @@ func TableRelatedWork() (Table, error) {
 		{"Myrinet API", fmt.Sprintf("%.1f us (4 B)", apiLat), fmt.Sprintf("%.1f MB/s (8 KB ping-pong)", apiBW), "63 us / ~30 MB/s"},
 		{"Fast Messages 2.0", fmt.Sprintf("%.1f us (8 B)", fmLat), fmt.Sprintf("%.1f MB/s (PIO-limited)", fmBW), "10.7 us / PIO-limited"},
 		{"PM", fmt.Sprintf("%.1f us (8 B)", pmLat), fmt.Sprintf("%.1f MB/s (8 KB units)", pmBW), "7.2 us / saturates the DMA curve (118 on the authors' fig.1)"},
-		{"Active Messages", "modeled only", "modeled only", "\"does not yet run on our hardware\""},
+		{"Active Messages", "not modeled", "not modeled", "\"does not yet run on our hardware\""},
 	}
 	return t, nil
 }

@@ -33,7 +33,30 @@ var (
 	// [text](target) — skipping images and code spans is handled below.
 	linkRe    = regexp.MustCompile(`\[[^\]]*\]\(([^)\s]+)\)`)
 	headingRe = regexp.MustCompile(`(?m)^#{1,6}\s+(.+?)\s*$`)
+
+	// An inline `code span`, and a repo path named inside code:
+	// internal/…, cmd/… or examples/…, bare or as ./cmd/….
+	codeSpanRe = regexp.MustCompile("`[^`]+`")
+	codePathRe = regexp.MustCompile(`(?:^|[^\w./-]|\./)((?:internal|cmd|examples)(?:/[\w.-]+)+)`)
 )
+
+// splitFences separates a markdown file's ``` fenced blocks from the
+// rest of its text.
+func splitFences(doc string) (prose, fenced string) {
+	var text, code []string
+	inFence := false
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			inFence = !inFence
+		case inFence:
+			code = append(code, line)
+		default:
+			text = append(text, line)
+		}
+	}
+	return strings.Join(text, "\n"), strings.Join(code, "\n")
+}
 
 // slugify reduces a heading to its GitHub anchor: lowercase, punctuation
 // stripped, spaces to hyphens.
@@ -77,21 +100,8 @@ func TestDocCrossReferences(t *testing.T) {
 			t.Errorf("%s: listed in checkedDocs but unreadable: %v", doc, err)
 			continue
 		}
-		// Strip fenced code blocks: example links inside ``` fences are
-		// illustrative, not navigable.
-		var kept []string
-		inFence := false
-		for _, line := range strings.Split(string(data), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				inFence = !inFence
-				continue
-			}
-			if !inFence {
-				kept = append(kept, line)
-			}
-		}
-		text := strings.Join(kept, "\n")
-
+		// Example links inside ``` fences are illustrative, not navigable.
+		text, _ := splitFences(string(data))
 		for _, m := range linkRe.FindAllStringSubmatch(text, -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
@@ -116,6 +126,35 @@ func TestDocCrossReferences(t *testing.T) {
 			if !anchorsOf(t, resolved)[anchor] {
 				t.Errorf("%s: link %q: no heading in %s slugifies to %q",
 					doc, target, filepath.Base(resolved), anchor)
+			}
+		}
+	}
+}
+
+// A doc that tells the reader to look at, or run, a package or file that
+// no longer exists is as broken as a dead link. Every repo path named in
+// code — a fenced block or an inline span — must be a directory or a .go
+// file. ROADMAP.md names planned and deleted paths on purpose.
+func TestDocPathsExist(t *testing.T) {
+	root := filepath.Join("..", "..")
+	for _, doc := range checkedDocs {
+		if doc == "ROADMAP.md" {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(doc)))
+		if err != nil {
+			t.Errorf("%s: listed in checkedDocs but unreadable: %v", doc, err)
+			continue
+		}
+		prose, fenced := splitFences(string(data))
+		code := append(codeSpanRe.FindAllString(prose, -1), fenced)
+		for _, c := range code {
+			for _, m := range codePathRe.FindAllStringSubmatch(c, -1) {
+				path := strings.TrimRight(m[1], ".")
+				fi, err := os.Stat(filepath.Join(root, filepath.FromSlash(path)))
+				if err != nil || !fi.IsDir() && !strings.HasSuffix(path, ".go") {
+					t.Errorf("%s: names %s, which is neither a directory nor a .go file", doc, path)
+				}
 			}
 		}
 	}

@@ -17,8 +17,9 @@ import (
 var (
 	// {"headline", "abstract: ...", true, tableExp(...)} — registry rows.
 	registryIDRe = regexp.MustCompile(`(?m)^\s*\{"([a-z0-9]+)",`)
-	// flag.String("tenant-out", ...) and friends.
-	flagDefRe = regexp.MustCompile(`flag\.(?:String|Bool|Int)\("([a-z-]+)"`)
+	// flag.String("tenant-out", ...) and friends, and the list flags'
+	// listFlag("coll-nodes", ...).
+	flagDefRe = regexp.MustCompile(`(?:flag\.(?:String|Bool|Int)|listFlag)\("([a-z-]+)"`)
 
 	// -experiment X in prose or a fenced command. The leading delimiter
 	// keeps compounds like "per-experiment index" from matching.

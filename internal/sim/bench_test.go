@@ -3,8 +3,7 @@ package sim
 import "testing"
 
 // Simulator-engine throughput benchmarks: these measure the harness, not
-// the reproduced system (those metrics live in the repo root's
-// bench_test.go as sim-* values).
+// the reproduced system (cmd/vmmcbench's experiments report that).
 
 func BenchmarkEventDispatch(b *testing.B) {
 	e := NewEngine()

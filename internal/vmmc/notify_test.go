@@ -294,3 +294,80 @@ func TestHandlerCanSendReply(t *testing.T) {
 		}
 	})
 }
+
+// A striped read: the client's notifying requests reach three servers,
+// whose handlers long-send two-page blocks straight to their offsets in
+// one buffer the client exported. Data from several nodes scatters into
+// one buffer with no copy and no receive call; the client watches only
+// the last byte of each block.
+func TestHandlersScatterIntoOneBuffer(t *testing.T) {
+	const servers, block, blocks = 3, 2 * mem.PageSize, 6
+	pattern := func(b, j int) byte { return byte(b*31 + j) }
+	testCluster(t, servers+1, func(p *simProc, c *Cluster) {
+		client, _ := c.Nodes[servers].NewProcess(p)
+		file, _ := client.Malloc(blocks * block)
+		if err := client.Export(p, 2, file, blocks*block, nil, false); err != nil {
+			t.Error(err)
+			return
+		}
+		toReq := make([]ProxyAddr, servers)
+		for i := range toReq {
+			srv, _ := c.Nodes[i].NewProcess(p)
+			store, _ := srv.Malloc(blocks * block)
+			for b := i; b < blocks; b += servers {
+				data := make([]byte, block)
+				for j := range data {
+					data[j] = pattern(b, j)
+				}
+				if err := srv.Write(store+mem.VirtAddr(b*block), data); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			reqs, _ := srv.Malloc(mem.PageSize)
+			if err := srv.Export(p, 1, reqs, mem.PageSize, nil, true); err != nil {
+				t.Error(err)
+				return
+			}
+			toFile, _, err := srv.Import(p, servers, 2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			srv.RegisterHandler(1, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
+				req, _ := srv.Read(reqs+mem.VirtAddr(offset), 1)
+				b := int(req[0])
+				if err := srv.SendMsgSync(hp, store+mem.VirtAddr(b*block), toFile+ProxyAddr(b*block), block, SendOptions{}); err != nil {
+					t.Error(err)
+				}
+			})
+			if toReq[i], _, err = client.Import(p, i, 1); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		src, _ := client.Malloc(mem.PageSize)
+		for b := 0; b < blocks; b++ {
+			// One request byte per block, so no request overwrites one
+			// whose handler has not read it yet.
+			if err := client.Write(src, []byte{byte(b)}); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := client.SendMsgSync(p, src, toReq[b%servers]+ProxyAddr(b), 1, SendOptions{Notify: true}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for b := 0; b < blocks; b++ {
+			client.SpinByte(p, file+mem.VirtAddr((b+1)*block-1), pattern(b, block-1))
+		}
+		got, _ := client.Read(file, blocks*block)
+		for i, v := range got {
+			if b, j := i/block, i%block; v != pattern(b, j) {
+				t.Errorf("block %d byte %d = %d, want %d", b, j, v, pattern(b, j))
+				return
+			}
+		}
+	})
+}

@@ -2,6 +2,7 @@ package vmmc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -187,6 +188,63 @@ func TestLongSendUnalignedScatter(t *testing.T) {
 		after, _ := recv.Read(buf+mem.VirtAddr(dstOff)+mem.VirtAddr(size), 1)
 		if before[0] != 0 || after[0] != 0 {
 			t.Error("transfer wrote outside the destination range")
+		}
+	})
+}
+
+// A stencil code's neighbour exchange: four nodes on a ring trade a value
+// with both neighbours every step, concurrently, and learn of arrival only
+// by SpinByte on a step flag in their own exported page. A neighbour can
+// run one step ahead, so steps alternate between two pairs of slots.
+func TestRingNeighbourExchange(t *testing.T) {
+	const nodes, steps = 4, 20
+	testCluster(t, nodes, func(p *simProc, c *Cluster) {
+		procs := make([]*Process, nodes)
+		pages := make([]mem.VirtAddr, nodes)
+		for i := range procs {
+			procs[i], _ = c.Nodes[i].NewProcess(p)
+			pages[i], _ = procs[i].Malloc(2 * mem.PageSize) // exported halo page, then staging
+			if err := procs[i].Export(p, 7, pages[i], mem.PageSize, nil, false); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for i, proc := range procs {
+			l, r := (i+nodes-1)%nodes, (i+1)%nodes
+			toL, _, errL := proc.Import(p, l, 7)
+			toR, _, errR := proc.Import(p, r, 7)
+			if errL != nil || errR != nil {
+				t.Error(errL, errR)
+				return
+			}
+			halo, src := pages[i], pages[i]+mem.PageSize
+			c.Eng.Go(fmt.Sprintf("worker%d", i), func(wp *simProc) {
+				for s := 1; s <= steps; s++ {
+					// Slot base+0 is written by the left neighbour, base+16
+					// by the right one: [sender node, step].
+					base := 32 * (s % 2)
+					if err := proc.Write(src, []byte{byte(i), byte(s)}); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := proc.SendMsgSync(wp, src, toL+ProxyAddr(base+16), 2, SendOptions{}); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := proc.SendMsgSync(wp, src, toR+ProxyAddr(base), 2, SendOptions{}); err != nil {
+						t.Error(err)
+						return
+					}
+					proc.SpinByte(wp, halo+mem.VirtAddr(base+1), byte(s))
+					proc.SpinByte(wp, halo+mem.VirtAddr(base+17), byte(s))
+					fromL, _ := proc.Read(halo+mem.VirtAddr(base), 2)
+					fromR, _ := proc.Read(halo+mem.VirtAddr(base+16), 2)
+					if !bytes.Equal(fromL, []byte{byte(l), byte(s)}) || !bytes.Equal(fromR, []byte{byte(r), byte(s)}) {
+						t.Errorf("node %d step %d: halo %v %v, want [%d %d] [%d %d]", i, s, fromL, fromR, l, s, r, s)
+						return
+					}
+				}
+			})
 		}
 	})
 }
