@@ -261,6 +261,21 @@ func ExtensionsTable() (Table, error) {
 		fmt.Sprintf("%s -> %s one-word latency", rel.Rows[0][1], rel.Rows[1][1]),
 		"the overhead §4.2 declined to pay at 1e-15 error rates",
 	})
+
+	// Compatibility-free RPC against the SunRPC-compatible vRPC.
+	compatRTT, compatBW, err := vrpcMyrinet("vrpc on myrinet", false)
+	if err != nil {
+		return t, err
+	}
+	zeroRTT, zeroBW, err := vrpcMyrinet("zero-copy vrpc on myrinet", true)
+	if err != nil {
+		return t, err
+	}
+	t.Rows = append(t.Rows, []string{
+		"compatibility-free RPC (§5.4)",
+		fmt.Sprintf("%.1f -> %.1f MB/s, %.1f -> %.1f us null RTT", compatBW, zeroBW, compatRTT, zeroRTT),
+		"what SunRPC compatibility's receive copy costs",
+	})
 	return t, nil
 }
 

@@ -333,8 +333,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 			// The aggressor's class is the only budgeted one on these
 			// boards, so its per-class stats must reconcile exactly with
 			// the scheduler's totals — the deficit-skip path (Defer /
-			// TryCharge) must attribute every deferral the same way the
-			// blocking path attributed its sleeps.
+			// TryCharge) must attribute every deferral to its class.
 			for _, id := range agg.Nodes {
 				if ls := c.Nodes[id].Board.LinkScheduler(); ls != nil {
 					n, d := ls.ClassStats(agg.Class)

@@ -13,23 +13,40 @@ import (
 // pinned artifacts downstream depend on — BENCH_coll.json's auto rows
 // and the collsweep golden output both assume these picks. A model
 // recalibration that flips a cell must update this table deliberately,
-// in the same change that regenerates those artifacts.
+// in the same change that regenerates those artifacts. tree and ring are
+// the two estimates behind the pick, in exact ns.
 var chooseTable = []struct {
 	nodes, bytes int
 	want         coll.Algorithm
+	tree, ring   sim.Time
 }{
-	{4, 64, coll.Tree},
-	{4, 1024, coll.Ring},
-	{4, 16384, coll.Ring},
-	{4, 131072, coll.Ring},
-	{8, 64, coll.Tree},
-	{8, 1024, coll.Tree},
-	{8, 16384, coll.Ring},
-	{8, 131072, coll.Ring},
-	{16, 64, coll.Tree},
-	{16, 1024, coll.Tree},
-	{16, 16384, coll.Ring},
-	{16, 131072, coll.Ring},
+	{4, 64, coll.Tree, 225756, 320844},
+	{4, 1024, coll.Ring, 463008, 409806},
+	{4, 16384, coll.Ring, 3275016, 1833300},
+	{4, 131072, coll.Ring, 18170680, 8104452},
+	{8, 64, coll.Tree, 338634, 741720},
+	{8, 1024, coll.Tree, 694512, 845502},
+	{8, 16384, coll.Ring, 4912524, 2506252},
+	{8, 131072, coll.Ring, 27256020, 11462556},
+	{16, 64, coll.Tree, 451512, 1581990},
+	{16, 1024, coll.Tree, 926016, 1693170},
+	{16, 16384, coll.Ring, 6550032, 3472560},
+	{16, 131072, coll.Ring, 36341360, 14298540},
+}
+
+// TestEstimatePinned holds both estimates to the exact ns at every cell,
+// so a rewrite of the model's arithmetic cannot move a pick or
+// BENCH_coll.json's model column by rounding.
+func TestEstimatePinned(t *testing.T) {
+	m := coll.ModelFromProfile(hw.Default())
+	for _, c := range chooseTable {
+		tree := m.Estimate(coll.KAllReduce, coll.Tree, c.nodes, c.bytes, calibChunk)
+		ring := m.Estimate(coll.KAllReduce, coll.Ring, c.nodes, c.bytes, calibChunk)
+		if tree != c.tree || ring != c.ring {
+			t.Errorf("%d nodes, %d B: Estimate tree/ring = %d/%d ns, pinned %d/%d",
+				c.nodes, c.bytes, tree, ring, c.tree, c.ring)
+		}
+	}
 }
 
 // TestChooseTablePinned pins Auto's pick at every measured cell.

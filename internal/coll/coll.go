@@ -1,5 +1,5 @@
-// Package coll implements collective communication — barrier, broadcast,
-// reduce, all-reduce, all-gather — as a user-level library over VMMC.
+// Package coll implements the two collectives the repository's workloads
+// run — barrier and all-reduce — as a user-level library over VMMC.
 // It is an extension beyond the paper's scope, but built strictly from
 // the paper's primitives: a communicator is formed with the existing
 // export/import handshakes (§4.2-4.3), data moves with deliberate-update
@@ -86,8 +86,7 @@ type group struct {
 
 // metrics are the communicator-wide registry counters.
 type metrics struct {
-	barriers, broadcasts, reduces    *trace.Counter
-	allreduces, allgathers           *trace.Counter
+	barriers, allreduces             *trace.Counter
 	payloadMsgs, payloadBytes        *trace.Counter
 	signals, creditStalls, protoErrs *trace.Counter
 }
@@ -95,10 +94,7 @@ type metrics struct {
 func newMetrics(r *trace.Registry) metrics {
 	return metrics{
 		barriers:     r.Counter("coll/barriers"),
-		broadcasts:   r.Counter("coll/broadcasts"),
-		reduces:      r.Counter("coll/reduces"),
 		allreduces:   r.Counter("coll/allreduces"),
-		allgathers:   r.Counter("coll/allgathers"),
 		payloadMsgs:  r.Counter("coll/payload_msgs"),
 		payloadBytes: r.Counter("coll/payload_bytes"),
 		signals:      r.Counter("coll/signals"),

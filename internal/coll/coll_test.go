@@ -120,47 +120,13 @@ func TestRepeatedBarriers(t *testing.T) {
 	})
 }
 
-// pattern fills a deterministic pseudo-random payload (no host RNG: the
-// simulation must stay reproducible).
-func pattern(seed uint32, n int) []byte {
-	b := make([]byte, n)
-	x := seed*2654435761 + 1
-	for i := range b {
-		x = x*1664525 + 1013904223
-		b[i] = byte(x >> 24)
-	}
-	return b
-}
-
-func TestBroadcastBothAlgorithms(t *testing.T) {
-	const n = 5
-	const size = 40 << 10 // several slots: exercises chunking and credits
-	for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			want := pattern(7, size)
-			runRanks(t, n, vmmc.Options{}, coll.Options{}, func(p *sim.Proc, c *coll.Comm) {
-				const root = 3
-				buf := make([]byte, size)
-				if c.Rank() == root {
-					copy(buf, want)
-				}
-				if err := c.Broadcast(p, buf, root, algo); err != nil {
-					t.Errorf("rank %d: %v", c.Rank(), err)
-					return
-				}
-				if !bytes.Equal(buf, want) {
-					t.Errorf("rank %d received wrong payload (%s)", c.Rank(), algo)
-				}
-			})
-		})
-	}
-}
-
+// TestReduceAllOpsAndTypes runs an all-reduce for every built-in (op,
+// dtype) pair on both algorithms and holds every rank's result to the
+// reference fold — the one end-to-end check of min and of float64 against
+// expected values rather than against the other algorithm.
 func TestReduceAllOpsAndTypes(t *testing.T) {
 	const n = 4
 	const elems = 64
-	const root = 2
 	cases := []struct {
 		op coll.Op
 		dt coll.DType
@@ -175,12 +141,12 @@ func TestReduceAllOpsAndTypes(t *testing.T) {
 				runRanks(t, n, vmmc.Options{}, coll.Options{}, func(p *sim.Proc, c *coll.Comm) {
 					in, want := reduceVectors(t, tc.op, tc.dt, n, elems, c.Rank())
 					out := make([]byte, len(in))
-					if err := c.Reduce(p, in, out, tc.op, tc.dt, root, algo); err != nil {
+					if err := c.AllReduce(p, in, out, tc.op, tc.dt, algo); err != nil {
 						t.Errorf("rank %d: %v", c.Rank(), err)
 						return
 					}
-					if c.Rank() == root && !bytes.Equal(out, want) {
-						t.Errorf("root result differs (%v %v %v)", tc.op, tc.dt, algo)
+					if !bytes.Equal(out, want) {
+						t.Errorf("rank %d result differs (%v %v %v)", c.Rank(), tc.op, tc.dt, algo)
 					}
 				})
 			})
@@ -311,31 +277,6 @@ func TestAllReduceInPlace(t *testing.T) {
 	}
 }
 
-func TestAllGatherBothAlgorithms(t *testing.T) {
-	const n = 6
-	const blk = 3 << 10
-	for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
-		algo := algo
-		t.Run(algo.String(), func(t *testing.T) {
-			want := make([]byte, 0, n*blk)
-			for r := 0; r < n; r++ {
-				want = append(want, pattern(uint32(r+100), blk)...)
-			}
-			runRanks(t, n, vmmc.Options{}, coll.Options{}, func(p *sim.Proc, c *coll.Comm) {
-				in := pattern(uint32(c.Rank()+100), blk)
-				out := make([]byte, n*blk)
-				if err := c.AllGather(p, in, out, algo); err != nil {
-					t.Errorf("rank %d: %v", c.Rank(), err)
-					return
-				}
-				if !bytes.Equal(out, want) {
-					t.Errorf("rank %d assembled wrong vector (%v)", c.Rank(), algo)
-				}
-			})
-		})
-	}
-}
-
 func TestAutoCrossesOverBySize(t *testing.T) {
 	m := coll.ModelFromProfile(hw.Default())
 	const n, chunk = 8, 16 << 10
@@ -344,9 +285,6 @@ func TestAutoCrossesOverBySize(t *testing.T) {
 	}
 	if got := m.Choose(coll.KAllReduce, n, 512<<10, chunk); got != coll.Ring {
 		t.Errorf("512 KB all-reduce chose %v, want ring (bandwidth-bound)", got)
-	}
-	if got := m.Choose(coll.KAllGather, n, 256<<10, chunk); got != coll.Ring {
-		t.Errorf("large all-gather chose %v, want ring", got)
 	}
 }
 

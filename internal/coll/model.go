@@ -1,9 +1,9 @@
-// Algorithm selection. Each collective that has both a latency-bound and
-// a bandwidth-bound implementation picks between them with a calibrated
-// cost model derived from the platform profile: binomial trees cost
-// O(log n) message latencies, rings cost O(n) latencies but stream the
-// payload at full bandwidth in n-th size blocks. The crossover falls out
-// of the same constants the simulator charges, so Auto tracks the
+// Algorithm selection. The all-reduce has a latency-bound and a
+// bandwidth-bound implementation and picks between them with a calibrated
+// cost model derived from the platform profile: the binomial tree costs
+// O(log n) message latencies, the ring costs O(n) latencies but streams
+// the payload at full bandwidth in n-th size blocks. The crossover falls
+// out of the same constants the simulator charges, so Auto tracks the
 // measured optimum.
 //
 // The model follows the credited slot protocol's actual critical path
@@ -34,18 +34,17 @@ import (
 
 type simProc = sim.Proc
 
-// Algorithm selects a collective implementation.
+// Algorithm selects an all-reduce implementation.
 type Algorithm int
 
 const (
 	// Auto picks tree or ring from the cost model per call.
 	Auto Algorithm = iota
-	// Tree is the binomial-tree family: O(log n) rounds, whole payload
-	// per round. Wins when per-message latency dominates.
+	// Tree is the binomial tree: O(log n) rounds, whole payload per
+	// round. Wins when per-message latency dominates.
 	Tree
-	// Ring is the ring/chain family: O(n) rounds, 1/n-th payload per
-	// round (pipelined chunks for broadcast). Wins when bandwidth
-	// dominates.
+	// Ring is the ring: O(n) rounds, 1/n-th payload per round. Wins when
+	// bandwidth dominates.
 	Ring
 )
 
@@ -65,12 +64,8 @@ func (a Algorithm) String() string {
 // Kind names a collective operation for cost estimation.
 type Kind int
 
-const (
-	KBroadcast Kind = iota
-	KReduce
-	KAllReduce
-	KAllGather
-)
+// KAllReduce is the all-reduce, the only operation the model estimates.
+const KAllReduce Kind = 0
 
 // CostModel are the constants the estimates are built from.
 type CostModel struct {
@@ -152,8 +147,8 @@ func (m CostModel) xfer(n int) sim.Time {
 // chunk-sized credited messages. The first chunk pays the full path;
 // each later chunk pipelines behind the receiver-CPU stage, costing
 // Gamma plus its copy-out time. This also charges blocks larger than
-// the slot size their per-chunk fixed costs — the ring algorithms send
-// bytes/n blocks that span several slots once payloads are large.
+// the slot size their per-chunk fixed costs — the ring sends bytes/n
+// blocks that span several slots once payloads are large.
 func (m CostModel) xferChunked(n, chunk int) sim.Time {
 	if n <= 0 {
 		return 0
@@ -186,57 +181,23 @@ func chunksOf(n, chunk int) int {
 	return (n + chunk - 1) / chunk
 }
 
-// Estimate predicts the completion time of one collective of the given
-// kind over n ranks and `bytes` payload bytes (per-rank contribution for
-// all-gather), with payloads chunked into `chunk`-byte messages.
+// Estimate predicts the completion time of one all-reduce (kind is
+// KAllReduce) over n ranks and `bytes` payload bytes, with payloads
+// chunked into `chunk`-byte messages.
 func (m CostModel) Estimate(kind Kind, algo Algorithm, n, bytes, chunk int) sim.Time {
 	if n <= 1 {
 		return 0
 	}
-	rounds := log2ceil(n)
-	msgs := chunksOf(bytes, chunk)
-	block := bytes / n // ring block size (reduce-scatter granularity)
-	switch kind {
-	case KBroadcast:
-		if algo == Tree {
-			// Each tree level forwards the whole payload.
-			return sim.Time(rounds) * m.xferChunked(bytes, chunk)
-		}
-		// Pipelined chain: fill latency of n-1 hops, then stream the
-		// remaining chunks through.
-		c := chunk
-		if bytes < c {
-			c = bytes
-		}
-		return sim.Time(n-2+msgs) * m.xfer(c)
-	case KReduce:
-		if algo == Tree {
-			return sim.Time(rounds) * (m.xferChunked(bytes, chunk) + m.comb(bytes))
-		}
-		// Reduce-scatter then direct block gather to the root.
-		return sim.Time(n-1)*(m.xferChunked(block, chunk)+m.comb(block)) +
-			sim.Time(n-1)*m.xferChunked(block, chunk)
-	case KAllReduce:
-		if algo == Tree {
-			return m.Estimate(KReduce, Tree, n, bytes, chunk) +
-				m.Estimate(KBroadcast, Tree, n, bytes, chunk)
-		}
-		// Reduce-scatter then ring all-gather.
-		return sim.Time(n-1)*(m.xferChunked(block, chunk)+m.comb(block)) +
-			sim.Time(n-1)*m.xferChunked(block, chunk)
-	case KAllGather:
-		if algo == Tree {
-			// Binomial gather (critical path moves (n-1)·bytes toward
-			// the root over log n rounds) then tree broadcast of the
-			// full n·bytes vector.
-			gather := sim.Time(rounds)*m.Alpha +
-				bytesTime((n-1)*bytes, m.BytesPerSec)
-			return gather + m.Estimate(KBroadcast, Tree, n, n*bytes, chunk)
-		}
-		return sim.Time(n-1) * m.xferChunked(bytes, chunk)
-	default:
-		return 0
+	if algo == Tree {
+		// Each of the log n reduce rounds moves and folds the whole
+		// payload, and each of the log n broadcast rounds moves it again.
+		x := m.xferChunked(bytes, chunk)
+		return sim.Time(log2ceil(n)) * (2*x + m.comb(bytes))
 	}
+	// Reduce-scatter then ring all-gather, in n-th size blocks.
+	block := bytes / n
+	x := m.xferChunked(block, chunk)
+	return sim.Time(n-1)*(x+m.comb(block)) + sim.Time(n-1)*x
 }
 
 // Choose resolves Auto to the cheaper of Tree and Ring for this call.
@@ -256,10 +217,11 @@ func (m CostModel) Choose(kind Kind, n, bytes, chunk int) Algorithm {
 	return Tree
 }
 
-// resolve maps a caller's algorithm request to a concrete algorithm.
-func (c *Comm) resolve(kind Kind, algo Algorithm, bytes int) Algorithm {
+// resolve maps a caller's all-reduce algorithm request to a concrete
+// algorithm.
+func (c *Comm) resolve(algo Algorithm, bytes int) Algorithm {
 	if algo != Auto {
 		return algo
 	}
-	return c.g.model.Choose(kind, c.g.n, bytes, c.g.opts.SlotBytes)
+	return c.g.model.Choose(KAllReduce, c.g.n, bytes, c.g.opts.SlotBytes)
 }

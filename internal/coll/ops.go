@@ -65,39 +65,18 @@ func (d DType) Size() int {
 	}
 }
 
-// CombineFunc folds the XDR-encoded vector src element-wise into dst
-// (dst = dst ⊕ src). Both slices have equal length, a multiple of the
-// element size.
-type CombineFunc func(dst, src []byte) error
-
-type opKey struct {
-	op Op
-	dt DType
-}
-
-// opTable maps (operator, dtype) to its combine function. RegisterOp
-// extends it; the built-ins cover sum/min/max over int32 and float64.
-var opTable = map[opKey]CombineFunc{}
-
-// RegisterOp installs (or replaces) the combine function for (op, dt),
-// making the operator table pluggable for callers with custom types.
-func RegisterOp(op Op, dt DType, fn CombineFunc) {
-	opTable[opKey{op, dt}] = fn
-}
-
-func init() {
-	for _, op := range []Op{OpSum, OpMin, OpMax} {
-		RegisterOp(op, Int32, func(dst, src []byte) error { return foldInt32(op, dst, src) })
-		RegisterOp(op, Float64, func(dst, src []byte) error { return foldFloat64(op, dst, src) })
+// fold folds the XDR-encoded vector src element-wise into dst (dst = dst ⊕
+// src) with one of the six built-in combines: sum, min or max over int32 or
+// float64. Both slices have equal length, a multiple of the element size.
+func fold(op Op, dt DType, dst, src []byte) error {
+	switch {
+	case op < OpSum || op > OpMax:
+	case dt == Int32:
+		return foldInt32(op, dst, src)
+	case dt == Float64:
+		return foldFloat64(op, dst, src)
 	}
-}
-
-func lookupOp(op Op, dt DType) (CombineFunc, error) {
-	fn, ok := opTable[opKey{op, dt}]
-	if !ok {
-		return nil, fmt.Errorf("coll: no combine function for %v over %v", op, dt)
-	}
-	return fn, nil
+	return fmt.Errorf("coll: no combine function for %v over %v", op, dt)
 }
 
 // The built-in folds work on the encoded vectors in place: an XDR int32 or
@@ -165,6 +144,18 @@ func foldFloat64(op Op, dst, src []byte) error {
 				copy(d, s)
 			}
 		}
+	}
+	return nil
+}
+
+// checkVector validates a reduction vector against the element type.
+func checkVector(dt DType, b []byte) error {
+	sz := dt.Size()
+	if sz == 0 {
+		return fmt.Errorf("coll: unknown element type %v", dt)
+	}
+	if len(b)%sz != 0 {
+		return fmt.Errorf("coll: %d-byte vector is not a whole number of %v elements", len(b), dt)
 	}
 	return nil
 }
@@ -238,16 +229,11 @@ func DecodeFloat64s(b []byte) ([]float64, error) {
 // element-wise pass at library copy rate (the host reads both vectors and
 // writes one; on this platform that is memcpy-bound, §5.4).
 func (c *Comm) combine(p *simProc, op Op, dt DType, dst, src []byte) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("coll: combine length mismatch: %d vs %d bytes", len(dst), len(src))
-	}
-	fn, err := lookupOp(op, dt)
-	if err != nil {
+	if err := fold(op, dt, dst, src); err != nil {
 		return err
 	}
-	if len(dst) == 0 {
-		return nil
+	if len(dst) > 0 {
+		c.proc.Node.CPU.Bcopy(p, len(dst))
 	}
-	c.proc.Node.CPU.Bcopy(p, len(dst))
-	return fn(dst, src)
+	return nil
 }

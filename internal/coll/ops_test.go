@@ -6,16 +6,20 @@ import (
 	"fmt"
 	"math"
 	"testing"
-
-	"repro/internal/sim"
-	"repro/internal/vmmc"
 )
 
 // The reference combines: one function-value call per element, decoded to
 // the Go type and encoded back — the form the built-ins had before they
 // became one loop per operator. Kept here only to hold the loops to it.
 
-func refInt32(f func(a, b int32) int32) CombineFunc {
+type refCombine func(dst, src []byte) error
+
+type opKey struct {
+	op Op
+	dt DType
+}
+
+func refInt32(f func(a, b int32) int32) refCombine {
 	return func(dst, src []byte) error {
 		if err := checkVectors(dst, src, 4); err != nil {
 			return err
@@ -29,7 +33,7 @@ func refInt32(f func(a, b int32) int32) CombineFunc {
 	}
 }
 
-func refFloat64(f func(a, b float64) float64) CombineFunc {
+func refFloat64(f func(a, b float64) float64) refCombine {
 	return func(dst, src []byte) error {
 		if err := checkVectors(dst, src, 8); err != nil {
 			return err
@@ -43,7 +47,7 @@ func refFloat64(f func(a, b float64) float64) CombineFunc {
 	}
 }
 
-var refCombines = map[opKey]CombineFunc{
+var refCombines = map[opKey]refCombine{
 	{OpSum, Int32}: refInt32(func(a, b int32) int32 { return a + b }),
 	{OpMin, Int32}: refInt32(func(a, b int32) int32 {
 		if b < a {
@@ -128,10 +132,7 @@ func vectorFor(dt DType, seed uint64, elems int) []byte {
 func TestBuiltinCombinesMatchReference(t *testing.T) {
 	lengths := []int{0, 1, 2, 3, 7, 16, 100, 1023, 4096, 16 << 10}
 	for key, ref := range refCombines {
-		fn, err := lookupOp(key.op, key.dt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fn := func(dst, src []byte) error { return fold(key.op, key.dt, dst, src) }
 		for i, elems := range lengths {
 			for seed := uint64(1); seed <= 3; seed++ {
 				dst := vectorFor(key.dt, seed*100+uint64(i), elems)
@@ -157,65 +158,10 @@ func TestBuiltinCombinesMatchReference(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestRegisteredOverrideWinsOverBuiltin: RegisterOp on a built-in (op,
-// dtype) replaces what every reduction calls — here int32 "sum" becomes
-// XOR, on both algorithms.
-func TestRegisteredOverrideWinsOverBuiltin(t *testing.T) {
-	builtin, _ := lookupOp(OpSum, Int32)
-	defer RegisterOp(OpSum, Int32, builtin)
-	RegisterOp(OpSum, Int32, func(dst, src []byte) error {
-		if err := checkVectors(dst, src, 4); err != nil {
-			return err
+	for _, key := range []opKey{{OpMax + 1, Int32}, {OpSum - 1, Float64}, {OpSum, Float64 + 1}} {
+		if err := fold(key.op, key.dt, nil, nil); err == nil {
+			t.Errorf("%v/%v: folded, want no combine function", key.op, key.dt)
 		}
-		for i := range dst {
-			dst[i] ^= src[i]
-		}
-		return nil
-	})
-	const n, elems = 4, 3000
-	want := make([]byte, 4*elems)
-	for r := 0; r < n; r++ {
-		for i, b := range vectorFor(Int32, uint64(r), elems) {
-			want[i] ^= b
-		}
-	}
-	eng := sim.NewEngine()
-	eng.VerifySkips()
-	cluster, err := vmmc.NewCluster(eng, vmmc.Options{Nodes: n})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster.Go("override", func(p *sim.Proc) {
-		procs := make([]*vmmc.Process, n)
-		for i := range procs {
-			if procs[i], err = cluster.Nodes[i].NewProcess(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		comms, err := Build(p, procs, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range comms {
-			c := comms[r]
-			eng.Go(fmt.Sprintf("rank%d", r), func(rp *sim.Proc) {
-				for _, algo := range []Algorithm{Tree, Ring} {
-					out := make([]byte, 4*elems)
-					if err := c.AllReduce(rp, vectorFor(Int32, uint64(c.rank), elems), out, OpSum, Int32, algo); err != nil {
-						t.Errorf("rank %d %v: %v", c.rank, algo, err)
-						return
-					}
-					if !bytes.Equal(out, want) {
-						t.Errorf("rank %d %v: the override was not what the reduction called", c.rank, algo)
-					}
-				}
-			})
-		}
-	})
-	if err := cluster.Start(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -225,16 +171,12 @@ func TestRegisteredOverrideWinsOverBuiltin(t *testing.T) {
 func BenchmarkCombine64K(b *testing.B) {
 	for _, dt := range []DType{Int32, Float64} {
 		for _, op := range []Op{OpSum, OpMin, OpMax} {
-			fn, err := lookupOp(op, dt)
-			if err != nil {
-				b.Fatal(err)
-			}
 			elems := (64 << 10) / dt.Size()
 			dst, src := vectorFor(dt, 1, elems), vectorFor(dt, 2, elems)
 			b.Run(fmt.Sprintf("%v_%v", op, dt), func(b *testing.B) {
 				b.SetBytes(64 << 10)
 				for i := 0; i < b.N; i++ {
-					if err := fn(dst, src); err != nil {
+					if err := fold(op, dt, dst, src); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -1,8 +1,9 @@
 // Package doccheck is a CI gate for the documentation's cross-references:
 // every relative markdown link in the repo's docs must point at a file
-// that exists, and every #anchor must match a heading in the target file.
-// It runs as an ordinary go test so `go test ./...` (and the ci workflow)
-// fails when a doc rename or heading edit breaks a link.
+// that exists, every #anchor must match a heading in the target file, and
+// every repo path, vmmcbench experiment or flag and internal/ identifier
+// the docs name must exist. It runs as an ordinary go test so
+// `go test ./...` (and the ci workflow) fails when a rename breaks a doc.
 package doccheck
 
 import (

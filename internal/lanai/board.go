@@ -180,8 +180,8 @@ func (b *Board) headroom() int {
 
 // NewFrame starts an outgoing packet of up to n payload bytes: it returns
 // a buffer holding only the link layer's headroom, with room for the
-// caller to append the payload. The finished frame goes to SendFrameClass
-// or SendFrameCharged, which take it over.
+// caller to append the payload. The finished frame goes to
+// SendFrameCharged, which takes it over.
 func (b *Board) NewFrame(n int) []byte {
 	if b.reliable != nil {
 		// The retransmit window keeps the frame until it is acknowledged
@@ -209,29 +209,16 @@ func (b *Board) SendPacket(p *sim.Proc, route []byte, payload []byte) error {
 	h := b.headroom()
 	frame := make([]byte, h+len(payload))
 	copy(frame[h:], payload)
-	return b.SendFrameClass(p, route, frame, 0)
+	return b.SendFrameCharged(p, route, frame, 0)
 }
 
-// SendFrameClass injects a frame built on NewFrame within a traffic
-// class: the class's link bandwidth budget (if configured) paces the
-// injection, and with the reliability layer enabled the packet rides the
-// class's own transmit window, so a class teardown cannot disturb other
-// classes' sequence state. Class 0 is the default shared class —
-// SendPacket delegates here with it — and is never paced or torn down by
-// class.
-func (b *Board) SendFrameClass(p *sim.Proc, route []byte, frame []byte, class int) error {
-	if b.linksched != nil {
-		b.linksched.charge(p, class, b.PayloadLen(frame))
-	}
-	return b.SendFrameCharged(p, route, frame, class)
-}
-
-// SendFrameCharged injects a frame whose pacing charge the caller has
-// already committed (via LinkScheduler.TryCharge) or that the caller
-// deliberately exempts from pacing. The LCP's scheduler uses this path:
-// it gates dispatch on class eligibility and commits the charge without
-// sleeping, so the shared control loop never blocks inside an injection
-// on one class's bandwidth deficit.
+// SendFrameCharged injects a frame built on NewFrame within a traffic
+// class whose pacing charge the caller has already committed (via
+// LinkScheduler.TryCharge); the board itself never paces. With the
+// reliability layer enabled the packet rides the class's own transmit
+// window, so a class teardown cannot disturb other classes' sequence
+// state. Class 0 is the default shared class — SendPacket uses it — and
+// is never paced or torn down by class.
 //
 // The frame changes hands: fire-and-forget, it belongs to the fabric and
 // then to whoever receives it; with the reliability layer, to the

@@ -338,7 +338,7 @@ func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
 		net.SetFaults(pl)
 		pl.CorruptNextOn(a.NIC.ID, 1)
 		frame := append(a.NewFrame(len(payload)), payload...)
-		if err := a.SendFrameClass(p, []byte{1}, frame, 0); err != nil {
+		if err := a.SendFrameCharged(p, []byte{1}, frame, 0); err != nil {
 			t.Error(err)
 			return
 		}

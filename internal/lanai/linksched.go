@@ -12,26 +12,29 @@ import (
 // the outgoing link for milliseconds while a latency-sensitive peer's
 // packets queue behind it. The scheduler bounds that interference with a
 // deterministic token bucket per traffic class: each class owns a
-// credit of burst bytes that refills at a configured rate, and a send
-// that overdraws its class sleeps exactly the refill time of the
-// deficit before injecting. Unconfigured classes — including class 0,
-// the single-tenant default — are never throttled, so the scheduler is
-// invisible until a tenant manager opts a class in.
+// credit of burst bytes that refills at a configured rate. Nothing
+// sleeps inside the scheduler: the LCP asks EligibleAt before it picks a
+// class's work, skips a class still in deficit (Defer opens the episode
+// that accounts for the wait) and commits each injection with TryCharge,
+// which never blocks and refuses a class in deficit. Unconfigured
+// classes — including class 0, the single-tenant default — are never
+// throttled, so the scheduler is invisible until a tenant manager opts a
+// class in.
 //
 // The implementation is a virtual-time pacer rather than a literal
 // token count: nextAt is the instant the class's credit is fully
 // drained, clamped to lag the present by at most the burst duration.
-// Charging n bytes advances nextAt by n at the class rate; any excess
-// over the present is the sleep. Because all state updates happen
-// atomically at charge time under the single-threaded event engine, the
-// pacer is exactly deterministic under concurrent senders.
+// Charging n bytes advances nextAt by n at the class rate, and the class
+// is eligible again once the present reaches nextAt. Because all state
+// updates happen atomically at charge time under the single-threaded
+// event engine, the pacer is exactly deterministic.
 type LinkScheduler struct {
 	eng     *sim.Engine
 	comp    string
 	classes map[int]*linkClass
 
-	// Throttles counts sends the scheduler delayed; ThrottledTime is the
-	// total virtual time those sends slept.
+	// Throttles counts deferral episodes; ThrottledTime is the total
+	// virtual time those episodes lasted.
 	Throttles     int64
 	ThrottledTime sim.Time
 
@@ -135,8 +138,7 @@ func (ls *LinkScheduler) Defer(class int) {
 // is eligible now, advancing its virtual time without ever sleeping; it
 // reports false — charging nothing — when the class is still in deficit.
 // A successful charge closes any open deferral episode, attributing the
-// elapsed deferral to the class exactly as the blocking path attributes
-// its sleep.
+// elapsed deferral to the class as throttled time.
 func (ls *LinkScheduler) TryCharge(class, n int) bool {
 	lc := ls.classes[class]
 	if lc == nil || n <= 0 {
@@ -161,30 +163,4 @@ func (ls *LinkScheduler) TryCharge(class, n int) bool {
 		}
 	}
 	return true
-}
-
-// charge paces one n-byte injection in the given class, sleeping the
-// calling process for the class's refill deficit. Classes without a
-// configured budget pass through untouched.
-func (ls *LinkScheduler) charge(p *sim.Proc, class, n int) {
-	lc := ls.classes[class]
-	if lc == nil || n <= 0 {
-		return
-	}
-	now := p.Now()
-	if floor := now - lc.burst; lc.nextAt < floor {
-		lc.nextAt = floor
-	}
-	lc.nextAt += sim.Time(float64(n) / lc.bytesPerSec * float64(sim.Second))
-	if wait := lc.nextAt - now; wait > 0 {
-		ls.Throttles++
-		ls.ThrottledTime += wait
-		lc.throttles++
-		lc.throttledNS += wait
-		ls.mThrottleNS.Add(int64(wait))
-		if ls.eng.Trace().Enabled() {
-			ls.eng.TraceCounter(ls.comp, "qos", "qos_throttle_ns", float64(wait))
-		}
-		p.Sleep(wait)
-	}
 }

@@ -409,18 +409,16 @@ func (l *LCP) deferClass(class int) {
 
 // sendPaced injects a dispatched packet — a frame built on Board.NewFrame,
 // which it gives up — committing its pacing charge without sleeping.
-// Dispatch already gated on class eligibility and the pacer's virtual
-// time only recedes as real time passes, so the non-blocking charge
-// succeeds except when another send in the same class charged within the
-// same dispatch iteration; the blocking legacy path then keeps the
-// pacer's accounting exact rather than reordering the queue.
+// Every path into inject (requestReady, serveShortPreempt, stepJob) found
+// the class eligible at or before this instant, and the LCP is the only
+// sender in a paced class, so nothing can have charged the class in
+// between: a refused charge is a scheduler bug, not a wait.
 func (l *LCP) sendPaced(p *simProc, route, frame []byte, class int) error {
 	board := l.node.Board
-	ls := board.LinkScheduler()
-	if ls == nil || ls.TryCharge(class, board.PayloadLen(frame)) {
-		return board.SendFrameCharged(p, route, frame, class)
+	if ls := board.LinkScheduler(); ls != nil && !ls.TryCharge(class, board.PayloadLen(frame)) {
+		panic(fmt.Sprintf("lcp%d: class %d dispatched while in pacing deficit", l.node.ID, class))
 	}
-	return board.SendFrameClass(p, route, frame, class)
+	return board.SendFrameCharged(p, route, frame, class)
 }
 
 // ownsJob reports whether the process has a long send in progress.
