@@ -124,7 +124,7 @@ var experiments = []experiment{
 			for _, us := range *healOutages {
 				outages = append(outages, sim.Time(us)*sim.Microsecond)
 			}
-			return bench.HealSweep(bench.HealConfigSweep{Outages: outages, Out: *healOut})
+			return bench.HealSweep(bench.HealSweepConfig{Outages: outages, Out: *healOut})
 		})},
 	{"collsweep", "collectives: all-reduce tree vs ring crossover, heal interop", true,
 		tableExp(func() (bench.Table, error) {

@@ -18,8 +18,8 @@ import (
 // bookkeeping deterministic too.
 const healSweepSeed = 0x4EA1
 
-// HealConfigSweep parameterizes the healsweep experiment.
-type HealConfigSweep struct {
+// HealSweepConfig parameterizes the healsweep experiment.
+type HealSweepConfig struct {
 	// Outages lists the link-outage durations swept (each one cell).
 	// Empty selects the default 2ms -> 6ms -> 12ms ladder.
 	Outages []sim.Time
@@ -96,7 +96,7 @@ func DiamondFabric(net *myrinet.Network, nodes int) error {
 // static tables would surface ErrNodeUnreachable instead. Each cell runs
 // twice and the sweep fails on any virtual-time or counter drift, so the
 // BENCH_heal.json artifact is byte-identical across runs.
-func HealSweep(cfg HealConfigSweep) (Table, error) {
+func HealSweep(cfg HealSweepConfig) (Table, error) {
 	if len(cfg.Outages) == 0 {
 		cfg.Outages = []sim.Time{2 * sim.Millisecond, 6 * sim.Millisecond, 12 * sim.Millisecond}
 	}
@@ -165,18 +165,7 @@ func healing(nodes int, pl *fault.Plan, retries int) vmmc.Options {
 		Reliability: &relCfg,
 		Faults:      pl,
 		BuildFabric: DiamondFabric,
-		Heal: &vmmc.HealConfig{
-			ProbeInterval: 500 * sim.Microsecond,
-			MaxRounds:     64,
-			MaxDepth:      4,
-			// The boot-derived default timeout (~24us) makes a remap round
-			// ~11ms on this fabric — silent dangling-port prefixes dominate
-			// the BFS — which would quantize every heal to the same round.
-			// Replies here arrive within a few microseconds (3 hops, short
-			// probes), so a tight timeout keeps rounds short and the sweep
-			// able to resolve outage duration.
-			ProbeTimeout: 8 * sim.Microsecond,
-		},
+		Heal:        true,
 	}
 }
 
@@ -313,7 +302,7 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 // writeHealJSON emits the heal-trajectory artifact: every value is
 // virtual-time derived, so the file is byte-identical across runs — a
 // golden-able determinism witness, unlike the wall-clock BENCH_scale.json.
-func writeHealJSON(cfg HealConfigSweep, rs []HealResult, reps []*analysis.Report) error {
+func writeHealJSON(cfg HealSweepConfig, rs []HealResult, reps []*analysis.Report) error {
 	a := artifact{
 		what: "heal",
 		header: [][2]string{

@@ -19,7 +19,7 @@ import (
 // byte-identical — the acceptance bar the CI smoke job re-checks.
 func TestHealSweepSmall(t *testing.T) {
 	dir := t.TempDir()
-	cfg := HealConfigSweep{
+	cfg := HealSweepConfig{
 		Outages: []sim.Time{2 * sim.Millisecond},
 		Msgs:    8,
 		Out:     filepath.Join(dir, "BENCH_heal.json"),

@@ -367,7 +367,6 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 			PutFrac:  putFrac,
 			Deadline: deadline,
 			Seed:     replicaSeed ^ uint64(r)<<32 ^ uint64(rate),
-			Retry:    serve.DefaultRetryPolicy(replicaSeed + 1),
 			OnMeasure: func(measure sim.Time) {
 				if kill {
 					cl.eng.Go("replicasweep:kill", func(kp *sim.Proc) {

@@ -176,7 +176,7 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, e
 	// Scale tuning. Two defaults in the link layer are sized for the
 	// paper's 4-node, single-switch testbed and collapse on a deep switch
 	// chain:
-	//   - stragglers (in-sequence packets the AckEvery cadence skips) are
+	//   - stragglers (in-sequence packets the every-4th-packet ack skips) are
 	//     acknowledged only by the sender's timeout-retransmit round, so
 	//     this workload's sparse per-pair traffic pays a redundant
 	//     retransmission per message. A delayed ack well under the RTO

@@ -268,7 +268,6 @@ func runServeCell(name string, shards int, rate float64, admission bool, theta f
 			Deadline:    serveDeadline,
 			EdgeLatency: edge,
 			Seed:        serveSeed ^ uint64(shards)<<32 ^ uint64(rate),
-			Retry:       serve.DefaultRetryPolicy(serveSeed + 1),
 		})
 	})
 	return res, cl.rep, err
@@ -297,7 +296,6 @@ func runServeFaultCell(name string, outage bool, requests int) (ServeResult, *an
 			Rate:     faultRate,
 			Requests: requests,
 			Seed:     serveSeed + 2,
-			Retry:    serve.DefaultRetryPolicy(serveSeed + 3),
 			OnMeasure: func(measure sim.Time) {
 				if outage {
 					// A third of the way into the measured stream, for

@@ -214,7 +214,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 			var err error
 			agg, err = mgr.Admit(p, tenant.Spec{
 				Name: "bulk", Nodes: []int{0, 1}, Limits: small,
-				LinkBytesPerSec: cfg.AggRate, LinkBurstBytes: 16 << 10,
+				LinkBytesPerSec: cfg.AggRate,
 			})
 			if err != nil {
 				return err

@@ -29,9 +29,17 @@ import (
 	"repro/internal/vmmc"
 )
 
-// DefaultTagBase is where communicator channel tags start; tag(r, s) =
-// TagBase + r<<8 + s names the window rank r exports for sender s.
-const DefaultTagBase uint32 = 0x434C0000 // "CL"
+// tagBase is where communicator channel tags start; tag(r, s) =
+// tagBase + r<<8 + s names the window rank r exports for sender s.
+const tagBase uint32 = 0x434C0000 // "CL"
+
+// The credit window of one channel: slots is G, the payload pipeline
+// depth, and slotBytes (whole pages) is the unit large messages are
+// chunked into.
+const (
+	slots     = 2
+	slotBytes = 16 << 10
+)
 
 // MaxRanks bounds communicator size: tags encode ranks in 8 bits, and the
 // per-process outgoing page table bounds how many windows one rank can
@@ -47,39 +55,14 @@ const (
 	sigBytes  = 4
 )
 
-// Options configures communicator construction.
-type Options struct {
-	// TagBase is the first export tag used for channel windows
-	// (DefaultTagBase when zero). A process joining several
-	// communicators must give each a disjoint tag range.
-	TagBase uint32
-	// Slots is G, the per-channel payload pipeline depth (default 2).
-	Slots int
-	// SlotBytes is the payload slot size, the unit large messages are
-	// chunked into (default 16 KB, rounded up to whole pages).
-	SlotBytes int
-}
-
-func (o Options) withDefaults() Options {
-	if o.TagBase == 0 {
-		o.TagBase = DefaultTagBase
-	}
-	if o.Slots <= 0 {
-		o.Slots = 2
-	}
-	if o.SlotBytes <= 0 {
-		o.SlotBytes = 16 << 10
-	}
-	if rem := o.SlotBytes % mem.PageSize; rem != 0 {
-		o.SlotBytes += mem.PageSize - rem
-	}
-	return o
-}
+// Options configures communicator construction. It has no fields: the
+// tag base and the credit window are constants, and the type stays for
+// the callers that pass it.
+type Options struct{}
 
 // group is the state shared by all ranks of one communicator.
 type group struct {
 	n     int
-	opts  Options
 	model CostModel
 	m     metrics
 }
@@ -166,14 +149,14 @@ func (c *Comm) Model() CostModel { return c.g.model }
 
 // tag names the window rank r exports for messages sent by rank s.
 func (g *group) tag(r, s int) uint32 {
-	return g.opts.TagBase + uint32(r)<<8 + uint32(s)
+	return tagBase + uint32(r)<<8 + uint32(s)
 }
 
 // Build forms a communicator over the given processes: procs[i] becomes
 // rank i. It runs the full export/import handshake mesh in the calling
 // process p (setup, not measured time) and returns one handle per rank.
 // Ranks may live on any mix of nodes, including sharing one.
-func Build(p *sim.Proc, procs []*vmmc.Process, opts Options) ([]*Comm, error) {
+func Build(p *sim.Proc, procs []*vmmc.Process, _ Options) ([]*Comm, error) {
 	n := len(procs)
 	if n == 0 {
 		return nil, fmt.Errorf("coll: empty communicator")
@@ -181,9 +164,8 @@ func Build(p *sim.Proc, procs []*vmmc.Process, opts Options) ([]*Comm, error) {
 	if n > MaxRanks {
 		return nil, fmt.Errorf("coll: %d ranks exceeds MaxRanks (%d)", n, MaxRanks)
 	}
-	opts = opts.withDefaults()
 	eng := procs[0].Node.Eng
-	g := &group{n: n, opts: opts, m: newMetrics(eng.Metrics()), model: ModelFromProfile(procs[0].Node.Prof)}
+	g := &group{n: n, m: newMetrics(eng.Metrics()), model: ModelFromProfile(procs[0].Node.Prof)}
 
 	comms := make([]*Comm, n)
 	for r, proc := range procs {
@@ -197,7 +179,7 @@ func Build(p *sim.Proc, procs []*vmmc.Process, opts Options) ([]*Comm, error) {
 			in:   make([]chanIn, n),
 		}
 		var err error
-		if c.sendBuf, err = proc.Malloc(opts.SlotBytes); err != nil {
+		if c.sendBuf, err = proc.Malloc(slotBytes); err != nil {
 			return nil, fmt.Errorf("coll: rank %d staging: %w", r, err)
 		}
 		if c.sigBuf, err = proc.Malloc(mem.PageSize); err != nil {
@@ -209,7 +191,7 @@ func Build(p *sim.Proc, procs []*vmmc.Process, opts Options) ([]*Comm, error) {
 	// Phase 1: every rank exports one window per peer and registers the
 	// notification handler for that channel. The allowed list restricts
 	// each window to its designated sender (§4.3 protection).
-	winBytes := mem.PageSize + opts.Slots*opts.SlotBytes
+	winBytes := mem.PageSize + slots*slotBytes
 	for r, c := range comms {
 		for s := range procs {
 			if s == r {
@@ -313,18 +295,18 @@ func (c *Comm) waitToken(p *sim.Proc, peer int) {
 }
 
 // sendPayload transfers data to peer over the credited slot protocol,
-// splitting it into SlotBytes chunks. Each chunk is one notifying SendMsg
+// splitting it into slotBytes chunks. Each chunk is one notifying SendMsg
 // into the next slot; the sender stalls when G chunks are uncredited.
 func (c *Comm) sendPayload(p *sim.Proc, peer int, data []byte) error {
 	g := c.g
 	out := &c.out[peer]
-	for off := 0; off < len(data); off += g.opts.SlotBytes {
-		end := off + g.opts.SlotBytes
+	for off := 0; off < len(data); off += slotBytes {
+		end := off + slotBytes
 		if end > len(data) {
 			end = len(data)
 		}
 		chunk := data[off:end]
-		if out.sent-out.credits >= g.opts.Slots {
+		if out.sent-out.credits >= slots {
 			g.m.creditStalls.Add(1)
 			c.stall = &CreditStall{
 				Rank:  c.rank,
@@ -333,12 +315,12 @@ func (c *Comm) sendPayload(p *sim.Proc, peer int, data []byte) error {
 				Step:  c.lastStep,
 				Tag:   g.tag(peer, c.rank),
 			}
-			for out.sent-out.credits >= g.opts.Slots {
+			for out.sent-out.credits >= slots {
 				c.cond.Wait(p)
 			}
 			c.stall = nil
 		}
-		slot := out.sent % g.opts.Slots
+		slot := out.sent % slots
 		// The staging write models sending straight out of user memory
 		// (deliberate update is zero-copy on the send side); SendMsgSync
 		// returns once the data has left host memory, so the staging
@@ -346,7 +328,7 @@ func (c *Comm) sendPayload(p *sim.Proc, peer int, data []byte) error {
 		if err := c.proc.Write(c.sendBuf, chunk); err != nil {
 			return err
 		}
-		dest := out.base + vmmc.ProxyAddr(mem.PageSize+slot*g.opts.SlotBytes)
+		dest := out.base + vmmc.ProxyAddr(mem.PageSize+slot*slotBytes)
 		if err := c.proc.SendMsgSync(p, c.sendBuf, dest, len(chunk), vmmc.SendOptions{Notify: true}); err != nil {
 			return fmt.Errorf("coll: rank %d payload to %d: %w", c.rank, peer, err)
 		}
@@ -363,9 +345,8 @@ func (c *Comm) sendPayload(p *sim.Proc, peer int, data []byte) error {
 // bcopy rate, and the only one the host makes) and returns the slot's
 // credit.
 func (c *Comm) recvPayload(p *sim.Proc, peer int, dst []byte) error {
-	g := c.g
 	in := &c.in[peer]
-	nmsg := (len(dst) + g.opts.SlotBytes - 1) / g.opts.SlotBytes
+	nmsg := (len(dst) + slotBytes - 1) / slotBytes
 	got := 0
 	for i := 0; i < nmsg; i++ {
 		for len(in.queue) == 0 {

@@ -30,7 +30,7 @@ func TestCreditDeadlockSurfacesTyped(t *testing.T) {
 				t.Fatalf("rank %d process: %v", i, err)
 			}
 		}
-		if comms, err = Build(p, procs, Options{Slots: 2}); err != nil {
+		if comms, err = Build(p, procs, Options{}); err != nil {
 			t.Fatalf("build: %v", err)
 		}
 		for r := range comms {
@@ -40,7 +40,7 @@ func TestCreditDeadlockSurfacesTyped(t *testing.T) {
 				c.step("wedge_round")
 				// Three slots' worth with a two-slot window and no receiver:
 				// the third chunk stalls forever awaiting a credit.
-				data := make([]byte, 3*c.g.opts.SlotBytes)
+				data := make([]byte, 3*slotBytes)
 				_ = c.sendPayload(rp, 1-r, data)
 				t.Errorf("rank %d sendPayload returned; expected a permanent stall", r)
 			})

@@ -223,5 +223,5 @@ func (c *Comm) resolve(algo Algorithm, bytes int) Algorithm {
 	if algo != Auto {
 		return algo
 	}
-	return c.g.model.Choose(KAllReduce, c.g.n, bytes, c.g.opts.SlotBytes)
+	return c.g.model.Choose(KAllReduce, c.g.n, bytes, slotBytes)
 }

@@ -112,12 +112,7 @@ func healedAllReduce(t *testing.T, withOutage bool) (results [][]byte, elapsed s
 		Reliability: &relCfg,
 		Faults:      pl,
 		BuildFabric: bench.DiamondFabric,
-		Heal: &vmmc.HealConfig{
-			ProbeInterval: 500 * sim.Microsecond,
-			MaxRounds:     64,
-			MaxDepth:      4,
-			ProbeTimeout:  8 * sim.Microsecond,
-		},
+		Heal:        true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,15 +21,15 @@ func blockRange(l, esz, n, b int) (off, length int) {
 	return lo, hi - lo
 }
 
-// pipeBytes is the credit-window capacity of one channel — Slots uncredited
-// chunks of SlotBytes each — rounded down to a multiple of align so reduce
+// pipeBytes is the credit-window capacity of one channel — slots uncredited
+// chunks of slotBytes each — rounded down to a multiple of align so reduce
 // sub-pieces stay element-aligned. A ring round that ships more than this
 // per block must interleave its send and receive in sub-rounds: two ranks
 // that each post a full block before draining the other's (the n=2 case,
 // where every rank is both its neighbor's sender and receiver) otherwise
 // exhaust both windows with neither side ever reaching its receive.
 func (c *Comm) pipeBytes(align int) int {
-	pipe := c.g.opts.Slots * c.g.opts.SlotBytes
+	pipe := slots * slotBytes
 	pipe -= pipe % align
 	if pipe < align {
 		pipe = align

@@ -10,9 +10,8 @@ import (
 )
 
 // TestRingOversizedBlockTwoRanks pins the old n=2 credit-pipeline deadlock
-// shape: with the default credit window (Slots=2 × 16 KB slots) a ring
-// round whose per-rank block exceeds Slots·SlotBytes used to wedge both
-// ranks — each posted its full block before draining the other's, and at
+// shape: with the credit window of 2 slots × 16 KB, a ring round whose
+// per-rank block exceeds the window used to wedge both ranks — each posted its full block before draining the other's, and at
 // n=2 every rank is simultaneously its neighbor's sender and receiver, so
 // neither ever reached its receive. The sub-round split in ring.go must
 // let this complete and still compute the right result, in both the
@@ -20,7 +19,7 @@ import (
 func TestRingOversizedBlockTwoRanks(t *testing.T) {
 	const n = 2
 	const elems = 24 << 10 // 96 KB of int32: 48 KB per ring block > 32 KB window
-	runRanks(t, n, vmmc.Options{}, coll.Options{Slots: 2}, func(p *sim.Proc, c *coll.Comm) {
+	runRanks(t, n, vmmc.Options{}, coll.Options{}, func(p *sim.Proc, c *coll.Comm) {
 		mine := make([]int32, elems)
 		exp := make([]int32, elems)
 		for i := range mine {

@@ -17,13 +17,10 @@ import (
 // arguments (`bench.LastMetricsSummary()`).
 var identSpanRe = regexp.MustCompile(`^([a-z]\w*)\.(\w+)(?:\.(\w+))?(?:\(\))?$`)
 
-// internalDecls parses every non-test Go file under internal/ and returns,
-// per package name, the names it declares: each func, type, const, var,
-// method and struct field or interface method by its own name, and each
-// method and field also as Type.Member.
-func internalDecls(t *testing.T, root string) map[string]map[string]bool {
+// parseInternal parses every non-test Go file under internal/ and hands
+// each to visit.
+func parseInternal(t *testing.T, root string, visit func(*ast.File)) {
 	t.Helper()
-	decls := make(map[string]map[string]bool)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -33,6 +30,22 @@ func internalDecls(t *testing.T, root string) map[string]map[string]bool {
 		if err != nil {
 			return err
 		}
+		visit(f)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("parsing internal/: %v", err)
+	}
+}
+
+// internalDecls returns, per package name under internal/, the names its
+// non-test files declare: each func, type, const, var, method and struct
+// field or interface method by its own name, and each method and field
+// also as Type.Member.
+func internalDecls(t *testing.T, root string) map[string]map[string]bool {
+	t.Helper()
+	decls := make(map[string]map[string]bool)
+	parseInternal(t, root, func(f *ast.File) {
 		names := decls[f.Name.Name]
 		if names == nil {
 			names = make(map[string]bool)
@@ -78,11 +91,7 @@ func internalDecls(t *testing.T, root string) map[string]map[string]bool {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatalf("parsing internal/: %v", err)
-	}
 	return decls
 }
 

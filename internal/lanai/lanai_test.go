@@ -311,7 +311,7 @@ func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
 		}
 		boards[i] = NewBoard(e, prof, nic, mem.NewPhysical(16*mem.PageSize), bus.New(e, "pci"))
 		cfg := DefaultReliability()
-		cfg.AckEvery = 1 // a lone packet is acknowledged at once, not by a second timeout
+		cfg.AckDelay = 25 * sim.Microsecond // a lone packet is acknowledged promptly, not by a second timeout
 		if _, err := boards[i].EnableReliability(cfg); err != nil {
 			t.Fatal(err)
 		}

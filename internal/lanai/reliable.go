@@ -97,29 +97,35 @@ type ReliableLink struct {
 	mRetx, mUnreachable *trace.Counter
 }
 
-// ReliabilityConfig tunes the link layer.
+// The link layer's fixed protocol parameters.
+const (
+	// rlWindow is the per-destination unacknowledged packet limit.
+	rlWindow = 32
+	// rlAckEvery acknowledges every k-th in-sequence packet; the tail of a
+	// burst is acknowledged by the delayed ack or the timeout path.
+	rlAckEvery = 4
+	// rlInitialRTO is the retransmission timeout until the first
+	// round-trip sample; afterwards the timeout adapts (srtt + 4*rttvar,
+	// clamped to [rlMinRTO, MaxRTO]).
+	rlInitialRTO = 200 * sim.Microsecond
+	rlMinRTO     = 100 * sim.Microsecond
+	// rlPerPacketCost is the LANai software cost of the link-layer
+	// bookkeeping on each side — the overhead §4.2 declined to pay.
+	rlPerPacketCost = 500 * sim.Nanosecond
+)
+
+// ReliabilityConfig tunes the link layer: the knobs that large clusters
+// and stall-fast heal configurations set differently.
 type ReliabilityConfig struct {
-	// Window is the per-destination unacknowledged packet limit.
-	Window int
-	// AckEvery acknowledges every k-th in-sequence packet (the last one
-	// of a burst is always acknowledged via the timeout path).
-	AckEvery int
-	// RetransmitTimeout is the initial retransmission timeout, used until
-	// the first round-trip sample; afterwards the timeout adapts
-	// (srtt + 4*rttvar, clamped to [MinRTO, MaxRTO]).
-	RetransmitTimeout sim.Time
-	// MinRTO and MaxRTO clamp the adaptive timeout. MaxRTO also caps the
-	// exponential backoff between retransmit rounds.
-	MinRTO, MaxRTO sim.Time
+	// MaxRTO caps the adaptive timeout and the exponential backoff
+	// between retransmit rounds.
+	MaxRTO sim.Time
 	// MaxRetries is the retransmit budget: after this many timer-driven
 	// rounds with no acknowledgement the destination is declared
 	// unreachable and sends toward it fail with ErrPeerUnreachable.
 	MaxRetries int
-	// PerPacketCost is the LANai software cost of the link-layer
-	// bookkeeping on each side — the overhead §4.2 declined to pay.
-	PerPacketCost sim.Time
 	// AckDelay, when positive, arms a receiver-side delayed ack for
-	// in-sequence packets the AckEvery rule skips: if no later packet
+	// in-sequence packets the rlAckEvery cadence skips: if no later packet
 	// forces an ack first, a cumulative ack goes out AckDelay after the
 	// packet arrived. Without it (the zero default, preserving the
 	// original behavior) the tail of a burst is acknowledged only by the
@@ -133,13 +139,8 @@ type ReliabilityConfig struct {
 // DefaultReliability returns a reasonable configuration.
 func DefaultReliability() ReliabilityConfig {
 	return ReliabilityConfig{
-		Window:            32,
-		AckEvery:          4,
-		RetransmitTimeout: 200 * sim.Microsecond,
-		MinRTO:            100 * sim.Microsecond,
-		MaxRTO:            2 * sim.Millisecond,
-		MaxRetries:        8,
-		PerPacketCost:     sim.Micros(0.5),
+		MaxRTO:     2 * sim.Millisecond,
+		MaxRetries: 8,
 	}
 }
 
@@ -206,21 +207,8 @@ const (
 // called before traffic flows; it allocates the retransmit window
 // buffers from board SRAM (the resource cost of reliability).
 func (b *Board) EnableReliability(cfg ReliabilityConfig) (*ReliableLink, error) {
-	if cfg.Window <= 0 || cfg.AckEvery <= 0 {
-		return nil, fmt.Errorf("lanai: bad reliability config %+v", cfg)
-	}
-	// Older configs predate the adaptive timeout; fill the gaps.
-	if cfg.MinRTO <= 0 {
-		cfg.MinRTO = cfg.RetransmitTimeout / 2
-	}
-	if cfg.MaxRTO <= 0 {
-		cfg.MaxRTO = 10 * cfg.RetransmitTimeout
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 8
-	}
 	// Window buffers: assume page-sized packets plus headers.
-	off, err := b.SRAM.Alloc(cfg.Window*(4096+64), "retransmit-window")
+	off, err := b.SRAM.Alloc(rlWindow*(4096+64), "retransmit-window")
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +244,7 @@ func (rl *ReliableLink) emitWindowOccupancy(st *txState) {
 		return
 	}
 	rl.board.Eng.TraceCounter(rl.comp, "rl", "window_occupancy",
-		float64(len(st.unacked))/float64(rl.cfg.Window))
+		float64(len(st.unacked))/rlWindow)
 }
 
 // putLinkHdr writes a link-layer header into the first linkHdrSize bytes
@@ -286,7 +274,7 @@ func (rl *ReliableLink) send(p *sim.Proc, route []byte, frame []byte, class int)
 		rl.tx[key] = st
 		rl.routeKey[key] = key
 	}
-	for len(st.unacked) >= rl.cfg.Window {
+	for len(st.unacked) >= rlWindow {
 		rl.WindowStalls++
 		rl.windowFree.Wait(p)
 		if st.dead {
@@ -296,7 +284,7 @@ func (rl *ReliableLink) send(p *sim.Proc, route []byte, frame []byte, class int)
 	if st.dead {
 		return ErrPeerUnreachable
 	}
-	p.Sleep(rl.cfg.PerPacketCost)
+	p.Sleep(rlPerPacketCost)
 	seq := st.nextSeq
 	st.nextSeq++
 	putLinkHdr(frame, linkData, rl.board.NIC.ID, seq, uint32(st.key))
@@ -372,14 +360,14 @@ func (rl *ReliableLink) destOf(route []byte) int {
 }
 
 // rto is the current retransmission timeout for one destination: the
-// initial configured value until the first RTT sample, then
+// initial rlInitialRTO until the first RTT sample, then
 // srtt + 4*rttvar, clamped, then doubled per fruitless retransmit round.
 func (rl *ReliableLink) rto(st *txState) sim.Time {
-	t := rl.cfg.RetransmitTimeout
+	t := rlInitialRTO
 	if st.srtt > 0 {
 		t = st.srtt + 4*st.rttvar
-		if t < rl.cfg.MinRTO {
-			t = rl.cfg.MinRTO
+		if t < rlMinRTO {
+			t = rlMinRTO
 		}
 	}
 	for i := 0; i < st.retries && t < rl.cfg.MaxRTO; i++ {
@@ -439,7 +427,7 @@ func (rl *ReliableLink) retransmit(st *txState) {
 			bp.retx = true
 			rl.Retransmits++
 			rl.mRetx.Add(1)
-			p.Sleep(rl.cfg.PerPacketCost)
+			p.Sleep(rlPerPacketCost)
 			rl.board.NetSend.TransferWith(p, 0, rl.board.Prof.NetSend)
 			rl.board.NIC.Send(p, st.route, bp.frame)
 		}
@@ -688,7 +676,7 @@ func (rl *ReliableLink) receive(p *sim.Proc, pk *myrinet.Packet) []byte {
 		rl.handleAck(sender, seq)
 		return nil
 	case linkData:
-		p.Sleep(rl.cfg.PerPacketCost)
+		p.Sleep(rlPerPacketCost)
 		k := rxKey{sender: sender, win: winKey}
 		expect := rl.rxExpected[k]
 		switch {
@@ -698,7 +686,7 @@ func (rl *ReliableLink) receive(p *sim.Proc, pk *myrinet.Packet) []byte {
 			// Cumulative ack every k packets; stragglers are recovered
 			// by the delayed ack when configured, otherwise by the
 			// sender's timeout + the duplicate re-ack below.
-			if (seq+1)%uint32(rl.cfg.AckEvery) == 0 {
+			if (seq+1)%rlAckEvery == 0 {
 				rl.cancelDelayedAck(k)
 				rl.sendAck(p, pk, winKey, seq+1)
 			} else if rl.cfg.AckDelay > 0 {

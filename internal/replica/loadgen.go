@@ -54,8 +54,7 @@ func (t *Tier) RunOpenLoop(p *sim.Proc, w serve.WorkloadConfig) (*Stats, error) 
 		t.procs = append(t.procs, proc)
 		for sIdx := 0; sIdx < t.cfg.Shards; sIdx++ {
 			for k := 0; k < t.cfg.Conns; k++ {
-				pol := w.Retry
-				pol.Seed = w.Seed ^ (uint64(cIdx)<<40 | uint64(sIdx)<<20 | uint64(k))
+				pol := serve.RetryPolicy{Seed: w.Seed ^ (uint64(cIdx)<<40 | uint64(sIdx)<<20 | uint64(k))}
 				grp, err := t.DialGroup(p, proc, cIdx, sIdx, k, pol)
 				if err != nil {
 					return nil, err

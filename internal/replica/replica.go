@@ -39,7 +39,7 @@ const (
 )
 
 // RoutingConfig tunes the client-side replica router. The zero value
-// selects load-aware two-choice routing with the package defaults.
+// selects load-aware two-choice routing.
 type RoutingConfig struct {
 	// Static disables load awareness: replica choice is a pure key hash
 	// (the ablation baseline). Failover semantics are unchanged — a
@@ -50,12 +50,6 @@ type RoutingConfig struct {
 	// attempt budget instead of the whole request budget, which is what
 	// lets failover finish inside the deadline. Zero disables clamping.
 	AttemptTimeout sim.Time
-	// Markdown is how long a replica stays routed-around after a
-	// timeout or unreachable failure. Default 2 ms.
-	Markdown sim.Time
-	// ShedHold is how long a replica is deprioritized (not excluded)
-	// after shedding a request. Default 200 µs.
-	ShedHold sim.Time
 	// Seed drives the router's deterministic two-choice sampling.
 	Seed uint64
 }
@@ -146,9 +140,8 @@ func (t *Tier) Config() Config { return t.cfg }
 // failover never re-targets the replica that just failed.
 func (t *Tier) SetAttemptHook(fn func(shard, replica int)) { t.onAttempt = fn }
 
-// place assigns R distinct nodes to each shard from the candidate pool,
-// tenant-style: least-loaded first, ties broken by node id, stable and
-// deterministic. Because the tier requires Shards*R distinct nodes (two
+// place assigns R distinct nodes to each shard from the candidate pool:
+// least-loaded first, ties broken by node id, stable and deterministic. Because the tier requires Shards*R distinct nodes (two
 // server processes on one node would collide on their exported window
 // tags), the result is a balanced partition of the pool prefix.
 func place(shards, r int, nodes []int) ([][]int, error) {
@@ -236,12 +229,6 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 	}
 	if cfg.ApplyDeadline <= 0 {
 		cfg.ApplyDeadline = sim.Micros(300)
-	}
-	if cfg.Routing.Markdown <= 0 {
-		cfg.Routing.Markdown = 2 * sim.Millisecond
-	}
-	if cfg.Routing.ShedHold <= 0 {
-		cfg.Routing.ShedHold = sim.Micros(200)
 	}
 	placement, err := place(cfg.Shards, cfg.R, cfg.Nodes)
 	if err != nil {

@@ -37,16 +37,6 @@ func tierSetup(t *testing.T, cfg Config, nodes int, fn func(p *sim.Proc, tier *T
 	return cluster.Start()
 }
 
-func testPolicy(seed uint64) serve.RetryPolicy {
-	return serve.RetryPolicy{
-		Base:   sim.Micros(50),
-		Max:    sim.Micros(400),
-		Budget: 10,
-		Ratio:  0.5,
-		Seed:   seed,
-	}
-}
-
 // TestReplicaPlacement pins the deterministic least-loaded placement:
 // shards*R distinct nodes taken balanced from the pool prefix, stable
 // across calls, with clear errors for short or duplicated pools.
@@ -85,7 +75,7 @@ func TestReplicaVersionedKV(t *testing.T) {
 		ValueBytes:  32,
 	}
 	err := tierSetup(t, cfg, 3, func(p *sim.Proc, tier *Tier, cproc *vmmc.Process) {
-		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, testPolicy(1))
+		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, serve.DefaultRetryPolicy(1))
 		if err != nil {
 			t.Error(err)
 			return
@@ -138,7 +128,7 @@ func TestReplicaReadYourWrites(t *testing.T) {
 		ValueBytes:  32,
 	}
 	err := tierSetup(t, cfg, 3, func(p *sim.Proc, tier *Tier, cproc *vmmc.Process) {
-		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, testPolicy(2))
+		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, serve.DefaultRetryPolicy(2))
 		if err != nil {
 			t.Error(err)
 			return
@@ -200,11 +190,7 @@ func TestReplicaFailoverRetriesElsewhere(t *testing.T) {
 		Keys:        8,
 	}
 	err := tierSetup(t, cfg, 4, func(p *sim.Proc, tier *Tier, cproc *vmmc.Process) {
-		// Ratio 2 keeps the token bucket earning faster than one retry
-		// per request spends it, so every request in the loop retries.
-		pol := testPolicy(3)
-		pol.Ratio = 2
-		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, pol)
+		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, serve.DefaultRetryPolicy(3))
 		if err != nil {
 			t.Error(err)
 			return
@@ -219,38 +205,31 @@ func TestReplicaFailoverRetriesElsewhere(t *testing.T) {
 		for _, rep := range tier.Set(0).Replicas {
 			rep.Server().SetAdmission(func(rpc.AdmitPhase, int, sim.Time, sim.Time) bool { return false })
 		}
-		var cur []int
+		var chain []int
 		tier.SetAttemptHook(func(shard, replica int) {
 			if shard != 0 {
 				t.Errorf("attempt on shard %d, want 0", shard)
 			}
-			cur = append(cur, replica)
+			chain = append(chain, replica)
 		})
-		total := 0
-		for i := 0; i < 5; i++ {
-			cur = nil
-			_, _, _, _, err := grp.Get(p, 0, p.Now()+10*sim.Millisecond)
-			if !errors.Is(err, rpc.ErrOverloaded) {
-				t.Errorf("get %d err = %v, want ErrOverloaded", i, err)
-				return
-			}
-			if len(cur) < 2 {
-				t.Errorf("get %d made %d attempts; retries did not run", i, len(cur))
-				return
-			}
-			total += len(cur)
-			// The regression: within one request's retry chain, no two
-			// consecutive attempts may target the same replica while the
-			// others are alive.
-			for k := 1; k < len(cur); k++ {
-				if cur[k] == cur[k-1] {
-					t.Errorf("get %d retried replica %d back to back (chain %v)", i, cur[k], cur)
-					return
-				}
-			}
+		// The bucket starts full, so this one request retries until it is
+		// empty: 1 + 10 attempts.
+		_, _, _, _, err = grp.Get(p, 0, p.Now()+10*sim.Millisecond)
+		if !errors.Is(err, rpc.ErrOverloaded) {
+			t.Errorf("get err = %v, want ErrOverloaded", err)
+			return
 		}
-		if total < 12 {
-			t.Errorf("only %d attempts across 5 requests; retry budget went unused", total)
+		if len(chain) != 11 {
+			t.Errorf("request made %d attempts, want 11: the retry budget went unused", len(chain))
+		}
+		// The regression: within one request's retry chain, no two
+		// consecutive attempts may target the same replica while the
+		// others are alive.
+		for k := 1; k < len(chain); k++ {
+			if chain[k] == chain[k-1] {
+				t.Errorf("retried replica %d back to back (chain %v)", chain[k], chain)
+				return
+			}
 		}
 	})
 	if err != nil {
@@ -273,7 +252,7 @@ func TestReplicaKillFailover(t *testing.T) {
 		Routing:     RoutingConfig{AttemptTimeout: sim.Micros(120)},
 	}
 	err := tierSetup(t, cfg, 3, func(p *sim.Proc, tier *Tier, cproc *vmmc.Process) {
-		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, testPolicy(4))
+		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, serve.DefaultRetryPolicy(4))
 		if err != nil {
 			t.Error(err)
 			return
@@ -332,7 +311,7 @@ func TestReplicaApplierCutsOffDeadFollower(t *testing.T) {
 		Keys:        8,
 	}
 	err := tierSetup(t, cfg, 3, func(p *sim.Proc, tier *Tier, cproc *vmmc.Process) {
-		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, testPolicy(5))
+		grp, err := tier.DialGroup(p, cproc, 0, 0, 0, serve.DefaultRetryPolicy(5))
 		if err != nil {
 			t.Error(err)
 			return
@@ -387,7 +366,6 @@ func runOpenLoopOnce(t *testing.T) *Stats {
 			PutFrac:  0.2,
 			Deadline: sim.Micros(400),
 			Seed:     0x51ab1e,
-			Retry:    testPolicy(0x51ab1e),
 		})
 		if err != nil {
 			t.Error(err)

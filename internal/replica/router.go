@@ -6,6 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
+// markdown is how long a replica stays routed-around after a timeout or
+// unreachable failure; shedHold is how long it is deprioritized (not
+// excluded) after shedding a request.
+const (
+	markdown = 2 * sim.Millisecond
+	shedHold = 200 * sim.Microsecond
+)
+
 // repState is the router's view of one replica, built entirely from
 // signals the client already has: its own outstanding attempts, the
 // load hint on the last reply heard, and the time of the last failure.
@@ -118,10 +126,10 @@ func (rt *router) observe(now sim.Time, g, j int, hint rpc.LoadHint, fresh bool,
 		st.depth = hint.Depth
 	}
 	if shed {
-		st.shedUntil = now + rt.cfg.ShedHold
+		st.shedUntil = now + shedHold
 	}
 	if failed {
-		st.markedUntil = now + rt.cfg.Markdown
+		st.markedUntil = now + markdown
 		// Whatever depth we believed is now unfalsifiable; forget it so
 		// the replica re-enters rotation on even terms after markdown.
 		st.depth = 0

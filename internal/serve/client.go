@@ -10,33 +10,32 @@ import (
 )
 
 // RetryPolicy is the client-side overload response: exponential backoff
-// with deterministic seeded jitter, gated by a per-connection retry
-// budget so retries cannot amplify overload into a retry storm.
+// from retryBase to retryMax with deterministic seeded jitter, gated by a
+// per-connection retry budget so retries cannot amplify overload into a
+// retry storm. Only the jitter stream's seed varies between connections.
 //
 // The budget is a token bucket in the gRPC retry-throttling style:
-// tokens start at Budget, every fresh call earns Ratio tokens (capped
-// at Budget), every retry spends one. Under sustained rejection the
-// bucket drains and retries stop, bounding total sends for N offered
-// calls at N*(1+Ratio) + Budget regardless of how long the overload
-// lasts.
+// tokens start at retryBudget, every fresh call earns retryRatio tokens
+// (capped at retryBudget), every retry spends one. Under sustained
+// rejection the bucket drains and retries stop, bounding total sends for
+// N offered calls at N*(1+retryRatio) + retryBudget regardless of how
+// long the overload lasts.
 type RetryPolicy struct {
-	Base   sim.Time // first backoff step
-	Max    sim.Time // backoff cap
-	Budget float64  // token bucket capacity and initial fill
-	Ratio  float64  // tokens earned per fresh call (typically < 1)
-	Seed   uint64   // jitter stream seed
+	Seed uint64 // jitter stream seed
 }
 
-// DefaultRetryPolicy mirrors production retry-throttling defaults,
-// scaled to the tier's microsecond RTTs.
+// The retry policy's constants mirror production retry-throttling
+// defaults, scaled to the tier's microsecond RTTs.
+const (
+	retryBase   = 50 * sim.Microsecond  // first backoff step
+	retryMax    = 800 * sim.Microsecond // backoff cap
+	retryBudget = 10                    // token bucket capacity and initial fill
+	retryRatio  = 0.1                   // tokens earned per fresh call
+)
+
+// DefaultRetryPolicy returns the retry policy with the given jitter seed.
 func DefaultRetryPolicy(seed uint64) RetryPolicy {
-	return RetryPolicy{
-		Base:   sim.Micros(50),
-		Max:    sim.Micros(800),
-		Budget: 10,
-		Ratio:  0.1,
-		Seed:   seed,
-	}
+	return RetryPolicy{Seed: seed}
 }
 
 // ConnStats counts a connection's send activity.
@@ -53,7 +52,6 @@ type ConnStats struct {
 // retry to a different replica — can reuse the exact token-bucket and
 // backoff machinery. Not safe for concurrent use by multiple sim procs.
 type Retrier struct {
-	pol      RetryPolicy
 	tokens   float64
 	rng      uint64
 	lastSend sim.Time // start of the most recent send attempt
@@ -62,7 +60,7 @@ type Retrier struct {
 
 // NewRetrier builds a Retrier with a full token bucket.
 func NewRetrier(pol RetryPolicy) *Retrier {
-	return &Retrier{pol: pol, tokens: pol.Budget, rng: pol.Seed}
+	return &Retrier{tokens: retryBudget, rng: pol.Seed}
 }
 
 // LastSend reports when the most recent RPC attempt began — the anchor
@@ -101,16 +99,11 @@ func Retriable(err error) bool {
 // closure receives the zero-based attempt number, so a caller that
 // selects a target per attempt (replica failover) can re-route retries.
 func (r *Retrier) Do(p *sim.Proc, deadline sim.Time, call func(attempt int) error) error {
-	if r.pol.Ratio > 0 {
-		r.tokens += r.pol.Ratio
-		if r.tokens > r.pol.Budget {
-			r.tokens = r.pol.Budget
-		}
+	r.tokens += retryRatio
+	if r.tokens > retryBudget {
+		r.tokens = retryBudget
 	}
-	backoff := r.pol.Base
-	if backoff <= 0 {
-		backoff = sim.Micros(50)
-	}
+	backoff := retryBase
 	for attempt := 0; ; attempt++ {
 		if deadline != 0 && p.Now() >= deadline {
 			return ErrDeadlinePassed
@@ -132,10 +125,10 @@ func (r *Retrier) Do(p *sim.Proc, deadline sim.Time, call func(attempt int) erro
 		d := backoff/2 + sim.Time(unit(&r.rng)*float64(backoff/2))
 		r.Stats.Backoff += d
 		p.Sleep(d)
-		if backoff < r.pol.Max {
+		if backoff < retryMax {
 			backoff *= 2
-			if backoff > r.pol.Max {
-				backoff = r.pol.Max
+			if backoff > retryMax {
+				backoff = retryMax
 			}
 		}
 	}

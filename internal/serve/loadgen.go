@@ -26,8 +26,9 @@ type WorkloadConfig struct {
 	// reaches a connection and is added once more to the user-perceived
 	// latency for the response path.
 	EdgeLatency sim.Time
-	Seed        uint64
-	Retry       RetryPolicy
+	// Seed drives arrivals, keys and the write mix, and seeds each
+	// connection's retry jitter.
+	Seed uint64
 	// OnMeasure, when set, is invoked once dialing and warm-up complete,
 	// just before the open-loop generator starts. Fault cells use it to
 	// script an outage or a replica kill relative to the measured phase —
@@ -256,8 +257,7 @@ func (t *Tier) RunOpenLoop(p *sim.Proc, w WorkloadConfig) (*Stats, error) {
 		t.procs = append(t.procs, proc)
 		for sIdx := 0; sIdx < shards; sIdx++ {
 			for k := 0; k < t.cfg.Conns; k++ {
-				pol := w.Retry
-				pol.Seed = w.Seed ^ (uint64(cIdx)<<40 | uint64(sIdx)<<20 | uint64(k))
+				pol := RetryPolicy{Seed: w.Seed ^ (uint64(cIdx)<<40 | uint64(sIdx)<<20 | uint64(k))}
 				conn, err := t.DialShard(p, proc, cIdx, sIdx, k, pol)
 				if err != nil {
 					return nil, err

@@ -51,6 +51,9 @@ type AdmissionConfig struct {
 	Target sim.Time
 }
 
+// valueBytes is the size of every preloaded value.
+const valueBytes = 128
+
 // Config describes a serving tier on an existing cluster.
 type Config struct {
 	ShardNodes  []int // cluster node per shard
@@ -58,7 +61,6 @@ type Config struct {
 	Conns       int   // vRPC connections per (client node, shard)
 	ServiceTime sim.Time
 	Keys        int
-	ValueBytes  int
 	// Admission enables server-side admission control; nil is the
 	// ablation baseline (every request queued and served).
 	Admission *AdmissionConfig
@@ -135,9 +137,6 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 	if cfg.Keys <= 0 {
 		cfg.Keys = 64
 	}
-	if cfg.ValueBytes <= 0 {
-		cfg.ValueBytes = 128
-	}
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = sim.Micros(30)
 	}
@@ -159,7 +158,7 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 			if k%len(cfg.ShardNodes) != i {
 				continue
 			}
-			val := make([]byte, cfg.ValueBytes)
+			val := make([]byte, valueBytes)
 			for j := range val {
 				val[j] = byte(k*31 + j)
 			}

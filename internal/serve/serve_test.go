@@ -45,7 +45,6 @@ func TestServeKVRoundTrip(t *testing.T) {
 		ClientNodes: []int{0},
 		Conns:       1,
 		Keys:        16,
-		ValueBytes:  64,
 	}
 	err := tierSetup(t, cfg, 2, func(p *sim.Proc, tier *Tier, cproc *vmmc.Process) {
 		conn, err := tier.DialShard(p, cproc, 0, 0, 0, DefaultRetryPolicy(1))
@@ -58,8 +57,8 @@ func TestServeKVRoundTrip(t *testing.T) {
 			t.Errorf("get preloaded key: %v", err)
 			return
 		}
-		if len(val) != 64 {
-			t.Errorf("value length = %d, want 64", len(val))
+		if len(val) != valueBytes {
+			t.Errorf("value length = %d, want %d", len(val), valueBytes)
 		}
 		for j, b := range val {
 			if b != byte(3*31+j) {
@@ -107,7 +106,6 @@ func TestServeOpenLoopResolvesAll(t *testing.T) {
 				Rate:     10000,
 				Requests: 60,
 				Seed:     7,
-				Retry:    DefaultRetryPolicy(7),
 			})
 			if err != nil {
 				t.Error(err)
@@ -145,18 +143,14 @@ func TestServeOpenLoopResolvesAll(t *testing.T) {
 }
 
 // TestServeRetryBudgetExhausted pins the retry token bucket under
-// sustained rejection: total sends stay within N*(1+Ratio)+Budget,
-// every call surfaces the typed retriable error, and backoff jitter is
-// deterministic across a double run.
+// sustained rejection: total sends stay within N*(1+retryRatio) +
+// retryBudget, every call surfaces the typed retriable error, and backoff
+// jitter is deterministic across a double run. The first call drains the
+// full bucket; enough calls follow for the earned tokens to buy retries
+// again, so both terms of the bound are exercised.
 func TestServeRetryBudgetExhausted(t *testing.T) {
-	const calls = 6
-	pol := RetryPolicy{
-		Base:   sim.Micros(20),
-		Max:    sim.Micros(160),
-		Budget: 3,
-		Ratio:  0.5,
-		Seed:   9,
-	}
+	const calls = 24
+	pol := DefaultRetryPolicy(9)
 	type run struct {
 		stats ConnStats
 		end   sim.Time
@@ -191,9 +185,9 @@ func TestServeRetryBudgetExhausted(t *testing.T) {
 		return r
 	}
 	a, b := once(), once()
-	bound := int64(calls*(1+pol.Ratio) + pol.Budget)
-	if a.stats.Sends > bound {
-		t.Errorf("sends = %d, exceeds budget bound %d", a.stats.Sends, bound)
+	const bound = calls*(1+retryRatio) + retryBudget
+	if float64(a.stats.Sends) > bound {
+		t.Errorf("sends = %d, exceeds budget bound %.1f", a.stats.Sends, bound)
 	}
 	if a.stats.Sends < calls {
 		t.Errorf("sends = %d, below offered calls %d", a.stats.Sends, calls)
@@ -201,6 +195,9 @@ func TestServeRetryBudgetExhausted(t *testing.T) {
 	if a.stats.Retries == 0 || a.stats.BudgetDenied != calls {
 		t.Errorf("retries/denied = %d/%d, want >0/%d",
 			a.stats.Retries, a.stats.BudgetDenied, calls)
+	}
+	if a.stats.Retries <= retryBudget {
+		t.Errorf("retries = %d: the tokens later calls earned never bought a retry", a.stats.Retries)
 	}
 	if a.stats.Retries != a.stats.Sends-calls {
 		t.Errorf("retries = %d, want sends-calls = %d", a.stats.Retries, a.stats.Sends-calls)

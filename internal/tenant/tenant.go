@@ -6,10 +6,10 @@
 //
 // The underlying mechanisms live one layer down and are all opt-in:
 //
-//   - partitions: vmmc.ProcLimits carves the SRAM send queue, the
-//     software TLB and the page-pin budget per process at admission
-//     time, with typed over-budget errors (vmmc.ErrProcessLimit,
-//     vmmc.ErrPinBudget) instead of silent starvation;
+//   - partitions: vmmc.ProcLimits carves the SRAM send queue and the
+//     software TLB per process at admission time, with a typed
+//     over-budget error (vmmc.ErrProcessLimit) instead of silent
+//     starvation;
 //   - link QoS: each tenant rides its own reliable-link traffic class,
 //     and lanai.Board.ConfigureLinkClass gives the class a token-bucket
 //     bandwidth budget so bulk tenants cannot monopolize link injection;
@@ -51,23 +51,21 @@ var (
 type Spec struct {
 	// Name identifies the tenant; it must be unique among active tenants.
 	Name string
-	// Nodes pins placement to explicit node IDs, one process per entry.
-	// Nil lets the manager place Span processes on the least-loaded nodes.
+	// Nodes places the tenant on explicit node IDs, one process per
+	// entry.
 	Nodes []int
-	// Span is the process count for manager placement (default 1) when
-	// Nodes is nil.
-	Span int
 	// Limits partitions the interface budgets for each of the tenant's
 	// processes. The Class field is ignored: the manager assigns every
 	// tenant a fresh link traffic class.
 	Limits vmmc.ProcLimits
 	// LinkBytesPerSec, when positive and QoS is enabled, bounds the
-	// tenant's injection bandwidth on every node it lands on.
+	// tenant's injection bandwidth on every node it lands on, with a
+	// token-bucket depth of linkBurstBytes.
 	LinkBytesPerSec float64
-	// LinkBurstBytes is the token-bucket depth for the bandwidth budget
-	// (default 8 KB when a rate is set).
-	LinkBurstBytes int
 }
+
+// linkBurstBytes is the token-bucket depth of a tenant's bandwidth budget.
+const linkBurstBytes = 16 << 10
 
 // State is a tenant's lifecycle state.
 type State int
@@ -129,7 +127,6 @@ type Manager struct {
 	qos       bool
 	nextClass int
 	tenants   map[string]*Tenant
-	perNode   map[int]int // active tenant processes per node, for placement
 
 	mAdmitted, mRejected, mEvicted, mKilled *trace.Counter
 }
@@ -141,7 +138,6 @@ func NewManager(c *vmmc.Cluster) *Manager {
 		Cluster:   c,
 		nextClass: 1, // class 0 is the shared non-tenant default
 		tenants:   make(map[string]*Tenant),
-		perNode:   make(map[int]int),
 		mAdmitted: m.Counter("tenant/admitted"),
 		mRejected: m.Counter("tenant/rejected"),
 		mEvicted:  m.Counter("tenant/evicted"),
@@ -181,57 +177,33 @@ func (m *Manager) configureLink(t *Tenant, on bool) {
 	if t.spec.LinkBytesPerSec <= 0 {
 		return
 	}
-	burst := t.spec.LinkBurstBytes
-	if burst <= 0 {
-		burst = 8 << 10
-	}
 	for _, id := range t.Nodes {
 		board := m.Cluster.Nodes[id].Board
 		if on {
-			board.ConfigureLinkClass(t.Class, t.spec.LinkBytesPerSec, burst)
+			board.ConfigureLinkClass(t.Class, t.spec.LinkBytesPerSec, linkBurstBytes)
 		} else {
 			board.ConfigureLinkClass(t.Class, 0, 0)
 		}
 	}
 }
 
-// place resolves a spec to node IDs: explicit Nodes verbatim, otherwise
-// the Span least-loaded nodes (ties broken by node ID, so placement is
-// deterministic).
+// place resolves a spec to node IDs: its explicit Nodes, verbatim.
 func (m *Manager) place(spec Spec) ([]int, error) {
-	if len(spec.Nodes) > 0 {
-		for _, id := range spec.Nodes {
-			if id < 0 || id >= len(m.Cluster.Nodes) {
-				return nil, fmt.Errorf("%w: node %d out of range", ErrPlacement, id)
-			}
+	if len(spec.Nodes) == 0 {
+		return nil, fmt.Errorf("%w: spec names no nodes", ErrPlacement)
+	}
+	for _, id := range spec.Nodes {
+		if id < 0 || id >= len(m.Cluster.Nodes) {
+			return nil, fmt.Errorf("%w: node %d out of range", ErrPlacement, id)
 		}
-		return append([]int(nil), spec.Nodes...), nil
 	}
-	span := spec.Span
-	if span <= 0 {
-		span = 1
-	}
-	if span > len(m.Cluster.Nodes) {
-		return nil, fmt.Errorf("%w: span %d exceeds %d nodes", ErrPlacement, span, len(m.Cluster.Nodes))
-	}
-	ids := make([]int, len(m.Cluster.Nodes))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		la, lb := m.perNode[ids[a]], m.perNode[ids[b]]
-		if la != lb {
-			return la < lb
-		}
-		return ids[a] < ids[b]
-	})
-	return ids[:span], nil
+	return append([]int(nil), spec.Nodes...), nil
 }
 
 // Admit places and registers a tenant. On any failure every process
 // created so far is closed again, so a rejected admission leaks nothing;
 // the error wraps the underlying typed budget error
-// (vmmc.ErrProcessLimit, vmmc.ErrPinBudget, ...).
+// (vmmc.ErrProcessLimit, ...).
 func (m *Manager) Admit(p *sim.Proc, spec Spec) (*Tenant, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("%w: empty name", ErrPlacement)
@@ -250,16 +222,14 @@ func (m *Manager) Admit(p *sim.Proc, spec Spec) (*Tenant, error) {
 	for _, id := range nodes {
 		proc, err := m.Cluster.Nodes[id].NewProcessWith(p, limits)
 		if err != nil {
-			for i, created := range t.Procs {
+			for _, created := range t.Procs {
 				_ = created.Close(p)
-				m.perNode[t.Nodes[i]]--
 			}
 			m.mRejected.Add(1)
 			m.Cluster.Eng.TraceInstant(t.comp(), "tenant", "rejected")
 			return nil, fmt.Errorf("tenant %q: admit on node %d: %w", spec.Name, id, err)
 		}
 		t.Procs = append(t.Procs, proc)
-		m.perNode[id]++
 	}
 	m.nextClass++ // burn the class only on success; ids are never reused
 	m.tenants[spec.Name] = t
@@ -310,7 +280,6 @@ func (m *Manager) Evict(p *sim.Proc, name string) error {
 		if err := proc.Close(p); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("tenant %q: evict from node %d: %w", name, t.Nodes[i], err)
 		}
-		m.perNode[t.Nodes[i]]--
 	}
 	m.configureLink(t, false)
 	t.state = Evicted
@@ -335,7 +304,6 @@ func (m *Manager) Kill(name string) error {
 	}
 	for i, proc := range t.Procs {
 		m.Cluster.Nodes[t.Nodes[i]].KillProcess(proc.Pid)
-		m.perNode[t.Nodes[i]]--
 	}
 	m.configureLink(t, false)
 	t.state = Killed

@@ -29,25 +29,27 @@ func run(t *testing.T, n int, fn func(p *sim.Proc, c *vmmc.Cluster, m *Manager))
 
 func TestAdmitPlaceEvictChurn(t *testing.T) {
 	run(t, 4, func(p *sim.Proc, c *vmmc.Cluster, m *Manager) {
-		a, err := m.Admit(p, Spec{Name: "a", Span: 2})
+		if _, err := m.Admit(p, Spec{Name: "nowhere"}); !errors.Is(err, ErrPlacement) {
+			t.Fatalf("admit with no nodes = %v, want ErrPlacement", err)
+		}
+		if _, err := m.Admit(p, Spec{Name: "far", Nodes: []int{4}}); !errors.Is(err, ErrPlacement) {
+			t.Fatalf("admit on node 4 of 4 = %v, want ErrPlacement", err)
+		}
+		a, err := m.Admit(p, Spec{Name: "a", Nodes: []int{0, 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := a.Nodes; got[0] != 0 || got[1] != 1 {
+		if got := a.Nodes; len(got) != 2 || got[0] != 0 || got[1] != 1 {
 			t.Fatalf("tenant a placed on %v, want [0 1]", got)
 		}
-		b, err := m.Admit(p, Spec{Name: "b", Span: 2})
+		b, err := m.Admit(p, Spec{Name: "b", Nodes: []int{2, 3}})
 		if err != nil {
 			t.Fatal(err)
-		}
-		// Least-loaded placement must avoid a's nodes.
-		if got := b.Nodes; got[0] != 2 || got[1] != 3 {
-			t.Fatalf("tenant b placed on %v, want [2 3]", got)
 		}
 		if a.Class == b.Class || a.Class == 0 {
 			t.Fatalf("classes not distinct and non-zero: a=%d b=%d", a.Class, b.Class)
 		}
-		if _, err := m.Admit(p, Spec{Name: "a"}); !errors.Is(err, ErrDuplicate) {
+		if _, err := m.Admit(p, Spec{Name: "a", Nodes: []int{2}}); !errors.Is(err, ErrDuplicate) {
 			t.Fatalf("duplicate admit = %v, want ErrDuplicate", err)
 		}
 
@@ -60,15 +62,12 @@ func TestAdmitPlaceEvictChurn(t *testing.T) {
 		if err := m.Evict(p, "a"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("double evict = %v, want ErrNotFound", err)
 		}
-		// Churn: a departed tenant's nodes become least-loaded again, and
-		// its name is NOT reusable while recorded — a fresh name lands on
-		// the freed nodes with a fresh class.
-		a2, err := m.Admit(p, Spec{Name: "a2", Span: 2})
+		// Churn: a departed tenant's nodes take a new tenant, and its name
+		// is NOT reusable while recorded — a fresh name lands on the freed
+		// nodes with a fresh class.
+		a2, err := m.Admit(p, Spec{Name: "a2", Nodes: []int{0, 1}})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := a2.Nodes; got[0] != 0 || got[1] != 1 {
-			t.Fatalf("tenant a2 placed on %v, want [0 1]", got)
 		}
 		if a2.Class <= b.Class {
 			t.Fatalf("class reused: a2=%d after b=%d", a2.Class, b.Class)

@@ -29,8 +29,8 @@ type Cluster struct {
 	healer *HealService
 }
 
-// Healer returns the self-healing service, or nil when Options.Heal was
-// not set.
+// Healer returns the self-healing service, or nil when Options.Heal is
+// false.
 func (c *Cluster) Healer() *HealService { return c.healer }
 
 // Options configure a cluster.
@@ -58,10 +58,10 @@ type Options struct {
 	// Heal enables the self-healing layer (live remapping, route failover,
 	// transparent transfer resumption — a deliberate extension beyond the
 	// paper; see docs/ROBUSTNESS.md). Requires Reliable: healing works by
-	// suspending and resuming stalled go-back-N windows. Nil (the default)
-	// keeps the paper's static-route behavior, so existing benchmarks are
-	// byte-identical with healing off.
-	Heal *HealConfig
+	// suspending and resuming stalled go-back-N windows. False (the
+	// default) keeps the paper's static-route behavior, so existing
+	// benchmarks are byte-identical with healing off.
+	Heal bool
 	// BuildFabric overrides the default topology: it receives the empty
 	// network and must add switches, add exactly `nodes` NICs (in node-ID
 	// order) and attach them. Use it to wire redundant fabrics — multiple
@@ -154,11 +154,11 @@ func NewCluster(eng *sim.Engine, opts Options) (*Cluster, error) {
 			}
 		})
 	}
-	if opts.Heal != nil {
+	if opts.Heal {
 		if !opts.Reliable {
 			return nil, fmt.Errorf("vmmc: Heal requires Reliable (healing suspends and resumes go-back-N windows)")
 		}
-		c.healer = newHealService(c, opts.Heal.withDefaults())
+		c.healer = newHealService(c)
 	}
 	return c, nil
 }

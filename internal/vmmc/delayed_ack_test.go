@@ -9,9 +9,9 @@ import (
 )
 
 // The delayed acknowledgement (ReliabilityConfig.AckDelay): without it, a
-// lone in-sequence packet that the AckEvery rule skips is acknowledged
-// only after the sender's RTO fires, the window is retransmitted, and the
-// duplicate provokes a re-ack — one redundant retransmission and a full
+// lone in-sequence packet that the every-4th-packet ack rule skips is
+// acknowledged only after the sender's RTO fires, the window is
+// retransmitted, and the duplicate provokes a re-ack — one redundant retransmission and a full
 // timeout of acknowledgement latency per straggler. With it, the receiver
 // acks shortly after the packet lands and the sender's timer is canceled
 // in time.
@@ -34,7 +34,7 @@ func delayedAckCluster(t *testing.T, ackDelay sim.Time, fn func(p *simProc, c *C
 }
 
 // oneStraggler sends a single short message — one link packet, seq 0,
-// which (0+1)%AckEvery != 0 skips — and waits for delivery.
+// which the every-4th-packet ack rule skips — and waits for delivery.
 func oneStraggler(t *testing.T, p *simProc, c *Cluster) {
 	t.Helper()
 	recv, _ := c.Nodes[1].NewProcess(p)
@@ -94,7 +94,7 @@ func TestDelayedAckBatchesUnderBursts(t *testing.T) {
 	// A multi-packet burst must not degrade into per-packet acking: a
 	// delay longer than the burst's inter-packet gap (~30 us of DMA and
 	// wire time per page) coalesces packets under one pending ack, so
-	// each AckEvery group costs at most its cadence ack plus one delayed
+	// each group of 4 costs at most its cadence ack plus one delayed
 	// ack. The burst also covers the tail-timeout pathology: with
 	// cadence-only acking (AckDelay=0) the last window of a burst is
 	// recovered by retransmission.
@@ -125,7 +125,7 @@ func TestDelayedAckBatchesUnderBursts(t *testing.T) {
 			t.Errorf("retransmits = %d, want 0", sl.Retransmits)
 		}
 		rl := c.Nodes[1].Board.Reliable()
-		// 16 in-sequence packets, AckEvery=4 → 4 cadence acks plus at
+		// 16 in-sequence packets, an ack every 4th → 4 cadence acks plus at
 		// most one delayed ack per group of 4.
 		if rl.AcksSent > 8 {
 			t.Errorf("acks sent = %d for 16 packets, want batched (<= 8)", rl.AcksSent)

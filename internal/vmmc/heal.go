@@ -1,6 +1,7 @@
 package vmmc
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 
@@ -9,45 +10,34 @@ import (
 	"repro/internal/trace"
 )
 
-// HealConfig tunes the self-healing layer — a deliberate extension beyond
-// the paper, whose network maps are static after boot (§4.3). When a
-// reliable sender's window stalls (the retransmit budget runs out without
-// an ack), the heal service suspends that window instead of declaring the
-// peer dead, re-runs the central mapping round over the live fabric, swaps
-// any changed routes into every node's tables and reliable-link windows,
-// and resumes the suspended transfers. On fabrics wired with redundant
-// trunks the remap naturally discovers detours around dead links and
-// switches; on minimal fabrics it heals once the outage ends.
-type HealConfig struct {
-	// ProbeInterval is the pause between remap rounds while stalls are
-	// outstanding. Default 1ms.
-	ProbeInterval sim.Time
-	// MaxRounds bounds how many remap rounds a stalled window waits before
-	// the heal service gives up and the send surfaces ErrNodeUnreachable.
-	// Default 8.
-	MaxRounds int
-	// ProbeTimeout is the per-probe reply timeout; zero derives the boot
-	// formula (20µs + 2·depth·SwitchLatency).
-	ProbeTimeout sim.Time
-	// MaxDepth bounds probe route length; zero means switches+1, like boot.
-	MaxDepth int
-	// DistributeCost is the modeled per-node cost of installing a fresh
-	// route table (an LCP control message plus SRAM writes). Default 2µs.
-	DistributeCost sim.Time
-}
-
-func (cfg HealConfig) withDefaults() HealConfig {
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = sim.Millisecond
-	}
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 8
-	}
-	if cfg.DistributeCost == 0 {
-		cfg.DistributeCost = 2 * sim.Microsecond
-	}
-	return cfg
-}
+// The self-healing layer is a deliberate extension beyond the paper, whose
+// network maps are static after boot (§4.3). When a reliable sender's
+// window stalls (the retransmit budget runs out without an ack), the heal
+// service suspends that window instead of declaring the peer dead, re-runs
+// the central mapping round over the live fabric, swaps any changed routes
+// into every node's tables and reliable-link windows, and resumes the
+// suspended transfers. On fabrics wired with redundant trunks the remap
+// discovers detours around dead links and switches; on minimal fabrics it
+// heals once the outage ends. These constants pace it.
+const (
+	// healProbeInterval is the pause between remap rounds while stalls
+	// are outstanding.
+	healProbeInterval = 500 * sim.Microsecond
+	// healMaxRounds bounds how many remap rounds a stalled window waits
+	// before the heal service gives up and the send surfaces
+	// ErrNodeUnreachable.
+	healMaxRounds = 64
+	// healProbeTimeout is the per-probe reply timeout. Boot's formula
+	// (20µs + 2·depth·SwitchLatency, ≈ 24µs on the diamond fabric) makes a
+	// remap round ≈ 11ms there — silent dangling-port prefixes dominate the
+	// BFS — which would quantize every heal to the same round. Replies
+	// arrive within a few microseconds (a few hops, short probes), so a
+	// tight timeout keeps rounds short enough to resolve outage duration.
+	healProbeTimeout = 8 * sim.Microsecond
+	// healDistributeCost is the modeled per-node cost of installing a
+	// fresh route table (an LCP control message plus SRAM writes).
+	healDistributeCost = 2 * sim.Microsecond
+)
 
 // HealStats counts the self-healing layer's activity: a snapshot of the
 // heal/* trace metrics.
@@ -56,7 +46,7 @@ type HealStats struct {
 	Remaps        int64 // remap rounds that produced a usable map
 	RouteSwaps    int64 // route-table entries changed by a remap
 	Healed        int64 // suspended windows resumed on a live route
-	Abandoned     int64 // suspended windows given up after MaxRounds
+	Abandoned     int64 // suspended windows given up after healMaxRounds
 	Revalidations int64 // imports refreshed after an exporter restart
 }
 
@@ -64,10 +54,6 @@ type HealStats struct {
 // destination node it cannot reach.
 type stallKey struct {
 	node, peer int
-}
-
-type stallRec struct {
-	rounds int // remap rounds survived without this pair healing
 }
 
 type healMetrics struct {
@@ -79,11 +65,12 @@ type healMetrics struct {
 // results; per-node hooks (a raw-packet filter on each board and a stall
 // handler on each reliable link) feed it.
 type HealService struct {
-	c       *Cluster
-	cfg     HealConfig
-	remap   *myrinet.Remap
-	work    *sim.Cond
-	stalled map[stallKey]*stallRec
+	c     *Cluster
+	remap *myrinet.Remap
+	work  *sim.Cond
+	// stalled counts, per suspended window, the remap rounds it has
+	// survived without healing.
+	stalled map[stallKey]int
 	// last holds the most recent remap's tables; a restarting node re-syncs
 	// its routes from here so it rejoins on the healed topology.
 	last map[int]myrinet.RouteTable
@@ -93,14 +80,13 @@ type HealService struct {
 // newHealService wires the heal layer into every node: boards pass mapping
 // packets to the shared Remap (so live LCPs double as probe responders),
 // and reliable links report stalls instead of declaring peers dead.
-func newHealService(c *Cluster, cfg HealConfig) *HealService {
+func newHealService(c *Cluster) *HealService {
 	met := c.Eng.Metrics()
 	h := &HealService{
 		c:       c,
-		cfg:     cfg,
 		remap:   myrinet.NewRemap(c.Net),
 		work:    sim.NewCond(c.Eng),
-		stalled: make(map[stallKey]*stallRec),
+		stalled: make(map[stallKey]int),
 		m: healMetrics{
 			stalls:    met.Counter("heal/stalls"),
 			remaps:    met.Counter("heal/remaps"),
@@ -151,7 +137,7 @@ func (h *HealService) onStall(n *Node, route []byte) bool {
 	}
 	k := stallKey{node: n.ID, peer: peer}
 	if _, dup := h.stalled[k]; !dup {
-		h.stalled[k] = &stallRec{}
+		h.stalled[k] = 0
 	}
 	h.m.stalls.Add(1)
 	h.c.Eng.TraceInstant("heal", "heal", fmt.Sprintf("stall node%d->node%d", n.ID, peer))
@@ -160,14 +146,14 @@ func (h *HealService) onStall(n *Node, route []byte) bool {
 }
 
 // run is the coordinator loop: sleep until a stall arrives, pace one remap
-// round per ProbeInterval while any remain, and park again when the table
-// is clear.
+// round per healProbeInterval while any remain, and park again when the
+// table is clear.
 func (h *HealService) run(p *simProc) {
 	for {
 		for len(h.stalled) == 0 {
 			h.work.Wait(p)
 		}
-		p.Sleep(h.cfg.ProbeInterval)
+		p.Sleep(healProbeInterval)
 		h.round(p)
 	}
 }
@@ -176,14 +162,9 @@ func (h *HealService) run(p *simProc) {
 // distribute whatever map comes back, then resume or give up on each
 // suspended window.
 func (h *HealService) round(p *simProc) {
-	maxDepth := h.cfg.MaxDepth
-	if maxDepth == 0 {
-		maxDepth = len(h.c.Net.Switches()) + 1
-	}
-	timeout := h.cfg.ProbeTimeout
-	if timeout == 0 {
-		timeout = 20*sim.Microsecond + sim.Time(2*maxDepth)*h.c.Prof.SwitchLatency
-	}
+	// A loop-free route crosses each switch at most once, so the switch
+	// count bounds probe route length (TestHealDepthCoversFabric).
+	depth := len(h.c.Net.Switches())
 
 	// Probe from the first live nodes, in ID order for determinism. A
 	// prober behind the broken element sees only its own island; accept
@@ -200,21 +181,19 @@ func (h *HealService) round(p *simProc) {
 			break
 		}
 		h.c.Eng.TraceBegin("heal", "heal", fmt.Sprintf("remap from node%d", n.ID))
-		t := h.remap.Probe(p, n.Board.NIC, maxDepth, timeout)
+		t := h.remap.Probe(p, n.Board.NIC, depth, healProbeTimeout)
 		h.c.Eng.TraceEnd("heal", "heal", fmt.Sprintf("remap from node%d", n.ID))
 		if len(t) >= 2 {
 			tables = t
 			break
 		}
 	}
-	if tables == nil {
-		h.expire()
-		return
+	if tables != nil {
+		h.m.remaps.Add(1)
+		h.last = tables
+		h.distribute(p, tables)
 	}
-	h.m.remaps.Add(1)
-	h.last = tables
-	h.distribute(p, tables)
-	h.resolve()
+	h.settle(tables)
 }
 
 // distribute installs the fresh map on every live node: changed routes are
@@ -231,7 +210,7 @@ func (h *HealService) distribute(p *simProc, tables map[int]myrinet.RouteTable) 
 		if fresh == nil {
 			continue
 		}
-		p.Sleep(h.cfg.DistributeCost)
+		p.Sleep(healDistributeCost)
 		rl := n.Board.Reliable()
 		dsts := make([]int, 0, len(fresh))
 		for d := range fresh {
@@ -241,7 +220,7 @@ func (h *HealService) distribute(p *simProc, tables map[int]myrinet.RouteTable) 
 		for _, d := range dsts {
 			old, had := n.LCP.routes[d]
 			route := fresh[d]
-			if had && routesEqual(old, route) {
+			if had && bytes.Equal(old, route) {
 				continue
 			}
 			if had {
@@ -255,22 +234,13 @@ func (h *HealService) distribute(p *simProc, tables map[int]myrinet.RouteTable) 
 	}
 }
 
-func routesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// resolve walks the stall table (in sorted order — map iteration order
-// must not leak into the simulation) and resumes every pair the new map
-// reaches; pairs still dark age toward the MaxRounds budget.
-func (h *HealService) resolve() {
+// settle walks the stall table after a round (in sorted order — map
+// iteration order must not leak into the simulation). Every pair the new
+// map reaches resumes; pairs still dark, or every pair when the round
+// produced no usable map (tables is nil: the prober itself is cut off),
+// age toward the healMaxRounds budget, so a permanently dead fabric still
+// drains toward ErrNodeUnreachable instead of suspending forever.
+func (h *HealService) settle(tables map[int]myrinet.RouteTable) {
 	keys := make([]stallKey, 0, len(h.stalled))
 	for k := range h.stalled {
 		keys = append(keys, k)
@@ -287,7 +257,7 @@ func (h *HealService) resolve() {
 			delete(h.stalled, k)
 			continue
 		}
-		if _, reachable := h.last[k.node][k.peer]; reachable {
+		if _, reachable := tables[k.node][k.peer]; reachable {
 			src.Board.Reliable().Resume(src.LCP.routes[k.peer])
 			delete(h.stalled, k)
 			h.m.healed.Add(1)
@@ -295,41 +265,7 @@ func (h *HealService) resolve() {
 				fmt.Sprintf("healed node%d->node%d", k.node, k.peer))
 			continue
 		}
-		rec := h.stalled[k]
-		rec.rounds++
-		if rec.rounds >= h.cfg.MaxRounds {
-			src.Board.Reliable().Abandon(src.LCP.routes[k.peer])
-			delete(h.stalled, k)
-			h.m.abandoned.Add(1)
-			h.c.Eng.TraceInstant("heal", "heal",
-				fmt.Sprintf("abandoned node%d->node%d", k.node, k.peer))
-		}
-	}
-}
-
-// expire ages every stall after a round that produced no usable map (the
-// prober itself is cut off), so a permanently dead fabric still drains
-// toward ErrNodeUnreachable instead of suspending forever.
-func (h *HealService) expire() {
-	keys := make([]stallKey, 0, len(h.stalled))
-	for k := range h.stalled {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].peer < keys[j].peer
-	})
-	for _, k := range keys {
-		src := h.c.Nodes[k.node]
-		if src.crashed {
-			delete(h.stalled, k)
-			continue
-		}
-		rec := h.stalled[k]
-		rec.rounds++
-		if rec.rounds >= h.cfg.MaxRounds {
+		if h.stalled[k]++; h.stalled[k] >= healMaxRounds {
 			src.Board.Reliable().Abandon(src.LCP.routes[k.peer])
 			delete(h.stalled, k)
 			h.m.abandoned.Add(1)

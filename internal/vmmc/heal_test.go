@@ -3,6 +3,7 @@ package vmmc
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -41,13 +42,13 @@ func TestLinkOutageHealsTransparently(t *testing.T) {
 		Reliable:    true,
 		Reliability: rel,
 		Faults:      pl,
-		Heal:        &HealConfig{ProbeInterval: 300 * sim.Microsecond, MaxRounds: 50},
+		Heal:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The receiver's cable dies shortly into the stream and comes back 8ms
-	// later — longer than the retransmit budget, shorter than MaxRounds.
+	// later — longer than the retransmit budget, shorter than healMaxRounds.
 	pl.LinkOutage(1, 500*sim.Microsecond, 8500*sim.Microsecond)
 
 	const msgs = 24
@@ -157,11 +158,7 @@ func TestSwitchOutageFailsOverToAlternateRoute(t *testing.T) {
 		Reliability: rel,
 		Faults:      pl,
 		BuildFabric: diamondFabric,
-		Heal: &HealConfig{
-			ProbeInterval: 500 * sim.Microsecond,
-			MaxRounds:     40,
-			MaxDepth:      4,
-		},
+		Heal:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -227,9 +224,9 @@ func TestSwitchOutageFailsOverToAlternateRoute(t *testing.T) {
 	}
 }
 
-// TestHealAbandonAfterBudget cuts the only path permanently with a tiny
-// round budget: healing must give up and surface ErrNodeUnreachable to the
-// parked senders instead of suspending them forever.
+// TestHealAbandonAfterBudget cuts the only path permanently: after
+// healMaxRounds rounds healing must give up and surface ErrNodeUnreachable
+// to the parked senders instead of suspending them forever.
 func TestHealAbandonAfterBudget(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.VerifySkips()
@@ -240,7 +237,7 @@ func TestHealAbandonAfterBudget(t *testing.T) {
 		Reliable:    true,
 		Reliability: rel,
 		Faults:      pl,
-		Heal:        &HealConfig{ProbeInterval: 200 * sim.Microsecond, MaxRounds: 2},
+		Heal:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +302,7 @@ func TestRestartStaleImportRevalidation(t *testing.T) {
 		Nodes:       2,
 		Reliable:    true,
 		Reliability: rel,
-		Heal:        &HealConfig{},
+		Heal:        true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -389,5 +386,61 @@ func TestRestartStaleImportRevalidation(t *testing.T) {
 	}
 	if n := c.Healer().Stats().Revalidations; n != 1 {
 		t.Errorf("Revalidations = %d, want 1", n)
+	}
+}
+
+// TestHealDepthCoversFabric pins the heal layer's probe depth: one remap
+// at depth len(Net.Switches()) and healProbeTimeout must rediscover
+// exactly the routes boot installed between distinct hosts — on one
+// switch, on a 3-switch chain and on the diamond — so a heal round never
+// loses a host that a deeper probe would have found. (The single-switch
+// boot mapper also installs a loopback route to the node itself, which a
+// remap never touches.)
+func TestHealDepthCoversFabric(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		nodes  int
+		fabric func(*myrinet.Network, int) error
+	}{
+		{"one switch", 4, nil},
+		{"3-switch chain", 13, nil},
+		{"diamond", 4, diamondFabric},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			eng.VerifySkips()
+			c, err := NewCluster(eng, Options{
+				Nodes:       tc.nodes,
+				Reliable:    true,
+				BuildFabric: tc.fabric,
+				Heal:        true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tables map[int]myrinet.RouteTable
+			depth := len(c.Net.Switches())
+			c.Go("probe", func(p *simProc) {
+				tables = c.Healer().remap.Probe(p, c.Nodes[0].Board.NIC, depth, healProbeTimeout)
+			})
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if len(tables) != tc.nodes {
+				t.Fatalf("probe at depth %d mapped %d of %d hosts", depth, len(tables), tc.nodes)
+			}
+			for _, n := range c.Nodes {
+				booted := myrinet.RouteTable{}
+				for d, route := range n.LCP.routes {
+					if d != n.ID {
+						booted[d] = route
+					}
+				}
+				if !reflect.DeepEqual(tables[n.ID], booted) {
+					t.Errorf("node %d: probe at depth %d found %v, boot installed %v",
+						n.ID, depth, tables[n.ID], booted)
+				}
+			}
+		})
 	}
 }

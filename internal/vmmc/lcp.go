@@ -153,6 +153,7 @@ type rxItem struct {
 // lcpProcState is the per-process state the interface keeps in SRAM: the
 // send queue, the outgoing page table and the software TLB (§4.4-4.5).
 type lcpProcState struct {
+	node     int
 	pid      int
 	sq       *SendQueue
 	outPT    *OutgoingTable
@@ -163,7 +164,7 @@ type lcpProcState struct {
 	// zero value means the legacy first-come-first-served defaults.
 	limits ProcLimits
 	// pins counts host frames currently locked on the process's behalf
-	// (TLB entries and export locks), charged against limits.PinBudget.
+	// (TLB entries and export locks).
 	pins int
 	// gone marks a process killed mid-flight: its status page is
 	// unpinned and its SRAM state is about to vanish, so completion
@@ -171,20 +172,18 @@ type lcpProcState struct {
 	gone bool
 }
 
-// chargePin debits k frames against the process's pin budget.
-func (st *lcpProcState) chargePin(k int) error {
-	if st.limits.PinBudget > 0 && st.pins+k > st.limits.PinBudget {
-		return ErrPinBudget
-	}
-	st.pins += k
-	return nil
-}
+// chargePin counts k more frames locked on the process's behalf.
+func (st *lcpProcState) chargePin(k int) { st.pins += k }
 
-// releasePin returns k frames to the process's pin budget.
+// releasePin uncounts k frames. Releasing more than the process holds is
+// a double release; clamping it to zero would read as a clean teardown in
+// PinnedFrames, tenant pinned_frames and the leak baseline — the very
+// checks that should catch it — so it panics instead.
 func (st *lcpProcState) releasePin(k int) {
 	st.pins -= k
 	if st.pins < 0 {
-		st.pins = 0
+		panic(fmt.Sprintf("vmmc: node %d pid %d released %d pinned frames it did not hold",
+			st.node, st.pid, -st.pins))
 	}
 }
 
@@ -200,7 +199,6 @@ const (
 	ceNoRoute
 	ceBadSource
 	ceUnreachable
-	cePinBudget
 )
 
 func completionError(code uint32) error {
@@ -217,8 +215,6 @@ func completionError(code uint32) error {
 		return ErrBadBuffer
 	case ceUnreachable:
 		return ErrNodeUnreachable
-	case cePinBudget:
-		return ErrPinBudget
 	default:
 		return fmt.Errorf("vmmc: unknown completion error %d", code)
 	}
@@ -329,7 +325,7 @@ func (l *LCP) registerProcess(pid int, limits ProcLimits) (*lcpProcState, error)
 		sram.Free(outPT.sramOff)
 		return nil, fmt.Errorf("%w: %v", ErrProcessLimit, err)
 	}
-	st := &lcpProcState{pid: pid, sq: sq, outPT: outPT, tlb: tlb, limits: limits}
+	st := &lcpProcState{node: l.node.ID, pid: pid, sq: sq, outPT: outPT, tlb: tlb, limits: limits}
 	l.states[pid] = st
 	l.scan = append(l.scan, pid)
 	return st, nil

@@ -1,7 +1,6 @@
 package vmmc
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/mem"
@@ -184,15 +183,10 @@ func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 				if err != nil {
 					j.failed = true
 					// Report the failure on the host path: the driver
-					// could not translate the send buffer, or the
-					// process's pin budget is exhausted.
-					code := uint32(ceBadSource)
-					if errors.Is(err, ErrPinBudget) {
-						code = cePinBudget
-					}
+					// could not translate the send buffer.
 					if !j.completed {
 						l.node.Eng.Go(l.failProcName, func(fp *simProc) {
-							l.writeCompletion(fp, j.st, j.e.seq, code)
+							l.writeCompletion(fp, j.st, j.e.seq, ceBadSource)
 						})
 					}
 					j.completed = true

@@ -307,3 +307,18 @@ func TestClusterStatsSnapshot(t *testing.T) {
 		}
 	})
 }
+
+// A double release must not pass for a clean teardown: releasing more
+// pinned frames than a process holds panics and names the culprit.
+func TestReleasePinUnderflowPanics(t *testing.T) {
+	st := &lcpProcState{node: 3, pid: 7}
+	st.chargePin(1)
+	st.releasePin(1)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "node 3 pid 7") {
+			t.Errorf("double release recovered %q, want a panic naming node 3 pid 7", msg)
+		}
+	}()
+	st.releasePin(1)
+}

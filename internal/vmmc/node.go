@@ -132,8 +132,9 @@ func (n *Node) restart() error {
 
 // ProcLimits partitions the interface's contended budgets for one
 // process. The zero value reproduces the legacy first-come-first-served
-// defaults: full-depth send queue, full-size TLB, unlimited pinning,
-// the shared link class.
+// defaults: full-depth send queue, full-size TLB, the shared link class.
+// Pinning is not partitioned: PinnedFrames counts what each process
+// holds.
 type ProcLimits struct {
 	// SendQueueEntries is the SRAM send-queue ring depth (default 16).
 	SendQueueEntries int
@@ -142,11 +143,6 @@ type ProcLimits struct {
 	// at twice TLBRefillBatch — a smaller TLB could evict a faulting
 	// page with its own refill batch and livelock the transfer).
 	TLBEntries int
-	// PinBudget caps host frames locked on the process's behalf — TLB
-	// translations plus export locks. 0 means unlimited. Exhaustion
-	// surfaces as ErrPinBudget instead of silently starving co-resident
-	// processes of pinnable memory.
-	PinBudget int
 	// Class is the link traffic class the process's packets ride in:
 	// its own reliable-link windows, and (when the board configures the
 	// class) its own bandwidth budget. 0 is the shared default class.
@@ -242,7 +238,7 @@ func (proc *Process) Close(p *sim.Proc) error {
 
 // release is the tail every process teardown ends with — Close after its
 // daemon round trips, KillProcess and a node crash after the local scrub:
-// TLB translations are invalidated and their page locks and pin budget
+// TLB translations are invalidated and their page locks and pin counts
 // returned, the status page is unpinned, and the SRAM carve (send queue,
 // page table, TLB) is freed. Pure state manipulation: no time passes.
 func (proc *Process) release() {
@@ -266,7 +262,7 @@ func (proc *Process) release() {
 //     no wire traffic (the owner died; the OS reclaims silently);
 //   - the victim's reliable-link windows — its traffic class's — are
 //     dropped silently, never the shared class 0;
-//   - TLB translations, page locks, pin budget, status page and SRAM carve
+//   - TLB translations, page locks, pin counts, status page and SRAM carve
 //     go the way Close releases them (release).
 //
 // All of this is pure state manipulation: no time passes, no events are

@@ -51,8 +51,7 @@ func (proc *Process) Errors() ProcErrors { return proc.errs }
 func (proc *Process) Limits() ProcLimits { return proc.lcpState.limits }
 
 // PinnedFrames reports how many host frames are currently locked on the
-// process's behalf — TLB translations plus export locks — the quantity
-// charged against ProcLimits.PinBudget.
+// process's behalf — TLB translations plus export locks.
 func (proc *Process) PinnedFrames() int { return proc.lcpState.pins }
 
 // Dead reports whether the process handle went permanently stale (its
@@ -239,9 +238,7 @@ func (proc *Process) RegisterBuffer(p *simProc, va mem.VirtAddr, n int) error {
 		if _, hit := st.tlb.Lookup(uint64(pageVA.Page())); hit {
 			continue
 		}
-		if err := st.chargePin(1); err != nil {
-			return err
-		}
+		st.chargePin(1)
 		node.Phys.Pin(pa.Frame())
 		if _, oldFrame, evicted := st.tlb.Insert(uint64(pageVA.Page()), pa.Frame()); evicted {
 			node.Phys.Unpin(oldFrame)

@@ -37,7 +37,7 @@ func resetRaceCluster(t *testing.T, fn func(p *simProc, c *Cluster)) {
 }
 
 // sendShort moves one short message 0->1 and waits for delivery; seq 0 is
-// skipped by the AckEvery cadence, so on return the receiver's delayed
+// skipped by the every-4th-packet ack cadence, so on return the receiver's delayed
 // ack is armed and no ack has been sent yet.
 func sendShort(t *testing.T, p *simProc, c *Cluster, send, recv *Process, dest ProxyAddr, buf mem.VirtAddr, val byte) {
 	t.Helper()

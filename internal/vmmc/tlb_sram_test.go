@@ -1,7 +1,6 @@
 package vmmc
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/fault"
@@ -524,69 +523,6 @@ func TestConcurrentTLBContentionUnderEviction(t *testing.T) {
 			if pins := procs[i].PinnedFrames(); pins != 0 {
 				t.Errorf("thrasher %d still holds %d pins after close", i, pins)
 			}
-		}
-	})
-}
-
-func TestPinBudgetExhaustionIsolatesNeighbor(t *testing.T) {
-	// A process with a 4-frame pin budget attempts an 8-page transfer:
-	// the TLB refill overdraws the budget mid-send and the completion
-	// surfaces the typed ErrPinBudget. A co-resident process with an
-	// ample budget runs the same transfer concurrently and must succeed
-	// untouched — exhaustion is contained to the partition that hit it.
-	testCluster(t, 2, func(p *simProc, c *Cluster) {
-		recv, _ := c.Nodes[1].NewProcess(p)
-		const pages = 8
-		const window = pages * mem.PageSize
-		for i := 0; i < 2; i++ {
-			buf, _ := recv.Malloc(window)
-			if err := recv.Export(p, uint32(40+i), buf, window, nil, false); err != nil {
-				t.Fatal(err)
-			}
-		}
-		starved, err := c.Nodes[0].NewProcessWith(p, ProcLimits{TLBEntries: 32, PinBudget: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		healthy, err := c.Nodes[0].NewProcessWith(p, ProcLimits{TLBEntries: 32})
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		healthyDone := false
-		done := sim.NewCond(c.Eng)
-		c.Eng.Go("healthy-sender", func(sp *simProc) {
-			defer func() { healthyDone = true; done.Broadcast() }()
-			dest, _, err := healthy.Import(sp, 1, 41)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			src, _ := healthy.Malloc(window)
-			if err := healthy.SendMsgSync(sp, src, dest, window, SendOptions{}); err != nil {
-				t.Errorf("ample-budget neighbor failed: %v", err)
-			}
-		})
-
-		dest, _, err := starved.Import(p, 1, 40)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, _ := starved.Malloc(window)
-		if err := starved.SendMsgSync(p, src, dest, window, SendOptions{}); !errors.Is(err, ErrPinBudget) {
-			t.Errorf("over-budget transfer got %v, want ErrPinBudget", err)
-		}
-		if errs := starved.Errors(); errs.SendFailures == 0 {
-			t.Error("send failure not counted against the starved process")
-		}
-		// The failed refill must not leak budget: a transfer that fits
-		// (4 pages) still goes through on the same process.
-		if err := starved.SendMsgSync(p, src, dest, 4*mem.PageSize, SendOptions{}); err != nil {
-			t.Errorf("within-budget transfer after exhaustion: %v", err)
-		}
-
-		for !healthyDone {
-			done.Wait(p)
 		}
 	})
 }

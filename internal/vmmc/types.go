@@ -55,12 +55,6 @@ var (
 	ErrNotExported   = errors.New("vmmc: buffer not exported")
 	ErrStillImported = errors.New("vmmc: buffer has active imports")
 
-	// ErrPinBudget reports that an operation needed to lock more pages
-	// than the process's pin budget (ProcLimits.PinBudget) allows. The
-	// budget partitions host page-pinning among co-resident processes so
-	// one tenant's registrations cannot starve another's TLB refills.
-	ErrPinBudget = errors.New("vmmc: process page-pin budget exhausted")
-
 	// ErrNodeUnreachable reports that the reliable link layer exhausted
 	// its retransmit budget toward the destination: the node is crashed,
 	// or the path to it is dead. Only surfaced with Options.Reliable; the
