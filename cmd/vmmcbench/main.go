@@ -49,11 +49,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"repro/internal/bench"
 )
 
 func main() {
+	// The engine runs exactly one goroutine at a time; extra Ps only turn
+	// its channel handoffs into cross-thread wake-ups, which makes host
+	// time slower and bimodal on a shared VM. See benchmark/README.md,
+	// "Noise method".
+	runtime.GOMAXPROCS(1)
+
 	var (
 		id       = flag.String("experiment", "", "experiment id to run (default: all)")
 		detOnly  = flag.Bool("deterministic", false, "run only experiments with byte-identical output (the RESULTS.txt set)")

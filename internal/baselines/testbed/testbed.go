@@ -63,21 +63,15 @@ func New(eng *sim.Engine, prof hw.Profile) (*Rig, error) {
 	return r, nil
 }
 
-// StartRX starts the host's two-stage receive path: a drain process that
-// moves arriving packets into SRAM at wire rate (the net-to-SRAM DMA
-// engine runs concurrently with the LANai CPU), and a handler process
-// running fn per packet. Splitting the stages lets the drain of packet
-// k+1 overlap the processing of packet k, as on the real board.
+// StartRX starts the host's two-stage receive path: the board's receive
+// engine, which moves arriving packets into SRAM at wire rate (the
+// net-to-SRAM DMA engine runs concurrently with the LANai CPU), and a
+// handler process running fn per packet. Splitting the stages lets the
+// drain of packet k+1 overlap the processing of packet k, as on the real
+// board.
 func (h *Host) StartRX(name string, fn func(p *sim.Proc, pk *myrinet.Packet)) {
 	drained := sim.NewQueue[*myrinet.Packet](h.Eng, name+":drained")
-	h.Eng.Go(name+":drain", func(p *sim.Proc) {
-		p.SetDaemon(true)
-		for {
-			pk := h.Board.NIC.RX.Get(p)
-			h.Board.RecvPacket(p, pk)
-			drained.Put(pk)
-		}
-	})
+	h.Board.StartReceiver(name+":drain", func(_ []byte, pk *myrinet.Packet) { drained.Put(pk) })
 	h.Eng.Go(name+":handler", func(p *sim.Proc) {
 		p.SetDaemon(true)
 		for {

@@ -42,10 +42,10 @@ type Board struct {
 	// (linksched.go); nil until ConfigureLinkClass installs a budget.
 	linksched *LinkScheduler
 	// rawFilter, when set, sees every arriving packet before the
-	// reliability layer; returning true consumes the packet. The vmmc
-	// self-healing layer uses it for mapping probes and replies, which are
-	// not link-layer framed and must bypass the go-back-N filter.
-	rawFilter func(p *sim.Proc, pk *myrinet.Packet) bool
+	// reliability layer (SetRawFilter). The vmmc self-healing layer uses it
+	// for mapping probes and replies, which are not link-layer framed and
+	// must bypass the go-back-N filter.
+	rawFilter func(pk *myrinet.Packet) (consumed bool, route, reply []byte)
 
 	comp        string // trace component, "lanai<id>"
 	interrupts  int64
@@ -233,36 +233,125 @@ func (b *Board) SendFrameCharged(p *sim.Proc, route []byte, frame []byte, class 
 }
 
 // SetRawFilter registers a tap consulted on every arriving packet, after
-// the receive DMA is charged but before the reliability layer. Returning
-// true consumes the packet. The filter runs on whichever process drains
-// the RX queue (the LCP's receive process), so it keeps working while the
-// node's main control loop is blocked elsewhere — which is exactly when
+// the receive DMA but before the reliability layer. Returning consumed
+// consumes the packet; a non-nil reply is injected along route before the
+// receive engine takes the next packet. The filter runs in event context,
+// from the receive engine (Receiver), and must not block. Since the
+// engine is not the node's control program, the filter keeps working
+// while the main control loop is busy elsewhere — which is exactly when
 // the self-healing layer needs its mapping responder alive.
-func (b *Board) SetRawFilter(fn func(p *sim.Proc, pk *myrinet.Packet) bool) { b.rawFilter = fn }
-
-// Receive drains packets from the wire until one is deliverable upward and
-// returns its payload bytes (after link-layer filtering when reliability
-// is on) together with the raw packet. Without the reliability layer every
-// arriving packet is deliverable and the payload is returned as-is; the
-// caller still checks the CRC, as the paper's LCP does.
-func (b *Board) Receive(p *sim.Proc) ([]byte, *myrinet.Packet) {
-	for {
-		pk := b.NIC.RX.Get(p)
-		b.RecvPacket(p, pk)
-		if b.rawFilter != nil && b.rawFilter(p, pk) {
-			continue
-		}
-		if b.reliable == nil {
-			return pk.Payload, pk
-		}
-		if data := b.reliable.receive(p, pk); data != nil {
-			return data, pk
-		}
-	}
+func (b *Board) SetRawFilter(fn func(pk *myrinet.Packet) (consumed bool, route, reply []byte)) {
+	b.rawFilter = fn
 }
 
-// RecvPacket charges the net-receive engine for draining an arrived packet
-// into SRAM staging (the LANai stores packets fully before host DMA).
-func (b *Board) RecvPacket(p *sim.Proc, pk *myrinet.Packet) {
-	b.NetRecv.TransferWith(p, len(pk.Payload), b.Prof.NetRecv)
+// Receiver is the board's receive engine: the net-to-SRAM DMA engine
+// draining arriving packets into SRAM concurrently with the LANai
+// processor (§3), and what stands between it and the control program —
+// the raw filter and the optional link layer. It is silicon, not a
+// program, so it runs as a chain of continuations, one packet at a time:
+// take the next packet off the NIC's RX queue, drain it through NetRecv,
+// filter it, and hand what the link layer lets through to deliver. Every
+// step that holds virtual time posts its event where a process draining
+// the queue would have.
+type Receiver struct {
+	b       *Board
+	label   string
+	deliver func(data []byte, pk *myrinet.Packet)
+	get     *sim.Getter[*myrinet.Packet]
+	stopped bool
+
+	// The packet in hand and, when up is set, the payload that goes up once
+	// the link layer's ack for it is out.
+	pk   *myrinet.Packet
+	data []byte
+	up   bool
+
+	onDrained, onHeld, onSent func()
+}
+
+// StartReceiver starts the board's receive engine. deliver runs in event
+// context with every packet the raw filter and link layer pass up: its
+// VMMC-visible bytes (pk.Payload, unless the link layer unwrapped it) and
+// the packet, whose CRC the caller still checks, as the paper's LCP does.
+// label names the engine as the holder of the DMA engines and the link.
+// Like a process spawned now, it takes its first packet after the events
+// already scheduled for this instant.
+func (b *Board) StartReceiver(label string, deliver func(data []byte, pk *myrinet.Packet)) *Receiver {
+	r := &Receiver{b: b, label: label, deliver: deliver}
+	r.get = b.NIC.RX.NewGetter(r.drain)
+	r.onDrained, r.onHeld, r.onSent = r.filter, r.admit, r.next
+	b.Eng.Post(0, r.get.Get)
+	return r
+}
+
+// Stop ends the engine, as a crash does: a wait for the next packet is
+// withdrawn, and a packet already in hand goes nowhere once the step in
+// flight — a drain, the link layer's hold, an ack on its way out — has run
+// out its time.
+func (r *Receiver) Stop() {
+	r.stopped = true
+	r.get.Cancel()
+}
+
+// drain moves pk into SRAM staging: the LANai stores a packet fully before
+// it looks at it, and back-to-back packets serialize on the engine.
+func (r *Receiver) drain(pk *myrinet.Packet) {
+	r.pk = pk
+	r.b.NetRecv.Start(r.label, len(pk.Payload), r.b.Prof.NetRecv, r.onDrained)
+}
+
+// filter passes the drained packet through the raw filter, then the link
+// layer; a data frame costs the link layer its bookkeeping hold first.
+func (r *Receiver) filter() {
+	if r.stopped {
+		return
+	}
+	b, pk := r.b, r.pk
+	if b.rawFilter != nil {
+		if consumed, route, reply := b.rawFilter(pk); consumed {
+			if reply != nil {
+				b.NIC.StartSend(r.label, route, reply, r.onSent)
+				return
+			}
+			r.next()
+			return
+		}
+	}
+	switch {
+	case b.reliable == nil:
+		r.data, r.up = pk.Payload, true
+	case b.reliable.receive(pk):
+		b.Eng.Post(rlPerPacketCost, r.onHeld)
+		return
+	}
+	r.next()
+}
+
+// admit sequences a data frame after its hold and sends the ack it owes
+// before passing the payload up.
+func (r *Receiver) admit() {
+	if r.stopped {
+		return
+	}
+	rl := r.b.reliable
+	data, ack := rl.admit(r.pk)
+	r.data, r.up = data, data != nil
+	if ack == nil {
+		r.next()
+		return
+	}
+	rl.sendAck(r.label, myrinet.ReverseRoute(r.pk.Ingress), ack, r.onSent)
+}
+
+// next passes the packet in hand up, if it goes up, and takes the next one.
+func (r *Receiver) next() {
+	if r.stopped {
+		return
+	}
+	pk, data, up := r.pk, r.data, r.up
+	r.pk, r.data, r.up = nil, nil, false
+	if up {
+		r.deliver(data, pk)
+	}
+	r.get.Get()
 }

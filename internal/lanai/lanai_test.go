@@ -320,19 +320,8 @@ func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
 	payload := bytes.Repeat([]byte("chunk "), 600)
 
 	var got [][]byte
-	e.Go("b:rx", func(p *sim.Proc) {
-		p.SetDaemon(true)
-		for {
-			data, _ := b.Receive(p)
-			got = append(got, data)
-		}
-	})
-	e.Go("a:rx", func(p *sim.Proc) { // consumes the acks
-		p.SetDaemon(true)
-		for {
-			a.Receive(p)
-		}
-	})
+	b.StartReceiver("b:rx", func(data []byte, _ *myrinet.Packet) { got = append(got, data) })
+	a.StartReceiver("a:rx", func([]byte, *myrinet.Packet) {}) // consumes the acks
 	e.Go("a:tx", func(p *sim.Proc) {
 		pl := fault.NewPlan(e, 1)
 		net.SetFaults(pl)

@@ -75,8 +75,10 @@ type ReliableLink struct {
 	windowFree *sim.Cond
 	sramOff    int
 	comp       string // trace component, "lanai<id>"
-	// Names of the retransmit and delayed-ack sender processes.
-	retxName, dackName string
+	// Names of the retransmit sender process and of a delayed ack as the
+	// holder of the net-send engine and the link.
+	retxName, dackLabel string
+	idleAcks            []*ackTx // records of sent acks, for reuse
 
 	// onStall, when set, is consulted instead of declaring a destination
 	// unreachable; see SetStallHandler.
@@ -224,7 +226,7 @@ func (b *Board) EnableReliability(cfg ReliabilityConfig) (*ReliableLink, error) 
 		sramOff:      off,
 		comp:         comp,
 		retxName:     comp + ":retx",
-		dackName:     comp + ":dack",
+		dackLabel:    comp + ":dack",
 		mRetx:        b.Eng.Metrics().Counter(comp + "/rl_retransmits"),
 		mUnreachable: b.Eng.Metrics().Counter(comp + "/rl_unreachable"),
 	}
@@ -655,75 +657,111 @@ func (rl *ReliableLink) Abandon(route []byte) {
 	}
 }
 
-// receive filters one raw packet through the link layer. It returns the
-// inner payload when the packet is an in-sequence data packet that should
-// be delivered upward, or nil otherwise (acks, duplicates, gaps, damage).
-func (rl *ReliableLink) receive(p *sim.Proc, pk *myrinet.Packet) []byte {
+// receive is the link layer's first look at an arrived packet, in the
+// receive engine (Receiver). It handles everything but a data frame on the
+// spot — damage is dropped (the sender's timeout recovers it), an ack
+// trims its window — and reports whether pk is a data frame, which costs
+// the LANai rlPerPacketCost of bookkeeping before admit sequences it.
+func (rl *ReliableLink) receive(pk *myrinet.Packet) bool {
 	if !pk.CheckCRC() {
-		// Damaged: drop silently; the sender's timeout recovers it.
 		rl.CorruptDrops++
-		return nil
+		return false
 	}
 	if len(pk.Payload) < linkHdrSize {
-		return nil
+		return false
 	}
-	typ := pk.Payload[0]
+	switch pk.Payload[0] {
+	case linkAck:
+		rl.handleAck(int(binary.BigEndian.Uint32(pk.Payload[1:])), binary.BigEndian.Uint32(pk.Payload[5:]))
+	case linkData:
+		return true
+	}
+	return false
+}
+
+// admit sequences a data frame once its bookkeeping is paid for. It
+// returns the inner payload when the frame is in sequence and goes up (nil
+// for a duplicate or a gap), and the cumulative ack to send back along the
+// reversed ingress route before anything goes up (nil when the cadence
+// skips this frame).
+func (rl *ReliableLink) admit(pk *myrinet.Packet) (data, ack []byte) {
 	sender := int(binary.BigEndian.Uint32(pk.Payload[1:]))
 	seq := binary.BigEndian.Uint32(pk.Payload[5:])
 	winKey := binary.BigEndian.Uint32(pk.Payload[9:])
-	switch typ {
-	case linkAck:
-		rl.handleAck(sender, seq)
-		return nil
-	case linkData:
-		p.Sleep(rlPerPacketCost)
-		k := rxKey{sender: sender, win: winKey}
-		expect := rl.rxExpected[k]
-		switch {
-		case seq == expect:
-			rl.rxExpected[k] = expect + 1
-			rl.Deliveries++
-			// Cumulative ack every k packets; stragglers are recovered
-			// by the delayed ack when configured, otherwise by the
-			// sender's timeout + the duplicate re-ack below.
-			if (seq+1)%rlAckEvery == 0 {
-				rl.cancelDelayedAck(k)
-				rl.sendAck(p, pk, winKey, seq+1)
-			} else if rl.cfg.AckDelay > 0 {
-				rl.armDelayedAck(k, pk)
-			}
-			return pk.Payload[linkHdrSize:]
-		case seq < expect:
-			// Duplicate from a retransmission race: re-ack so the
-			// sender's window advances.
-			rl.DupDrops++
+	k := rxKey{sender: sender, win: winKey}
+	expect := rl.rxExpected[k]
+	switch {
+	case seq == expect:
+		rl.rxExpected[k] = expect + 1
+		rl.Deliveries++
+		// Cumulative ack every k packets; stragglers are recovered by the
+		// delayed ack when configured, otherwise by the sender's timeout +
+		// the duplicate re-ack below.
+		if (seq+1)%rlAckEvery == 0 {
 			rl.cancelDelayedAck(k)
-			rl.sendAck(p, pk, winKey, expect)
-			return nil
-		default:
-			// Gap: an earlier packet was dropped (CRC); go-back-N
-			// discards successors and re-acks the expectation.
-			rl.GapDrops++
-			rl.cancelDelayedAck(k)
-			rl.sendAck(p, pk, winKey, expect)
-			return nil
+			return pk.Payload[linkHdrSize:], ackFrame(winKey, seq+1)
 		}
+		if rl.cfg.AckDelay > 0 {
+			rl.armDelayedAck(k, pk)
+		}
+		return pk.Payload[linkHdrSize:], nil
+	case seq < expect:
+		// Duplicate from a retransmission race: re-ack so the sender's
+		// window advances.
+		rl.DupDrops++
+	default:
+		// Gap: an earlier packet was dropped (CRC); go-back-N discards
+		// successors and re-acks the expectation.
+		rl.GapDrops++
 	}
-	return nil
+	rl.cancelDelayedAck(k)
+	return nil, ackFrame(winKey, expect)
 }
 
-// sendAck emits a cumulative acknowledgement along the reversed route,
-// echoing the sender's window key.
-func (rl *ReliableLink) sendAck(p *sim.Proc, pk *myrinet.Packet, winKey, ackSeq uint32) {
-	rl.sendAckRoute(p, myrinet.ReverseRoute(pk.Ingress), winKey, ackSeq)
-}
-
-func (rl *ReliableLink) sendAckRoute(p *sim.Proc, route []byte, winKey, ackSeq uint32) {
-	rl.AcksSent++
-	rl.board.NetSend.TransferWith(p, 0, rl.board.Prof.NetSend)
+// ackFrame builds a cumulative acknowledgement of every packet below
+// ackSeq, echoing the sender's window key.
+func ackFrame(winKey, ackSeq uint32) []byte {
 	ack := make([]byte, linkHdrSize)
 	putLinkHdr(ack, linkAck, int(winKey), ackSeq, 0)
-	rl.board.NIC.Send(p, route, ack)
+	return ack
+}
+
+// sendAck injects an ack along route without a process: the net-send
+// engine's start (bus.DMAEngine.Start), then the link (NIC.StartSend),
+// queued and timed where a process sending it would have been; done, which
+// may be nil, runs once the ack has left. label names the sender as the
+// holder of both.
+func (rl *ReliableLink) sendAck(label string, route, ack []byte, done func()) {
+	rl.AcksSent++
+	var a *ackTx
+	if k := len(rl.idleAcks); k > 0 {
+		a, rl.idleAcks = rl.idleAcks[k-1], rl.idleAcks[:k-1]
+	} else {
+		a = rl.newAckTx()
+	}
+	a.label, a.route, a.ack, a.done = label, route, ack, done
+	rl.board.NetSend.Start(label, 0, rl.board.Prof.NetSend, a.onEngine)
+}
+
+// ackTx is one sendAck between the engine and the link. Its step is bound
+// to the record once and the record goes back on idleAcks as soon as the
+// link has the ack, so acks allocate only their frames.
+type ackTx struct {
+	label      string
+	route, ack []byte
+	done       func()
+	onEngine   func()
+}
+
+func (rl *ReliableLink) newAckTx() *ackTx {
+	a := new(ackTx)
+	a.onEngine = func() {
+		label, route, ack, done := a.label, a.route, a.ack, a.done
+		a.route, a.ack, a.done = nil, nil, nil
+		rl.idleAcks = append(rl.idleAcks, a)
+		rl.board.NIC.StartSend(label, route, ack, done)
+	}
+	return a
 }
 
 // armDelayedAck schedules a cumulative ack toward one sequence stream
@@ -737,10 +775,10 @@ func (rl *ReliableLink) armDelayedAck(k rxKey, pk *myrinet.Packet) {
 	rl.rxAckPending[k] = pa
 	pa.timer = rl.board.Eng.After(rl.cfg.AckDelay, func() {
 		delete(rl.rxAckPending, k)
-		ackSeq := rl.rxExpected[k]
-		rl.board.Eng.Go(rl.dackName, func(p *sim.Proc) {
-			rl.sendAckRoute(p, pa.route, pa.winKey, ackSeq)
-		})
+		ack := ackFrame(pa.winKey, rl.rxExpected[k])
+		// The ack leaves one zero-delay event on, where a sender process
+		// spawned now would start.
+		rl.board.Eng.Post(0, func() { rl.sendAck(rl.dackLabel, pa.route, ack, nil) })
 	})
 }
 

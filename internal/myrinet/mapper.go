@@ -71,7 +71,9 @@ func bootMapping(net *Network, round func(p *sim.Proc, r *Remap) map[int]RouteTa
 	for _, nic := range net.NICs() {
 		responders = append(responders, eng.Go(fmt.Sprintf("maplcp:%d", nic.ID), func(p *sim.Proc) {
 			for {
-				r.HandlePacket(p, nic, nic.RX.Get(p))
+				if _, route, reply := r.HandlePacket(nic, nic.RX.Get(p)); reply != nil {
+					nic.Send(p, route, reply)
+				}
 			}
 		}))
 	}

@@ -164,7 +164,9 @@ func TestCentralMappingIsOneRemapRound(t *testing.T) {
 				e2.Go("responder", func(p *sim.Proc) {
 					p.SetDaemon(true)
 					for {
-						r.HandlePacket(p, nic, nic.RX.Get(p))
+						if _, route, reply := r.HandlePacket(nic, nic.RX.Get(p)); reply != nil {
+							nic.Send(p, route, reply)
+						}
 					}
 				})
 			}

@@ -152,6 +152,8 @@ type Network struct {
 	freeBufs [][]byte
 	poison   bool
 	verify   bool
+
+	idle []*injection // records of finished StartSends, for reuse
 }
 
 const (
@@ -363,6 +365,64 @@ func (nic *NIC) SendOwned(p *sim.Proc, route []byte, payload []byte) {
 }
 
 func (nic *NIC) inject(p *sim.Proc, pk *Packet) {
+	cost := nic.begin(pk)
+	nic.tx.Use(p, cost)
+	nic.end(pk)
+}
+
+// StartSend is Send for a sender with no process to block: the same
+// injection, its serialization a continuation on the link
+// (sim.Resource.AcquireFn) that queues where a process calling Send now
+// would, and holds the link for the same time. done, which may be nil,
+// runs in event context once the packet has left — when Send would have
+// returned. label names the sender as the link's holder.
+func (nic *NIC) StartSend(label string, route, payload []byte, done func()) {
+	pk := &Packet{Route: route, Payload: payload, Src: nic.ID}
+	net := nic.net
+	var in *injection
+	if k := len(net.idle); k > 0 {
+		in, net.idle = net.idle[k-1], net.idle[:k-1]
+	} else {
+		in = net.newInjection()
+	}
+	in.nic, in.pk, in.label, in.done = nic, pk, label, done
+	in.cost = nic.begin(pk)
+	nic.tx.AcquireFn(label, in.onLink)
+}
+
+// injection is one StartSend in flight. Its two steps are bound to the
+// record once and the record goes back on Network.idle when the packet has
+// left, so a steady stream of them allocates only the packets.
+type injection struct {
+	nic   *NIC
+	pk    *Packet
+	label string
+	cost  sim.Time
+	done  func()
+
+	onLink, onEnd func()
+}
+
+func (n *Network) newInjection() *injection {
+	in := new(injection)
+	in.onLink = func() { n.eng.Post(in.cost, in.onEnd) }
+	in.onEnd = func() {
+		nic, pk, done := in.nic, in.pk, in.done
+		in.pk, in.done = nil, nil
+		nic.tx.ReleaseFn(in.label)
+		nic.end(pk)
+		n.idle = append(n.idle, in)
+		if done != nil {
+			done()
+		}
+	}
+	return in
+}
+
+// begin is the half of an injection before the link is held: the CRC mark,
+// bit errors on the injecting end of the cable, and the serialization time
+// it returns.
+func (nic *NIC) begin(pk *Packet) sim.Time {
 	n := nic.net
 	// The link hardware appends the CRC for free (§3); so does the model,
 	// by not computing it until a fault makes the answer matter.
@@ -377,10 +437,16 @@ func (nic *NIC) inject(p *sim.Proc, pk *Packet) {
 	if len(pk.Payload) > 0 && n.faults.CorruptWire(nic.ID, wire, true) {
 		pk.corrupt(len(pk.Payload)/2, 0x10)
 	}
-
-	cost := n.prof.LinkFlitCost +
+	return n.prof.LinkFlitCost +
 		sim.Time(float64(wire)/n.prof.LinkRate*float64(sim.Second))
-	nic.tx.Use(p, cost)
+}
+
+// end is the half after the packet has been serialized and the link
+// released: the counters, then the packet dies or is routed toward its
+// destination's RX queue.
+func (nic *NIC) end(pk *Packet) {
+	n := nic.net
+	wire := wireBytes(pk)
 	nic.injected++
 	nic.mPktsOut.Add(1)
 	nic.mBytesOut.Add(int64(wire))

@@ -32,28 +32,29 @@ func NewRemap(net *Network) *Remap {
 }
 
 // HandlePacket lets a live control program double as a mapping responder.
-// It reports whether pk was a mapping packet (and is consumed): probes are
-// answered along the reversed ingress path, replies are funneled to the
-// prober blocked in Probe. Damaged mapping packets are consumed silently —
-// the probe times out and the prefix reads as dead, which is safe (a retry
-// happens on the next round).
-func (r *Remap) HandlePacket(p *sim.Proc, nic *NIC, pk *Packet) bool {
+// It reports whether pk, which arrived at nic, was a mapping packet (and is
+// consumed). A reply is funneled to the prober blocked in Probe; a probe
+// is answered by the reply HandlePacket returns, which the caller injects
+// from nic along route, the reversed ingress path. Damaged mapping packets
+// are consumed silently — the probe times out and the prefix reads as
+// dead, which is safe (a retry happens on the next round).
+func (r *Remap) HandlePacket(nic *NIC, pk *Packet) (consumed bool, route, reply []byte) {
 	typ, seq, id, ok := decodeMapMsg(pk.Payload)
 	if !ok {
-		return false
+		return false, nil, nil
 	}
 	if !pk.CheckCRC() {
-		return true
+		return true, nil, nil
 	}
 	switch typ {
 	case mapProbe:
-		nic.Send(p, ReverseRoute(pk.Ingress), encodeMapMsg(mapReply, seq, uint32(nic.ID)))
+		return true, ReverseRoute(pk.Ingress), encodeMapMsg(mapReply, seq, uint32(nic.ID))
 	case mapReply:
 		// The reply's route field IS the responder->prober route (the
 		// reversed probe ingress it was sent on).
 		r.replies.Put(mapReplyMsg{seq: seq, responder: int(id), back: pk.Route})
 	}
-	return true
+	return true, nil, nil
 }
 
 // mapReplyMsg is a probe's answer as the coordinator sees it: back is the

@@ -11,6 +11,12 @@ package sim
 // O(1) instead of a scan of every parked process. Waiter records are
 // pooled on the engine; a full wait/wake or wait/timeout cycle performs
 // no allocation.
+//
+// Work that has no stack of its own to park — a DMA engine draining a
+// queue — waits as a continuation instead (Waiter, WaitFn): in the same
+// FIFO as the processes, woken by the same Signal, but what resumes is a
+// callback in event context, so the wait costs no goroutine and no
+// handoff.
 type Cond struct {
 	eng        *Engine
 	head, tail *condWaiter
@@ -19,11 +25,55 @@ type Cond struct {
 
 type condWaiter struct {
 	p          *Proc
-	c          *Cond // owning condition, for timeout dispatch
+	cont       *Waiter // the continuation waiting here, nil for a process
+	c          *Cond   // owning condition, for timeout dispatch
 	woken      bool
 	timeout    *Event // pending timeout, nil for plain Wait
 	prev, next *condWaiter
 	linked     bool
+}
+
+// dead reports a process waiter killed or finished while enlisted. A
+// continuation is never dead in the list: Cancel takes it out.
+func (w *condWaiter) dead() bool {
+	return w.cont == nil && (w.p.finished || w.p.killed)
+}
+
+// A Waiter is a continuation that waits on a Cond in a process's place.
+// WaitFn enlists it at the tail of the FIFO the processes wait in; a
+// Signal or Broadcast that reaches it posts the zero-delay event that would
+// have resumed a process there, and fn runs from that event. It waits once
+// per WaitFn, and its owner keeps the one Waiter for every wait, so waiting
+// allocates nothing.
+type Waiter struct {
+	rec  condWaiter
+	fire func()
+	wake *Event // posted by the Signal that reached it, until it fires
+}
+
+// NewWaiter returns a continuation waiter that runs fn when woken.
+func NewWaiter(fn func()) *Waiter {
+	w := new(Waiter)
+	w.rec.cont = w
+	w.fire = func() {
+		w.wake = nil
+		fn()
+	}
+	return w
+}
+
+// Cancel withdraws w: from the wait list while it is still there, or, once
+// a Signal has reached it, by cancelling the wake before fn runs — that
+// signal is spent, as it is on a process killed after being woken.
+// Cancelling a waiter that is not waiting does nothing.
+func (w *Waiter) Cancel() {
+	if w.rec.linked {
+		w.rec.c.unlink(&w.rec)
+	}
+	if w.wake != nil {
+		w.wake.Cancel()
+		w.wake = nil
+	}
 }
 
 // NewCond returns a condition variable bound to eng.
@@ -98,6 +148,17 @@ func (c *Cond) Wait(p *Proc) {
 	p.park("cond wait")
 }
 
+// WaitFn is Wait for a continuation: w waits its turn among the processes
+// and, when a Signal or Broadcast reaches it, runs from the event that
+// would have resumed a process in its place. Enlisting a waiter that is
+// still waiting panics.
+func (c *Cond) WaitFn(w *Waiter) {
+	if w.rec.linked || w.wake != nil {
+		panic("sim: continuation waiter enlisted while still waiting")
+	}
+	c.pushBack(&w.rec)
+}
+
 // WaitTimeout parks p until woken or until d elapses. It reports true if
 // the process was woken by Signal/Broadcast and false on timeout.
 func (c *Cond) WaitTimeout(p *Proc, d Time) bool {
@@ -119,16 +180,16 @@ func (c *Cond) expire(w *condWaiter) {
 	c.eng.schedule(w.p)
 }
 
-// Signal wakes the longest-waiting live process, if any. The wakeup is
-// scheduled at the current time; the woken process runs after the caller
-// parks or the current event returns. Waiters that died (killed while
-// parked here) are discarded so they cannot swallow the signal; their
-// kill unwind releases their records independently.
+// Signal wakes the longest-waiting live process or continuation, if any.
+// The wakeup is scheduled at the current time; the woken process runs
+// after the caller parks or the current event returns. Waiters that died
+// (killed while parked here) are discarded so they cannot swallow the
+// signal; their kill unwind releases their records independently.
 func (c *Cond) Signal() {
 	for c.head != nil {
 		w := c.head
 		c.unlink(w)
-		if !c.eng.alive(w.p) || w.p.killed {
+		if w.dead() {
 			continue
 		}
 		c.wake(w)
@@ -136,18 +197,22 @@ func (c *Cond) Signal() {
 	}
 }
 
-// Broadcast wakes all live waiting processes in FIFO order.
+// Broadcast wakes all live waiters in FIFO order.
 func (c *Cond) Broadcast() {
 	for c.head != nil {
 		w := c.head
 		c.unlink(w)
-		if c.eng.alive(w.p) && !w.p.killed {
+		if !w.dead() {
 			c.wake(w)
 		}
 	}
 }
 
 func (c *Cond) wake(w *condWaiter) {
+	if k := w.cont; k != nil {
+		k.wake = c.eng.postFn(0, k.fire)
+		return
+	}
 	w.woken = true
 	if w.timeout != nil {
 		w.timeout.Cancel()
@@ -156,5 +221,6 @@ func (c *Cond) wake(w *condWaiter) {
 	c.eng.postWake(0, w.p)
 }
 
-// Waiting reports the number of processes currently parked on c.
+// Waiting reports the number of processes and continuations currently
+// waiting on c.
 func (c *Cond) Waiting() int { return c.n }

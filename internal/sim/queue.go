@@ -1,9 +1,9 @@
 package sim
 
 // Queue is an unbounded FIFO mailbox connecting simulation processes (and
-// event callbacks, which may Put without blocking). Gets block until an
-// item is available; items are delivered in insertion order and each item
-// goes to exactly one getter.
+// event callbacks, which may Put without blocking, and take items with a
+// Getter). Gets block until an item is available; items are delivered in
+// insertion order and each item goes to exactly one getter.
 //
 // Storage is a slice with a moving head index rather than a re-sliced
 // front: the backing array is reused once the queue drains, so a
@@ -83,3 +83,36 @@ func (q *Queue[T]) Peek() (v T, ok bool) {
 
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+
+// A Getter takes items from a Queue in a process's place, as a
+// continuation (see Waiter): what a process blocked in Get would do next,
+// got does, in event context.
+type Getter[T any] struct {
+	q   *Queue[T]
+	got func(T)
+	w   *Waiter
+}
+
+// NewGetter returns a continuation getter on q that hands each item it
+// takes to got.
+func (q *Queue[T]) NewGetter(got func(T)) *Getter[T] {
+	g := &Getter[T]{q: q, got: got}
+	g.w = NewWaiter(g.Get)
+	return g
+}
+
+// Get takes the oldest item for got: before Get returns when one is
+// queued, otherwise from the event that would have resumed a process
+// waiting in Queue.Get in its place, in its turn among the queue's
+// getters of both kinds.
+func (g *Getter[T]) Get() {
+	if g.q.Len() == 0 {
+		g.q.cond.WaitFn(g.w)
+		return
+	}
+	g.got(g.q.pop())
+}
+
+// Cancel withdraws a waiting Get (Waiter.Cancel). Whatever it has not
+// taken stays queued.
+func (g *Getter[T]) Cancel() { g.w.Cancel() }

@@ -99,8 +99,8 @@ func newHealService(c *Cluster) *HealService {
 	for _, n := range c.Nodes {
 		n.heal = h
 		node := n
-		node.Board.SetRawFilter(func(p *simProc, pk *myrinet.Packet) bool {
-			return h.remap.HandlePacket(p, node.Board.NIC, pk)
+		node.Board.SetRawFilter(func(pk *myrinet.Packet) (bool, []byte, []byte) {
+			return h.remap.HandlePacket(node.Board.NIC, pk)
 		})
 		node.Board.Reliable().SetStallHandler(func(route []byte) bool {
 			return h.onStall(node, route)

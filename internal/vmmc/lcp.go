@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/lanai"
 	"repro/internal/mem"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
@@ -76,8 +77,10 @@ type LCP struct {
 	recvOff    int    // receive staging
 	scratchOff int    // 8-byte completion scratch
 
-	// The LCP's simulation processes, killed at node crash.
-	rxProc, mainProc *simProc
+	// The board's receive engine feeding rxq, and the LCP's own process;
+	// both end at node crash.
+	rx       *lanai.Receiver
+	mainProc *simProc
 
 	stats LCPStats
 
@@ -260,16 +263,8 @@ func newLCP(n *Node, routes myrinet.RouteTable) (*LCP, error) {
 
 	// The receive engine drains arriving packets into SRAM autonomously
 	// (the net-to-SRAM DMA engine runs concurrently with the LANai CPU,
-	// §3), then hands them to the LCP. Back-to-back packets serialize at
-	// wire rate on this engine.
-	l.rxProc = n.Eng.Go(fmt.Sprintf("lcp:%d:rx", n.ID), func(p *simProc) {
-		p.SetDaemon(true)
-		for {
-			data, pk := n.Board.Receive(p)
-			l.rxq = append(l.rxq, rxItem{data: data, pk: pk})
-			l.work.Signal()
-		}
-	})
+	// §3), then hands them to the LCP.
+	l.rx = n.Board.StartReceiver(fmt.Sprintf("lcp:%d:rx", n.ID), l.arrive)
 	l.mainProc = n.Eng.Go(fmt.Sprintf("lcp:%d", n.ID), func(p *simProc) {
 		p.SetDaemon(true)
 		l.run(p)
@@ -277,12 +272,19 @@ func newLCP(n *Node, routes myrinet.RouteTable) (*LCP, error) {
 	return l, nil
 }
 
-// teardown kills the LCP's processes and releases its own SRAM — the crash
-// path, after every process has given its carve back (Process.release). A
-// restarted node builds a fresh LCP from scratch; nothing of this one
-// survives.
+// arrive queues a packet the receive engine passed up and rings the work
+// flag.
+func (l *LCP) arrive(data []byte, pk *myrinet.Packet) {
+	l.rxq = append(l.rxq, rxItem{data: data, pk: pk})
+	l.work.Signal()
+}
+
+// teardown stops the receive engine, kills the LCP's process and releases
+// its own SRAM — the crash path, after every process has given its carve
+// back (Process.release). A restarted node builds a fresh LCP from
+// scratch; nothing of this one survives.
 func (l *LCP) teardown() {
-	l.rxProc.Kill()
+	l.rx.Stop()
 	l.mainProc.Kill()
 	sram := l.node.Board.SRAM
 	sram.Free(l.codeOff)

@@ -255,3 +255,120 @@ func TestTeardownDuringChunkDMA(t *testing.T) {
 		})
 	}
 }
+
+// The receive engine is a chain of continuations, not a process: a crash
+// cannot cut the packet it is draining short, so the drain runs out its
+// time, and then the packet must go nowhere — not to the dead control
+// program, and not, when the node is back before the drain ends, to the
+// new one. An engine that was idle leaves no wait behind to take a packet
+// meant for its successor. Either way the restarted node's engine takes
+// the next packet on its first transmission, and the node ends where it
+// started.
+func TestTeardownDuringReceiveDMA(t *testing.T) {
+	const size = mem.PageSize
+	for _, tc := range []struct {
+		name                 string
+		midDrain, restartNow bool
+	}{
+		{"crash mid-drain", true, false},
+		{"crash and restart mid-drain", true, true},
+		{"crash while idle", false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reliableCluster(t, func(p *simProc, c *Cluster) {
+				node := c.Nodes[1]
+				base := takeBaseline(node, 0)
+				send, _ := c.Nodes[0].NewProcess(p)
+				src, _ := send.Malloc(size)
+				// deliver writes a page of fill into a fresh export on the
+				// receiver, as one packet; with wait unset it returns with the
+				// send posted.
+				deliver := func(tag uint32, fill byte, wait bool) (*Process, mem.VirtAddr) {
+					recv, err := node.NewProcess(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					buf, _ := recv.Malloc(size)
+					if err := recv.Export(p, tag, buf, size, nil, false); err != nil {
+						t.Fatal(err)
+					}
+					dest, _, err := send.Import(p, node.ID, tag)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := send.Write(src, bytes.Repeat([]byte{fill}, size)); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := send.SendMsg(p, src, dest, size, SendOptions{}); err != nil {
+						t.Fatal(err)
+					}
+					if wait {
+						recv.SpinByte(p, buf+size-1, fill)
+					}
+					return recv, buf
+				}
+
+				if tc.midDrain {
+					deliver(9, 0x11, false)
+					for !node.Board.NetRecv.Busy() {
+						p.Sleep(sim.Micros(1))
+					}
+				}
+				old := node.LCP
+				transfers, _ := node.Board.NetRecv.Stats()
+				in := old.Stats().PacketsIn
+
+				c.CrashNode(node.ID)
+				if tc.restartNow {
+					if err := c.RestartNode(node.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if tc.midDrain && !node.Board.NetRecv.Busy() {
+					t.Error("the crash cut a receive DMA short: the engine is free before the transfer's time is up")
+				}
+				p.Sleep(sim.Micros(50)) // a 4 KB drain is about 26 us
+				if node.Board.NetRecv.Busy() {
+					t.Error("net-receive engine still held after the transfer's end")
+				}
+				if n, _ := node.Board.NetRecv.Stats(); tc.midDrain && n != transfers+1 {
+					t.Errorf("%d receive DMAs completed after the crash, want the one in flight", n-transfers)
+				}
+				if len(old.rxq) != 0 || old.Stats().PacketsIn != in {
+					t.Errorf("the dead LCP was handed %d packets", len(old.rxq)+int(old.Stats().PacketsIn-in))
+				}
+				if !tc.restartNow {
+					if err := c.RestartNode(node.ID); err != nil {
+						t.Fatal(err)
+					}
+				} else if l := node.LCP; len(l.rxq) != 0 || l.Stats().PacketsIn != 0 {
+					t.Errorf("the restarted LCP was handed the dead engine's packet")
+				}
+
+				transfers, _ = node.Board.NetRecv.Stats()
+				retx := c.Nodes[0].Board.Reliable().Retransmits
+				next, buf := deliver(10, 0x22, true)
+				if got, _ := next.Read(buf, size); !bytes.Equal(got, bytes.Repeat([]byte{0x22}, size)) {
+					t.Error("the packet after the restart did not arrive whole")
+				}
+				n, _ := node.Board.NetRecv.Stats()
+				if got := c.Nodes[0].Board.Reliable().Retransmits - retx; n != transfers+1 || got != 0 {
+					t.Errorf("the packet after the restart took %d drains and %d retransmissions, want 1 and 0", n-transfers, got)
+				}
+				if n := node.LCP.Stats().PacketsIn; n != 1 {
+					t.Errorf("the restarted LCP took %d packets, want the one sent to it", n)
+				}
+				for _, proc := range []*Process{send, next} { // the importer's release reaches the exporter's daemon over Ethernet
+					if err := proc.Close(p); err != nil {
+						t.Error(err)
+						return
+					}
+					p.Sleep(5 * sim.Millisecond)
+				}
+				if got := takeBaseline(node, 0); got != base {
+					t.Errorf("after the restart %+v, want the baseline %+v", got, base)
+				}
+			})
+		})
+	}
+}

@@ -15,17 +15,17 @@ func testCluster(t *testing.T, n int, fn func(p *simProc, c *Cluster)) *Cluster 
 	// Every fire-and-forget test doubles as a buffer-ownership check: a
 	// packet buffer read after it went back to the free list reads 0xDB,
 	// and one written after it was injected fails the fabric's CRC oracle.
-	return startCluster(t, n, true, fn)
+	return startCluster(t, Options{Nodes: n}, true, fn)
 }
 
 // startCluster is testCluster with the fabric's two buffer oracles
 // optional: tests that count allocations or time the payload path run
 // without the poison fill and the eager CRC.
-func startCluster(t testing.TB, n int, oracles bool, fn func(p *simProc, c *Cluster)) *Cluster {
+func startCluster(t testing.TB, opts Options, oracles bool, fn func(p *simProc, c *Cluster)) *Cluster {
 	t.Helper()
 	eng := sim.NewEngine()
 	eng.VerifySkips()
-	c, err := NewCluster(eng, Options{Nodes: n})
+	c, err := NewCluster(eng, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
