@@ -111,7 +111,7 @@ func New(eng *sim.Engine, rig *testbed.Rig) *System {
 			for {
 				pkt := ep.injectq.Get(p)
 				p.Sleep(lanaiSend)
-				ep.host.Board.SendPacket(p, ep.host.Route, pkt)
+				ep.host.Board.SendPacket(p, ep.host.Peer, ep.host.Route, pkt)
 				ep.PacketsSent++
 			}
 		})
@@ -207,7 +207,7 @@ func (ep *Endpoint) handlePacket(p *sim.Proc, pk *myrinet.Packet) {
 		ep.unacked++
 		if ep.unacked >= ep.batch {
 			ep.unacked = 0
-			host.Board.SendPacket(p, host.Route, encodeHeader(ptCredit, 0, 0, 0))
+			host.Board.SendPacket(p, host.Peer, host.Route, encodeHeader(ptCredit, 0, 0, 0))
 		}
 	}
 }

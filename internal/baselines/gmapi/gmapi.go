@@ -97,7 +97,7 @@ func (ep *Endpoint) Send(p *sim.Proc, data []byte) {
 		binary.BigEndian.PutUint32(hdr[0:], msgID)
 		binary.BigEndian.PutUint32(hdr[4:], uint32(total))
 		binary.BigEndian.PutUint16(hdr[8:], checksum(data[off:off+n]))
-		host.Board.SendPacket(p, host.Route, append(hdr, data[off:off+n]...))
+		host.Board.SendPacket(p, host.Peer, host.Route, append(hdr, data[off:off+n]...))
 		if total == 0 {
 			break
 		}

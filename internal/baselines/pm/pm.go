@@ -126,7 +126,7 @@ func (ch *Channel) Send(p *sim.Proc, from int, data []byte, includeCopy bool) er
 		// Eager small-message path: PIO straight into LANai memory.
 		host.CPU.MMIOWriteBytes(p, headerBytes+len(data))
 		p.Sleep(postCost + lanaiPickup)
-		host.Board.SendPacket(p, host.Route, append(hdr0, data...))
+		host.Board.SendPacket(p, host.Peer, host.Route, append(hdr0, data...))
 		return nil
 	}
 	host.CPU.MMIOWriteWords(p, 4)
@@ -172,7 +172,7 @@ func (ch *Channel) Send(p *sim.Proc, from int, data []byte, includeCopy bool) er
 		hdr[0] = byte(ch.id)
 		binary.BigEndian.PutUint32(hdr[2:], uint32(total))
 		binary.BigEndian.PutUint32(hdr[6:], uint32(u.off))
-		host.Board.SendPacket(p, host.Route, append(hdr, data[u.off:u.off+u.n]...))
+		host.Board.SendPacket(p, host.Peer, host.Route, append(hdr, data[u.off:u.off+u.n]...))
 		if u.off+u.n >= total && !dmaBusy && staged == nil {
 			break
 		}

@@ -25,7 +25,8 @@ type Host struct {
 	PCI   *bus.Bus
 	CPU   *hostcpu.CPU
 	Board *lanai.Board
-	// Route reaches the peer host.
+	// Peer is the other host's NIC id, and Route reaches it.
+	Peer  int
 	Route []byte
 }
 
@@ -57,6 +58,7 @@ func New(eng *sim.Engine, prof hw.Profile) (*Rig, error) {
 			PCI:   pci,
 			CPU:   hostcpu.New(eng, prof, pci),
 			Board: lanai.NewBoard(eng, prof, nic, phys, pci),
+			Peer:  1 - i,
 			Route: []byte{byte(1 - i)},
 		}
 	}

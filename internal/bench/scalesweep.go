@@ -173,25 +173,13 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, e
 	// outgoing page table even at 256 nodes.
 	window := nodes * mem.PageSize
 	memBytes := window + 64*mem.PageSize
-	// Scale tuning. Two defaults in the link layer are sized for the
-	// paper's 4-node, single-switch testbed and collapse on a deep switch
-	// chain:
-	//   - stragglers (in-sequence packets the every-4th-packet ack skips) are
-	//     acknowledged only by the sender's timeout-retransmit round, so
-	//     this workload's sparse per-pair traffic pays a redundant
-	//     retransmission per message. A delayed ack well under the RTO
-	//     acks each step's packet promptly instead.
-	//   - the 2 ms MaxRTO clamp caps the sender's patience at ~11 ms,
-	//     while a large all-to-all step legitimately queues more than
-	//     that behind the chain's trunk links. An impatient sender
-	//     retransmits whole go-back-N windows into the congestion, the
-	//     spiral exhausts the retry budget, and healthy peers are
-	//     declared unreachable. Raising the clamp and the budget lets the
-	//     adaptive RTO track the real (milliseconds) RTT.
+	// Stragglers (in-sequence packets the every-4th-packet ack skips) are
+	// acknowledged by default only by the sender's timeout-retransmit
+	// round, so this workload's sparse per-pair traffic would pay a
+	// redundant retransmission per message. A delayed ack well under the
+	// RTO acks each step's packet promptly instead.
 	relCfg := lanai.DefaultReliability()
 	relCfg.AckDelay = 25 * sim.Microsecond
-	relCfg.MaxRTO = 50 * sim.Millisecond
-	relCfg.MaxRetries = 12
 	c, err := cl.newCluster(vmmc.Options{
 		Nodes: nodes, MemBytes: memBytes, Reliable: true, Reliability: &relCfg,
 	})
@@ -332,6 +320,13 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, e
 	})
 	if err != nil {
 		return ScaleResult{}, nil, err
+	}
+	// The fabric is fault-free, so a peer declared unreachable is a
+	// link-layer bug, not a result.
+	for _, n := range c.Nodes {
+		if k := n.Board.Reliable().Unreachables; k > 0 {
+			return ScaleResult{}, nil, cl.fail(fmt.Errorf("node %d declared a healthy peer unreachable %d times", n.ID, k))
+		}
 	}
 
 	st := eng.SchedStats()

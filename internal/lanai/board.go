@@ -195,37 +195,37 @@ func (b *Board) NewFrame(n int) []byte {
 // — what pacing charges for, the link headroom excluded.
 func (b *Board) PayloadLen(frame []byte) int { return len(frame) - b.headroom() }
 
-// SendPacket injects a copy of payload along route: the convenience form
-// for callers that do not build frames (and whose receivers do not hand
-// buffers back, so the copy is a plain allocation of its own size). The
-// net-send DMA engine feeds the link directly, so wire serialization is
-// charged once (inside the NIC injection) plus the engine's start cost.
-// With the optional reliability layer enabled, the packet goes through
-// its send window instead, and the call can fail with ErrPeerUnreachable
-// when the destination's retransmit budget is exhausted. Without the
-// layer, sends never fail: the paper's configuration fires and forgets
-// (§4.2).
-func (b *Board) SendPacket(p *sim.Proc, route []byte, payload []byte) error {
+// SendPacket injects a copy of payload along route to NIC dst: the
+// convenience form for callers that do not build frames (and whose
+// receivers do not hand buffers back, so the copy is a plain allocation of
+// its own size). The net-send DMA engine feeds the link directly, so wire
+// serialization is charged once (inside the NIC injection) plus the
+// engine's start cost. With the optional reliability layer enabled, the
+// packet goes through its send window instead, and the call can fail with
+// ErrPeerUnreachable when the destination's retransmit budget is
+// exhausted. Without the layer, sends never fail: the paper's
+// configuration fires and forgets (§4.2).
+func (b *Board) SendPacket(p *sim.Proc, dst int, route []byte, payload []byte) error {
 	h := b.headroom()
 	frame := make([]byte, h+len(payload))
 	copy(frame[h:], payload)
-	return b.SendFrameCharged(p, route, frame, 0)
+	return b.SendFrameCharged(p, dst, route, frame, 0)
 }
 
-// SendFrameCharged injects a frame built on NewFrame within a traffic
-// class whose pacing charge the caller has already committed (via
-// LinkScheduler.TryCharge); the board itself never paces. With the
-// reliability layer enabled the packet rides the class's own transmit
-// window, so a class teardown cannot disturb other classes' sequence
-// state. Class 0 is the default shared class — SendPacket uses it — and
-// is never paced or torn down by class.
+// SendFrameCharged injects a frame built on NewFrame along route to NIC
+// dst, within a traffic class whose pacing charge the caller has already
+// committed (via LinkScheduler.TryCharge); the board itself never paces.
+// With the reliability layer enabled the packet rides the transmit window
+// of its (dst, class) conversation, so a class teardown cannot disturb
+// other classes' sequence state. Class 0 is the default shared class —
+// SendPacket uses it — and is never paced or torn down by class.
 //
 // The frame changes hands: fire-and-forget, it belongs to the fabric and
 // then to whoever receives it; with the reliability layer, to the
 // transmit window.
-func (b *Board) SendFrameCharged(p *sim.Proc, route []byte, frame []byte, class int) error {
+func (b *Board) SendFrameCharged(p *sim.Proc, dst int, route []byte, frame []byte, class int) error {
 	if b.reliable != nil {
-		return b.reliable.send(p, route, frame, class)
+		return b.reliable.send(p, dst, route, frame, class)
 	}
 	b.NetSend.TransferWith(p, 0, b.Prof.NetSend) // engine start only
 	b.NIC.SendOwned(p, route, frame)

@@ -284,7 +284,7 @@ func TestSendPacketReachesWire(t *testing.T) {
 	var got *myrinet.Packet
 	e.Go("recv", func(p *sim.Proc) { got = nicB.RX.Get(p) })
 	e.Go("lcp", func(p *sim.Proc) {
-		b.SendPacket(p, []byte{1}, []byte("via board"))
+		b.SendPacket(p, nicB.ID, []byte{1}, []byte("via board"))
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -294,29 +294,93 @@ func TestSendPacketReachesWire(t *testing.T) {
 	}
 }
 
-// A bit error on a reliable link must damage one transmission, not the
-// frame: the retransmit window holds the very buffer that went out, so a
-// flip made in place would be resent under a CRC computed over the damage
-// and delivered as good data.
-func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
-	e := sim.NewEngine()
+// reliablePair attaches two boards with the link layer on to either end of
+// a chain of switches (port 7 forward, port 6 back): a to port 0 of the
+// first, b to port 1 of the last. route leads from a to b.
+func reliablePair(t *testing.T, switches int, cfg ReliabilityConfig) (e *sim.Engine, net *myrinet.Network, a, b *Board, route []byte) {
+	t.Helper()
+	e = sim.NewEngine()
 	prof := hw.Default()
-	net := myrinet.New(e, prof)
-	sw := net.AddSwitch(8)
+	net = myrinet.New(e, prof)
+	chain := make([]*myrinet.Switch, switches)
+	for i := range chain {
+		chain[i] = net.AddSwitch(8)
+		if i > 0 {
+			if err := net.ConnectSwitches(chain[i-1], 7, chain[i], 6); err != nil {
+				t.Fatal(err)
+			}
+			route = append(route, 7)
+		}
+	}
+	route = append(route, 1)
 	var boards [2]*Board
-	for i := range boards {
+	for i, sw := range []*myrinet.Switch{chain[0], chain[switches-1]} {
 		nic := net.AddNIC()
 		if err := net.AttachNIC(nic, sw, i); err != nil {
 			t.Fatal(err)
 		}
 		boards[i] = NewBoard(e, prof, nic, mem.NewPhysical(16*mem.PageSize), bus.New(e, "pci"))
-		cfg := DefaultReliability()
-		cfg.AckDelay = 25 * sim.Microsecond // a lone packet is acknowledged promptly, not by a second timeout
 		if _, err := boards[i].EnableReliability(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a, b := boards[0], boards[1]
+	return e, net, boards[0], boards[1], route
+}
+
+// Two traffic classes toward one peer are two conversations: each keeps
+// its own sequence stream at the receiver, and an ack trims only the
+// window of the class it names. The peer is seven switches away: an ack
+// must find its window however long the route.
+func TestClassesKeepIndependentWindows(t *testing.T) {
+	e, _, a, b, route := reliablePair(t, 7, DefaultReliability())
+	var got []string
+	b.StartReceiver("b:rx", func(data []byte, _ *myrinet.Packet) { got = append(got, string(data)) })
+	a.StartReceiver("a:rx", func([]byte, *myrinet.Packet) {}) // consumes the acks
+	send := func(p *sim.Proc, class int, msg string) {
+		if err := a.SendFrameCharged(p, b.NIC.ID, route, append(a.NewFrame(len(msg)), msg...), class); err != nil {
+			t.Error(err)
+		}
+	}
+	e.Go("a:tx", func(p *sim.Proc) {
+		// Class 1 sends sequences 0-2, which the every-4th-packet cadence
+		// leaves unacknowledged; class 0 then sends its own 0-3, whose
+		// fourth packet draws an ack.
+		for i := 0; i < 3; i++ {
+			send(p, 1, "one")
+		}
+		for i := 0; i < 4; i++ {
+			send(p, 0, "zero")
+		}
+		// Well inside the 200 us initial timeout: the class 0 ack is back,
+		// nothing has been retransmitted.
+		p.Sleep(100 * sim.Microsecond)
+		rl := a.Reliable()
+		if rl.Unacked(0) != 0 || rl.Unacked(1) != 3 {
+			t.Errorf("unacked = %d in class 0 and %d in class 1, want 0 and 3", rl.Unacked(0), rl.Unacked(1))
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if rl := b.Reliable(); rl.Deliveries != 7 || rl.GapDrops != 0 {
+		t.Errorf("receiver took %d in sequence with %d gap drops, want 7 and 0", rl.Deliveries, rl.GapDrops)
+	}
+	if len(got) != 7 {
+		t.Errorf("%d deliveries, want 7: %q", len(got), got)
+	}
+	if rl := a.Reliable(); rl.Unacked(0) != 0 || rl.Unacked(1) != 0 {
+		t.Errorf("windows still hold %d and %d packets once quiet", rl.Unacked(0), rl.Unacked(1))
+	}
+}
+
+// A bit error on a reliable link must damage one transmission, not the
+// frame: the retransmit window holds the very buffer that went out, so a
+// flip made in place would be resent under a CRC computed over the damage
+// and delivered as good data.
+func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
+	cfg := DefaultReliability()
+	cfg.AckDelay = 25 * sim.Microsecond // a lone packet is acknowledged promptly, not by a second timeout
+	e, net, a, b, route := reliablePair(t, 1, cfg)
 	payload := bytes.Repeat([]byte("chunk "), 600)
 
 	var got [][]byte
@@ -327,7 +391,7 @@ func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
 		net.SetFaults(pl)
 		pl.CorruptNextOn(a.NIC.ID, 1)
 		frame := append(a.NewFrame(len(payload)), payload...)
-		if err := a.SendFrameCharged(p, []byte{1}, frame, 0); err != nil {
+		if err := a.SendFrameCharged(p, b.NIC.ID, route, frame, 0); err != nil {
 			t.Error(err)
 			return
 		}

@@ -1,7 +1,6 @@
 package lanai
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,12 +27,13 @@ var ErrPeerUnreachable = errors.New("lanai: peer unreachable, retransmit budget 
 //
 // Design: go-back-N between NIC pairs, sender-driven.
 //
-//   - every outgoing data packet is framed with [type, senderNIC, seq]
-//     and held in an SRAM retransmit window until acknowledged;
-//   - the receiver tracks the expected sequence per sender; in-sequence
-//     packets are delivered and (cumulatively) acknowledged along the
-//     reversed ingress route; anything else — CRC damage, or the gap an
-//     earlier CRC drop leaves — is discarded;
+//   - every outgoing data packet is framed with [type, senderNIC, seq,
+//     class] and held in an SRAM retransmit window until acknowledged;
+//   - the receiver tracks the expected sequence per (sender, class); in-
+//     sequence packets are delivered and (cumulatively) acknowledged, with
+//     [type, ackerNIC, ackSeq, class], along the reversed ingress route;
+//     anything else — CRC damage, or the gap an earlier CRC drop leaves —
+//     is discarded;
 //   - a timer retransmits the whole unacknowledged window when the oldest
 //     packet outlives the timeout; the timeout adapts to the measured
 //     round-trip time (Karn's rule: retransmitted packets never produce
@@ -50,27 +50,18 @@ type ReliableLink struct {
 	board *Board
 	cfg   ReliabilityConfig
 
-	// tx holds the per-(destination, traffic-class) transmit windows,
-	// keyed by a stable window key: the route-hash of the route the
-	// conversation started on, folded with the traffic class (classes
-	// give tenants independent windows toward the same peer, so dropping
-	// one tenant's windows cannot disturb another's sequence state). The
-	// key rides in every data packet and is echoed in acks, so a
-	// heal-driven route swap never strands an in-flight ack.
-	tx map[int]*txState
-	// routeKey aliases the class-folded hash of a window's *current*
-	// route to its stable key; SwapRoute rewrites the alias, not the
-	// window.
-	routeKey map[int]int
-	// Per (source NIC id, window key): next expected sequence. Keying by
-	// window as well as sender keeps the per-class sequence streams of
-	// one sender independent; for single-class traffic the window key is
-	// stable per sender, so this degenerates to the per-sender sequencing
-	// the layer started with.
-	rxExpected map[rxKey]uint32
-	// Per (source NIC id, window key): armed delayed-ack state
+	// tx holds the transmit windows, one per conversation: a destination
+	// NIC and a traffic class (classes give tenants independent windows
+	// toward the same peer, so dropping one tenant's windows cannot
+	// disturb another's sequence state). Data packets carry the sender's
+	// NIC id and the class, acks the acker's NIC id and the class, so
+	// either end finds the conversation whatever route a packet took.
+	tx map[conv]*txState
+	// Per conversation with a sending peer: next expected sequence.
+	rxExpected map[conv]uint32
+	// Per conversation with a sending peer: armed delayed-ack state
 	// (AckDelay > 0 only).
-	rxAckPending map[rxKey]*pendingAck
+	rxAckPending map[conv]*pendingAck
 
 	windowFree *sim.Cond
 	sramOff    int
@@ -82,7 +73,7 @@ type ReliableLink struct {
 
 	// onStall, when set, is consulted instead of declaring a destination
 	// unreachable; see SetStallHandler.
-	onStall func(route []byte) bool
+	onStall func(peer int) bool
 
 	// Stats.
 	Retransmits  int64
@@ -150,24 +141,22 @@ func DefaultReliability() ReliabilityConfig {
 // ack is cumulative: it reads rxExpected at fire time, so packets landing
 // while the timer runs are covered without re-arming.
 type pendingAck struct {
-	timer  *sim.Event
-	route  []byte // reversed ingress back to the sender
-	winKey uint32
+	timer *sim.Event
+	route []byte // reversed ingress back to the sender
 }
 
-// rxKey identifies one receive-side sequence stream: one sender NIC's
-// conversation through one transmit window.
-type rxKey struct {
-	sender int
-	win    uint32
+// conv names one reliable conversation from this board's side: the NIC at
+// the other end and the traffic class (0 = default).
+type conv struct {
+	peer, class int
 }
 
 type txState struct {
-	// key is the stable window key (see ReliableLink.tx); route is the
-	// current route, which a heal may swap while the window lives.
-	key     int
+	// conv is the window's destination and class; route is the current
+	// route to the destination, which a heal may replace while the window
+	// lives.
+	conv    conv
 	route   []byte
-	class   int // traffic class the window belongs to (0 = default)
 	nextSeq uint32
 	// unacked[0] is the oldest in-flight packet.
 	unacked []bufferedPacket
@@ -202,7 +191,7 @@ type bufferedPacket struct {
 const (
 	linkData    = 0xD1
 	linkAck     = 0xA1
-	linkHdrSize = 13 // type(1) + sender/window(4) + seq(4) + window/spare(4)
+	linkHdrSize = 13 // type(1) + sender or acker NIC(4) + seq(4) + class(4)
 )
 
 // EnableReliability installs the link layer on the board. It must be
@@ -218,10 +207,9 @@ func (b *Board) EnableReliability(cfg ReliabilityConfig) (*ReliableLink, error) 
 	rl := &ReliableLink{
 		board:        b,
 		cfg:          cfg,
-		tx:           make(map[int]*txState),
-		routeKey:     make(map[int]int),
-		rxExpected:   make(map[rxKey]uint32),
-		rxAckPending: make(map[rxKey]*pendingAck),
+		tx:           make(map[conv]*txState),
+		rxExpected:   make(map[conv]uint32),
+		rxAckPending: make(map[conv]*pendingAck),
 		windowFree:   sim.NewCond(b.Eng),
 		sramOff:      off,
 		comp:         comp,
@@ -250,31 +238,38 @@ func (rl *ReliableLink) emitWindowOccupancy(st *txState) {
 }
 
 // putLinkHdr writes a link-layer header into the first linkHdrSize bytes
-// of frame: data packets carry the sender NIC (for per-sender receive
-// sequencing) and the sender's window key (echoed back in acks so exactly
-// one retransmit window is trimmed); acks carry the window key and the
-// cumulative ack sequence.
-func putLinkHdr(frame []byte, typ byte, sender int, seq uint32, winKey uint32) {
+// of frame, naming the conversation by this board's NIC id and the class:
+// a data packet's receiver sequences it per (sender, class), and an ack
+// trims exactly the (acker, class) window at the sender. seq is the data
+// sequence number or the cumulative ack.
+func (rl *ReliableLink) putLinkHdr(frame []byte, typ byte, seq uint32, class int) {
 	frame[0] = typ
-	binary.BigEndian.PutUint32(frame[1:], uint32(sender))
+	binary.BigEndian.PutUint32(frame[1:], uint32(rl.board.NIC.ID))
 	binary.BigEndian.PutUint32(frame[5:], seq)
-	binary.BigEndian.PutUint32(frame[9:], winKey)
+	binary.BigEndian.PutUint32(frame[9:], uint32(class))
+}
+
+// readLinkHdr is putLinkHdr's inverse for a frame of at least linkHdrSize
+// bytes: the conversation as the receiving board names it, and seq.
+func readLinkHdr(frame []byte) (conv, uint32) {
+	peer := int(binary.BigEndian.Uint32(frame[1:]))
+	class := int(binary.BigEndian.Uint32(frame[9:]))
+	return conv{peer: peer, class: class}, binary.BigEndian.Uint32(frame[5:])
 }
 
 // send transmits a frame — payload behind linkHdrSize bytes of headroom,
-// as Board.NewFrame lays it out — reliably along route to the destination
-// NIC, inside the transmit window of the given traffic class. It blocks
-// while the window is full and fails with ErrPeerUnreachable when the
-// destination's retransmit budget is exhausted while waiting. The frame
-// becomes the window's: the header goes into the headroom and the same
-// buffer serves every (re)transmission until it is acknowledged.
-func (rl *ReliableLink) send(p *sim.Proc, route []byte, frame []byte, class int) error {
-	st, ok := rl.stateFor(route, class)
-	if !ok {
-		key := classKey(rl.destOf(route), class)
-		st = &txState{key: key, route: append([]byte(nil), route...), class: class}
-		rl.tx[key] = st
-		rl.routeKey[key] = key
+// as Board.NewFrame lays it out — reliably to NIC dst, inside the transmit
+// window of the given traffic class; a new window starts out on route. It
+// blocks while the window is full and fails with ErrPeerUnreachable when
+// the destination's retransmit budget is exhausted while waiting. The
+// frame becomes the window's: the header goes into the headroom and the
+// same buffer serves every (re)transmission until it is acknowledged.
+func (rl *ReliableLink) send(p *sim.Proc, dst int, route []byte, frame []byte, class int) error {
+	k := conv{peer: dst, class: class}
+	st := rl.tx[k]
+	if st == nil {
+		st = &txState{conv: k, route: append([]byte(nil), route...)}
+		rl.tx[k] = st
 	}
 	for len(st.unacked) >= rlWindow {
 		rl.WindowStalls++
@@ -289,7 +284,7 @@ func (rl *ReliableLink) send(p *sim.Proc, route []byte, frame []byte, class int)
 	p.Sleep(rlPerPacketCost)
 	seq := st.nextSeq
 	st.nextSeq++
-	putLinkHdr(frame, linkData, rl.board.NIC.ID, seq, uint32(st.key))
+	rl.putLinkHdr(frame, linkData, seq, class)
 	st.unacked = append(st.unacked, bufferedPacket{seq: seq, frame: frame, sentAt: p.Now()})
 	rl.emitWindowOccupancy(st)
 	rl.armTimer(st)
@@ -305,60 +300,19 @@ func (rl *ReliableLink) send(p *sim.Proc, route []byte, frame []byte, class int)
 	return nil
 }
 
-// stateFor resolves the transmit window a (route, class) pair currently
-// maps to.
-func (rl *ReliableLink) stateFor(route []byte, class int) (*txState, bool) {
-	key, ok := rl.routeKey[classKey(rl.destOf(route), class)]
-	if !ok {
-		return nil, false
-	}
-	st, ok := rl.tx[key]
-	return st, ok
-}
-
-// statesFor collects every class's window currently routed via route, in
-// deterministic (key-sorted) order. Route-level operations — heals,
-// peer resets — apply to all of them: the classes share the physical
-// path even though their sequence streams are independent.
-func (rl *ReliableLink) statesFor(route []byte) []*txState {
+// windowsTo collects every class's window toward NIC peer, in class
+// order. Peer-level operations — heals, peer resets — apply to all of
+// them: the classes share the physical path even though their sequence
+// streams are independent.
+func (rl *ReliableLink) windowsTo(peer int) []*txState {
 	var sts []*txState
-	for _, st := range rl.tx {
-		if bytes.Equal(st.route, route) {
+	for k, st := range rl.tx {
+		if k.peer == peer {
 			sts = append(sts, st)
 		}
 	}
-	sort.Slice(sts, func(i, j int) bool { return sts[i].key < sts[j].key })
+	sort.Slice(sts, func(i, j int) bool { return sts[i].conv.class < sts[j].conv.class })
 	return sts
-}
-
-// classKey folds a traffic class into a route-hash window key. Class 0
-// (the default, and the only class single-tenant configurations ever
-// use) maps to the bare route hash, keeping its wire-visible window keys
-// identical to the pre-class protocol. Nonzero classes are mixed through
-// an avalanche so distinct (destination, class) pairs land on distinct
-// keys; a collision would merely merge two windows, which stays correct
-// for delivery (and is vanishingly unlikely to cross classes).
-func classKey(h, class int) int {
-	if class == 0 {
-		return h
-	}
-	x := uint32(h) ^ (uint32(class)*0x9e3779b9 + 0x7f4a7c15)
-	x ^= x >> 16
-	x *= 0x85ebca6b
-	x ^= x >> 13
-	return int(x)
-}
-
-// destOf resolves the destination NIC of a route for window bookkeeping.
-func (rl *ReliableLink) destOf(route []byte) int {
-	// The route uniquely determines the destination in a static fabric;
-	// key the window by the route bytes' hash to avoid needing topology
-	// knowledge. Collisions only merge windows, which stays correct.
-	h := 0
-	for _, b := range route {
-		h = h*31 + int(b) + 1
-	}
-	return h
 }
 
 // rto is the current retransmission timeout for one destination: the
@@ -409,7 +363,7 @@ func (rl *ReliableLink) retransmit(st *txState) {
 		return
 	}
 	if st.retries >= rl.cfg.MaxRetries {
-		if rl.onStall != nil && rl.onStall(append([]byte(nil), st.route...)) {
+		if rl.onStall != nil && rl.onStall(st.conv.peer) {
 			rl.suspend(st)
 			return
 		}
@@ -462,28 +416,22 @@ func (rl *ReliableLink) declareUnreachable(st *txState) {
 
 // kill discards one transmit window, whatever the reason — retransmit
 // budget exhausted, board reset, peer restart, class teardown: its packets
-// drop, its timer stops, and the window and every route alias pointing at
-// it are forgotten, so a later send starts a fresh conversation at sequence
-// zero. Senders parked on the window read it as dead once the caller
-// broadcasts windowFree.
+// drop, its timer stops, and the window is forgotten, so a later send
+// starts a fresh conversation at sequence zero. Senders parked on the
+// window read it as dead once the caller broadcasts windowFree.
 func (rl *ReliableLink) kill(st *txState) {
 	st.dead = true
 	st.suspended = false
 	st.unacked = nil
 	st.stopTimer()
-	delete(rl.tx, st.key)
-	for k, v := range rl.routeKey {
-		if v == st.key {
-			delete(rl.routeKey, k)
-		}
-	}
+	delete(rl.tx, st.conv)
 }
 
 // handleAck processes a cumulative acknowledgement for packets < ackSeq in
-// the window identified by winKey.
-func (rl *ReliableLink) handleAck(winKey int, ackSeq uint32) {
-	st, ok := rl.tx[winKey]
-	if !ok {
+// the window of conversation k.
+func (rl *ReliableLink) handleAck(k conv, ackSeq uint32) {
+	st := rl.tx[k]
+	if st == nil {
 		return
 	}
 	trimmed := false
@@ -533,32 +481,31 @@ func (rl *ReliableLink) Reset() {
 	for _, st := range rl.tx {
 		rl.kill(st)
 	}
-	rl.rxExpected = make(map[rxKey]uint32)
+	rl.rxExpected = make(map[conv]uint32)
 	for k := range rl.rxAckPending {
 		rl.cancelDelayedAck(k)
 	}
 	rl.windowFree.Broadcast()
 }
 
-// ResetPeer forgets the conversation with one peer: every class's
-// transmit window toward route and all receive sequencing from NIC nic.
-// Surviving nodes call this when a peer restarts, so its fresh sequence
-// numbers are accepted (the restart announcement of a real
-// implementation).
-func (rl *ReliableLink) ResetPeer(route []byte, nic int) {
-	if sts := rl.statesFor(route); len(sts) > 0 {
+// ResetPeer forgets every conversation with NIC nic: each class's transmit
+// window toward it and all receive sequencing from it. Surviving nodes
+// call this when a peer restarts, so its fresh sequence numbers are
+// accepted (the restart announcement of a real implementation).
+func (rl *ReliableLink) ResetPeer(nic int) {
+	if sts := rl.windowsTo(nic); len(sts) > 0 {
 		for _, st := range sts {
 			rl.kill(st)
 		}
 		rl.windowFree.Broadcast()
 	}
 	for k := range rl.rxExpected {
-		if k.sender == nic {
+		if k.peer == nic {
 			delete(rl.rxExpected, k)
 		}
 	}
 	for k := range rl.rxAckPending {
-		if k.sender == nic {
+		if k.peer == nic {
 			rl.cancelDelayedAck(k)
 		}
 	}
@@ -576,18 +523,15 @@ func (rl *ReliableLink) DropClass(class int) {
 	if class == 0 {
 		return
 	}
-	var doomed []*txState
-	for _, st := range rl.tx {
-		if st.class == class {
-			doomed = append(doomed, st)
+	dropped := false
+	for k, st := range rl.tx {
+		if k.class == class {
+			rl.kill(st)
+			dropped = true
 		}
 	}
-	if len(doomed) == 0 {
+	if !dropped {
 		return
-	}
-	sort.Slice(doomed, func(i, j int) bool { return doomed[i].key < doomed[j].key })
-	for _, st := range doomed {
-		rl.kill(st)
 	}
 	rl.board.Eng.TraceInstant(rl.comp, "rl", fmt.Sprintf("class_dropped:%d", class))
 	rl.windowFree.Broadcast()
@@ -598,8 +542,8 @@ func (rl *ReliableLink) DropClass(class int) {
 // buffers, which a teardown of its owner must return.
 func (rl *ReliableLink) Unacked(class int) int {
 	n := 0
-	for _, st := range rl.tx {
-		if st.class == class {
+	for k, st := range rl.tx {
+		if k.class == class {
 			n += len(st.unacked)
 		}
 	}
@@ -610,31 +554,27 @@ func (rl *ReliableLink) Unacked(class int) int {
 // retransmit budget runs out. Returning true suspends the window — the
 // buffered packets and parked senders wait for a heal — instead of
 // declaring the peer unreachable; the caller is then responsible for
-// eventually calling Resume or Abandon. The handler runs in event context
-// and must not block; it receives a copy of the window's current route.
-func (rl *ReliableLink) SetStallHandler(fn func(route []byte) bool) { rl.onStall = fn }
+// eventually calling Resume or Abandon with the same peer. The handler
+// runs in event context and must not block; it receives the NIC id of the
+// window's destination.
+func (rl *ReliableLink) SetStallHandler(fn func(peer int) bool) { rl.onStall = fn }
 
-// SwapRoute re-routes every class's window currently reached via old
-// onto a new route without disturbing their sequence state: buffered
-// packets retransmit on the new path and in-flight acks still resolve,
-// because the window key carried in every data packet is stable across
-// swaps. It reports whether any window existed for old.
-func (rl *ReliableLink) SwapRoute(old, new []byte) bool {
-	sts := rl.statesFor(old)
-	for _, st := range sts {
-		delete(rl.routeKey, classKey(rl.destOf(st.route), st.class))
-		st.route = append([]byte(nil), new...)
-		rl.routeKey[classKey(rl.destOf(new), st.class)] = st.key
+// Reroute moves every class's window toward NIC dst onto route without
+// disturbing its sequence state: buffered packets retransmit on the new
+// path, and acks find their windows whichever way they travel, since an
+// ack names its window by the acker and the class.
+func (rl *ReliableLink) Reroute(dst int, route []byte) {
+	for _, st := range rl.windowsTo(dst) {
+		st.route = append([]byte(nil), route...)
 	}
-	return len(sts) > 0
 }
 
-// Resume reactivates the suspended windows on a healed route: the
-// retransmit budget resets and each whole unacked window goes out
-// immediately on the current (possibly swapped) route. Windows that are
-// not suspended are left untouched.
-func (rl *ReliableLink) Resume(route []byte) {
-	for _, st := range rl.statesFor(route) {
+// Resume reactivates the suspended windows toward NIC peer once a heal
+// found it again: the retransmit budget resets and each whole unacked
+// window goes out immediately on its current (possibly rerouted) route.
+// Windows that are not suspended are left untouched.
+func (rl *ReliableLink) Resume(peer int) {
+	for _, st := range rl.windowsTo(peer) {
 		if !st.suspended {
 			continue
 		}
@@ -647,12 +587,12 @@ func (rl *ReliableLink) Resume(route []byte) {
 	}
 }
 
-// Abandon gives up on a route's windows: the heal could not recover a
-// route within its budget. Equivalent to the retransmit budget running out
-// with no stall handler — parked and future senders fail with
-// ErrPeerUnreachable.
-func (rl *ReliableLink) Abandon(route []byte) {
-	for _, st := range rl.statesFor(route) {
+// Abandon gives up on the windows toward NIC peer: the heal could not
+// recover a route to it within its budget. Equivalent to the retransmit
+// budget running out with no stall handler — parked and future senders
+// fail with ErrPeerUnreachable.
+func (rl *ReliableLink) Abandon(peer int) {
+	for _, st := range rl.windowsTo(peer) {
 		rl.declareUnreachable(st)
 	}
 }
@@ -672,7 +612,7 @@ func (rl *ReliableLink) receive(pk *myrinet.Packet) bool {
 	}
 	switch pk.Payload[0] {
 	case linkAck:
-		rl.handleAck(int(binary.BigEndian.Uint32(pk.Payload[1:])), binary.BigEndian.Uint32(pk.Payload[5:]))
+		rl.handleAck(readLinkHdr(pk.Payload))
 	case linkData:
 		return true
 	}
@@ -685,10 +625,7 @@ func (rl *ReliableLink) receive(pk *myrinet.Packet) bool {
 // reversed ingress route before anything goes up (nil when the cadence
 // skips this frame).
 func (rl *ReliableLink) admit(pk *myrinet.Packet) (data, ack []byte) {
-	sender := int(binary.BigEndian.Uint32(pk.Payload[1:]))
-	seq := binary.BigEndian.Uint32(pk.Payload[5:])
-	winKey := binary.BigEndian.Uint32(pk.Payload[9:])
-	k := rxKey{sender: sender, win: winKey}
+	k, seq := readLinkHdr(pk.Payload)
 	expect := rl.rxExpected[k]
 	switch {
 	case seq == expect:
@@ -699,7 +636,7 @@ func (rl *ReliableLink) admit(pk *myrinet.Packet) (data, ack []byte) {
 		// the duplicate re-ack below.
 		if (seq+1)%rlAckEvery == 0 {
 			rl.cancelDelayedAck(k)
-			return pk.Payload[linkHdrSize:], ackFrame(winKey, seq+1)
+			return pk.Payload[linkHdrSize:], rl.ackFrame(k.class, seq+1)
 		}
 		if rl.cfg.AckDelay > 0 {
 			rl.armDelayedAck(k, pk)
@@ -715,14 +652,14 @@ func (rl *ReliableLink) admit(pk *myrinet.Packet) (data, ack []byte) {
 		rl.GapDrops++
 	}
 	rl.cancelDelayedAck(k)
-	return nil, ackFrame(winKey, expect)
+	return nil, rl.ackFrame(k.class, expect)
 }
 
 // ackFrame builds a cumulative acknowledgement of every packet below
-// ackSeq, echoing the sender's window key.
-func ackFrame(winKey, ackSeq uint32) []byte {
+// ackSeq in the class's conversation with the packets' sender.
+func (rl *ReliableLink) ackFrame(class int, ackSeq uint32) []byte {
 	ack := make([]byte, linkHdrSize)
-	putLinkHdr(ack, linkAck, int(winKey), ackSeq, 0)
+	rl.putLinkHdr(ack, linkAck, ackSeq, class)
 	return ack
 }
 
@@ -767,15 +704,15 @@ func (rl *ReliableLink) newAckTx() *ackTx {
 // armDelayedAck schedules a cumulative ack toward one sequence stream
 // unless one is already pending (the existing timer's ack covers the new
 // packet — the ack sequence is read at fire time).
-func (rl *ReliableLink) armDelayedAck(k rxKey, pk *myrinet.Packet) {
+func (rl *ReliableLink) armDelayedAck(k conv, pk *myrinet.Packet) {
 	if rl.rxAckPending[k] != nil {
 		return
 	}
-	pa := &pendingAck{route: myrinet.ReverseRoute(pk.Ingress), winKey: k.win}
+	pa := &pendingAck{route: myrinet.ReverseRoute(pk.Ingress)}
 	rl.rxAckPending[k] = pa
 	pa.timer = rl.board.Eng.After(rl.cfg.AckDelay, func() {
 		delete(rl.rxAckPending, k)
-		ack := ackFrame(pa.winKey, rl.rxExpected[k])
+		ack := rl.ackFrame(k.class, rl.rxExpected[k])
 		// The ack leaves one zero-delay event on, where a sender process
 		// spawned now would start.
 		rl.board.Eng.Post(0, func() { rl.sendAck(rl.dackLabel, pa.route, ack, nil) })
@@ -784,7 +721,7 @@ func (rl *ReliableLink) armDelayedAck(k rxKey, pk *myrinet.Packet) {
 
 // cancelDelayedAck withdraws a pending delayed ack; an immediate
 // cumulative ack for the same sequence stream supersedes it.
-func (rl *ReliableLink) cancelDelayedAck(k rxKey) {
+func (rl *ReliableLink) cancelDelayedAck(k conv) {
 	if pa := rl.rxAckPending[k]; pa != nil {
 		pa.timer.Cancel()
 		delete(rl.rxAckPending, k)

@@ -223,7 +223,9 @@ func centralExplore(probe func(route []byte) (int, bool), maxDepth int) {
 // equal port prefixes mean the same switch: with P(h) the probe route to
 // host h, R(h) the reply route back, and c the longest common switch
 // prefix of P(i) and P(j), the route i->j climbs i's reply route to the
-// divergence switch and descends j's probe route.
+// divergence switch and descends j's probe route. The loopback route i->i
+// is the last byte of P(i), the port host i hangs off: out to its own
+// switch and straight back (the prober's P is its own loopback probe).
 func composeCentralTables(proberID int, forward, back map[int][]byte) map[int]RouteTable {
 	tables := make(map[int]RouteTable)
 	hosts := []int{proberID}
@@ -235,10 +237,12 @@ func composeCentralTables(proberID int, forward, back map[int][]byte) map[int]Ro
 	for _, i := range hosts {
 		table := RouteTable{}
 		for _, j := range hosts {
-			if i == j {
-				continue
-			}
 			switch {
+			case i == j:
+				// No loopback on a direct cable: there is no switch to turn.
+				if pi := forward[i]; len(pi) > 0 {
+					table[i] = []byte{pi[len(pi)-1]}
+				}
 			case i == proberID:
 				table[j] = append([]byte(nil), forward[j]...)
 			case j == proberID:

@@ -189,9 +189,7 @@ func (c *Cluster) RestartNode(node int) error {
 			continue
 		}
 		if rl := peer.Board.Reliable(); rl != nil {
-			if route, ok := peer.LCP.routes[n.ID]; ok {
-				rl.ResetPeer(route, n.Board.NIC.ID)
-			}
+			rl.ResetPeer(node)
 		}
 	}
 	if c.healer != nil {

@@ -80,33 +80,55 @@ func TestUnexportForeignTagRejected(t *testing.T) {
 	})
 }
 
+// TestImportOfOwnNodeExport runs two processes on the SAME node: loopback
+// through the full stack, on every boot mapper's fabric — the exhaustive
+// one on a single switch, the central one on a switch chain and on the
+// diamond. The central mapper probes node 0's loopback route and composes
+// every other node's.
 func TestImportOfOwnNodeExport(t *testing.T) {
-	// Two processes on the SAME node: loopback through the full stack.
-	testCluster(t, 1, func(p *simProc, c *Cluster) {
-		exp, _ := c.Nodes[0].NewProcess(p)
-		imp, _ := c.Nodes[0].NewProcess(p)
-		buf, _ := exp.Malloc(mem.PageSize)
-		if err := exp.Export(p, 1, buf, mem.PageSize, nil, false); err != nil {
-			t.Fatal(err)
-		}
-		dest, _, err := imp.Import(p, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, _ := imp.Malloc(mem.PageSize)
-		if err := imp.Write(src, []byte("loopback")); err != nil {
-			t.Fatal(err)
-		}
-		// The packet goes out to the switch and back to the same NIC.
-		if err := imp.SendMsgSync(p, src, dest, 8, SendOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		exp.SpinByte(p, buf, 'l')
-		got, _ := exp.Read(buf, 8)
-		if string(got) != "loopback" {
-			t.Errorf("loopback data = %q", got)
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		opts Options
+		node int
+	}{
+		{"4 nodes", Options{Nodes: 4}, 1},
+		{"13-node chain", Options{Nodes: 13}, 0},
+		{"13-node chain off the prober", Options{Nodes: 13}, 7},
+		{"diamond", Options{Nodes: 4, BuildFabric: diamondFabric}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			startCluster(t, tc.opts, true, func(p *simProc, c *Cluster) {
+				n := c.Nodes[tc.node]
+				exp, _ := n.NewProcess(p)
+				imp, _ := n.NewProcess(p)
+				buf, _ := exp.Malloc(mem.PageSize)
+				if err := exp.Export(p, 1, buf, mem.PageSize, nil, false); err != nil {
+					t.Error(err)
+					return
+				}
+				dest, _, err := imp.Import(p, n.ID, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				src, _ := imp.Malloc(mem.PageSize)
+				if err := imp.Write(src, []byte("loopback")); err != nil {
+					t.Error(err)
+					return
+				}
+				// The packet goes out to the switch and back to the same NIC.
+				if err := imp.SendMsgSync(p, src, dest, 8, SendOptions{}); err != nil {
+					t.Error(err)
+					return
+				}
+				exp.SpinByte(p, buf, 'l')
+				got, _ := exp.Read(buf, 8)
+				if string(got) != "loopback" {
+					t.Errorf("loopback data = %q", got)
+				}
+			})
+		})
+	}
 }
 
 func TestExportAfterUnexportReusesTag(t *testing.T) {

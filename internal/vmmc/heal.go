@@ -102,8 +102,8 @@ func newHealService(c *Cluster) *HealService {
 		node.Board.SetRawFilter(func(pk *myrinet.Packet) (bool, []byte, []byte) {
 			return h.remap.HandlePacket(node.Board.NIC, pk)
 		})
-		node.Board.Reliable().SetStallHandler(func(route []byte) bool {
-			return h.onStall(node, route)
+		node.Board.Reliable().SetStallHandler(func(peer int) bool {
+			return h.onStall(node, peer)
 		})
 	}
 	proc := c.Eng.Go("heal:coordinator", h.run)
@@ -124,14 +124,11 @@ func (h *HealService) Stats() HealStats {
 }
 
 // onStall runs in the stalling sender's timer context; it must decide
-// quickly and without blocking. It accepts the stall (suspending the
-// window) unless the peer is known-crashed — a crash is a real death the
-// application should see, only the path to a live peer is healable.
-func (h *HealService) onStall(n *Node, route []byte) bool {
-	peer, ok := n.LCP.nodeForRoute(route)
-	if !ok {
-		return false
-	}
+// quickly and without blocking. It accepts the stall (suspending n's
+// windows toward node peer) unless the peer is known-crashed — a crash is
+// a real death the application should see, only the path to a live peer
+// is healable.
+func (h *HealService) onStall(n *Node, peer int) bool {
 	if h.c.Nodes[peer].crashed {
 		return false
 	}
@@ -196,11 +193,11 @@ func (h *HealService) round(p *simProc) {
 	h.settle(tables)
 }
 
-// distribute installs the fresh map on every live node: changed routes are
-// hot-swapped inside the reliable link (in-window unacked packets will
-// retransmit on the new path) and rewritten in the LCP's table. Entries
-// for vanished destinations are kept — their windows stay suspended and
-// either heal on a later round or expire.
+// distribute installs the fresh map on every live node: a changed route is
+// rewritten in the LCP's table and in the reliable link's windows toward
+// its destination (in-window unacked packets will retransmit on the new
+// path). Entries for vanished destinations are kept — their windows stay
+// suspended and either heal on a later round or expire.
 func (h *HealService) distribute(p *simProc, tables map[int]myrinet.RouteTable) {
 	for _, n := range h.c.Nodes {
 		if n.crashed {
@@ -223,9 +220,7 @@ func (h *HealService) distribute(p *simProc, tables map[int]myrinet.RouteTable) 
 			if had && bytes.Equal(old, route) {
 				continue
 			}
-			if had {
-				rl.SwapRoute(old, route)
-			}
+			rl.Reroute(d, route)
 			n.LCP.routes[d] = append([]byte(nil), route...)
 			h.m.swaps.Add(1)
 			h.c.Eng.TraceInstant("heal", "heal",
@@ -258,7 +253,7 @@ func (h *HealService) settle(tables map[int]myrinet.RouteTable) {
 			continue
 		}
 		if _, reachable := tables[k.node][k.peer]; reachable {
-			src.Board.Reliable().Resume(src.LCP.routes[k.peer])
+			src.Board.Reliable().Resume(k.peer)
 			delete(h.stalled, k)
 			h.m.healed.Add(1)
 			h.c.Eng.TraceInstant("heal", "heal",
@@ -266,7 +261,7 @@ func (h *HealService) settle(tables map[int]myrinet.RouteTable) {
 			continue
 		}
 		if h.stalled[k]++; h.stalled[k] >= healMaxRounds {
-			src.Board.Reliable().Abandon(src.LCP.routes[k.peer])
+			src.Board.Reliable().Abandon(k.peer)
 			delete(h.stalled, k)
 			h.m.abandoned.Add(1)
 			h.c.Eng.TraceInstant("heal", "heal",

@@ -391,11 +391,9 @@ func TestRestartStaleImportRevalidation(t *testing.T) {
 
 // TestHealDepthCoversFabric pins the heal layer's probe depth: one remap
 // at depth len(Net.Switches()) and healProbeTimeout must rediscover
-// exactly the routes boot installed between distinct hosts — on one
+// exactly the routes boot installed, loopback routes included — on one
 // switch, on a 3-switch chain and on the diamond — so a heal round never
-// loses a host that a deeper probe would have found. (The single-switch
-// boot mapper also installs a loopback route to the node itself, which a
-// remap never touches.)
+// loses a host that a deeper probe would have found.
 func TestHealDepthCoversFabric(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -430,15 +428,9 @@ func TestHealDepthCoversFabric(t *testing.T) {
 				t.Fatalf("probe at depth %d mapped %d of %d hosts", depth, len(tables), tc.nodes)
 			}
 			for _, n := range c.Nodes {
-				booted := myrinet.RouteTable{}
-				for d, route := range n.LCP.routes {
-					if d != n.ID {
-						booted[d] = route
-					}
-				}
-				if !reflect.DeepEqual(tables[n.ID], booted) {
+				if !reflect.DeepEqual(tables[n.ID], n.LCP.routes) {
 					t.Errorf("node %d: probe at depth %d found %v, boot installed %v",
-						n.ID, depth, tables[n.ID], booted)
+						n.ID, depth, tables[n.ID], n.LCP.routes)
 				}
 			}
 		})

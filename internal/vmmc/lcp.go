@@ -1,7 +1,6 @@
 package vmmc
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -370,19 +369,6 @@ func (l *LCP) Routes(dst int) []byte {
 	return append([]byte(nil), r...)
 }
 
-// nodeForRoute resolves which destination node a route currently reaches,
-// by routing-table scan — the LCP knows routes, not topology. Distinct
-// destinations always have distinct routes (they differ at least in the
-// final switch port), so the first match is the only one.
-func (l *LCP) nodeForRoute(route []byte) (int, bool) {
-	for node, r := range l.routes {
-		if bytes.Equal(r, route) {
-			return node, true
-		}
-	}
-	return -1, false
-}
-
 // classEligible reports whether an injection in the class may commit
 // now; when it may not, at is the earliest eligibility instant.
 func (l *LCP) classEligible(class int) (eligible bool, at sim.Time) {
@@ -405,18 +391,19 @@ func (l *LCP) deferClass(class int) {
 	}
 }
 
-// sendPaced injects a dispatched packet — a frame built on Board.NewFrame,
+// sendPaced injects one packet of j — a frame built on Board.NewFrame,
 // which it gives up — committing its pacing charge without sleeping.
 // Every path into inject (requestReady, serveShortPreempt, stepJob) found
 // the class eligible at or before this instant, and the LCP is the only
 // sender in a paced class, so nothing can have charged the class in
 // between: a refused charge is a scheduler bug, not a wait.
-func (l *LCP) sendPaced(p *simProc, route, frame []byte, class int) error {
+func (l *LCP) sendPaced(p *simProc, j *sendJob, frame []byte) error {
 	board := l.node.Board
+	class := j.st.limits.Class
 	if ls := board.LinkScheduler(); ls != nil && !ls.TryCharge(class, board.PayloadLen(frame)) {
 		panic(fmt.Sprintf("lcp%d: class %d dispatched while in pacing deficit", l.node.ID, class))
 	}
-	return board.SendFrameCharged(p, route, frame, class)
+	return board.SendFrameCharged(p, j.dest, j.route, frame, class)
 }
 
 // ownsJob reports whether the process has a long send in progress.
@@ -836,7 +823,7 @@ func (l *LCP) resolve(p *simProc, st *lcpProcState, e sqEntry) (sendJob, bool) {
 	switch err {
 	case nil:
 		if route, ok := l.routes[destNode]; ok {
-			return sendJob{st: st, e: e, route: route, total: e.length}, true
+			return sendJob{st: st, e: e, dest: destNode, route: route, total: e.length}, true
 		}
 	case ErrNotImported:
 		code = ceNotImported
@@ -900,7 +887,7 @@ func (l *LCP) inject(p *simProc, j *sendJob, c stagedChunk) {
 		frame = append(frame, board.SRAM.Bytes(c.sramOff, c.n)...)
 		l.stagingFree = append(l.stagingFree, c.sramOff)
 	}
-	if err := l.sendPaced(p, j.route, frame, j.st.limits.Class); err != nil {
+	if err := l.sendPaced(p, j, frame); err != nil {
 		// Destination unreachable: abandon the transfer and report the
 		// typed failure (the remaining chunks would only burn the budget
 		// again).

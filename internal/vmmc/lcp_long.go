@@ -16,7 +16,8 @@ import (
 type sendJob struct {
 	st    *lcpProcState
 	e     sqEntry
-	route []byte
+	dest  int    // destination node, which is its NIC id
+	route []byte // the route to dest at pickup
 
 	total   int // message length
 	nextOff int // next byte to start a host DMA for

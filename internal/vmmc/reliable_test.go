@@ -2,6 +2,7 @@ package vmmc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -105,6 +106,53 @@ func TestReliableRecoversFromCRCErrors(t *testing.T) {
 			t.Error("no retransmissions despite drops")
 		}
 	})
+}
+
+// TestLongRoutesAckTheirWindows sends across a 64-node switch chain, to
+// node 40 over a 7-byte route and to node 63 over an 11-byte one, on a
+// clean fabric. Every ack must trim the window it acknowledges however long
+// the route: no retransmission, no healthy peer declared unreachable, and
+// nothing left unacknowledged once the cluster is quiet.
+func TestLongRoutesAckTheirWindows(t *testing.T) {
+	for _, tc := range []struct{ dst, hops int }{{40, 7}, {63, 11}} {
+		t.Run(fmt.Sprintf("node%d", tc.dst), func(t *testing.T) {
+			c := startCluster(t, Options{Nodes: 64, MemBytes: 1 << 20, Reliable: true}, true, func(p *simProc, c *Cluster) {
+				if n := len(c.Nodes[0].LCP.Routes(tc.dst)); n != tc.hops {
+					t.Errorf("route 0->%d is %d bytes, want %d", tc.dst, n, tc.hops)
+					return
+				}
+				recv, _ := c.Nodes[tc.dst].NewProcess(p)
+				send, _ := c.Nodes[0].NewProcess(p)
+				buf, _ := recv.Malloc(mem.PageSize)
+				if err := recv.Export(p, 1, buf, mem.PageSize, nil, false); err != nil {
+					t.Error(err)
+					return
+				}
+				dest, _, err := send.Import(p, tc.dst, 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				src, _ := send.Malloc(mem.PageSize)
+				for i := 0; i < 8; i++ {
+					if err := send.Write(src, []byte{byte(i + 1)}); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := send.SendMsgChecked(p, src, dest+ProxyAddr(i), 1, SendOptions{}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				recv.SpinByte(p, buf+7, 8)
+			})
+			rl := c.Nodes[0].Board.Reliable()
+			if rl.Retransmits != 0 || rl.Unreachables != 0 || rl.Unacked(0) != 0 {
+				t.Errorf("retransmits = %d, unreachables = %d, unacked = %d, want all 0",
+					rl.Retransmits, rl.Unreachables, rl.Unacked(0))
+			}
+		})
+	}
 }
 
 func TestUnreliableLosesWhatReliableRecovers(t *testing.T) {

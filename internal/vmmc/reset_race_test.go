@@ -75,16 +75,14 @@ func TestResetPeerRacesInFlightAck(t *testing.T) {
 		// protocol RestartNode runs. The delayed ack is still pending.
 		sl := c.Nodes[0].Board.Reliable()
 		rl := c.Nodes[1].Board.Reliable()
-		route01 := c.Nodes[0].LCP.Routes(1)
-		route10 := c.Nodes[1].LCP.Routes(0)
-		sl.ResetPeer(route01, c.Nodes[1].Board.NIC.ID)
+		sl.ResetPeer(c.Nodes[1].Board.NIC.ID)
 		// Let the delayed ack fire and cross the wire into the dropped
 		// window: it must vanish without resurrecting any state.
 		p.Sleep(2 * sim.Millisecond)
 		if rl.AcksSent == 0 {
 			t.Error("armed delayed ack never fired after sender-side reset")
 		}
-		rl.ResetPeer(route10, c.Nodes[0].Board.NIC.ID)
+		rl.ResetPeer(c.Nodes[0].Board.NIC.ID)
 
 		// Fresh conversation from sequence zero: accepted, delivered,
 		// and never mistaken for a duplicate of the old window.
@@ -124,8 +122,8 @@ func TestResetPeerCancelsArmedDelayedAck(t *testing.T) {
 		// Receiver-side reset inside the armed-ack window cancels the
 		// pending ack; the sender-side reset drops the window whose
 		// retransmit timer would otherwise wait for it forever.
-		rl.ResetPeer(c.Nodes[1].LCP.Routes(0), c.Nodes[0].Board.NIC.ID)
-		sl.ResetPeer(c.Nodes[0].LCP.Routes(1), c.Nodes[1].Board.NIC.ID)
+		rl.ResetPeer(c.Nodes[0].Board.NIC.ID)
+		sl.ResetPeer(c.Nodes[1].Board.NIC.ID)
 		p.Sleep(2 * sim.Millisecond)
 		if rl.AcksSent != 0 {
 			t.Errorf("acks sent = %d, want 0 (reset must cancel the armed delayed ack)", rl.AcksSent)
