@@ -139,20 +139,21 @@ func AblationTLB() (Table, error) {
 		if err != nil {
 			return err
 		}
-		before, _, _ := node.Driver.Stats()
+		refills := fmt.Sprintf("node%d/tlb_refills", node.ID)
+		before := counterNow(node.Eng, refills)
 		start := p.Now()
 		if err := pr.A.SendMsgSync(p, cold, pr.ToB, size, vmmc.SendOptions{}); err != nil {
 			return err
 		}
 		coldTime := p.Now() - start
-		after, _, _ := node.Driver.Stats()
+		after := counterNow(node.Eng, refills)
 
 		start = p.Now()
 		if err := pr.A.SendMsgSync(p, cold, pr.ToB, size, vmmc.SendOptions{}); err != nil {
 			return err
 		}
 		warmTime := p.Now() - start
-		final, _, _ := node.Driver.Stats()
+		final := counterNow(node.Eng, refills)
 
 		t.Rows = [][]string{
 			{"cold TLB (first touch)", fmt.Sprintf("%.0f us", coldTime.Micros()), fmt.Sprintf("%d", after-before)},

@@ -7,6 +7,7 @@ import (
 	"repro/internal/baselines/testbed"
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmmc"
 )
 
@@ -24,7 +25,10 @@ type cell struct {
 	eng  *sim.Engine
 	an   *analysis.Analyzer
 	rep  *analysis.Report // this run's report; nil unless the run completed
-	err  error            // the first error a workload process returned
+	// snap is the metrics snapshot the report was built from, taken when
+	// the engine drained: where every count of the run is read.
+	snap trace.Snapshot
+	err  error // the first error a workload process returned
 }
 
 // newCell makes the cell's engine. The model is built afterwards, so a
@@ -36,7 +40,7 @@ func newCell(name string) *cell {
 
 // cluster is the common whole run: build a cluster from opts, boot it, run
 // body as the workload process proc, capture. The cluster is returned for
-// counters read after the run.
+// state read after the run; counts come from the cell's snapshot.
 func (cl *cell) cluster(opts vmmc.Options, proc string, body func(p *sim.Proc, c *vmmc.Cluster) error) (*vmmc.Cluster, error) {
 	c, err := cl.newCluster(opts)
 	if err != nil {
@@ -99,8 +103,15 @@ func (cl *cell) drive(run func() error) error {
 	if err != nil {
 		return cl.fail(err)
 	}
-	cl.rep, err = capture(cl.eng, cl.an)
+	cl.rep, cl.snap, err = capture(cl.eng, cl.an)
 	return err
+}
+
+// count reads one counter of the finished run from its snapshot; a name
+// nothing registered reads zero.
+func (cl *cell) count(name string) int64 {
+	v, _ := cl.snap.Counter(name)
+	return v
 }
 
 // fail names the cell in an error from its run.

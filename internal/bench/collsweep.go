@@ -217,9 +217,8 @@ func runCollCase(nodes, size int, algo coll.Algorithm, iters int) (CollResult, *
 	if err != nil {
 		return CollResult{}, nil, err
 	}
-	snap := cl.eng.MetricsSnapshot()
-	res.PayloadMsgs, _ = snap.Counter("coll/payload_msgs")
-	res.CreditStalls, _ = snap.Counter("coll/credit_stalls")
+	res.PayloadMsgs = cl.count("coll/payload_msgs")
+	res.CreditStalls = cl.count("coll/credit_stalls")
 	return res, cl.rep, nil
 }
 
@@ -276,7 +275,7 @@ func runCollHealCase() (CollHealResult, *analysis.Report, error) {
 			return nil, 0, 0, 0, err
 		}
 		var retrans int64
-		for _, cv := range cl.eng.MetricsSnapshot().Counters {
+		for _, cv := range cl.snap.Counters {
 			if strings.HasSuffix(cv.Name, "/rl_retransmits") {
 				retrans += cv.Value
 			}

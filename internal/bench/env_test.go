@@ -37,11 +37,11 @@ func TestRunPairSetsUpBothDirections(t *testing.T) {
 func TestRunPairWarmTLB(t *testing.T) {
 	// After setup the TLBs are warm: a full-window send takes no refills.
 	err := RunPair(nil, 64*4096, func(p *sim.Proc, pr *Pair) error {
-		before, _, _ := pr.C.Nodes[0].Driver.Stats()
+		before := counterNow(pr.Eng, "node0/tlb_refills")
 		if err := pr.A.SendMsgSync(p, pr.SrcA, pr.ToB, pr.Window, vmmc.SendOptions{}); err != nil {
 			return err
 		}
-		after, _, _ := pr.C.Nodes[0].Driver.Stats()
+		after := counterNow(pr.Eng, "node0/tlb_refills")
 		if after != before {
 			t.Errorf("warm pair took %d refills", after-before)
 		}

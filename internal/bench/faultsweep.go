@@ -165,10 +165,10 @@ func faultSweepCase(reliable bool, ber float64) ([]string, *analysis.Report, err
 	}
 
 	name := "unreliable (paper §4.2)"
-	recovery := fmt.Sprintf("%d crc drops", c.Nodes[1].LCP.Stats().CRCErrors)
+	recovery := fmt.Sprintf("%d crc drops", cl.count(fmt.Sprintf("node%d/lcp_crc_errors", c.Nodes[1].ID)))
 	if reliable {
 		name = "reliable (go-back-N)"
-		recovery = fmt.Sprintf("%d retransmits", c.Nodes[0].Board.Reliable().Retransmits)
+		recovery = fmt.Sprintf("%d retransmits", cl.count(fmt.Sprintf("lanai%d/rl_retransmits", c.Nodes[0].Board.NIC.ID)))
 	}
 	goodput := "0.0 MB/s"
 	if deliveredSlots > 0 && elapsed > 0 {
@@ -181,7 +181,7 @@ func faultSweepCase(reliable bool, ber float64) ([]string, *analysis.Report, err
 		fmt.Sprintf("%d/%d", deliveredSlots, msgs),
 		goodput,
 		fmt.Sprintf("%.1f us", elapsed.Micros()),
-		fmt.Sprintf("%d", pl.Stats().Corruptions),
+		fmt.Sprintf("%d", cl.count("fault/corruptions")),
 		recovery,
 	}, cl.rep, nil
 }

@@ -272,11 +272,11 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 	// and never stall — the sweep's interesting transition. Only the
 	// permanent spine death is guaranteed to need a heal: the stream can
 	// finish solely on a remapped detour.
-	st := c.Healer().Stats()
-	if spine && st.Healed == 0 {
+	healed, swaps := cl.count("heal/healed"), cl.count("heal/route_swaps")
+	if spine && healed == 0 {
 		return HealResult{}, nil, cl.fail(errors.New("spine died but no window healed"))
 	}
-	if spine && st.RouteSwaps == 0 {
+	if spine && swaps == 0 {
 		return HealResult{}, nil, cl.fail(errors.New("spine died but no route swapped"))
 	}
 
@@ -285,12 +285,12 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 		OutageUS:       outage.Micros(),
 		Messages:       delivered,
 		VirtualElapsed: elapsed,
-		Stalls:         st.Stalls,
-		Remaps:         st.Remaps,
-		RouteSwaps:     st.RouteSwaps,
-		Healed:         st.Healed,
-		Abandoned:      st.Abandoned,
-		Retransmits:    c.Nodes[0].Board.Reliable().Retransmits,
+		Stalls:         cl.count("heal/stalls"),
+		Remaps:         cl.count("heal/remaps"),
+		RouteSwaps:     swaps,
+		Healed:         healed,
+		Abandoned:      cl.count("heal/abandoned"),
+		Retransmits:    cl.count(fmt.Sprintf("lanai%d/rl_retransmits", c.Nodes[0].Board.NIC.ID)),
 		SendFailures:   sendFails,
 	}
 	if elapsed > 0 {

@@ -91,10 +91,10 @@ func markPhase(eng *sim.Engine, name string) {
 
 // capture finalizes a completed run: it records the metrics summary and
 // the analyzer's report, writes the configured artifact files, and
-// returns the report. Called after every run, whether or not artifacts
-// were requested — the summary is cheap and always available via
-// LastMetricsSummary.
-func capture(eng *sim.Engine, an *analysis.Analyzer) (*analysis.Report, error) {
+// returns the report and the metrics snapshot it was built from. Called
+// after every run, whether or not artifacts were requested — the summary
+// is cheap and always available via LastMetricsSummary.
+func capture(eng *sim.Engine, an *analysis.Analyzer) (*analysis.Report, trace.Snapshot, error) {
 	snap := eng.MetricsSnapshot()
 	lastSummary = summarize(snap)
 	rep := an.Finalize(snap.NowNS, snap)
@@ -115,7 +115,15 @@ func capture(eng *sim.Engine, an *analysis.Analyzer) (*analysis.Report, error) {
 	if err == nil {
 		err = writeArtifact("metrics", obs.MetricsPath, snap.WriteJSON)
 	}
-	return rep, err
+	return rep, snap, err
+}
+
+// counterNow reads one counter mid-run, from a fresh snapshot of eng's
+// registry: a read never creates a counter, so a name nothing registered
+// reads zero and stays out of the artifacts.
+func counterNow(eng *sim.Engine, name string) int64 {
+	v, _ := eng.MetricsSnapshot().Counter(name)
+	return v
 }
 
 // writeArtifact creates the file at path, when one was asked for, and

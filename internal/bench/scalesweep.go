@@ -324,7 +324,7 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, e
 	// The fabric is fault-free, so a peer declared unreachable is a
 	// link-layer bug, not a result.
 	for _, n := range c.Nodes {
-		if k := n.Board.Reliable().Unreachables; k > 0 {
+		if k := cl.count(fmt.Sprintf("lanai%d/rl_unreachable", n.Board.NIC.ID)); k > 0 {
 			return ScaleResult{}, nil, cl.fail(fmt.Errorf("node %d declared a healthy peer unreachable %d times", n.ID, k))
 		}
 	}

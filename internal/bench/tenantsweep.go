@@ -334,12 +334,16 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 			// boards, so its per-class stats must reconcile exactly with
 			// the scheduler's totals — the deficit-skip path (Defer /
 			// TryCharge) must attribute every deferral to its class.
+			snap := c.Eng.MetricsSnapshot()
 			for _, id := range agg.Nodes {
 				if ls := c.Nodes[id].Board.LinkScheduler(); ls != nil {
 					n, d := ls.ClassStats(agg.Class)
-					if n != ls.Throttles || d != ls.ThrottledTime {
+					comp := fmt.Sprintf("lanai%d", c.Nodes[id].Board.NIC.ID)
+					total, _ := snap.Counter(comp + "/qos_throttles")
+					totalNS, _ := snap.Counter(comp + "/qos_throttled_ns")
+					if n != total || int64(d) != totalNS {
 						return fmt.Errorf("node %d pacer attribution leak: class (%d, %v) vs total (%d, %v)",
-							id, n, d, ls.Throttles, ls.ThrottledTime)
+							id, n, d, total, sim.Time(totalNS))
 					}
 					res.Throttles += n
 					res.Throttled += d
@@ -379,8 +383,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 	res.P99 = quantile(sorted, 99, 100)
 	res.Max = sorted[len(sorted)-1]
 	for i := 0; i < 2; i++ {
-		st := c.Nodes[i].LCP.Stats()
-		res.Preempts += st.ShortPreempts
+		res.Preempts += cl.count(fmt.Sprintf("node%d/lcp_short_preempts", c.Nodes[i].ID))
 	}
 	return res, cl.rep, nil
 }

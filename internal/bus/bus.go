@@ -57,9 +57,7 @@ type DMAEngine struct {
 	lastProfile hw.DMAProfile
 	haveLast    bool
 
-	transfers int64
-	bytes     int64
-	idle      []*transfer // records of finished Starts, for reuse
+	idle []*transfer // records of finished Starts, for reuse
 
 	// Observability: occupancy in the metrics registry plus per-transfer
 	// counters; spans are emitted into the engine's trace collector.
@@ -138,8 +136,6 @@ func (d *DMAEngine) begin(n int, prof hw.DMAProfile) sim.Time {
 // released.
 func (d *DMAEngine) end(n int) {
 	d.eng.TraceEnd(d.comp, "dma", "transfer")
-	d.transfers++
-	d.bytes += int64(n)
 	d.mTransfers.Add(1)
 	d.mBytes.Add(int64(n))
 }
@@ -205,6 +201,3 @@ func (d *DMAEngine) newTransfer() *transfer {
 
 // Busy reports whether a transfer is in progress.
 func (d *DMAEngine) Busy() bool { return d.res.Busy() }
-
-// Stats reports the number of transfers and total bytes moved.
-func (d *DMAEngine) Stats() (transfers, bytes int64) { return d.transfers, d.bytes }

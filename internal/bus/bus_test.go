@@ -72,9 +72,11 @@ func TestDMAEngineSerializesTransfers(t *testing.T) {
 	if done[0] != sim.Micros(11) || done[1] != sim.Micros(22) {
 		t.Errorf("transfers done at %v, want [11us 22us]", done)
 	}
-	tr, by := d.Stats()
+	snap := e.MetricsSnapshot()
+	tr, _ := snap.Counter("dma:h2l/transfers")
+	by, _ := snap.Counter("dma:h2l/bytes")
 	if tr != 2 || by != 2000 {
-		t.Errorf("Stats = %d,%d, want 2,2000", tr, by)
+		t.Errorf("transfers, bytes = %d,%d, want 2,2000", tr, by)
 	}
 }
 
@@ -123,7 +125,6 @@ func TestDMAStartMatchesTransferWith(t *testing.T) {
 	type outcome struct {
 		Done        []sim.Time
 		Transfers   int64
-		Bytes       int64
 		Turnarounds int64
 		Metrics     trace.Snapshot
 		Trace       []trace.Event
@@ -168,8 +169,8 @@ func TestDMAStartMatchesTransferWith(t *testing.T) {
 		if d.Busy() || e.Trace().Dropped() != 0 {
 			t.Fatalf("after the run: engine busy=%v, %d trace events dropped", d.Busy(), e.Trace().Dropped())
 		}
-		o.Transfers, o.Bytes = d.Stats()
 		o.Metrics = e.MetricsSnapshot()
+		o.Transfers, _ = o.Metrics.Counter("dma:lanai0:host/transfers")
 		o.Turnarounds, _ = o.Metrics.Counter("dma:lanai0:host/turnarounds")
 		o.Trace = e.Trace().Events()
 		o.Dispatched = e.SchedStats().Dispatched

@@ -27,19 +27,21 @@ type Bus struct {
 	latency sim.Time
 	medium  *sim.Resource
 	boxes   map[int]*sim.Queue[Message]
-	sent    int64
-	dropped int64
 	faults  *fault.Plan
-	mDrops  *trace.Counter
+
+	mSent, mDrops *trace.Counter
 }
 
-// New returns a bus with the given one-way delivery latency.
+// New returns a bus with the given one-way delivery latency. It counts the
+// datagrams transmitted and those lost to injected faults as the
+// "ether/messages_sent" and "ether/messages_dropped" metrics.
 func New(eng *sim.Engine, latency sim.Time) *Bus {
 	return &Bus{
 		eng:     eng,
 		latency: latency,
 		medium:  sim.NewResource(eng, "ether"),
 		boxes:   make(map[int]*sim.Queue[Message]),
+		mSent:   eng.Metrics().Counter("ether/messages_sent"),
 		mDrops:  eng.Metrics().Counter("ether/messages_dropped"),
 	}
 }
@@ -66,18 +68,11 @@ func (b *Bus) Send(p *sim.Proc, from, to int, kind string, body any) {
 		panic(fmt.Sprintf("ether: send to unregistered node %d", to))
 	}
 	b.medium.Use(p, b.latency/10)
-	b.sent++
+	b.mSent.Add(1)
 	if b.faults.DropMessage() {
-		b.dropped++
 		b.mDrops.Add(1)
 		return
 	}
 	m := Message{From: from, To: to, Kind: kind, Body: body}
 	b.eng.After(b.latency+b.faults.ExtraDelay(), func() { box.Put(m) })
 }
-
-// Sent reports the number of messages transmitted.
-func (b *Bus) Sent() int64 { return b.sent }
-
-// Dropped reports the number of messages lost to injected faults.
-func (b *Bus) Dropped() int64 { return b.dropped }

@@ -73,8 +73,8 @@ func TestOrderedDeliveryPerSender(t *testing.T) {
 			t.Fatalf("out of order: %v", got)
 		}
 	}
-	if b.Sent() != 5 {
-		t.Errorf("Sent = %d", b.Sent())
+	if sent, _ := e.MetricsSnapshot().Counter("ether/messages_sent"); sent != 5 {
+		t.Errorf("ether/messages_sent = %d, want 5", sent)
 	}
 }
 

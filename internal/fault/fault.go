@@ -43,15 +43,8 @@ type Plan struct {
 	onCrash   func(node int)
 	onRestart func(node int)
 
-	// Injection counts, also mirrored into the engine's metrics registry
-	// under "fault/..." so faulted runs account every event in artifacts.
-	corruptions int64
-	linkDrops   int64
-	switchDrops int64
-	etherDrops  int64
-	crashes     int64
-	restarts    int64
-
+	// Injection counts, in the engine's metrics registry under "fault/..."
+	// so faulted runs account every event in artifacts.
 	mCorrupt, mLinkDrops, mSwitchDrops *trace.Counter
 	mEtherDrops, mCrashes, mRestarts   *trace.Counter
 }
@@ -208,7 +201,6 @@ func (pl *Plan) OnNodeRestart(fn func(node int)) { pl.onRestart = fn }
 // callback runs in event context.
 func (pl *Plan) ScheduleCrash(node int, at sim.Time) {
 	pl.eng.At(at, func() {
-		pl.crashes++
 		pl.mCrashes.Add(1)
 		pl.eng.TraceInstant("fault", "fault", fmt.Sprintf("node%d_crash", node))
 		if pl.onCrash != nil {
@@ -220,7 +212,6 @@ func (pl *Plan) ScheduleCrash(node int, at sim.Time) {
 // ScheduleRestart brings node back at virtual time at.
 func (pl *Plan) ScheduleRestart(node int, at sim.Time) {
 	pl.eng.At(at, func() {
-		pl.restarts++
 		pl.mRestarts.Add(1)
 		pl.eng.TraceInstant("fault", "fault", fmt.Sprintf("node%d_restart", node))
 		if pl.onRestart != nil {
@@ -259,7 +250,6 @@ func (pl *Plan) CorruptWire(nic, wireBytes int, tx bool) bool {
 }
 
 func (pl *Plan) noteCorruption() {
-	pl.corruptions++
 	pl.mCorrupt.Add(1)
 	pl.eng.TraceInstant("fault", "fault", "corrupt_packet")
 }
@@ -287,7 +277,6 @@ func (pl *Plan) NoteLinkDrop() {
 	if pl == nil {
 		return
 	}
-	pl.linkDrops++
 	pl.mLinkDrops.Add(1)
 	pl.eng.TraceInstant("fault", "fault", "link_drop")
 }
@@ -297,7 +286,6 @@ func (pl *Plan) NoteSwitchDrop() {
 	if pl == nil {
 		return
 	}
-	pl.switchDrops++
 	pl.mSwitchDrops.Add(1)
 	pl.eng.TraceInstant("fault", "fault", "switch_drop")
 }
@@ -310,7 +298,6 @@ func (pl *Plan) DropMessage() bool {
 		return false
 	}
 	if pl.unit() < pl.ether.loss {
-		pl.etherDrops++
 		pl.mEtherDrops.Add(1)
 		pl.eng.TraceInstant("fault", "fault", "ether_drop")
 		return true
@@ -324,31 +311,4 @@ func (pl *Plan) ExtraDelay() sim.Time {
 		return 0
 	}
 	return sim.Time(pl.unit() * float64(pl.ether.jitterMax))
-}
-
-// ---- Accounting ----
-
-// Stats is a snapshot of every fault the plan has injected.
-type Stats struct {
-	Corruptions int64
-	LinkDrops   int64
-	SwitchDrops int64
-	EtherDrops  int64
-	Crashes     int64
-	Restarts    int64
-}
-
-// Stats reports how many faults of each kind have been injected so far.
-func (pl *Plan) Stats() Stats {
-	if pl == nil {
-		return Stats{}
-	}
-	return Stats{
-		Corruptions: pl.corruptions,
-		LinkDrops:   pl.linkDrops,
-		SwitchDrops: pl.switchDrops,
-		EtherDrops:  pl.etherDrops,
-		Crashes:     pl.crashes,
-		Restarts:    pl.restarts,
-	}
 }

@@ -93,8 +93,8 @@ func TestCorruptNextBurst(t *testing.T) {
 	if pl.CorruptWire(1, 64, false) {
 		t.Error("rx consult consumed a tx burst")
 	}
-	if got := pl.Stats().Corruptions; got != 3 {
-		t.Errorf("corruptions = %d, want 3", got)
+	if got, _ := eng.MetricsSnapshot().Counter("fault/corruptions"); got != 3 {
+		t.Errorf("fault/corruptions = %d, want 3", got)
 	}
 }
 
@@ -149,7 +149,10 @@ func TestScheduledCrashRestartCallbacks(t *testing.T) {
 	if len(events) != 2 || events[0] != "crash" || events[1] != "restart" {
 		t.Errorf("events = %v, want [crash restart]", events)
 	}
-	if st := pl.Stats(); st.Crashes != 1 || st.Restarts != 1 {
-		t.Errorf("stats = %+v", st)
+	snap := eng.MetricsSnapshot()
+	crashes, _ := snap.Counter("fault/node_crashes")
+	restarts, _ := snap.Counter("fault/node_restarts")
+	if crashes != 1 || restarts != 1 {
+		t.Errorf("fault/node_crashes, fault/node_restarts = %d, %d, want 1, 1", crashes, restarts)
 	}
 }

@@ -48,7 +48,6 @@ type Board struct {
 	rawFilter func(pk *myrinet.Packet) (consumed bool, route, reply []byte)
 
 	comp        string // trace component, "lanai<id>"
-	interrupts  int64
 	mInterrupts *trace.Counter
 }
 
@@ -88,7 +87,6 @@ func (b *Board) SetInterruptHandler(fn func(cause any)) { b.intr = fn }
 // already scheduled for it; it is expected to charge the host's interrupt
 // entry cost itself.
 func (b *Board) RaiseInterrupt(cause any) {
-	b.interrupts++
 	b.mInterrupts.Add(1)
 	if b.Eng.Trace().Enabled() {
 		b.Eng.TraceInstant(b.comp, "irq", fmt.Sprintf("%T", cause))
@@ -98,9 +96,6 @@ func (b *Board) RaiseInterrupt(cause any) {
 	}
 	b.Eng.Post(0, func() { b.intr(cause) })
 }
-
-// Interrupts reports how many interrupts the board has raised.
-func (b *Board) Interrupts() int64 { return b.interrupts }
 
 // HostToSRAM DMAs n bytes from host physical memory at pa into SRAM at
 // sramOff: the LANai cannot touch host memory directly and must use this

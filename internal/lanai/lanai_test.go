@@ -250,8 +250,8 @@ func TestInterruptDelivery(t *testing.T) {
 	if got != "tlb-miss" {
 		t.Errorf("interrupt cause = %v", got)
 	}
-	if b.Interrupts() != 1 {
-		t.Errorf("Interrupts = %d", b.Interrupts())
+	if n := b.mInterrupts.Value(); n != 1 {
+		t.Errorf("interrupts = %d, want 1", n)
 	}
 }
 
@@ -362,8 +362,8 @@ func TestClassesKeepIndependentWindows(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if rl := b.Reliable(); rl.Deliveries != 7 || rl.GapDrops != 0 {
-		t.Errorf("receiver took %d in sequence with %d gap drops, want 7 and 0", rl.Deliveries, rl.GapDrops)
+	if m := b.Reliable().m; m.deliveries.Value() != 7 || m.gapDrops.Value() != 0 {
+		t.Errorf("receiver took %d in sequence with %d gap drops, want 7 and 0", m.deliveries.Value(), m.gapDrops.Value())
 	}
 	if len(got) != 7 {
 		t.Errorf("%d deliveries, want 7: %q", len(got), got)
@@ -406,8 +406,8 @@ func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if b.Reliable().CorruptDrops != 1 || a.Reliable().Retransmits != 1 {
-		t.Errorf("corrupt drops = %d, retransmits = %d, want 1 and 1", b.Reliable().CorruptDrops, a.Reliable().Retransmits)
+	if drops, retx := b.Reliable().m.corruptDrops.Value(), a.Reliable().m.retransmits.Value(); drops != 1 || retx != 1 {
+		t.Errorf("corrupt drops = %d, retransmits = %d, want 1 and 1", drops, retx)
 	}
 	if len(got) != 1 || !bytes.Equal(got[0], payload) {
 		t.Errorf("%d deliveries, want exactly one carrying the original bytes", len(got))

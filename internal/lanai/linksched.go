@@ -33,12 +33,10 @@ type LinkScheduler struct {
 	comp    string
 	classes map[int]*linkClass
 
-	// Throttles counts deferral episodes; ThrottledTime is the total
-	// virtual time those episodes lasted.
-	Throttles     int64
-	ThrottledTime sim.Time
-
-	mThrottleNS *trace.Counter
+	// Deferral episodes and the total virtual time they lasted, over all
+	// classes: the "lanai<id>/qos_throttles" and "/qos_throttled_ns"
+	// metrics.
+	mThrottles, mThrottleNS *trace.Counter
 }
 
 // linkClass is one class's pacing state.
@@ -79,11 +77,13 @@ func (ls *LinkScheduler) ClassStats(class int) (throttles int64, throttledNS sim
 func (b *Board) ConfigureLinkClass(class int, bytesPerSec float64, burstBytes int) {
 	if b.linksched == nil {
 		comp := fmt.Sprintf("lanai%d", b.NIC.ID)
+		m := b.Eng.Metrics()
 		b.linksched = &LinkScheduler{
 			eng:         b.Eng,
 			comp:        comp,
 			classes:     make(map[int]*linkClass),
-			mThrottleNS: b.Eng.Metrics().Counter(comp + "/qos_throttled_ns"),
+			mThrottles:  m.Counter(comp + "/qos_throttles"),
+			mThrottleNS: m.Counter(comp + "/qos_throttled_ns"),
 		}
 	}
 	if bytesPerSec <= 0 {
@@ -130,7 +130,7 @@ func (ls *LinkScheduler) Defer(class int) {
 	}
 	lc.deferred = true
 	lc.deferredAt = now
-	ls.Throttles++
+	ls.mThrottles.Add(1)
 	lc.throttles++
 }
 
@@ -155,7 +155,6 @@ func (ls *LinkScheduler) TryCharge(class, n int) bool {
 	if lc.deferred {
 		d := now - lc.deferredAt
 		lc.deferred = false
-		ls.ThrottledTime += d
 		lc.throttledNS += d
 		ls.mThrottleNS.Add(int64(d))
 		if d > 0 && ls.eng.Trace().Enabled() {

@@ -75,19 +75,29 @@ type ReliableLink struct {
 	// unreachable; see SetStallHandler.
 	onStall func(peer int) bool
 
-	// Stats.
-	Retransmits  int64
-	DupDrops     int64
-	GapDrops     int64
-	AcksSent     int64
-	PayloadBytes int64
-	WindowStalls int64
-	Deliveries   int64
-	CorruptDrops int64
-	Unreachables int64
-	Suspends     int64
+	m rlMetrics
+}
 
-	mRetx, mUnreachable *trace.Counter
+// rlMetrics are the link layer's registry counters, "lanai<id>/rl_*".
+type rlMetrics struct {
+	retransmits, unreachable *trace.Counter
+	dupDrops, gapDrops       *trace.Counter
+	corruptDrops, deliveries *trace.Counter
+	acksSent, windowStalls   *trace.Counter
+}
+
+func newRLMetrics(r *trace.Registry, comp string) rlMetrics {
+	c := func(name string) *trace.Counter { return r.Counter(comp + "/rl_" + name) }
+	return rlMetrics{
+		retransmits:  c("retransmits"),
+		unreachable:  c("unreachable"),
+		dupDrops:     c("dup_drops"),
+		gapDrops:     c("gap_drops"),
+		corruptDrops: c("corrupt_drops"),
+		deliveries:   c("deliveries"),
+		acksSent:     c("acks_sent"),
+		windowStalls: c("window_stalls"),
+	}
 }
 
 // The link layer's fixed protocol parameters.
@@ -215,8 +225,7 @@ func (b *Board) EnableReliability(cfg ReliabilityConfig) (*ReliableLink, error) 
 		comp:         comp,
 		retxName:     comp + ":retx",
 		dackLabel:    comp + ":dack",
-		mRetx:        b.Eng.Metrics().Counter(comp + "/rl_retransmits"),
-		mUnreachable: b.Eng.Metrics().Counter(comp + "/rl_unreachable"),
+		m:            newRLMetrics(b.Eng.Metrics(), comp),
 	}
 	b.reliable = rl
 	return rl, nil
@@ -272,7 +281,7 @@ func (rl *ReliableLink) send(p *sim.Proc, dst int, route []byte, frame []byte, c
 		rl.tx[k] = st
 	}
 	for len(st.unacked) >= rlWindow {
-		rl.WindowStalls++
+		rl.m.windowStalls.Add(1)
 		rl.windowFree.Wait(p)
 		if st.dead {
 			return ErrPeerUnreachable
@@ -288,7 +297,6 @@ func (rl *ReliableLink) send(p *sim.Proc, dst int, route []byte, frame []byte, c
 	st.unacked = append(st.unacked, bufferedPacket{seq: seq, frame: frame, sentAt: p.Now()})
 	rl.emitWindowOccupancy(st)
 	rl.armTimer(st)
-	rl.PayloadBytes += int64(len(frame) - linkHdrSize)
 	if st.suspended {
 		// The route is known dead and a heal is pending: buffer only.
 		// Resume retransmits the whole window on the healed route, so
@@ -381,8 +389,7 @@ func (rl *ReliableLink) retransmit(st *txState) {
 			}
 			bp := &win[i]
 			bp.retx = true
-			rl.Retransmits++
-			rl.mRetx.Add(1)
+			rl.m.retransmits.Add(1)
 			p.Sleep(rlPerPacketCost)
 			rl.board.NetSend.TransferWith(p, 0, rl.board.Prof.NetSend)
 			rl.board.NIC.Send(p, st.route, bp.frame)
@@ -398,7 +405,6 @@ func (rl *ReliableLink) suspend(st *txState) {
 	st.suspended = true
 	st.retries = 0
 	st.stopTimer()
-	rl.Suspends++
 	rl.board.Eng.TraceInstant(rl.comp, "rl", "window_suspended")
 }
 
@@ -408,8 +414,7 @@ func (rl *ReliableLink) suspend(st *txState) {
 func (rl *ReliableLink) declareUnreachable(st *txState) {
 	rl.kill(st)
 	rl.emitWindowOccupancy(st)
-	rl.Unreachables++
-	rl.mUnreachable.Add(1)
+	rl.m.unreachable.Add(1)
 	rl.board.Eng.TraceInstant(rl.comp, "rl", "peer_unreachable")
 	rl.windowFree.Broadcast()
 }
@@ -604,7 +609,7 @@ func (rl *ReliableLink) Abandon(peer int) {
 // the LANai rlPerPacketCost of bookkeeping before admit sequences it.
 func (rl *ReliableLink) receive(pk *myrinet.Packet) bool {
 	if !pk.CheckCRC() {
-		rl.CorruptDrops++
+		rl.m.corruptDrops.Add(1)
 		return false
 	}
 	if len(pk.Payload) < linkHdrSize {
@@ -630,7 +635,7 @@ func (rl *ReliableLink) admit(pk *myrinet.Packet) (data, ack []byte) {
 	switch {
 	case seq == expect:
 		rl.rxExpected[k] = expect + 1
-		rl.Deliveries++
+		rl.m.deliveries.Add(1)
 		// Cumulative ack every k packets; stragglers are recovered by the
 		// delayed ack when configured, otherwise by the sender's timeout +
 		// the duplicate re-ack below.
@@ -645,11 +650,11 @@ func (rl *ReliableLink) admit(pk *myrinet.Packet) (data, ack []byte) {
 	case seq < expect:
 		// Duplicate from a retransmission race: re-ack so the sender's
 		// window advances.
-		rl.DupDrops++
+		rl.m.dupDrops.Add(1)
 	default:
 		// Gap: an earlier packet was dropped (CRC); go-back-N discards
 		// successors and re-acks the expectation.
-		rl.GapDrops++
+		rl.m.gapDrops.Add(1)
 	}
 	rl.cancelDelayedAck(k)
 	return nil, rl.ackFrame(k.class, expect)
@@ -669,7 +674,7 @@ func (rl *ReliableLink) ackFrame(class int, ackSeq uint32) []byte {
 // may be nil, runs once the ack has left. label names the sender as the
 // holder of both.
 func (rl *ReliableLink) sendAck(label string, route, ack []byte, done func()) {
-	rl.AcksSent++
+	rl.m.acksSent.Add(1)
 	var a *ackTx
 	if k := len(rl.idleAcks); k > 0 {
 		a, rl.idleAcks = rl.idleAcks[k-1], rl.idleAcks[:k-1]

@@ -77,8 +77,7 @@ func TestCentralMappingProbeBudget(t *testing.T) {
 	if len(m.Tables()) != 40 {
 		t.Fatalf("mapped %d hosts, want 40", len(m.Tables()))
 	}
-	injected, _ := n.NICs()[0].Stats()
-	if injected > 4000 {
+	if injected := counter(t, e, "nic0/packets_injected"); injected > 4000 {
 		t.Errorf("prober injected %d packets on a 7-switch chain, want linear (<= 4000)", injected)
 	}
 }

@@ -95,6 +95,17 @@ func TestSendDeliversAlongRoute(t *testing.T) {
 	}
 }
 
+// counter reads a registered counter off e's metrics; a name nothing
+// registered fails the test.
+func counter(t *testing.T, e *sim.Engine, name string) int64 {
+	t.Helper()
+	v, ok := e.MetricsSnapshot().Counter(name)
+	if !ok {
+		t.Errorf("no counter %q", name)
+	}
+	return v
+}
+
 func TestSendInvalidRouteDrops(t *testing.T) {
 	e, n := star4(t)
 	nics := n.NICs()
@@ -107,8 +118,7 @@ func TestSendInvalidRouteDrops(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	dropped, _ := n.Dropped()
-	if dropped != 4 {
+	if dropped := counter(t, e, "net/packets_dropped"); dropped != 4 {
 		t.Errorf("dropped = %d, want 4", dropped)
 	}
 	if _, ok := nics[2].RX.TryGet(); ok {

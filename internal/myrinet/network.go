@@ -118,9 +118,6 @@ type NIC struct {
 	// accepts deliveries until SetDown(false).
 	down bool
 
-	injected  int64
-	delivered int64
-
 	// Per-link metrics: packets and wire bytes in each direction.
 	mPktsOut, mPktsIn   *trace.Counter
 	mBytesOut, mBytesIn *trace.Counter
@@ -137,9 +134,9 @@ type Network struct {
 	switches []*Switch
 	nics     []*NIC
 
-	dropped    int64
-	routeDrops int64
-	lastDrop   string
+	// lastDrop is the reason the last packet died; the counts are the
+	// net/packets_dropped and net/route_drops counters.
+	lastDrop string
 
 	faults      *fault.Plan
 	mDrops      *trace.Counter
@@ -296,15 +293,12 @@ func (n *Network) ConnectSwitches(a *Switch, ap int, b *Switch, bp int) error {
 // deliveries drop and count; the cluster uses this for node crashes.
 func (nic *NIC) SetDown(down bool) { nic.down = down }
 
-// Dropped reports how many packets died in the fabric (invalid routes and
-// dead links alike), and the last drop's reason.
-func (n *Network) Dropped() (int64, string) { return n.dropped, n.lastDrop }
-
-// RouteDrops reports how many packets died resolving their source route —
-// dangling cables, exhausted or over-long routes, nonexistent ports, dead
-// switches — as opposed to dying on a down link edge. Mirrored into the
-// "net/route_drops" metric.
-func (n *Network) RouteDrops() int64 { return n.routeDrops }
+// LastDrop reports why the last packet that died in the fabric died, ""
+// while none has. How many died is the "net/packets_dropped" counter, and
+// how many of those on their source route — dangling cables, exhausted or
+// over-long routes, nonexistent ports, dead switches, as opposed to a down
+// link edge — "net/route_drops".
+func (n *Network) LastDrop() string { return n.lastDrop }
 
 // walk resolves a route from nic through the fabric. It returns the
 // destination NIC, the number of switch hops, and the per-hop ingress
@@ -447,7 +441,6 @@ func (nic *NIC) begin(pk *Packet) sim.Time {
 func (nic *NIC) end(pk *Packet) {
 	n := nic.net
 	wire := wireBytes(pk)
-	nic.injected++
 	nic.mPktsOut.Add(1)
 	nic.mBytesOut.Add(int64(wire))
 
@@ -462,7 +455,6 @@ func (nic *NIC) end(pk *Packet) {
 
 	dst, hops, ingress, reason := n.walk(nic, pk.Route)
 	if dst == nil {
-		n.routeDrops++
 		n.mRouteDrops.Add(1)
 		n.drop(nic, reason)
 		return
@@ -483,25 +475,20 @@ func (nic *NIC) end(pk *Packet) {
 	}
 	pk.Ingress = ingress
 	n.eng.Post(sim.Time(hops)*n.prof.SwitchLatency, func() {
-		dst.delivered++
 		dst.mPktsIn.Add(1)
 		dst.mBytesIn.Add(int64(wire))
 		dst.RX.Put(pk)
 	})
 }
 
-// drop records a packet death with its reason in stats, metrics and trace.
-// The trace instant carries the reason, so a timeline shows *why* each
-// packet died, not just that one did.
+// drop records a packet death with its reason in metrics and trace. The
+// trace instant carries the reason, so a timeline shows *why* each packet
+// died, not just that one did.
 func (n *Network) drop(nic *NIC, reason string) {
-	n.dropped++
 	n.lastDrop = reason
 	n.mDrops.Add(1)
 	n.eng.TraceInstant(nic.comp, "net", "packet_dropped: "+reason)
 }
-
-// Stats reports packets injected by and delivered to this NIC.
-func (nic *NIC) Stats() (injected, delivered int64) { return nic.injected, nic.delivered }
 
 // ReverseRoute converts the ingress-port record of a received packet into
 // a route from the receiver back to the sender.

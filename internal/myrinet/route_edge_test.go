@@ -84,27 +84,14 @@ func TestRouteDropCounting(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.RouteDrops(); got != 3 {
-		t.Errorf("RouteDrops = %d, want 3", got)
+	if got := counter(t, e, "net/route_drops"); got != 3 {
+		t.Errorf("net/route_drops = %d, want 3", got)
 	}
-	dropped, reason := n.Dropped()
-	if dropped != 3 {
-		t.Errorf("Dropped = %d, want 3", dropped)
+	if got := counter(t, e, "net/packets_dropped"); got != 3 {
+		t.Errorf("net/packets_dropped = %d, want 3", got)
 	}
-	if reason != "dangling link" {
+	if reason := n.LastDrop(); reason != "dangling link" {
 		t.Errorf("last drop reason = %q, want %q", reason, "dangling link")
-	}
-	found := false
-	for _, cv := range e.MetricsSnapshot().Counters {
-		if cv.Name == "net/route_drops" {
-			found = true
-			if cv.Value != 3 {
-				t.Errorf("net/route_drops metric = %v, want 3", cv.Value)
-			}
-		}
-	}
-	if !found {
-		t.Error("net/route_drops metric not registered")
 	}
 }
 

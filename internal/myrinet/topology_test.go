@@ -209,17 +209,20 @@ func TestNICStats(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	inj, del := a.Stats()
-	if inj != 4 || del != 0 {
-		t.Errorf("sender stats = %d,%d", inj, del)
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{"nic0/packets_injected", 4}, {"nic0/packets_delivered", 0},
+		{"nic1/packets_injected", 0}, {"nic1/packets_delivered", 3},
+		{"net/packets_dropped", 1},
+	} {
+		if got := counter(t, e, c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
-	inj, del = b.Stats()
-	if inj != 0 || del != 3 {
-		t.Errorf("receiver stats = %d,%d", inj, del)
-	}
-	dropped, reason := n.Dropped()
-	if dropped != 1 || reason == "" {
-		t.Errorf("dropped = %d (%q)", dropped, reason)
+	if n.LastDrop() == "" {
+		t.Error("the drop left no reason")
 	}
 }
 
@@ -257,7 +260,7 @@ func TestMappingSurvivesLossyLink(t *testing.T) {
 			t.Errorf("route %d->%d discovered across the lossy link", pair[0], pair[1])
 		}
 	}
-	if pl.Stats().Corruptions == 0 {
+	if counter(t, e, "fault/corruptions") == 0 {
 		t.Error("no corruptions injected on the lossy link")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ether"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Daemon is the per-node VMMC daemon (§4.1): trusted user-level software
@@ -32,9 +33,10 @@ type Daemon struct {
 	// proc is the service loop, killed when the node crashes.
 	proc *simProc
 
-	exportsServed int64
-	importsServed int64
-	importRetries int64
+	// Exports registered, imports granted, and import requests
+	// retransmitted: "node<id>/daemon_exports", "/daemon_imports_served"
+	// and "/daemon_import_retries".
+	mExports, mImports, mRetries *trace.Counter
 }
 
 // servedKey identifies one import request cluster-wide.
@@ -96,13 +98,19 @@ const (
 )
 
 func newDaemon(n *Node, eth *ether.Bus) *Daemon {
+	c := func(name string) *trace.Counter {
+		return n.Eng.Metrics().Counter(fmt.Sprintf("node%d/daemon_%s", n.ID, name))
+	}
 	return &Daemon{
-		node:    n,
-		eth:     eth,
-		box:     eth.Register(n.ID),
-		exports: make(map[uint32]*exportInfo),
-		waiting: make(map[int]*importWait),
-		served:  make(map[servedKey]importRep),
+		node:     n,
+		eth:      eth,
+		box:      eth.Register(n.ID),
+		exports:  make(map[uint32]*exportInfo),
+		waiting:  make(map[int]*importWait),
+		served:   make(map[servedKey]importRep),
+		mExports: c("exports"),
+		mImports: c("imports_served"),
+		mRetries: c("import_retries"),
 	}
 }
 
@@ -181,7 +189,7 @@ func (d *Daemon) exportLocal(p *simProc, proc *Process, tag uint32, va mem.VirtA
 			end:      end,
 		})
 	}
-	d.exportsServed++
+	d.mExports.Add(1)
 	return info, nil
 }
 
@@ -312,7 +320,7 @@ func (d *Daemon) requestImport(p *simProc, proc *Process, exporterNode int, tag 
 			return importRep{}, ErrDaemonUnreachable
 		}
 		if attempt > 0 {
-			d.importRetries++
+			d.mRetries.Add(1)
 			d.node.Eng.TraceInstant(fmt.Sprintf("daemon%d", d.node.ID), "daemon", "import_retry")
 		}
 		d.eth.Send(p, d.node.ID, exporterNode, "import-req", req)
@@ -383,7 +391,7 @@ func (d *Daemon) serveImport(p *simProc, from int, req importReq) {
 		rep.Frames = info.frames
 		rep.Length = info.length
 		info.importers++
-		d.importsServed++
+		d.mImports.Add(1)
 	}
 	d.served[key] = rep
 	d.eth.Send(p, d.node.ID, from, "import-rep", rep)
@@ -410,14 +418,6 @@ func importAllowed(allowed []ProcID, who ProcID) bool {
 	}
 	return false
 }
-
-// Stats reports exports registered and imports granted by this daemon.
-func (d *Daemon) Stats() (exports, imports int64) {
-	return d.exportsServed, d.importsServed
-}
-
-// ImportRetries reports how many import requests had to be retransmitted.
-func (d *Daemon) ImportRetries() int64 { return d.importRetries }
 
 // reset discards all daemon state, as a crash does: exports died with the
 // node's memory, pending waits will never be answered (their waiters are

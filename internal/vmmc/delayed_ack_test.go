@@ -59,16 +59,14 @@ func oneStraggler(t *testing.T, p *simProc, c *Cluster) {
 func TestDelayedAckAvoidsStragglerRetransmit(t *testing.T) {
 	delayedAckCluster(t, 25*sim.Microsecond, func(p *simProc, c *Cluster) {
 		oneStraggler(t, p, c)
-		sl := c.Nodes[0].Board.Reliable()
-		if sl.Retransmits != 0 {
-			t.Errorf("retransmits = %d with delayed ack, want 0", sl.Retransmits)
+		if n := boardCounter(t, c.Nodes[0], "rl_retransmits"); n != 0 {
+			t.Errorf("retransmits = %d with delayed ack, want 0", n)
 		}
-		rl := c.Nodes[1].Board.Reliable()
-		if rl.AcksSent == 0 {
+		if boardCounter(t, c.Nodes[1], "rl_acks_sent") == 0 {
 			t.Error("no ack sent for the straggler")
 		}
-		if rl.DupDrops != 0 {
-			t.Errorf("dup drops = %d with delayed ack, want 0", rl.DupDrops)
+		if n := boardCounter(t, c.Nodes[1], "rl_dup_drops"); n != 0 {
+			t.Errorf("dup drops = %d with delayed ack, want 0", n)
 		}
 	})
 }
@@ -79,12 +77,10 @@ func TestZeroAckDelayKeepsTimeoutRecovery(t *testing.T) {
 	// re-ack.
 	delayedAckCluster(t, 0, func(p *simProc, c *Cluster) {
 		oneStraggler(t, p, c)
-		sl := c.Nodes[0].Board.Reliable()
-		if sl.Retransmits == 0 {
+		if boardCounter(t, c.Nodes[0], "rl_retransmits") == 0 {
 			t.Error("no retransmit: zero AckDelay should leave stragglers to the timeout path")
 		}
-		rl := c.Nodes[1].Board.Reliable()
-		if rl.DupDrops == 0 {
+		if boardCounter(t, c.Nodes[1], "rl_dup_drops") == 0 {
 			t.Error("no duplicate drop: the timeout path re-acks via the dup")
 		}
 	})
@@ -120,15 +116,13 @@ func TestDelayedAckBatchesUnderBursts(t *testing.T) {
 		}
 		recv.SpinByte(p, buf+size-1, msg[size-1])
 		p.Sleep(10 * sim.Millisecond)
-		sl := c.Nodes[0].Board.Reliable()
-		if sl.Retransmits != 0 {
-			t.Errorf("retransmits = %d, want 0", sl.Retransmits)
+		if n := boardCounter(t, c.Nodes[0], "rl_retransmits"); n != 0 {
+			t.Errorf("retransmits = %d, want 0", n)
 		}
-		rl := c.Nodes[1].Board.Reliable()
 		// 16 in-sequence packets, an ack every 4th → 4 cadence acks plus at
 		// most one delayed ack per group of 4.
-		if rl.AcksSent > 8 {
-			t.Errorf("acks sent = %d for 16 packets, want batched (<= 8)", rl.AcksSent)
+		if n := boardCounter(t, c.Nodes[1], "rl_acks_sent"); n > 8 {
+			t.Errorf("acks sent = %d for 16 packets, want batched (<= 8)", n)
 		}
 	})
 }

@@ -15,10 +15,8 @@ import (
 type Driver struct {
 	node *Node
 
-	tlbRefills    int64
-	pagesLocked   int64
-	notifications int64
-
+	// TLB refill interrupts served, pages they locked, and notifications
+	// delivered.
 	mRefills, mLocked, mNotify *trace.Counter
 
 	// Names of the service processes and the trace component, built once:
@@ -112,7 +110,6 @@ func (d *Driver) refillTLB(p *simProc, pid int, vpage uint64) error {
 		}
 		st.chargePin(1)
 		n.Phys.Pin(pa.Frame())
-		d.pagesLocked++
 		d.mLocked.Add(1)
 		if oldVP, oldFrame, evicted := st.tlb.Insert(vp, pa.Frame()); evicted {
 			_ = oldVP
@@ -121,7 +118,6 @@ func (d *Driver) refillTLB(p *simProc, pid int, vpage uint64) error {
 		}
 		inserted++
 	}
-	d.tlbRefills++
 	d.mRefills.Add(1)
 	if inserted == 0 {
 		return fmt.Errorf("driver%d: tlb miss on unmapped va page %#x (pid %d)", n.ID, vpage, pid)
@@ -143,7 +139,6 @@ func (d *Driver) deliverNotification(p *simProc, irq notifyIRQ) {
 		return
 	}
 	p.Sleep(n.Prof.SignalCost)
-	d.notifications++
 	d.mNotify.Add(1)
 	n.Eng.TraceInstant(d.comp, "irq", "notification_signal")
 	h(p, irq.from, irq.tag, irq.offset, irq.length)
@@ -165,7 +160,6 @@ func (d *Driver) translateAndLock(proc *Process, va mem.VirtAddr, n int) ([]int,
 			return nil, err
 		}
 		d.node.Phys.Pin(pa.Frame())
-		d.pagesLocked++
 		frames = append(frames, pa.Frame())
 	}
 	proc.lcpState.chargePin(span)
@@ -178,10 +172,4 @@ func (d *Driver) unlock(st *lcpProcState, frames []int) {
 		d.node.Phys.Unpin(f)
 	}
 	st.releasePin(len(frames))
-}
-
-// Stats reports refill interrupts served, pages locked, and notifications
-// delivered.
-func (d *Driver) Stats() (refills, locked, notifies int64) {
-	return d.tlbRefills, d.pagesLocked, d.notifications
 }

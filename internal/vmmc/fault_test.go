@@ -114,8 +114,8 @@ func TestCrashMidTrafficSurfacesUnreachable(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if pl.Stats().Crashes != 1 {
-		t.Errorf("plan crashes = %d, want 1", pl.Stats().Crashes)
+	if n := counter(t, c.Eng, "fault/node_crashes"); n != 1 {
+		t.Errorf("plan crashes = %d, want 1", n)
 	}
 }
 
@@ -289,10 +289,10 @@ func TestImportRetriesThroughEtherLoss(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Ether.Dropped() == 0 {
+	if counter(t, c.Eng, "ether/messages_dropped") == 0 {
 		t.Error("no ether messages dropped at 30% loss")
 	}
-	if c.Nodes[0].Daemon.ImportRetries() == 0 {
+	if nodeCounter(t, c.Nodes[0], "daemon_import_retries") == 0 {
 		t.Error("import succeeded without retries despite ether loss")
 	}
 }

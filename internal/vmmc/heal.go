@@ -39,23 +39,18 @@ const (
 	healDistributeCost = 2 * sim.Microsecond
 )
 
-// HealStats counts the self-healing layer's activity: a snapshot of the
-// heal/* trace metrics.
-type HealStats struct {
-	Stalls        int64 // reliable windows suspended pending a remap
-	Remaps        int64 // remap rounds that produced a usable map
-	RouteSwaps    int64 // route-table entries changed by a remap
-	Healed        int64 // suspended windows resumed on a live route
-	Abandoned     int64 // suspended windows given up after healMaxRounds
-	Revalidations int64 // imports refreshed after an exporter restart
-}
-
 // stallKey identifies one suspended reliable window: a sender node and the
 // destination node it cannot reach.
 type stallKey struct {
 	node, peer int
 }
 
+// healMetrics count the self-healing layer's activity as heal/* metrics:
+// reliable windows suspended pending a remap (stalls), remap rounds that
+// produced a usable map, route-table entries a remap changed (route_swaps),
+// suspended windows resumed on a live route (healed) or given up after
+// healMaxRounds (abandoned), and imports refreshed after an exporter
+// restart (import_revalidations).
 type healMetrics struct {
 	stalls, remaps, swaps, healed, abandoned, revals *trace.Counter
 }
@@ -109,18 +104,6 @@ func newHealService(c *Cluster) *HealService {
 	proc := c.Eng.Go("heal:coordinator", h.run)
 	proc.SetDaemon(true)
 	return h
-}
-
-// Stats returns a snapshot of the heal counters.
-func (h *HealService) Stats() HealStats {
-	return HealStats{
-		Stalls:        h.m.stalls.Value(),
-		Remaps:        h.m.remaps.Value(),
-		RouteSwaps:    h.m.swaps.Value(),
-		Healed:        h.m.healed.Value(),
-		Abandoned:     h.m.abandoned.Value(),
-		Revalidations: h.m.revals.Value(),
-	}
 }
 
 // onStall runs in the stalling sender's timer context; it must decide

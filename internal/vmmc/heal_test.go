@@ -95,15 +95,14 @@ func TestLinkOutageHealsTransparently(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Healer().Stats()
-	if st.Stalls == 0 {
+	if counter(t, eng, "heal/stalls") == 0 {
 		t.Error("no stall recorded despite an outage past the retransmit budget")
 	}
-	if st.Healed == 0 {
+	if counter(t, eng, "heal/healed") == 0 {
 		t.Error("no window healed despite the link coming back")
 	}
-	if st.Abandoned != 0 {
-		t.Errorf("Abandoned = %d, want 0", st.Abandoned)
+	if n := counter(t, eng, "heal/abandoned"); n != 0 {
+		t.Errorf("abandoned = %d, want 0", n)
 	}
 }
 
@@ -212,14 +211,13 @@ func TestSwitchOutageFailsOverToAlternateRoute(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Healer().Stats()
-	if st.RouteSwaps == 0 {
+	if counter(t, eng, "heal/route_swaps") == 0 {
 		t.Error("no route swapped: failover should reroute via the live spine")
 	}
-	if st.Healed == 0 {
+	if counter(t, eng, "heal/healed") == 0 {
 		t.Error("no window healed after the spine failover")
 	}
-	if pl.Stats().SwitchDrops == 0 {
+	if counter(t, eng, "fault/switch_drops") == 0 {
 		t.Error("no packets died at the dead spine — outage never bit")
 	}
 }
@@ -277,15 +275,14 @@ func TestHealAbandonAfterBudget(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Healer().Stats()
-	if st.Stalls == 0 {
+	if counter(t, eng, "heal/stalls") == 0 {
 		t.Error("no stall recorded")
 	}
-	if st.Abandoned == 0 {
+	if counter(t, eng, "heal/abandoned") == 0 {
 		t.Error("heal never abandoned despite a permanently dead path")
 	}
-	if st.Healed != 0 {
-		t.Errorf("Healed = %d on a path that never came back", st.Healed)
+	if n := counter(t, eng, "heal/healed"); n != 0 {
+		t.Errorf("healed = %d on a path that never came back", n)
 	}
 }
 
@@ -384,8 +381,8 @@ func TestRestartStaleImportRevalidation(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	if n := c.Healer().Stats().Revalidations; n != 1 {
-		t.Errorf("Revalidations = %d, want 1", n)
+	if n := counter(t, c.Eng, "heal/import_revalidations"); n != 1 {
+		t.Errorf("import revalidations = %d, want 1", n)
 	}
 }
 

@@ -81,10 +81,8 @@ type LCP struct {
 	rx       *lanai.Receiver
 	mainProc *simProc
 
-	stats LCPStats
-
 	// comp is the trace component name ("node<id>/lcp"); m holds the
-	// always-on metrics counters mirroring the hot LCPStats fields.
+	// always-on metrics counters.
 	comp string
 	m    lcpMetrics
 	// dmaLabel names a chunk's host DMA as the holder of the engine and the
@@ -102,6 +100,7 @@ type lcpMetrics struct {
 	tlbHits, tlbMisses    *trace.Counter
 	tlbMissStalls         *trace.Counter
 	notifyRequested       *trace.Counter
+	shortPreempts         *trace.Counter
 	packetsOut, packetsIn *trace.Counter
 	bytesOut, bytesIn     *trace.Counter
 }
@@ -121,27 +120,12 @@ func newLCPMetrics(r *trace.Registry, nodeID int) lcpMetrics {
 		tlbMisses:       c("tlb_misses"),
 		tlbMissStalls:   c("tlb_miss_stalls"),
 		notifyRequested: c("lcp_notifications_requested"),
+		shortPreempts:   c("lcp_short_preempts"),
 		packetsOut:      c("lcp_packets_out"),
 		packetsIn:       c("lcp_packets_in"),
 		bytesOut:        c("lcp_bytes_out"),
 		bytesIn:         c("lcp_bytes_in"),
 	}
-}
-
-// LCPStats counts LCP-observable events.
-type LCPStats struct {
-	PacketsOut, PacketsIn   int64
-	BytesOut, BytesIn       int64
-	CRCErrors               int64
-	ProtectionViolations    int64
-	TLBMissStalls           int64
-	TightLoopIterations     int64
-	MainLoopIterations      int64
-	SendsShort, SendsLong   int64
-	ShortPreempts           int64
-	NotificationsRequested  int64
-	CompletionsWithError    int64
-	QueueScansTotalDistance int64
 }
 
 // rxItem is an arrived packet after link-layer filtering: data is the
@@ -301,9 +285,6 @@ func (l *LCP) teardown() {
 	l.arrivedHW = make(map[uint32]int)
 	l.notifyAcc = make(map[notifyKey]notifyAccum)
 }
-
-// Stats returns a copy of the LCP's counters.
-func (l *LCP) Stats() LCPStats { return l.stats }
 
 // registerProcess carves the per-process SRAM state out of the board,
 // sized by the process's resource partition (zero-value limits give the
@@ -608,11 +589,9 @@ func (l *LCP) run(p *simProc) {
 		// loop while a long send is in progress and no packets arrive.
 		tight := prof.TightSendLoop && len(l.jobs) > 0 && len(l.rxq) == 0
 		if tight {
-			l.stats.TightLoopIterations++
 			l.m.tightIters.Add(1)
 			p.Sleep(prof.LCPDispatch / 4)
 		} else {
-			l.stats.MainLoopIterations++
 			l.m.mainIters.Add(1)
 			p.Sleep(prof.LCPDispatch)
 		}
@@ -702,7 +681,6 @@ func (l *LCP) serveShortPreempt(p *simProc) {
 			continue
 		}
 		p.Sleep(l.node.Prof.LCPScanPerQueue)
-		l.stats.QueueScansTotalDistance++
 		e, ok := st.sq.peek()
 		if !ok || e.inline == nil {
 			continue
@@ -713,7 +691,7 @@ func (l *LCP) serveShortPreempt(p *simProc) {
 		}
 		st.sq.take()
 		l.scanPtr = (idx + 1) % nq
-		l.stats.ShortPreempts++
+		l.m.shortPreempts.Add(1)
 		l.handleShort(p, st, e)
 		return
 	}
@@ -735,7 +713,6 @@ func (l *LCP) scanQueues(p *simProc) (*lcpProcState, sqEntry, bool) {
 		idx := (l.scanPtr + i) % nq
 		st := l.states[l.scan[idx]]
 		p.Sleep(l.node.Prof.LCPScanPerQueue)
-		l.stats.QueueScansTotalDistance++
 		e, ok := st.sq.peek()
 		if !ok || !l.requestReady(st, e) {
 			continue
@@ -792,9 +769,6 @@ func (l *LCP) writeCompletion(p *simProc, st *lcpProcState, seq uint32, code uin
 	if err := l.node.Board.SRAMToHost(p, l.scratchOff, st.statusPA, 8); err != nil {
 		panic(fmt.Sprintf("lcp%d: completion DMA failed: %v", l.node.ID, err))
 	}
-	if code != ceOK {
-		l.stats.CompletionsWithError++
-	}
 }
 
 // handleShort processes a short send: the data is already inline in the
@@ -803,7 +777,6 @@ func (l *LCP) writeCompletion(p *simProc, st *lcpProcState, seq uint32, code uin
 // completion (the send buffer — the queue entry — is reusable immediately)
 // and injects one packet.
 func (l *LCP) handleShort(p *simProc, st *lcpProcState, e sqEntry) {
-	l.stats.SendsShort++
 	l.m.sendsShort.Add(1)
 	l.node.Eng.TraceBegin(l.comp, "lcp", "short_send")
 	defer l.node.Eng.TraceEnd(l.comp, "lcp", "short_send")
@@ -873,7 +846,6 @@ func (l *LCP) inject(p *simProc, j *sendJob, c stagedChunk) {
 	if c.last {
 		hdr.Flags |= flagLastChunk
 		if j.e.notify {
-			l.stats.NotificationsRequested++
 			l.m.notifyRequested.Add(1)
 		}
 	}
@@ -900,8 +872,6 @@ func (l *LCP) inject(p *simProc, j *sendJob, c stagedChunk) {
 		return
 	}
 	j.injOff += c.n
-	l.stats.PacketsOut++
-	l.stats.BytesOut += int64(c.n)
 	l.m.packetsOut.Add(1)
 	l.m.bytesOut.Add(int64(c.n))
 	if reliable && c.last && !j.completed {

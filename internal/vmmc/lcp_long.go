@@ -64,7 +64,6 @@ func (j *sendJob) done() bool {
 // tenant's). Without configured budgets the scan never starts a second
 // job, preserving the legacy one-job-per-interface behavior exactly.
 func (l *LCP) startLong(p *simProc, st *lcpProcState, e sqEntry) {
-	l.stats.SendsLong++
 	l.m.sendsLong.Add(1)
 	p.Sleep(l.node.Prof.LCPLongSendSetup)
 	job, ok := l.resolve(p, st, e)
@@ -162,16 +161,11 @@ func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 
 	p.Sleep(prof.LCPTLBProbe)
 	frame, hit := j.st.tlb.Lookup(uint64(src.Page()))
-	if hit {
-		l.m.tlbHits.Add(1)
-	} else {
-		l.m.tlbMisses.Add(1)
-	}
 	if !hit {
 		// Interrupt the host; the driver inserts up to 32 translations
 		// and locks the pages (§4.5). The job stalls; receives may be
 		// processed meanwhile.
-		l.stats.TLBMissStalls++
+		l.m.tlbMisses.Add(1)
 		l.m.tlbMissStalls.Add(1)
 		l.node.Eng.TraceInstant(l.comp, "lcp", "tlb_miss_stall")
 		j.tlbWait = true
@@ -197,6 +191,7 @@ func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 		})
 		return
 	}
+	l.m.tlbHits.Add(1)
 
 	srcPA := mem.PhysAddr(frame)<<mem.PageShift | mem.PhysAddr(src.Offset())
 	if len(l.stagingFree) == 0 {

@@ -122,11 +122,8 @@ func TestDeficitSkipServesUnpacedShorts(t *testing.T) {
 		}
 		// Attribution must reconcile: class 1 is the only budgeted class,
 		// so its per-class counters equal the scheduler totals.
-		if throttles != ls.Throttles || throttledNS != ls.ThrottledTime {
-			t.Errorf("attribution leak: class (%d, %v) vs total (%d, %v)",
-				throttles, throttledNS, ls.Throttles, ls.ThrottledTime)
-		}
-		if st := c.Nodes[0].LCP.Stats(); st.ShortPreempts == 0 {
+		checkThrottleTotals(t, c.Nodes[0], throttles, throttledNS)
+		if nodeCounter(t, c.Nodes[0], "lcp_short_preempts") == 0 {
 			t.Errorf("no short preempts recorded; victim shorts were not served between bulk chunks")
 		}
 	})
@@ -171,14 +168,17 @@ func TestAllClassesDeficientParksAndWakes(t *testing.T) {
 		if err := send.Write(src, make([]byte, total)); err != nil {
 			t.Fatal(err)
 		}
-		lcp := c.Nodes[0].LCP
-		itersBefore := lcp.Stats().MainLoopIterations + lcp.Stats().TightLoopIterations
+		loops := func() int64 {
+			return nodeCounter(t, c.Nodes[0], "lcp_main_loop_iterations") +
+				nodeCounter(t, c.Nodes[0], "lcp_tight_loop_iterations")
+		}
+		itersBefore := loops()
 		begin := p.Now()
 		if err := send.SendMsgSync(p, src, dest, total, SendOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		elapsed := p.Now() - begin
-		iters := lcp.Stats().MainLoopIterations + lcp.Stats().TightLoopIterations - itersBefore
+		iters := loops() - itersBefore
 
 		// The pacer must have stretched the transfer to roughly the
 		// configured rate: everything past the burst pays refill time.
@@ -205,11 +205,20 @@ func TestAllClassesDeficientParksAndWakes(t *testing.T) {
 		if throttledNS < elapsed/2 {
 			t.Errorf("throttled time %v does not account for the paced wait (elapsed %v)", throttledNS, elapsed)
 		}
-		if throttles != ls.Throttles || throttledNS != ls.ThrottledTime {
-			t.Errorf("attribution leak: class (%d, %v) vs total (%d, %v)",
-				throttles, throttledNS, ls.Throttles, ls.ThrottledTime)
-		}
+		checkThrottleTotals(t, c.Nodes[0], throttles, throttledNS)
 	})
+}
+
+// checkThrottleTotals reconciles one class's pacer attribution with the
+// board's totals, the qos_throttles and qos_throttled_ns counters: with one
+// budgeted class they must be equal.
+func checkThrottleTotals(t *testing.T, n *Node, throttles int64, throttledNS sim.Time) {
+	t.Helper()
+	total, totalNS := boardCounter(t, n, "qos_throttles"), boardCounter(t, n, "qos_throttled_ns")
+	if throttles != total || int64(throttledNS) != totalNS {
+		t.Errorf("attribution leak: class (%d, %v) vs total (%d, %v)",
+			throttles, throttledNS, total, sim.Time(totalNS))
+	}
 }
 
 // TestPacedShortsDeferredNotBlocking covers the short-send half of

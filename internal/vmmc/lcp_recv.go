@@ -21,11 +21,9 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 	eng.TraceBegin(l.comp, "lcp", "recv_packet")
 	defer eng.TraceEnd(l.comp, "lcp", "recv_packet")
 	p.Sleep(l.node.Prof.LCPRecvPacket)
-	l.stats.PacketsIn++
 	l.m.packetsIn.Add(1)
 
 	if !pk.CheckCRC() {
-		l.stats.CRCErrors++
 		l.m.crcErrors.Add(1)
 		eng.TraceInstant(l.comp, "lcp", "crc_error")
 		return
@@ -116,7 +114,6 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 			panic(err)
 		}
 	}
-	l.stats.BytesIn += int64(hdr.DataLen)
 	l.m.bytesIn.Add(int64(hdr.DataLen))
 	l.node.MemActivity.Broadcast()
 
@@ -176,9 +173,8 @@ type notifyAccum struct {
 }
 
 // protViolation counts a rejected packet (forged, malformed, or outside
-// the exported extent) in stats, metrics, and the trace.
+// the exported extent) in metrics and the trace.
 func (l *LCP) protViolation(eng *sim.Engine) {
-	l.stats.ProtectionViolations++
 	l.m.protViol.Add(1)
 	eng.TraceInstant(l.comp, "lcp", "protection_violation")
 }

@@ -73,12 +73,12 @@ func TestMalformedPacketsDropped(t *testing.T) {
 		sram := c.Nodes[1].Board.SRAM
 		behind := lcp.recvOff + mem.PageSize
 		sramBefore := append([]byte(nil), sram.Bytes(behind, sram.Size()-behind)...)
-		before := lcp.Stats().ProtectionViolations
+		before := nodeCounter(t, c.Nodes[1], "lcp_protection_violations")
 		for _, cse := range cases {
 			injectRaw(c, cse.payload)
 		}
 		p.Sleep(2 * sim.Millisecond)
-		after := lcp.Stats().ProtectionViolations
+		after := nodeCounter(t, c.Nodes[1], "lcp_protection_violations")
 		if int(after-before) != len(cases) {
 			t.Errorf("violations = %d, want %d", after-before, len(cases))
 		}

@@ -1,6 +1,7 @@
 package vmmc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -35,7 +36,8 @@ func TestDaemonStats(t *testing.T) {
 		if _, _, err := imp.Import(p, 1, 1); err != nil {
 			t.Fatal(err)
 		}
-		exports, imports := c.Nodes[1].Daemon.Stats()
+		exports := nodeCounter(t, c.Nodes[1], "daemon_exports")
+		imports := nodeCounter(t, c.Nodes[1], "daemon_imports_served")
 		if exports != 1 || imports != 1 {
 			t.Errorf("daemon stats = %d exports, %d imports", exports, imports)
 		}
@@ -191,9 +193,8 @@ func TestMaxTransferEightMegabytes(t *testing.T) {
 		if got[0] != 1 || got[3] != 4 {
 			t.Error("8MB transfer corrupted its tail")
 		}
-		stats := c.Nodes[0].LCP.Stats()
-		if stats.PacketsOut < size/mem.PageSize {
-			t.Errorf("8MB message sent in %d packets, want >= %d chunks", stats.PacketsOut, size/mem.PageSize)
+		if n := nodeCounter(t, c.Nodes[0], "lcp_packets_out"); n < size/mem.PageSize {
+			t.Errorf("8MB message sent in %d packets, want >= %d chunks", n, size/mem.PageSize)
 		}
 	})
 }
@@ -252,19 +253,18 @@ func TestLCPStatsAccounting(t *testing.T) {
 			t.Fatal(err) // long
 		}
 		p.Sleep(sim.Millisecond)
-		s := c.Nodes[0].LCP.Stats()
-		if s.SendsShort != 1 || s.SendsLong != 1 {
-			t.Errorf("sends = %d short, %d long", s.SendsShort, s.SendsLong)
+		s, r := c.Nodes[0], c.Nodes[1]
+		if short, long := nodeCounter(t, s, "lcp_sends_short"), nodeCounter(t, s, "lcp_sends_long"); short != 1 || long != 1 {
+			t.Errorf("sends = %d short, %d long", short, long)
 		}
-		if s.BytesOut != 64+3*mem.PageSize {
-			t.Errorf("BytesOut = %d", s.BytesOut)
+		if n := nodeCounter(t, s, "lcp_bytes_out"); n != 64+3*mem.PageSize {
+			t.Errorf("bytes out = %d", n)
 		}
-		r := c.Nodes[1].LCP.Stats()
-		if r.BytesIn != 64+3*mem.PageSize {
-			t.Errorf("BytesIn = %d", r.BytesIn)
+		if n := nodeCounter(t, r, "lcp_bytes_in"); n != 64+3*mem.PageSize {
+			t.Errorf("bytes in = %d", n)
 		}
-		if r.PacketsIn != 1+3 {
-			t.Errorf("PacketsIn = %d, want 4 (1 short + 3 chunks)", r.PacketsIn)
+		if n := nodeCounter(t, r, "lcp_packets_in"); n != 1+3 {
+			t.Errorf("packets in = %d, want 4 (1 short + 3 chunks)", n)
 		}
 	})
 }
@@ -290,19 +290,28 @@ func TestClusterStatsSnapshot(t *testing.T) {
 		if st.Nodes[0].LCP.SendsLong != 1 {
 			t.Errorf("node0 long sends = %d", st.Nodes[0].LCP.SendsLong)
 		}
-		if st.Nodes[1].LCP.BytesIn != 3*mem.PageSize {
-			t.Errorf("node1 bytes in = %d", st.Nodes[1].LCP.BytesIn)
-		}
-		if st.Nodes[1].ExportsServed != 1 || st.Nodes[1].ImportsServed != 1 {
-			t.Errorf("daemon stats: %+v", st.Nodes[1])
-		}
-		if st.Nodes[0].SRAMUsed == 0 {
-			t.Error("SRAM usage not reported")
-		}
-		out := st.Format()
-		for _, want := range []string{"node 0", "node 1", "long sends", "SRAM in use"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("report missing %q:\n%s", want, out)
+		// Every field is a read of the counter its comment names.
+		for i, ns := range st.Nodes {
+			n := c.Nodes[i]
+			for _, f := range []struct {
+				got  int64
+				name string
+			}{
+				{ns.LCP.PacketsOut, fmt.Sprintf("node%d/lcp_packets_out", i)},
+				{ns.LCP.MainLoopIterations, fmt.Sprintf("node%d/lcp_main_loop_iterations", i)},
+				{ns.LCP.SendsShort, fmt.Sprintf("node%d/lcp_sends_short", i)},
+				{ns.LCP.SendsLong, fmt.Sprintf("node%d/lcp_sends_long", i)},
+				{ns.LCP.TLBMissStalls, fmt.Sprintf("node%d/tlb_miss_stalls", i)},
+				{ns.HostDMATransfers, fmt.Sprintf("dma:lanai%d:host/transfers", i)},
+				{ns.Interrupts, fmt.Sprintf("lanai%d/interrupts", i)},
+				{ns.Notifications, fmt.Sprintf("node%d/notifications_delivered", i)},
+			} {
+				if want := counter(t, n.Eng, f.name); f.got != want {
+					t.Errorf("node %d: Stats read %d, %s is %d", i, f.got, f.name, want)
+				}
+			}
+			if ns.ReliabilityRetx != 0 || ns.ReliabilityStalls != 0 {
+				t.Errorf("node %d: link-layer counts %d, %d without a link layer", i, ns.ReliabilityRetx, ns.ReliabilityStalls)
 			}
 		}
 	})

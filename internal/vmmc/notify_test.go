@@ -1,6 +1,7 @@
 package vmmc
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/fault"
@@ -208,18 +209,18 @@ func TestLostFinalChunkMergesIntoNextNotification(t *testing.T) {
 		// Two chunks at offset 0; the fault is armed once the first chunk
 		// has left the sender's NIC, so it hits exactly the second.
 		nic := c.Nodes[0].Board.NIC
-		before, _ := nic.Stats()
+		injected := fmt.Sprintf("nic%d/packets_injected", nic.ID)
+		before := counter(t, c.Eng, injected)
 		c.Eng.Go("arm-fault", func(wp *simProc) {
 			wp.PollUntil(c.Nodes[0].Prof.SpinCheckInterval, 0, nil, func() bool {
-				n, _ := nic.Stats()
-				return n > before
+				return counter(t, c.Eng, injected) > before
 			})
 			pl.CorruptNextOn(nic.ID, 1)
 		})
 		if !sendNotify(0, 2*mem.PageSize) {
 			return
 		}
-		if got := lcp.Stats().CRCErrors; got != 1 {
+		if got := nodeCounter(t, c.Nodes[1], "lcp_crc_errors"); got != 1 {
 			t.Errorf("CRC errors at the receiver: %d, want 1 (the final chunk)", got)
 			return
 		}

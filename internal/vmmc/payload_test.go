@@ -61,17 +61,17 @@ func TestFaultedChunkRetransmitsOriginalBytes(t *testing.T) {
 				if got, _ := send.Read(src, size); !bytes.Equal(got, msg) {
 					t.Error("bit error reached the sender's source memory")
 				}
-				rl0, rl1 := c.Nodes[0].Board.Reliable(), c.Nodes[1].Board.Reliable()
-				if drops := rl0.CorruptDrops + rl1.CorruptDrops; drops != 1 {
+				n0, n1 := c.Nodes[0], c.Nodes[1]
+				if drops := boardCounter(t, n0, "rl_corrupt_drops") + boardCounter(t, n1, "rl_corrupt_drops"); drops != 1 {
 					t.Errorf("corrupt drops = %d, want exactly 1", drops)
 				}
-				if rl1.Deliveries != 1 {
-					t.Errorf("link-layer deliveries = %d, want 1", rl1.Deliveries)
+				if n := boardCounter(t, n1, "rl_deliveries"); n != 1 {
+					t.Errorf("link-layer deliveries = %d, want 1", n)
 				}
-				if rl0.Retransmits == 0 {
+				if boardCounter(t, n0, "rl_retransmits") == 0 {
 					t.Error("no retransmission despite the drop")
 				}
-				if n := c.Nodes[1].LCP.Stats().CRCErrors + c.Nodes[1].LCP.Stats().ProtectionViolations; n != 0 {
+				if n := nodeCounter(t, n1, "lcp_crc_errors") + nodeCounter(t, n1, "lcp_protection_violations"); n != 0 {
 					t.Errorf("%d damaged packets got past the link layer", n)
 				}
 			})

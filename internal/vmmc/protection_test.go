@@ -239,13 +239,13 @@ func TestForgedPacketRejectedByIncomingTable(t *testing.T) {
 		}
 		payload := append(hdr.appendTo(nil), []byte("OWNED!")...)
 		nic := c.Net.NICs()[0]
-		before := c.Nodes[1].LCP.Stats().ProtectionViolations
+		before := nodeCounter(t, c.Nodes[1], "lcp_protection_violations")
 		c.Eng.Go("forger", func(fp *simProc) {
 			nic.Send(fp, []byte{1}, payload)
 		})
 		p.Sleep(sim.Millisecond)
 
-		if got := c.Nodes[1].LCP.Stats().ProtectionViolations; got != before+1 {
+		if got := nodeCounter(t, c.Nodes[1], "lcp_protection_violations"); got != before+1 {
 			t.Errorf("protection violations = %d, want %d", got, before+1)
 		}
 		data, _ := victim.Read(secret, 11)

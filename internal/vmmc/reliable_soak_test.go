@@ -61,8 +61,9 @@ func TestReliableSoakUnderLoss(t *testing.T) {
 				pl := fault.NewPlan(eng, 0xB0B)
 				c.Net.SetFaults(pl)
 				pl.SetLinkBER(c.Nodes[0].Board.NIC.ID, ber)
-				nic1 := c.Nodes[1].Board.NIC
-				_, delivered0 := nic1.Stats()
+				n0, n1 := c.Nodes[0], c.Nodes[1]
+				delivered := fmt.Sprintf("nic%d/packets_delivered", n1.Board.NIC.ID)
+				delivered0 := counter(t, eng, delivered)
 
 				for i := 0; i < msgs; i++ {
 					off := mem.VirtAddr(i * msgSize)
@@ -83,25 +84,25 @@ func TestReliableSoakUnderLoss(t *testing.T) {
 					t.Errorf("ber %g: delivered bytes differ from sent", ber)
 				}
 
-				rl0 := c.Nodes[0].Board.Reliable()
-				rl1 := c.Nodes[1].Board.Reliable()
-				_, delivered := nic1.Stats()
-				dataPkts := delivered - delivered0
-				if accounted := rl1.Deliveries + rl1.DupDrops + rl1.GapDrops + rl1.CorruptDrops; accounted != dataPkts {
+				dataPkts := counter(t, eng, delivered) - delivered0
+				up, dup := boardCounter(t, n1, "rl_deliveries"), boardCounter(t, n1, "rl_dup_drops")
+				gap, corrupt := boardCounter(t, n1, "rl_gap_drops"), boardCounter(t, n1, "rl_corrupt_drops")
+				if accounted := up + dup + gap + corrupt; accounted != dataPkts {
 					t.Errorf("ber %g: nic delivered %d data packets, link layer accounted %d (%d up, %d dup, %d gap, %d corrupt)",
-						ber, dataPkts, accounted, rl1.Deliveries, rl1.DupDrops, rl1.GapDrops, rl1.CorruptDrops)
+						ber, dataPkts, accounted, up, dup, gap, corrupt)
 				}
-				if inj := pl.Stats().Corruptions; inj != rl1.CorruptDrops+rl0.CorruptDrops {
+				ackCorrupt := boardCounter(t, n0, "rl_corrupt_drops")
+				if inj := counter(t, eng, "fault/corruptions"); inj != corrupt+ackCorrupt {
 					t.Errorf("ber %g: %d corruptions injected, %d caught (%d data side, %d ack side)",
-						ber, inj, rl1.CorruptDrops+rl0.CorruptDrops, rl1.CorruptDrops, rl0.CorruptDrops)
+						ber, inj, corrupt+ackCorrupt, corrupt, ackCorrupt)
 				}
-				if rl1.Deliveries != msgs {
-					t.Errorf("ber %g: %d packets delivered up, want %d", ber, rl1.Deliveries, msgs)
+				if up != msgs {
+					t.Errorf("ber %g: %d packets delivered up, want %d", ber, up, msgs)
 				}
-				if rl0.Unreachables != 0 {
+				if boardCounter(t, n0, "rl_unreachable") != 0 {
 					t.Errorf("ber %g: spurious unreachable declaration", ber)
 				}
-				if ber >= 1e-4 && rl0.Retransmits == 0 {
+				if ber >= 1e-4 && boardCounter(t, n0, "rl_retransmits") == 0 {
 					t.Errorf("ber %g: soak exercised no retransmissions", ber)
 				}
 			})

@@ -97,12 +97,10 @@ func TestReliableRecoversFromCRCErrors(t *testing.T) {
 				}
 			}
 		}
-		rl := c.Nodes[1].Board.Reliable()
-		if rl.CorruptDrops != 5 {
-			t.Errorf("corrupt drops = %d, want 5", rl.CorruptDrops)
+		if n := boardCounter(t, c.Nodes[1], "rl_corrupt_drops"); n != 5 {
+			t.Errorf("corrupt drops = %d, want 5", n)
 		}
-		sl := c.Nodes[0].Board.Reliable()
-		if sl.Retransmits == 0 {
+		if boardCounter(t, c.Nodes[0], "rl_retransmits") == 0 {
 			t.Error("no retransmissions despite drops")
 		}
 	})
@@ -146,10 +144,11 @@ func TestLongRoutesAckTheirWindows(t *testing.T) {
 				}
 				recv.SpinByte(p, buf+7, 8)
 			})
-			rl := c.Nodes[0].Board.Reliable()
-			if rl.Retransmits != 0 || rl.Unreachables != 0 || rl.Unacked(0) != 0 {
+			n := c.Nodes[0]
+			retx, unreachable := boardCounter(t, n, "rl_retransmits"), boardCounter(t, n, "rl_unreachable")
+			if unacked := n.Board.Reliable().Unacked(0); retx != 0 || unreachable != 0 || unacked != 0 {
 				t.Errorf("retransmits = %d, unreachables = %d, unacked = %d, want all 0",
-					rl.Retransmits, rl.Unreachables, rl.Unacked(0))
+					retx, unreachable, unacked)
 			}
 		})
 	}
@@ -179,7 +178,7 @@ func TestUnreliableLosesWhatReliableRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Sleep(10 * sim.Millisecond)
-		if got := c.Nodes[1].LCP.Stats().CRCErrors; got != 5 {
+		if got := nodeCounter(t, c.Nodes[1], "lcp_crc_errors"); got != 5 {
 			t.Errorf("CRC errors = %d, want 5", got)
 		}
 		// Five pages' worth of chunks never arrived.

@@ -79,7 +79,7 @@ func TestResetPeerRacesInFlightAck(t *testing.T) {
 		// Let the delayed ack fire and cross the wire into the dropped
 		// window: it must vanish without resurrecting any state.
 		p.Sleep(2 * sim.Millisecond)
-		if rl.AcksSent == 0 {
+		if boardCounter(t, c.Nodes[1], "rl_acks_sent") == 0 {
 			t.Error("armed delayed ack never fired after sender-side reset")
 		}
 		rl.ResetPeer(c.Nodes[0].Board.NIC.ID)
@@ -88,14 +88,14 @@ func TestResetPeerRacesInFlightAck(t *testing.T) {
 		// and never mistaken for a duplicate of the old window.
 		sendShort(t, p, c, send, recv, dest, buf, 0xB2)
 		p.Sleep(2 * sim.Millisecond)
-		if sl.Retransmits != 0 {
-			t.Errorf("retransmits = %d, want 0 (late ack must not strand the fresh window)", sl.Retransmits)
+		if n := boardCounter(t, c.Nodes[0], "rl_retransmits"); n != 0 {
+			t.Errorf("retransmits = %d, want 0 (late ack must not strand the fresh window)", n)
 		}
-		if sl.Unreachables != 0 {
-			t.Errorf("unreachables = %d, want 0", sl.Unreachables)
+		if n := boardCounter(t, c.Nodes[0], "rl_unreachable"); n != 0 {
+			t.Errorf("unreachables = %d, want 0", n)
 		}
-		if rl.DupDrops != 0 {
-			t.Errorf("dup drops = %d, want 0 (fresh seq 0 mistaken for the old conversation)", rl.DupDrops)
+		if n := boardCounter(t, c.Nodes[1], "rl_dup_drops"); n != 0 {
+			t.Errorf("dup drops = %d, want 0 (fresh seq 0 mistaken for the old conversation)", n)
 		}
 	})
 }
@@ -125,17 +125,17 @@ func TestResetPeerCancelsArmedDelayedAck(t *testing.T) {
 		rl.ResetPeer(c.Nodes[0].Board.NIC.ID)
 		sl.ResetPeer(c.Nodes[1].Board.NIC.ID)
 		p.Sleep(2 * sim.Millisecond)
-		if rl.AcksSent != 0 {
-			t.Errorf("acks sent = %d, want 0 (reset must cancel the armed delayed ack)", rl.AcksSent)
+		if n := boardCounter(t, c.Nodes[1], "rl_acks_sent"); n != 0 {
+			t.Errorf("acks sent = %d, want 0 (reset must cancel the armed delayed ack)", n)
 		}
-		if sl.Retransmits != 0 {
-			t.Errorf("retransmits = %d, want 0 (reset must cancel the window timer)", sl.Retransmits)
+		if n := boardCounter(t, c.Nodes[0], "rl_retransmits"); n != 0 {
+			t.Errorf("retransmits = %d, want 0 (reset must cancel the window timer)", n)
 		}
 
 		// The link still works from a clean slate.
 		sendShort(t, p, c, send, recv, dest, buf, 0xD4)
-		if rl.DupDrops != 0 {
-			t.Errorf("dup drops = %d, want 0", rl.DupDrops)
+		if n := boardCounter(t, c.Nodes[1], "rl_dup_drops"); n != 0 {
+			t.Errorf("dup drops = %d, want 0", n)
 		}
 	})
 }

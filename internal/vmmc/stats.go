@@ -1,89 +1,61 @@
 package vmmc
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
-// ClusterStats is a point-in-time snapshot of the whole platform's
-// counters, for experiment reports and debugging.
+// ClusterStats is a point-in-time copy of the counters the benchmark
+// module reports per node. Every count lives in the engine's metrics
+// registry; this is one read of it, under the names each field notes.
 type ClusterStats struct {
-	Nodes []NodeStats
-	// Network-wide.
-	PacketsDropped int64
-	LastDropReason string
+	Nodes          []NodeStats
+	PacketsDropped int64 // net/packets_dropped
 }
 
 // NodeStats is one node's counters.
 type NodeStats struct {
-	Node int
-	LCP  LCPStats
-	// Driver.
-	TLBRefills    int64
-	PagesLocked   int64
-	Notifications int64
-	// Daemon.
-	ExportsServed int64
-	ImportsServed int64
-	// Board.
-	Interrupts        int64
-	HostDMATransfers  int64
-	HostDMABytes      int64
-	SRAMUsed          int64
-	ReliabilityRetx   int64
-	ReliabilityStalls int64
+	LCP               LCPStats
+	HostDMATransfers  int64 // dma:lanai<id>:host/transfers
+	Interrupts        int64 // lanai<id>/interrupts
+	ReliabilityRetx   int64 // lanai<id>/rl_retransmits
+	ReliabilityStalls int64 // lanai<id>/rl_window_stalls
+	Notifications     int64 // node<id>/notifications_delivered
 }
 
-// Stats snapshots every node's counters.
+// LCPStats is the control program's share of a node's counters.
+type LCPStats struct {
+	PacketsOut         int64 // node<id>/lcp_packets_out
+	MainLoopIterations int64 // node<id>/lcp_main_loop_iterations
+	SendsShort         int64 // node<id>/lcp_sends_short
+	SendsLong          int64 // node<id>/lcp_sends_long
+	TLBMissStalls      int64 // node<id>/tlb_miss_stalls
+}
+
+// Stats reads every node's counters from one metrics snapshot. A counter
+// nothing registered — the link layer's on a cluster without it, the
+// LCP's before boot — reads zero.
 func (c *Cluster) Stats() ClusterStats {
+	snap := c.Eng.MetricsSnapshot()
+	count := func(format string, id int) int64 {
+		v, _ := snap.Counter(fmt.Sprintf(format, id))
+		return v
+	}
 	out := ClusterStats{}
-	dropped, reason := c.Net.Dropped()
-	out.PacketsDropped = dropped
-	out.LastDropReason = reason
+	out.PacketsDropped, _ = snap.Counter("net/packets_dropped")
 	for _, n := range c.Nodes {
-		ns := NodeStats{Node: n.ID}
-		if n.LCP != nil {
-			ns.LCP = n.LCP.Stats()
-		}
-		ns.TLBRefills, ns.PagesLocked, ns.Notifications = n.Driver.Stats()
-		ns.ExportsServed, ns.ImportsServed = n.Daemon.Stats()
-		ns.Interrupts = n.Board.Interrupts()
-		tr, by := n.Board.HostDMA.Stats()
-		ns.HostDMATransfers, ns.HostDMABytes = tr, by
-		ns.SRAMUsed = int64(n.Board.SRAM.Used())
-		if rl := n.Board.Reliable(); rl != nil {
-			ns.ReliabilityRetx = rl.Retransmits
-			ns.ReliabilityStalls = rl.WindowStalls
-		}
-		out.Nodes = append(out.Nodes, ns)
+		nic := n.Board.NIC.ID
+		out.Nodes = append(out.Nodes, NodeStats{
+			LCP: LCPStats{
+				PacketsOut:         count("node%d/lcp_packets_out", n.ID),
+				MainLoopIterations: count("node%d/lcp_main_loop_iterations", n.ID),
+				SendsShort:         count("node%d/lcp_sends_short", n.ID),
+				SendsLong:          count("node%d/lcp_sends_long", n.ID),
+				TLBMissStalls:      count("node%d/tlb_miss_stalls", n.ID),
+			},
+			HostDMATransfers:  count("dma:lanai%d:host/transfers", nic),
+			Interrupts:        count("lanai%d/interrupts", nic),
+			ReliabilityRetx:   count("lanai%d/rl_retransmits", nic),
+			ReliabilityStalls: count("lanai%d/rl_window_stalls", nic),
+			Notifications:     count("node%d/notifications_delivered", n.ID),
+		})
 	}
 	return out
-}
-
-// Format renders the snapshot as an aligned per-node report.
-func (s ClusterStats) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster: %d node(s), %d packet(s) dropped", len(s.Nodes), s.PacketsDropped)
-	if s.LastDropReason != "" {
-		fmt.Fprintf(&b, " (last: %s)", s.LastDropReason)
-	}
-	b.WriteString("\n")
-	for _, n := range s.Nodes {
-		fmt.Fprintf(&b, "node %d:\n", n.Node)
-		fmt.Fprintf(&b, "  lcp: %d/%d pkts out/in, %d/%d bytes out/in, %d short + %d long sends\n",
-			n.LCP.PacketsOut, n.LCP.PacketsIn, n.LCP.BytesOut, n.LCP.BytesIn,
-			n.LCP.SendsShort, n.LCP.SendsLong)
-		fmt.Fprintf(&b, "  lcp: %d crc errors, %d protection violations, %d tlb stalls, %d notifications requested\n",
-			n.LCP.CRCErrors, n.LCP.ProtectionViolations, n.LCP.TLBMissStalls, n.LCP.NotificationsRequested)
-		fmt.Fprintf(&b, "  driver: %d tlb refills, %d pages locked, %d notifications delivered\n",
-			n.TLBRefills, n.PagesLocked, n.Notifications)
-		fmt.Fprintf(&b, "  daemon: %d exports, %d imports served\n", n.ExportsServed, n.ImportsServed)
-		fmt.Fprintf(&b, "  board: %d interrupts, %d host-DMA transfers (%d bytes), %d B SRAM in use\n",
-			n.Interrupts, n.HostDMATransfers, n.HostDMABytes, n.SRAMUsed)
-		if n.ReliabilityRetx > 0 || n.ReliabilityStalls > 0 {
-			fmt.Fprintf(&b, "  reliability: %d retransmits, %d window stalls\n",
-				n.ReliabilityRetx, n.ReliabilityStalls)
-		}
-	}
-	return b.String()
 }

@@ -2,6 +2,7 @@ package vmmc
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/mem"
@@ -202,8 +203,9 @@ func TestTeardownDuringChunkDMA(t *testing.T) {
 					p.Sleep(sim.Micros(1))
 				}
 				j := lcp.jobs[0]
-				sent := lcp.Stats().PacketsOut
-				transfers, _ := node.Board.HostDMA.Stats()
+				sent := nodeCounter(t, node, "lcp_packets_out")
+				hostDMAs := fmt.Sprintf("dma:lanai%d:host/transfers", node.Board.NIC.ID)
+				transfers := counter(t, c.Eng, hostDMAs)
 
 				tc.teardown(c, victim)
 				if !node.Board.HostDMA.Busy() {
@@ -213,13 +215,13 @@ func TestTeardownDuringChunkDMA(t *testing.T) {
 				if node.Board.HostDMA.Busy() {
 					t.Error("host-DMA engine still held after the transfer's end")
 				}
-				if n, _ := node.Board.HostDMA.Stats(); n != transfers+1 {
+				if n := counter(t, c.Eng, hostDMAs); n != transfers+1 {
 					t.Errorf("%d host DMAs completed after the teardown, want the one in flight", n-transfers)
 				}
 				if j.dmaBusy || len(j.staged) > 0 && !tc.crash {
 					t.Errorf("dead job: dmaBusy=%v, %d chunks staged", j.dmaBusy, len(j.staged))
 				}
-				if got := lcp.Stats().PacketsOut; got != sent {
+				if got := nodeCounter(t, node, "lcp_packets_out"); got != sent {
 					t.Errorf("%d packets injected for the dead job", got-sent)
 				}
 				if tc.crash {
@@ -315,8 +317,11 @@ func TestTeardownDuringReceiveDMA(t *testing.T) {
 					}
 				}
 				old := node.LCP
-				transfers, _ := node.Board.NetRecv.Stats()
-				in := old.Stats().PacketsIn
+				drains := fmt.Sprintf("dma:lanai%d:netrecv/transfers", node.Board.NIC.ID)
+				transfers := counter(t, c.Eng, drains)
+				// The node's counters outlive its LCP: the restarted control
+				// program counts on from where the dead one stopped.
+				in := nodeCounter(t, node, "lcp_packets_in")
 
 				c.CrashNode(node.ID)
 				if tc.restartNow {
@@ -331,31 +336,31 @@ func TestTeardownDuringReceiveDMA(t *testing.T) {
 				if node.Board.NetRecv.Busy() {
 					t.Error("net-receive engine still held after the transfer's end")
 				}
-				if n, _ := node.Board.NetRecv.Stats(); tc.midDrain && n != transfers+1 {
+				if n := counter(t, c.Eng, drains); tc.midDrain && n != transfers+1 {
 					t.Errorf("%d receive DMAs completed after the crash, want the one in flight", n-transfers)
 				}
-				if len(old.rxq) != 0 || old.Stats().PacketsIn != in {
-					t.Errorf("the dead LCP was handed %d packets", len(old.rxq)+int(old.Stats().PacketsIn-in))
+				if got := nodeCounter(t, node, "lcp_packets_in"); len(old.rxq) != 0 || got != in {
+					t.Errorf("the dead engine's packet reached a control program: %d queued, %d counted", len(old.rxq), got-in)
 				}
 				if !tc.restartNow {
 					if err := c.RestartNode(node.ID); err != nil {
 						t.Fatal(err)
 					}
-				} else if l := node.LCP; len(l.rxq) != 0 || l.Stats().PacketsIn != 0 {
+				} else if l := node.LCP; len(l.rxq) != 0 {
 					t.Errorf("the restarted LCP was handed the dead engine's packet")
 				}
 
-				transfers, _ = node.Board.NetRecv.Stats()
-				retx := c.Nodes[0].Board.Reliable().Retransmits
+				transfers = counter(t, c.Eng, drains)
+				retx := boardCounter(t, c.Nodes[0], "rl_retransmits")
 				next, buf := deliver(10, 0x22, true)
 				if got, _ := next.Read(buf, size); !bytes.Equal(got, bytes.Repeat([]byte{0x22}, size)) {
 					t.Error("the packet after the restart did not arrive whole")
 				}
-				n, _ := node.Board.NetRecv.Stats()
-				if got := c.Nodes[0].Board.Reliable().Retransmits - retx; n != transfers+1 || got != 0 {
+				n := counter(t, c.Eng, drains)
+				if got := boardCounter(t, c.Nodes[0], "rl_retransmits") - retx; n != transfers+1 || got != 0 {
 					t.Errorf("the packet after the restart took %d drains and %d retransmissions, want 1 and 0", n-transfers, got)
 				}
-				if n := node.LCP.Stats().PacketsIn; n != 1 {
+				if n := nodeCounter(t, node, "lcp_packets_in") - in; n != 1 {
 					t.Errorf("the restarted LCP took %d packets, want the one sent to it", n)
 				}
 				for _, proc := range []*Process{send, next} { // the importer's release reaches the exporter's daemon over Ethernet

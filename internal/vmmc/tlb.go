@@ -16,8 +16,6 @@ type TLB struct {
 	sets    [][2]tlbEntry
 	lru     []uint8 // which way to evict next, per set
 	sramOff int
-
-	hits, misses int64
 }
 
 type tlbEntry struct {
@@ -67,11 +65,9 @@ func (t *TLB) Lookup(vpage uint64) (int, bool) {
 	for w := 0; w < 2; w++ {
 		if set[w].valid && set[w].vpage == vpage {
 			t.lru[t.setIndex(vpage)] = uint8(1 - w) // other way becomes eviction victim
-			t.hits++
 			return set[w].frame, true
 		}
 	}
-	t.misses++
 	return 0, false
 }
 
@@ -115,6 +111,3 @@ func (t *TLB) InvalidateAll() (frames []int) {
 	}
 	return frames
 }
-
-// Stats reports lookup hits and misses.
-func (t *TLB) Stats() (hits, misses int64) { return t.hits, t.misses }

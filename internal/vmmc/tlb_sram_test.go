@@ -17,10 +17,6 @@ func TestTLBLookupInsert(t *testing.T) {
 	if f, hit := tlb.Lookup(12); !hit || f != 100 {
 		t.Errorf("Lookup(12) = %d,%v", f, hit)
 	}
-	hits, misses := tlb.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses", hits, misses)
-	}
 }
 
 func TestTLBTwoWaySetAssociativity(t *testing.T) {
@@ -96,13 +92,14 @@ func TestTLBMissTriggersRefillInterrupt(t *testing.T) {
 		dest, _, _ := send.Import(p, 1, 1)
 		src, _ := send.Malloc(size)
 
-		if got := c.Nodes[0].Board.Interrupts(); got != 0 {
+		n := c.Nodes[0]
+		if got := boardCounter(t, n, "interrupts"); got != 0 {
 			t.Fatalf("interrupts before first send = %d", got)
 		}
 		if err := send.SendMsgSync(p, src, dest, size, SendOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		refills, locked, _ := c.Nodes[0].Driver.Stats()
+		refills, locked := nodeCounter(t, n, "tlb_refills"), nodeCounter(t, n, "pages_locked")
 		if refills != 1 {
 			t.Errorf("refill interrupts = %d, want 1 (batch of 32 covers 8 pages)", refills)
 		}
@@ -113,11 +110,10 @@ func TestTLBMissTriggersRefillInterrupt(t *testing.T) {
 		if err := send.SendMsgSync(p, src, dest, size, SendOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		if refills2, _, _ := c.Nodes[0].Driver.Stats(); refills2 != refills {
+		if refills2 := nodeCounter(t, n, "tlb_refills"); refills2 != refills {
 			t.Errorf("warm-TLB send took %d extra refills", refills2-refills)
 		}
-		hits, _ := send.lcpState.tlb.Stats()
-		if hits == 0 {
+		if nodeCounter(t, n, "tlb_hits") == 0 {
 			t.Error("no TLB hits on warm send")
 		}
 	})
@@ -138,8 +134,7 @@ func TestTLBRefillBatchCoversThirtyTwoPages(t *testing.T) {
 		if err := send.SendMsgSync(p, src, dest, size, SendOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		refills, _, _ := c.Nodes[0].Driver.Stats()
-		if refills != pages/TLBRefillBatch {
+		if refills := nodeCounter(t, c.Nodes[0], "tlb_refills"); refills != pages/TLBRefillBatch {
 			t.Errorf("refills = %d for %d pages, want %d (32 per interrupt)",
 				refills, pages, pages/TLBRefillBatch)
 		}
@@ -243,7 +238,7 @@ func TestCRCErrorDetectedAndDropped(t *testing.T) {
 			t.Fatal(err) // sync send completes: error is receive-side
 		}
 		p.Sleep(sim.Millisecond)
-		if got := c.Nodes[1].LCP.Stats().CRCErrors; got != 1 {
+		if got := nodeCounter(t, c.Nodes[1], "lcp_crc_errors"); got != 1 {
 			t.Errorf("CRC errors = %d, want 1", got)
 		}
 		// No recovery (§4.2): data must NOT have been delivered.
@@ -542,13 +537,13 @@ func TestRegisterBufferAvoidsMissInterrupts(t *testing.T) {
 		dest, _, _ := send.Import(p, 1, 1)
 
 		// Unregistered: first touch pays refill interrupts.
+		n := c.Nodes[0]
 		cold, _ := send.Malloc(size)
-		before, _, _ := c.Nodes[0].Driver.Stats()
+		before := nodeCounter(t, n, "tlb_refills")
 		if err := send.SendMsgSync(p, cold, dest, size, SendOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		after, _, _ := c.Nodes[0].Driver.Stats()
-		if after == before {
+		if after := nodeCounter(t, n, "tlb_refills"); after == before {
 			t.Fatal("unregistered first-touch send took no refills; test premise broken")
 		}
 
@@ -557,20 +552,17 @@ func TestRegisterBufferAvoidsMissInterrupts(t *testing.T) {
 		if err := send.RegisterBuffer(p, reg, size); err != nil {
 			t.Fatal(err)
 		}
-		before, _, _ = c.Nodes[0].Driver.Stats()
-		intrBefore := c.Nodes[0].Board.Interrupts()
+		before = nodeCounter(t, n, "tlb_refills")
+		intrBefore := boardCounter(t, n, "interrupts")
 		if err := send.SendMsgSync(p, reg, dest+ProxyAddr(size), size, SendOptions{}); err != nil {
 			t.Fatal(err)
 		}
-		afterReg, _, _ := c.Nodes[0].Driver.Stats()
-		if afterReg != before {
+		if afterReg := nodeCounter(t, n, "tlb_refills"); afterReg != before {
 			t.Errorf("registered send took %d refills, want 0", afterReg-before)
 		}
-		if got := c.Nodes[0].Board.Interrupts(); got != intrBefore {
+		if got := boardCounter(t, n, "interrupts"); got != intrBefore {
 			t.Errorf("registered send raised %d interrupts", got-intrBefore)
 		}
-		misses := c.Nodes[0].LCP.Stats().TLBMissStalls
-		_ = misses
 
 		// Registration validates its arguments.
 		if err := send.RegisterBuffer(p, reg+mem.VirtAddr(100*size), mem.PageSize); err != ErrBadBuffer {

@@ -152,7 +152,7 @@ func DefaultProfile() Profile { return hw.Default() }
 // Micros converts microseconds to a Time.
 func Micros(us float64) Time { return sim.Micros(us) }
 
-// ClusterStats is a point-in-time snapshot of the platform's counters
-// (LCPs, drivers, daemons, boards, fabric); obtain one with
-// Cluster.Stats() and render it with its Format method.
+// ClusterStats is a point-in-time read of the per-node counters the
+// benchmark module reports (LCPs, drivers, boards, fabric), out of the
+// engine's metrics registry; obtain one with Cluster.Stats().
 type ClusterStats = vmmc.ClusterStats
