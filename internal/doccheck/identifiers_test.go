@@ -41,10 +41,13 @@ func parseInternal(t *testing.T, root string, visit func(*ast.File)) {
 // internalDecls returns, per package name under internal/, the names its
 // non-test files declare: each func, type, const, var, method and struct
 // field or interface method by its own name, and each method and field
-// also as Type.Member.
+// also as Type.Member — a struct's own, and those it promotes from a type
+// it embeds.
 func internalDecls(t *testing.T, root string) map[string]map[string]bool {
 	t.Helper()
 	decls := make(map[string]map[string]bool)
+	type embedding struct{ pkg, outer, inner string }
+	var embeds []embedding
 	parseInternal(t, root, func(f *ast.File) {
 		names := decls[f.Name.Name]
 		if names == nil {
@@ -83,6 +86,9 @@ func internalDecls(t *testing.T, root string) map[string]map[string]bool {
 							continue
 						}
 						for _, fld := range fields.List {
+							if fld.Names == nil {
+								embeds = append(embeds, embedding{f.Name.Name, s.Name.Name, recvTypeName(fld.Type)})
+							}
 							for _, n := range fld.Names {
 								member(s.Name.Name, n.Name)
 							}
@@ -92,6 +98,14 @@ func internalDecls(t *testing.T, root string) map[string]map[string]bool {
 			}
 		}
 	})
+	for _, e := range embeds {
+		names := decls[e.pkg]
+		for name := range names {
+			if member, ok := strings.CutPrefix(name, e.inner+"."); ok {
+				names[e.outer+"."+member] = true
+			}
+		}
+	}
 	return decls
 }
 

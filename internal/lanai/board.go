@@ -315,7 +315,7 @@ func (r *Receiver) filter() {
 	switch {
 	case b.reliable == nil:
 		r.data, r.up = pk.Payload, true
-	case b.reliable.receive(pk):
+	case b.reliable.receive(pk.Payload, pk.CheckCRC(), b.Eng.Now()):
 		b.Eng.Post(rlPerPacketCost, r.onHeld)
 		return
 	}
@@ -329,7 +329,7 @@ func (r *Receiver) admit() {
 		return
 	}
 	rl := r.b.reliable
-	data, ack := rl.admit(r.pk)
+	data, ack := rl.admit(r.pk.Payload, r.pk.Ingress)
 	r.data, r.up = data, data != nil
 	if ack == nil {
 		r.next()

@@ -413,3 +413,50 @@ func TestFaultedFrameLeavesRetransmitWindowIntact(t *testing.T) {
 		t.Errorf("%d deliveries, want exactly one carrying the original bytes", len(got))
 	}
 }
+
+// A retransmit round is a chain of continuations, not a process: a run
+// whose first transmission is damaged, so that the timer resends the whole
+// window of eight, costs the engine the goroutine handoffs and self-resumes
+// of a clean run — the sender's own — and nothing more.
+func TestRetransmitRoundCostsNoHandoff(t *testing.T) {
+	run := func(lossy bool) (sim.SchedStats, int64) {
+		cfg := DefaultReliability()
+		cfg.AckDelay = 25 * sim.Microsecond
+		e, net, a, b, route := reliablePair(t, 1, cfg)
+		if lossy {
+			pl := fault.NewPlan(e, 1)
+			net.SetFaults(pl)
+			pl.CorruptNextOn(a.NIC.ID, 1)
+		}
+		delivered := 0
+		b.StartReceiver("b:rx", func([]byte, *myrinet.Packet) { delivered++ })
+		a.StartReceiver("a:rx", func([]byte, *myrinet.Packet) {})
+		e.Go("a:tx", func(p *sim.Proc) {
+			for i := 0; i < 8; i++ {
+				frame := append(a.NewFrame(1024), make([]byte, 1024)...)
+				if err := a.SendFrameCharged(p, b.NIC.ID, route, frame, 0); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if delivered != 8 {
+			t.Errorf("lossy=%v: %d frames delivered, want 8", lossy, delivered)
+		}
+		return e.SchedStats(), a.Reliable().m.retransmits.Value()
+	}
+	clean, _ := run(false)
+	lossy, retx := run(true)
+	if retx != 8 {
+		t.Errorf("the damaged run retransmitted %d frames, want the whole window of 8", retx)
+	}
+	if lossy.Handoffs != clean.Handoffs || lossy.SelfResumes != clean.SelfResumes {
+		t.Errorf("a retransmit round costs %d handoffs and %d self-resumes: lossy run %d and %d, clean run %d and %d",
+			lossy.Handoffs-clean.Handoffs, lossy.SelfResumes-clean.SelfResumes,
+			lossy.Handoffs, lossy.SelfResumes, clean.Handoffs, clean.SelfResumes)
+	}
+	t.Logf("lossy and clean run: %d and %d handoffs, %d and %d self-resumes",
+		lossy.Handoffs, clean.Handoffs, lossy.SelfResumes, clean.SelfResumes)
+}

@@ -171,30 +171,46 @@ func TestStreamUnderBufferPoison(t *testing.T) {
 // DMA, and a receive queue that grew a fresh array per packet, it cost
 // 149. What remains is the simulator's own bookkeeping per packet — the
 // packet struct, its delivery closure, the ingress record — and none of it
-// scales with payload bytes. Both ceilings are the measured
-// counts (go1.24); they were 72 and 12 while a packet's delivery was an
-// unpooled event and a send built its queue-full spin closure every time.
+// scales with payload bytes. Over the link layer each packet adds its
+// window entry, its frame (a window keeps it, so it is never recycled),
+// its retransmit timer and its share of the acks. The ceilings are the
+// measured counts (go1.24). On the paper's link they were 72 and 12 while
+// a packet's delivery was an unpooled event and a send built its
+// queue-full spin closure every time; over the link layer the long send
+// cost 105 while every arming of a retransmit timer built its callback.
 func TestSteadyStateAllocationCeilings(t *testing.T) {
-	const longCeiling, shortCeiling = 55, 5
-	longSendRig(t, false, false, func(_ *simProc, long, short func(), check func() bool) {
-		for i := 0; i < 4; i++ { // fill the free list, warm the TLBs
-			long()
-			short()
-		}
-		if n := testing.AllocsPerRun(10, long); n > longCeiling {
-			t.Errorf("64 KB SendMsg + delivery: %.0f allocations, ceiling %d", n, longCeiling)
-		} else {
-			t.Logf("64 KB SendMsg + delivery: %.0f allocations", n)
-		}
-		if n := testing.AllocsPerRun(50, short); n > shortCeiling {
-			t.Errorf("4-byte SendMsgSync + delivery: %.0f allocations, ceiling %d", n, shortCeiling)
-		} else {
-			t.Logf("4-byte SendMsgSync + delivery: %.0f allocations", n)
-		}
-		if !check() {
-			t.Error("received window differs from the sent one")
-		}
-	})
+	for _, rig := range []struct {
+		reliable                  bool
+		longCeiling, shortCeiling float64
+	}{
+		{false, 55, 5},
+		{true, 101, 8},
+	} {
+		longSendRig(t, false, rig.reliable, func(_ *simProc, long, short func(), check func() bool) {
+			for i := 0; i < 4; i++ { // fill the free list, warm the TLBs
+				long()
+				short()
+			}
+			for _, op := range []struct {
+				name    string
+				do      func()
+				runs    int
+				ceiling float64
+			}{
+				{"64 KB SendMsg + delivery", long, 10, rig.longCeiling},
+				{"4-byte SendMsgSync + delivery", short, 50, rig.shortCeiling},
+			} {
+				if n := testing.AllocsPerRun(op.runs, op.do); n > op.ceiling {
+					t.Errorf("%s (reliable=%v): %.0f allocations, ceiling %.0f", op.name, rig.reliable, n, op.ceiling)
+				} else {
+					t.Logf("%s (reliable=%v): %.0f allocations", op.name, rig.reliable, n)
+				}
+			}
+			if !check() {
+				t.Error("received window differs from the sent one")
+			}
+		})
+	}
 }
 
 // The allocation ceiling of a notification: one notifying 4-byte
