@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/lanai"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -282,5 +283,81 @@ func TestReliabilityWindowCompetesForSRAM(t *testing.T) {
 	}
 	if procErr == nil {
 		t.Error("process registration fit despite the reliability window consuming the SRAM; budget not enforced")
+	}
+}
+
+// TestSendAfterRepairDelivers cuts a live peer's link for long enough that
+// three windows toward it are declared unreachable, repairs it, and sends
+// again: every page a send reports delivered after the repair must land. A
+// window discarded by a verdict used to take its sequence numbers with it,
+// so the next window started again at zero; the receiver, still expecting
+// the old sequence, dropped the first three pages as duplicates — and
+// acknowledged them, so their sends reported success for pages that never
+// arrived.
+func TestSendAfterRepairDelivers(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.VerifySkips()
+	pl := fault.NewPlan(eng, 1)
+	cfg := lanai.DefaultReliability()
+	cfg.MaxRetries = 2
+	cfg.AckDelay = 25 * sim.Microsecond
+	c, err := NewCluster(eng, Options{Nodes: 2, Reliable: true, Reliability: &cfg, Faults: pl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Net.VerifyIntact()
+	const pages = 10 // 3 before the outage, 3 into it, 4 after the repair
+	c.Go("repair", func(p *simProc) {
+		recv, _ := c.Nodes[1].NewProcess(p)
+		send, _ := c.Nodes[0].NewProcess(p)
+		buf, _ := recv.Malloc(pages * mem.PageSize)
+		if err := recv.Export(p, 1, buf, pages*mem.PageSize, nil, false); err != nil {
+			t.Fatal(err)
+		}
+		dest, _, err := send.Import(p, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _ := send.Malloc(mem.PageSize)
+		page := func(i int) {
+			if err := send.Write(src, bytes.Repeat([]byte{byte(i + 1)}, mem.PageSize)); err != nil {
+				t.Fatal(err)
+			}
+			if err := send.SendMsgChecked(p, src, dest+ProxyAddr(i*mem.PageSize), mem.PageSize, SendOptions{}); err != nil {
+				t.Errorf("page %d: %v", i, err)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			page(i)
+			recv.SpinByte(p, buf+mem.VirtAddr((i+1)*mem.PageSize-1), byte(i+1))
+		}
+		repair := p.Now() + 20*sim.Millisecond
+		pl.LinkOutage(c.Nodes[1].Board.NIC.ID, p.Now(), repair)
+		for i := 3; i < 6; i++ {
+			page(i) // its window dies with it
+			for boardCounter(t, c.Nodes[0], "rl_unreachable") < int64(i-2) {
+				p.Sleep(100 * sim.Microsecond)
+			}
+		}
+		p.Sleep(repair - p.Now())
+		for i := 6; i < pages; i++ {
+			page(i)
+		}
+		recv.SpinByte(p, buf+pages*mem.PageSize-1, pages)
+		got, _ := recv.Read(buf, pages*mem.PageSize)
+		for i := 6; i < pages; i++ {
+			if got[i*mem.PageSize] != byte(i+1) {
+				t.Errorf("page %d, sent after the repair, never landed", i)
+			}
+		}
+	})
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if n := boardCounter(t, c.Nodes[0], "rl_unreachable"); n != 3 {
+		t.Errorf("%d unreachable verdicts, want 3", n)
+	}
+	if n := boardCounter(t, c.Nodes[1], "rl_dup_drops"); n != 0 {
+		t.Errorf("%d packets of the window after the repair dropped as duplicates", n)
 	}
 }
