@@ -30,27 +30,37 @@ type CollConfig struct {
 
 // CollResult is one cell: an (n ranks, vector size, algorithm) triple.
 type CollResult struct {
-	Nodes        int
-	Bytes        int
-	Algo         coll.Algorithm
-	PerOp        sim.Time // measured virtual time per all-reduce
-	ModelEst     sim.Time // the cost model's prediction for this cell
-	ModelChoice  bool     // Auto would pick this algorithm here
-	PayloadMsgs  int64    // credited payload messages the cell moved
-	CreditStalls int64
+	Nodes        int            `key:"nodes,%d" col:"nodes,%d"`
+	Bytes        int            `key:"bytes,%d" col:"bytes,%d"`
+	Algo         coll.Algorithm `key:"algorithm,%q" col:"algorithm,%s"`
+	PerOp        sim.Time       `key:"per_op_us,%.3f" col:"per-op,%.1f us"`       // measured virtual time per all-reduce
+	ModelEst     sim.Time       `key:"model_est_us,%.3f" col:"model est,%.1f us"` // the cost model's prediction for this cell
+	ModelChoice  bool           `key:"model_choice,%t" col:"auto picks"`          // Auto would pick this algorithm here
+	PayloadMsgs  int64          `key:"payload_msgs,%d" col:"payload msgs,%d"`     // credited payload messages the cell moved
+	CreditStalls int64          `key:"credit_stalls,%d" col:"credit stalls,%d"`
+}
+
+// computed renders the auto-picks column: an arrow on the model's choice.
+func (r CollResult) computed() string {
+	if r.ModelChoice {
+		return "<-"
+	}
+	return ""
 }
 
 // CollHealResult is the heal-interop cell: a ring all-reduce sequence on
-// the diamond fabric with a link outage healed under it.
+// the diamond fabric with a link outage healed under it. Its table row
+// sits under CollResult's columns.
 type CollHealResult struct {
-	Nodes, Bytes   int
-	Rounds         int
-	CleanElapsed   sim.Time
-	HealedElapsed  sim.Time
-	ResultsMatch   bool
-	SendFailures   int64
-	Retransmits    int64
-	HealedMessages int64
+	Nodes         int            `key:"nodes,%d" col:"nodes,%d"`
+	Bytes         int            `key:"bytes,%d" col:"bytes,%d"`
+	Algo          coll.Algorithm `col:"algorithm,%s+heal"`
+	Rounds        int            `key:"rounds,%d"`
+	CleanElapsed  sim.Time       `key:"clean_elapsed_us,%.3f" col:"model est,%.1f us"`
+	HealedElapsed sim.Time       `key:"healed_elapsed_us,%.3f" col:"per-op,%.1f us"`
+	ResultsMatch  bool           `key:"results_match,%t" col:"payload msgs,match=%t"`
+	SendFailures  int64          `key:"send_failures,%d" col:"credit stalls,fails=%d"`
+	Retransmits   int64          `key:"retransmits,%d"`
 }
 
 // CollSweep measures all-reduce completion time across communicator
@@ -70,28 +80,11 @@ func CollSweep(cfg CollConfig) (Table, error) {
 		cfg.Iters = 2
 	}
 	t := Table{
-		Title: "Collective sweep: all-reduce (int32 sum), binomial tree vs pipelined ring",
-		Columns: []string{"nodes", "bytes", "algorithm", "per-op", "model est",
-			"auto picks", "payload msgs", "credit stalls"},
+		Title:   "Collective sweep: all-reduce (int32 sum), binomial tree vs pipelined ring",
+		Columns: columns(CollResult{}),
 	}
 
-	log := sweepLog[CollResult]{sweep: "collsweep", same: equal[CollResult], t: &t}
-	log.row = func(r CollResult) []string {
-		pick := ""
-		if r.ModelChoice {
-			pick = "<-"
-		}
-		return []string{
-			fmt.Sprintf("%d", r.Nodes),
-			fmt.Sprintf("%d", r.Bytes),
-			r.Algo.String(),
-			fmt.Sprintf("%.1f us", r.PerOp.Micros()),
-			fmt.Sprintf("%.1f us", r.ModelEst.Micros()),
-			pick,
-			fmt.Sprintf("%d", r.PayloadMsgs),
-			fmt.Sprintf("%d", r.CreditStalls),
-		}
-	}
+	log := sweepLog[CollResult]{sweep: "collsweep", t: &t}
 	for _, n := range cfg.Nodes {
 		for _, size := range cfg.Sizes {
 			for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
@@ -110,16 +103,7 @@ func CollSweep(cfg CollConfig) (Table, error) {
 	if err != nil {
 		return t, err
 	}
-	t.Rows = append(t.Rows, []string{
-		fmt.Sprintf("%d", heal.Nodes),
-		fmt.Sprintf("%d", heal.Bytes),
-		"ring+heal",
-		fmt.Sprintf("%.1f us", heal.HealedElapsed.Micros()),
-		fmt.Sprintf("%.1f us", heal.CleanElapsed.Micros()),
-		"",
-		fmt.Sprintf("match=%v", heal.ResultsMatch),
-		fmt.Sprintf("fails=%d", heal.SendFailures),
-	})
+	t.Rows = append(t.Rows, row(heal, t.Columns))
 	t.Notes = append(t.Notes,
 		"auto picks: the calibrated cost model's per-cell choice; it must track the measured minimum at the extremes",
 		"ring+heal row: 3 chained ring all-reduces on the diamond fabric across a healed link outage; 'model est' column holds the fault-free elapsed time")
@@ -129,7 +113,14 @@ func CollSweep(cfg CollConfig) (Table, error) {
 		analysisNote(fmt.Sprintf("%d nodes, %d B, %s", last.Nodes, last.Bytes, last.Algo), log.reports[n-1]),
 		analysisNote("ring+heal", healRep))
 
-	return t, writeCollJSON(cfg, log.results, log.reports, heal, healRep)
+	return t, log.write(cfg.Out, artifact{
+		header: [][2]string{
+			{"operation", `"allreduce-int32-sum"`},
+			{"iters", fmt.Sprint(cfg.Iters)},
+		},
+		listKey: "configs",
+		extra:   [][2]string{{"heal_interop", object(heal, healRep.Verdict)}},
+	})
 }
 
 // buildComms creates one process per node of c and the communicator over
@@ -293,7 +284,7 @@ func runCollHealCase() (CollHealResult, *analysis.Report, error) {
 		return CollHealResult{}, nil, err
 	}
 	res := CollHealResult{
-		Nodes: nodes, Bytes: size, Rounds: rounds,
+		Nodes: nodes, Bytes: size, Algo: coll.Ring, Rounds: rounds,
 		CleanElapsed:  cleanElapsed,
 		HealedElapsed: healedElapsed,
 		ResultsMatch:  true,
@@ -316,33 +307,4 @@ func runCollHealCase() (CollHealResult, *analysis.Report, error) {
 			healedElapsed, cleanElapsed)
 	}
 	return res, healedCell.rep, nil
-}
-
-func writeCollJSON(cfg CollConfig, rs []CollResult, reps []*analysis.Report, heal CollHealResult, healRep *analysis.Report) error {
-	a := artifact{
-		what: "coll",
-		header: [][2]string{
-			{"benchmark", `"vmmc-collsweep"`},
-			{"operation", `"allreduce-int32-sum"`},
-			{"iters", fmt.Sprint(cfg.Iters)},
-		},
-		listKey: "configs",
-		reports: reps,
-		extra: fmt.Sprintf("  \"heal_interop\": {\"nodes\": %d, \"bytes\": %d, \"rounds\": %d, "+
-			"\"clean_elapsed_us\": %.3f, \"healed_elapsed_us\": %.3f, "+
-			"\"results_match\": %v, \"send_failures\": %d, \"retransmits\": %d, "+
-			"\"verdict\": %q},\n",
-			heal.Nodes, heal.Bytes, heal.Rounds,
-			heal.CleanElapsed.Micros(), heal.HealedElapsed.Micros(),
-			heal.ResultsMatch, heal.SendFailures, heal.Retransmits, healRep.Verdict),
-	}
-	for _, r := range rs {
-		a.cases = append(a.cases, fmt.Sprintf("\"nodes\": %d, \"bytes\": %d, \"algorithm\": %q, "+
-			"\"per_op_us\": %.3f, \"model_est_us\": %.3f, \"model_choice\": %v, "+
-			"\"payload_msgs\": %d, \"credit_stalls\": %d",
-			r.Nodes, r.Bytes, r.Algo.String(),
-			r.PerOp.Micros(), r.ModelEst.Micros(), r.ModelChoice,
-			r.PayloadMsgs, r.CreditStalls))
-	}
-	return a.write(cfg.Out)
 }

@@ -5,7 +5,8 @@
 // the paper's benchmark protocol, and the run's own bottleneck report.
 // Experiments report the same series the paper plots; sweeps file their
 // cells in a sweepLog (sweep.go) that owns the determinism double-run,
-// the table and the artifact's per-cell reports.
+// the table and the artifact's per-cell reports. A cell's result struct
+// is its record: field tags render its artifact object and table row.
 package bench
 
 import (

@@ -36,19 +36,23 @@ type HealSweepConfig struct {
 // twice and fails on any drift, so the artifact doubles as a
 // whole-stack determinism check of the self-healing layer.
 type HealResult struct {
-	Case           string
-	OutageUS       float64
-	Messages       int
-	VirtualElapsed sim.Time
-	GoodputMBps    float64
-	Stalls         int64
-	Remaps         int64
-	RouteSwaps     int64
-	Healed         int64
-	Abandoned      int64
-	Retransmits    int64
-	SendFailures   int64
+	Case           string   `key:"case,%q" col:"case,%s"`
+	OutageUS       float64  `key:"outage_us,%.0f" col:"outage,%.0f us"`
+	Messages       int      `key:"messages,%d" col:"delivered"` // delivered byte-exact
+	Sent           int      // messages sent
+	VirtualElapsed sim.Time `key:"virtual_elapsed_us,%.3f" col:"stream time,%.1f us,after=goodput"`
+	GoodputMBps    float64  `key:"goodput_mb_s,%.2f" col:"goodput,%.1f MB/s"`
+	Stalls         int64    `key:"stalls,%d" col:"stalls,%d"`
+	Remaps         int64    `key:"remaps,%d" col:"remaps,%d"`
+	RouteSwaps     int64    `key:"route_swaps,%d" col:"route swaps,%d"`
+	Healed         int64    `key:"healed,%d" col:"healed,%d"`
+	Abandoned      int64    `key:"abandoned,%d"`
+	Retransmits    int64    `key:"retransmits,%d" col:"retransmits,%d"`
+	SendFailures   int64    `key:"send_failures,%d"`
 }
+
+// computed renders the delivered column as delivered/sent.
+func (r HealResult) computed() string { return fmt.Sprintf("%d/%d", r.Messages, r.Sent) }
 
 // DiamondFabric wires the redundant sweep fabric: two edge switches, each
 // hosting half the nodes, cross-connected through two spine switches, so
@@ -105,9 +109,8 @@ func HealSweep(cfg HealSweepConfig) (Table, error) {
 	}
 
 	t := Table{
-		Title: "Heal sweep: goodput vs fabric outage, self-healing on (diamond fabric)",
-		Columns: []string{"case", "outage", "delivered", "goodput", "stream time",
-			"stalls", "remaps", "route swaps", "healed", "retransmits"},
+		Title:   "Heal sweep: goodput vs fabric outage, self-healing on (diamond fabric)",
+		Columns: columns(HealResult{}),
 	}
 
 	type cell struct {
@@ -121,21 +124,7 @@ func HealSweep(cfg HealSweepConfig) (Table, error) {
 	}
 	cells = append(cells, cell{name: "spine failover", spine: true})
 
-	log := sweepLog[HealResult]{sweep: "healsweep", same: equal[HealResult], note: true, t: &t}
-	log.row = func(r HealResult) []string {
-		return []string{
-			r.Case,
-			fmt.Sprintf("%.0f us", r.OutageUS),
-			fmt.Sprintf("%d/%d", r.Messages, cfg.Msgs),
-			fmt.Sprintf("%.1f MB/s", r.GoodputMBps),
-			fmt.Sprintf("%.1f us", r.VirtualElapsed.Micros()),
-			fmt.Sprintf("%d", r.Stalls),
-			fmt.Sprintf("%d", r.Remaps),
-			fmt.Sprintf("%d", r.RouteSwaps),
-			fmt.Sprintf("%d", r.Healed),
-			fmt.Sprintf("%d", r.Retransmits),
-		}
-	}
+	log := sweepLog[HealResult]{sweep: "healsweep", note: true, t: &t}
 	for _, cl := range cells {
 		label := cl.name
 		if cl.outage > 0 {
@@ -147,7 +136,14 @@ func HealSweep(cfg HealSweepConfig) (Table, error) {
 			return t, err
 		}
 	}
-	return t, writeHealJSON(cfg, log.results, log.reports)
+	return t, log.write(cfg.Out, artifact{
+		header: [][2]string{
+			{"fabric", `"diamond-2edge-2spine"`},
+			{"msgs", fmt.Sprint(cfg.Msgs)},
+			{"msg_bytes", fmt.Sprint(mem.PageSize)},
+		},
+		listKey: "cases",
+	})
 }
 
 // healing returns the options of the sweeps' self-healing cells: nodes
@@ -284,6 +280,7 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 		Case:           name,
 		OutageUS:       outage.Micros(),
 		Messages:       delivered,
+		Sent:           msgs,
 		VirtualElapsed: elapsed,
 		Stalls:         cl.count("heal/stalls"),
 		Remaps:         cl.count("heal/remaps"),
@@ -297,32 +294,4 @@ func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult
 		r.GoodputMBps = float64(delivered*mem.PageSize) / elapsed.Seconds() / 1e6
 	}
 	return r, cl.rep, nil
-}
-
-// writeHealJSON emits the heal-trajectory artifact: every value is
-// virtual-time derived, so the file is byte-identical across runs — a
-// golden-able determinism witness, unlike the wall-clock BENCH_scale.json.
-func writeHealJSON(cfg HealSweepConfig, rs []HealResult, reps []*analysis.Report) error {
-	a := artifact{
-		what: "heal",
-		header: [][2]string{
-			{"benchmark", `"vmmc-healsweep"`},
-			{"fabric", `"diamond-2edge-2spine"`},
-			{"msgs", fmt.Sprint(cfg.Msgs)},
-			{"msg_bytes", fmt.Sprint(mem.PageSize)},
-		},
-		listKey: "cases",
-		reports: reps,
-	}
-	for _, r := range rs {
-		a.cases = append(a.cases, fmt.Sprintf("\"case\": %q, \"outage_us\": %.0f, \"messages\": %d, "+
-			"\"virtual_elapsed_us\": %.3f, \"goodput_mb_s\": %.2f, "+
-			"\"stalls\": %d, \"remaps\": %d, \"route_swaps\": %d, \"healed\": %d, "+
-			"\"abandoned\": %d, \"retransmits\": %d, \"send_failures\": %d",
-			r.Case, r.OutageUS, r.Messages,
-			r.VirtualElapsed.Micros(), r.GoodputMBps,
-			r.Stalls, r.Remaps, r.RouteSwaps, r.Healed,
-			r.Abandoned, r.Retransmits, r.SendFailures))
-	}
-	return a.write(cfg.Out)
 }

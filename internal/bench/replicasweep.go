@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/replica"
@@ -56,53 +56,41 @@ const (
 	replicaSeed     = 0x9E11CA01
 )
 
-// maxR bounds the per-replica arrays in ReplicaResult; the result
-// struct must stay comparable (no slices) for the double-run check.
-const maxR = replicaServers
-
 // ReplicaResult is one cell: outcome counts, latency quantiles, and the
 // routing/replication counters. All fields are deterministic; the sweep
 // double-runs every cell and fails on drift.
 type ReplicaResult struct {
-	Case   string
-	R      int
-	Shards int
-	Rate   float64
-	Static bool
+	Case   string  `key:"case,%q" col:"case,%s"`
+	R      int     `key:"r,%d"`
+	Shards int     `key:"shards,%d"`
+	Rate   float64 `key:"rate_per_s,%.0f" col:"rate,%.0f/s"`
+	Static bool    `key:"static_routing,%t"`
 
-	loadResult
+	loadCounts `hide:"drop"`
 
-	Puts          int64
-	RYWFallbacks  int64
-	RYWViolations int64
+	Puts          int64 `key:"puts,%d"`
+	RYWFallbacks  int64 `key:"ryw_fallbacks,%d" col:"ryw fb,%d"`
+	RYWViolations int64 `key:"ryw_violations,%d"`
 
-	serve.AdmissionCounters // summed (peak: maxed) over the tier's servers
+	admitCounts
 
-	Applies       int64
-	ApplyFails    int64
-	ApplySkipped  int64
-	DeadFollowers int
+	Applies       int64 `key:"applies,%d"`
+	ApplyFails    int64 `key:"apply_fails,%d"`
+	ApplySkipped  int64 `key:"apply_skipped,%d"`
+	DeadFollowers int   `key:"dead_followers,%d"`
 
 	// HotOffered is the router's per-replica attempt count on shard 0 —
 	// the Zipf-hot shard — for the routing-flatness comparison.
-	HotOffered [maxR]int64
-	HotServed  [maxR]int64
+	HotOffered []int64 `key:"hot_offered,%d"`
+
+	loadTail `hide:"shed p99"`
 }
 
 // hotSpread is the flatness metric: max minus min per-replica attempts
 // on the hot shard. Load-aware routing should drive it toward zero;
 // static key-hash routing concentrates the hottest key on one replica.
 func (r ReplicaResult) hotSpread() int64 {
-	lo, hi := r.HotOffered[0], r.HotOffered[0]
-	for j := 1; j < r.R; j++ {
-		if r.HotOffered[j] < lo {
-			lo = r.HotOffered[j]
-		}
-		if r.HotOffered[j] > hi {
-			hi = r.HotOffered[j]
-		}
-	}
-	return hi - lo
+	return slices.Max(r.HotOffered) - slices.Min(r.HotOffered)
 }
 
 // ReplicaSweep drives the replicated KV tier across replication factors
@@ -132,15 +120,14 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 		cfg.Requests = 240
 	}
 	for _, r := range cfg.Rs {
-		if r < 1 || r > maxR || replicaServers%r != 0 || replicaTotalConns%(replicaClients*(replicaServers/r)) != 0 {
+		if r < 1 || replicaServers%r != 0 || replicaTotalConns%(replicaClients*(replicaServers/r)) != 0 {
 			return Table{}, fmt.Errorf("bench: replicasweep: R=%d does not divide the %d-server pool", r, replicaServers)
 		}
 	}
 
 	t := Table{
-		Title: "Replica sweep: R-way shard replication at equal total capacity, load-aware routing, replica kill",
-		Columns: []string{"case", "rate", "ok", "late", "rej", "exp", "t/o",
-			"ryw fb", "p50", "p99", "p999", "goodput"},
+		Title:   "Replica sweep: R-way shard replication at equal total capacity, load-aware routing, replica kill",
+		Columns: columns(ReplicaResult{}),
 	}
 
 	type cell struct {
@@ -192,7 +179,7 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 		})
 	}
 
-	log := sweepLog[ReplicaResult]{sweep: "replicasweep", same: equal[ReplicaResult], row: replicaRow, note: true, t: &t}
+	log := sweepLog[ReplicaResult]{sweep: "replicasweep", note: true, t: &t}
 	for _, cl := range cells {
 		if err := log.record(cl.name, true, func() (ReplicaResult, *analysis.Report, error) {
 			return runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
@@ -204,7 +191,20 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 	if err := replicaAcceptance(cfg, log.results); err != nil {
 		return t, err
 	}
-	return t, writeReplicaJSON(cfg, log.results, log.reports)
+	// The last cell's full report embeds its per-replica attribution.
+	return t, log.write(cfg.Out, artifact{
+		header: [][2]string{
+			{"requests", fmt.Sprint(cfg.Requests)},
+			{"servers", fmt.Sprint(replicaServers)},
+			{"total_conns", fmt.Sprint(replicaTotalConns)},
+			{"service_us", fmt.Sprintf("%.1f", replicaService.Micros())},
+			{"deadline_us", fmt.Sprintf("%.1f", replicaDeadline.Micros())},
+			{"attempt_us", fmt.Sprintf("%.1f", replicaAttempt.Micros())},
+			{"put_frac", fmt.Sprintf("%.2f", replicaPutFrac)},
+			{"rates_per_s", text("%.0f", cfg.Rates)},
+		},
+		listKey: "cases",
+	})
 }
 
 // replicaAcceptance enforces the sweep's replication properties on the
@@ -304,23 +304,6 @@ func replicaAcceptance(cfg ReplicaConfig, results []ReplicaResult) error {
 	return nil
 }
 
-func replicaRow(r ReplicaResult) []string {
-	return []string{
-		r.Case,
-		fmt.Sprintf("%.0f/s", r.Rate),
-		fmt.Sprintf("%d", r.OK),
-		fmt.Sprintf("%d", r.Late),
-		fmt.Sprintf("%d", r.Rejected),
-		fmt.Sprintf("%d", r.Expired),
-		fmt.Sprintf("%d", r.TimedOut),
-		fmt.Sprintf("%d", r.RYWFallbacks),
-		fmt.Sprintf("%.1f us", r.P50.Micros()),
-		fmt.Sprintf("%.1f us", r.P99.Micros()),
-		fmt.Sprintf("%.1f us", r.P999.Micros()),
-		fmt.Sprintf("%.1f%%", r.GoodputFrac*100),
-	}
-}
-
 // runReplicaCell boots a fresh cluster (nodes 0 and 7 = client front
 // ends, nodes 1..6 = servers), builds the replicated tier, and runs one
 // open-loop workload through it. Two front-end nodes keep the worker
@@ -388,17 +371,13 @@ func runReplicaCell(name string, r int, rate float64, static bool, theta, putFra
 // fillReplicaResult distills workload stats and tier counters into a
 // cell result.
 func fillReplicaResult(res *ReplicaResult, tier *replica.Tier, stats *replica.Stats, elapsed sim.Time) {
-	res.loadResult = fillLoadResult(&stats.Stats, elapsed, tier.TransportErrors())
+	res.loadCounts, res.loadTail = fillLoad(&stats.Stats, elapsed, tier.TransportErrors())
 	res.Puts = stats.Puts
 	res.RYWFallbacks = stats.RYWFallbacks
 	res.RYWViolations = stats.RYWViolations
 	for _, set := range tier.Sets() {
 		for _, rep := range set.Replicas {
-			res.ShedArrive += rep.ShedArrive
-			res.ShedServe += rep.ShedServe
-			if rep.DepthPeak > res.DepthPeak {
-				res.DepthPeak = rep.DepthPeak
-			}
+			res.add(rep.AdmissionCounters)
 			res.Applies += rep.Applies
 			res.ApplyFails += rep.ApplyFails
 			res.ApplySkipped += rep.ApplySkipped
@@ -407,48 +386,7 @@ func fillReplicaResult(res *ReplicaResult, tier *replica.Tier, stats *replica.St
 			}
 		}
 	}
-	for j, rep := range tier.Set(0).Replicas {
-		res.HotOffered[j] = rep.Offered
-		res.HotServed[j] = rep.Server().Calls
+	for _, rep := range tier.Set(0).Replicas {
+		res.HotOffered = append(res.HotOffered, rep.Offered)
 	}
-}
-
-// writeReplicaJSON emits the replication artifact: the R ablation grid,
-// the routing pair with per-replica hot-shard attempt counts, the kill
-// pair, and the last cell's analysis report (including its per-replica
-// attribution) embedded.
-func writeReplicaJSON(cfg ReplicaConfig, rs []ReplicaResult, reps []*analysis.Report) error {
-	a := artifact{
-		what: "replica",
-		header: [][2]string{
-			{"benchmark", `"vmmc-replicasweep"`},
-			{"requests", fmt.Sprint(cfg.Requests)},
-			{"servers", fmt.Sprint(replicaServers)},
-			{"total_conns", fmt.Sprint(replicaTotalConns)},
-			{"service_us", fmt.Sprintf("%.1f", replicaService.Micros())},
-			{"deadline_us", fmt.Sprintf("%.1f", replicaDeadline.Micros())},
-			{"attempt_us", fmt.Sprintf("%.1f", replicaAttempt.Micros())},
-			{"put_frac", fmt.Sprintf("%.2f", replicaPutFrac)},
-			{"rates_per_s", floatList(cfg.Rates)},
-		},
-		listKey: "cases",
-		reports: reps,
-	}
-	for _, r := range rs {
-		hot := make([]string, r.R)
-		for j := range hot {
-			hot[j] = fmt.Sprint(r.HotOffered[j])
-		}
-		a.cases = append(a.cases, fmt.Sprintf("\"case\": %q, \"r\": %d, \"shards\": %d, \"rate_per_s\": %.0f, \"static_routing\": %t, "+
-			"%s, \"puts\": %d, \"ryw_fallbacks\": %d, \"ryw_violations\": %d, "+
-			"\"shed_arrive\": %d, \"shed_serve\": %d, \"depth_peak\": %d, "+
-			"\"applies\": %d, \"apply_fails\": %d, \"apply_skipped\": %d, \"dead_followers\": %d, "+
-			"\"hot_offered\": [%s], %s",
-			r.Case, r.R, r.Shards, r.Rate, r.Static,
-			r.countsJSON(), r.Puts, r.RYWFallbacks, r.RYWViolations,
-			r.ShedArrive, r.ShedServe, r.DepthPeak,
-			r.Applies, r.ApplyFails, r.ApplySkipped, r.DeadFollowers,
-			strings.Join(hot, ", "), r.tailJSON()))
-	}
-	return a.write(cfg.Out)
 }

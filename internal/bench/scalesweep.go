@@ -31,21 +31,21 @@ type ScaleConfig struct {
 }
 
 // ScaleResult is one row of the sweep, mixing virtual-time quantities
-// (deterministic) with wall-clock simulator throughput (host-dependent).
+// (deterministic) with wall-clock simulator throughput (tagged host).
 type ScaleResult struct {
-	Nodes          int
-	Messages       int
-	PayloadBytes   int64
-	VirtualElapsed sim.Time
-	GoodputMBps    float64
-	Events         uint64 // dispatched: executed events, evaluated spin samples included
-	SamplesElided  uint64 // spin samples skipped unexecuted (sim.SchedStats.Elided)
-	WallSeconds    float64
-	EventsPerSec   float64
-	AllocsPerEvent float64
-	PeakEventHeap  int
-	Compactions    uint64
-	HeapSysMB      float64
+	Nodes          int      `key:"nodes,%d" col:"nodes,%d"`
+	Messages       int      `key:"messages,%d" col:"messages,%d"`
+	PayloadBytes   int64    `key:"payload_bytes,%d"`
+	VirtualElapsed sim.Time `key:"virtual_elapsed_us,%.3f" col:"virtual time,%.1f us"`
+	GoodputMBps    float64  `key:"goodput_mb_s,%.2f" col:"goodput,%.1f MB/s"`
+	WallSeconds    float64  `key:"wall_seconds,%.3f,host" col:"wall time,%.2f s"`
+	Events         uint64   `key:"events_dispatched,%d" col:"events,%d"`      // executed events, evaluated spin samples included
+	SamplesElided  uint64   `key:"samples_elided,%d" col:"samples elided,%d"` // spin samples skipped unexecuted (sim.SchedStats.Elided)
+	EventsPerSec   float64  `key:"events_per_sec,%.0f,host" col:"events/sec,%.0f"`
+	AllocsPerEvent float64  `key:"allocs_per_event,%.3f,host" col:"allocs/event,%.2f"`
+	PeakEventHeap  int      `key:"peak_event_heap,%d" col:"peak heap,%d"`
+	Compactions    uint64   `key:"compactions,%d" col:"compactions,%d"`
+	HeapSysMB      float64  `key:"heap_sys_mb,%.1f,host"`
 }
 
 // barrier parks processes until target of them have arrived, then
@@ -104,8 +104,8 @@ func (s *sema) release() {
 // the model's goodput (virtual time) and the simulator's own throughput
 // (events per wall-clock second) — the quantity BENCH_scale.json tracks
 // across PRs. The smallest configuration runs twice and the sweep fails
-// on any virtual-time or event-count drift between the two runs, so a CI
-// smoke invocation doubles as a determinism check.
+// if any field but the wall-clock ones drifts between the two runs, so a
+// CI smoke invocation doubles as a determinism check.
 func ScaleSweep(cfg ScaleConfig) (Table, error) {
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = []int{16, 64, 256}
@@ -121,34 +121,13 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 	}
 
 	t := Table{
-		Title: "Scale sweep: all-to-all traffic, virtual goodput vs simulator throughput",
-		Columns: []string{"nodes", "messages", "virtual time", "goodput", "wall time",
-			"events", "samples elided", "events/sec", "allocs/event", "peak heap", "compactions"},
+		Title:   "Scale sweep: all-to-all traffic, virtual goodput vs simulator throughput",
+		Columns: columns(ScaleResult{}),
 		Notes: []string{"wall time is the figure to compare across PRs: events/sec falls " +
 			"whenever a change removes the cheapest events (elided spin samples), even as the run gets faster"},
 	}
 
 	log := sweepLog[ScaleResult]{sweep: "scalesweep", note: true, t: &t}
-	// Wall-clock fields differ run to run; the virtual-time ones (and the
-	// virtual-time-only bottleneck report) may not.
-	log.same = func(a, b ScaleResult) bool {
-		return a.VirtualElapsed == b.VirtualElapsed && a.Events == b.Events
-	}
-	log.row = func(r ScaleResult) []string {
-		return []string{
-			fmt.Sprintf("%d", r.Nodes),
-			fmt.Sprintf("%d", r.Messages),
-			fmt.Sprintf("%.1f us", r.VirtualElapsed.Micros()),
-			fmt.Sprintf("%.1f MB/s", r.GoodputMBps),
-			fmt.Sprintf("%.2f s", r.WallSeconds),
-			fmt.Sprintf("%d", r.Events),
-			fmt.Sprintf("%d", r.SamplesElided),
-			fmt.Sprintf("%.0f", r.EventsPerSec),
-			fmt.Sprintf("%.2f", r.AllocsPerEvent),
-			fmt.Sprintf("%d", r.PeakEventHeap),
-			fmt.Sprintf("%d", r.Compactions),
-		}
-	}
 	for i, n := range cfg.Nodes {
 		// Only the smallest configuration pays for the determinism double run.
 		err := log.record(fmt.Sprintf("%d nodes", n), i == 0, func() (ScaleResult, *analysis.Report, error) {
@@ -158,7 +137,15 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 			return t, err
 		}
 	}
-	return t, writeScaleJSON(cfg, log.results, log.reports)
+	// The host fields make the file a performance record, not a golden one.
+	return t, log.write(cfg.Out, artifact{
+		header: [][2]string{
+			{"traffic", `"all-to-all"`},
+			{"msg_bytes", fmt.Sprint(cfg.MsgBytes)},
+			{"rounds", fmt.Sprint(cfg.Rounds)},
+		},
+		listKey: "configs",
+	})
 }
 
 // runScaleCase boots an n-node cluster with the reliability layer on (the
@@ -354,36 +341,4 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, e
 		r.AllocsPerEvent = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(st.Dispatched)
 	}
 	return r, cl.rep, nil
-}
-
-// writeScaleJSON emits the bench-trajectory artifact. Wall-clock fields
-// are host-dependent by nature, so this file is a performance record,
-// not a golden artifact; the per-config verdicts and the largest
-// configuration's full analysis report are virtual-time-only and
-// therefore deterministic.
-func writeScaleJSON(cfg ScaleConfig, rs []ScaleResult, reps []*analysis.Report) error {
-	a := artifact{
-		what: "scale",
-		header: [][2]string{
-			{"benchmark", `"vmmc-scalesweep"`},
-			{"traffic", `"all-to-all"`},
-			{"msg_bytes", fmt.Sprint(cfg.MsgBytes)},
-			{"rounds", fmt.Sprint(cfg.Rounds)},
-		},
-		listKey: "configs",
-		reports: reps,
-	}
-	for _, r := range rs {
-		a.cases = append(a.cases, fmt.Sprintf("\"nodes\": %d, \"messages\": %d, \"payload_bytes\": %d, "+
-			"\"virtual_elapsed_us\": %.3f, \"goodput_mb_s\": %.2f, "+
-			"\"wall_seconds\": %.3f, \"events_dispatched\": %d, \"samples_elided\": %d, \"events_per_sec\": %.0f, "+
-			"\"allocs_per_event\": %.3f, \"peak_event_heap\": %d, \"compactions\": %d, "+
-			"\"heap_sys_mb\": %.1f",
-			r.Nodes, r.Messages, r.PayloadBytes,
-			r.VirtualElapsed.Micros(), r.GoodputMBps,
-			r.WallSeconds, r.Events, r.SamplesElided, r.EventsPerSec,
-			r.AllocsPerEvent, r.PeakEventHeap, r.Compactions,
-			r.HeapSysMB))
-	}
-	return a.write(cfg.Out)
 }

@@ -44,16 +44,14 @@ const (
 // admission machinery's counters. All fields are deterministic; the
 // sweep double-runs every cell and fails on drift.
 type ServeResult struct {
-	Case      string
-	Shards    int
-	Rate      float64
-	Admission bool
+	Case      string  `key:"case,%q" col:"case,%s"`
+	Shards    int     `key:"shards,%d"`
+	Rate      float64 `key:"rate_per_s,%.0f" col:"rate,%.0f/s"`
+	Admission bool    `key:"admission,%t"`
 
-	loadResult
-
-	serve.AdmissionCounters // summed (peak: maxed) over the tier's servers
-
-	HotOffered int64 // shard 0's offered share (the Zipf-hot shard)
+	loadCounts
+	admitCounts
+	loadTail
 }
 
 // ServeSweep drives the sharded KV serving tier across offered-load
@@ -82,9 +80,8 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 	}
 
 	t := Table{
-		Title: "Serve sweep: open-loop KV tier, admission control off/on across the capacity knee",
-		Columns: []string{"case", "rate", "ok", "late", "rej", "exp", "t/o", "drop",
-			"p50", "p99", "p999", "shed p99", "goodput"},
+		Title:   "Serve sweep: open-loop KV tier, admission control off/on across the capacity knee",
+		Columns: columns(ServeResult{}),
 	}
 
 	type cell struct {
@@ -120,7 +117,7 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 		theta: serveHotTheta, edge: 25 * sim.Microsecond,
 	})
 
-	log := sweepLog[ServeResult]{sweep: "servesweep", same: equal[ServeResult], row: serveRow, note: true, t: &t}
+	log := sweepLog[ServeResult]{sweep: "servesweep", note: true, t: &t}
 	for _, cl := range cells {
 		if err := log.record(cl.name, true, func() (ServeResult, *analysis.Report, error) {
 			return runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
@@ -146,7 +143,19 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 	if err := serveAcceptance(cfg, log.results); err != nil {
 		return t, err
 	}
-	return t, writeServeJSON(cfg, log.results, log.reports)
+	// The last cell's full report embeds its per-shard serve attribution.
+	return t, log.write(cfg.Out, artifact{
+		header: [][2]string{
+			{"requests", fmt.Sprint(cfg.Requests)},
+			{"conns_per_shard", fmt.Sprint(serveConns)},
+			{"service_us", fmt.Sprintf("%.1f", serveService.Micros())},
+			{"deadline_us", fmt.Sprintf("%.1f", serveDeadline.Micros())},
+			{"max_queue", fmt.Sprint(serveMaxQueue)},
+			{"sojourn_target_us", fmt.Sprintf("%.1f", serveTarget.Micros())},
+			{"rates_per_s", text("%.0f", cfg.Rates)},
+		},
+		listKey: "cases",
+	})
 }
 
 // serveAcceptance enforces the sweep's robustness properties on the
@@ -220,24 +229,6 @@ func serveAcceptance(cfg ServeConfig, results []ServeResult) error {
 			outage.P999.Micros(), clean.P999.Micros())
 	}
 	return nil
-}
-
-func serveRow(r ServeResult) []string {
-	return []string{
-		r.Case,
-		fmt.Sprintf("%.0f/s", r.Rate),
-		fmt.Sprintf("%d", r.OK),
-		fmt.Sprintf("%d", r.Late),
-		fmt.Sprintf("%d", r.Rejected),
-		fmt.Sprintf("%d", r.Expired),
-		fmt.Sprintf("%d", r.TimedOut),
-		fmt.Sprintf("%d", r.Dropped),
-		fmt.Sprintf("%.1f us", r.P50.Micros()),
-		fmt.Sprintf("%.1f us", r.P99.Micros()),
-		fmt.Sprintf("%.1f us", r.P999.Micros()),
-		fmt.Sprintf("%.1f us", r.ShedP99.Micros()),
-		fmt.Sprintf("%.1f%%", r.GoodputFrac*100),
-	}
 }
 
 // runServeCell boots a fresh cluster (node 0 = client front end, nodes
@@ -323,43 +314,9 @@ func runServeLoad(p *sim.Proc, c *vmmc.Cluster, res *ServeResult, tcfg serve.Con
 	if err != nil {
 		return err
 	}
-	res.loadResult = fillLoadResult(stats, p.Now()-start, tier.TransportErrors())
+	res.loadCounts, res.loadTail = fillLoad(stats, p.Now()-start, tier.TransportErrors())
 	for _, sh := range tier.Shards() {
-		res.ShedArrive += sh.ShedArrive
-		res.ShedServe += sh.ShedServe
-		if sh.DepthPeak > res.DepthPeak {
-			res.DepthPeak = sh.DepthPeak
-		}
+		res.add(sh.AdmissionCounters)
 	}
-	res.HotOffered = tier.Shard(0).Offered
 	return nil
-}
-
-// writeServeJSON emits the serving-tier artifact: the full load-vs-
-// latency grid with outcome counts and admission counters per cell, and
-// the last cell's analysis report (including its per-shard serve
-// attribution) embedded.
-func writeServeJSON(cfg ServeConfig, rs []ServeResult, reps []*analysis.Report) error {
-	a := artifact{
-		what: "serve",
-		header: [][2]string{
-			{"benchmark", `"vmmc-servesweep"`},
-			{"requests", fmt.Sprint(cfg.Requests)},
-			{"conns_per_shard", fmt.Sprint(serveConns)},
-			{"service_us", fmt.Sprintf("%.1f", serveService.Micros())},
-			{"deadline_us", fmt.Sprintf("%.1f", serveDeadline.Micros())},
-			{"max_queue", fmt.Sprint(serveMaxQueue)},
-			{"sojourn_target_us", fmt.Sprintf("%.1f", serveTarget.Micros())},
-			{"rates_per_s", floatList(cfg.Rates)},
-		},
-		listKey: "cases",
-		reports: reps,
-	}
-	for _, r := range rs {
-		a.cases = append(a.cases, fmt.Sprintf("\"case\": %q, \"shards\": %d, \"rate_per_s\": %.0f, \"admission\": %t, "+
-			"%s, \"shed_arrive\": %d, \"shed_serve\": %d, \"depth_peak\": %d, %s",
-			r.Case, r.Shards, r.Rate, r.Admission,
-			r.countsJSON(), r.ShedArrive, r.ShedServe, r.DepthPeak, r.tailJSON()))
-	}
-	return a.write(cfg.Out)
 }

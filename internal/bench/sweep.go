@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -15,13 +17,141 @@ import (
 // The counts arrive from vmmcbench's flags, so each sweep checks them.
 var errConfig = errors.New("bad sweep configuration")
 
+// A record is a sweep cell's result struct, rendered by the encoder
+// below from its field tags:
+//
+//	key:"name,verb[,host]"         the field's member in the artifact's case object
+//	col:"name[,verb][,after=col]"  the field's column in the sweep's table
+//
+// A sim.Time renders in microseconds, a slice as a list. host marks a
+// wall-clock field, which the double run does not compare; it compares
+// every other field, untagged ones included. A col without a verb is the
+// record's one computed column, rendered by its computed method; after=
+// places a column out of declaration order. Embedded structs render in
+// place, and a hide tag on an embedding drops its columns from the table.
+type computer interface{ computed() string }
+
+// leaf is one field of a record, its tags parsed.
+type leaf struct {
+	name         string // Go field name, for drift errors
+	v            reflect.Value
+	key, keyVerb string
+	host         bool
+	col, colVerb string
+	after        string
+}
+
+// leaves flattens a record's fields in declaration order.
+func leaves(rec reflect.Value) []leaf {
+	var out []leaf
+	for i := 0; i < rec.NumField(); i++ {
+		sf := rec.Type().Field(i)
+		if sf.Anonymous {
+			sub := leaves(rec.Field(i))
+			hidden := strings.Split(sf.Tag.Get("hide"), ",")
+			for j := range sub {
+				if slices.Contains(hidden, sub[j].col) {
+					sub[j].col = ""
+				}
+			}
+			out = append(out, sub...)
+			continue
+		}
+		l := leaf{name: sf.Name, v: rec.Field(i)}
+		var opt string
+		l.key, l.keyVerb, opt = splitTag(sf.Tag.Get("key"))
+		l.host = opt == "host"
+		l.col, l.colVerb, opt = splitTag(sf.Tag.Get("col"))
+		l.after = strings.TrimPrefix(opt, "after=")
+		out = append(out, l)
+	}
+	return out
+}
+
+func splitTag(tag string) (name, verb, opt string) {
+	name, rest, _ := strings.Cut(tag, ",")
+	verb, opt, _ = strings.Cut(rest, ",")
+	return name, verb, opt
+}
+
+// text renders x under a tag's verb.
+func text(verb string, x any) string {
+	if t, ok := x.(sim.Time); ok {
+		return fmt.Sprintf(verb, t.Micros())
+	}
+	if v := reflect.ValueOf(x); v.Kind() == reflect.Slice {
+		parts := make([]string, v.Len())
+		for i := range parts {
+			parts[i] = text(verb, v.Index(i).Interface())
+		}
+		return "[" + strings.Join(parts, ", ") + "]"
+	}
+	return fmt.Sprintf(verb, x)
+}
+
+// object renders a record as its artifact case object, verdict last.
+func object(rec any, verdict string) string {
+	var b strings.Builder
+	b.WriteByte('{')
+	for _, l := range leaves(reflect.ValueOf(rec)) {
+		if l.key != "" {
+			fmt.Fprintf(&b, "%q: %s, ", l.key, text(l.keyVerb, l.v.Interface()))
+		}
+	}
+	fmt.Fprintf(&b, "\"verdict\": %q}", verdict)
+	return b.String()
+}
+
+// columns lists a record's table columns.
+func columns(rec any) []string {
+	var cols []string
+	ls := leaves(reflect.ValueOf(rec))
+	for _, l := range ls {
+		if l.col != "" && l.after == "" {
+			cols = append(cols, l.col)
+		}
+	}
+	for _, l := range ls {
+		if l.col != "" && l.after != "" {
+			cols = slices.Insert(cols, slices.Index(cols, l.after)+1, l.col)
+		}
+	}
+	return cols
+}
+
+// row renders a record as a table row under cols, which may be another
+// record's columns: a column the record has no field for stays blank.
+func row(rec any, cols []string) []string {
+	out := make([]string, len(cols))
+	for _, l := range leaves(reflect.ValueOf(rec)) {
+		switch i := slices.Index(cols, l.col); {
+		case i < 0:
+		case l.colVerb == "":
+			out[i] = rec.(computer).computed()
+		default:
+			out[i] = text(l.colVerb, l.v.Interface())
+		}
+	}
+	return out
+}
+
+// drift names the first field outside the host ones in which two records
+// differ, with both values, or returns "".
+func drift(a, b any) string {
+	lb := leaves(reflect.ValueOf(b))
+	for i, l := range leaves(reflect.ValueOf(a)) {
+		if x, y := l.v.Interface(), lb[i].v.Interface(); !l.host && !reflect.DeepEqual(x, y) {
+			return fmt.Sprintf("%s %v vs %v", l.name, x, y)
+		}
+	}
+	return ""
+}
+
 // doubleRun is the sweeps' determinism check: it runs a cell twice on
 // fresh engines and fails, naming the sweep and the cell, if the two
-// results differ under same or the two bottleneck reports differ as
-// JSON. It returns the second run and its report. Wall-clock sweeps
-// pass a same that compares only their virtual-time fields; every other
-// sweep passes equal.
-func doubleRun[R any](sweep, cell string, run func() (R, *analysis.Report, error), same func(a, b R) bool) (R, *analysis.Report, error) {
+// records differ in any field not tagged host or the two bottleneck
+// reports differ as JSON. It returns the second run and its report.
+func doubleRun[R any](sweep, cell string, run func() (R, *analysis.Report, error)) (R, *analysis.Report, error) {
 	var zero R
 	first, firstRep, err := run()
 	if err != nil {
@@ -31,8 +161,8 @@ func doubleRun[R any](sweep, cell string, run func() (R, *analysis.Report, error
 	if err != nil {
 		return zero, nil, err
 	}
-	if !same(first, again) {
-		return zero, nil, fmt.Errorf("bench: %s determinism drift in %q: %+v vs %+v", sweep, cell, first, again)
+	if d := drift(first, again); d != "" {
+		return zero, nil, fmt.Errorf("bench: %s determinism drift in %q: %s", sweep, cell, d)
 	}
 	if analysisJSON(rep, "") != analysisJSON(firstRep, "") {
 		return zero, nil, fmt.Errorf("bench: %s analysis drift in %q", sweep, cell)
@@ -40,30 +170,24 @@ func doubleRun[R any](sweep, cell string, run func() (R, *analysis.Report, error
 	return again, rep, nil
 }
 
-// equal is doubleRun's same for results that are deterministic in every
-// field.
-func equal[R comparable](a, b R) bool { return a == b }
-
-// sweepLog is what a sweep accumulates cell by cell: the results its
+// sweepLog is what a sweep accumulates cell by cell: the records its
 // acceptance checks read, the reports its artifact embeds, and the table
 // it prints.
 type sweepLog[R any] struct {
-	sweep string             // names the sweep in drift errors
-	same  func(a, b R) bool  // doubleRun's equality
-	row   func(r R) []string // renders a result as its table row
-	note  bool               // the table carries every cell's verdict note
-	t     *Table             // the sweep's table; record appends to it
+	sweep string // names the sweep in drift errors, and its artifact
+	note  bool   // the table carries every cell's verdict note
+	t     *Table // the sweep's table; record appends to it
 
 	results []R
 	reports []*analysis.Report
 }
 
 // record runs one cell — twice, through doubleRun, when asked — and files
-// its result, report, table row and verdict note.
+// its record, report, table row and verdict note.
 func (l *sweepLog[R]) record(label string, twice bool, run func() (R, *analysis.Report, error)) error {
 	do := run
 	if twice {
-		do = func() (R, *analysis.Report, error) { return doubleRun(l.sweep, label, run, l.same) }
+		do = func() (R, *analysis.Report, error) { return doubleRun(l.sweep, label, run) }
 	}
 	r, rep, err := do()
 	if err != nil {
@@ -71,61 +195,51 @@ func (l *sweepLog[R]) record(label string, twice bool, run func() (R, *analysis.
 	}
 	l.results = append(l.results, r)
 	l.reports = append(l.reports, rep)
-	l.t.Rows = append(l.t.Rows, l.row(r))
+	l.t.Rows = append(l.t.Rows, row(r, l.t.Columns))
 	if l.note {
 		l.t.Notes = append(l.t.Notes, analysisNote(label, rep))
 	}
 	return nil
 }
 
-// artifact is a sweep's machine-readable BENCH_*.json file. Members are
-// written in a fixed order with pre-rendered values, so a sweep whose
-// values are all virtual-time derived gets a byte-identical file on
-// every run.
+// artifact is what a sweep's machine-readable BENCH_*.json file holds
+// besides its cells. Members are written in a fixed order with
+// pre-rendered values, so a sweep whose values are all virtual-time
+// derived gets a byte-identical file on every run.
 type artifact struct {
-	what    string             // names the artifact in errors: "heal", "serve", ...
-	header  [][2]string        // top-level members ahead of the list: key, rendered value
-	listKey string             // "cases" or "configs"
-	cases   []string           // one object per cell (at least one): its members, without braces or verdict
-	reports []*analysis.Report // one per cell; supplies each verdict and the embedded analysis
-	extra   string             // rendered member lines between the list and the analysis
+	header  [][2]string // top-level members after the benchmark's name: key, rendered value
+	listKey string      // "cases" or "configs"
+	extra   [][2]string // members between the list and the analysis
 }
 
-// write emits the artifact: the header, the cell list with each cell's
-// analysis verdict appended, any extra members, and the last cell's
-// full analysis report embedded. An empty path (no -*-out flag) writes
-// nothing.
-func (a artifact) write(path string) error {
-	return writeArtifact(a.what, path, func(w io.Writer) error {
+// write emits the sweep's artifact a: the benchmark's name ("vmmc-" and
+// the sweep's), the header, one case object per recorded cell (at least
+// one), any extra members, and the last cell's full analysis report
+// embedded. An empty path (no -*-out flag) writes nothing.
+func (l *sweepLog[R]) write(path string, a artifact) error {
+	return writeArtifact(strings.TrimSuffix(l.sweep, "sweep"), path, func(w io.Writer) error {
 		var b strings.Builder
-		b.WriteString("{\n")
+		fmt.Fprintf(&b, "{\n  \"benchmark\": \"vmmc-%s\",\n", l.sweep)
 		for _, kv := range a.header {
 			fmt.Fprintf(&b, "  %q: %s,\n", kv[0], kv[1])
 		}
 		fmt.Fprintf(&b, "  %q: [\n", a.listKey)
-		for i, c := range a.cases {
+		for i, r := range l.results {
 			comma := ","
-			if i == len(a.cases)-1 {
+			if i == len(l.results)-1 {
 				comma = ""
 			}
-			fmt.Fprintf(&b, "    {%s, \"verdict\": %q}%s\n", c, a.reports[i].Verdict, comma)
+			fmt.Fprintf(&b, "    %s%s\n", object(r, l.reports[i].Verdict), comma)
 		}
 		b.WriteString("  ],\n")
-		b.WriteString(a.extra)
-		fmt.Fprintf(&b, "  \"analysis\": %s\n", analysisJSON(a.reports[len(a.reports)-1], "  ")[2:])
+		for _, kv := range a.extra {
+			fmt.Fprintf(&b, "  %q: %s,\n", kv[0], kv[1])
+		}
+		fmt.Fprintf(&b, "  \"analysis\": %s\n", analysisJSON(l.reports[len(l.reports)-1], "  ")[2:])
 		b.WriteString("}\n")
 		_, err := io.WriteString(w, b.String())
 		return err
 	})
-}
-
-// floatList renders a JSON array of whole-number floats.
-func floatList(vs []float64) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = fmt.Sprintf("%.0f", v)
-	}
-	return "[" + strings.Join(parts, ", ") + "]"
 }
 
 // quantile picks the num/den quantile (50/100 = p50, 999/1000 = p99.9)
@@ -144,39 +258,46 @@ func quantile(sorted []sim.Time, num, den int) sim.Time {
 	return sorted[idx-1]
 }
 
-// loadResult is the part of a serving-tier cell every open-loop run
-// reports, whichever tier served it: outcome counts, send counters and
-// latency quantiles.
-type loadResult struct {
-	Offered  int64
-	OK       int64
-	Late     int64
-	Rejected int64
-	Expired  int64
-	TimedOut int64
-	Dropped  int64
-	Errors   int64
+// loadCounts and loadTail are what every open-loop serving cell reports,
+// whichever tier served it: outcome and send counts first, latency
+// quantiles and run totals last, with the tier's own fields between.
+type loadCounts struct {
+	Offered  int64 `key:"offered,%d"`
+	OK       int64 `key:"ok,%d" col:"ok,%d"`
+	Late     int64 `key:"late,%d" col:"late,%d"`
+	Rejected int64 `key:"rejected,%d" col:"rej,%d"`
+	Expired  int64 `key:"expired,%d" col:"exp,%d"`
+	TimedOut int64 `key:"timed_out,%d" col:"t/o,%d"`
+	Dropped  int64 `key:"dropped,%d" col:"drop,%d"`
+	Errors   int64 `key:"errors,%d"`
 
-	Sends        int64
-	Retries      int64
-	BudgetDenied int64
-
-	P50     sim.Time // OK (in-deadline) request latency
-	P99     sim.Time
-	P999    sim.Time
-	ShedP99 sim.Time // latency to a typed rejection: the fail-fast metric
-
-	GoodputFrac   float64 // OK / Offered
-	Elapsed       sim.Time
-	TransportErrs int64
+	Sends        int64 `key:"sends,%d"`
+	Retries      int64 `key:"retries,%d"`
+	BudgetDenied int64 `key:"budget_denied,%d"`
 }
 
-// fillLoadResult distills an open-loop run's stats.
-func fillLoadResult(stats *serve.Stats, elapsed sim.Time, transportErrs int64) loadResult {
-	l := loadResult{
+type loadTail struct {
+	P50     sim.Time `key:"p50_us,%.3f" col:"p50,%.1f us"` // OK (in-deadline) request latency
+	P99     sim.Time `key:"p99_us,%.3f" col:"p99,%.1f us"`
+	P999    sim.Time `key:"p999_us,%.3f" col:"p999,%.1f us"`
+	ShedP99 sim.Time `key:"shed_p99_us,%.3f" col:"shed p99,%.1f us"` // latency to a typed rejection: the fail-fast metric
+
+	GoodputFrac   float64  `key:"goodput_frac,%.4f" col:"goodput"` // OK / Offered
+	Elapsed       sim.Time `key:"elapsed_us,%.3f"`
+	TransportErrs int64    `key:"transport_errors,%d"`
+}
+
+// computed renders the goodput column as a percentage.
+func (l loadTail) computed() string { return fmt.Sprintf("%.1f%%", l.GoodputFrac*100) }
+
+// fillLoad distills an open-loop run's stats.
+func fillLoad(stats *serve.Stats, elapsed sim.Time, transportErrs int64) (loadCounts, loadTail) {
+	c := loadCounts{
 		Offered: stats.Offered, OK: stats.OK, Late: stats.Late, Rejected: stats.Rejected,
 		Expired: stats.Expired, TimedOut: stats.TimedOut, Dropped: stats.Dropped, Errors: stats.Errors,
 		Sends: stats.Sends, Retries: stats.Retries, BudgetDenied: stats.BudgetDenied,
+	}
+	t := loadTail{
 		P50:     quantile(stats.LatOK, 50, 100),
 		P99:     quantile(stats.LatOK, 99, 100),
 		P999:    quantile(stats.LatOK, 999, 1000),
@@ -184,26 +305,20 @@ func fillLoadResult(stats *serve.Stats, elapsed sim.Time, transportErrs int64) l
 		Elapsed: elapsed, TransportErrs: transportErrs,
 	}
 	if stats.Offered > 0 {
-		l.GoodputFrac = float64(stats.OK) / float64(stats.Offered)
+		t.GoodputFrac = float64(stats.OK) / float64(stats.Offered)
 	}
-	return l
+	return c, t
 }
 
-// countsJSON renders the outcome and send counters as artifact members.
-func (l loadResult) countsJSON() string {
-	return fmt.Sprintf("\"offered\": %d, \"ok\": %d, \"late\": %d, \"rejected\": %d, \"expired\": %d, "+
-		"\"timed_out\": %d, \"dropped\": %d, \"errors\": %d, "+
-		"\"sends\": %d, \"retries\": %d, \"budget_denied\": %d",
-		l.Offered, l.OK, l.Late, l.Rejected, l.Expired,
-		l.TimedOut, l.Dropped, l.Errors,
-		l.Sends, l.Retries, l.BudgetDenied)
+// admitCounts are a tier's admission counters summed over its servers.
+type admitCounts struct {
+	ShedArrive int64 `key:"shed_arrive,%d"`
+	ShedServe  int64 `key:"shed_serve,%d"`
+	DepthPeak  int   `key:"depth_peak,%d"`
 }
 
-// tailJSON renders the latency quantiles and run totals as the artifact
-// members that close a serving-tier cell.
-func (l loadResult) tailJSON() string {
-	return fmt.Sprintf("\"p50_us\": %.3f, \"p99_us\": %.3f, \"p999_us\": %.3f, \"shed_p99_us\": %.3f, "+
-		"\"goodput_frac\": %.4f, \"elapsed_us\": %.3f, \"transport_errors\": %d",
-		l.P50.Micros(), l.P99.Micros(), l.P999.Micros(), l.ShedP99.Micros(),
-		l.GoodputFrac, l.Elapsed.Micros(), l.TransportErrs)
+func (a *admitCounts) add(c serve.AdmissionCounters) {
+	a.ShedArrive += c.ShedArrive
+	a.ShedServe += c.ShedServe
+	a.DepthPeak = max(a.DepthPeak, c.DepthPeak)
 }

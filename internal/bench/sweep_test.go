@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -10,15 +11,43 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/sim"
 )
+
+// fakeTail is embedded in fakeRecord: an embedding renders in place, and
+// its hide tag drops a column from the table but not from the artifact.
+type fakeTail struct {
+	P99  sim.Time `key:"p99_us,%.3f" col:"p99,%.1f us"`
+	Shed int64    `key:"shed,%d" col:"shed,%d"`
+}
+
+// fakeRecord exercises every tag form and verb the sweeps' records use.
+type fakeRecord struct {
+	Case     string  `key:"case,%q" col:"case,%s"`
+	Rate     float64 `key:"rate,%.0f" col:"rate,%.0f/s"`
+	OK       int64   `key:"ok,%d" col:"ok"`
+	Sent     int64   // untagged: not rendered, but compared
+	Match    bool    `key:"match,%t" col:"match,match=%t,after=p99"`
+	fakeTail `hide:"shed"`
+	Frac     float64 `key:"frac,%.4f"`
+	MBps     float64 `key:"mb_s,%.2f"`
+	Hot      []int64 `key:"hot,%d"`
+	Wall     float64 `key:"wall_s,%.3f,host" col:"wall,%.2f s"`
+}
+
+func (r fakeRecord) computed() string { return fmt.Sprintf("%d/%d", r.OK, r.Sent) }
+
+func steadyRecord(int) fakeRecord {
+	return fakeRecord{Case: "steady", OK: 7, Sent: 8, Hot: []int64{1, 2}, fakeTail: fakeTail{P99: 5 * sim.Microsecond}}
+}
 
 // fakeCell returns a cell run for doubleRun and sweepLog.record: its n-th
 // call returns result(n) and a report whose verdict is verdict(n) x's
 // long, the way a real cell hands back its own report. calls counts the
 // runs.
-func fakeCell(calls *int, result, verdict func(int) int) func() (int, *analysis.Report, error) {
+func fakeCell(calls *int, result func(int) fakeRecord, verdict func(int) int) func() (fakeRecord, *analysis.Report, error) {
 	*calls = 0
-	return func() (int, *analysis.Report, error) {
+	return func() (fakeRecord, *analysis.Report, error) {
 		*calls++
 		return result(*calls), &analysis.Report{Verdict: strings.Repeat("x", verdict(*calls))}, nil
 	}
@@ -28,67 +57,93 @@ func steady(int) int      { return 7 }
 func moving(call int) int { return call }
 
 // TestDoubleRunCatchesDrift feeds the shared determinism check fake
-// cells: a result that changes between the two runs must fail naming
-// the sweep and the cell; equal results whose analysis reports differ
-// must fail as analysis drift; a steady cell passes and returns the
-// second run's report.
+// cells: a record that changes between the two runs in any field but a
+// host one — an untagged, embedded, hidden or list field included — must
+// fail naming the sweep, the cell and the field; drift in a host field
+// passes; equal records whose analysis reports differ must fail as
+// analysis drift; a steady cell passes and returns the second run's
+// report.
 func TestDoubleRunCatchesDrift(t *testing.T) {
 	var calls int
-	_, _, err := doubleRun("fakesweep", "cell A", fakeCell(&calls, moving, steady), equal[int])
-	if err == nil || !strings.Contains(err.Error(), "fakesweep determinism drift") || !strings.Contains(err.Error(), `"cell A"`) {
-		t.Errorf("drifting result: err = %v, want a determinism drift naming fakesweep and \"cell A\"", err)
+	for field, perturb := range map[string]func(*fakeRecord){
+		"Case":  func(r *fakeRecord) { r.Case += "!" },
+		"Rate":  func(r *fakeRecord) { r.Rate++ },
+		"Sent":  func(r *fakeRecord) { r.Sent++ },
+		"Match": func(r *fakeRecord) { r.Match = !r.Match },
+		"P99":   func(r *fakeRecord) { r.P99++ },
+		"Shed":  func(r *fakeRecord) { r.Shed++ },
+		"Hot":   func(r *fakeRecord) { r.Hot = append(r.Hot, 3) },
+		"Frac":  func(r *fakeRecord) { r.Frac += 0.5 },
+	} {
+		second := func(call int) fakeRecord {
+			r := steadyRecord(call)
+			if call == 2 {
+				perturb(&r)
+			}
+			return r
+		}
+		_, _, err := doubleRun("fakesweep", "cell A", fakeCell(&calls, second, steady))
+		if err == nil || !strings.Contains(err.Error(), "fakesweep determinism drift") ||
+			!strings.Contains(err.Error(), `"cell A"`) || !strings.Contains(err.Error(), field) {
+			t.Errorf("drifting %s: err = %v, want a determinism drift naming fakesweep, \"cell A\" and %s", field, err, field)
+		}
 	}
-	_, _, err = doubleRun("fakesweep", "cell B", fakeCell(&calls, steady, moving), equal[int])
+	wall := func(call int) fakeRecord {
+		r := steadyRecord(call)
+		r.Wall = float64(call)
+		return r
+	}
+	if _, _, err := doubleRun("fakesweep", "cell H", fakeCell(&calls, wall, steady)); err != nil {
+		t.Errorf("drifting host field: %v", err)
+	}
+	_, _, err := doubleRun("fakesweep", "cell B", fakeCell(&calls, steadyRecord, moving))
 	if err == nil || !strings.Contains(err.Error(), "fakesweep analysis drift") || !strings.Contains(err.Error(), `"cell B"`) {
 		t.Errorf("drifting analysis: err = %v, want an analysis drift naming fakesweep and \"cell B\"", err)
 	}
 	var second *analysis.Report
-	run := fakeCell(&calls, steady, steady)
-	r, rep, err := doubleRun("fakesweep", "cell C", func() (int, *analysis.Report, error) {
+	run := fakeCell(&calls, steadyRecord, steady)
+	r, rep, err := doubleRun("fakesweep", "cell C", func() (fakeRecord, *analysis.Report, error) {
 		r, rep, err := run()
 		second = rep
 		return r, rep, err
-	}, equal[int])
-	if err != nil || r != 7 || rep != second || calls != 2 {
-		t.Errorf("steady cell = (%d, %p, %v) after %d runs, want (7, %p, nil) after 2", r, rep, err, calls, second)
-	}
-	// A caller-supplied equality sees past fields allowed to differ.
-	if _, _, err := doubleRun("fakesweep", "cell D", fakeCell(&calls, moving, steady), func(a, b int) bool { return true }); err != nil {
-		t.Errorf("custom equality: %v", err)
+	})
+	if err != nil || r.OK != 7 || rep != second || calls != 2 {
+		t.Errorf("steady cell = (%+v, %p, %v) after %d runs, want OK 7, %p, nil after 2", r, rep, err, calls, second)
 	}
 }
 
 // TestSweepLogRecord pins the one record-a-cell block: the cell runs
-// exactly twice when asked and once otherwise, and its result, report,
+// exactly twice when asked and once otherwise, and its record, report,
 // row and (when the sweep prints one) verdict note are filed in run
 // order; a failing or drifting cell files nothing.
 func TestSweepLogRecord(t *testing.T) {
 	for _, note := range []bool{true, false} {
-		var tbl Table
-		log := sweepLog[int]{sweep: "fakesweep", same: equal[int], note: note, t: &tbl,
-			row: func(r int) []string { return []string{fmt.Sprint("row ", r)} }}
+		tbl := Table{Columns: columns(fakeRecord{})}
+		log := sweepLog[fakeRecord]{sweep: "fakesweep", note: note, t: &tbl}
 		var calls int
-		if err := log.record("first", true, fakeCell(&calls, steady, steady)); err != nil || calls != 2 {
+		if err := log.record("first", true, fakeCell(&calls, steadyRecord, steady)); err != nil || calls != 2 {
 			t.Fatalf("twice: err = %v after %d runs, want nil after 2", err, calls)
 		}
-		if err := log.record("second", false, fakeCell(&calls, func(int) int { return 9 }, func(int) int { return 3 })); err != nil || calls != 1 {
+		nine := func(int) fakeRecord { return fakeRecord{Case: "second", OK: 9, Sent: 9} }
+		if err := log.record("second", false, fakeCell(&calls, nine, func(int) int { return 3 })); err != nil || calls != 1 {
 			t.Fatalf("once: err = %v after %d runs, want nil after 1", err, calls)
 		}
-		if err := log.record("drifts", true, fakeCell(&calls, moving, steady)); err == nil {
+		drifts := func(call int) fakeRecord { return fakeRecord{OK: int64(call)} }
+		if err := log.record("drifts", true, fakeCell(&calls, drifts, steady)); err == nil {
 			t.Error("a drifting cell was recorded")
 		}
 		boom := errors.New("boom")
-		if err := log.record("fails", false, func() (int, *analysis.Report, error) { return 0, nil, boom }); !errors.Is(err, boom) {
+		if err := log.record("fails", false, func() (fakeRecord, *analysis.Report, error) { return fakeRecord{}, nil, boom }); !errors.Is(err, boom) {
 			t.Errorf("failing cell: err = %v, want boom", err)
 		}
-		if !slices.Equal(log.results, []int{7, 9}) {
-			t.Errorf("results = %v, want [7 9]", log.results)
+		if len(log.results) != 2 || log.results[0].OK != 7 || log.results[1].OK != 9 {
+			t.Errorf("results = %+v, want OK 7 then 9", log.results)
 		}
 		if len(log.reports) != 2 || log.reports[0].Verdict != "xxxxxxx" || log.reports[1].Verdict != "xxx" {
 			t.Errorf("reports = %v, want the two cells' own, in order", log.reports)
 		}
-		if len(tbl.Rows) != 2 || tbl.Rows[0][0] != "row 7" || tbl.Rows[1][0] != "row 9" {
-			t.Errorf("rows = %v, want [[row 7] [row 9]]", tbl.Rows)
+		if len(tbl.Rows) != 2 || tbl.Rows[0][2] != "7/8" || tbl.Rows[1][2] != "9/9" {
+			t.Errorf("rows = %q, want the two cells' ok columns 7/8 and 9/9", tbl.Rows)
 		}
 		wantNotes := []string(nil)
 		if note {
@@ -100,24 +155,45 @@ func TestSweepLogRecord(t *testing.T) {
 	}
 }
 
-// TestArtifactGolden pins the one artifact writer's shape: header
-// members in order, one object per cell with its report's verdict
-// appended, commas between but not after cells, extra members before
-// the analysis, and the last cell's report embedded as the analysis.
+// TestArtifactGolden pins the one encoder and the artifact writer around
+// it over a fake record. The table: columns in declaration order, one
+// moved by after=, one hidden by its embedding, a computed column, verbs
+// with units. The artifact: the benchmark named after the sweep, header
+// members in order, one object per cell — every verb the sweeps use, a
+// sim.Time in microseconds, a list, the embedded struct in place, the
+// untagged field skipped, the host field rendered — with its report's
+// verdict appended, commas between but not after cells, extra members
+// before the analysis, and the last cell's report embedded as the
+// analysis. The file must parse as JSON.
 func TestArtifactGolden(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_fake.json")
-	a := artifact{
-		what: "fake",
-		header: [][2]string{
-			{"benchmark", `"vmmc-fakesweep"`},
-			{"rates_per_s", floatList([]float64{15000, 3e4})},
-		},
-		listKey: "cases",
-		cases:   []string{`"case": "one", "ok": 1`, `"case": "two", "ok": 2`},
-		reports: []*analysis.Report{{Verdict: "limiting resource: the fixture"}, {Verdict: "the last cell"}},
-		extra:   "  \"extra\": {\"n\": 1},\n",
+	one := fakeRecord{Case: `one "q"`, Rate: 15000, OK: 3, Sent: 4, Match: true,
+		fakeTail: fakeTail{P99: 12345 * sim.Nanosecond, Shed: 2},
+		Frac:     0.75, MBps: 45.1, Hot: []int64{1, 2, 3}, Wall: 0.1234}
+	two := fakeRecord{Case: "two", Hot: []int64{}}
+
+	cols := columns(fakeRecord{})
+	if want := []string{"case", "rate", "ok", "p99", "match", "wall"}; !slices.Equal(cols, want) {
+		t.Errorf("columns = %q, want %q", cols, want)
 	}
-	if err := a.write(path); err != nil {
+	if got, want := row(one, cols), []string{`one "q"`, "15000/s", "3/4", "12.3 us", "match=true", "0.12 s"}; !slices.Equal(got, want) {
+		t.Errorf("row = %q, want %q", got, want)
+	}
+	if got, want := row(fakeTail{P99: sim.Microsecond}, cols), []string{"", "", "", "1.0 us", "", ""}; !slices.Equal(got, want) {
+		t.Errorf("row under another record's columns = %q, want %q", got, want)
+	}
+
+	path := filepath.Join(t.TempDir(), "BENCH_fake.json")
+	log := sweepLog[fakeRecord]{
+		sweep:   "fakesweep",
+		results: []fakeRecord{one, two},
+		reports: []*analysis.Report{{Verdict: "limiting resource: the fixture"}, {Verdict: "the last cell"}},
+	}
+	a := artifact{
+		header:  [][2]string{{"rates_per_s", text("%.0f", []float64{15000, 3e4})}},
+		listKey: "cases",
+		extra:   [][2]string{{"extra", object(fakeTail{Shed: 1}, "aside")}},
+	}
+	if err := log.write(path, a); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -128,10 +204,10 @@ func TestArtifactGolden(t *testing.T) {
   "benchmark": "vmmc-fakesweep",
   "rates_per_s": [15000, 30000],
   "cases": [
-    {"case": "one", "ok": 1, "verdict": "limiting resource: the fixture"},
-    {"case": "two", "ok": 2, "verdict": "the last cell"}
+    {"case": "one \"q\"", "rate": 15000, "ok": 3, "match": true, "p99_us": 12.345, "shed": 2, "frac": 0.7500, "mb_s": 45.10, "hot": [1, 2, 3], "wall_s": 0.123, "verdict": "limiting resource: the fixture"},
+    {"case": "two", "rate": 0, "ok": 0, "match": false, "p99_us": 0.000, "shed": 0, "frac": 0.0000, "mb_s": 0.00, "hot": [], "wall_s": 0.000, "verdict": "the last cell"}
   ],
-  "extra": {"n": 1},
+  "extra": {"p99_us": 0.000, "shed": 1, "verdict": "aside"},
   "analysis": {
     "window_ns": 0,
     "bucket_ns": 0,
@@ -149,7 +225,11 @@ func TestArtifactGolden(t *testing.T) {
 	if string(got) != want {
 		t.Errorf("artifact =\n%s\nwant\n%s", got, want)
 	}
-	if err := a.write(filepath.Join(path, "under-a-file")); err == nil || !strings.Contains(err.Error(), "bench: fake artifact") {
+	var parsed map[string]any
+	if err := json.Unmarshal(got, &parsed); err != nil {
+		t.Errorf("artifact does not parse as JSON: %v", err)
+	}
+	if err := log.write(filepath.Join(path, "under-a-file"), a); err == nil || !strings.Contains(err.Error(), "bench: fake artifact") {
 		t.Errorf("unwritable path: err = %v, want a wrapped fake-artifact error", err)
 	}
 }

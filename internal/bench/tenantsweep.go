@@ -19,17 +19,11 @@ type TenantConfig struct {
 	// Calls is the victim's vRPC count per cell. Zero selects 32; a cell
 	// needs at least two (the crash cell kills the neighbor half way).
 	Calls int
-	// AggBytes is the aggressor's all-reduce payload. Zero selects 128 KB
-	// (the noisy-neighbor size from the issue).
-	AggBytes int
-	// AggRate is the aggressor's link budget under QoS in bytes/sec.
-	// Zero selects 40 MB/s — a quarter of the 160 MB/s wire.
-	AggRate float64
 	// Rates are the declared aggressor budgets for the qos=on rate sweep,
 	// in bytes/sec. These should sit well below the wire rate so the pacer
-	// demonstrably engages during the measured window (the default AggRate
-	// of 40 MB/s rarely does for short runs). Nil selects 5, 10 and
-	// 20 MB/s; an explicit empty slice is replaced by the default too.
+	// demonstrably engages during the measured window (the base cells'
+	// tenantAggRate of 40 MB/s rarely does for short runs). Nil selects 5,
+	// 10 and 20 MB/s; an explicit empty slice is replaced by the default too.
 	Rates []float64
 	// Out, when non-empty, writes the BENCH_tenant.json artifact here.
 	// Every quantity is virtual-time derived, so the file is
@@ -37,24 +31,32 @@ type TenantConfig struct {
 	Out string
 }
 
+// The aggressor's all-reduce payload (the noisy-neighbor size), and its
+// link budget under QoS in bytes/sec outside the rate sweep: a quarter of
+// the 160 MB/s wire.
+const (
+	tenantAggBytes = 128 << 10
+	tenantAggRate  = 40e6
+)
+
 // TenantResult is one cell: the victim's vRPC latency distribution under
 // a given co-residency regime, plus the isolation machinery's counters.
 // All fields are deterministic; the sweep double-runs every cell and
 // fails on drift.
 type TenantResult struct {
-	Case       string
-	QoS        bool
-	Crashed    bool
-	Rate       float64 // aggressor's declared link budget, 0 when solo
-	Calls      int
-	P50        sim.Time
-	P99        sim.Time
-	Max        sim.Time
-	AggOps     int64 // aggressor all-reduces completed
-	Throttles  int64 // aggressor sends delayed by the link pacer
-	Throttled  sim.Time
-	Preempts   int64 // victim short sends served between aggressor chunks
-	VictimErrs int64
+	Case       string   `key:"case,%q" col:"case,%s"`
+	QoS        bool     `key:"qos,%t"`
+	Crashed    bool     `key:"crashed,%t"`
+	Rate       float64  `key:"rate_b_s,%.0f"` // aggressor's declared link budget, 0 when solo
+	Calls      int      `key:"calls,%d" col:"calls,%d"`
+	P50        sim.Time `key:"p50_us,%.3f" col:"p50,%.1f us"`
+	P99        sim.Time `key:"p99_us,%.3f" col:"p99,%.1f us"`
+	Max        sim.Time `key:"max_us,%.3f" col:"max,%.1f us"`
+	AggOps     int64    `key:"agg_ops,%d" col:"agg ops,%d"`     // aggressor all-reduces completed
+	Throttles  int64    `key:"throttles,%d" col:"throttles,%d"` // aggressor sends delayed by the link pacer
+	Throttled  sim.Time `key:"throttled_us,%.3f" col:"throttled,%.1f us"`
+	Preempts   int64    `key:"preempts,%d" col:"preempts,%d"` // victim short sends served between aggressor chunks
+	VictimErrs int64    `key:"victim_errors,%d"`
 }
 
 // TenantSweep is the noisy-neighbor experiment: a latency-sensitive
@@ -74,67 +76,42 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 	if cfg.Calls == 0 {
 		cfg.Calls = 32
 	}
-	if cfg.AggBytes == 0 {
-		cfg.AggBytes = 128 << 10
-	}
-	if cfg.AggRate == 0 {
-		cfg.AggRate = 40e6
-	}
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = []float64{5e6, 10e6, 20e6}
 	}
 	sort.Float64s(cfg.Rates)
 
 	t := Table{
-		Title: "Tenant sweep: victim vRPC latency vs a 128 KB all-reduce neighbor (2 nodes)",
-		Columns: []string{"case", "calls", "p50", "p99", "max",
-			"agg ops", "throttles", "throttled", "preempts"},
+		Title:   "Tenant sweep: victim vRPC latency vs a 128 KB all-reduce neighbor (2 nodes)",
+		Columns: columns(TenantResult{}),
 	}
 
 	type cell struct {
-		name      string
-		aggressor bool
-		qos       bool
-		crash     bool
-		rate      float64 // declared aggressor budget, cfg.AggRate when 0
+		name  string
+		qos   bool
+		crash bool
+		rate  float64 // the aggressor's declared link budget; 0 runs the victim solo
 	}
 	cells := []cell{
 		{name: "solo"},
-		{name: "shared qos=off", aggressor: true},
-		{name: "shared qos=on", aggressor: true, qos: true},
-		{name: "crash qos=on", aggressor: true, qos: true, crash: true},
+		{name: "shared qos=off", rate: tenantAggRate},
+		{name: "shared qos=on", qos: true, rate: tenantAggRate},
+		{name: "crash qos=on", qos: true, crash: true, rate: tenantAggRate},
 	}
 	// The rate sweep: the qos=on cell repeated at declared budgets low
 	// enough that the pacer engages inside the measured window, pinning
 	// the victim-p99-vs-rate curve.
 	for _, rate := range cfg.Rates {
 		cells = append(cells, cell{
-			name:      fmt.Sprintf("shared qos=on rate=%gMB/s", rate/1e6),
-			aggressor: true, qos: true, rate: rate,
+			name: fmt.Sprintf("shared qos=on rate=%gMB/s", rate/1e6),
+			qos:  true, rate: rate,
 		})
 	}
 
-	log := sweepLog[TenantResult]{sweep: "tenantsweep", same: equal[TenantResult], note: true, t: &t}
-	log.row = func(r TenantResult) []string {
-		return []string{
-			r.Case,
-			fmt.Sprintf("%d", r.Calls),
-			fmt.Sprintf("%.1f us", r.P50.Micros()),
-			fmt.Sprintf("%.1f us", r.P99.Micros()),
-			fmt.Sprintf("%.1f us", r.Max.Micros()),
-			fmt.Sprintf("%d", r.AggOps),
-			fmt.Sprintf("%d", r.Throttles),
-			fmt.Sprintf("%.1f us", r.Throttled.Micros()),
-			fmt.Sprintf("%d", r.Preempts),
-		}
-	}
+	log := sweepLog[TenantResult]{sweep: "tenantsweep", note: true, t: &t}
 	for _, cl := range cells {
-		caseCfg := cfg
-		if cl.rate != 0 {
-			caseCfg.AggRate = cl.rate
-		}
 		if err := log.record(cl.name, true, func() (TenantResult, *analysis.Report, error) {
-			return runTenantCase(cl.name, cl.aggressor, cl.qos, cl.crash, caseCfg)
+			return runTenantCase(cl.name, cl.qos, cl.crash, cfg.Calls, cl.rate)
 		}); err != nil {
 			return t, err
 		}
@@ -183,17 +160,23 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 		}
 	}
 
-	return t, writeTenantJSON(cfg, log.results, log.reports)
+	return t, log.write(cfg.Out, artifact{
+		header: [][2]string{
+			{"calls", fmt.Sprint(cfg.Calls)},
+			{"aggressor_bytes", fmt.Sprint(tenantAggBytes)},
+			{"aggressor_rate_b_s", fmt.Sprintf("%.0f", tenantAggRate)},
+			{"sweep_rates_b_s", text("%.0f", cfg.Rates)},
+		},
+		listKey: "cases",
+	})
 }
 
 // runTenantCase boots a two-node reliable cluster, admits the victim
-// (and optionally the aggressor) through the tenant manager, runs the
-// workloads, and distills the victim's latency distribution.
-func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (TenantResult, *analysis.Report, error) {
-	res := TenantResult{Case: name, QoS: qos}
-	if aggressor {
-		res.Rate = cfg.AggRate
-	}
+// (and, at a nonzero rate, the aggressor with that link budget) through
+// the tenant manager, runs the workloads, and distills the victim's
+// latency distribution over calls measured calls.
+func runTenantCase(name string, qos, crash bool, calls int, rate float64) (TenantResult, *analysis.Report, error) {
+	res := TenantResult{Case: name, QoS: qos, Rate: rate}
 	var latencies []sim.Time
 
 	cl := newCell("tenantsweep " + name)
@@ -210,11 +193,11 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 		stop := false
 		aggDone := 0
 		aggCond := sim.NewCond(cl.eng)
-		if aggressor {
+		if rate != 0 {
 			var err error
 			agg, err = mgr.Admit(p, tenant.Spec{
 				Name: "bulk", Nodes: []int{0, 1}, Limits: small,
-				LinkBytesPerSec: cfg.AggRate,
+				LinkBytesPerSec: rate,
 			})
 			if err != nil {
 				return err
@@ -231,7 +214,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 				w := cl.eng.Go(fmt.Sprintf("bulk-rank%d", r), func(rp *sim.Proc) {
 					defer func() { aggDone++; aggCond.Broadcast() }()
 					cm := comms[r]
-					in := collVector(cfg.AggBytes, r)
+					in := collVector(tenantAggBytes, r)
 					out := make([]byte, len(in))
 					fout := make([]byte, 4)
 					for {
@@ -298,7 +281,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 		// Warmup calls populate the TLBs and pin the RPC windows so the
 		// measured tail reflects neighbor interference, not cold start.
 		const warmup = 4
-		for i := 0; i < warmup+cfg.Calls; i++ {
+		for i := 0; i < warmup+calls; i++ {
 			begin := p.Now()
 			callErr := cli.Call(p, 1, 1, 1, func(enc *xdr.Encoder) {
 				enc.PutUint32(uint32(i))
@@ -319,7 +302,7 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 				continue
 			}
 			latencies = append(latencies, p.Now()-begin)
-			if crash && i-warmup == cfg.Calls/2-1 {
+			if crash && i-warmup == calls/2-1 {
 				// The neighbor crashes mid-run; the victim must not notice.
 				if err := mgr.Kill("bulk"); err != nil {
 					return err
@@ -386,34 +369,4 @@ func runTenantCase(name string, aggressor, qos, crash bool, cfg TenantConfig) (T
 		res.Preempts += cl.count(fmt.Sprintf("node%d/lcp_short_preempts", c.Nodes[i].ID))
 	}
 	return res, cl.rep, nil
-}
-
-// writeTenantJSON emits the noisy-neighbor artifact: per-cell victim
-// latency quantiles, isolation counters, and the per-cell analysis
-// verdict (which names the contended resource), with the last cell's
-// full report — including its per-tenant attribution — embedded.
-func writeTenantJSON(cfg TenantConfig, rs []TenantResult, reps []*analysis.Report) error {
-	a := artifact{
-		what: "tenant",
-		header: [][2]string{
-			{"benchmark", `"vmmc-tenantsweep"`},
-			{"calls", fmt.Sprint(cfg.Calls)},
-			{"aggressor_bytes", fmt.Sprint(cfg.AggBytes)},
-			{"aggressor_rate_b_s", fmt.Sprintf("%.0f", cfg.AggRate)},
-			{"sweep_rates_b_s", floatList(cfg.Rates)},
-		},
-		listKey: "cases",
-		reports: reps,
-	}
-	for _, r := range rs {
-		a.cases = append(a.cases, fmt.Sprintf("\"case\": %q, \"qos\": %t, \"crashed\": %t, \"rate_b_s\": %.0f, \"calls\": %d, "+
-			"\"p50_us\": %.3f, \"p99_us\": %.3f, \"max_us\": %.3f, "+
-			"\"agg_ops\": %d, \"throttles\": %d, \"throttled_us\": %.3f, "+
-			"\"preempts\": %d, \"victim_errors\": %d",
-			r.Case, r.QoS, r.Crashed, r.Rate, r.Calls,
-			r.P50.Micros(), r.P99.Micros(), r.Max.Micros(),
-			r.AggOps, r.Throttles, r.Throttled.Micros(),
-			r.Preempts, r.VictimErrs))
-	}
-	return a.write(cfg.Out)
 }
