@@ -53,6 +53,26 @@ func TestClusterBoots(t *testing.T) {
 	}
 }
 
+// TestSingleSwitchBootRoutes pins the tables boot hands the VMMC LCPs on
+// the paper's one-switch cluster: node j hangs off port j, so every route
+// i->j, loopback included, is the single byte j. Any mapper that meets
+// this leaves every post-boot packet on the same path.
+func TestSingleSwitchBootRoutes(t *testing.T) {
+	for _, nodes := range []int{2, 4, 8} {
+		c := testCluster(t, nodes, func(*simProc, *Cluster) {})
+		for _, src := range c.Nodes {
+			if len(src.routes) != nodes {
+				t.Errorf("%d nodes: node %d has %d routes, want %d", nodes, src.ID, len(src.routes), nodes)
+			}
+			for j := 0; j < nodes; j++ {
+				if got := src.routes[j]; !bytes.Equal(got, []byte{byte(j)}) {
+					t.Errorf("%d nodes: route %d->%d = %v, want [%d]", nodes, src.ID, j, got, j)
+				}
+			}
+		}
+	}
+}
+
 func TestShortSendEndToEnd(t *testing.T) {
 	testCluster(t, 2, func(p *simProc, c *Cluster) {
 		recv, err := c.Nodes[1].NewProcess(p)
