@@ -31,6 +31,18 @@ func buildChain(t *testing.T, e *sim.Engine, nsw, hosts int) *Network {
 	return n
 }
 
+// mapFabric runs MapFabric on n from a boot process, runs the engine to
+// completion and returns the tables.
+func mapFabric(t *testing.T, e *sim.Engine, n *Network, maxDepth int, probeTimeout sim.Time) map[int]RouteTable {
+	t.Helper()
+	var tables map[int]RouteTable
+	e.Go("boot", func(p *sim.Proc) { tables = MapFabric(p, n, maxDepth, probeTimeout) })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return tables
+}
+
 // TestCentralMappingChainAllPairs checks the centralized mapper on the
 // multi-switch cluster wiring: every pair of hosts gets a route, each host
 // a loopback route to itself, and every computed route walks to its
@@ -41,11 +53,7 @@ func TestCentralMappingChainAllPairs(t *testing.T) {
 	e := sim.NewEngine()
 	n := buildChain(t, e, 4, 20)
 	timeout := 20*sim.Microsecond + sim.Time(10)*hw.Default().SwitchLatency
-	m := StartMappingCentral(n, 5, timeout)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tables := m.Tables()
+	tables := mapFabric(t, e, n, 5, timeout)
 	nics := n.NICs()
 	for _, src := range nics {
 		for _, dst := range nics {
@@ -70,12 +78,9 @@ func TestCentralMappingProbeBudget(t *testing.T) {
 	e := sim.NewEngine()
 	n := buildChain(t, e, 7, 40)
 	timeout := 20*sim.Microsecond + sim.Time(16)*hw.Default().SwitchLatency
-	m := StartMappingCentral(n, 8, timeout)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Tables()) != 40 {
-		t.Fatalf("mapped %d hosts, want 40", len(m.Tables()))
+	tables := mapFabric(t, e, n, 8, timeout)
+	if len(tables) != 40 {
+		t.Fatalf("mapped %d hosts, want 40", len(tables))
 	}
 	if injected := counter(t, e, "nic0/packets_injected"); injected > 4000 {
 		t.Errorf("prober injected %d packets on a 7-switch chain, want linear (<= 4000)", injected)
@@ -91,11 +96,7 @@ func TestCentralMappingDirectCable(t *testing.T) {
 	// No public NIC-to-NIC cabling helper; wire the endpoints directly.
 	a.peer = endpoint{kind: kindNIC, id: b.ID}
 	b.peer = endpoint{kind: kindNIC, id: a.ID}
-	m := StartMappingCentral(n, 2, 20*sim.Microsecond)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tables := m.Tables()
+	tables := mapFabric(t, e, n, 2, 20*sim.Microsecond)
 	if r, ok := tables[a.ID][b.ID]; !ok || len(r) != 0 {
 		t.Errorf("a->b route = %v,%v, want empty route", r, ok)
 	}
@@ -134,10 +135,11 @@ func buildDiamond(t *testing.T, e *sim.Engine, hosts int) *Network {
 }
 
 // TestCentralMappingIsOneRemapRound pins what lets the boot mapper and the
-// post-boot remap service share their code: the tables StartMappingCentral
-// hands the VMMC LCPs are exactly those a Remap.Probe round from the first
-// NIC computes on the same fabric with live responders, and both finish at
-// the same virtual time.
+// post-boot remap service share their code: on a connected fabric the
+// tables MapFabric hands the VMMC LCPs are exactly those a Remap.Probe
+// round from the first NIC computes on the same fabric with live
+// responders, and both finish at the same virtual time — boot makes no
+// second round.
 func TestCentralMappingIsOneRemapRound(t *testing.T) {
 	timeout := 20*sim.Microsecond + sim.Time(16)*hw.Default().SwitchLatency
 	for _, tc := range []struct {
@@ -149,10 +151,7 @@ func TestCentralMappingIsOneRemapRound(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := sim.NewEngine()
-			m := StartMappingCentral(tc.build(t, e), 8, timeout)
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
+			tables := mapFabric(t, e, tc.build(t, e), 8, timeout)
 
 			e2 := sim.NewEngine()
 			n := tc.build(t, e2)
@@ -176,8 +175,8 @@ func TestCentralMappingIsOneRemapRound(t *testing.T) {
 			if len(probed) != len(n.NICs()) {
 				t.Fatalf("probe round mapped %d hosts of %d", len(probed), len(n.NICs()))
 			}
-			if !reflect.DeepEqual(m.Tables(), probed) {
-				t.Errorf("boot tables differ from a Remap.Probe round's:\n%v\n%v", m.Tables(), probed)
+			if !reflect.DeepEqual(tables, probed) {
+				t.Errorf("boot tables differ from a Remap.Probe round's:\n%v\n%v", tables, probed)
 			}
 			if e.Now() != e2.Now() {
 				t.Errorf("boot mapping ended at %v, the probe round at %v", e.Now(), e2.Now())

@@ -60,11 +60,7 @@ func TestMappingRandomTreesProperty(t *testing.T) {
 			return true
 		}
 
-		m := StartMapping(n, nsw+1, 20*sim.Microsecond)
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		tables := m.Tables()
+		tables := mapFabric(t, e, n, nsw+1, 20*sim.Microsecond)
 		for _, src := range hosts {
 			for _, dst := range hosts {
 				if src.ID == dst.ID {

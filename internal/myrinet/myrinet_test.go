@@ -296,11 +296,7 @@ func TestAttachErrors(t *testing.T) {
 
 func TestMappingStar(t *testing.T) {
 	e, n := star4(t)
-	m := StartMapping(n, 3, 20*sim.Microsecond)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tables := m.Tables()
+	tables := mapFabric(t, e, n, 3, 20*sim.Microsecond)
 	if len(tables) != 4 {
 		t.Fatalf("mapped %d nodes, want 4", len(tables))
 	}
@@ -338,11 +334,7 @@ func TestMappingTwoSwitches(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m := StartMapping(n, 3, 20*sim.Microsecond)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tables := m.Tables()
+	tables := mapFabric(t, e, n, 3, 20*sim.Microsecond)
 	// Every node reaches every other; verify by walking each route.
 	for src := 0; src < 4; src++ {
 		for dst := 0; dst < 4; dst++ {
@@ -371,11 +363,7 @@ func TestMappingDirectNICToNIC(t *testing.T) {
 	a, b := n.AddNIC(), n.AddNIC()
 	a.peer = endpoint{kind: kindNIC, id: b.ID}
 	b.peer = endpoint{kind: kindNIC, id: a.ID}
-	m := StartMapping(n, 2, 20*sim.Microsecond)
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	tables := m.Tables()
+	tables := mapFabric(t, e, n, 2, 20*sim.Microsecond)
 	if r, ok := tables[0][1]; !ok || len(r) != 0 {
 		t.Errorf("direct route = %v,%v, want empty route", r, ok)
 	}

@@ -85,6 +85,12 @@ func (r *Remap) probe(p *sim.Proc, prober *NIC, route []byte, timeout sim.Time) 
 // pairwise route tables covering every host that answered. It blocks p for
 // the round's duration (every silent prefix costs one probeTimeout).
 func (r *Remap) Probe(p *sim.Proc, prober *NIC, maxDepth int, probeTimeout sim.Time) map[int]RouteTable {
+	return r.round(p, prober, maxDepth, probeTimeout, silentLimit)
+}
+
+// round is Probe with the silent cutoff's limit as a parameter (see
+// centralExplore).
+func (r *Remap) round(p *sim.Proc, prober *NIC, maxDepth int, probeTimeout sim.Time, limit int) map[int]RouteTable {
 	forward := map[int][]byte{} // host -> probe route from prober
 	back := map[int][]byte{}    // host -> reply route to prober
 	centralExplore(func(route []byte) (int, bool) {
@@ -97,6 +103,6 @@ func (r *Remap) Probe(p *sim.Proc, prober *NIC, maxDepth int, probeTimeout sim.T
 			back[reply.responder] = append([]byte(nil), reply.back...)
 		}
 		return reply.responder, true
-	}, maxDepth)
+	}, maxDepth, limit)
 	return composeCentralTables(prober.ID, forward, back)
 }

@@ -199,24 +199,17 @@ func (c *Cluster) RestartNode(node int) error {
 }
 
 // Boot schedules the boot sequence; it completes as the simulation runs.
-// Single-switch clusters probe from every node (the exhaustive mapper);
-// switch chains use the centralized mapper — one host explores the
-// fabric and distributes computed routes — because per-node blind
-// probing grows exponentially with chain depth.
+// The cluster:boot process runs the mapping LCP — one central probe round
+// from node 0, the same round the self-healing layer re-runs after boot
+// (myrinet.MapFabric) — then starts the VMMC LCP on every node with the
+// routes the round computed for it.
 func (c *Cluster) Boot() {
+	// A probe's reply crosses up to 2*depth switch hops; a timeout
+	// shorter than that round trip reads distant hosts as absent.
 	depth := len(c.Net.Switches()) + 1
-	var mapping *myrinet.Mapping
-	if len(c.Net.Switches()) > 1 {
-		// A probe's reply crosses up to 2*depth switch hops; a timeout
-		// shorter than that round trip reads distant hosts as absent.
-		timeout := 20*sim.Microsecond + sim.Time(2*depth)*c.Prof.SwitchLatency
-		mapping = myrinet.StartMappingCentral(c.Net, depth, timeout)
-	} else {
-		mapping = myrinet.StartMapping(c.Net, depth, 20*sim.Microsecond)
-	}
+	timeout := 20*sim.Microsecond + sim.Time(2*depth)*c.Prof.SwitchLatency
 	c.Eng.Go("cluster:boot", func(p *simProc) {
-		mapping.Wait(p)
-		tables := mapping.Tables()
+		tables := myrinet.MapFabric(p, c.Net, depth, timeout)
 		for _, n := range c.Nodes {
 			if err := n.start(tables[n.ID]); err != nil {
 				c.bootErr = fmt.Errorf("vmmc: node %d boot: %w", n.ID, err)
