@@ -67,11 +67,6 @@ func faultSweepCase(reliable bool, ber float64) ([]string, *analysis.Report, err
 	if err != nil {
 		return nil, nil, err
 	}
-	// Errors on both directions of the sender's link: data packets out,
-	// acknowledgements (when reliable) back in. Armed before the cluster
-	// boots: the RNG draws boot traffic consumes are part of the result.
-	pl.SetLinkBER(c.Nodes[0].Board.NIC.ID, ber)
-	pl.SetLinkBER(c.Nodes[1].Board.NIC.ID, ber)
 
 	// slotByte is the expected value of byte j of slot i; the last byte
 	// of each slot doubles as the arrival flag the reliable path spins on.
@@ -82,6 +77,12 @@ func faultSweepCase(reliable bool, ber float64) ([]string, *analysis.Report, err
 		elapsed        sim.Time
 	)
 	cl.spawn(c, "faultsweep", func(p *sim.Proc) error {
+		// Errors on both directions of the sender's link: data packets
+		// out, acknowledgements (when reliable) back in. Armed once the
+		// cluster has booted, so the error sequence does not depend on
+		// how much traffic mapping sent.
+		pl.SetLinkBER(c.Nodes[0].Board.NIC.ID, ber)
+		pl.SetLinkBER(c.Nodes[1].Board.NIC.ID, ber)
 		recv, err := c.Nodes[1].NewProcess(p)
 		if err != nil {
 			return err
