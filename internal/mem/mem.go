@@ -1,13 +1,16 @@
 // Package mem models a host's physical memory and per-process virtual
-// address spaces at page granularity, with real backing bytes.
+// address spaces at page granularity, with backing bytes allocated per
+// frame on first write.
 //
 // VMMC's correctness hinges on the virtual/physical distinction: send and
 // receive buffers live in virtual memory, the network interface deals only
 // in physical frames, consecutive virtual pages are usually not physically
 // contiguous (which caps DMA transfer units at one page), and frames must
 // be pinned while the NIC may DMA to or from them. All of that is modeled
-// structurally here; actual data moves through the backing arrays so
-// end-to-end transfers can be checked byte for byte.
+// structurally here; actual data moves through the backing frames so
+// end-to-end transfers can be checked byte for byte. A frame nothing has
+// written reads as zeros and holds no bytes, so a node's RAM costs the host
+// what its workload writes, not what its configuration provisions.
 package mem
 
 import (
@@ -58,11 +61,13 @@ var (
 	ErrBounds      = errors.New("mem: access outside physical memory")
 )
 
-// Physical is one node's physical memory: a contiguous array of frames
-// with per-frame pin counts. DMA engines address it directly.
+// Physical is one node's physical memory: a physically contiguous address
+// range of frames with per-frame pin counts. DMA engines address it
+// directly. A frame's bytes are allocated by the first Write that touches
+// it; until then it reads as zeros.
 type Physical struct {
-	data []byte
-	pins []int
+	frames []*[PageSize]byte
+	pins   []int
 
 	// freeFrames is the frame allocation pool. Frames are handed out in a
 	// deliberately scrambled order so that virtually contiguous
@@ -82,8 +87,8 @@ func NewPhysical(size int) *Physical {
 	}
 	n := size / PageSize
 	pm := &Physical{
-		data: make([]byte, size),
-		pins: make([]int, n),
+		frames: make([]*[PageSize]byte, n),
+		pins:   make([]int, n),
 	}
 	// Scramble the free list with a fixed odd stride so consecutive
 	// allocations land on discontiguous frames.
@@ -117,7 +122,7 @@ func (pm *Physical) Version() *uint64 { return &pm.version }
 func (pm *Physical) Touch() { pm.version++ }
 
 // Size returns the memory size in bytes.
-func (pm *Physical) Size() int { return len(pm.data) }
+func (pm *Physical) Size() int { return len(pm.frames) * PageSize }
 
 // NumFrames returns the number of physical frames.
 func (pm *Physical) NumFrames() int { return len(pm.pins) }
@@ -208,23 +213,43 @@ func (pm *Physical) ResetPins() {
 }
 
 // Read copies len(buf) bytes starting at pa into buf. The range may cross
-// frame boundaries; physical memory is contiguous.
+// frame boundaries; physical memory is contiguous. A frame no Write has
+// touched reads as zeros.
 func (pm *Physical) Read(pa PhysAddr, buf []byte) error {
 	end := uint64(pa) + uint64(len(buf))
-	if end > uint64(len(pm.data)) {
+	if end > uint64(pm.Size()) {
 		return fmt.Errorf("%w: read [%#x,%#x)", ErrBounds, pa, end)
 	}
-	copy(buf, pm.data[pa:end])
+	for len(buf) > 0 {
+		n := min(len(buf), PageSize-pa.Offset())
+		if f := pm.frames[pa.Frame()]; f != nil {
+			copy(buf[:n], f[pa.Offset():])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		pa += PhysAddr(n)
+	}
 	return nil
 }
 
-// Write copies data into physical memory starting at pa.
+// Write copies data into physical memory starting at pa, allocating each
+// frame it touches for the first time.
 func (pm *Physical) Write(pa PhysAddr, data []byte) error {
 	end := uint64(pa) + uint64(len(data))
-	if end > uint64(len(pm.data)) {
+	if end > uint64(pm.Size()) {
 		return fmt.Errorf("%w: write [%#x,%#x)", ErrBounds, pa, end)
 	}
-	copy(pm.data[pa:end], data)
+	for len(data) > 0 {
+		f := pm.frames[pa.Frame()]
+		if f == nil {
+			f = new([PageSize]byte)
+			pm.frames[pa.Frame()] = f
+		}
+		n := copy(f[pa.Offset():], data)
+		data = data[n:]
+		pa += PhysAddr(n)
+	}
 	pm.version++
 	return nil
 }

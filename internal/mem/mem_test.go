@@ -3,6 +3,8 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -321,7 +323,7 @@ func TestReadWriteRoundTripProperty(t *testing.T) {
 		}
 		return one[0] == data[0]
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -340,7 +342,7 @@ func TestTranslateOffsetPreservedProperty(t *testing.T) {
 		}
 		return pa.Offset() == va.Offset()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -405,4 +407,229 @@ func TestVersionMovesWithStoresAndMappings(t *testing.T) {
 	moved("Pin/Unpin", false, func() { as.Pin(va, 1); as.Unpin(va, 1) })
 	moved("failed Write", false, func() { pm.Write(PhysAddr(pm.Size()), []byte{1}) })
 	moved("Free (FreeFrame)", true, func() { as.Free(va, PageSize) })
+}
+
+// flatMemory is the reference Physical is checked against: one contiguous
+// byte array, as the package kept before frames were allocated on demand,
+// and a FIFO of the free frames that starts from Physical's own scrambled
+// order.
+type flatMemory struct {
+	data    []byte
+	free    []int
+	version uint64
+}
+
+func (fm *flatMemory) bounds(op string, pa PhysAddr, n int) error {
+	if end := uint64(pa) + uint64(n); end > uint64(len(fm.data)) {
+		return fmt.Errorf("%w: %s [%#x,%#x)", ErrBounds, op, pa, end)
+	}
+	return nil
+}
+
+func (fm *flatMemory) read(pa PhysAddr, buf []byte) error {
+	if err := fm.bounds("read", pa, len(buf)); err != nil {
+		return err
+	}
+	copy(buf, fm.data[pa:])
+	return nil
+}
+
+func (fm *flatMemory) write(pa PhysAddr, data []byte) error {
+	if err := fm.bounds("write", pa, len(data)); err != nil {
+		return err
+	}
+	copy(fm.data[pa:], data)
+	fm.version++
+	return nil
+}
+
+func (fm *flatMemory) allocFrame() (int, error) {
+	if len(fm.free) == 0 {
+		return 0, ErrOutOfMemory
+	}
+	f := fm.free[0]
+	fm.free = fm.free[1:]
+	fm.version++
+	return f, nil
+}
+
+func (fm *flatMemory) freeFrame(f int) {
+	fm.free = append(fm.free, f)
+	fm.version++
+}
+
+// Differential: a seeded random mix of reads, writes, frame allocations and
+// frees gives the same bytes, the same error and the same version from
+// Physical as from the flat reference — at any offset, across frames, at
+// zero length, ending on the last byte and one past it, and on frames
+// freed and handed out again with their old bytes still in them.
+func TestPhysicalMatchesFlatReference(t *testing.T) {
+	const frames, ops = 8, 4000
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pm := NewPhysical(frames * PageSize)
+		ref := &flatMemory{data: make([]byte, frames*PageSize), free: append([]int(nil), pm.freeFrames...)}
+		written := make([]bool, frames) // frames holding a written byte
+		freed := make([]bool, frames)   // frames returned to the pool once
+		var allocated []int
+		reused := 0
+		sameErr := func(op string, got, want error) {
+			t.Helper()
+			if fmt.Sprint(got) != fmt.Sprint(want) || errors.Is(got, ErrBounds) != errors.Is(want, ErrBounds) {
+				t.Fatalf("seed %d: %s: err = %v, want %v", seed, op, got, want)
+			}
+		}
+		// A range: any offset and length, or one ending on the last byte or
+		// one past it.
+		span := func() (PhysAddr, int) {
+			var n int
+			switch rng.Intn(4) {
+			case 0:
+				n = 0
+			case 1:
+				n = 1 + rng.Intn(16)
+			default:
+				n = 1 + rng.Intn(3*PageSize)
+			}
+			switch rng.Intn(6) {
+			case 0:
+				return PhysAddr(frames*PageSize - n), n
+			case 1:
+				return PhysAddr(frames*PageSize - n + 1), n
+			default:
+				return PhysAddr(rng.Intn(frames*PageSize + 1)), n
+			}
+		}
+		for i := 0; i < ops; i++ {
+			switch k := rng.Intn(10); {
+			case k < 4:
+				pa, n := span()
+				data := make([]byte, n)
+				rng.Read(data)
+				op := fmt.Sprintf("op %d: Write(%#x, %d bytes)", i, pa, n)
+				err := pm.Write(pa, data)
+				sameErr(op, err, ref.write(pa, data))
+				if err == nil {
+					for f := pa.Frame(); n > 0 && f <= (pa+PhysAddr(n)-1).Frame(); f++ {
+						written[f] = true
+					}
+				}
+			case k < 7:
+				pa, n := span()
+				got, want := bytes.Repeat([]byte{0xA5}, n), bytes.Repeat([]byte{0xA5}, n)
+				op := fmt.Sprintf("op %d: Read(%#x, %d bytes)", i, pa, n)
+				sameErr(op, pm.Read(pa, got), ref.read(pa, want))
+				if !bytes.Equal(got, want) {
+					t.Fatalf("seed %d: %s: bytes differ from the reference", seed, op)
+				}
+			case k < 9:
+				f, err := pm.AllocFrame()
+				wantF, wantErr := ref.allocFrame()
+				sameErr(fmt.Sprintf("op %d: AllocFrame", i), err, wantErr)
+				if err == nil {
+					if f != wantF {
+						t.Fatalf("seed %d: op %d: AllocFrame = %d, want %d", seed, i, f, wantF)
+					}
+					if freed[f] && written[f] {
+						reused++
+					}
+					allocated = append(allocated, f)
+				}
+			default:
+				if len(allocated) == 0 {
+					continue
+				}
+				j := rng.Intn(len(allocated))
+				f := allocated[j]
+				allocated = append(allocated[:j], allocated[j+1:]...)
+				pm.FreeFrame(f)
+				ref.freeFrame(f)
+				freed[f] = true
+			}
+			if *pm.Version() != ref.version {
+				t.Fatalf("seed %d: after op %d: version %d, want %d", seed, i, *pm.Version(), ref.version)
+			}
+		}
+		if reused == 0 {
+			t.Errorf("seed %d: no frame was handed out again with written bytes in it", seed)
+		}
+	}
+}
+
+// resident counts the frames whose bytes have been allocated.
+func resident(pm *Physical) int {
+	n := 0
+	for _, f := range pm.frames {
+		if f != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Only Write allocates a frame's bytes, and only for the frames it covers:
+// reads, frame allocation, pinning and address-space mapping leave a fresh
+// memory holding none.
+func TestFramesResidentOnlyOnWrite(t *testing.T) {
+	pm := NewPhysical(64 * PageSize)
+	as := NewAddressSpace(pm)
+	va, err := as.Alloc(8 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := pm.AllocFrame()
+	pm.Pin(f)
+	pm.Unpin(f)
+	if err := as.Pin(va, 8*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	as.Unpin(va, 8*PageSize)
+	if _, err := as.Translate(va + 3*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 3*PageSize)
+	if err := pm.Read(PageSize/2, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.ReadInto(va+100, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := pm.Write(5*PageSize, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := resident(pm); n != 0 {
+		t.Fatalf("%d frames resident before any write with bytes, want 0", n)
+	}
+
+	expect := func(what string, frames ...int) {
+		t.Helper()
+		want := make([]bool, pm.NumFrames())
+		for _, f := range frames {
+			want[f] = true
+		}
+		for f, b := range pm.frames {
+			if (b != nil) != want[f] {
+				t.Errorf("%s: frame %d resident = %v, want %v", what, f, b != nil, want[f])
+			}
+		}
+	}
+	// Covers the last byte of frame 1, all of frame 2 and the first of 3.
+	if err := pm.Write(2*PageSize-1, make([]byte, PageSize+2)); err != nil {
+		t.Fatal(err)
+	}
+	expect("Write across frames 1-3", 1, 2, 3)
+	if err := pm.Write(2*PageSize+7, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	expect("Write inside a resident frame", 1, 2, 3)
+	pa0, _ := as.Translate(va)
+	pa1, _ := as.Translate(va + PageSize)
+	if err := as.WriteBytes(va+PageSize-1, []byte{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	expect("WriteBytes across two pages", 1, 2, 3, pa0.Frame(), pa1.Frame())
+	if err := pm.Write(PhysAddr(pm.Size()-1), []byte{1, 2}); err == nil {
+		t.Fatal("write past the end succeeded")
+	}
+	expect("failed Write", 1, 2, 3, pa0.Frame(), pa1.Frame())
 }
