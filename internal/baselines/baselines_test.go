@@ -123,33 +123,6 @@ func TestFMBandwidthPIOLimited(t *testing.T) {
 	run(t, eng)
 }
 
-func TestFMCreditFlowControl(t *testing.T) {
-	eng, r := rig(t)
-	sys := fm.New(eng, r)
-	sys.Eps[0].SetFlowControl(2, 1)
-	sys.Eps[1].SetFlowControl(2, 1)
-	eng.Go("test", func(p *sim.Proc) {
-		// A message needing more packets than the credit window must
-		// stall at least once and still arrive intact.
-		big := make([]byte, fm.PayloadCapacity(24))
-		for i := range big {
-			big[i] = byte(i * 7)
-		}
-		eng.Go("sink", func(bp *sim.Proc) {
-			got := sys.Eps[1].Extract(bp, 1)
-			if !bytes.Equal(got[0], big) {
-				t.Error("flow-controlled message corrupted")
-			}
-		})
-		sys.Eps[0].Send(p, big)
-		p.Sleep(sim.Millisecond)
-		if sys.Eps[0].CreditStalls == 0 {
-			t.Error("sender never stalled despite exceeding the credit window")
-		}
-	})
-	run(t, eng)
-}
-
 // --- PM ---
 
 func TestPMDelivery(t *testing.T) {

@@ -120,12 +120,6 @@ func New(eng *sim.Engine, rig *testbed.Rig) *System {
 	return s
 }
 
-// SetFlowControl overrides the credit window and batch (tests).
-func (ep *Endpoint) SetFlowControl(window, batch int) {
-	ep.window, ep.batch = window, batch
-	ep.credits = window
-}
-
 // Packet types.
 const (
 	ptData   = 1
@@ -231,6 +225,3 @@ func (ep *Endpoint) Extract(p *sim.Proc, max int) [][]byte {
 	}
 	return out
 }
-
-// PayloadCapacity returns how many bytes fit in k packets.
-func PayloadCapacity(k int) int { return k * PayloadBytes }

@@ -72,7 +72,7 @@ func TestAllReduceAllocationCeilings(t *testing.T) {
 			in := make([][]byte, n)
 			out := make([][]byte, n)
 			for r := range in {
-				in[r] = seededVector(coll.Int32, tc.bytes/4, r)
+				in[r] = seededVector(tc.bytes/4, r)
 				out[r] = make([]byte, tc.bytes)
 			}
 			op := func() {

@@ -7,7 +7,6 @@ package coll
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/xdr"
 )
@@ -17,7 +16,6 @@ type Op int
 
 const (
 	OpSum Op = iota
-	OpMin
 	OpMax
 )
 
@@ -25,8 +23,6 @@ func (o Op) String() string {
 	switch o {
 	case OpSum:
 		return "sum"
-	case OpMin:
-		return "min"
 	case OpMax:
 		return "max"
 	default:
@@ -39,15 +35,12 @@ type DType int
 
 const (
 	Int32 DType = iota
-	Float64
 )
 
 func (d DType) String() string {
 	switch d {
 	case Int32:
 		return "int32"
-	case Float64:
-		return "float64"
 	default:
 		return fmt.Sprintf("dtype(%d)", int(d))
 	}
@@ -58,36 +51,28 @@ func (d DType) Size() int {
 	switch d {
 	case Int32:
 		return 4
-	case Float64:
-		return 8
 	default:
 		return 0
 	}
 }
 
 // fold folds the XDR-encoded vector src element-wise into dst (dst = dst ⊕
-// src) with one of the six built-in combines: sum, min or max over int32 or
-// float64. Both slices have equal length, a multiple of the element size.
+// src) with one of the two built-in combines: sum or max over int32. Both
+// slices have equal length, a multiple of the element size.
 func fold(op Op, dt DType, dst, src []byte) error {
 	switch {
 	case op < OpSum || op > OpMax:
 	case dt == Int32:
 		return foldInt32(op, dst, src)
-	case dt == Float64:
-		return foldFloat64(op, dst, src)
 	}
 	return fmt.Errorf("coll: no combine function for %v over %v", op, dt)
 }
 
-// The built-in folds work on the encoded vectors in place: an XDR int32 or
-// float64 is a big-endian word, so there is nothing to decode into. Each is
-// one loop per operator, chosen once per call; each step takes word-sized
-// subslices, which the compiler bounds-checks once instead of at every
-// access. min and max replace dst's element only when src's compares
-// strictly below (above) it, so on a tie or a NaN on either side dst keeps
-// its own bits. A sum adds dst+src in that order: with a NaN on both sides,
-// which payload survives depends on it.
-
+// foldInt32 works on the encoded vectors in place: an XDR int32 is a
+// big-endian word, so there is nothing to decode into. It is one loop per
+// operator, chosen once per call; each step takes word-sized subslices,
+// which the compiler bounds-checks once instead of at every access. max
+// replaces dst's element only when src's compares strictly above it.
 func foldInt32(op Op, dst, src []byte) error {
 	if err := checkVectors(dst, src, 4); err != nil {
 		return err
@@ -99,48 +84,10 @@ func foldInt32(op Op, dst, src []byte) error {
 			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
 			be.PutUint32(d, be.Uint32(d)+be.Uint32(s))
 		}
-	case OpMin:
-		for i := 0; i < len(dst); i += 4 {
-			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
-			if int32(be.Uint32(s)) < int32(be.Uint32(d)) {
-				copy(d, s)
-			}
-		}
 	case OpMax:
 		for i := 0; i < len(dst); i += 4 {
 			d, s := dst[i:i+4:i+4], src[i:i+4:i+4]
 			if int32(be.Uint32(s)) > int32(be.Uint32(d)) {
-				copy(d, s)
-			}
-		}
-	}
-	return nil
-}
-
-func foldFloat64(op Op, dst, src []byte) error {
-	if err := checkVectors(dst, src, 8); err != nil {
-		return err
-	}
-	be := binary.BigEndian
-	switch op {
-	case OpSum:
-		for i := 0; i < len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			a := math.Float64frombits(be.Uint64(d))
-			b := math.Float64frombits(be.Uint64(s))
-			be.PutUint64(d, math.Float64bits(a+b))
-		}
-	case OpMin:
-		for i := 0; i < len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			if math.Float64frombits(be.Uint64(s)) < math.Float64frombits(be.Uint64(d)) {
-				copy(d, s)
-			}
-		}
-	case OpMax:
-		for i := 0; i < len(dst); i += 8 {
-			d, s := dst[i:i+8:i+8], src[i:i+8:i+8]
-			if math.Float64frombits(be.Uint64(s)) > math.Float64frombits(be.Uint64(d)) {
 				copy(d, s)
 			}
 		}
@@ -191,32 +138,6 @@ func DecodeInt32s(b []byte) ([]int32, error) {
 	v := make([]int32, len(b)/4)
 	for i := range v {
 		x, err := d.Int32()
-		if err != nil {
-			return nil, err
-		}
-		v[i] = x
-	}
-	return v, nil
-}
-
-// EncodeFloat64s XDR-encodes a vector of float64.
-func EncodeFloat64s(v []float64) []byte {
-	e := xdr.NewEncoder()
-	for _, x := range v {
-		e.PutFloat64(x)
-	}
-	return e.Bytes()
-}
-
-// DecodeFloat64s decodes a vector encoded by EncodeFloat64s.
-func DecodeFloat64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("coll: float64 vector length %d not a multiple of 8", len(b))
-	}
-	d := xdr.NewDecoder(b)
-	v := make([]float64, len(b)/8)
-	for i := range v {
-		x, err := d.Float64()
 		if err != nil {
 			return nil, err
 		}

@@ -17,25 +17,53 @@ import (
 // arguments (`bench.LastMetricsSummary()`).
 var identSpanRe = regexp.MustCompile(`^([a-z]\w*)\.(\w+)(?:\.(\w+))?(?:\(\))?$`)
 
-// parseInternal parses every non-test Go file under internal/ and hands
-// each to visit.
-func parseInternal(t *testing.T, root string, visit func(*ast.File)) {
+// parseRepo parses every non-test Go file in the repository and hands
+// each to visit with the top-level directory it sits in: "internal",
+// "benchmark" (a module of its own), "cmd", or "" for the root package.
+func parseRepo(t *testing.T, root string, visit func(tree string, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
 			return err
+		}
+		if d.IsDir() {
+			if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		visit(f)
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		tree, _, ok := strings.Cut(filepath.ToSlash(rel), "/")
+		if !ok {
+			tree = ""
+		}
+		visit(tree, f)
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("parsing internal/: %v", err)
+		t.Fatalf("parsing the repository: %v", err)
 	}
+}
+
+// parseInternal hands visit every non-test Go file under internal/.
+func parseInternal(t *testing.T, root string, visit func(*ast.File)) {
+	t.Helper()
+	parseRepo(t, root, func(tree string, f *ast.File) {
+		if tree == "internal" {
+			visit(f)
+		}
+	})
 }
 
 // internalDecls returns, per package name under internal/, the names its

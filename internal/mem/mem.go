@@ -57,7 +57,6 @@ func PageSpan(va VirtAddr, n int) int {
 var (
 	ErrOutOfMemory = errors.New("mem: out of physical memory")
 	ErrBadAddress  = errors.New("mem: address not mapped")
-	ErrNotPinned   = errors.New("mem: frame not pinned")
 	ErrBounds      = errors.New("mem: access outside physical memory")
 )
 
@@ -126,9 +125,6 @@ func (pm *Physical) Size() int { return len(pm.frames) * PageSize }
 
 // NumFrames returns the number of physical frames.
 func (pm *Physical) NumFrames() int { return len(pm.pins) }
-
-// FreeFrames returns how many frames remain unallocated.
-func (pm *Physical) FreeFrames() int { return len(pm.freeFrames) }
 
 // AllocFrame removes one frame from the free pool.
 func (pm *Physical) AllocFrame() (int, error) {

@@ -253,12 +253,12 @@ func TestAddressSpaceFree(t *testing.T) {
 	pm := NewPhysical(8 * PageSize)
 	as := NewAddressSpace(pm)
 	va, _ := as.Alloc(2 * PageSize)
-	before := pm.FreeFrames()
+	before := len(pm.freeFrames)
 	if err := as.Free(va, 2*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if pm.FreeFrames() != before+2 {
-		t.Errorf("FreeFrames = %d, want %d", pm.FreeFrames(), before+2)
+	if len(pm.freeFrames) != before+2 {
+		t.Errorf("%d free frames, want %d", len(pm.freeFrames), before+2)
 	}
 	if _, err := as.Translate(va); err == nil {
 		t.Error("freed page still translates")
@@ -279,8 +279,8 @@ func TestAllocExhaustionRollsBack(t *testing.T) {
 	if _, err := as.Alloc(8 * PageSize); err == nil {
 		t.Fatal("oversized Alloc succeeded")
 	}
-	if pm.FreeFrames() != 4 {
-		t.Errorf("failed Alloc leaked frames: %d free, want 4", pm.FreeFrames())
+	if len(pm.freeFrames) != 4 {
+		t.Errorf("failed Alloc leaked frames: %d free, want 4", len(pm.freeFrames))
 	}
 }
 

@@ -134,8 +134,9 @@ type Network struct {
 	switches []*Switch
 	nics     []*NIC
 
-	// lastDrop is the reason the last packet died; the counts are the
-	// net/packets_dropped and net/route_drops counters.
+	// lastDrop is why the last packet that died in the fabric died, ""
+	// while none has; the counts are the net/packets_dropped and
+	// net/route_drops counters.
 	lastDrop string
 
 	faults      *fault.Plan
@@ -292,13 +293,6 @@ func (n *Network) ConnectSwitches(a *Switch, ap int, b *Switch, bp int) error {
 // SetDown marks the NIC dead or alive. A dead NIC's injections and
 // deliveries drop and count; the cluster uses this for node crashes.
 func (nic *NIC) SetDown(down bool) { nic.down = down }
-
-// LastDrop reports why the last packet that died in the fabric died, ""
-// while none has. How many died is the "net/packets_dropped" counter, and
-// how many of those on their source route — dangling cables, exhausted or
-// over-long routes, nonexistent ports, dead switches, as opposed to a down
-// link edge — "net/route_drops".
-func (n *Network) LastDrop() string { return n.lastDrop }
 
 // walk resolves a route from nic through the fabric. It returns the
 // destination NIC, the number of switch hops, and the per-hop ingress

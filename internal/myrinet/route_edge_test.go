@@ -90,7 +90,7 @@ func TestRouteDropCounting(t *testing.T) {
 	if got := counter(t, e, "net/packets_dropped"); got != 3 {
 		t.Errorf("net/packets_dropped = %d, want 3", got)
 	}
-	if reason := n.LastDrop(); reason != "dangling link" {
+	if reason := n.lastDrop; reason != "dangling link" {
 		t.Errorf("last drop reason = %q, want %q", reason, "dangling link")
 	}
 }

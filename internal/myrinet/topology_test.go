@@ -235,7 +235,7 @@ func TestNICStats(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.name, got, c.want)
 		}
 	}
-	if n.LastDrop() == "" {
+	if n.lastDrop == "" {
 		t.Error("the drop left no reason")
 	}
 }

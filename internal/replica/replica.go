@@ -135,11 +135,6 @@ func (t *Tier) Set(g int) *ReplicaSet { return t.sets[g] }
 // Config returns the (defaulted) tier configuration.
 func (t *Tier) Config() Config { return t.cfg }
 
-// SetAttemptHook installs an observer called with every routed attempt's
-// (shard, replica) before the RPC is issued. Tests use it to assert
-// failover never re-targets the replica that just failed.
-func (t *Tier) SetAttemptHook(fn func(shard, replica int)) { t.onAttempt = fn }
-
 // place assigns R distinct nodes to each shard from the candidate pool:
 // least-loaded first, ties broken by node id, stable and deterministic. Because the tier requires Shards*R distinct nodes (two
 // server processes on one node would collide on their exported window

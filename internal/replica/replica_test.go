@@ -206,12 +206,12 @@ func TestReplicaFailoverRetriesElsewhere(t *testing.T) {
 			rep.Server().SetAdmission(func(rpc.AdmitPhase, int, sim.Time, sim.Time) bool { return false })
 		}
 		var chain []int
-		tier.SetAttemptHook(func(shard, replica int) {
+		tier.onAttempt = func(shard, replica int) {
 			if shard != 0 {
 				t.Errorf("attempt on shard %d, want 0", shard)
 			}
 			chain = append(chain, replica)
-		})
+		}
 		// The bucket starts full, so this one request retries until it is
 		// empty: 1 + 10 attempts.
 		_, _, _, _, err = grp.Get(p, 0, p.Now()+10*sim.Millisecond)
@@ -263,7 +263,7 @@ func TestReplicaKillFailover(t *testing.T) {
 			}
 		}
 		var attempts []int
-		tier.SetAttemptHook(func(_, replica int) { attempts = append(attempts, replica) })
+		tier.onAttempt = func(_, replica int) { attempts = append(attempts, replica) }
 
 		tier.KillReplica(0, 1)
 		deadAttempts := 0
@@ -393,8 +393,8 @@ func TestReplicaOpenLoopDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("stats differ across identical runs:\n a: %+v\n b: %+v", a, b)
 	}
-	if a.Resolved() != a.Offered {
-		t.Errorf("resolved %d of %d offered", a.Resolved(), a.Offered)
+	if resolved := a.OK + a.Late + a.Rejected + a.Expired + a.TimedOut + a.Dropped + a.Errors; resolved != a.Offered {
+		t.Errorf("resolved %d of %d offered", resolved, a.Offered)
 	}
 	if a.Errors != 0 {
 		t.Errorf("untyped errors = %d, want 0", a.Errors)

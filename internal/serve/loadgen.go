@@ -65,11 +65,6 @@ type Stats struct {
 	LatShed []sim.Time
 }
 
-// Resolved sums every terminal outcome.
-func (s *Stats) Resolved() int64 {
-	return s.OK + s.Late + s.Rejected + s.Expired + s.TimedOut + s.Dropped + s.Errors
-}
-
 // Request is one generated user request.
 type Request struct {
 	Key      uint32

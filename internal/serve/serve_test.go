@@ -115,7 +115,7 @@ func TestServeOpenLoopResolvesAll(t *testing.T) {
 				t.Errorf("offered/ok/errors = %d/%d/%d, want 60/60/0",
 					stats.Offered, stats.OK, stats.Errors)
 			}
-			if got := stats.Resolved(); got != 60 {
+			if got := stats.OK + stats.Late + stats.Rejected + stats.Expired + stats.TimedOut + stats.Dropped + stats.Errors; got != 60 {
 				t.Errorf("resolved = %d, want 60", got)
 			}
 			var offered, served int64

@@ -85,8 +85,6 @@ type Process struct {
 	// proxyBrk allocates proxy pages within the sender's own address
 	// space (§6: destination space is part of the sender's VA space).
 	proxyBrk int
-	// autoBindings are the automatic-update mappings (automatic.go).
-	autoBindings []autoBinding
 }
 
 type importRec struct {

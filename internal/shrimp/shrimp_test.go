@@ -180,72 +180,3 @@ func TestShrimpBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestAutomaticUpdate(t *testing.T) {
-	// SHRIMP's second transfer mode (§6 footnote 3): writes to a bound
-	// region propagate to the importer with near-zero sender overhead.
-	eng, sys, setup := pairSetup(t)
-	eng.Go("test", func(p *sim.Proc) {
-		send, recv, dest := setup(p)
-		local, _ := send.Malloc(4 * mem.PageSize)
-		if err := send.BindAutomatic(p, local, dest, 4*mem.PageSize); err != nil {
-			t.Fatal(err)
-		}
-		// Sender overhead for an automatic-update write must be far
-		// below a deliberate update of the same size.
-		data := bytes.Repeat([]byte{0x5C}, 1024)
-		start := p.Now()
-		if err := send.WriteAuto(p, local+200, data); err != nil {
-			t.Fatal(err)
-		}
-		autoCost := p.Now() - start
-		src, _ := send.Malloc(mem.PageSize)
-		start = p.Now()
-		// To a disjoint part of the window, so it cannot clobber the
-		// automatic-update region.
-		if err := send.SendDeliberate(p, src, dest+ProxyAddr(8*mem.PageSize), 1024); err != nil {
-			t.Fatal(err)
-		}
-		delibCost := p.Now() - start
-		if autoCost*10 > delibCost {
-			t.Errorf("automatic update costs %v at the sender, deliberate %v; should be ~free", autoCost, delibCost)
-		}
-		// The data arrives (asynchronously).
-		p.Sleep(10 * sim.Millisecond)
-		exp := sys.Nodes[1].exports[1]
-		got, _ := recv.Read(exp.va+200, len(data))
-		if !bytes.Equal(got, data) {
-			t.Error("automatic update did not propagate")
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAutomaticUpdateValidation(t *testing.T) {
-	eng, _, setup := pairSetup(t)
-	eng.Go("test", func(p *sim.Proc) {
-		send, _, dest := setup(p)
-		local, _ := send.Malloc(2 * mem.PageSize)
-		if err := send.BindAutomatic(p, local+1, dest, mem.PageSize); err == nil {
-			t.Error("unaligned automatic binding accepted")
-		}
-		if err := send.BindAutomatic(p, local, ProxyAddr(1<<30), mem.PageSize); err == nil {
-			t.Error("binding to unimported destination accepted")
-		}
-		if err := send.WriteAuto(p, local, []byte{1}); err == nil {
-			t.Error("WriteAuto outside any binding accepted")
-		}
-		if err := send.BindAutomatic(p, local, dest, mem.PageSize); err != nil {
-			t.Fatal(err)
-		}
-		// Writes crossing the binding end are rejected.
-		if err := send.WriteAuto(p, local+mem.PageSize-1, []byte{1, 2}); err == nil {
-			t.Error("WriteAuto past binding end accepted")
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -128,8 +128,8 @@ func BenchmarkWakeStorm(b *testing.B) {
 	}
 	e.Go("storm", func(p *Proc) {
 		for j := 0; j < b.N; j++ {
-			for c.Waiting() < procs {
-				p.Yield()
+			for c.n < procs {
+				p.Sleep(0)
 			}
 			c.Broadcast()
 		}

@@ -220,7 +220,3 @@ func (c *Cond) wake(w *condWaiter) {
 	}
 	c.eng.postWake(0, w.p)
 }
-
-// Waiting reports the number of processes and continuations currently
-// waiting on c.
-func (c *Cond) Waiting() int { return c.n }

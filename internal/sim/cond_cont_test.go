@@ -135,7 +135,7 @@ func (s waitSchedule) play(t *testing.T) waitOutcome {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	o.End, o.Waiting, o.Dispatched = e.Now(), c.Waiting()+q.cond.Waiting(), e.SchedStats().Dispatched
+	o.End, o.Waiting, o.Dispatched = e.Now(), c.n+q.cond.n, e.SchedStats().Dispatched
 	return o
 }
 

@@ -43,9 +43,6 @@ func (ev *Event) Cancel() {
 	}
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (ev *Event) Canceled() bool { return ev.canceled }
-
 // Time reports when the event is (or was) scheduled to fire.
 func (ev *Event) Time() Time { return ev.at }
 
@@ -652,17 +649,4 @@ func (e *Engine) Pending() int {
 		}
 	}
 	return n
-}
-
-// Parked returns a description of every live process currently parked,
-// with its blocking site. Useful for diagnosing model-level hangs.
-func (e *Engine) Parked() []string {
-	var out []string
-	for p := range e.procs {
-		if p.parkedAt != "" {
-			out = append(out, p.name+" ("+p.parkedAt+")")
-		}
-	}
-	sort.Strings(out)
-	return out
 }

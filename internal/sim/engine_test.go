@@ -53,8 +53,8 @@ func TestEventCancel(t *testing.T) {
 	if ran {
 		t.Error("canceled event ran")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	if !ev.canceled {
+		t.Error("event not marked canceled after Cancel")
 	}
 }
 

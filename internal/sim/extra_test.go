@@ -1,26 +1,40 @@
 package sim
 
 import (
+	"sort"
 	"strings"
 	"testing"
 )
+
+// parkedProcs describes every live process currently parked, with its
+// blocking site, sorted.
+func parkedProcs(e *Engine) []string {
+	var out []string
+	for p := range e.procs {
+		if p.parkedAt != "" {
+			out = append(out, p.name+" ("+p.parkedAt+")")
+		}
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestParkedIntrospection(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e)
 	e.Go("waiter", func(p *Proc) { c.Wait(p) })
 	e.At(10, func() {
-		parked := e.Parked()
+		parked := parkedProcs(e)
 		if len(parked) != 1 || !strings.Contains(parked[0], "waiter") {
-			t.Errorf("Parked() = %v", parked)
+			t.Errorf("parked = %v", parked)
 		}
 		c.Signal()
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Parked(); len(got) != 0 {
-		t.Errorf("Parked() after completion = %v", got)
+	if got := parkedProcs(e); len(got) != 0 {
+		t.Errorf("parked after completion = %v", got)
 	}
 }
 
@@ -91,12 +105,14 @@ func TestKillWhileQueueWaiting(t *testing.T) {
 	}
 }
 
+// Sleep(0) yields: it reschedules the process at the current time, after
+// the same-time events already queued.
 func TestYield(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Go("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Go("b", func(p *Proc) {

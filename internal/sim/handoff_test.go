@@ -106,8 +106,8 @@ func TestCallbackPanicSurfacesFromRun(t *testing.T) {
 	if unwound != 0 {
 		t.Errorf("%d process(es) unwound by a panic that was not theirs", unwound)
 	}
-	if !r.Busy() || c.Waiting() != 1 || len(e.Parked()) != 2 {
-		t.Errorf("processes disturbed: resource busy=%v, cond waiters=%d, parked=%v", r.Busy(), c.Waiting(), e.Parked())
+	if !r.Busy() || c.n != 1 || len(parkedProcs(e)) != 2 {
+		t.Errorf("processes disturbed: resource busy=%v, cond waiters=%d, parked=%v", r.Busy(), c.n, parkedProcs(e))
 	}
 	if later || e.Now() != 10 {
 		t.Errorf("the run went on after the panic (clock %v)", e.Now())
@@ -200,24 +200,24 @@ func TestStepRunsResumedProcessToItsNextPark(t *testing.T) {
 		}
 		switch steps {
 		case 1: // a's spawn: the body runs to its first Sleep
-			if !reflect.DeepEqual(*log, []string{"0 a starts"}) || !reflect.DeepEqual(e.Parked(), []string{"a (sleep)"}) {
-				t.Fatalf("after step 1: log %v, parked %v", *log, e.Parked())
+			if !reflect.DeepEqual(*log, []string{"0 a starts"}) || !reflect.DeepEqual(parkedProcs(e), []string{"a (sleep)"}) {
+				t.Fatalf("after step 1: log %v, parked %v", *log, parkedProcs(e))
 			}
 		case 2: // b's spawn: to its first WaitTimeout
 			if !reflect.DeepEqual(*log, []string{"0 a starts", "0 b starts"}) ||
-				!reflect.DeepEqual(e.Parked(), []string{"a (sleep)", "b (cond wait (timeout))"}) {
-				t.Fatalf("after step 2: log %v, parked %v", *log, e.Parked())
+				!reflect.DeepEqual(parkedProcs(e), []string{"a (sleep)", "b (cond wait (timeout))"}) {
+				t.Fatalf("after step 2: log %v, parked %v", *log, parkedProcs(e))
 			}
 		case 3: // a's wake at 10: one nap, one signal, parked again
-			if e.Now() != 10 || len(*log) != logged+1 || (*log)[logged] != "10 a nap 0" || len(e.Parked()) != 2 {
-				t.Fatalf("after step 3: clock %v, log %v, parked %v", e.Now(), *log, e.Parked())
+			if e.Now() != 10 || len(*log) != logged+1 || (*log)[logged] != "10 a nap 0" || len(parkedProcs(e)) != 2 {
+				t.Fatalf("after step 3: clock %v, log %v, parked %v", e.Now(), *log, parkedProcs(e))
 			}
 		}
 		// The baton is back: the caller may touch the engine.
 		e.At(e.Now(), func() {}).Cancel()
 	}
-	if len(e.Parked()) != 0 || e.Pending() != 0 {
-		t.Fatalf("Step reported nothing left with %v parked, %d pending", e.Parked(), e.Pending())
+	if len(parkedProcs(e)) != 0 || e.Pending() != 0 {
+		t.Fatalf("Step reported nothing left with %v parked, %d pending", parkedProcs(e), e.Pending())
 	}
 
 	ref, want := stepModel()

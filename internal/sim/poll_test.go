@@ -175,7 +175,7 @@ func pollScenario(seed int64, poll pollPrimitive, mode runMode) (log []string, s
 	for i, n := 0, 3+rng.Intn(8); i < n; i++ {
 		all := rng.Intn(3) == 0
 		e.At(gridTime(end/2), func() {
-			note("signal all=%v to %d", all, c.Waiting())
+			note("signal all=%v to %d", all, c.n)
 			if all {
 				c.Broadcast()
 			} else {
@@ -418,8 +418,8 @@ func TestPollUntilWedgedIsDeadlock(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Errorf("Pending() = %d with only idle polls left", e.Pending())
 	}
-	if len(e.Parked()) != 2 {
-		t.Errorf("Parked() = %v", e.Parked())
+	if len(parkedProcs(e)) != 2 {
+		t.Errorf("parked = %v", parkedProcs(e))
 	}
 }
 

@@ -176,10 +176,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park("sleep")
 }
 
-// Yield reschedules the process at the current time, letting other
-// same-time events run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // PollEvery parks the process and re-evaluates check every interval of
 // virtual time, returning once it reports true. The virtual-time behavior
 // is identical to `for !check() { p.Sleep(interval) }` — one event per

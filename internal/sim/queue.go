@@ -73,14 +73,6 @@ func (q *Queue[T]) TryGet() (v T, ok bool) {
 	return q.pop(), true
 }
 
-// Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (v T, ok bool) {
-	if q.Len() == 0 {
-		return v, false
-	}
-	return q.items[q.head], true
-}
-
 // Len reports the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 

@@ -98,16 +98,6 @@ func (r *Resource) enqueue(w waiter) {
 	r.eng.TraceBegin(r.name, "res", "wait")
 }
 
-// TryAcquire acquires the resource if it is free, without blocking. It
-// reports whether the acquisition succeeded.
-func (r *Resource) TryAcquire(p *Proc) bool {
-	if r.Busy() {
-		return false
-	}
-	r.grant(waiter{p: p})
-	return true
-}
-
 func (r *Resource) grant(w waiter) {
 	r.holder = w
 	r.busySince = r.eng.Now()
@@ -197,6 +187,3 @@ func (r *Resource) Utilization() float64 {
 	}
 	return float64(busy) / float64(now)
 }
-
-// Acquires reports how many times the resource has been granted.
-func (r *Resource) Acquires() int64 { return r.acquires }

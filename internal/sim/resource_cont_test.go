@@ -75,7 +75,7 @@ func TestResourceContinuationsMatchProcesses(t *testing.T) {
 		if r.Busy() {
 			t.Fatal("resource still held after the run")
 		}
-		o.End, o.Acquires, o.Util, o.Dispatched = e.Now(), r.Acquires(), r.Utilization(), e.SchedStats().Dispatched
+		o.End, o.Acquires, o.Util, o.Dispatched = e.Now(), r.acquires, r.Utilization(), e.SchedStats().Dispatched
 		return o
 	}
 
@@ -156,8 +156,8 @@ func TestResourceQueueSurvivesKilledWaiter(t *testing.T) {
 			if at != 100 {
 				t.Errorf("next claim granted at %v, want 100: queue stalled behind the killed waiter", at)
 			}
-			if r.Busy() || r.Acquires() != 2 {
-				t.Errorf("busy=%v acquires=%d after the run, want idle and 2", r.Busy(), r.Acquires())
+			if r.Busy() || r.acquires != 2 {
+				t.Errorf("busy=%v acquires=%d after the run, want idle and 2", r.Busy(), r.acquires)
 			}
 		})
 	}

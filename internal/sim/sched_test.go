@@ -132,8 +132,8 @@ func TestKilledWaiterLeavesNoResidue(t *testing.T) {
 	v1 := e.Go("v1", func(p *Proc) { c.Wait(p) })
 	v2 := e.Go("v2", func(p *Proc) { c.WaitTimeout(p, Second) })
 	e.At(10, func() {
-		if c.Waiting() != 2 {
-			t.Errorf("Waiting() = %d, want 2", c.Waiting())
+		if c.n != 2 {
+			t.Errorf("%d waiters, want 2", c.n)
 		}
 		v1.Kill()
 		v2.Kill()
@@ -141,8 +141,8 @@ func TestKilledWaiterLeavesNoResidue(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Waiting() != 0 {
-		t.Errorf("killed procs left %d waiter(s) enlisted", c.Waiting())
+	if c.n != 0 {
+		t.Errorf("killed procs left %d waiter(s) enlisted", c.n)
 	}
 	st := e.SchedStats()
 	if st.HeapLen != 0 {
@@ -265,7 +265,7 @@ func TestKillAtSpawnInstant(t *testing.T) {
 			if fmt.Sprint(log) != fmt.Sprint(want) {
 				t.Errorf("log %v, want %v", log, want)
 			}
-			if parked := e.Parked(); len(parked) != 0 {
+			if parked := parkedProcs(e); len(parked) != 0 {
 				t.Errorf("still parked: %v", parked)
 			}
 			// The victim's sleep wake still fires, as a no-op.
@@ -296,8 +296,8 @@ func TestEventPoolDoesNotCrossContaminate(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("public event fired %d times, want 1", fired)
 	}
-	if !pub.Canceled() {
-		t.Error("Canceled() lost the late-cancel mark")
+	if !pub.canceled {
+		t.Error("the late cancel left no canceled mark")
 	}
 	// The engine must still run cleanly after the late cancel.
 	e.At(e.Now()+10, func() { fired++ })

@@ -35,8 +35,8 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 		})
 	}
 	e.At(5, func() {
-		if c.Waiting() != 7 {
-			t.Errorf("Waiting() = %d, want 7", c.Waiting())
+		if c.n != 7 {
+			t.Errorf("%d waiters, want 7", c.n)
 		}
 		c.Broadcast()
 	})
@@ -76,8 +76,8 @@ func TestCondWaitTimeoutExpires(t *testing.T) {
 	if at != 100*Microsecond {
 		t.Errorf("resumed at %v, want 100us", at)
 	}
-	if c.Waiting() != 0 {
-		t.Errorf("timed-out waiter still registered: Waiting() = %d", c.Waiting())
+	if c.n != 0 {
+		t.Errorf("timed-out waiter still registered: %d waiters", c.n)
 	}
 }
 
@@ -127,29 +127,8 @@ func TestResourceFIFOContention(t *testing.T) {
 	if e.Now() != 30*Microsecond {
 		t.Errorf("serialized holds ended at %v, want 30us", e.Now())
 	}
-	if r.Acquires() != 3 {
-		t.Errorf("Acquires() = %d, want 3", r.Acquires())
-	}
-}
-
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	r := NewResource(e, "bus")
-	e.Go("a", func(p *Proc) {
-		if !r.TryAcquire(p) {
-			t.Error("TryAcquire on free resource failed")
-		}
-		p.Sleep(10)
-		r.Release(p)
-	})
-	e.Go("b", func(p *Proc) {
-		p.Sleep(5)
-		if r.TryAcquire(p) {
-			t.Error("TryAcquire on held resource succeeded")
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	if r.acquires != 3 {
+		t.Errorf("%d acquires, want 3", r.acquires)
 	}
 }
 
@@ -215,20 +194,14 @@ func TestQueueFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueTryGetAndPeek(t *testing.T) {
+func TestQueueTryGet(t *testing.T) {
 	e := NewEngine()
 	q := NewQueue[string](e, "q")
 	if _, ok := q.TryGet(); ok {
 		t.Error("TryGet on empty queue succeeded")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Error("Peek on empty queue succeeded")
-	}
 	q.Put("x")
 	q.Put("y")
-	if v, ok := q.Peek(); !ok || v != "x" {
-		t.Errorf("Peek = %q,%v", v, ok)
-	}
 	if q.Len() != 2 {
 		t.Errorf("Len = %d, want 2", q.Len())
 	}

@@ -1,5 +1,5 @@
 // Package tenant is the multi-tenant control plane over a VMMC cluster:
-// it admits, places and evicts tenants — each a set of user processes
+// it admits, places and kills tenants — each a set of user processes
 // spread across nodes — under explicit partitions of the interface's
 // contended budgets, and contains the blast radius of a tenant crash to
 // that tenant's own state.
@@ -30,7 +30,6 @@ package tenant
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -73,7 +72,6 @@ type State int
 // Lifecycle states.
 const (
 	Admitted State = iota // placed and running
-	Evicted               // departed gracefully; resources released
 	Killed                // crashed or forcibly removed; blast radius contained
 )
 
@@ -81,8 +79,6 @@ func (s State) String() string {
 	switch s {
 	case Admitted:
 		return "admitted"
-	case Evicted:
-		return "evicted"
 	case Killed:
 		return "killed"
 	}
@@ -96,8 +92,8 @@ type Tenant struct {
 	// Class is the tenant's private reliable-link traffic class.
 	Class int
 	// Nodes lists the node IDs the tenant was placed on, and Procs the
-	// process on each (aligned by index). After Kill or Evict the
-	// handles are stale.
+	// process on each (aligned by index). After Kill the handles are
+	// stale.
 	Nodes []int
 	Procs []*vmmc.Process
 
@@ -117,10 +113,10 @@ func (t *Tenant) AddWorker(p *sim.Proc) { t.workers = append(t.workers, p) }
 // comp is the tenant's trace component name.
 func (t *Tenant) comp() string { return "tenant/" + t.Name }
 
-// Manager admits, places, evicts and kills tenants on one cluster. All
-// methods run on the simulation goroutine; admission and eviction charge
-// virtual time to the calling process, Kill is instantaneous (it models
-// the OS reclaiming a dead process).
+// Manager admits, places and kills tenants on one cluster. All methods run
+// on the simulation goroutine; admission charges virtual time to the
+// calling process, Kill is instantaneous (it models the OS reclaiming a
+// dead process).
 type Manager struct {
 	Cluster *vmmc.Cluster
 
@@ -128,7 +124,7 @@ type Manager struct {
 	nextClass int
 	tenants   map[string]*Tenant
 
-	mAdmitted, mRejected, mEvicted, mKilled *trace.Counter
+	mAdmitted, mRejected, mKilled *trace.Counter
 }
 
 // NewManager returns a manager over a booted or booting cluster.
@@ -140,7 +136,6 @@ func NewManager(c *vmmc.Cluster) *Manager {
 		tenants:   make(map[string]*Tenant),
 		mAdmitted: m.Counter("tenant/admitted"),
 		mRejected: m.Counter("tenant/rejected"),
-		mEvicted:  m.Counter("tenant/evicted"),
 		mKilled:   m.Counter("tenant/killed"),
 	}
 }
@@ -248,44 +243,10 @@ func (m *Manager) Admit(p *sim.Proc, spec Spec) (*Tenant, error) {
 	return t, nil
 }
 
-// Tenant returns an active or departed tenant by name.
+// Tenant returns an admitted or killed tenant by name.
 func (m *Manager) Tenant(name string) (*Tenant, bool) {
 	t, ok := m.tenants[name]
 	return t, ok
-}
-
-// Active returns the names of admitted tenants, sorted.
-func (m *Manager) Active() []string {
-	var names []string
-	for name, t := range m.tenants {
-		if t.state == Admitted {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Evict departs a tenant gracefully: usage is snapshotted for
-// attribution, every process runs the full Close teardown (unexport and
-// unimport handshakes over the wire), and the link budget is removed.
-func (m *Manager) Evict(p *sim.Proc, name string) error {
-	t, ok := m.tenants[name]
-	if !ok || t.state != Admitted {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	m.EmitUsage(t)
-	var firstErr error
-	for i, proc := range t.Procs {
-		if err := proc.Close(p); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("tenant %q: evict from node %d: %w", name, t.Nodes[i], err)
-		}
-	}
-	m.configureLink(t, false)
-	t.state = Evicted
-	m.mEvicted.Add(1)
-	m.Cluster.Eng.TraceInstant(t.comp(), "tenant", "evicted")
-	return firstErr
 }
 
 // Kill models the tenant crashing or being forcibly removed: usage is
@@ -317,8 +278,7 @@ func (m *Manager) Kill(name string) error {
 // frames and library-level failures summed over its processes, and the
 // link pacer's per-class throttle totals over its nodes. The analysis
 // layer folds the last sample of each counter into its report. Called
-// automatically at evict/kill; experiments may also call it at sampling
-// points.
+// automatically at Kill; experiments may also call it at sampling points.
 func (m *Manager) EmitUsage(t *Tenant) {
 	eng := m.Cluster.Eng
 	var pins int

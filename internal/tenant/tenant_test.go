@@ -53,14 +53,14 @@ func TestAdmitPlaceEvictChurn(t *testing.T) {
 			t.Fatalf("duplicate admit = %v, want ErrDuplicate", err)
 		}
 
-		if err := m.Evict(p, "a"); err != nil {
+		if err := m.Kill("a"); err != nil {
 			t.Fatal(err)
 		}
-		if a.State() != Evicted {
+		if a.State() != Killed {
 			t.Fatalf("a state = %v", a.State())
 		}
-		if err := m.Evict(p, "a"); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("double evict = %v, want ErrNotFound", err)
+		if err := m.Kill("a"); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("double kill = %v, want ErrNotFound", err)
 		}
 		// Churn: a departed tenant's nodes take a new tenant, and its name
 		// is NOT reusable while recorded — a fresh name lands on the freed
@@ -72,8 +72,10 @@ func TestAdmitPlaceEvictChurn(t *testing.T) {
 		if a2.Class <= b.Class {
 			t.Fatalf("class reused: a2=%d after b=%d", a2.Class, b.Class)
 		}
-		if got := m.Active(); len(got) != 2 || got[0] != "a2" || got[1] != "b" {
-			t.Fatalf("Active() = %v", got)
+		for name, want := range map[string]State{"a": Killed, "a2": Admitted, "b": Admitted} {
+			if got := m.tenants[name].State(); got != want {
+				t.Fatalf("tenant %s is %v, want %v", name, got, want)
+			}
 		}
 	})
 }
@@ -93,14 +95,9 @@ func TestAdmissionRollbackLeaksNothing(t *testing.T) {
 		}
 		// The rollback freed everything: a full-size tenant still fits on
 		// both nodes.
-		ok, err := m.Admit(p, Spec{Name: "ok", Nodes: []int{0, 1}})
-		if err != nil {
+		if _, err := m.Admit(p, Spec{Name: "ok", Nodes: []int{0, 1}}); err != nil {
 			t.Fatalf("admit after rollback: %v", err)
 		}
-		if err := m.Evict(p, "ok"); err != nil {
-			t.Fatal(err)
-		}
-		_ = ok
 	})
 }
 

@@ -105,14 +105,6 @@ func (c *Collector) Enable(capacity int) {
 	c.enabled = true
 }
 
-// Disable stops ring recording and releases the ring. Subscribed sinks
-// keep streaming.
-func (c *Collector) Disable() {
-	c.enabled = false
-	c.buf = nil
-	c.head, c.n = 0, 0
-}
-
 // Subscribe attaches a streaming sink. Every event emitted from now on is
 // forwarded to it, in emission order, before being buffered in the ring.
 func (c *Collector) Subscribe(s Sink) {

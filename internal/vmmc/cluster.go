@@ -29,10 +29,6 @@ type Cluster struct {
 	healer *HealService
 }
 
-// Healer returns the self-healing service, or nil when Options.Heal is
-// false.
-func (c *Cluster) Healer() *HealService { return c.healer }
-
 // Options configure a cluster.
 type Options struct {
 	// Nodes is the PC count (the paper's testbed has 4).

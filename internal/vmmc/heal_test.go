@@ -416,7 +416,7 @@ func TestHealDepthCoversFabric(t *testing.T) {
 			var tables map[int]myrinet.RouteTable
 			depth := len(c.Net.Switches())
 			c.Go("probe", func(p *simProc) {
-				tables = c.Healer().remap.Probe(p, c.Nodes[0].Board.NIC, depth, healProbeTimeout)
+				tables = c.healer.remap.Probe(p, c.Nodes[0].Board.NIC, depth, healProbeTimeout)
 			})
 			if err := c.Start(); err != nil {
 				t.Fatal(err)

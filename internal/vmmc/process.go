@@ -214,40 +214,6 @@ func (proc *Process) RegisterHandler(tag uint32, h NotifyHandler) {
 	proc.handlers[tag] = h
 }
 
-// RegisterBuffer proactively installs translations for [va, va+n) in the
-// interface's software TLB and locks the pages — the user-managed-TLB
-// discipline this research line later formalized in VMMC-2's UTLB. A
-// registered send buffer never takes a TLB-miss interrupt on its first
-// send; the cost is paid up front, at registration.
-func (proc *Process) RegisterBuffer(p *simProc, va mem.VirtAddr, n int) error {
-	if n <= 0 || !proc.AS.Mapped(va, n) {
-		return ErrBadBuffer
-	}
-	node := proc.Node
-	// One driver call (ioctl-like) covering the whole range.
-	p.Sleep(node.Prof.InterruptCost)
-	span := mem.PageSpan(va, n)
-	st := proc.lcpState
-	for i := 0; i < span; i++ {
-		pageVA := va + mem.VirtAddr(i*mem.PageSize)
-		pa, err := proc.AS.Translate(pageVA)
-		if err != nil {
-			return err
-		}
-		p.Sleep(node.Prof.TranslationCost)
-		if _, hit := st.tlb.Lookup(uint64(pageVA.Page())); hit {
-			continue
-		}
-		st.chargePin(1)
-		node.Phys.Pin(pa.Frame())
-		if _, oldFrame, evicted := st.tlb.Insert(uint64(pageVA.Page()), pa.Frame()); evicted {
-			node.Phys.Unpin(oldFrame)
-			st.releasePin(1)
-		}
-	}
-	return nil
-}
-
 // SendOptions modify a send request.
 type SendOptions struct {
 	// Notify attaches a notification: the receiver's handler runs after

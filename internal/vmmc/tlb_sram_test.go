@@ -521,55 +521,3 @@ func TestConcurrentTLBContentionUnderEviction(t *testing.T) {
 		}
 	})
 }
-
-func TestRegisterBufferAvoidsMissInterrupts(t *testing.T) {
-	// The VMMC-2-style user-managed registration: a registered send
-	// buffer's first send takes zero TLB-miss interrupts, where an
-	// unregistered one pays refills on the critical path.
-	testCluster(t, 2, func(p *simProc, c *Cluster) {
-		recv, _ := c.Nodes[1].NewProcess(p)
-		send, _ := c.Nodes[0].NewProcess(p)
-		const size = 48 * mem.PageSize
-		buf, _ := recv.Malloc(2 * size)
-		if err := recv.Export(p, 1, buf, 2*size, nil, false); err != nil {
-			t.Fatal(err)
-		}
-		dest, _, _ := send.Import(p, 1, 1)
-
-		// Unregistered: first touch pays refill interrupts.
-		n := c.Nodes[0]
-		cold, _ := send.Malloc(size)
-		before := nodeCounter(t, n, "tlb_refills")
-		if err := send.SendMsgSync(p, cold, dest, size, SendOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if after := nodeCounter(t, n, "tlb_refills"); after == before {
-			t.Fatal("unregistered first-touch send took no refills; test premise broken")
-		}
-
-		// Registered: no interrupts on first send.
-		reg, _ := send.Malloc(size)
-		if err := send.RegisterBuffer(p, reg, size); err != nil {
-			t.Fatal(err)
-		}
-		before = nodeCounter(t, n, "tlb_refills")
-		intrBefore := boardCounter(t, n, "interrupts")
-		if err := send.SendMsgSync(p, reg, dest+ProxyAddr(size), size, SendOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if afterReg := nodeCounter(t, n, "tlb_refills"); afterReg != before {
-			t.Errorf("registered send took %d refills, want 0", afterReg-before)
-		}
-		if got := boardCounter(t, n, "interrupts"); got != intrBefore {
-			t.Errorf("registered send raised %d interrupts", got-intrBefore)
-		}
-
-		// Registration validates its arguments.
-		if err := send.RegisterBuffer(p, reg+mem.VirtAddr(100*size), mem.PageSize); err != ErrBadBuffer {
-			t.Errorf("unmapped registration got %v", err)
-		}
-		if err := send.RegisterBuffer(p, reg, 0); err != ErrBadBuffer {
-			t.Errorf("zero-length registration got %v", err)
-		}
-	})
-}

@@ -46,12 +46,10 @@ var (
 	ErrDenied        = errors.New("vmmc: import denied by exporter restrictions")
 	ErrNoSuchExport  = errors.New("vmmc: no matching export")
 	ErrBadBuffer     = errors.New("vmmc: invalid buffer address or length")
-	ErrQueueFull     = errors.New("vmmc: send queue full")
 	ErrProcessLimit  = errors.New("vmmc: NIC out of SRAM for another process")
 	ErrNotAligned    = errors.New("vmmc: exported buffer must be page aligned")
 	ErrAlreadyInUse  = errors.New("vmmc: buffer tag already exported")
 	ErrImportTooBig  = errors.New("vmmc: import exceeds outgoing page table capacity")
-	ErrShutdown      = errors.New("vmmc: node shut down")
 	ErrNotExported   = errors.New("vmmc: buffer not exported")
 	ErrStillImported = errors.New("vmmc: buffer has active imports")
 

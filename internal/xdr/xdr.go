@@ -1,14 +1,13 @@
 // Package xdr implements the External Data Representation standard
 // (RFC 1832 / RFC 4506) used by SunRPC. vRPC (§5.4) keeps full wire
 // compatibility with existing SunRPC implementations, so the encoder and
-// decoder here are real: four-byte alignment, big-endian integers,
-// length-prefixed opaque data and strings, fixed and variable arrays.
+// decoder here are real: four-byte alignment, big-endian integers, fixed
+// and length-prefixed opaque data.
 package xdr
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Errors returned by the decoder.
@@ -32,9 +31,6 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 // Len returns the current encoded length.
 func (e *Encoder) Len() int { return len(e.buf) }
 
-// Reset clears the encoder for reuse.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // PutUint32 appends a 32-bit unsigned integer.
 func (e *Encoder) PutUint32(v uint32) {
 	e.buf = append(e.buf, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -49,21 +45,6 @@ func (e *Encoder) PutUint64(v uint64) {
 	e.PutUint32(uint32(v))
 }
 
-// PutInt64 appends a 64-bit signed integer (XDR hyper).
-func (e *Encoder) PutInt64(v int64) { e.PutUint64(uint64(v)) }
-
-// PutBool appends an XDR boolean (0 or 1 on the wire).
-func (e *Encoder) PutBool(v bool) {
-	if v {
-		e.PutUint32(1)
-	} else {
-		e.PutUint32(0)
-	}
-}
-
-// PutFloat64 appends an XDR double-precision float.
-func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
-
 // PutFixedOpaque appends opaque bytes without a length prefix, padded to a
 // four-byte boundary.
 func (e *Encoder) PutFixedOpaque(b []byte) {
@@ -77,17 +58,6 @@ func (e *Encoder) PutFixedOpaque(b []byte) {
 func (e *Encoder) PutOpaque(b []byte) {
 	e.PutUint32(uint32(len(b)))
 	e.PutFixedOpaque(b)
-}
-
-// PutString appends an XDR string.
-func (e *Encoder) PutString(s string) { e.PutOpaque([]byte(s)) }
-
-// PutUint32Array appends a counted array of 32-bit integers.
-func (e *Encoder) PutUint32Array(vs []uint32) {
-	e.PutUint32(uint32(len(vs)))
-	for _, v := range vs {
-		e.PutUint32(v)
-	}
 }
 
 // Decoder reads values from an XDR byte stream.
@@ -132,34 +102,6 @@ func (d *Decoder) Uint64() (uint64, error) {
 	return uint64(hi)<<32 | uint64(lo), nil
 }
 
-// Int64 reads an XDR hyper.
-func (d *Decoder) Int64() (int64, error) {
-	v, err := d.Uint64()
-	return int64(v), err
-}
-
-// Bool reads an XDR boolean; values other than 0/1 are wire errors.
-func (d *Decoder) Bool() (bool, error) {
-	v, err := d.Uint32()
-	if err != nil {
-		return false, err
-	}
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	default:
-		return false, fmt.Errorf("%w: bool %d", ErrBadValue, v)
-	}
-}
-
-// Float64 reads an XDR double.
-func (d *Decoder) Float64() (float64, error) {
-	v, err := d.Uint64()
-	return math.Float64frombits(v), err
-}
-
 // FixedOpaque reads n opaque bytes plus padding.
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	padded := (n + 3) &^ 3
@@ -185,31 +127,4 @@ func (d *Decoder) Opaque(max int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLong, n, max)
 	}
 	return d.FixedOpaque(int(n))
-}
-
-// String reads an XDR string.
-func (d *Decoder) String(max int) (string, error) {
-	b, err := d.Opaque(max)
-	return string(b), err
-}
-
-// Uint32Array reads a counted array of 32-bit integers.
-func (d *Decoder) Uint32Array(max int) ([]uint32, error) {
-	if max <= 0 {
-		max = 1 << 16
-	}
-	n, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	if int(n) > max {
-		return nil, fmt.Errorf("%w: array %d > %d", ErrTooLong, n, max)
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		if out[i], err = d.Uint32(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
