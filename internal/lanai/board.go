@@ -267,7 +267,8 @@ type Receiver struct {
 // StartReceiver starts the board's receive engine. deliver runs in event
 // context with every packet the raw filter and link layer pass up: its
 // VMMC-visible bytes (pk.Payload, unless the link layer unwrapped it) and
-// the packet, whose CRC the caller still checks, as the paper's LCP does.
+// the packet, whose CRC the caller still checks, as the paper's LCP does,
+// and which it releases (myrinet.NIC.Release) once done with both.
 // label names the engine as the holder of the DMA engines and the link.
 // Like a process spawned now, it takes its first packet after the events
 // already scheduled for this instant.
@@ -339,6 +340,8 @@ func (r *Receiver) admit() {
 }
 
 // next passes the packet in hand up, if it goes up, and takes the next one.
+// A packet that does not go up (an ack, a frame the window discards, one
+// the raw filter consumed) ends here: it is released.
 func (r *Receiver) next() {
 	if r.stopped {
 		return
@@ -347,6 +350,8 @@ func (r *Receiver) next() {
 	r.pk, r.data, r.up = nil, nil, false
 	if up {
 		r.deliver(data, pk)
+	} else {
+		r.b.NIC.Release(pk)
 	}
 	r.get.Get()
 }

@@ -61,7 +61,7 @@ func TestCentralMappingChainAllPairs(t *testing.T) {
 			if !ok {
 				t.Fatalf("no route %d->%d", src.ID, dst.ID)
 			}
-			got, _, _, reason := n.walk(src, route)
+			got, _, _, reason := n.walk(src, route, nil)
 			if got == nil || got.ID != dst.ID {
 				t.Errorf("route %d->%d = %v invalid: %s", src.ID, dst.ID, route, reason)
 			}

@@ -71,7 +71,7 @@ func TestMappingRandomTreesProperty(t *testing.T) {
 					t.Logf("seed %d: no route %d->%d (%d switches, %d hosts)", seed, src.ID, dst.ID, nsw, len(hosts))
 					return false
 				}
-				got, _, _, reason := n.walk(src, route)
+				got, _, _, reason := n.walk(src, route, nil)
 				if got == nil || got.ID != dst.ID {
 					t.Logf("seed %d: route %d->%d = %v invalid: %s", seed, src.ID, dst.ID, route, reason)
 					return false

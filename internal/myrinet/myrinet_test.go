@@ -346,7 +346,7 @@ func TestMappingTwoSwitches(t *testing.T) {
 			if !ok {
 				t.Fatalf("node %d has no route to %d", src, dst)
 			}
-			got, _, _, reason := n.walk(n.NICs()[src], route)
+			got, _, _, reason := n.walk(n.NICs()[src], route, nil)
 			if got == nil || got.ID != dst {
 				t.Errorf("route %d->%d = %v lands wrong (%v, %s)", src, dst, route, got, reason)
 			}

@@ -13,6 +13,9 @@ import (
 // output-port bytes consumed one per switch hop; the payload (header + data)
 // is opaque to the fabric; the CRC is appended by sending hardware and
 // checked by the receiver (CheckCRC).
+//
+// Sends take records from the fabric's free list and NIC.Release returns
+// them: nothing reads a *Packet after Release; the GC takes unreleased ones.
 type Packet struct {
 	// Route holds the output port for each switch on the path, in order.
 	Route []byte
@@ -47,6 +50,10 @@ type Packet struct {
 	// reference to Payload, so whoever consumes the packet may hand the
 	// buffer back with NIC.Release.
 	owned bool
+	// The landing at dst, wire bytes long: bound once per record, posted by end.
+	dst  *NIC
+	wire int
+	land func()
 }
 
 // corrupt flips bits of one payload byte, as a bit error on the wire does.
@@ -148,6 +155,7 @@ type Network struct {
 	// sync.Pool: what it holds depends only on the simulation, so a run's
 	// allocation count repeats exactly.
 	freeBufs [][]byte
+	freePkts []*Packet // released packet records, on freeBufs' terms and bound
 	poison   bool
 	verify   bool
 
@@ -179,13 +187,22 @@ func (nic *NIC) Buf(n int) []byte {
 	return make([]byte, 0, bufSize)
 }
 
-// Release gives the buffer of a consumed packet back to the fabric's free
-// list. The caller must be done with pk.Payload. Packets whose sender may
-// still hold the buffer (anything injected with Send) are left alone.
+// Release ends a consumed packet's life: nothing reads the *Packet after it.
+// The record goes back to the fabric's free list, and so does the buffer if
+// the sender gave it up (SendOwned); one it may still hold (Send) is not.
 func (nic *NIC) Release(pk *Packet) {
 	net := nic.net
 	b := pk.Payload
 	pk.Payload = nil
+	if net.poison {
+		pk.Src, pk.Route = -1, nil
+		for i := range pk.Ingress {
+			pk.Ingress[i] = 0xDB
+		}
+	}
+	if len(net.freePkts) < maxFreeBufs {
+		net.freePkts = append(net.freePkts, pk)
+	}
 	if !pk.owned || cap(b) != bufSize || len(net.freeBufs) >= maxFreeBufs {
 		return
 	}
@@ -200,7 +217,8 @@ func (nic *NIC) Release(pk *Packet) {
 
 // PoisonReleased makes Release overwrite every buffer it recycles with
 // 0xDB, so a reader that kept a packet's bytes past its Release sees
-// garbage instead of plausible stale data. A debugging aid for tests.
+// garbage instead of plausible stale data; the record itself reads Src -1,
+// a nil Route and 0xDB ingress bytes. A debugging aid for tests.
 func (n *Network) PoisonReleased() { n.poison = true }
 
 // VerifyIntact makes every injection record the payload's CRC and every
@@ -296,8 +314,9 @@ func (nic *NIC) SetDown(down bool) { nic.down = down }
 
 // walk resolves a route from nic through the fabric. It returns the
 // destination NIC, the number of switch hops, and the per-hop ingress
-// ports. A nil destination means the packet died; reason says why.
-func (n *Network) walk(nic *NIC, route []byte) (dst *NIC, hops int, ingress []byte, reason string) {
+// ports appended to ingress. A nil destination means the packet died;
+// reason says why.
+func (n *Network) walk(nic *NIC, route, ingress []byte) (dst *NIC, hops int, _ []byte, reason string) {
 	cur := nic.peer
 	for i := 0; ; i++ {
 		switch cur.kind {
@@ -343,13 +362,32 @@ func wireBytes(pk *Packet) int { return len(pk.Route) + len(pk.Payload) + 1 }
 // may be modified after the call. The caller may keep reading them and
 // may send the same payload again (a retransmission does).
 func (nic *NIC) Send(p *sim.Proc, route []byte, payload []byte) {
-	nic.inject(p, &Packet{Route: route, Payload: payload, Src: nic.ID})
+	nic.inject(p, nic.packet(route, payload, false))
 }
 
 // SendOwned is Send for a payload the caller gives up entirely — typically
 // one obtained from Buf. The consumer of the packet may Release it.
 func (nic *NIC) SendOwned(p *sim.Proc, route []byte, payload []byte) {
-	nic.inject(p, &Packet{Route: route, Payload: payload, Src: nic.ID, owned: true})
+	nic.inject(p, nic.packet(route, payload, true))
+}
+
+// packet is the one constructor of injected packets: a record from the
+// free list when there is one, reset to carry payload along route.
+func (nic *NIC) packet(route, payload []byte, owned bool) *Packet {
+	net := nic.net
+	var pk *Packet
+	if k := len(net.freePkts); k > 0 {
+		pk, net.freePkts = net.freePkts[k-1], net.freePkts[:k-1]
+	} else {
+		pk = new(Packet)
+		pk.land = func() {
+			pk.dst.mPktsIn.Add(1)
+			pk.dst.mBytesIn.Add(int64(pk.wire))
+			pk.dst.RX.Put(pk)
+		}
+	}
+	*pk = Packet{Route: route, Ingress: pk.Ingress[:0], Payload: payload, Src: nic.ID, owned: owned, land: pk.land}
+	return pk
 }
 
 func (nic *NIC) inject(p *sim.Proc, pk *Packet) {
@@ -365,7 +403,7 @@ func (nic *NIC) inject(p *sim.Proc, pk *Packet) {
 // runs in event context once the packet has left — when Send would have
 // returned. label names the sender as the link's holder.
 func (nic *NIC) StartSend(label string, route, payload []byte, done func()) {
-	pk := &Packet{Route: route, Payload: payload, Src: nic.ID}
+	pk := nic.packet(route, payload, false)
 	net := nic.net
 	var in *injection
 	if k := len(net.idle); k > 0 {
@@ -447,7 +485,8 @@ func (nic *NIC) end(pk *Packet) {
 		return
 	}
 
-	dst, hops, ingress, reason := n.walk(nic, pk.Route)
+	dst, hops, ingress, reason := n.walk(nic, pk.Route, pk.Ingress[:0])
+	pk.Ingress = ingress
 	if dst == nil {
 		n.mRouteDrops.Add(1)
 		n.drop(nic, reason)
@@ -467,12 +506,8 @@ func (nic *NIC) end(pk *Packet) {
 	if len(pk.Payload) > 0 && n.faults.CorruptWire(dst.ID, wire, false) {
 		pk.corrupt(len(pk.Payload)/3, 0x04)
 	}
-	pk.Ingress = ingress
-	n.eng.Post(sim.Time(hops)*n.prof.SwitchLatency, func() {
-		dst.mPktsIn.Add(1)
-		dst.mBytesIn.Add(int64(wire))
-		dst.RX.Put(pk)
-	})
+	pk.dst, pk.wire = dst, wire
+	n.eng.Post(sim.Time(hops)*n.prof.SwitchLatency, pk.land)
 }
 
 // drop records a packet death with its reason in metrics and trace. The

@@ -152,10 +152,60 @@ func TestPacketBufferRecycling(t *testing.T) {
 	if big := nics[0].Buf(bufSize + 1); cap(big) <= bufSize {
 		t.Error("oversize request served from a pooled-size buffer")
 	}
-	for i := 0; i < maxFreeBufs+8; i++ {
-		nics[0].Release(&Packet{Payload: make([]byte, 1, bufSize), owned: true})
+	consumed := make([]*Packet, maxFreeBufs+8)
+	for i := range consumed {
+		consumed[i] = nics[0].packet(nil, make([]byte, 1, bufSize), true)
 	}
-	if len(n.freeBufs) != maxFreeBufs {
-		t.Errorf("free list grew to %d, bound is %d", len(n.freeBufs), maxFreeBufs)
+	for _, pk := range consumed {
+		nics[0].Release(pk)
+	}
+	if len(n.freeBufs) != maxFreeBufs || len(n.freePkts) != maxFreeBufs {
+		t.Errorf("free lists grew to %d buffers and %d records, bound is %d", len(n.freeBufs), len(n.freePkts), maxFreeBufs)
+	}
+}
+
+// Records cycle too, owned or not: a released record is the next one a
+// send takes, two packets in flight never share one, a reused record
+// carries its new route's ingress and nothing of its last, and poison
+// marks a released record as one nobody may read.
+func TestPacketRecordRecycling(t *testing.T) {
+	e, n, a, b := chain3(t)
+	c := n.AddNIC()
+	if err := n.AttachNIC(c, n.Switches()[0], 1); err != nil {
+		t.Fatal(err)
+	}
+	n.PoisonReleased()
+	e.Go("traffic", func(p *sim.Proc) {
+		a.Send(p, []byte{7, 7, 1}, []byte("three switches"))
+		a.Send(p, []byte{1}, []byte("one switch"))
+		far, near := b.RX.Get(p), c.RX.Get(p)
+		if far == near {
+			t.Fatal("two packets in flight share a record")
+		}
+		if !bytes.Equal(far.Ingress, []byte{0, 6, 6}) {
+			t.Errorf("three-switch ingress = %v, want [0 6 6]", far.Ingress)
+		}
+		b.Release(far)
+		if far.Src != -1 || far.Route != nil || !bytes.Equal(far.Ingress, []byte{0xDB, 0xDB, 0xDB}) {
+			t.Errorf("released record not poisoned: Src %d, Route %v, Ingress %v", far.Src, far.Route, far.Ingress)
+		}
+
+		a.Send(p, []byte{1}, []byte("again"))
+		again := c.RX.Get(p)
+		if again != far {
+			t.Error("the released record was not the next one handed out")
+		}
+		if !bytes.Equal(again.Ingress, []byte{0}) {
+			t.Errorf("reused record's ingress = %v, want [0]", again.Ingress)
+		}
+		if again.Src != a.ID || string(again.Payload) != "again" || !again.CheckCRC() {
+			t.Errorf("reused record carries Src %d, payload %q", again.Src, again.Payload)
+		}
+		if again == near {
+			t.Error("a record still held by its consumer was handed out again")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -52,7 +52,7 @@ func TestWalkRouteResolutionEdges(t *testing.T) {
 		{"valid reverse three-hop route", b, []byte{6, 6, 0}, ""},
 	}
 	for _, tc := range cases {
-		dst, _, _, reason := n.walk(tc.from, tc.route)
+		dst, _, _, reason := n.walk(tc.from, tc.route, nil)
 		if tc.reason == "" {
 			if dst == nil {
 				t.Errorf("%s: died with %q, want delivery", tc.name, reason)

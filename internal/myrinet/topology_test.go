@@ -47,7 +47,7 @@ func TestMappingTreeOfSwitches(t *testing.T) {
 			if !ok {
 				t.Fatalf("no route %d->%d", src, dst)
 			}
-			got, _, _, reason := n.walk(n.NICs()[src], route)
+			got, _, _, reason := n.walk(n.NICs()[src], route, nil)
 			if got == nil || got.ID != dst {
 				t.Errorf("route %d->%d = %v invalid: %s", src, dst, route, reason)
 			}
@@ -117,7 +117,7 @@ func TestMappingHostlessChain(t *testing.T) {
 	tables := mapFabric(t, e, n, 5, 20*sim.Microsecond)
 	for _, pair := range [][2]*NIC{{a, b}, {b, a}} {
 		route, ok := tables[pair[0].ID][pair[1].ID]
-		if got, _, _, reason := n.walk(pair[0], route); !ok || got != pair[1] {
+		if got, _, _, reason := n.walk(pair[0], route, nil); !ok || got != pair[1] {
 			t.Errorf("route %d->%d = %v,%v invalid: %s", pair[0].ID, pair[1].ID, route, ok, reason)
 		}
 	}

@@ -98,8 +98,7 @@ type importRec struct {
 // ProxyAddr is a destination address in the sender's proxy region.
 type ProxyAddr uint64
 
-func (a ProxyAddr) page() int   { return int(a >> mem.PageShift) }
-func (a ProxyAddr) offset() int { return int(a & mem.PageMask) }
+func (a ProxyAddr) page() int { return int(a >> mem.PageShift) }
 
 // New builds an n-node SHRIMP system.
 func New(eng *sim.Engine, prof hw.SHRIMPProfile, n, memBytes int) *System {

@@ -212,7 +212,8 @@ func (d *Daemon) unexportLocal(p *simProc, proc *Process, tag uint32) error {
 
 // dropExport forgets one export, for the polite path and the abrupt one
 // alike: its incoming page-table entries are cleared, its frames unlocked,
-// and the registry entry and arrival high-water mark dropped.
+// and the registry entry, arrival high-water mark and the notification
+// accumulators of messages still arriving into it dropped.
 func (d *Daemon) dropExport(st *lcpProcState, info *exportInfo) {
 	for _, f := range info.frames {
 		d.node.LCP.incoming.clear(f)
@@ -220,6 +221,11 @@ func (d *Daemon) dropExport(st *lcpProcState, info *exportInfo) {
 	d.node.Driver.unlock(st, info.frames)
 	delete(d.exports, info.tag)
 	delete(d.node.LCP.arrivedHW, info.tag)
+	for k := range d.node.LCP.notifyAcc {
+		if k.tag == info.tag {
+			delete(d.node.LCP.notifyAcc, k)
+		}
+	}
 }
 
 // scrubProcess is the local-only teardown of a dead process's daemon state

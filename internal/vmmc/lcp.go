@@ -44,6 +44,9 @@ type LCP struct {
 	// job ever exists and dispatch degenerates to the legacy behavior.
 	jobs   []*sendJob
 	jobPtr int
+	// idleJobs holds retired long-send records for the next startLong,
+	// their DMA steps bound and their staged arrays kept.
+	idleJobs []*sendJob
 
 	// stagingFree lists the SRAM staging buffers not currently held by
 	// a staged or in-flight chunk; jobs draw from it LIFO.

@@ -48,6 +48,8 @@ type stagedChunk struct {
 	last    bool
 }
 
+const maxIdleJobs = 4 // LCP.idleJobs' bound: jobs run one per traffic class
+
 // inlineChunk stands in for a staging buffer in the one chunk of a short
 // send, whose bytes sit inline in the queue entry.
 const inlineChunk = -1
@@ -70,9 +72,16 @@ func (l *LCP) startLong(p *simProc, st *lcpProcState, e sqEntry) {
 	if !ok {
 		return
 	}
-	j := &job
-	j.dmaStart = func() { l.chunkDMAStart(j) }
-	j.dmaDone = func() { l.chunkDMADone(j) }
+	var j *sendJob
+	if k := len(l.idleJobs); k > 0 {
+		j, l.idleJobs = l.idleJobs[k-1], l.idleJobs[:k-1]
+	} else {
+		j = new(sendJob)
+		j.dmaStart = func() { l.chunkDMAStart(j) }
+		j.dmaDone = func() { l.chunkDMADone(j) }
+	}
+	job.dmaStart, job.dmaDone, job.staged = j.dmaStart, j.dmaDone, j.staged[:0]
+	*j = job
 	l.jobs = append(l.jobs, j)
 	l.node.Eng.TraceBegin(l.comp, "lcp", "long_send")
 	l.stepJob(p, j)
@@ -133,6 +142,11 @@ func (l *LCP) stepJob(p *simProc, j *sendJob) {
 	if j.done() {
 		l.removeJob(j)
 		l.node.Eng.TraceEnd(l.comp, "lcp", "long_send")
+		// A job still waiting on a refill is named by its callback; the
+		// rest can carry the next long send.
+		if !j.tlbWait && len(l.idleJobs) < maxIdleJobs {
+			l.idleJobs = append(l.idleJobs, j)
+		}
 	}
 }
 
@@ -180,8 +194,9 @@ func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 					// Report the failure on the host path: the driver
 					// could not translate the send buffer.
 					if !j.completed {
+						st, seq := j.st, j.e.seq
 						l.node.Eng.Go(l.failProcName, func(fp *simProc) {
-							l.writeCompletion(fp, j.st, j.e.seq, ceBadSource)
+							l.writeCompletion(fp, st, seq, ceBadSource)
 						})
 					}
 					j.completed = true

@@ -2,7 +2,7 @@ package vmmc
 
 import (
 	"repro/internal/mem"
-	"repro/internal/sim"
+	"repro/internal/myrinet"
 )
 
 // handleRecv processes one arrived packet: drain it into SRAM staging,
@@ -26,15 +26,16 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 	if !pk.CheckCRC() {
 		l.m.crcErrors.Add(1)
 		eng.TraceInstant(l.comp, "lcp", "crc_error")
+		board.NIC.Release(pk)
 		return
 	}
 	if len(item.data) < hdrSize {
-		l.protViolation(eng)
+		l.protViolation(pk)
 		return
 	}
 	hdr, err := decodeHeader(item.data)
 	if err != nil {
-		l.protViolation(eng)
+		l.protViolation(pk)
 		return
 	}
 	data := item.data[hdrSize:]
@@ -43,7 +44,7 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 	// frames would pass every check below and overrun staging into the
 	// neighbouring SRAM state.
 	if int(hdr.DataLen) != len(data) || hdr.DataLen == 0 || hdr.DataLen > mem.PageSize {
-		l.protViolation(eng)
+		l.protViolation(pk)
 		return
 	}
 
@@ -57,19 +58,19 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 		len1 = int(hdr.DataLen)
 	}
 	if len1 <= 0 || len1 > len(data) || len2 < 0 {
-		l.protViolation(eng)
+		l.protViolation(pk)
 		return
 	}
 
 	// Protection: every touched frame must be writable by incoming
 	// messages and the range must stay inside the exported extent.
 	if err := l.incoming.check(hdr.Addr1, len1); err != nil {
-		l.protViolation(eng)
+		l.protViolation(pk)
 		return
 	}
 	if len2 > 0 {
 		if err := l.incoming.check(hdr.Addr2, len2); err != nil {
-			l.protViolation(eng)
+			l.protViolation(pk)
 			return
 		}
 	}
@@ -173,14 +174,9 @@ type notifyAccum struct {
 }
 
 // protViolation counts a rejected packet (forged, malformed, or outside
-// the exported extent) in metrics and the trace.
-func (l *LCP) protViolation(eng *sim.Engine) {
+// the exported extent) in metrics and the trace, and releases it.
+func (l *LCP) protViolation(pk *myrinet.Packet) {
 	l.m.protViol.Add(1)
-	eng.TraceInstant(l.comp, "lcp", "protection_violation")
-}
-
-// incomingFrameOwner exposes incoming-table ownership for tests.
-func (l *LCP) incomingFrameOwner(pa mem.PhysAddr) (int, bool) {
-	e, ok := l.incoming.lookup(pa)
-	return e.owner, ok
+	l.node.Eng.TraceInstant(l.comp, "lcp", "protection_violation")
+	l.node.Board.NIC.Release(pk)
 }

@@ -52,14 +52,14 @@ func TestIncomingFrameOwner(t *testing.T) {
 			t.Fatal(err)
 		}
 		pa, _ := exp.AS.Translate(buf)
-		owner, ok := c.Nodes[1].LCP.incomingFrameOwner(pa)
-		if !ok || owner != exp.Pid {
-			t.Errorf("incomingFrameOwner = %d,%v, want %d", owner, ok, exp.Pid)
+		e, ok := c.Nodes[1].LCP.incoming.lookup(pa)
+		if !ok || e.owner != exp.Pid {
+			t.Errorf("incoming owner = %d,%v, want %d", e.owner, ok, exp.Pid)
 		}
 		// A frame that was never exported has no owner.
 		other, _ := exp.Malloc(mem.PageSize)
 		pa2, _ := exp.AS.Translate(other)
-		if _, ok := c.Nodes[1].LCP.incomingFrameOwner(pa2); ok {
+		if _, ok := c.Nodes[1].LCP.incoming.lookup(pa2); ok {
 			t.Error("unexported frame has an owner")
 		}
 	})

@@ -372,3 +372,62 @@ func TestHandlersScatterIntoOneBuffer(t *testing.T) {
 		}
 	})
 }
+
+// TestReexportAfterKillNotifiesOwnExtent pins that a notification
+// accumulator dies with its export. On the reliable link a receiver is
+// killed while an 8-page notifying message is half delivered, so the
+// message's accumulator is left mid-arrival; a new process on the same
+// node then exports the same tag and the same sender notifies it with 64
+// bytes at offset 3 pages. The handler must be told that message's extent,
+// not the dead one's base plus both messages' bytes (0 and 4 160, while
+// dropExport left the accumulator behind).
+func TestReexportAfterKillNotifiesOwnExtent(t *testing.T) {
+	const size = 8 * mem.PageSize
+	reliableCluster(t, func(p *simProc, c *Cluster) {
+		node := c.Nodes[1]
+		send, _ := c.Nodes[0].NewProcess(p)
+		src, _ := send.Malloc(size)
+		export := func() (*Process, ProxyAddr) {
+			recv, _ := node.NewProcess(p)
+			buf, _ := recv.Malloc(size)
+			if err := recv.Export(p, 9, buf, size, nil, true); err != nil {
+				t.Fatal(err)
+			}
+			dest, _, err := send.Import(p, node.ID, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return recv, dest
+		}
+
+		victim, dest := export()
+		seq, err := send.SendMsg(p, src, dest, size, SendOptions{Notify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(node.LCP.notifyAcc) == 0 {
+			p.Sleep(sim.Micros(1))
+		}
+		node.KillProcess(victim.Pid)
+		if err := send.WaitSend(p, seq); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(sim.Millisecond)
+
+		recv, dest := export()
+		offset, length := -1, -1
+		recv.RegisterHandler(9, func(_ *simProc, _ ProcID, _ uint32, off, n int) {
+			offset, length = off, n
+		})
+		if err := send.SendMsgSync(p, src, dest+3*mem.PageSize, 64, SendOptions{Notify: true}); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(sim.Millisecond)
+		if offset != 3*mem.PageSize || length != 64 {
+			t.Errorf("handler told offset %d, length %d; want %d, 64", offset, length, 3*mem.PageSize)
+		}
+		if n := len(node.LCP.notifyAcc); n != 0 {
+			t.Errorf("%d notification accumulators left behind", n)
+		}
+	})
+}

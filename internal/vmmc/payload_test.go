@@ -147,45 +147,50 @@ func longSendRig(t testing.TB, poison, reliable bool, fn func(p *simProc, long, 
 	})
 }
 
-// A 64 KB stream with released buffers poisoned: every message differs from the last in every chunk, so a deposit
-// fed from a recycled buffer — poison, or the previous packet's bytes —
-// cannot compare equal.
+// A 64 KB stream with released buffers and packet records poisoned: every
+// message differs from the last in every chunk, so a deposit fed from a
+// recycled buffer — poison, or the previous packet's bytes — cannot compare
+// equal. Over the link layer the receive engine releases every ack it
+// consumes, under the same poison.
 func TestStreamUnderBufferPoison(t *testing.T) {
-	longSendRig(t, true, false, func(_ *simProc, long, short func(), check func() bool) {
-		for i := 0; i < 12; i++ {
-			long()
-			if !check() {
-				t.Fatalf("message %d: received window differs from the sent one", i)
+	for _, reliable := range []bool{false, true} {
+		longSendRig(t, true, reliable, func(_ *simProc, long, short func(), check func() bool) {
+			for i := 0; i < 12; i++ {
+				long()
+				if !check() {
+					t.Fatalf("message %d (reliable=%v): received window differs from the sent one", i, reliable)
+				}
+				short()
+				if !check() {
+					t.Fatalf("short message %d (reliable=%v): received window differs from the sent one", i, reliable)
+				}
 			}
-			short()
-			if !check() {
-				t.Fatalf("short message %d: received window differs from the sent one", i)
-			}
-		}
-	})
+		})
+	}
 }
 
 // Allocation ceilings for the steady state, so the per-packet copies,
-// per-transfer strings and per-chunk processes cannot creep back: two PRs
-// ago a 64 KB message cost about 360 allocations and 160 KB, two fresh
-// page-sized buffers per chunk among them; with a process per chunk's host
-// DMA, and a receive queue that grew a fresh array per packet, it cost
-// 149. What remains is the simulator's own bookkeeping per packet — the
-// packet struct, its delivery closure, the ingress record — and none of it
-// scales with payload bytes. Over the link layer each packet adds its
-// window entry, its frame (a window keeps it, so it is never recycled),
-// its retransmit timer and its share of the acks. The ceilings are the
-// measured counts (go1.24). On the paper's link they were 72 and 12 while
-// a packet's delivery was an unpooled event and a send built its
-// queue-full spin closure every time; over the link layer the long send
-// cost 105 while every arming of a retransmit timer built its callback.
+// per-transfer strings and per-chunk processes cannot creep back: a 64 KB
+// message once cost about 360 allocations and 160 KB, two fresh page-sized
+// buffers per chunk among them; with a process per chunk's host DMA, and a
+// receive queue that grew a fresh array per packet, it cost 149; with a
+// packet record, its delivery closure and its ingress slice allocated per
+// packet and a long-send job per message, 55. Packet records and jobs are
+// recycled now, so nothing on the paper's link is allocated per packet:
+// the three allocations left per message are the waiting side's own
+// (WaitSend's two, SpinByte's one). Over the link layer each packet adds
+// its window entry and its frame (a window keeps it, so it is never
+// recycled), the acks add theirs, and the retransmit timers theirs. The
+// ceilings are the measured counts (go1.24), with and without the race
+// detector; they were 55 and 5 on the paper's link and 101 and 8 over the
+// link layer while packet records and jobs were not recycled.
 func TestSteadyStateAllocationCeilings(t *testing.T) {
 	for _, rig := range []struct {
 		reliable                  bool
 		longCeiling, shortCeiling float64
 	}{
-		{false, 55, 5},
-		{true, 101, 8},
+		{false, 3, 2},
+		{true, 37, 4},
 	} {
 		longSendRig(t, false, rig.reliable, func(_ *simProc, long, short func(), check func() bool) {
 			for i := 0; i < 4; i++ { // fill the free list, warm the TLBs
@@ -218,10 +223,11 @@ func TestSteadyStateAllocationCeilings(t *testing.T) {
 // SendMsgSync through to the receiver's handler. On top of the short send
 // it costs the driver's service process (the Proc and its body), the
 // interrupt's cause and the closure that delivers it — no names built, no
-// unpooled event, no accumulator for a single-chunk message. Measured
-// (go1.24): 8; it was 15.
+// unpooled event, no accumulator for a single-chunk message, no packet
+// record. Measured (go1.24): 5; it was 15, then 8 while the packet record,
+// its delivery closure and its ingress slice were allocated per packet.
 func TestNotificationAllocationCeilings(t *testing.T) {
-	const ceiling = 8
+	const ceiling = 5
 	startCluster(t, Options{Nodes: 2}, false, func(p *simProc, c *Cluster) {
 		recv, _ := c.Nodes[1].NewProcess(p)
 		send, _ := c.Nodes[0].NewProcess(p)
