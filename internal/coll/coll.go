@@ -138,12 +138,6 @@ type Comm struct {
 // Rank returns this handle's rank in the communicator.
 func (c *Comm) Rank() int { return c.rank }
 
-// Size returns the number of ranks.
-func (c *Comm) Size() int { return c.g.n }
-
-// Proc returns the underlying VMMC process.
-func (c *Comm) Proc() *vmmc.Process { return c.proc }
-
 // Model returns the cost model driving automatic algorithm selection.
 func (c *Comm) Model() CostModel { return c.g.model }
 

@@ -244,9 +244,6 @@ func New(eng *sim.Engine, prof hw.Profile) *Network {
 // a clean fabric.
 func (n *Network) SetFaults(pl *fault.Plan) { n.faults = pl }
 
-// Faults returns the attached fault plan, nil when the fabric is clean.
-func (n *Network) Faults() *fault.Plan { return n.faults }
-
 // Engine returns the simulation engine.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 

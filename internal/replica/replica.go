@@ -132,9 +132,6 @@ func (t *Tier) Sets() []*ReplicaSet { return t.sets }
 // Set returns shard g's replica set.
 func (t *Tier) Set(g int) *ReplicaSet { return t.sets[g] }
 
-// Config returns the (defaulted) tier configuration.
-func (t *Tier) Config() Config { return t.cfg }
-
 // place assigns R distinct nodes to each shard from the candidate pool:
 // least-loaded first, ties broken by node id, stable and deterministic. Because the tier requires Shards*R distinct nodes (two
 // server processes on one node would collide on their exported window

@@ -181,6 +181,3 @@ func (c *Conn) Put(p *sim.Proc, key uint32, val []byte, deadline sim.Time) error
 			nil)
 	})
 }
-
-// Client exposes the underlying vRPC client (tests).
-func (c *Conn) Client() *rpc.Client { return c.rc }

@@ -173,9 +173,6 @@ func Build(p *sim.Proc, c *vmmc.Cluster, cfg Config) (*Tier, error) {
 	return t, nil
 }
 
-// Config returns the (defaulted) tier configuration.
-func (t *Tier) Config() Config { return t.cfg }
-
 func (t *Tier) registerHandlers(sh *Shard) {
 	service := t.cfg.ServiceTime
 	sh.srv.Register(ProgKV, VersKV, ProcGet, func(p *sim.Proc, args *xdr.Decoder, res *xdr.Encoder) uint32 {

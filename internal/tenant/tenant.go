@@ -13,9 +13,9 @@
 //   - link QoS: each tenant rides its own reliable-link traffic class,
 //     and lanai.Board.ConfigureLinkClass gives the class a token-bucket
 //     bandwidth budget so bulk tenants cannot monopolize link injection;
-//     LCP short-send preemption lets a latency-sensitive tenant's small
-//     sends overtake a bulk tenant's in-progress long transfer between
-//     chunks;
+//     on a board with a budget, the LCP serves a latency-sensitive
+//     tenant's small sends between the chunks of a bulk tenant's
+//     in-progress long transfer;
 //   - containment: Kill tears down exactly one tenant — its processes'
 //     SRAM carves, page pins, exports/imports and reliable-link windows
 //     (its class's, never the shared class 0) — as pure state
@@ -140,31 +140,25 @@ func NewManager(c *vmmc.Cluster) *Manager {
 	}
 }
 
-// SetQoS toggles the isolation machinery cluster-wide: LCP short-send
-// preemption on every node, and per-tenant link bandwidth budgets for
-// tenants that declare a rate. Budgets are enforced by pacer-aware
-// scheduling: a tenant's class in pacing deficit is treated as
-// not-ready and skipped — the LCP keeps serving other tenants' work
-// and parks only when every runnable class is deficient — so one
-// tenant overdrawing its budget never sleeps the shared control
-// program or adds latency to its neighbors. Off (the default)
-// reproduces the legacy first-come-first-served behavior exactly.
+// SetQoS toggles the isolation machinery cluster-wide: per-tenant link
+// bandwidth budgets for tenants that declare a rate. A board with a
+// budget paces its traffic, and its LCP then serves other processes'
+// short sends between a long send's chunks. Budgets are enforced by
+// pacer-aware scheduling: a tenant's class in pacing deficit is treated
+// as not-ready and skipped — the LCP keeps serving other tenants' shorts
+// and parks only when every runnable class is deficient — so one tenant
+// overdrawing its budget never sleeps the shared control program. Each
+// LCP still runs one long send at a time, so another tenant's long send
+// waits for a deficient one to finish. Off (the default) reproduces the
+// legacy first-come-first-served behavior exactly.
 func (m *Manager) SetQoS(on bool) {
 	m.qos = on
-	for _, n := range m.Cluster.Nodes {
-		if n.LCP != nil {
-			n.LCP.SetShortPreempt(on)
-		}
-	}
 	for _, t := range m.tenants {
 		if t.state == Admitted {
 			m.configureLink(t, on)
 		}
 	}
 }
-
-// QoS reports whether isolation is on.
-func (m *Manager) QoS() bool { return m.qos }
 
 // configureLink installs (on) or removes (off) the tenant's bandwidth
 // budget on every node it occupies.
@@ -230,23 +224,10 @@ func (m *Manager) Admit(p *sim.Proc, spec Spec) (*Tenant, error) {
 	m.tenants[spec.Name] = t
 	if m.qos {
 		m.configureLink(t, true)
-		// Re-assert preemption here: SetQoS called before the cluster
-		// booted found no LCPs to flip (they are created at node start).
-		for _, id := range t.Nodes {
-			if lcp := m.Cluster.Nodes[id].LCP; lcp != nil {
-				lcp.SetShortPreempt(true)
-			}
-		}
 	}
 	m.mAdmitted.Add(1)
 	m.Cluster.Eng.TraceInstant(t.comp(), "tenant", "admitted")
 	return t, nil
-}
-
-// Tenant returns an admitted or killed tenant by name.
-func (m *Manager) Tenant(name string) (*Tenant, bool) {
-	t, ok := m.tenants[name]
-	return t, ok
 }
 
 // Kill models the tenant crashing or being forcibly removed: usage is

@@ -35,29 +35,20 @@ type LCP struct {
 	work *sim.Cond
 	rxq  []rxItem
 
-	// jobs are the long sends in progress, at most one per traffic
-	// class (the per-class generalization of the paper's one-long-send
-	// design point). jobPtr round-robins dispatch across them; a job
-	// whose class is in pacing deficit is treated as not-ready and
-	// skipped, so a heavily paced tenant never blocks the shared
-	// control program. Without configured bandwidth budgets at most one
-	// job ever exists and dispatch degenerates to the legacy behavior.
-	jobs   []*sendJob
-	jobPtr int
-	// idleJobs holds retired long-send records for the next startLong,
-	// their DMA steps bound and their staged arrays kept.
-	idleJobs []*sendJob
+	// job is the long send in progress, nil when none is: the paper's
+	// design point of one long send per interface (§6), whatever the
+	// traffic classes. A job whose class is in pacing deficit is not
+	// stepped; while the board paces traffic, other processes' queued
+	// shorts are served between its chunks (serveShortPreempt), and
+	// every long send, any class's, waits for it to finish.
+	job *sendJob
+	// idleJob is the last retired long-send record, kept for the next
+	// startLong with its DMA steps bound and its staged array.
+	idleJob *sendJob
 
 	// stagingFree lists the SRAM staging buffers not currently held by
 	// a staged or in-flight chunk; jobs draw from it LIFO.
 	stagingFree []int
-
-	// preemptShort, when enabled (tenant QoS), lets the LCP serve other
-	// processes' pending *short* sends between the chunks of a long send
-	// instead of monopolizing the control program for the whole transfer.
-	// Per-process FIFO order is preserved — only queue heads are taken —
-	// but cross-process order may interleave, which is the point.
-	preemptShort bool
 
 	// Transfer redirection (redirect.go): active redirections by export
 	// tag, and the per-export arrival high-water mark used to size the
@@ -280,8 +271,7 @@ func (l *LCP) teardown() {
 	}
 	sram.Free(l.recvOff)
 	sram.Free(l.scratchOff)
-	l.jobs = nil
-	l.jobPtr = 0
+	l.job = nil
 	l.stagingFree = nil
 	l.rxq = nil
 	l.redirects = make(map[uint32]*redirectRec)
@@ -368,7 +358,7 @@ func (l *LCP) classEligible(class int) (eligible bool, at sim.Time) {
 }
 
 // deferClass records a not-ready skip with the pacer for attribution
-// (idempotent per deficit episode).
+// (idempotent per deficit episode; a no-op for an eligible class).
 func (l *LCP) deferClass(class int) {
 	if ls := l.node.Board.LinkScheduler(); ls != nil {
 		ls.Defer(class)
@@ -388,41 +378,6 @@ func (l *LCP) sendPaced(p *simProc, j *sendJob, frame []byte) error {
 		panic(fmt.Sprintf("lcp%d: class %d dispatched while in pacing deficit", l.node.ID, class))
 	}
 	return board.SendFrameCharged(p, j.dest, j.route, frame, class)
-}
-
-// ownsJob reports whether the process has a long send in progress.
-func (l *LCP) ownsJob(st *lcpProcState) bool {
-	for _, j := range l.jobs {
-		if j.st == st {
-			return true
-		}
-	}
-	return false
-}
-
-// classHasJob reports whether the traffic class already has a long send
-// in progress.
-func (l *LCP) classHasJob(class int) bool {
-	for _, j := range l.jobs {
-		if j.st.limits.Class == class {
-			return true
-		}
-	}
-	return false
-}
-
-// anyDeficit reports whether any active job's class is in pacing
-// deficit — the condition under which the dispatcher may look past the
-// long jobs for other classes' queued requests. Always false without
-// configured budgets, which keeps the legacy never-scan-while-sending
-// discipline byte-identical for unpaced runs.
-func (l *LCP) anyDeficit() bool {
-	for _, j := range l.jobs {
-		if ok, _ := l.classEligible(j.st.limits.Class); !ok {
-			return true
-		}
-	}
-	return false
 }
 
 // jobRunnable reports whether stepping the job now would progress it:
@@ -448,42 +403,6 @@ func (l *LCP) jobRunnable(j *sendJob) bool {
 	return false
 }
 
-// pickJob selects the next serviceable job round-robin, recording a
-// deferral for any job skipped on a pacing deficit. nil means no job
-// can progress right now.
-func (l *LCP) pickJob() *sendJob {
-	n := len(l.jobs)
-	for i := 0; i < n; i++ {
-		j := l.jobs[(l.jobPtr+i)%n]
-		if l.jobRunnable(j) {
-			l.jobPtr = (l.jobPtr + i + 1) % n
-			return j
-		}
-		if !j.done() && !j.failed {
-			if ok, _ := l.classEligible(j.st.limits.Class); !ok {
-				l.deferClass(j.st.limits.Class)
-			}
-		}
-	}
-	return nil
-}
-
-// removeJob retires a finished job from the dispatch ring.
-func (l *LCP) removeJob(j *sendJob) {
-	for i, jj := range l.jobs {
-		if jj == j {
-			l.jobs = append(l.jobs[:i], l.jobs[i+1:]...)
-			if l.jobPtr > i {
-				l.jobPtr--
-			}
-			break
-		}
-	}
-	if l.jobPtr >= len(l.jobs) {
-		l.jobPtr = 0
-	}
-}
-
 // dropStaged discards a job's staged chunks, returning their staging
 // buffers to the free list.
 func (l *LCP) dropStaged(j *sendJob) {
@@ -493,15 +412,10 @@ func (l *LCP) dropStaged(j *sendJob) {
 	j.staged = j.staged[:0]
 }
 
-// requestReady is the dispatch gate for a queue-head request: its class
-// must not be in pacing deficit (skips are recorded as deferrals), and
-// a long request must wait while its class already has a job in flight
-// (one long send per class). Unbudgeted classes with no job are always
-// ready, matching the legacy scan.
-func (l *LCP) requestReady(st *lcpProcState, e sqEntry) bool {
-	if e.inline == nil && l.classHasJob(st.limits.Class) {
-		return false
-	}
+// requestReady is the dispatch gate for a queue-head request while no
+// long send is in flight: its class must not be in pacing deficit (skips
+// are recorded as deferrals). Unbudgeted classes are always ready.
+func (l *LCP) requestReady(st *lcpProcState) bool {
 	ok, _ := l.classEligible(st.limits.Class)
 	if !ok {
 		l.deferClass(st.limits.Class)
@@ -514,7 +428,7 @@ func (l *LCP) requestReady(st *lcpProcState, e sqEntry) bool {
 func (l *LCP) queuedRequestReady() bool {
 	for _, pid := range l.scan {
 		st := l.states[pid]
-		if e, ok := st.sq.peek(); ok && l.requestReady(st, e) {
+		if _, ok := st.sq.peek(); ok && l.requestReady(st) {
 			return true
 		}
 	}
@@ -525,26 +439,22 @@ func (l *LCP) queuedRequestReady() bool {
 // discovering work is charged by the handlers and the queue scan).
 // Work whose class is in pacing deficit does not count: the main loop
 // parks on it with a timed wait at the class's eligibility instant
-// instead of spinning.
+// instead of spinning. While a long send is in flight the queues offer
+// only what the preempt scan would take.
 func (l *LCP) hasWork() bool {
 	if len(l.rxq) > 0 {
 		return true
 	}
-	for _, j := range l.jobs {
-		if l.jobRunnable(j) {
-			return true
-		}
-	}
-	if len(l.jobs) > 0 {
-		if l.preemptShort && l.pendingShortReady() {
-			return true
-		}
-		if !l.anyDeficit() {
-			return false
-		}
+	if j := l.job; j != nil {
+		return l.jobRunnable(j) || l.paced() && l.pendingShortReady()
 	}
 	return l.queuedRequestReady()
 }
+
+// paced reports whether the board paces any traffic class. Short-send
+// preemption is on exactly then: a bandwidth budget is what makes one
+// process's long send worth interleaving with another's shorts.
+func (l *LCP) paced() bool { return l.node.Board.LinkScheduler() != nil }
 
 // nextPacerWake is the earliest future eligibility instant among the
 // classes whose pending work the dispatcher is skipping on a pacing
@@ -562,8 +472,8 @@ func (l *LCP) nextPacerWake() (wake sim.Time, ok bool) {
 			}
 		}
 	}
-	for _, j := range l.jobs {
-		consider(j.st.limits.Class)
+	if l.job != nil {
+		consider(l.job.st.limits.Class)
 	}
 	for _, pid := range l.scan {
 		st := l.states[pid]
@@ -590,7 +500,7 @@ func (l *LCP) run(p *simProc) {
 		}
 		// In the tight sending loop (§5.3) the LCP bypasses the full main
 		// loop while a long send is in progress and no packets arrive.
-		tight := prof.TightSendLoop && len(l.jobs) > 0 && len(l.rxq) == 0
+		tight := prof.TightSendLoop && l.job != nil && len(l.rxq) == 0
 		if tight {
 			l.m.tightIters.Add(1)
 			p.Sleep(prof.LCPDispatch / 4)
@@ -603,7 +513,7 @@ func (l *LCP) run(p *simProc) {
 		// "unexpected, external events, such as the arrival of incoming
 		// data packets" (§5.3).
 		if len(l.rxq) > 0 {
-			if len(l.jobs) > 0 {
+			if l.job != nil {
 				// Abandoning the tight sending loop: save the send state,
 				// run the main loop, come back (§5.3).
 				l.node.Eng.TraceInstant(l.comp, "lcp", "tight_loop_abandoned")
@@ -618,25 +528,18 @@ func (l *LCP) run(p *simProc) {
 			l.handleRecv(p, item)
 			continue
 		}
-		if len(l.jobs) > 0 {
-			if l.preemptShort {
+		if j := l.job; j != nil {
+			if l.paced() {
 				l.serveShortPreempt(p)
 			}
-			// Pick after the preempt scan: a host DMA that completed (or a
+			// Check after the preempt scan: a host DMA that completed (or a
 			// pacing deficit that opened) while the short was served is
-			// visible to this iteration's dispatch, as it was when the
-			// legacy loop stepped its single job here unconditionally.
-			j := l.pickJob()
-			if j != nil {
+			// visible to this iteration's dispatch. A job held back by its
+			// class's deficit is recorded as deferred.
+			if l.jobRunnable(j) {
 				l.stepJob(p, j)
-			} else if l.anyDeficit() {
-				// Every long job is pacing-deficient (or waiting on its
-				// host DMA): look past them for other classes' queued
-				// requests, so one paced tenant cannot stall co-tenants
-				// through the shared control program.
-				if st, e, ok := l.scanQueues(p); ok {
-					l.startRequest(p, st, e)
-				}
+			} else if !j.failed {
+				l.deferClass(j.st.limits.Class)
 			}
 			continue
 		}
@@ -647,14 +550,14 @@ func (l *LCP) run(p *simProc) {
 }
 
 // pendingShortReady reports whether a short send the preempt scan would
-// accept is pending — a queue-head short from a process with no long
-// send in flight, in a class that is not pacing-deficient — without
+// accept is pending — a queue-head short from a process other than the
+// long send's, in a class that is not pacing-deficient — without
 // charging time (hasWork's discovery contract; the preempt scan pays
 // the poll costs).
 func (l *LCP) pendingShortReady() bool {
 	for _, pid := range l.scan {
 		st := l.states[pid]
-		if l.ownsJob(st) {
+		if st == l.job.st {
 			continue
 		}
 		if e, ok := st.sq.peek(); ok && e.inline != nil {
@@ -667,20 +570,21 @@ func (l *LCP) pendingShortReady() bool {
 }
 
 // serveShortPreempt serves at most one pending short send from a process
-// with no long send in flight — the QoS escape hatch from the §5.3
-// tight loop's head-of-line blocking, where a 128 KB transfer
-// monopolizes the control program for milliseconds while a co-resident
-// tenant's 60-byte RPC waits. Only queue heads are taken, so each
-// process's own posting order is never reordered; long sends from other
-// queues stay queued (one long job per class remains the design point).
+// other than the long send's — the QoS escape hatch from the §5.3 tight
+// loop's head-of-line blocking, where a 128 KB transfer monopolizes the
+// control program for milliseconds while a co-resident tenant's 60-byte
+// RPC waits. The main loop calls it only while the board paces traffic;
+// the paper's LCP runs one request to completion. Only queue heads are
+// taken, so each process's own posting order is never reordered; long
+// sends from other queues stay queued (one long send per interface).
 // A short whose own class is in pacing deficit is not-ready and skipped,
-// exactly like a deficient long job.
+// exactly like a deficient long send.
 func (l *LCP) serveShortPreempt(p *simProc) {
 	nq := len(l.scan)
 	for i := 0; i < nq; i++ {
 		idx := (l.scanPtr + i) % nq
 		st := l.states[l.scan[idx]]
-		if l.ownsJob(st) {
+		if st == l.job.st {
 			continue
 		}
 		p.Sleep(l.node.Prof.LCPScanPerQueue)
@@ -700,16 +604,11 @@ func (l *LCP) serveShortPreempt(p *simProc) {
 	}
 }
 
-// SetShortPreempt toggles short-send preemption between long-send chunks
-// (see serveShortPreempt). Off by default — the paper's LCP runs one
-// request to completion — and enabled by the tenant manager's QoS.
-func (l *LCP) SetShortPreempt(on bool) { l.preemptShort = on }
-
 // scanQueues polls the per-process send queues round-robin, charging the
 // per-queue poll cost — with many registered senders, picking up a request
-// gets slower (§6), unlike SHRIMP's hardware dispatch. Heads that fail
-// the requestReady gate (pacing deficit, or a long for a class already
-// sending) are left queued.
+// gets slower (§6), unlike SHRIMP's hardware dispatch. It runs only while
+// no long send is in flight; heads whose class is in pacing deficit are
+// left queued.
 func (l *LCP) scanQueues(p *simProc) (*lcpProcState, sqEntry, bool) {
 	nq := len(l.scan)
 	for i := 0; i < nq; i++ {
@@ -717,7 +616,7 @@ func (l *LCP) scanQueues(p *simProc) (*lcpProcState, sqEntry, bool) {
 		st := l.states[l.scan[idx]]
 		p.Sleep(l.node.Prof.LCPScanPerQueue)
 		e, ok := st.sq.peek()
-		if !ok || !l.requestReady(st, e) {
+		if !ok || !l.requestReady(st) {
 			continue
 		}
 		st.sq.take()

@@ -48,8 +48,6 @@ type stagedChunk struct {
 	last    bool
 }
 
-const maxIdleJobs = 4 // LCP.idleJobs' bound: jobs run one per traffic class
-
 // inlineChunk stands in for a staging buffer in the one chunk of a short
 // send, whose bytes sit inline in the queue entry.
 const inlineChunk = -1
@@ -58,13 +56,13 @@ func (j *sendJob) done() bool {
 	return (j.failed || (j.sentDMA == j.total && j.injOff == j.total)) && len(j.staged) == 0 && !j.dmaBusy
 }
 
-// startLong validates a long-send request and adds it to the dispatch
-// ring. Only one long send is in flight per traffic class; further
-// requests wait in their send queues (the paper's design point: "only
-// one request can be posted for very long sends", §6 — generalized
-// per-class so a pacing-deficient tenant's job cannot block another
-// tenant's). Without configured budgets the scan never starts a second
-// job, preserving the legacy one-job-per-interface behavior exactly.
+// startLong validates a long-send request and makes it the LCP's job.
+// Only one long send is in flight per interface; further requests, any
+// process's and any traffic class's, wait in their send queues (the
+// paper's design point: "only one request can be posted for very long
+// sends", §6). A job in pacing deficit therefore holds back every other
+// long send on the board; other processes' shorts are still served
+// between its chunks (serveShortPreempt).
 func (l *LCP) startLong(p *simProc, st *lcpProcState, e sqEntry) {
 	l.m.sendsLong.Add(1)
 	p.Sleep(l.node.Prof.LCPLongSendSetup)
@@ -72,17 +70,16 @@ func (l *LCP) startLong(p *simProc, st *lcpProcState, e sqEntry) {
 	if !ok {
 		return
 	}
-	var j *sendJob
-	if k := len(l.idleJobs); k > 0 {
-		j, l.idleJobs = l.idleJobs[k-1], l.idleJobs[:k-1]
-	} else {
+	j := l.idleJob
+	l.idleJob = nil
+	if j == nil {
 		j = new(sendJob)
 		j.dmaStart = func() { l.chunkDMAStart(j) }
 		j.dmaDone = func() { l.chunkDMADone(j) }
 	}
 	job.dmaStart, job.dmaDone, job.staged = j.dmaStart, j.dmaDone, j.staged[:0]
 	*j = job
-	l.jobs = append(l.jobs, j)
+	l.job = j
 	l.node.Eng.TraceBegin(l.comp, "lcp", "long_send")
 	l.stepJob(p, j)
 }
@@ -140,12 +137,12 @@ func (l *LCP) stepJob(p *simProc, j *sendJob) {
 	}
 
 	if j.done() {
-		l.removeJob(j)
+		l.job = nil
 		l.node.Eng.TraceEnd(l.comp, "lcp", "long_send")
 		// A job still waiting on a refill is named by its callback; the
 		// rest can carry the next long send.
-		if !j.tlbWait && len(l.idleJobs) < maxIdleJobs {
-			l.idleJobs = append(l.idleJobs, j)
+		if !j.tlbWait {
+			l.idleJob = j
 		}
 	}
 }

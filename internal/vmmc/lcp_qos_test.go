@@ -1,11 +1,43 @@
 package vmmc
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
+
+// qosLimits are the partitioned budgets of a process sharing a board with
+// other tenants: two full-size TLB carves do not fit one board's SRAM.
+var qosLimits = ProcLimits{SendQueueEntries: 8, TLBEntries: 256}
+
+// qosTenant sets up one tenant of the pacer-aware scheduler's tests: a
+// sender on node 0 in the given traffic class, and a receiver on node 1
+// exporting a size-byte window under tag, which the sender imports.
+// Returns the sender, its import destination, the receiver and its window.
+func qosTenant(t *testing.T, p *simProc, c *Cluster, class int, tag uint32, size int) (send *Process, dest ProxyAddr, recv *Process, win mem.VirtAddr) {
+	t.Helper()
+	recv, err := c.Nodes[1].NewProcessWith(p, qosLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limits := qosLimits
+	limits.Class = class
+	if send, err = c.Nodes[0].NewProcessWith(p, limits); err != nil {
+		t.Fatal(err)
+	}
+	if win, err = recv.Malloc(size); err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.Export(p, tag, win, size, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if dest, _, err = send.Import(p, 1, tag); err != nil {
+		t.Fatal(err)
+	}
+	return send, dest, recv, win
+}
 
 // qosPair sets up the two-tenant-on-one-board shape the pacer-aware
 // scheduler exists for: a bulk sender in paced class 1 and a victim in
@@ -14,48 +46,8 @@ import (
 // processes and their import destinations.
 func qosPair(t *testing.T, p *simProc, c *Cluster) (bulk, victim *Process, bulkDest, victimDest ProxyAddr) {
 	t.Helper()
-	// Two tenants per board: partitioned budgets, as two full-size TLB
-	// carves do not fit one board's SRAM.
-	small := ProcLimits{SendQueueEntries: 8, TLBEntries: 256}
-	bulkLimits := small
-	bulkLimits.Class = 1
-
-	bulkRecv, err := c.Nodes[1].NewProcessWith(p, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victimRecv, err := c.Nodes[1].NewProcessWith(p, small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bulk, err = c.Nodes[0].NewProcessWith(p, bulkLimits); err != nil {
-		t.Fatal(err)
-	}
-	if victim, err = c.Nodes[0].NewProcessWith(p, small); err != nil {
-		t.Fatal(err)
-	}
-
-	const winPages = 32
-	bulkBuf, err := bulkRecv.Malloc(winPages * mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bulkRecv.Export(p, 1, bulkBuf, winPages*mem.PageSize, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	victimBuf, err := victimRecv.Malloc(mem.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := victimRecv.Export(p, 2, victimBuf, mem.PageSize, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	if bulkDest, _, err = bulk.Import(p, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if victimDest, _, err = victim.Import(p, 1, 2); err != nil {
-		t.Fatal(err)
-	}
+	bulk, bulkDest, _, _ = qosTenant(t, p, c, 1, 1, 32*mem.PageSize)
+	victim, victimDest, _, _ = qosTenant(t, p, c, 0, 2, mem.PageSize)
 	return bulk, victim, bulkDest, victimDest
 }
 
@@ -71,7 +63,6 @@ func TestDeficitSkipServesUnpacedShorts(t *testing.T) {
 		bulk, victim, bulkDest, victimDest := qosPair(t, p, c)
 		board := c.Nodes[0].Board
 		board.ConfigureLinkClass(1, 2e6, 8<<10) // 2 MB/s, 8 KB burst
-		c.Nodes[0].LCP.SetShortPreempt(true)
 
 		const bulkBytes = 24 * mem.PageSize
 		src, err := bulk.Malloc(bulkBytes)
@@ -135,7 +126,8 @@ func TestDeficitSkipServesUnpacedShorts(t *testing.T) {
 // and the transfer must complete at the configured rate.
 func TestAllClassesDeficientParksAndWakes(t *testing.T) {
 	testCluster(t, 2, func(p *simProc, c *Cluster) {
-		small := ProcLimits{SendQueueEntries: 8, TLBEntries: 256, Class: 1}
+		small := qosLimits
+		small.Class = 1
 		recv, err := c.Nodes[1].NewProcess(p)
 		if err != nil {
 			t.Fatal(err)
@@ -230,7 +222,6 @@ func TestPacedShortsDeferredNotBlocking(t *testing.T) {
 		bulk, victim, bulkDest, victimDest := qosPair(t, p, c)
 		board := c.Nodes[0].Board
 		board.ConfigureLinkClass(1, 1e6, 2<<10) // 1 MB/s, 2 KB burst
-		c.Nodes[0].LCP.SetShortPreempt(true)
 
 		// The paced tenant posts a burst of shorts that overdraws its
 		// budget several times over.
@@ -276,6 +267,94 @@ func TestPacedShortsDeferredNotBlocking(t *testing.T) {
 		victim.SpinUntil(p, func() bool { return sent == shorts })
 		if n, d := board.LinkScheduler().ClassStats(1); n == 0 || d == 0 {
 			t.Errorf("pacer never engaged: class 1 stats (%d, %v)", n, d)
+		}
+	})
+}
+
+// TestOneLongSendPerInterface pins the paper's design point under QoS: the
+// LCP runs one long send at a time (§6). While a paced class's long send
+// sits in pacing deficit, another class's long send waits for it to
+// finish, and only other processes' shorts are served between its chunks.
+func TestOneLongSendPerInterface(t *testing.T) {
+	testCluster(t, 2, func(p *simProc, c *Cluster) {
+		const (
+			bulkBytes   = 24 * mem.PageSize
+			secondBytes = 4 * mem.PageSize
+		)
+		bulk, bulkDest, bulkRecv, bulkWin := qosTenant(t, p, c, 1, 1, bulkBytes)
+		second, secondDest, secondRecv, secondWin := qosTenant(t, p, c, 2, 2, secondBytes)
+		victim, victimDest, _, _ := qosTenant(t, p, c, 0, 3, mem.PageSize)
+		board := c.Nodes[0].Board
+		board.ConfigureLinkClass(1, 2e6, 8<<10) // 2 MB/s, 8 KB burst
+
+		// longSend posts one long message of distinct bytes from its own
+		// process and reports the instant its completion returned.
+		longSend := func(name string, proc *Process, dest ProxyAddr, n int, salt byte) (payload []byte, doneAt *sim.Time) {
+			payload = make([]byte, n)
+			for i := range payload {
+				payload[i] = byte(i%251) + salt
+			}
+			src, err := proc.Malloc(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := proc.Write(src, payload); err != nil {
+				t.Fatal(err)
+			}
+			doneAt = new(sim.Time)
+			c.Eng.Go(name, func(sp *simProc) {
+				if err := proc.SendMsgSync(sp, src, dest, n, SendOptions{}); err != nil {
+					t.Errorf("%s: %v", name, err)
+				}
+				*doneAt = sp.Now()
+			})
+			return payload, doneAt
+		}
+		bulkPayload, bulkDone := longSend("bulk-sender", bulk, bulkDest, bulkBytes, 1)
+
+		// Class 1 spends its burst on the first chunks, then falls into
+		// deficit; only then does class 2 post its long send.
+		ls := board.LinkScheduler()
+		for {
+			if at, _ := ls.EligibleAt(1); at > p.Now() {
+				break
+			}
+			p.Sleep(10 * sim.Microsecond)
+		}
+		secondPayload, secondDone := longSend("second-sender", second, secondDest, secondBytes, 7)
+
+		vsrc, err := victim.Malloc(mem.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := victim.Write(vsrc, []byte("hi")); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			if err := victim.SendMsgSync(p, vsrc, victimDest, 2, SendOptions{}); err != nil {
+				t.Fatalf("victim short %d: %v", i, err)
+			}
+			p.Sleep(2 * sim.Millisecond)
+		}
+		victim.SpinUntil(p, func() bool { return *bulkDone != 0 && *secondDone != 0 })
+
+		if *secondDone <= *bulkDone {
+			t.Errorf("class 2's long send completed at %v, before class 1's at %v: a second long send ran beside the deficient one",
+				*secondDone, *bulkDone)
+		}
+		if nodeCounter(t, c.Nodes[0], "lcp_short_preempts") == 0 {
+			t.Error("no short preempts recorded; the victim's shorts were not served between the long send's chunks")
+		}
+		for _, w := range []struct {
+			name string
+			recv *Process
+			win  mem.VirtAddr
+			want []byte
+		}{{"class 1", bulkRecv, bulkWin, bulkPayload}, {"class 2", secondRecv, secondWin, secondPayload}} {
+			w.recv.SpinByte(p, w.win+mem.VirtAddr(len(w.want)-1), w.want[len(w.want)-1])
+			if got, _ := w.recv.Read(w.win, len(w.want)); !bytes.Equal(got, w.want) {
+				t.Errorf("%s's long payload did not land byte-identical", w.name)
+			}
 		}
 	})
 }

@@ -276,12 +276,10 @@ func (n *Node) KillProcess(pid int) {
 	n.Phys.Touch() // a WaitSend of the victim's must notice
 	st := proc.lcpState
 	st.gone = true
-	for _, j := range n.LCP.jobs {
-		if j.st == st {
-			j.failed = true
-			j.completed = true
-			n.LCP.dropStaged(j)
-		}
+	if j := n.LCP.job; j != nil && j.st == st {
+		j.failed = true
+		j.completed = true
+		n.LCP.dropStaged(j)
 	}
 	n.Daemon.scrubProcess(proc)
 	if rl := n.Board.Reliable(); rl != nil {

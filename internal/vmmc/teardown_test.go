@@ -11,13 +11,18 @@ import (
 
 // nodeBaseline is what a process teardown must give back on its node: the
 // SRAM carve, every page lock, the incoming page-table entries of its
-// exports, and its traffic class's retransmit buffers.
+// exports, its traffic class's retransmit buffers, and the notification
+// accumulators of messages arriving into its exports.
 type nodeBaseline struct {
-	sramUsed, pinnedFrames, incomingEntries, unacked int
+	sramUsed, pinnedFrames, incomingEntries, unacked, notifyAccs int
 }
 
 func takeBaseline(n *Node, class int) nodeBaseline {
-	b := nodeBaseline{sramUsed: n.Board.SRAM.Used(), unacked: n.Board.Reliable().Unacked(class)}
+	b := nodeBaseline{
+		sramUsed:   n.Board.SRAM.Used(),
+		unacked:    n.Board.Reliable().Unacked(class),
+		notifyAccs: len(n.LCP.notifyAcc),
+	}
 	for f := 0; f < n.Phys.NumFrames(); f++ {
 		if n.Phys.Pinned(f) {
 			b.pinnedFrames++
@@ -193,16 +198,13 @@ func TestTeardownDuringChunkDMA(t *testing.T) {
 				// Into the second chunk's transfer, the first chunk injected
 				// and the control program idle until the DMA completes.
 				inFlight := func() bool {
-					if len(lcp.jobs) == 0 {
-						return false
-					}
-					j := lcp.jobs[0]
-					return j.dmaBusy && node.Board.HostDMA.Busy() && j.sentDMA > 0 && j.injOff == j.sentDMA
+					j := lcp.job
+					return j != nil && j.dmaBusy && node.Board.HostDMA.Busy() && j.sentDMA > 0 && j.injOff == j.sentDMA
 				}
 				for !inFlight() {
 					p.Sleep(sim.Micros(1))
 				}
-				j := lcp.jobs[0]
+				j := lcp.job
 				sent := nodeCounter(t, node, "lcp_packets_out")
 				hostDMAs := fmt.Sprintf("dma:lanai%d:host/transfers", node.Board.NIC.ID)
 				transfers := counter(t, c.Eng, hostDMAs)
@@ -225,15 +227,15 @@ func TestTeardownDuringChunkDMA(t *testing.T) {
 					t.Errorf("%d packets injected for the dead job", got-sent)
 				}
 				if tc.crash {
-					if lcp.stagingFree != nil || lcp.jobs != nil {
-						t.Errorf("crashed LCP kept %d staging buffers and %d jobs", len(lcp.stagingFree), len(lcp.jobs))
+					if lcp.stagingFree != nil || lcp.job != nil {
+						t.Errorf("crashed LCP kept %d staging buffers and a job (%v)", len(lcp.stagingFree), lcp.job != nil)
 					}
 					if err := c.RestartNode(0); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if l := node.LCP; len(l.stagingFree) != len(l.stagingOff) || len(l.jobs) != 0 {
-					t.Errorf("%d of %d staging buffers free, %d jobs", len(l.stagingFree), len(l.stagingOff), len(l.jobs))
+				if l := node.LCP; len(l.stagingFree) != len(l.stagingOff) || l.job != nil {
+					t.Errorf("%d of %d staging buffers free, job in flight %v", len(l.stagingFree), len(l.stagingOff), l.job != nil)
 				}
 
 				// The engine, the bus and both staging buffers are usable: a
