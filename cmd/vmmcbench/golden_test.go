@@ -49,10 +49,8 @@ func TestResultsGolden(t *testing.T) {
 	}
 	// Every spin the experiments park is checked against its watch, and
 	// every undamaged packet against the bytes it was injected with.
-	bench.SetObservability(bench.Observability{VerifySkips: true, VerifyIntact: true})
-	defer bench.SetObservability(bench.Observability{})
 	var buf bytes.Buffer
-	ran, err := runExperiments(&buf, "", true, false, false)
+	ran, err := runExperiments(&buf, "", true, false, bench.Observability{VerifySkips: true, VerifyIntact: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,19 +29,19 @@
 // artifact but scalesweep's wall-clock record is byte-identical across
 // runs — each sweep re-runs a cell and fails on drift.
 //
-// With -trace, each run records structured events over virtual time and
-// writes a Chrome trace_event JSON file (open in chrome://tracing or
-// Perfetto). With -metrics, the run's final metrics snapshot (counters,
-// gauges, utilizations) is written as JSON. Either flag also prints a
-// short metrics summary after each experiment. Traces carry only virtual
-// timestamps, so two runs of the same experiment produce byte-identical
-// artifacts. See docs/OBSERVABILITY.md.
+// Experiments run on a bench.Run each, the deterministic ones at once.
+// With -trace, the last experiment records events over virtual time, and
+// its last run is written as a Chrome trace_event JSON file (open in
+// chrome://tracing or Perfetto); -metrics writes that run's final metrics
+// snapshot as JSON. Either flag also prints a short metrics summary after
+// each experiment. Traces carry only virtual timestamps, so artifacts are
+// byte-identical across runs. See docs/OBSERVABILITY.md.
 //
 // Every experiment additionally streams its trace events through the
 // bottleneck analyzer (internal/analysis); each sweep prints the
 // analyzer's one-line verdict and embeds the full report in its JSON
 // artifact. -analyze prints the ranked top-k resource table after each
-// experiment, and -analyze-out writes the report JSON (last run wins).
+// experiment, and -analyze-out writes the last run's report JSON.
 // See docs/ANALYSIS.md.
 package main
 
@@ -69,7 +69,7 @@ func main() {
 		metrPth  = flag.String("metrics", "", "write a metrics snapshot JSON artifact here")
 		traceCap = flag.Int("trace-capacity", 0, "trace ring buffer size in events (0 = default)")
 		analyze  = flag.Bool("analyze", false, "print the full bottleneck analysis table after each experiment")
-		analyOut = flag.String("analyze-out", "", "write the bottleneck analysis report JSON here (last run wins)")
+		analyOut = flag.String("analyze-out", "", "write the last run's bottleneck analysis report JSON here")
 	)
 	flag.Parse()
 
@@ -84,14 +84,12 @@ func main() {
 		fmt.Println("\n* = deterministic output, pinned in RESULTS.txt")
 		return
 	}
-	observing := *tracePth != "" || *metrPth != ""
-	bench.SetObservability(bench.Observability{
+	ran, err := runExperiments(os.Stdout, *id, *detOnly, *analyze, bench.Observability{
 		TracePath:     *tracePth,
 		MetricsPath:   *metrPth,
 		TraceCapacity: *traceCap,
 		AnalysisPath:  *analyOut,
 	})
-	ran, err := runExperiments(os.Stdout, *id, *detOnly, observing, *analyze)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vmmcbench: %v\n", err)
 		os.Exit(1)

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/bench"
 	"repro/internal/sim"
@@ -85,73 +87,73 @@ func (l *listValue[T]) Set(s string) error {
 type experiment struct {
 	id, what      string
 	deterministic bool
-	run           func(w io.Writer) error
+	run           func(rn *bench.Run, w io.Writer) error
 }
 
 // experiments is the registry, in RESULTS.txt rendering order.
 var experiments = []experiment{
 	{"headline", "abstract: 9.8 us latency, 80.4 MB/s bandwidth", true,
-		tableExp(bench.Headline)},
+		tableExp((*bench.Run).Headline)},
 	{"fig1", "Figure 1: host<->LANai DMA bandwidth vs block size", true,
-		seriesExp(bench.Fig1HostDMA)},
+		seriesExp((*bench.Run).Fig1HostDMA)},
 	{"fig2", "Figure 2: one-way latency for short messages", true,
-		seriesExp(oneSeries(bench.Fig2Latency))},
+		seriesExp(oneSeries((*bench.Run).Fig2Latency))},
 	{"fig3", "Figure 3: bandwidth vs message size (one-way, bidirectional)", true,
-		seriesExp(bench.Fig3Bandwidth)},
+		seriesExp((*bench.Run).Fig3Bandwidth)},
 	{"fig4", "Figure 4: synchronous/asynchronous send overhead", true,
-		seriesExp(bench.Fig4SendOverhead)},
+		seriesExp((*bench.Run).Fig4SendOverhead)},
 	{"tabhw", "Section 5.2: hardware cost microprobes", true,
-		tableExp(bench.TableHardwareCosts)},
+		tableExp((*bench.Run).TableHardwareCosts)},
 	{"tabvrpc", "Section 5.4: vRPC on Myrinet, SHRIMP, and kernel UDP", true,
-		tableExp(bench.TableVRPC)},
+		tableExp((*bench.Run).TableVRPC)},
 	{"tabshrimp", "Section 6: SHRIMP vs Myrinet design tradeoffs", true,
-		tableExp(bench.TableShrimpComparison)},
+		tableExp((*bench.Run).TableShrimpComparison)},
 	{"tabrelated", "Section 7: Myrinet API, FM, PM, AM comparison", true,
-		tableExp(bench.TableRelatedWork)},
+		tableExp((*bench.Run).TableRelatedWork)},
 	{"extensions", "follow-on features: redirection, reliability, zero-copy RPC", true,
-		tableExp(bench.ExtensionsTable)},
+		tableExp((*bench.Run).ExtensionsTable)},
 	{"ablations", "design-choice ablations (pipelining, tight loop, threshold, TLB, senders)", true,
 		runAblations},
 	{"faultsweep", "robustness: goodput vs injected wire error rate, reliability off/on", true,
-		tableExp(bench.FaultSweep)},
+		tableExp((*bench.Run).FaultSweep)},
 	{"scalesweep", "scaling: all-to-all goodput and simulator events/sec, 16-256 nodes", false,
-		tableExp(func() (bench.Table, error) {
-			return bench.ScaleSweep(bench.ScaleConfig{Nodes: *scaleNodes, Out: *scaleOut})
+		tableExp(func(rn *bench.Run) (bench.Table, error) {
+			return rn.ScaleSweep(bench.ScaleConfig{Nodes: *scaleNodes, Out: *scaleOut})
 		})},
 	{"healsweep", "self-healing: goodput vs link/switch outage on a redundant fabric", true,
-		tableExp(func() (bench.Table, error) {
+		tableExp(func(rn *bench.Run) (bench.Table, error) {
 			var outages []sim.Time
 			for _, us := range *healOutages {
 				outages = append(outages, sim.Time(us)*sim.Microsecond)
 			}
-			return bench.HealSweep(bench.HealSweepConfig{Outages: outages, Out: *healOut})
+			return rn.HealSweep(bench.HealSweepConfig{Outages: outages, Out: *healOut})
 		})},
 	{"collsweep", "collectives: all-reduce tree vs ring crossover, heal interop", true,
-		tableExp(func() (bench.Table, error) {
-			return bench.CollSweep(bench.CollConfig{Nodes: *collNodes, Out: *collOut})
+		tableExp(func(rn *bench.Run) (bench.Table, error) {
+			return rn.CollSweep(bench.CollConfig{Nodes: *collNodes, Out: *collOut})
 		})},
 	{"tenantsweep", "multi-tenancy: victim vRPC latency vs bulk neighbor, QoS off/on, crash", true,
-		tableExp(func() (bench.Table, error) {
-			return bench.TenantSweep(bench.TenantConfig{Calls: *tenantCalls, Rates: *tenantRates, Out: *tenantOut})
+		tableExp(func(rn *bench.Run) (bench.Table, error) {
+			return rn.TenantSweep(bench.TenantConfig{Calls: *tenantCalls, Rates: *tenantRates, Out: *tenantOut})
 		})},
 	{"servesweep", "serving tier: open-loop load vs tail latency, admission off/on, hot shard, outage", true,
-		tableExp(func() (bench.Table, error) {
-			return bench.ServeSweep(bench.ServeConfig{
+		tableExp(func(rn *bench.Run) (bench.Table, error) {
+			return rn.ServeSweep(bench.ServeConfig{
 				Rates: *serveRates, Shards: *serveShards, Requests: *serveReqs, Out: *serveOut,
 			})
 		})},
 	{"replicasweep", "replication: R-way shards at equal capacity, load-aware routing, replica kill", true,
-		tableExp(func() (bench.Table, error) {
-			return bench.ReplicaSweep(bench.ReplicaConfig{
+		tableExp(func(rn *bench.Run) (bench.Table, error) {
+			return rn.ReplicaSweep(bench.ReplicaConfig{
 				Rs: *replicaR, Rates: *replicaRate, Requests: *replicaReqs, Out: *replicaOut,
 			})
 		})},
 }
 
 // tableExp adapts a table-producing benchmark to a registry run func.
-func tableExp(f func() (bench.Table, error)) func(io.Writer) error {
-	return func(w io.Writer) error {
-		t, err := f()
+func tableExp(f func(*bench.Run) (bench.Table, error)) func(*bench.Run, io.Writer) error {
+	return func(rn *bench.Run, w io.Writer) error {
+		t, err := f(rn)
 		if err == nil {
 			writeTable(w, t)
 		}
@@ -160,9 +162,9 @@ func tableExp(f func() (bench.Table, error)) func(io.Writer) error {
 }
 
 // seriesExp adapts a series-producing benchmark to a registry run func.
-func seriesExp(f func() ([]bench.Series, error)) func(io.Writer) error {
-	return func(w io.Writer) error {
-		ss, err := f()
+func seriesExp(f func(*bench.Run) ([]bench.Series, error)) func(*bench.Run, io.Writer) error {
+	return func(rn *bench.Run, w io.Writer) error {
+		ss, err := f(rn)
 		if err != nil {
 			return err
 		}
@@ -174,23 +176,23 @@ func seriesExp(f func() ([]bench.Series, error)) func(io.Writer) error {
 }
 
 // oneSeries lifts a single-series benchmark into seriesExp's shape.
-func oneSeries(f func() (bench.Series, error)) func() ([]bench.Series, error) {
-	return func() ([]bench.Series, error) {
-		s, err := f()
+func oneSeries(f func(*bench.Run) (bench.Series, error)) func(*bench.Run) ([]bench.Series, error) {
+	return func(rn *bench.Run) ([]bench.Series, error) {
+		s, err := f(rn)
 		return []bench.Series{s}, err
 	}
 }
 
-func runAblations(w io.Writer) error {
-	for _, f := range []func() (bench.Table, error){
-		bench.AblationPipeline,
-		bench.AblationTightLoop,
-		bench.AblationThreshold,
-		bench.AblationTLB,
-		bench.AblationSenders,
-		bench.AblationReliability,
+func runAblations(rn *bench.Run, w io.Writer) error {
+	for _, f := range []func(*bench.Run) (bench.Table, error){
+		(*bench.Run).AblationPipeline,
+		(*bench.Run).AblationTightLoop,
+		(*bench.Run).AblationThreshold,
+		(*bench.Run).AblationTLB,
+		(*bench.Run).AblationSenders,
+		(*bench.Run).AblationReliability,
 	} {
-		t, err := f()
+		t, err := f(rn)
 		if err != nil {
 			return err
 		}
@@ -202,35 +204,55 @@ func runAblations(w io.Writer) error {
 func writeTable(w io.Writer, t bench.Table) { fmt.Fprintln(w, t.Format()) }
 
 // runExperiments renders every experiment matching the filter to w, in
-// registry order. It is the single dispatch path shared by main and the
-// RESULTS.txt golden test. observing additionally prints the metrics
-// summary bench collects when trace/metrics artifacts are enabled;
-// analyzing prints the full bottleneck analysis table after each
-// experiment (the table-driven -analyze report; sweeps carry their
-// per-configuration verdicts in their own table notes regardless).
-func runExperiments(w io.Writer, id string, deterministicOnly, observing, analyzing bool) (ran bool, err error) {
-	for _, e := range experiments {
-		if id != "" && e.id != id {
-			continue
-		}
-		if deterministicOnly && !e.deterministic {
-			continue
-		}
-		fmt.Fprintf(w, "### %s — %s\n\n", e.id, e.what)
-		if err := e.run(w); err != nil {
-			return ran, fmt.Errorf("%s: %w", e.id, err)
-		}
-		if observing {
-			if s := bench.LastMetricsSummary(); s != "" {
-				fmt.Fprintf(w, "%s\n\n", s)
-			}
-		}
-		if analyzing {
-			if rep := bench.LastAnalysis(); rep != nil {
-				writeTable(w, bench.AnalysisTable(rep))
-			}
-		}
-		ran = true
+// registry order, for main and the RESULTS.txt golden test. Each gets a
+// Run and an output buffer of its own: the deterministic ones run
+// concurrently, scalesweep (host-clock events/sec) alone after them. Only
+// the last gets obs's artifact paths, so it alone arms the trace and
+// writes the files, once. A trace or metrics artifact prints each
+// experiment's metrics summary; analyzing, its full bottleneck table.
+func runExperiments(w io.Writer, id string, deterministicOnly, analyzing bool, obs bench.Observability) (ran bool, err error) {
+	type job struct {
+		experiment
+		rn  *bench.Run
+		out bytes.Buffer
+		err error
 	}
-	return ran, nil
+	var jobs []*job
+	for _, e := range experiments {
+		if (id == "" || e.id == id) && (!deterministicOnly || e.deterministic) {
+			verify := bench.Observability{VerifySkips: obs.VerifySkips, VerifyIntact: obs.VerifyIntact}
+			jobs = append(jobs, &job{experiment: e, rn: &bench.Run{Observability: verify}})
+		}
+	}
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		if i == len(jobs)-1 {
+			j.rn.Observability = obs
+		}
+		if j.deterministic {
+			wg.Add(1)
+			go func() { defer wg.Done(); j.err = j.run(j.rn, &j.out) }()
+		}
+	}
+	wg.Wait()
+	for _, j := range jobs {
+		if !j.deterministic {
+			j.err = j.run(j.rn, &j.out)
+		}
+		fmt.Fprintf(w, "### %s — %s\n\n", j.id, j.what)
+		j.out.WriteTo(w)
+		if j.err != nil {
+			return true, fmt.Errorf("%s: %w", j.id, j.err)
+		}
+		if s := j.rn.Summary(); s != "" && (obs.TracePath != "" || obs.MetricsPath != "") {
+			fmt.Fprintf(w, "%s\n\n", s)
+		}
+		if rep := j.rn.Report(); analyzing && rep != nil {
+			writeTable(w, bench.AnalysisTable(rep))
+		}
+	}
+	if len(jobs) == 0 {
+		return false, nil
+	}
+	return true, jobs[len(jobs)-1].rn.WriteArtifacts()
 }

@@ -16,7 +16,7 @@ import (
 // two long-send optimizations: overlapping the host DMA of the next chunk
 // with injection of the current one, and precomputing headers during the
 // DMA (§4.5 credits these plus the tight loop for the 98% efficiency).
-func AblationPipeline() (Table, error) {
+func (rn *Run) AblationPipeline() (Table, error) {
 	t := Table{
 		Title:   "Ablation: long-send pipelining (§4.5)",
 		Columns: []string{"configuration", "peak one-way bandwidth"},
@@ -34,7 +34,7 @@ func AblationPipeline() (Table, error) {
 		prof.PipelineChunks = c.pipeline
 		prof.PrecomputeHeaders = c.precomp
 		var bw float64
-		err := RunPair(&prof, 1<<20, func(p *sim.Proc, pr *Pair) error {
+		err := rn.RunPair(vmmc.Options{Prof: &prof}, 1<<20, func(p *sim.Proc, pr *Pair) error {
 			v, err := pr.OneWayBandwidth(p, 1<<20, 12)
 			bw = v
 			return err
@@ -50,7 +50,7 @@ func AblationPipeline() (Table, error) {
 // AblationTightLoop measures the bidirectional total bandwidth with and
 // without the tight sending loop (§5.3: bidirectional traffic forces the
 // main loop and drops total bandwidth from ~2x80 to 91 MB/s).
-func AblationTightLoop() (Table, error) {
+func (rn *Run) AblationTightLoop() (Table, error) {
 	t := Table{
 		Title:   "Ablation: tight sending loop (§5.3)",
 		Columns: []string{"configuration", "one-way", "bidirectional total"},
@@ -59,7 +59,7 @@ func AblationTightLoop() (Table, error) {
 		prof := hw.Default()
 		prof.TightSendLoop = tight
 		var ow, bd float64
-		err := RunPair(&prof, 1<<20, func(p *sim.Proc, pr *Pair) error {
+		err := rn.RunPair(vmmc.Options{Prof: &prof}, 1<<20, func(p *sim.Proc, pr *Pair) error {
 			v, err := pr.OneWayBandwidth(p, 1<<20, 12)
 			if err != nil {
 				return err
@@ -85,7 +85,7 @@ func AblationTightLoop() (Table, error) {
 // short/long protocol threshold for several threshold choices (§5.3: 64
 // would dramatically increase sync overhead for 64-128 byte messages;
 // above 128 the SRAM budget forbids).
-func AblationThreshold() (Table, error) {
+func (rn *Run) AblationThreshold() (Table, error) {
 	t := Table{
 		Title:   "Ablation: short/long protocol threshold (§5.3)",
 		Columns: []string{"threshold", "sync overhead 64 B", "sync overhead 128 B", "latency 128 B"},
@@ -94,7 +94,7 @@ func AblationThreshold() (Table, error) {
 		prof := hw.Default()
 		prof.ShortSendMax = thr
 		var o64, o128, l128 float64
-		err := RunPair(&prof, 8192, func(p *sim.Proc, pr *Pair) error {
+		err := rn.RunPair(vmmc.Options{Prof: &prof}, 8192, func(p *sim.Proc, pr *Pair) error {
 			v, err := pr.SendOverhead(p, 64, 30, true)
 			if err != nil {
 				return err
@@ -125,13 +125,13 @@ func AblationThreshold() (Table, error) {
 // AblationTLB measures the cost of the warm-TLB assumption (§5.3): the
 // same long send with a hot software TLB versus first-touch (refill
 // interrupts on the critical path).
-func AblationTLB() (Table, error) {
+func (rn *Run) AblationTLB() (Table, error) {
 	t := Table{
 		Title:   "Ablation: software TLB warmth (§5.3 assumes warm)",
 		Columns: []string{"send", "duration", "refill interrupts"},
 	}
 	const size = 64 * 4096 // 64 pages = 2 refill batches
-	err := RunPair(nil, size, func(p *sim.Proc, pr *Pair) error {
+	err := rn.RunPair(vmmc.Options{}, size, func(p *sim.Proc, pr *Pair) error {
 		node := pr.C.Nodes[0]
 		// The Pair warmup already touched every page once; use a fresh
 		// buffer for the cold case.
@@ -167,7 +167,7 @@ func AblationTLB() (Table, error) {
 // AblationReliability quantifies §4.2's decision not to recover from CRC
 // errors: the optional VMMC-2-style data-link reliability layer recovers
 // injected faults but costs latency and LANai work even on clean networks.
-func AblationReliability() (Table, error) {
+func (rn *Run) AblationReliability() (Table, error) {
 	t := Table{
 		Title:   "Ablation: data-link reliability (§4.2 declined; VMMC-2 future work)",
 		Columns: []string{"configuration", "one-word latency", "peak bandwidth"},
@@ -176,8 +176,7 @@ func AblationReliability() (Table, error) {
 		var lat, bw float64
 		// 16 MB nodes: the retransmit window shares the 256 KB SRAM with
 		// the incoming page table, whose size scales with host memory.
-		opts := vmmc.Options{Nodes: 2, MemBytes: 16 << 20, Reliable: reliable}
-		_, err := runPair(opts, 1<<20, func(p *sim.Proc, pr *Pair) (err error) {
+		err := rn.RunPair(vmmc.Options{MemBytes: 16 << 20, Reliable: reliable}, 1<<20, func(p *sim.Proc, pr *Pair) (err error) {
 			if lat, err = pr.PingPongLatency(p, 4, 50); err != nil {
 				return err
 			}
@@ -199,7 +198,7 @@ func AblationReliability() (Table, error) {
 // ExtensionsTable measures the follow-on features this repo implements
 // beyond the paper's evaluation (see EXPERIMENTS.md "Extensions"): the
 // numbers quantify claims the paper makes but could not measure.
-func ExtensionsTable() (Table, error) {
+func (rn *Run) ExtensionsTable() (Table, error) {
 	t := Table{
 		Title:   "Extensions (VMMC-2 features & §5.4's compatibility-free RPC)",
 		Columns: []string{"feature", "measurement", "interpretation"},
@@ -207,7 +206,7 @@ func ExtensionsTable() (Table, error) {
 
 	// Transfer redirection: posting cost vs the copy it replaces.
 	var postUs, copyUs float64
-	_, err := newCell("redirection").cluster(vmmc.Options{Nodes: 2, MemBytes: 64 << 20}, "redirect", func(p *sim.Proc, c *vmmc.Cluster) error {
+	_, err := rn.newCell("redirection").cluster(vmmc.Options{Nodes: 2, MemBytes: 64 << 20}, "redirect", func(p *sim.Proc, c *vmmc.Cluster) error {
 		recv, err := c.Nodes[1].NewProcess(p)
 		if err != nil {
 			return err
@@ -253,7 +252,7 @@ func ExtensionsTable() (Table, error) {
 	})
 
 	// Reliability cost (clean network).
-	rel, err := AblationReliability()
+	rel, err := rn.AblationReliability()
 	if err != nil {
 		return t, err
 	}
@@ -264,11 +263,11 @@ func ExtensionsTable() (Table, error) {
 	})
 
 	// Compatibility-free RPC against the SunRPC-compatible vRPC.
-	compatRTT, compatBW, err := vrpcMyrinet("vrpc on myrinet", false)
+	compatRTT, compatBW, err := rn.vrpcMyrinet("vrpc on myrinet", false)
 	if err != nil {
 		return t, err
 	}
-	zeroRTT, zeroBW, err := vrpcMyrinet("zero-copy vrpc on myrinet", true)
+	zeroRTT, zeroBW, err := rn.vrpcMyrinet("zero-copy vrpc on myrinet", true)
 	if err != nil {
 		return t, err
 	}
@@ -284,7 +283,7 @@ func ExtensionsTable() (Table, error) {
 // number of registered processes on the sending interface (§6: "picking
 // up a send request in Myrinet requires scanning send queues of all
 // possible senders", unlike SHRIMP's hardware dispatch).
-func AblationSenders() (Table, error) {
+func (rn *Run) AblationSenders() (Table, error) {
 	t := Table{
 		Title:   "Ablation: queue scanning vs registered senders (§6)",
 		Columns: []string{"processes on sender NIC", "one-word latency"},
@@ -292,7 +291,7 @@ func AblationSenders() (Table, error) {
 	for _, extra := range []int{0, 2, 4} {
 		extra := extra
 		var lat float64
-		err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
+		err := rn.RunPair(vmmc.Options{}, 4096, func(p *sim.Proc, pr *Pair) error {
 			// Register idle processes; their empty queues still get
 			// scanned by the LCP on every pickup.
 			for i := 0; i < extra; i++ {

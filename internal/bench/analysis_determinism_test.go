@@ -7,12 +7,13 @@ import "testing"
 // sweeps self-check one cell per run; this covers the full experiment
 // path, headline and scalesweep included, under `go test`.
 
-func analysisJSONFor(t *testing.T, run func() error) string {
+func analysisJSONFor(t *testing.T, run func(rn *Run) error) string {
 	t.Helper()
-	if err := run(); err != nil {
+	rn := new(Run)
+	if err := run(rn); err != nil {
 		t.Fatal(err)
 	}
-	rep := LastAnalysis()
+	rep := rn.Report()
 	if rep == nil {
 		t.Fatal("experiment produced no analysis report")
 	}
@@ -20,7 +21,7 @@ func analysisJSONFor(t *testing.T, run func() error) string {
 }
 
 func TestHeadlineAnalysisDeterministic(t *testing.T) {
-	run := func() error { _, err := Headline(); return err }
+	run := func(rn *Run) error { _, err := rn.Headline(); return err }
 	first := analysisJSONFor(t, run)
 	again := analysisJSONFor(t, run)
 	if first != again {
@@ -35,7 +36,7 @@ func TestScaleSweepAnalysisDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scalesweep is seconds of simulation")
 	}
-	run := func() error { _, err := ScaleSweep(ScaleConfig{Nodes: []int{4}}); return err }
+	run := func(rn *Run) error { _, err := rn.ScaleSweep(ScaleConfig{Nodes: []int{4}}); return err }
 	first := analysisJSONFor(t, run)
 	again := analysisJSONFor(t, run)
 	if first != again {

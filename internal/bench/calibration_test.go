@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/vmmc"
 )
 
 // These tests pin the headline reproduction targets. They are the
@@ -12,7 +13,7 @@ import (
 
 func TestCalibrationOneWordLatency(t *testing.T) {
 	var lat float64
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, 4096, func(p *sim.Proc, pr *Pair) error {
 		var err error
 		lat, err = pr.PingPongLatency(p, 4, 100)
 		return err
@@ -28,7 +29,7 @@ func TestCalibrationOneWordLatency(t *testing.T) {
 
 func TestCalibrationPeakBandwidth(t *testing.T) {
 	var bw float64
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		var err error
 		bw, err = pr.OneWayBandwidth(p, 1<<20, 20)
 		return err
@@ -44,7 +45,7 @@ func TestCalibrationPeakBandwidth(t *testing.T) {
 
 func TestCalibrationBidirectionalBandwidth(t *testing.T) {
 	var bw float64
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		var err error
 		bw, err = pr.BidirectionalBandwidth(p, 1<<20, 10)
 		return err
@@ -60,7 +61,7 @@ func TestCalibrationBidirectionalBandwidth(t *testing.T) {
 
 func TestCalibrationShortSendOverhead(t *testing.T) {
 	var sync4, sync128, async4 float64
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, 4096, func(p *sim.Proc, pr *Pair) error {
 		var err error
 		if sync4, err = pr.SendOverhead(p, 4, 50, true); err != nil {
 			return err

@@ -14,14 +14,15 @@ import (
 // cell is one run of one experiment configuration, and the only place the
 // package's run lifecycle is written down: a fresh observed engine, the
 // model built on it, the workload process, and — once the engine has
-// drained — the run's metrics summary, artifact files and bottleneck
-// report. Every figure, table and sweep cell runs through one, so a report
-// can only reach the code that holds the cell that produced it.
+// drained — the run's metrics snapshot and bottleneck report, also handed
+// to its Run. Every figure, table and sweep cell runs through one, so a
+// report only reaches the code holding its cell, or the cell's Run.
 //
 // Workload bodies return an error instead of panicking; the process names
 // they run under show up in deadlock reports and Engine.Parked.
 type cell struct {
 	name string // identifies the run in errors
+	rn   *Run   // its settings, and where a completed run is recorded
 	eng  *sim.Engine
 	an   *analysis.Analyzer
 	rep  *analysis.Report // this run's report; nil unless the run completed
@@ -33,13 +34,13 @@ type cell struct {
 
 // newCell makes the cell's engine. The model is built afterwards, so a
 // fault.Plan can be created on the engine before the cluster exists.
-func newCell(name string) *cell {
-	eng, an := observedEngine()
-	return &cell{name: name, eng: eng, an: an}
+func (rn *Run) newCell(name string) *cell {
+	eng, an := rn.observedEngine()
+	return &cell{name: name, rn: rn, eng: eng, an: an}
 }
 
 // cluster is the common whole run: build a cluster from opts, boot it, run
-// body as the workload process proc, capture. The cluster is returned for
+// body as the workload process proc, finalize. The cluster is returned for
 // state read after the run; counts come from the cell's snapshot.
 func (cl *cell) cluster(opts vmmc.Options, proc string, body func(p *sim.Proc, c *vmmc.Cluster) error) (*vmmc.Cluster, error) {
 	c, err := cl.newCluster(opts)
@@ -58,7 +59,7 @@ func (cl *cell) newCluster(opts vmmc.Options) (*vmmc.Cluster, error) {
 	if err != nil {
 		return nil, cl.fail(err)
 	}
-	verifyFabric(c.Net)
+	cl.rn.verifyFabric(c.Net)
 	return c, nil
 }
 
@@ -68,7 +69,7 @@ func (cl *cell) testbed() (*testbed.Rig, error) {
 	if err != nil {
 		return nil, cl.fail(err)
 	}
-	verifyFabric(r.Net)
+	cl.rn.verifyFabric(r.Net)
 	return r, nil
 }
 
@@ -91,10 +92,10 @@ func (cl *cell) done(err error) {
 	}
 }
 
-// drive runs the simulation and, if it and every workload process
-// succeeded, captures the run. A workload's error wins over the engine's:
-// a process that gives up early strands its peers, and the deadlock the
-// engine then reports is only the symptom.
+// drive runs the simulation and, only if it and every workload process
+// succeeded, finalizes the run and records it in the Run. A workload's
+// error wins over the engine's: a process that gives up early strands its
+// peers, and the deadlock the engine then reports is only the symptom.
 func (cl *cell) drive(run func() error) error {
 	err := run()
 	if cl.err != nil {
@@ -103,8 +104,14 @@ func (cl *cell) drive(run func() error) error {
 	if err != nil {
 		return cl.fail(err)
 	}
-	cl.rep, cl.snap, err = capture(cl.eng, cl.an)
-	return err
+	cl.snap = cl.eng.MetricsSnapshot()
+	cl.rep = cl.an.Finalize(cl.snap.NowNS, cl.snap)
+	cl.eng.Trace().Unsubscribe(cl.an)
+	cl.rn.rep, cl.rn.snap = cl.rep, cl.snap
+	if cl.rn.TracePath != "" {
+		cl.rn.events, cl.rn.dropped = cl.eng.Trace().Events(), cl.eng.Trace().Dropped()
+	}
+	return nil
 }
 
 // count reads one counter of the finished run from its snapshot; a name

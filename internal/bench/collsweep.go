@@ -69,7 +69,7 @@ type CollHealResult struct {
 // cell. The smallest cell runs twice and the sweep fails on any
 // virtual-time or event-count drift, so BENCH_coll.json is byte-identical
 // across runs and machines.
-func CollSweep(cfg CollConfig) (Table, error) {
+func (rn *Run) CollSweep(cfg CollConfig) (Table, error) {
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = []int{4, 8, 16}
 	}
@@ -90,7 +90,7 @@ func CollSweep(cfg CollConfig) (Table, error) {
 			for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
 				// Only the sweep's first cell pays for the determinism double run.
 				err := log.record(fmt.Sprintf("%d nodes/%d B", n, size), len(log.results) == 0, func() (CollResult, *analysis.Report, error) {
-					return runCollCase(n, size, algo, cfg.Iters)
+					return rn.runCollCase(n, size, algo, cfg.Iters)
 				})
 				if err != nil {
 					return t, err
@@ -99,7 +99,7 @@ func CollSweep(cfg CollConfig) (Table, error) {
 		}
 	}
 
-	heal, healRep, err := runCollHealCase()
+	heal, healRep, err := rn.runCollHealCase()
 	if err != nil {
 		return t, err
 	}
@@ -161,9 +161,9 @@ func forRanks(p *sim.Proc, n int, body func(rp *sim.Proc, rank int) error) error
 
 // runCollCase measures one sweep cell: barrier-synchronized warmup, then
 // iters all-reduces, all on a default single-fabric cluster.
-func runCollCase(nodes, size int, algo coll.Algorithm, iters int) (CollResult, *analysis.Report, error) {
+func (rn *Run) runCollCase(nodes, size int, algo coll.Algorithm, iters int) (CollResult, *analysis.Report, error) {
 	res := CollResult{Nodes: nodes, Bytes: size, Algo: algo}
-	cl := newCell(fmt.Sprintf("collsweep %d nodes/%d B/%s", nodes, size, algo))
+	cl := rn.newCell(fmt.Sprintf("collsweep %d nodes/%d B/%s", nodes, size, algo))
 	_, err := cl.cluster(vmmc.Options{Nodes: nodes}, "collsweep", func(p *sim.Proc, c *vmmc.Cluster) error {
 		_, comms, err := buildComms(p, c)
 		if err != nil {
@@ -225,7 +225,7 @@ func collVector(bytes, rank int) []byte {
 // runCollHealCase chains ring all-reduces on the diamond fabric twice —
 // fault-free, then with a mid-sequence link outage under the healing
 // layer — and requires byte-identical results with zero visible errors.
-func runCollHealCase() (CollHealResult, *analysis.Report, error) {
+func (rn *Run) runCollHealCase() (CollHealResult, *analysis.Report, error) {
 	const nodes = 4
 	const size = 16 << 10
 	const rounds = 3
@@ -274,11 +274,11 @@ func runCollHealCase() (CollHealResult, *analysis.Report, error) {
 		return results, elapsed, fails, retrans, nil
 	}
 
-	clean, cleanElapsed, cleanFails, _, err := run(newCell("collsweep ring+heal, fault-free"), false)
+	clean, cleanElapsed, cleanFails, _, err := run(rn.newCell("collsweep ring+heal, fault-free"), false)
 	if err != nil {
 		return CollHealResult{}, nil, err
 	}
-	healedCell := newCell("collsweep ring+heal, outage")
+	healedCell := rn.newCell("collsweep ring+heal, outage")
 	healed, healedElapsed, healedFails, retrans, err := run(healedCell, true)
 	if err != nil {
 		return CollHealResult{}, nil, err

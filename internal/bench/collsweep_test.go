@@ -11,7 +11,7 @@ import (
 
 func TestCollSweepSmoke(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_coll.json")
-	tbl, err := CollSweep(CollConfig{Nodes: []int{4}, Sizes: []int{64, 16 << 10}, Iters: 1, Out: out})
+	tbl, err := new(Run).CollSweep(CollConfig{Nodes: []int{4}, Sizes: []int{64, 16 << 10}, Iters: 1, Out: out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestCollSweepCrossover(t *testing.T) {
 	perOp := map[cell]CollResult{}
 	for _, size := range []int{64, 128 << 10} {
 		for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
-			r, _, err := runCollCase(8, size, algo, 1)
+			r, _, err := new(Run).runCollCase(8, size, algo, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

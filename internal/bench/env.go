@@ -12,8 +12,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/analysis"
-	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/vmmc"
@@ -50,28 +48,26 @@ const (
 	fenceTagA, fenceTagB = 102, 103
 )
 
-// RunPair boots a two-node cluster (profile prof; nil = default), sets up
-// the standard pair, runs fn as the workload, and returns fn's error or
-// any simulation error. The workload drives both processes from one
-// simulation process — fine for request/response protocols; concurrent
-// senders spawn their own processes via p.Engine().Go.
-func RunPair(prof *hw.Profile, window int, fn func(p *sim.Proc, pr *Pair) error) error {
-	_, err := runPair(vmmc.Options{Nodes: 2, MemBytes: 64 << 20, Prof: prof}, window, fn)
-	return err
-}
-
-// runPair is RunPair on a cluster built from the caller's options; it
-// also returns the run's bottleneck report.
-func runPair(opts vmmc.Options, window int, fn func(p *sim.Proc, pr *Pair) error) (*analysis.Report, error) {
-	cl := newCell("pair")
-	_, err := cl.cluster(opts, "bench", func(p *sim.Proc, c *vmmc.Cluster) error {
+// RunPair boots a two-node cluster from opts (Nodes is 2; MemBytes
+// defaults to 64 MB), sets up the standard pair, runs fn as the
+// workload, and returns fn's error or any simulation error; the run's
+// bottleneck report is then rn.Report(). The workload drives both
+// processes from one simulation process — fine for request/response
+// protocols; concurrent senders spawn their own processes via
+// p.Engine().Go.
+func (rn *Run) RunPair(opts vmmc.Options, window int, fn func(p *sim.Proc, pr *Pair) error) error {
+	opts.Nodes = 2
+	if opts.MemBytes == 0 {
+		opts.MemBytes = 64 << 20
+	}
+	_, err := rn.newCell("pair").cluster(opts, "bench", func(p *sim.Proc, c *vmmc.Cluster) error {
 		pr, err := setupPair(p, c, window)
 		if err != nil {
 			return err
 		}
 		return fn(p, pr)
 	})
-	return cl.rep, err
+	return err
 }
 
 func setupPair(p *sim.Proc, c *vmmc.Cluster, window int) (*Pair, error) {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestRunPairSetsUpBothDirections(t *testing.T) {
-	err := RunPair(nil, 8192, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, 8192, func(p *sim.Proc, pr *Pair) error {
 		// A->B and B->A both work after setup.
 		if err := pr.A.Write(pr.SrcA, []byte{0x11}); err != nil {
 			return err
@@ -36,7 +36,7 @@ func TestRunPairSetsUpBothDirections(t *testing.T) {
 
 func TestRunPairWarmTLB(t *testing.T) {
 	// After setup the TLBs are warm: a full-window send takes no refills.
-	err := RunPair(nil, 64*4096, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, 64*4096, func(p *sim.Proc, pr *Pair) error {
 		before := counterNow(pr.Eng, "node0/tlb_refills")
 		if err := pr.A.SendMsgSync(p, pr.SrcA, pr.ToB, pr.Window, vmmc.SendOptions{}); err != nil {
 			return err
@@ -54,7 +54,7 @@ func TestRunPairWarmTLB(t *testing.T) {
 
 func TestFenceOrdering(t *testing.T) {
 	// Fence returns only after all previously posted traffic delivered.
-	err := RunPair(nil, 64*4096, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, 64*4096, func(p *sim.Proc, pr *Pair) error {
 		const n = 32 * 4096
 		if err := pr.A.Write(pr.SrcA+mem.VirtAddr(n)-1, []byte{0x5E}); err != nil {
 			return err
@@ -81,7 +81,7 @@ func TestFenceOrdering(t *testing.T) {
 }
 
 func TestSendOverheadRejectsBadSizes(t *testing.T) {
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, 4096, func(p *sim.Proc, pr *Pair) error {
 		if _, err := pr.SendOverhead(p, 0, 1, true); err == nil {
 			t.Error("zero-size overhead accepted")
 		}
@@ -102,7 +102,7 @@ func TestRunPairProfileOverride(t *testing.T) {
 	prof := hw.Default()
 	prof.LCPDispatch *= 8
 	var slow, fast float64
-	if err := RunPair(&prof, 4096, func(p *sim.Proc, pr *Pair) error {
+	if err := new(Run).RunPair(vmmc.Options{Prof: &prof}, 4096, func(p *sim.Proc, pr *Pair) error {
 		v, err := pr.PingPongLatency(p, 4, 20)
 		if err != nil {
 			return err
@@ -112,7 +112,7 @@ func TestRunPairProfileOverride(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
+	if err := new(Run).RunPair(vmmc.Options{}, 4096, func(p *sim.Proc, pr *Pair) error {
 		v, err := pr.PingPongLatency(p, 4, 20)
 		if err != nil {
 			return err

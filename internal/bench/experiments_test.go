@@ -11,7 +11,7 @@ import (
 // paper's qualitative shape.
 
 func TestFig1Shape(t *testing.T) {
-	series, err := Fig1HostDMA()
+	series, err := new(Run).Fig1HostDMA()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	s, err := Fig2Latency()
+	s, err := new(Run).Fig2Latency()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	series, err := Fig3Bandwidth()
+	series, err := new(Run).Fig3Bandwidth()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestFig3Shape(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	series, err := Fig4SendOverhead()
+	series, err := new(Run).Fig4SendOverhead()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestHeadlineTable(t *testing.T) {
-	tab, err := Headline()
+	tab, err := new(Run).Headline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestHeadlineTable(t *testing.T) {
 }
 
 func TestTableHardwareCosts(t *testing.T) {
-	tab, err := TableHardwareCosts()
+	tab, err := new(Run).TableHardwareCosts()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTableHardwareCosts(t *testing.T) {
 }
 
 func TestAblationPipelineShowsBenefit(t *testing.T) {
-	tab, err := AblationPipeline()
+	tab, err := new(Run).AblationPipeline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func fmtSscan(s string, v *float64, unit *string) (int, error) {
 }
 
 func TestAblationTightLoop(t *testing.T) {
-	tab, err := AblationTightLoop()
+	tab, err := new(Run).AblationTightLoop()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestAblationTightLoop(t *testing.T) {
 }
 
 func TestAblationThresholdShowsOverheadCliff(t *testing.T) {
-	tab, err := AblationThreshold()
+	tab, err := new(Run).AblationThreshold()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestAblationThresholdShowsOverheadCliff(t *testing.T) {
 }
 
 func TestAblationTLBColdSlower(t *testing.T) {
-	tab, err := AblationTLB()
+	tab, err := new(Run).AblationTLB()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestAblationTLBColdSlower(t *testing.T) {
 }
 
 func TestAblationSendersLatencyGrows(t *testing.T) {
-	tab, err := AblationSenders()
+	tab, err := new(Run).AblationSenders()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ var faultSweepBERs = []float64{0, 1e-6, 1e-5, 1e-4}
 // slot must arrive intact at every swept error rate; without it, goodput
 // degrades with the loss rate but the run still terminates — the harness
 // never fences on data that may have been dropped.
-func FaultSweep() (Table, error) {
+func (rn *Run) FaultSweep() (Table, error) {
 	t := Table{
 		Title: "Fault sweep: goodput vs per-byte wire error rate",
 		Columns: []string{"configuration", "byte error rate", "delivered",
@@ -35,7 +35,7 @@ func FaultSweep() (Table, error) {
 	}
 	for _, reliable := range []bool{false, true} {
 		for _, ber := range faultSweepBERs {
-			row, rep, err := faultSweepCase(reliable, ber)
+			row, rep, err := rn.faultSweepCase(reliable, ber)
 			if err != nil {
 				return t, err
 			}
@@ -53,13 +53,13 @@ func FaultSweep() (Table, error) {
 // faultSweepCase runs one cell of the sweep: a two-node cluster with the
 // given configuration moving 32 page-sized messages from node 0 into
 // node 1's export.
-func faultSweepCase(reliable bool, ber float64) ([]string, *analysis.Report, error) {
+func (rn *Run) faultSweepCase(reliable bool, ber float64) ([]string, *analysis.Report, error) {
 	const (
 		msgs    = 32
 		msgSize = 4096
 		window  = msgs * msgSize
 	)
-	cl := newCell(fmt.Sprintf("faultsweep reliable=%v ber=%g", reliable, ber))
+	cl := rn.newCell(fmt.Sprintf("faultsweep reliable=%v ber=%g", reliable, ber))
 	pl := fault.NewPlan(cl.eng, faultSweepSeed)
 	c, err := cl.newCluster(vmmc.Options{
 		Nodes: 2, MemBytes: 16 << 20, Reliable: reliable, Faults: pl,

@@ -12,8 +12,8 @@ import (
 	"repro/internal/vmmc"
 )
 
-// Fig1Sizes are the block sizes of Figure 1.
-var Fig1Sizes = []int{64, 128, 256, 512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10}
+// fig1Sizes are the block sizes of Figure 1.
+var fig1Sizes = []int{64, 128, 256, 512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10}
 
 // Fig1HostDMA regenerates Figure 1: bandwidth of DMA between the host and
 // the LANai for varying block sizes. Both engine directions are reported;
@@ -22,8 +22,8 @@ var Fig1Sizes = []int{64, 128, 256, 512, 1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 
 // (write) direction reaches the PCI peak near 128 MB/s at 64 KB (see
 // EXPERIMENTS.md for how the figure's two roles are split across the
 // directions in this reproduction).
-func Fig1HostDMA() ([]Series, error) {
-	cl := newCell("fig1")
+func (rn *Run) Fig1HostDMA() ([]Series, error) {
+	cl := rn.newCell("fig1")
 	eng := cl.eng
 	prof := hw.Default()
 	net := myrinet.New(eng, prof)
@@ -53,14 +53,14 @@ func Fig1HostDMA() ([]Series, error) {
 		// Each direction is swept separately, as the paper's benchmark
 		// would: alternating directions per transfer would charge the
 		// PCI read/write turnaround to every block.
-		for _, n := range Fig1Sizes {
+		for _, n := range fig1Sizes {
 			start := p.Now()
 			if err := board.HostToSRAM(p, pa, sramOff, n); err != nil {
 				return err
 			}
 			read.Points = append(read.Points, Point{X: float64(n), Y: mbps(n, p.Now()-start)})
 		}
-		for i, n := range Fig1Sizes {
+		for i, n := range fig1Sizes {
 			start := p.Now()
 			if err := board.SRAMToHost(p, sramOff, pa, n); err != nil {
 				return err
@@ -84,17 +84,17 @@ func mbps(n int, d sim.Time) float64 {
 	return float64(n) / d.Seconds() / 1e6
 }
 
-// Fig2Sizes are the short-message sizes of Figure 2.
-var Fig2Sizes = []int{4, 8, 16, 32, 64, 96, 128, 192, 256, 512, 1024}
+// fig2Sizes are the short-message sizes of Figure 2.
+var fig2Sizes = []int{4, 8, 16, 32, 64, 96, 128, 192, 256, 512, 1024}
 
 // Fig2Latency regenerates Figure 2: VMMC one-way latency for short
 // messages, measured with the ping-pong benchmark (synchronous send,
 // alternating traffic). One word is ~9.8 us; the jump past 128 bytes is
 // the short-to-long protocol switch onto the host DMA engine.
-func Fig2Latency() (Series, error) {
+func (rn *Run) Fig2Latency() (Series, error) {
 	out := Series{Name: "VMMC one-way latency (ping-pong)", Unit: "us"}
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
-		for _, n := range Fig2Sizes {
+	err := rn.RunPair(vmmc.Options{}, 4096, func(p *sim.Proc, pr *Pair) error {
+		for _, n := range fig2Sizes {
 			lat, err := pr.PingPongLatency(p, n, 30)
 			if err != nil {
 				return err
@@ -106,18 +106,18 @@ func Fig2Latency() (Series, error) {
 	return out, err
 }
 
-// Fig3Sizes are the stream sizes of Figure 3.
-var Fig3Sizes = []int{1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
+// fig3Sizes are the stream sizes of Figure 3.
+var fig3Sizes = []int{1 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
 
 // Fig3Bandwidth regenerates Figure 3: VMMC bandwidth for different
 // message sizes, one-way (the paper's ping-pong series) and bidirectional
 // (total of both senders). Peak one-way is 80.4 MB/s — 98% of the 82 MB/s
 // host-DMA limit; bidirectional total is ~91 MB/s.
-func Fig3Bandwidth() ([]Series, error) {
+func (rn *Run) Fig3Bandwidth() ([]Series, error) {
 	oneway := Series{Name: "VMMC one-way bandwidth", Unit: "MB/s"}
 	bidir := Series{Name: "VMMC bidirectional total bandwidth", Unit: "MB/s"}
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
-		for _, n := range Fig3Sizes {
+	err := rn.RunPair(vmmc.Options{}, 1<<20, func(p *sim.Proc, pr *Pair) error {
+		for _, n := range fig3Sizes {
 			count := 4 << 20 / n
 			if count > 256 {
 				count = 256
@@ -128,7 +128,7 @@ func Fig3Bandwidth() ([]Series, error) {
 			}
 			oneway.Points = append(oneway.Points, Point{X: float64(n), Y: bw})
 		}
-		for _, n := range Fig3Sizes {
+		for _, n := range fig3Sizes {
 			count := 4 << 20 / n
 			if count > 256 {
 				count = 256
@@ -144,8 +144,8 @@ func Fig3Bandwidth() ([]Series, error) {
 	return []Series{oneway, bidir}, err
 }
 
-// Fig4Sizes are the message sizes of Figure 4.
-var Fig4Sizes = []int{4, 8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 2048, 4096}
+// fig4Sizes are the message sizes of Figure 4.
+var fig4Sizes = []int{4, 8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 2048, 4096}
 
 // Fig4SendOverhead regenerates Figure 4: the overhead of the synchronous
 // and asynchronous send operations with one-way traffic. Synchronous
@@ -153,18 +153,18 @@ var Fig4Sizes = []int{4, 8, 16, 32, 64, 96, 128, 192, 256, 512, 1024, 2048, 4096
 // long protocol engages the host DMA; asynchronous overhead stays at the
 // posting cost, slightly lower for long sends than short ones (no data
 // copied through the I/O bus).
-func Fig4SendOverhead() ([]Series, error) {
+func (rn *Run) Fig4SendOverhead() ([]Series, error) {
 	syncS := Series{Name: "synchronous send overhead", Unit: "us"}
 	asyncS := Series{Name: "asynchronous send overhead", Unit: "us"}
-	err := RunPair(nil, 8192, func(p *sim.Proc, pr *Pair) error {
-		for _, n := range Fig4Sizes {
+	err := rn.RunPair(vmmc.Options{}, 8192, func(p *sim.Proc, pr *Pair) error {
+		for _, n := range fig4Sizes {
 			v, err := pr.SendOverhead(p, n, 30, true)
 			if err != nil {
 				return err
 			}
 			syncS.Points = append(syncS.Points, Point{X: float64(n), Y: v})
 		}
-		for _, n := range Fig4Sizes {
+		for _, n := range fig4Sizes {
 			v, err := pr.SendOverhead(p, n, 30, false)
 			if err != nil {
 				return err
@@ -177,12 +177,12 @@ func Fig4SendOverhead() ([]Series, error) {
 }
 
 // Headline reproduces the abstract's two headline numbers.
-func Headline() (Table, error) {
+func (rn *Run) Headline() (Table, error) {
 	t := Table{
 		Title:   "Headline results (paper: 9.8 us one-way latency, 80.4 MB/s user-to-user bandwidth)",
 		Columns: []string{"metric", "measured", "paper"},
 	}
-	rep, err := runPair(vmmc.Options{Nodes: 2, MemBytes: 64 << 20}, 1<<20, func(p *sim.Proc, pr *Pair) error {
+	err := rn.RunPair(vmmc.Options{}, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		lat, err := pr.PingPongLatency(p, 4, 100)
 		if err != nil {
 			return err
@@ -203,7 +203,7 @@ func Headline() (Table, error) {
 		return nil
 	})
 	if err == nil {
-		t.Notes = append(t.Notes, analysisNote("pair", rep))
+		t.Notes = append(t.Notes, analysisNote("pair", rn.Report()))
 	}
 	return t, err
 }

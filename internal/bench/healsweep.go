@@ -100,7 +100,7 @@ func DiamondFabric(net *myrinet.Network, nodes int) error {
 // static tables would surface ErrNodeUnreachable instead. Each cell runs
 // twice and the sweep fails on any virtual-time or counter drift, so the
 // BENCH_heal.json artifact is byte-identical across runs.
-func HealSweep(cfg HealSweepConfig) (Table, error) {
+func (rn *Run) HealSweep(cfg HealSweepConfig) (Table, error) {
 	if len(cfg.Outages) == 0 {
 		cfg.Outages = []sim.Time{2 * sim.Millisecond, 6 * sim.Millisecond, 12 * sim.Millisecond}
 	}
@@ -131,7 +131,7 @@ func HealSweep(cfg HealSweepConfig) (Table, error) {
 			label = fmt.Sprintf("%s %.0f us", cl.name, cl.outage.Micros())
 		}
 		if err := log.record(label, true, func() (HealResult, *analysis.Report, error) {
-			return runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
+			return rn.runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
 		}); err != nil {
 			return t, err
 		}
@@ -168,8 +168,8 @@ func healing(nodes int, pl *fault.Plan, retries int) vmmc.Options {
 // runHealCase boots a 4-node cluster on the diamond fabric with healing
 // on and streams msgs page-sized messages from node 0 to node 2 (across
 // the spines) while the scripted outage bites mid-stream.
-func runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult, *analysis.Report, error) {
-	cl := newCell("healsweep " + name)
+func (rn *Run) runHealCase(name string, outage sim.Time, spine bool, msgs int) (HealResult, *analysis.Report, error) {
+	cl := rn.newCell("healsweep " + name)
 	pl := fault.NewPlan(cl.eng, healSweepSeed)
 
 	// slotByte is the expected fill of slot i; the last byte doubles as

@@ -24,7 +24,7 @@ func TestHealSweepSmall(t *testing.T) {
 		Msgs:    8,
 		Out:     filepath.Join(dir, "BENCH_heal.json"),
 	}
-	tbl, err := HealSweep(cfg)
+	tbl, err := new(Run).HealSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestHealSweepSmall(t *testing.T) {
 	}
 
 	cfg.Out = filepath.Join(dir, "BENCH_heal_again.json")
-	if _, err := HealSweep(cfg); err != nil {
+	if _, err := new(Run).HealSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
 	again, err := os.ReadFile(cfg.Out)

@@ -12,26 +12,25 @@ import (
 	"repro/internal/trace"
 )
 
-// Observability configures trace and metrics artifact capture for the
-// harness. Every run is a cell with an engine of its own (an experiment
-// may run several, for a sweep of configurations), so the configuration
-// is applied at every cell's construction and artifacts are captured when
-// its run completes. When an experiment runs more than one cell, the last
-// run's artifacts win — runs are deterministic, so the files are still
-// reproducible byte for byte.
+// Observability configures trace and metrics artifact capture for a Run.
+// Every run is a cell with an engine of its own (an experiment may run
+// several, for a sweep of configurations), so the configuration is
+// applied at every cell's construction, and the Run keeps what its last
+// successful cell produced. The artifact files hold that last cell's
+// output and are written once, by WriteArtifacts — runs are
+// deterministic, so the files are still reproducible byte for byte.
 type Observability struct {
-	// TracePath, when non-empty, arms each engine's trace collector and
-	// writes a Chrome trace_event JSON file here after every run.
+	// TracePath, when non-empty, arms each engine's trace collector;
+	// WriteArtifacts writes a Chrome trace_event JSON file here.
 	TracePath string
-	// MetricsPath, when non-empty, writes the metrics snapshot JSON here
-	// after every run.
+	// MetricsPath, when non-empty, is where WriteArtifacts writes the
+	// metrics snapshot JSON.
 	MetricsPath string
 	// TraceCapacity bounds the trace ring buffer in events; non-positive
 	// selects trace.DefaultCapacity.
 	TraceCapacity int
-	// AnalysisPath, when non-empty, writes the bottleneck analysis
-	// report JSON here after every run (last run wins, like the other
-	// artifacts).
+	// AnalysisPath, when non-empty, is where WriteArtifacts writes the
+	// bottleneck analysis report JSON.
 	AnalysisPath string
 	// VerifySkips turns on sim.Engine.VerifySkips in every engine: a spin
 	// predicate that reads outside its watch panics instead of silently
@@ -45,30 +44,30 @@ type Observability struct {
 	VerifyIntact bool
 }
 
-// lastSummary and lastAnalysis are written by capture and read only
-// through LastMetricsSummary and LastAnalysis, for vmmcbench's -trace and
-// -analyze output; a cell hands its own report to the code that ran it.
-var (
-	obs          Observability
-	lastSummary  string
-	lastAnalysis *analysis.Report
-)
+// Run runs experiments, each a method on it. It carries the
+// Observability its cells apply and keeps its last successful cell's
+// report, metrics snapshot and (when traced) events — not the cell, which
+// would keep a finished cluster alive. Runs share nothing.
+type Run struct {
+	Observability
 
-// SetObservability installs the artifact configuration used by all
-// subsequent experiment runs. A zero value turns capture off.
-func SetObservability(o Observability) { obs = o }
+	rep     *analysis.Report // nil until a cell has completed
+	snap    trace.Snapshot
+	events  []trace.Event
+	dropped int64
+}
 
 // observedEngine is the engine constructor behind every cell: a fresh
 // engine with the trace collector armed when a trace artifact was
 // requested, and a bottleneck analyzer subscribed as a streaming sink —
 // it has no effect on virtual time, so every run ends with a report.
-func observedEngine() (*sim.Engine, *analysis.Analyzer) {
+func (rn *Run) observedEngine() (*sim.Engine, *analysis.Analyzer) {
 	eng := sim.NewEngine()
-	if obs.VerifySkips {
+	if rn.VerifySkips {
 		eng.VerifySkips()
 	}
-	if obs.TracePath != "" {
-		eng.Trace().Enable(obs.TraceCapacity)
+	if rn.TracePath != "" {
+		eng.Trace().Enable(rn.TraceCapacity)
 	}
 	an := analysis.NewAnalyzer(analysis.Config{})
 	eng.Trace().Subscribe(an)
@@ -76,8 +75,8 @@ func observedEngine() (*sim.Engine, *analysis.Analyzer) {
 }
 
 // verifyFabric applies Observability.VerifyIntact to a fabric a cell built.
-func verifyFabric(n *myrinet.Network) {
-	if obs.VerifyIntact {
+func (rn *Run) verifyFabric(n *myrinet.Network) {
+	if rn.VerifyIntact {
 		n.VerifyIntact()
 	}
 }
@@ -89,33 +88,33 @@ func markPhase(eng *sim.Engine, name string) {
 	eng.TraceInstant("bench", "phase", name)
 }
 
-// capture finalizes a completed run: it records the metrics summary and
-// the analyzer's report, writes the configured artifact files, and
-// returns the report and the metrics snapshot it was built from. Called
-// after every run, whether or not artifacts were requested — the summary
-// is cheap and always available via LastMetricsSummary.
-func capture(eng *sim.Engine, an *analysis.Analyzer) (*analysis.Report, trace.Snapshot, error) {
-	snap := eng.MetricsSnapshot()
-	lastSummary = summarize(snap)
-	rep := an.Finalize(snap.NowNS, snap)
-	eng.Trace().Unsubscribe(an)
-	lastAnalysis = rep
-	err := writeArtifact("analysis", obs.AnalysisPath, func(w io.Writer) error {
-		if err := rep.WriteJSON(w, ""); err != nil {
+// Report returns the bottleneck report of the Run's last completed cell
+// (for sweeps, the last configuration). Nil until a cell has completed.
+func (rn *Run) Report() *analysis.Report { return rn.rep }
+
+// WriteArtifacts writes the configured artifact files — analysis report,
+// trace, metrics snapshot — from the last completed cell. It writes
+// nothing before a cell has completed.
+func (rn *Run) WriteArtifacts() error {
+	if rn.rep == nil {
+		return nil
+	}
+	err := writeArtifact("analysis", rn.AnalysisPath, func(w io.Writer) error {
+		if err := rn.rep.WriteJSON(w, ""); err != nil {
 			return err
 		}
 		_, err := fmt.Fprintln(w)
 		return err
 	})
 	if err == nil {
-		err = writeArtifact("trace", obs.TracePath, func(w io.Writer) error {
-			return trace.WriteChromeTrace(w, eng.Trace().Events(), eng.Trace().Dropped())
+		err = writeArtifact("trace", rn.TracePath, func(w io.Writer) error {
+			return trace.WriteChromeTrace(w, rn.events, rn.dropped)
 		})
 	}
 	if err == nil {
-		err = writeArtifact("metrics", obs.MetricsPath, snap.WriteJSON)
+		err = writeArtifact("metrics", rn.MetricsPath, rn.snap.WriteJSON)
 	}
-	return rep, snap, err
+	return err
 }
 
 // counterNow reads one counter mid-run, from a fresh snapshot of eng's
@@ -145,20 +144,15 @@ func writeArtifact(what, path string, write func(w io.Writer) error) error {
 	return nil
 }
 
-// LastMetricsSummary returns a short human-readable digest of the most
-// recently completed run's metrics: DMA engine utilizations, SRAM
-// high-water marks, TLB hit/miss counts, and per-link byte counts. Empty
-// until an experiment has run.
-func LastMetricsSummary() string { return lastSummary }
-
-// LastAnalysis returns the bottleneck report of the most recently
-// completed run (the last cell captured — for sweeps, the last
-// configuration). Nil until an experiment has run.
-func LastAnalysis() *analysis.Report { return lastAnalysis }
-
-// summarize renders the headline metrics of a snapshot. Snapshot sections
-// are sorted by name, so the output is deterministic.
-func summarize(s trace.Snapshot) string {
+// Summary returns a short human-readable digest of the last completed
+// cell's metrics: DMA engine utilizations, SRAM high-water marks, TLB
+// hit/miss counts, and per-link byte counts, in the snapshot's sorted
+// name order. Empty until a cell has completed.
+func (rn *Run) Summary() string {
+	if rn.rep == nil {
+		return ""
+	}
+	s := rn.snap
 	var b strings.Builder
 	b.WriteString("metrics summary:\n")
 	for _, u := range s.Utilizations {

@@ -13,12 +13,11 @@ import (
 )
 
 // runSmallObserved runs a short pair workload with artifact capture into
-// the given paths and returns the artifact bytes.
-func runSmallObserved(t *testing.T, tracePath, metricsPath string) (traceJSON, metricsJSON []byte) {
+// the given paths and returns the artifact bytes and the metrics summary.
+func runSmallObserved(t *testing.T, tracePath, metricsPath string) (traceJSON, metricsJSON []byte, summary string) {
 	t.Helper()
-	SetObservability(Observability{TracePath: tracePath, MetricsPath: metricsPath})
-	defer SetObservability(Observability{})
-	err := RunPair(nil, 64<<10, func(p *sim.Proc, pr *Pair) error {
+	rn := &Run{Observability: Observability{TracePath: tracePath, MetricsPath: metricsPath}}
+	err := rn.RunPair(vmmc.Options{}, 64<<10, func(p *sim.Proc, pr *Pair) error {
 		if _, err := pr.PingPongLatency(p, 4, 5); err != nil {
 			return err
 		}
@@ -27,6 +26,9 @@ func runSmallObserved(t *testing.T, tracePath, metricsPath string) (traceJSON, m
 		}
 		return nil
 	})
+	if err == nil {
+		err = rn.WriteArtifacts()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +40,7 @@ func runSmallObserved(t *testing.T, tracePath, metricsPath string) (traceJSON, m
 	if err != nil {
 		t.Fatal(err)
 	}
-	return traceJSON, metricsJSON
+	return traceJSON, metricsJSON, rn.Summary()
 }
 
 // TestArtifactsDeterministic runs the same experiment twice and demands
@@ -46,8 +48,8 @@ func runSmallObserved(t *testing.T, tracePath, metricsPath string) (traceJSON, m
 // time, so nothing about the host leaks into the files.
 func TestArtifactsDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	t1, m1 := runSmallObserved(t, filepath.Join(dir, "t1.json"), filepath.Join(dir, "m1.json"))
-	t2, m2 := runSmallObserved(t, filepath.Join(dir, "t2.json"), filepath.Join(dir, "m2.json"))
+	t1, m1, sum := runSmallObserved(t, filepath.Join(dir, "t1.json"), filepath.Join(dir, "m1.json"))
+	t2, m2, _ := runSmallObserved(t, filepath.Join(dir, "t2.json"), filepath.Join(dir, "m2.json"))
 	if !bytes.Equal(t1, t2) {
 		t.Error("trace artifacts differ between identical runs")
 	}
@@ -83,7 +85,7 @@ func TestArtifactsDeterministic(t *testing.T) {
 		}
 	}
 
-	if sum := LastMetricsSummary(); !strings.Contains(sum, "dma:lanai0:host/utilization") ||
+	if !strings.Contains(sum, "dma:lanai0:host/utilization") ||
 		!strings.Contains(sum, "tlb_hits") {
 		t.Errorf("metrics summary incomplete:\n%s", sum)
 	}
@@ -95,7 +97,7 @@ func TestArtifactsDeterministic(t *testing.T) {
 // interrupts the board raised for them.
 func TestTLBMetricsMatchDriver(t *testing.T) {
 	const size = 64 * 4096 // 64 pages = 2 refill batches of 32
-	err := RunPair(nil, size, func(p *sim.Proc, pr *Pair) error {
+	err := new(Run).RunPair(vmmc.Options{}, size, func(p *sim.Proc, pr *Pair) error {
 		m := pr.Eng.Metrics()
 		misses := m.Counter("node0/tlb_misses")
 		refills := m.Counter("node0/tlb_refills")
@@ -144,12 +146,15 @@ func TestTLBMetricsMatchDriver(t *testing.T) {
 // heavy corruption) with artifact capture and returns the artifact bytes.
 func runFaultedObserved(t *testing.T, tracePath, metricsPath string) (traceJSON, metricsJSON []byte) {
 	t.Helper()
-	SetObservability(Observability{TracePath: tracePath, MetricsPath: metricsPath})
-	defer SetObservability(Observability{})
-	if _, _, err := faultSweepCase(true, 1e-4); err != nil {
+	rn := &Run{Observability: Observability{TracePath: tracePath, MetricsPath: metricsPath}}
+	_, _, err := rn.faultSweepCase(true, 1e-4)
+	if err == nil {
+		err = rn.WriteArtifacts()
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	traceJSON, err := os.ReadFile(tracePath)
+	traceJSON, err = os.ReadFile(tracePath)
 	if err != nil {
 		t.Fatal(err)
 	}

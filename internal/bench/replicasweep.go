@@ -106,7 +106,7 @@ func (r ReplicaResult) hotSpread() int64 {
 // client-visible errors, the kill surfacing only in tail latency and
 // the primary's apply-failure counters). Every cell runs twice and must
 // not drift, so BENCH_replica.json is byte-identical across runs.
-func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
+func (rn *Run) ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 	if len(cfg.Rs) == 0 {
 		cfg.Rs = []int{1, 2, 3}
 	}
@@ -182,7 +182,7 @@ func ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 	log := sweepLog[ReplicaResult]{sweep: "replicasweep", note: true, t: &t}
 	for _, cl := range cells {
 		if err := log.record(cl.name, true, func() (ReplicaResult, *analysis.Report, error) {
-			return runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
+			return rn.runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
 		}); err != nil {
 			return t, err
 		}
@@ -310,10 +310,10 @@ func replicaAcceptance(cfg ReplicaConfig, results []ReplicaResult) error {
 // count per client process at half the send-queue depth, so concurrent
 // sends can never overflow the doorbell ring. kill schedules a follower
 // KillProcess two milliseconds into the measured stream.
-func runReplicaCell(name string, r int, rate float64, static bool, theta, putFrac float64, deadline sim.Time, kill bool, requests int) (ReplicaResult, *analysis.Report, error) {
+func (rn *Run) runReplicaCell(name string, r int, rate float64, static bool, theta, putFrac float64, deadline sim.Time, kill bool, requests int) (ReplicaResult, *analysis.Report, error) {
 	shards := replicaServers / r
 	res := ReplicaResult{Case: name, R: r, Shards: shards, Rate: rate, Static: static}
-	cl := newCell("replicasweep " + name)
+	cl := rn.newCell("replicasweep " + name)
 	opts := vmmc.Options{Nodes: replicaServers + replicaClients, MemBytes: 32 << 20}
 	_, err := cl.cluster(opts, "replicasweep", func(p *sim.Proc, c *vmmc.Cluster) error {
 		nodes := make([]int, replicaServers)

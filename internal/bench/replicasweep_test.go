@@ -24,7 +24,7 @@ func TestReplicaSweepSmall(t *testing.T) {
 		Requests: 160,
 		Out:      filepath.Join(dir, "BENCH_replica.json"),
 	}
-	tbl, err := ReplicaSweep(cfg)
+	tbl, err := new(Run).ReplicaSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestReplicaSweepSmall(t *testing.T) {
 	}
 
 	cfg.Out = filepath.Join(dir, "BENCH_replica2.json")
-	if _, err := ReplicaSweep(cfg); err != nil {
+	if _, err := new(Run).ReplicaSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
 	again, err := os.ReadFile(cfg.Out)
@@ -67,7 +67,7 @@ func TestReplicaSweepSmall(t *testing.T) {
 // TestReplicaSweepRejectsNegativeRequests: the request count arrives from
 // the -replica-requests flag, so the sweep checks it before running.
 func TestReplicaSweepRejectsNegativeRequests(t *testing.T) {
-	_, err := ReplicaSweep(ReplicaConfig{Requests: -160})
+	_, err := new(Run).ReplicaSweep(ReplicaConfig{Requests: -160})
 	if !errors.Is(err, errConfig) || !strings.Contains(err.Error(), "offered requests per cell") {
 		t.Errorf("err = %v, want a configuration error naming the offered request count", err)
 	}

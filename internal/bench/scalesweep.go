@@ -106,7 +106,7 @@ func (s *sema) release() {
 // across PRs. The smallest configuration runs twice and the sweep fails
 // if any field but the wall-clock ones drifts between the two runs, so a
 // CI smoke invocation doubles as a determinism check.
-func ScaleSweep(cfg ScaleConfig) (Table, error) {
+func (rn *Run) ScaleSweep(cfg ScaleConfig) (Table, error) {
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = []int{16, 64, 256}
 	}
@@ -131,7 +131,7 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 	for i, n := range cfg.Nodes {
 		// Only the smallest configuration pays for the determinism double run.
 		err := log.record(fmt.Sprintf("%d nodes", n), i == 0, func() (ScaleResult, *analysis.Report, error) {
-			return runScaleCase(n, cfg.MsgBytes, cfg.Rounds)
+			return rn.runScaleCase(n, cfg.MsgBytes, cfg.Rounds)
 		})
 		if err != nil {
 			return t, err
@@ -151,8 +151,8 @@ func ScaleSweep(cfg ScaleConfig) (Table, error) {
 // runScaleCase boots an n-node cluster with the reliability layer on (the
 // retransmit timers are the cancel-churn stress the heap compaction
 // exists for) and runs the all-to-all exchange.
-func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, error) {
-	cl := newCell(fmt.Sprintf("scalesweep %d nodes", nodes))
+func (rn *Run) runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, error) {
+	cl := rn.newCell(fmt.Sprintf("scalesweep %d nodes", nodes))
 	eng := cl.eng
 
 	// Each node exports one page per sender (tag = sender ID); importers
@@ -291,7 +291,7 @@ func runScaleCase(nodes, msgBytes, rounds int) (ScaleResult, *analysis.Report, e
 		})
 	}
 
-	// The timed window is the simulation alone; drive captures after it.
+	// The timed window is the simulation alone; drive finalizes after it.
 	var (
 		msBefore, msAfter runtime.MemStats
 		wall              float64

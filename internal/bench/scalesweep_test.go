@@ -15,7 +15,7 @@ import (
 // reliability-layer timer churn.
 func TestScaleSweepSmall(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	tbl, err := ScaleSweep(ScaleConfig{
+	tbl, err := new(Run).ScaleSweep(ScaleConfig{
 		Nodes: []int{12}, MsgBytes: 256, Rounds: 1, Out: out,
 	})
 	if err != nil {
@@ -42,7 +42,7 @@ func TestScaleSweepSmall(t *testing.T) {
 // layout invariant that keeps a 256-node all-to-all inside the 2048-entry
 // outgoing page table.
 func TestScaleSweepRejectsOversizedMessage(t *testing.T) {
-	if _, err := ScaleSweep(ScaleConfig{Nodes: []int{4}, MsgBytes: 1 << 20}); err == nil {
+	if _, err := new(Run).ScaleSweep(ScaleConfig{Nodes: []int{4}, MsgBytes: 1 << 20}); err == nil {
 		t.Fatal("oversized message accepted")
 	}
 }

@@ -65,7 +65,7 @@ type ServeResult struct {
 // inside the deadline, and the outage cell finishes with zero victim
 // errors. Every cell runs twice and must not drift, so BENCH_serve.json
 // is byte-identical across runs.
-func ServeSweep(cfg ServeConfig) (Table, error) {
+func (rn *Run) ServeSweep(cfg ServeConfig) (Table, error) {
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = []float64{15000, 30000, 60000}
 	}
@@ -120,7 +120,7 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 	log := sweepLog[ServeResult]{sweep: "servesweep", note: true, t: &t}
 	for _, cl := range cells {
 		if err := log.record(cl.name, true, func() (ServeResult, *analysis.Report, error) {
-			return runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
+			return rn.runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
 		}); err != nil {
 			return t, err
 		}
@@ -134,7 +134,7 @@ func ServeSweep(cfg ServeConfig) (Table, error) {
 			name = "fault outage+heal"
 		}
 		if err := log.record(name, true, func() (ServeResult, *analysis.Report, error) {
-			return runServeFaultCell(name, outage, cfg.Requests)
+			return rn.runServeFaultCell(name, outage, cfg.Requests)
 		}); err != nil {
 			return t, err
 		}
@@ -234,9 +234,9 @@ func serveAcceptance(cfg ServeConfig, results []ServeResult) error {
 // runServeCell boots a fresh cluster (node 0 = client front end, nodes
 // 1..shards = shard servers), builds the tier, and runs one open-loop
 // workload through it.
-func runServeCell(name string, shards int, rate float64, admission bool, theta float64, edge sim.Time, requests int) (ServeResult, *analysis.Report, error) {
+func (rn *Run) runServeCell(name string, shards int, rate float64, admission bool, theta float64, edge sim.Time, requests int) (ServeResult, *analysis.Report, error) {
 	res := ServeResult{Case: name, Shards: shards, Rate: rate, Admission: admission}
-	cl := newCell("servesweep " + name)
+	cl := rn.newCell("servesweep " + name)
 	_, err := cl.cluster(vmmc.Options{Nodes: shards + 1, MemBytes: 16 << 20}, "servesweep", func(p *sim.Proc, c *vmmc.Cluster) error {
 		shardNodes := make([]int, shards)
 		for i := range shardNodes {
@@ -270,10 +270,10 @@ func runServeCell(name string, shards int, rate float64, admission bool, theta f
 // the shard's link down mid-run; recovery must be invisible to clients:
 // no deadline is set, so every request simply completes once healing
 // and retransmission deliver it.
-func runServeFaultCell(name string, outage bool, requests int) (ServeResult, *analysis.Report, error) {
+func (rn *Run) runServeFaultCell(name string, outage bool, requests int) (ServeResult, *analysis.Report, error) {
 	const faultRate = 10000
 	res := ServeResult{Case: name, Shards: 1, Rate: faultRate}
-	cl := newCell("servesweep " + name)
+	cl := rn.newCell("servesweep " + name)
 	pl := fault.NewPlan(cl.eng, serveSeed)
 	_, err := cl.cluster(healing(4, pl, 8), "servesweep:fault", func(p *sim.Proc, c *vmmc.Cluster) error {
 		tcfg := serve.Config{

@@ -24,7 +24,7 @@ func TestServeSweepSmall(t *testing.T) {
 		Requests: 160,
 		Out:      filepath.Join(dir, "BENCH_serve.json"),
 	}
-	tbl, err := ServeSweep(cfg)
+	tbl, err := new(Run).ServeSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestServeSweepSmall(t *testing.T) {
 	}
 
 	cfg.Out = filepath.Join(dir, "BENCH_serve2.json")
-	if _, err := ServeSweep(cfg); err != nil {
+	if _, err := new(Run).ServeSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
 	again, err := os.ReadFile(cfg.Out)
@@ -65,7 +65,7 @@ func TestServeSweepSmall(t *testing.T) {
 // TestServeSweepRejectsNegativeRequests: the request count arrives from
 // the -serve-requests flag, so the sweep checks it before running.
 func TestServeSweepRejectsNegativeRequests(t *testing.T) {
-	_, err := ServeSweep(ServeConfig{Requests: -160})
+	_, err := new(Run).ServeSweep(ServeConfig{Requests: -160})
 	if !errors.Is(err, errConfig) || !strings.Contains(err.Error(), "offered requests per cell") {
 		t.Errorf("err = %v, want a configuration error naming the offered request count", err)
 	}

@@ -18,13 +18,13 @@ import (
 
 // TableHardwareCosts regenerates the Section 5.2 cost measurements: the
 // building blocks of the ~5 us minimum hardware latency.
-func TableHardwareCosts() (Table, error) {
+func (rn *Run) TableHardwareCosts() (Table, error) {
 	t := Table{
 		Title:   "Hardware cost microprobes (§5.2)",
 		Columns: []string{"operation", "measured", "paper"},
 	}
 	prof := hw.Default()
-	err := RunPair(nil, 4096, func(p *sim.Proc, pr *Pair) error {
+	err := rn.RunPair(vmmc.Options{}, 4096, func(p *sim.Proc, pr *Pair) error {
 		cpu := pr.C.Nodes[0].CPU
 
 		start := p.Now()
@@ -65,19 +65,19 @@ func TableHardwareCosts() (Table, error) {
 
 // TableVRPC regenerates the Section 5.4 vRPC results: SunRPC-compatible
 // RPC over VMMC on both platforms, plus the kernel-UDP baseline.
-func TableVRPC() (Table, error) {
+func (rn *Run) TableVRPC() (Table, error) {
 	t := Table{
 		Title:   "vRPC (§5.4)",
 		Columns: []string{"configuration", "null RTT", "bulk bandwidth", "paper"},
 	}
 
-	myriRTT, myriBW, err := vrpcMyrinet("vrpc on myrinet", false)
+	myriRTT, myriBW, err := rn.vrpcMyrinet("vrpc on myrinet", false)
 	if err != nil {
 		return t, err
 	}
 
 	// SHRIMP.
-	shrimpCell := newCell("vrpc on shrimp")
+	shrimpCell := rn.newCell("vrpc on shrimp")
 	sys := shrimp.New(shrimpCell.eng, hw.DefaultSHRIMP(), 2, 16<<20)
 	var shrimpRTT float64
 	err = shrimpCell.run("vrpc-shrimp", func(p *sim.Proc) error {
@@ -101,7 +101,7 @@ func TableVRPC() (Table, error) {
 	}
 
 	// Kernel UDP: the SunRPC compatibility baseline on a 1 ms Ethernet.
-	udpCell := newCell("sunrpc over udp")
+	udpCell := rn.newCell("sunrpc over udp")
 	eth := ether.New(udpCell.eng, sim.Millisecond)
 	registerBenchProcs(rpc.NewUDPServer(udpCell.eng, eth, 1))
 	udp := rpc.NewUDPClient(eth, 0, 1)
@@ -129,8 +129,8 @@ func TableVRPC() (Table, error) {
 // the null-call round trip and the 100 KB echo bandwidth per direction.
 // zeroCopy puts server and client on §5.4's compatibility-free receive
 // path, which decodes in place instead of copying each message out.
-func vrpcMyrinet(name string, zeroCopy bool) (rtt, bw float64, err error) {
-	_, err = newCell(name).cluster(vmmc.Options{Nodes: 2, MemBytes: 64 << 20}, "vrpc", func(p *sim.Proc, cl *vmmc.Cluster) error {
+func (rn *Run) vrpcMyrinet(name string, zeroCopy bool) (rtt, bw float64, err error) {
+	_, err = rn.newCell(name).cluster(vmmc.Options{Nodes: 2, MemBytes: 64 << 20}, "vrpc", func(p *sim.Proc, cl *vmmc.Cluster) error {
 		sproc, err := cl.Nodes[1].NewProcess(p)
 		if err != nil {
 			return err
@@ -217,7 +217,7 @@ func echoBW(p *sim.Proc, iters, size int, call func(*sim.Proc, []byte) error) (f
 
 // TableShrimpComparison regenerates the Section 6 design-tradeoff
 // comparison between the SHRIMP and Myrinet implementations of VMMC.
-func TableShrimpComparison() (Table, error) {
+func (rn *Run) TableShrimpComparison() (Table, error) {
 	t := Table{
 		Title:   "Network interface design tradeoffs: SHRIMP vs Myrinet (§6)",
 		Columns: []string{"metric", "SHRIMP", "Myrinet", "paper"},
@@ -225,7 +225,7 @@ func TableShrimpComparison() (Table, error) {
 
 	// Myrinet side.
 	var myriLat, myriBW, myriInit float64
-	err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
+	err := rn.RunPair(vmmc.Options{}, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		lat, err := pr.PingPongLatency(p, 4, 100)
 		if err != nil {
 			return err
@@ -251,7 +251,7 @@ func TableShrimpComparison() (Table, error) {
 	}
 
 	// SHRIMP side.
-	cl := newCell("shrimp")
+	cl := rn.newCell("shrimp")
 	sys := shrimp.New(cl.eng, hw.DefaultSHRIMP(), 2, 16<<20)
 	var shLat, shBW, shInit float64
 	err = cl.run("shrimp-bench", func(p *sim.Proc) error {
@@ -301,7 +301,7 @@ func TableShrimpComparison() (Table, error) {
 
 // TableRelatedWork regenerates the Section 7 comparison: the other Myrinet
 // messaging layers measured or quoted on this hardware class.
-func TableRelatedWork() (Table, error) {
+func (rn *Run) TableRelatedWork() (Table, error) {
 	t := Table{
 		Title:   "Related work on the same simulated hardware (§7)",
 		Columns: []string{"system", "latency (small msg)", "peak bandwidth", "paper"},
@@ -309,7 +309,7 @@ func TableRelatedWork() (Table, error) {
 
 	// VMMC numbers.
 	var vmmcLat, vmmcBW float64
-	if err := RunPair(nil, 1<<20, func(p *sim.Proc, pr *Pair) error {
+	if err := rn.RunPair(vmmc.Options{}, 1<<20, func(p *sim.Proc, pr *Pair) error {
 		lat, err := pr.PingPongLatency(p, 4, 100)
 		if err != nil {
 			return err
@@ -326,17 +326,17 @@ func TableRelatedWork() (Table, error) {
 	}
 
 	// Myrinet API.
-	apiLat, apiBW, err := measureGMAPI()
+	apiLat, apiBW, err := rn.measureGMAPI()
 	if err != nil {
 		return t, err
 	}
 	// FM.
-	fmLat, fmBW, err := measureFM()
+	fmLat, fmBW, err := rn.measureFM()
 	if err != nil {
 		return t, err
 	}
 	// PM.
-	pmLat, pmBW, err := measurePM()
+	pmLat, pmBW, err := rn.measurePM()
 	if err != nil {
 		return t, err
 	}
@@ -351,8 +351,8 @@ func TableRelatedWork() (Table, error) {
 	return t, nil
 }
 
-func measureGMAPI() (lat, bw float64, err error) {
-	cl := newCell("myrinet api")
+func (rn *Run) measureGMAPI() (lat, bw float64, err error) {
+	cl := rn.newCell("myrinet api")
 	r, err := cl.testbed()
 	if err != nil {
 		return 0, 0, err
@@ -386,8 +386,8 @@ func measureGMAPI() (lat, bw float64, err error) {
 	return lat, bw, err
 }
 
-func measureFM() (lat, bw float64, err error) {
-	cl := newCell("fm")
+func (rn *Run) measureFM() (lat, bw float64, err error) {
+	cl := rn.newCell("fm")
 	r, err := cl.testbed()
 	if err != nil {
 		return 0, 0, err
@@ -432,8 +432,8 @@ func measureFM() (lat, bw float64, err error) {
 	return lat, bw, err
 }
 
-func measurePM() (lat, bw float64, err error) {
-	cl := newCell("pm")
+func (rn *Run) measurePM() (lat, bw float64, err error) {
+	cl := rn.newCell("pm")
 	r, err := cl.testbed()
 	if err != nil {
 		return 0, 0, err

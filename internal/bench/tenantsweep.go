@@ -69,7 +69,7 @@ type TenantResult struct {
 // zero errors). Each cell runs twice and must not drift, so the
 // BENCH_tenant.json artifact is a determinism witness; per-tenant
 // attribution rides in each cell's analysis report.
-func TenantSweep(cfg TenantConfig) (Table, error) {
+func (rn *Run) TenantSweep(cfg TenantConfig) (Table, error) {
 	if cfg.Calls < 0 || cfg.Calls == 1 {
 		return Table{}, fmt.Errorf("bench: tenantsweep: %w: %d victim calls per cell, want at least 2", errConfig, cfg.Calls)
 	}
@@ -111,7 +111,7 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 	log := sweepLog[TenantResult]{sweep: "tenantsweep", note: true, t: &t}
 	for _, cl := range cells {
 		if err := log.record(cl.name, true, func() (TenantResult, *analysis.Report, error) {
-			return runTenantCase(cl.name, cl.qos, cl.crash, cfg.Calls, cl.rate)
+			return rn.runTenantCase(cl.name, cl.qos, cl.crash, cfg.Calls, cl.rate)
 		}); err != nil {
 			return t, err
 		}
@@ -175,11 +175,11 @@ func TenantSweep(cfg TenantConfig) (Table, error) {
 // (and, at a nonzero rate, the aggressor with that link budget) through
 // the tenant manager, runs the workloads, and distills the victim's
 // latency distribution over calls measured calls.
-func runTenantCase(name string, qos, crash bool, calls int, rate float64) (TenantResult, *analysis.Report, error) {
+func (rn *Run) runTenantCase(name string, qos, crash bool, calls int, rate float64) (TenantResult, *analysis.Report, error) {
 	res := TenantResult{Case: name, QoS: qos, Rate: rate}
 	var latencies []sim.Time
 
-	cl := newCell("tenantsweep " + name)
+	cl := rn.newCell("tenantsweep " + name)
 	c, err := cl.cluster(vmmc.Options{Nodes: 2, MemBytes: 16 << 20, Reliable: true}, "tenantsweep", func(p *sim.Proc, c *vmmc.Cluster) error {
 		mgr := tenant.NewManager(c)
 		mgr.SetQoS(qos)

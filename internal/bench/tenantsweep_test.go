@@ -23,7 +23,7 @@ func TestTenantSweepSmall(t *testing.T) {
 		Calls: 16,
 		Out:   filepath.Join(dir, "BENCH_tenant.json"),
 	}
-	tbl, err := TenantSweep(cfg)
+	tbl, err := new(Run).TenantSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestTenantSweepSmall(t *testing.T) {
 	}
 
 	cfg.Out = filepath.Join(dir, "BENCH_tenant2.json")
-	if _, err := TenantSweep(cfg); err != nil {
+	if _, err := new(Run).TenantSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
 	again, err := os.ReadFile(cfg.Out)
@@ -65,7 +65,7 @@ func TestTenantSweepSmall(t *testing.T) {
 // way through the victim's calls) — before running anything.
 func TestTenantSweepRejectsBadCalls(t *testing.T) {
 	for _, calls := range []int{-3, 1} {
-		_, err := TenantSweep(TenantConfig{Calls: calls})
+		_, err := new(Run).TenantSweep(TenantConfig{Calls: calls})
 		if !errors.Is(err, errConfig) || !strings.Contains(err.Error(), "victim calls per cell") {
 			t.Errorf("Calls=%d: err = %v, want a configuration error naming the victim's call count", calls, err)
 		}

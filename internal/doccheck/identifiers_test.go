@@ -14,7 +14,7 @@ import (
 
 // identSpanRe is an inline code span naming a Go identifier through its
 // package: `pkg.Name` or `pkg.Type.Member`, optionally called with no
-// arguments (`bench.LastMetricsSummary()`).
+// arguments (`bench.Run.Summary()`).
 var identSpanRe = regexp.MustCompile(`^([a-z]\w*)\.(\w+)(?:\.(\w+))?(?:\(\))?$`)
 
 // parseRepo parses every non-test Go file in the repository and hands

@@ -138,10 +138,19 @@ func twoClientSetup(t *testing.T, service sim.Time, fn func(p *sim.Proc, eng *si
 // the server is busy is refused with the server-side typed error — the
 // handler never runs (no dead work) — and the connection stays clean.
 func TestVRPCDeadlineExpiredAtServer(t *testing.T) {
-	defer func(g sim.Time) { ReplyGrace = g }(ReplyGrace)
-	ReplyGrace = sim.Millisecond // listen for the verdict instead of racing it
-
 	twoClientSetup(t, sim.Micros(300), func(p *sim.Proc, eng *sim.Engine, a, b *Client, srv *Server) {
+		// Time the slow call alone. Queued behind it, the expired request
+		// is refused as soon as the slow call's reply has gone out, so its
+		// verdict lands a reject stub after the slow call ends: a deadline
+		// just before that end puts it inside the client's reply grace.
+		start := p.Now()
+		if err := a.Call(p, progTest, versTest, procSlow, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		slowEnd := p.Now() - start
+		srv.Calls = 0
+
+		start = p.Now()
 		done := false
 		eng.Go("occupier", func(ap *sim.Proc) {
 			defer func() { done = true }()
@@ -151,8 +160,7 @@ func TestVRPCDeadlineExpiredAtServer(t *testing.T) {
 		})
 		p.Sleep(sim.Micros(60)) // let the slow call reach the handler
 
-		start := p.Now()
-		err := b.CallDeadline(p, start+sim.Micros(100), progTest, versTest, procNull, nil, nil)
+		err := b.CallDeadline(p, start+slowEnd-replyGrace/2, progTest, versTest, procNull, nil, nil)
 		if !errors.Is(err, ErrDeadlineExceeded) {
 			t.Fatalf("expired call err = %v, want ErrDeadlineExceeded", err)
 		}
@@ -222,7 +230,7 @@ func TestVRPCTimeoutServerCrash(t *testing.T) {
 		if !errors.Is(err, ErrRPCTimeout) {
 			t.Fatalf("call into crashed server err = %v, want ErrRPCTimeout", err)
 		}
-		if now := p.Now(); now < deadline || now > deadline+ReplyGrace+sim.Micros(10) {
+		if now := p.Now(); now < deadline || now > deadline+replyGrace+sim.Micros(10) {
 			t.Errorf("timeout fired at %v, want within grace of deadline %v", now, deadline)
 		}
 		if c.Stale() != 1 {

@@ -112,13 +112,13 @@ var (
 	rejectStub = sim.Micros(2.0)
 )
 
-// ReplyGrace is how long past its deadline a CallDeadline client
+// replyGrace is how long past its deadline a CallDeadline client
 // lingers for the server's verdict before declaring ErrRPCTimeout. A
 // server that notices the expiry promptly gets its typed rejection
 // heard (clean connection, precise error); only a server that is dead
 // or hopelessly behind burns the timeout path and dirties the slot.
 // Sized to cover a reject stub plus one reply transit.
-var ReplyGrace = sim.Micros(25)
+const replyGrace = 25 * sim.Microsecond
 
 func xdrCost(n int) sim.Time {
 	// Headers and small arguments are marshaled field by field; bulk
@@ -651,7 +651,7 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 	// timeout; the deadline marshaled to the server stays exact.
 	waitUntil := deadline
 	if deadline != 0 {
-		waitUntil = deadline + ReplyGrace
+		waitUntil = deadline + replyGrace
 	}
 	if err := c.drainStale(p, waitUntil); err != nil {
 		return err

@@ -73,8 +73,8 @@ const hostsPerSwitch = 6
 // (the paper's M2F-SW8); beyond that, a chain of switches with 6 hosts
 // each. The software boots when Boot runs inside the simulation.
 func NewCluster(eng *sim.Engine, opts Options) (*Cluster, error) {
-	if opts.Nodes <= 0 {
-		return nil, fmt.Errorf("vmmc: cluster needs at least one node")
+	if opts.Nodes <= 0 || opts.Nodes > maxWireID+1 {
+		return nil, fmt.Errorf("vmmc: cluster needs 1 to %d nodes (the packet header's node ids), not %d", maxWireID+1, opts.Nodes)
 	}
 	prof := hw.Default()
 	if opts.Prof != nil {

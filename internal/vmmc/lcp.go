@@ -730,14 +730,15 @@ func (l *LCP) inject(p *simProc, j *sendJob, c stagedChunk) {
 	}
 
 	addr1, len1, addr2 := scatterFor(j.st.outPT, j.e.dest+ProxyAddr(c.off), c.n)
+	// Chunks are at most a page, ids at most maxWireID; Seq keeps low bits.
 	hdr := msgHeader{
-		DataLen: uint32(c.n),
+		DataLen: uint16(c.n),
 		Addr1:   addr1,
 		Addr2:   addr2,
-		Len1:    uint32(len1),
-		SrcNode: uint8(l.node.ID),
+		Len1:    uint16(len1),
+		SrcNode: uint16(l.node.ID),
 		SrcPid:  uint16(j.st.pid),
-		Seq:     j.e.seq,
+		Seq:     uint16(j.e.seq),
 	}
 	// Every chunk of a notifying message carries flagNotify so the
 	// receiver can accumulate the message-level extent; the interrupt

@@ -128,6 +128,8 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 			// (sender, export) is enough: each sender LCP serializes its
 			// send queue and the link delivers in order, so chunks of one
 			// message never interleave with another on the same channel.
+			// Sender node and pid are 16 bits at both ends, so no two
+			// processes share one (no wrap at 256 processes).
 			// (Without the reliability layer a lost final chunk can leave
 			// an accumulator behind; the next notifying message from the
 			// same sender then reports a merged extent — the price of the
@@ -161,9 +163,8 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 // notifyKey identifies the channel an in-flight notifying message is
 // arriving on: sender node and pid, destination export tag.
 type notifyKey struct {
-	src uint8
-	pid uint16
-	tag uint32
+	src, pid uint16
+	tag      uint32
 }
 
 // notifyAccum tracks a notifying message mid-arrival: base offset of its

@@ -18,6 +18,53 @@ func injectRaw(c *Cluster, payload []byte) {
 	})
 }
 
+// malformedPayloads builds every malformed packet shape, for a receiver
+// whose export covers the frames at pa and pa2 and not outside.
+// FuzzDecodeHeader is seeded from the same shapes.
+func malformedPayloads(pa, pa2, outside mem.PhysAddr) []struct {
+	name    string
+	payload []byte
+} {
+	good := func() msgHeader {
+		return msgHeader{DataLen: 4, Addr1: pa, Len1: 4, Flags: flagLastChunk}
+	}
+	return []struct {
+		name    string
+		payload []byte
+	}{
+		{"empty payload", nil},
+		{"truncated header", []byte{hdrMagic, 1, 2}},
+		{"datalen larger than payload", func() []byte {
+			h := good()
+			h.DataLen = 100
+			return append(h.appendTo(nil), 1, 2, 3, 4)
+		}()},
+		{"datalen zero", func() []byte {
+			h := good()
+			h.DataLen = 0
+			return h.appendTo(nil)
+		}()},
+		{"len1 beyond data", func() []byte {
+			h := good()
+			h.Len1 = 4000
+			h.Addr2 = pa + 8
+			return append(h.appendTo(nil), 1, 2, 3, 4)
+		}()},
+		{"piece outside any export", func() []byte {
+			h := good()
+			h.Addr1 = outside
+			return append(h.appendTo(nil), 1, 2, 3, 4)
+		}()},
+		// Two pages of data scattered onto two exported frames: every
+		// piece is in bounds, but the packet is twice what the one-page
+		// receive staging buffer holds.
+		{"chunk larger than a page", func() []byte {
+			h := msgHeader{DataLen: 2 * mem.PageSize, Addr1: pa, Len1: mem.PageSize, Addr2: pa2, Flags: flagLastChunk}
+			return append(h.appendTo(nil), bytes.Repeat([]byte{0xEE}, 2*mem.PageSize)...)
+		}()},
+	}
+}
+
 func TestMalformedPacketsDropped(t *testing.T) {
 	testCluster(t, 2, func(p *simProc, c *Cluster) {
 		victim, _ := c.Nodes[1].NewProcess(p)
@@ -28,45 +75,7 @@ func TestMalformedPacketsDropped(t *testing.T) {
 		pa, _ := victim.AS.Translate(buf)
 		pa2, _ := victim.AS.Translate(buf + mem.PageSize)
 
-		good := func() msgHeader {
-			return msgHeader{DataLen: 4, Addr1: pa, Len1: 4, Flags: flagLastChunk}
-		}
-
-		cases := []struct {
-			name    string
-			payload []byte
-		}{
-			{"empty payload", nil},
-			{"truncated header", []byte{hdrMagic, 1, 2}},
-			{"datalen larger than payload", func() []byte {
-				h := good()
-				h.DataLen = 100
-				return append(h.appendTo(nil), 1, 2, 3, 4)
-			}()},
-			{"datalen zero", func() []byte {
-				h := good()
-				h.DataLen = 0
-				return h.appendTo(nil)
-			}()},
-			{"len1 beyond data", func() []byte {
-				h := good()
-				h.Len1 = 4000
-				h.Addr2 = pa + 8
-				return append(h.appendTo(nil), 1, 2, 3, 4)
-			}()},
-			{"piece outside any export", func() []byte {
-				h := good()
-				h.Addr1 = mem.PhysAddr(c.Nodes[1].Phys.Size() - 4)
-				return append(h.appendTo(nil), 1, 2, 3, 4)
-			}()},
-			// Two pages of data scattered onto two exported frames: every
-			// piece is in bounds, but the packet is twice what the one-page
-			// receive staging buffer holds.
-			{"chunk larger than a page", func() []byte {
-				h := msgHeader{DataLen: 2 * mem.PageSize, Addr1: pa, Len1: mem.PageSize, Addr2: pa2, Flags: flagLastChunk}
-				return append(h.appendTo(nil), bytes.Repeat([]byte{0xEE}, 2*mem.PageSize)...)
-			}()},
-		}
+		cases := malformedPayloads(pa, pa2, mem.PhysAddr(c.Nodes[1].Phys.Size()-4))
 		// Everything in SRAM behind receive staging: completion scratch,
 		// then the per-process send queues, page tables and TLBs.
 		lcp := c.Nodes[1].LCP

@@ -153,7 +153,8 @@ type ProcLimits struct {
 // LCP: a send queue, an outgoing page table and a software TLB are carved
 // out of board SRAM, and a pinned status page is set up for completion
 // reporting. It fails with ErrProcessLimit when the SRAM budget is
-// exhausted — the paper's limit on simultaneous VMMC users per interface.
+// exhausted — the paper's limit on simultaneous VMMC users per interface —
+// and with ErrPidExhausted past the last pid a packet header can name.
 func (n *Node) NewProcess(p *sim.Proc) (*Process, error) {
 	return n.NewProcessWith(p, ProcLimits{})
 }
@@ -164,6 +165,9 @@ func (n *Node) NewProcess(p *sim.Proc) (*Process, error) {
 func (n *Node) NewProcessWith(p *sim.Proc, limits ProcLimits) (*Process, error) {
 	if n.crashed {
 		return nil, ErrNodeDown
+	}
+	if n.nextPid > maxWireID {
+		return nil, ErrPidExhausted
 	}
 	pid := n.nextPid
 	n.nextPid++

@@ -52,6 +52,7 @@ var (
 	ErrImportTooBig  = errors.New("vmmc: import exceeds outgoing page table capacity")
 	ErrNotExported   = errors.New("vmmc: buffer not exported")
 	ErrStillImported = errors.New("vmmc: buffer has active imports")
+	ErrPidExhausted  = errors.New("vmmc: node has used every pid a packet header can name")
 
 	// ErrNodeUnreachable reports that the reliable link layer exhausted
 	// its retransmit budget toward the destination: the node is crashed,
@@ -81,30 +82,36 @@ const (
 	hdrMagic = 0x56 // 'V'
 	hdrSize  = 28
 
+	maxWireID = 1<<16 - 1 // largest node id and pid; NewCluster/NewProcess refuse more
+
 	flagNotify    = 1 << 0 // raise a notification after delivery
 	flagLastChunk = 1 << 1 // final chunk of a message
 )
 
+// msgHeader is the packet header, every field at its wire width, so
+// appendTo never truncates: sender identity is 16 bits of node and of pid
+// at both ends, and no pid wraps at 256 processes.
 type msgHeader struct {
-	DataLen uint32       // bytes of data in this chunk
+	Flags   uint8
+	DataLen uint16       // bytes of data in this chunk, at most a page
+	SrcNode uint16       // sending node
+	SrcPid  uint16       // sending process
 	Addr1   mem.PhysAddr // first scatter destination
 	Addr2   mem.PhysAddr // second scatter destination (0 = no split)
-	Len1    uint32       // bytes destined for Addr1 (rest go to Addr2)
-	Flags   uint8
-	SrcNode uint8
-	SrcPid  uint16
-	Seq     uint32 // sender-side request sequence (diagnostics)
+	Len1    uint16       // bytes destined for Addr1 (rest go to Addr2)
+	Seq     uint16       // low bits of the sender's request sequence (diagnostics)
 }
 
 // appendTo appends the header's wire form to b.
 func (h *msgHeader) appendTo(b []byte) []byte {
-	b = append(b, hdrMagic, h.Flags, h.SrcNode, byte(h.SrcPid))
-	b = binary.BigEndian.AppendUint32(b, h.DataLen)
+	b = append(b, hdrMagic, h.Flags)
+	b = binary.BigEndian.AppendUint16(b, h.DataLen)
+	b = binary.BigEndian.AppendUint16(b, h.SrcNode)
+	b = binary.BigEndian.AppendUint16(b, h.SrcPid)
 	b = binary.BigEndian.AppendUint64(b, uint64(h.Addr1))
 	b = binary.BigEndian.AppendUint64(b, uint64(h.Addr2))
-	// Len1 fits in the chunk size; pack with Seq's low bits.
-	b = binary.BigEndian.AppendUint16(b, uint16(h.Len1))
-	return binary.BigEndian.AppendUint16(b, uint16(h.Seq))
+	b = binary.BigEndian.AppendUint16(b, h.Len1)
+	return binary.BigEndian.AppendUint16(b, h.Seq)
 }
 
 func decodeHeader(b []byte) (msgHeader, error) {
@@ -113,12 +120,12 @@ func decodeHeader(b []byte) (msgHeader, error) {
 	}
 	return msgHeader{
 		Flags:   b[1],
-		SrcNode: b[2],
-		SrcPid:  uint16(b[3]),
-		DataLen: binary.BigEndian.Uint32(b[4:]),
+		DataLen: binary.BigEndian.Uint16(b[2:]),
+		SrcNode: binary.BigEndian.Uint16(b[4:]),
+		SrcPid:  binary.BigEndian.Uint16(b[6:]),
 		Addr1:   mem.PhysAddr(binary.BigEndian.Uint64(b[8:])),
 		Addr2:   mem.PhysAddr(binary.BigEndian.Uint64(b[16:])),
-		Len1:    uint32(binary.BigEndian.Uint16(b[24:])),
-		Seq:     uint32(binary.BigEndian.Uint16(b[26:])),
+		Len1:    binary.BigEndian.Uint16(b[24:]),
+		Seq:     binary.BigEndian.Uint16(b[26:]),
 	}, nil
 }
