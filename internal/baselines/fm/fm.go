@@ -72,7 +72,6 @@ type Endpoint struct {
 	ring      []message // completed messages awaiting Extract
 	ringBytes int
 	partial   map[uint32][]byte // msgID -> bytes received so far
-	partLen   map[uint32]int    // msgID -> total length
 	nextMsgID uint32
 	unacked   int // data packets received since last credit return
 
@@ -97,7 +96,6 @@ func New(eng *sim.Engine, rig *testbed.Rig) *System {
 			creditsCond: sim.NewCond(eng),
 			injectq:     sim.NewQueue[[]byte](eng, fmt.Sprintf("fm:inj:%d", i)),
 			partial:     make(map[uint32][]byte),
-			partLen:     make(map[uint32]int),
 		}
 	}
 	s.Eps[0].peer = s.Eps[1]
@@ -126,13 +124,36 @@ const (
 	ptCredit = 2
 )
 
-func encodeHeader(typ byte, msgID uint32, total uint32, off uint16) []byte {
-	h := make([]byte, headerBytes)
-	h[0] = typ
-	binary.BigEndian.PutUint32(h[2:], msgID)
-	binary.BigEndian.PutUint32(h[6:], total)
-	binary.BigEndian.PutUint16(h[10:], off)
-	return h
+// header leads every packet: its type, a zero pad byte, then (on data
+// packets) the message id, the message's total length and the packet's
+// index within the message.
+type header struct {
+	Typ   byte
+	MsgID uint32
+	Total uint32
+	Index uint16
+}
+
+// appendTo appends the header's headerBytes-byte wire form to b.
+func (h header) appendTo(b []byte) []byte {
+	b = append(b, h.Typ, 0)
+	b = binary.BigEndian.AppendUint32(b, h.MsgID)
+	b = binary.BigEndian.AppendUint32(b, h.Total)
+	return binary.BigEndian.AppendUint16(b, h.Index)
+}
+
+// decodeHeader reads a packet's header, refusing one too short or with
+// its pad byte set.
+func decodeHeader(b []byte) (header, bool) {
+	if len(b) < headerBytes || b[1] != 0 {
+		return header{}, false
+	}
+	return header{
+		Typ:   b[0],
+		MsgID: binary.BigEndian.Uint32(b[2:]),
+		Total: binary.BigEndian.Uint32(b[6:]),
+		Index: binary.BigEndian.Uint16(b[10:]),
+	}, true
 }
 
 // Send streams data to the peer as 128-byte packets pushed with
@@ -154,7 +175,8 @@ func (ep *Endpoint) Send(p *sim.Proc, data []byte) {
 		if n > PayloadBytes {
 			n = PayloadBytes
 		}
-		pkt := append(encodeHeader(ptData, msgID, uint32(total), uint16(off/PayloadBytes)), data[off:off+n]...)
+		h := header{Typ: ptData, MsgID: msgID, Total: uint32(total), Index: uint16(off / PayloadBytes)}
+		pkt := append(h.appendTo(make([]byte, 0, headerBytes+n)), data[off:off+n]...)
 		// The host writes header and payload into LANai SRAM word by
 		// word — FM's PIO send (§7: "programmed I/O avoids the need for
 		// pinning pages on the sender side"). Framing and injection of
@@ -172,10 +194,11 @@ func (ep *Endpoint) Send(p *sim.Proc, data []byte) {
 // credits in batches. Credit packets update the local sender's window.
 func (ep *Endpoint) handlePacket(p *sim.Proc, pk *myrinet.Packet) {
 	host := ep.host
-	if len(pk.Payload) < headerBytes || !pk.CheckCRC() {
+	h, ok := decodeHeader(pk.Payload)
+	if !ok || !pk.CheckCRC() {
 		return
 	}
-	switch pk.Payload[0] {
+	switch h.Typ {
 	case ptCredit:
 		ep.credits += ep.batch
 		if ep.credits > ep.window {
@@ -187,21 +210,17 @@ func (ep *Endpoint) handlePacket(p *sim.Proc, pk *myrinet.Packet) {
 		// DMA into the pinned receive ring.
 		host.Board.HostDMA.TransferWith(p, len(pk.Payload), host.Prof.LANaiToHost)
 		ep.PacketsRecv++
-		msgID := binary.BigEndian.Uint32(pk.Payload[2:])
-		totalLen := int(binary.BigEndian.Uint32(pk.Payload[6:]))
-		ep.partial[msgID] = append(ep.partial[msgID], pk.Payload[headerBytes:]...)
-		ep.partLen[msgID] = totalLen
-		if len(ep.partial[msgID]) >= totalLen {
+		ep.partial[h.MsgID] = append(ep.partial[h.MsgID], pk.Payload[headerBytes:]...)
+		if len(ep.partial[h.MsgID]) >= int(h.Total) {
 			if len(ep.ring) < ringSlots {
-				ep.ring = append(ep.ring, message{data: ep.partial[msgID][:totalLen]})
+				ep.ring = append(ep.ring, message{data: ep.partial[h.MsgID][:h.Total]})
 			}
-			delete(ep.partial, msgID)
-			delete(ep.partLen, msgID)
+			delete(ep.partial, h.MsgID)
 		}
 		ep.unacked++
 		if ep.unacked >= ep.batch {
 			ep.unacked = 0
-			host.Board.SendPacket(p, host.Peer, host.Route, encodeHeader(ptCredit, 0, 0, 0))
+			host.Board.SendPacket(p, host.Peer, host.Route, header{Typ: ptCredit}.appendTo(make([]byte, 0, headerBytes)))
 		}
 	}
 }
@@ -211,9 +230,7 @@ func (ep *Endpoint) handlePacket(p *sim.Proc, pk *myrinet.Packet) {
 // structures is charged at bcopy rate (§7 — the copy VMMC does not pay).
 // It blocks until at least one message is handled.
 func (ep *Endpoint) Extract(p *sim.Proc, max int) [][]byte {
-	for len(ep.ring) == 0 {
-		p.Sleep(pollInterval)
-	}
+	p.PollUntil(pollInterval, 0, nil, func() bool { return len(ep.ring) > 0 })
 	var out [][]byte
 	for len(ep.ring) > 0 && len(out) < max {
 		m := ep.ring[0]

@@ -128,9 +128,7 @@ func (ep *Endpoint) handlePacket(p *sim.Proc, pk *myrinet.Packet) {
 
 // Recv polls for the next message and runs the receive library path.
 func (ep *Endpoint) Recv(p *sim.Proc) []byte {
-	for len(ep.arrived) == 0 {
-		p.Sleep(pollInterval)
-	}
+	p.PollUntil(pollInterval, 0, nil, func() bool { return len(ep.arrived) > 0 })
 	p.Sleep(recvLibCost)
 	m := ep.arrived[0]
 	ep.arrived = ep.arrived[1:]

@@ -55,7 +55,7 @@ type System struct {
 // pre-allocated pinned buffers on both sides.
 type Channel struct {
 	sys *System
-	id  uint32
+	id  byte
 
 	sendPA [2]physRegion // per host: the pinned send buffer
 	recvPA [2]physRegion
@@ -79,7 +79,7 @@ func New(eng *sim.Engine, rig *testbed.Rig) *System {
 
 // OpenChannel allocates the pinned buffers on both hosts and starts the
 // channel's receive loops.
-func (s *System) OpenChannel(id uint32) (*Channel, error) {
+func (s *System) OpenChannel(id byte) (*Channel, error) {
 	ch := &Channel{sys: s, id: id}
 	for i := 0; i < 2; i++ {
 		spa, err := s.Rig.Hosts[i].PinnedRegion(BufBytes)
@@ -120,7 +120,7 @@ func (ch *Channel) Send(p *sim.Proc, from int, data []byte, includeCopy bool) er
 		return err
 	}
 	hdr0 := make([]byte, headerBytes)
-	hdr0[0] = byte(ch.id)
+	hdr0[0] = ch.id
 	binary.BigEndian.PutUint32(hdr0[2:], uint32(len(data)))
 	if len(data) <= pioMax {
 		// Eager small-message path: PIO straight into LANai memory.
@@ -169,7 +169,7 @@ func (ch *Channel) Send(p *sim.Proc, from int, data []byte, includeCopy bool) er
 			next += n
 		}
 		hdr := make([]byte, headerBytes)
-		hdr[0] = byte(ch.id)
+		hdr[0] = ch.id
 		binary.BigEndian.PutUint32(hdr[2:], uint32(total))
 		binary.BigEndian.PutUint32(hdr[6:], uint32(u.off))
 		host.Board.SendPacket(p, host.Peer, host.Route, append(hdr, data[u.off:u.off+u.n]...))
@@ -185,7 +185,7 @@ func (ch *Channel) Send(p *sim.Proc, from int, data []byte, includeCopy bool) er
 // simple append.
 func (ch *Channel) handlePacket(p *sim.Proc, at int, pk *myrinet.Packet) {
 	host := ch.sys.Rig.Hosts[at]
-	if len(pk.Payload) < headerBytes || !pk.CheckCRC() || pk.Payload[0] != byte(ch.id) {
+	if len(pk.Payload) < headerBytes || !pk.CheckCRC() || pk.Payload[0] != ch.id {
 		return
 	}
 	p.Sleep(lanaiRecv)
@@ -208,9 +208,7 @@ func (ch *Channel) handlePacket(p *sim.Proc, at int, pk *myrinet.Packet) {
 // payload. The receiver reads directly from the pinned buffer (PM gives
 // the receiver a buffer; a copy to user structures would be extra).
 func (ch *Channel) Recv(p *sim.Proc, at int) []byte {
-	for len(ch.arrived[at]) == 0 {
-		p.Sleep(pollInterval)
-	}
+	p.PollUntil(pollInterval, 0, nil, func() bool { return len(ch.arrived[at]) > 0 })
 	p.Sleep(recvLibCost)
 	m := ch.arrived[at][0]
 	ch.arrived[at] = ch.arrived[at][1:]

@@ -423,9 +423,7 @@ func (rn *Run) measureFM() (lat, bw float64, err error) {
 		for i := 0; i < count; i++ {
 			sys.Eps[0].Send(p, make([]byte, 8<<10))
 		}
-		for doneAt == 0 {
-			p.Sleep(10 * sim.Microsecond)
-		}
+		p.PollUntil(10*sim.Microsecond, 0, nil, func() bool { return doneAt != 0 })
 		bw = float64(count*8<<10) / (doneAt - start).Seconds() / 1e6
 		return nil
 	})
@@ -476,9 +474,7 @@ func (rn *Run) measurePM() (lat, bw float64, err error) {
 				return err
 			}
 		}
-		for doneAt == 0 {
-			p.Sleep(10 * sim.Microsecond)
-		}
+		p.PollUntil(10*sim.Microsecond, 0, nil, func() bool { return doneAt != 0 })
 		bw = float64(count*256<<10) / (doneAt - start).Seconds() / 1e6
 		return nil
 	})

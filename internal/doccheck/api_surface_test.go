@@ -29,7 +29,7 @@ var apiReasons = map[string]bool{"paper": true, "harness": true, "bench": true}
 func identUses(t *testing.T, root string) (prod, bench map[string]int, exports map[string]string) {
 	t.Helper()
 	prod, bench, exports = map[string]int{}, map[string]int{}, map[string]string{}
-	parseRepo(t, root, func(tree string, f *ast.File) {
+	parseRepo(t, root, func(tree, _ string, f *ast.File) {
 		uses := prod
 		if tree == "benchmark" {
 			uses = bench

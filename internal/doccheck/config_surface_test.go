@@ -26,7 +26,7 @@ func isConfigType(name string) bool {
 func configSurface(t *testing.T, root string) []string {
 	t.Helper()
 	var lines []string
-	parseInternal(t, root, func(f *ast.File) {
+	parseInternal(t, root, func(_ string, f *ast.File) {
 		for _, d := range f.Decls {
 			g, ok := d.(*ast.GenDecl)
 			if !ok {

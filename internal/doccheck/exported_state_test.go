@@ -12,7 +12,7 @@ import (
 // exported variables allowed under internal/ are errors.New sentinels,
 // which nothing assigns; a tunable is a constant or a field.
 func TestNoExportedState(t *testing.T) {
-	parseInternal(t, filepath.Join("..", ".."), func(f *ast.File) {
+	parseInternal(t, filepath.Join("..", ".."), func(_ string, f *ast.File) {
 		for _, d := range f.Decls {
 			g, ok := d.(*ast.GenDecl)
 			if !ok || g.Tok != token.VAR {

@@ -18,9 +18,10 @@ import (
 var identSpanRe = regexp.MustCompile(`^([a-z]\w*)\.(\w+)(?:\.(\w+))?(?:\(\))?$`)
 
 // parseRepo parses every non-test Go file in the repository and hands
-// each to visit with the top-level directory it sits in: "internal",
-// "benchmark" (a module of its own), "cmd", or "" for the root package.
-func parseRepo(t *testing.T, root string, visit func(tree string, f *ast.File)) {
+// each to visit with the top-level directory it sits in ("internal",
+// "benchmark" (a module of its own), "cmd", or "" for the root package)
+// and its slash-separated path below that directory.
+func parseRepo(t *testing.T, root string, visit func(tree, rel string, f *ast.File)) {
 	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -44,11 +45,11 @@ func parseRepo(t *testing.T, root string, visit func(tree string, f *ast.File)) 
 		if err != nil {
 			return err
 		}
-		tree, _, ok := strings.Cut(filepath.ToSlash(rel), "/")
+		tree, below, ok := strings.Cut(filepath.ToSlash(rel), "/")
 		if !ok {
-			tree = ""
+			tree, below = "", tree
 		}
-		visit(tree, f)
+		visit(tree, below, f)
 		return nil
 	})
 	if err != nil {
@@ -56,12 +57,13 @@ func parseRepo(t *testing.T, root string, visit func(tree string, f *ast.File)) 
 	}
 }
 
-// parseInternal hands visit every non-test Go file under internal/.
-func parseInternal(t *testing.T, root string, visit func(*ast.File)) {
+// parseInternal hands visit every non-test Go file under internal/, with
+// its path below internal/.
+func parseInternal(t *testing.T, root string, visit func(rel string, f *ast.File)) {
 	t.Helper()
-	parseRepo(t, root, func(tree string, f *ast.File) {
+	parseRepo(t, root, func(tree, rel string, f *ast.File) {
 		if tree == "internal" {
-			visit(f)
+			visit(rel, f)
 		}
 	})
 }
@@ -76,7 +78,7 @@ func internalDecls(t *testing.T, root string) map[string]map[string]bool {
 	decls := make(map[string]map[string]bool)
 	type embedding struct{ pkg, outer, inner string }
 	var embeds []embedding
-	parseInternal(t, root, func(f *ast.File) {
+	parseInternal(t, root, func(_ string, f *ast.File) {
 		names := decls[f.Name.Name]
 		if names == nil {
 			names = make(map[string]bool)

@@ -265,24 +265,40 @@ func (s *Server) SetAdmission(f AdmissionFunc) { s.admit = f }
 // the protocol is byte-identical to the pre-hint wire format.
 func (s *Server) SetLoadHints(on bool) { s.loadHints = on }
 
-// hintTrailer builds the 16-byte reply load sample. Reading the counters
-// costs nothing extra — they are in hand at reply time — so hint-enabled
-// replies differ from legacy ones only by the 16 wire bytes.
-func (s *Server) hintTrailer() []byte {
-	b := make([]byte, hintBytes)
-	binary.BigEndian.PutUint32(b[0:], hintFlag|hintVersion)
-	binary.BigEndian.PutUint32(b[4:], uint32(len(s.pending)))
-	binary.BigEndian.PutUint32(b[8:], uint32(s.Shed))
-	binary.BigEndian.PutUint32(b[12:], uint32(s.Calls))
-	return b
-}
-
-// replyTrailer returns the hint trailer when hints are on, nil otherwise.
+// replyTrailer returns the 16-byte reply load sample when hints are on,
+// nil otherwise. Reading the counters costs nothing extra — they are in
+// hand at reply time — so hint-enabled replies differ from legacy ones
+// only by the 16 wire bytes.
 func (s *Server) replyTrailer() []byte {
 	if !s.loadHints {
 		return nil
 	}
-	return s.hintTrailer()
+	return appendHint(make([]byte, 0, hintBytes), uint32(len(s.pending)), uint32(s.Shed), uint32(s.Calls))
+}
+
+// appendHint appends a reply's load-hint trailer to b: the flagged
+// version word, then the queue depth and the cumulative shed and served
+// counts, one 32-bit word each.
+func appendHint(b []byte, depth, sheds, served uint32) []byte {
+	b = binary.BigEndian.AppendUint32(b, hintFlag|hintVersion)
+	b = binary.BigEndian.AppendUint32(b, depth)
+	b = binary.BigEndian.AppendUint32(b, sheds)
+	return binary.BigEndian.AppendUint32(b, served)
+}
+
+// decodeHint strips the load-hint trailer off a raw reply. The flag bit
+// lives where a plain reply carries its XID (always below 2^31), so a
+// flagged first word is unambiguous; a reply without this version's
+// trailer comes back whole, with ok false.
+func decodeHint(raw []byte) (h LoadHint, rest []byte, ok bool) {
+	if len(raw) < hintBytes || binary.BigEndian.Uint32(raw) != hintFlag|hintVersion {
+		return LoadHint{}, raw, false
+	}
+	return LoadHint{
+		Depth:  int(binary.BigEndian.Uint32(raw[4:])),
+		Sheds:  int64(binary.BigEndian.Uint32(raw[8:])),
+		Served: int64(binary.BigEndian.Uint32(raw[12:])),
+	}, raw[hintBytes:], true
 }
 
 // QueueDepth reports the number of noticed requests awaiting dispatch.
@@ -333,7 +349,15 @@ func (s *Server) scan(p *sim.Proc) {
 		if !ok {
 			continue
 		}
-		deadline := requestDeadline(raw)
+		tr, _, ok := decodeReqTrailer(raw)
+		if !ok {
+			// A trailer that does not parse names no reply window to
+			// answer through: consume the request unanswered, as UDP
+			// SunRPC drops a datagram it cannot parse.
+			s.expectSeq[slot]++
+			continue
+		}
+		deadline := tr.deadline
 		now := p.Now()
 		if deadline != 0 && now >= deadline {
 			s.Expired++
@@ -384,30 +408,45 @@ func remainingBudget(deadline, now sim.Time) sim.Time {
 	return deadline - now
 }
 
-// requestDeadline parses the optional deadline extension out of a raw
-// request without charging simulated cost (it reads two words the scan
-// already has in hand).
-func requestDeadline(raw []byte) sim.Time {
-	if len(raw) < 16 {
-		return 0
-	}
-	if binary.BigEndian.Uint32(raw[4:])&deadlineFlag == 0 {
-		return 0
-	}
-	return sim.Time(binary.BigEndian.Uint64(raw[8:]))
+// reqTrailer is what a client puts ahead of every request: its node id
+// and reply tag, which the server needs on first contact to import the
+// reply window, and the absolute deadline. A deadline travels as an
+// 8-byte extension that a set deadlineFlag bit in the reply-tag word
+// announces; without one the trailer is the legacy 8 bytes.
+type reqTrailer struct {
+	node     uint32
+	replyTag uint32   // below deadlineFlag
+	deadline sim.Time // 0 = none
 }
 
-// requestTrailer splits a raw request into the trailer the client prepends
-// and the RPC message proper. The trailer's first two words are the
-// client's node id and reply tag, used to establish the reply window on
-// first contact; a set deadlineFlag bit extends it with the absolute
-// deadline (see requestDeadline).
-func requestTrailer(raw []byte) (clientNode int, replyTag uint32, msg []byte) {
-	n := 8
-	if requestDeadline(raw) != 0 {
-		n = 16
+// appendTo appends the trailer's wire form to b.
+func (t reqTrailer) appendTo(b []byte) []byte {
+	b = binary.BigEndian.AppendUint32(b, t.node)
+	if t.deadline == 0 {
+		return binary.BigEndian.AppendUint32(b, t.replyTag)
 	}
-	return int(binary.BigEndian.Uint32(raw[0:])), binary.BigEndian.Uint32(raw[4:]) &^ deadlineFlag, raw[n:]
+	b = binary.BigEndian.AppendUint32(b, t.replyTag|deadlineFlag)
+	return binary.BigEndian.AppendUint64(b, uint64(t.deadline))
+}
+
+// decodeReqTrailer splits a raw request into its trailer and the RPC
+// message proper, without charging simulated cost (it reads words the
+// scan already has in hand). It refuses a request too short for the
+// trailer it announces, and a flagged extension that names no deadline.
+func decodeReqTrailer(raw []byte) (t reqTrailer, msg []byte, ok bool) {
+	if len(raw) < 8 {
+		return reqTrailer{}, nil, false
+	}
+	tag := binary.BigEndian.Uint32(raw[4:])
+	t = reqTrailer{node: binary.BigEndian.Uint32(raw), replyTag: tag &^ deadlineFlag}
+	if tag&deadlineFlag == 0 {
+		return t, raw[8:], true
+	}
+	if len(raw) < 16 {
+		return reqTrailer{}, nil, false
+	}
+	t.deadline = sim.Time(binary.BigEndian.Uint64(raw[8:]))
+	return t, raw[16:], t.deadline != 0
 }
 
 // reject consumes a request without serving it: a short fixed stub, a
@@ -416,12 +455,12 @@ func requestTrailer(raw []byte) (clientNode int, replyTag uint32, msg []byte) {
 func (s *Server) reject(p *sim.Proc, slot int, raw []byte, stat uint32) {
 	s.expectSeq[slot]++
 	p.Sleep(rejectStub)
-	clientNode, replyTag, msg := requestTrailer(raw)
+	tr, msg, _ := decodeReqTrailer(raw)
 	hdr, _, err := xdr.DecodeCall(msg)
 	if err != nil {
 		stat = xdr.AcceptGarbageArgs
 	}
-	if !s.ensureReplyWindow(p, slot, clientNode, replyTag) {
+	if !s.ensureReplyWindow(p, slot, tr) {
 		return
 	}
 	enc := xdr.EncodeReply(hdr.XID, stat)
@@ -429,11 +468,11 @@ func (s *Server) reject(p *sim.Proc, slot int, raw []byte, stat uint32) {
 }
 
 // ensureReplyWindow imports the client's reply window on first contact.
-func (s *Server) ensureReplyWindow(p *sim.Proc, slot int, clientNode int, replyTag uint32) bool {
+func (s *Server) ensureReplyWindow(p *sim.Proc, slot int, tr reqTrailer) bool {
 	if s.replyReady[slot] {
 		return true
 	}
-	dest, _, err := s.proc.Import(p, clientNode, replyTag)
+	dest, _, err := s.proc.Import(p, int(tr.node), tr.replyTag)
 	if err != nil {
 		return false // cannot reply; drop, as UDP SunRPC would
 	}
@@ -484,11 +523,11 @@ func (s *Server) serve(p *sim.Proc, slot int, raw []byte) {
 		p.Sleep(myrinetPortOverhead)
 	}
 
-	clientNode, replyTag, msg := requestTrailer(raw)
+	tr, msg, _ := decodeReqTrailer(raw)
 	hdr, args, err := xdr.DecodeCall(msg)
 	p.Sleep(xdrCost(len(raw)))
 
-	if !s.ensureReplyWindow(p, slot, clientNode, replyTag) {
+	if !s.ensureReplyWindow(p, slot, tr) {
 		return
 	}
 
@@ -664,19 +703,8 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 	}
 	p.Sleep(xdrCost(enc.Len()))
 
-	// Trailer: client node and reply tag for first-contact setup, plus
-	// the optional deadline extension (flagged in the reply-tag word).
-	var trailer []byte
-	if deadline != 0 {
-		trailer = make([]byte, 16)
-		binary.BigEndian.PutUint32(trailer[0:], uint32(node.ID))
-		binary.BigEndian.PutUint32(trailer[4:], uint32(repTagBase+c.slot)|deadlineFlag)
-		binary.BigEndian.PutUint64(trailer[8:], uint64(deadline))
-	} else {
-		trailer = make([]byte, 8)
-		binary.BigEndian.PutUint32(trailer[0:], uint32(node.ID))
-		binary.BigEndian.PutUint32(trailer[4:], uint32(repTagBase+c.slot))
-	}
+	var tb [16]byte
+	trailer := reqTrailer{node: uint32(node.ID), replyTag: uint32(repTagBase + c.slot), deadline: deadline}.appendTo(tb[:0])
 	if err := sendFramed(p, c.proc, c.src, c.dest, enc.Bytes(), &c.seq, trailer); err != nil {
 		return err
 	}
@@ -694,19 +722,11 @@ func (c *Client) call(p *sim.Proc, deadline sim.Time, prog, vers, proc uint32, a
 		node.CPU.Bcopy(p, len(raw))
 	}
 	p.Sleep(xdrCost(len(raw)))
-	// Strip the optional load-hint trailer. The flag bit lives where a
-	// plain reply carries its XID (always below 2^31), so a flagged
-	// first word is unambiguous; decoding the sample reads words the
-	// copy above already paid for.
-	if len(raw) >= hintBytes && binary.BigEndian.Uint32(raw[0:])&hintFlag != 0 {
-		c.lastHint = LoadHint{
-			Depth:  int(binary.BigEndian.Uint32(raw[4:])),
-			Sheds:  int64(binary.BigEndian.Uint32(raw[8:])),
-			Served: int64(binary.BigEndian.Uint32(raw[12:])),
-			At:     p.Now(),
-		}
-		c.hintSeen = true
-		raw = raw[hintBytes:]
+	// Strip the optional load-hint trailer; decoding the sample reads
+	// words the copy above already paid for.
+	if h, rest, ok := decodeHint(raw); ok {
+		h.At = p.Now()
+		c.lastHint, c.hintSeen, raw = h, true, rest
 	}
 	return decodeReply(raw, xid, res)
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hw"
 	"repro/internal/lanai"
+	"repro/internal/mem"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 )
@@ -83,6 +84,9 @@ func NewCluster(eng *sim.Engine, opts Options) (*Cluster, error) {
 	memBytes := opts.MemBytes
 	if memBytes == 0 {
 		memBytes = 16 << 20
+	}
+	if frames := memBytes / mem.PageSize; frames-1 > maxWireFrame {
+		return nil, fmt.Errorf("vmmc: %d frames per node; the packet header names at most %d", frames, maxWireFrame+1)
 	}
 
 	c := &Cluster{

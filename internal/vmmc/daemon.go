@@ -21,7 +21,8 @@ type Daemon struct {
 	// exports is this node's registry, keyed by tag.
 	exports map[uint32]*exportInfo
 
-	// import replies pending from remote daemons, keyed by request id.
+	// import replies pending from remote daemons, keyed by request id;
+	// ids are never reused, not even across a restart (see reset).
 	nextReq int
 	waiting map[int]*importWait
 
@@ -212,8 +213,7 @@ func (d *Daemon) unexportLocal(p *simProc, proc *Process, tag uint32) error {
 
 // dropExport forgets one export, for the polite path and the abrupt one
 // alike: its incoming page-table entries are cleared, its frames unlocked,
-// and the registry entry, arrival high-water mark and the notification
-// accumulators of messages still arriving into it dropped.
+// and the registry entry and arrival high-water mark dropped.
 func (d *Daemon) dropExport(st *lcpProcState, info *exportInfo) {
 	for _, f := range info.frames {
 		d.node.LCP.incoming.clear(f)
@@ -221,11 +221,6 @@ func (d *Daemon) dropExport(st *lcpProcState, info *exportInfo) {
 	d.node.Driver.unlock(st, info.frames)
 	delete(d.exports, info.tag)
 	delete(d.node.LCP.arrivedHW, info.tag)
-	for k := range d.node.LCP.notifyAcc {
-		if k.tag == info.tag {
-			delete(d.node.LCP.notifyAcc, k)
-		}
-	}
 }
 
 // scrubProcess is the local-only teardown of a dead process's daemon state
@@ -427,8 +422,10 @@ func importAllowed(allowed []ProcID, who ProcID) bool {
 
 // reset discards all daemon state, as a crash does: exports died with the
 // node's memory, pending waits will never be answered (their waiters are
-// killed with the node), and the served cache must not alias the request
-// ids a restarted daemon hands out afresh.
+// killed with the node), and the served cache goes with them. Request ids
+// keep counting: every other exporter's served cache still holds this
+// node's pre-crash replies under their ids, so an id is never reused in
+// the node's life and stands in for a boot incarnation.
 func (d *Daemon) reset() {
 	if d.proc != nil {
 		d.proc.Kill()
@@ -437,7 +434,6 @@ func (d *Daemon) reset() {
 	d.exports = make(map[uint32]*exportInfo)
 	d.waiting = make(map[int]*importWait)
 	d.served = make(map[servedKey]importRep)
-	d.nextReq = 0
 	d.drainBox()
 }
 

@@ -1,6 +1,7 @@
 package vmmc
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/mem"
@@ -198,6 +199,58 @@ func TestSignalCostChargedForNotification(t *testing.T) {
 		minGap := prof.InterruptCost + prof.SignalCost
 		if gap := firedAt - deliveredAt; gap < minGap/2 {
 			t.Errorf("handler fired %v after delivery, expected at least ~%v (interrupt+signal)", gap, minGap)
+		}
+	})
+}
+
+// TestRestartedImporterGetsFreshReply: node 0 imports tag 10 from node 1,
+// crashes, restarts and imports tag 20. The exporter caches import
+// replies by (node, request id) to answer retransmissions, so a restarted
+// node that numbered its requests from 1 again was answered from the
+// cache with tag 10's frames: its send landed in tag 10's buffer and tag
+// 20's import count never moved. Request ids are unique for the node's
+// life, so the reply is tag 20's own.
+func TestRestartedImporterGetsFreshReply(t *testing.T) {
+	testCluster(t, 2, func(p *simProc, c *Cluster) {
+		exp, _ := c.Nodes[1].NewProcess(p)
+		bufs := map[uint32]mem.VirtAddr{}
+		for _, tag := range []uint32{10, 20} {
+			bufs[tag], _ = exp.Malloc(mem.PageSize)
+			if err := exp.Export(p, tag, bufs[tag], mem.PageSize, nil, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		imp, _ := c.Nodes[0].NewProcess(p)
+		if _, _, err := imp.Import(p, 1, 10); err != nil {
+			t.Fatal(err)
+		}
+		c.CrashNode(0)
+		if err := c.RestartNode(0); err != nil {
+			t.Fatal(err)
+		}
+		imp, err := c.Nodes[0].NewProcess(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dest, _, err := imp.Import(p, 1, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, _ := imp.Malloc(mem.PageSize)
+		if err := imp.Write(src, []byte{0x77}); err != nil {
+			t.Fatal(err)
+		}
+		if err := imp.SendMsgSync(p, src, dest, 1, SendOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(sim.Millisecond)
+		for tag, want := range map[uint32]byte{10: 0, 20: 0x77} {
+			if got, _ := exp.Read(bufs[tag], 1); got[0] != want {
+				t.Errorf("tag %d's buffer holds %#x, want %#x", tag, got[0], want)
+			}
+		}
+		if err := exp.Unexport(p, 20); !errors.Is(err, ErrStillImported) {
+			t.Errorf("Unexport(20) while imported = %v, want ErrStillImported", err)
 		}
 	})
 }

@@ -16,7 +16,7 @@ import (
 // header: no field is narrower on the wire than in the struct.
 func TestHeaderFullWidth(t *testing.T) {
 	base := msgHeader{Flags: 0x5A, DataLen: 0x0102, SrcNode: 0x0304, SrcPid: 0x0506,
-		Addr1: 0x0708090A0B0C0D0E, Addr2: 0x1112131415161718, Len1: 0x191A, Seq: 0x1B1C}
+		Addr1: 0x0708090A0B0C0D0E, Frame2: 0x11121314, MsgOff: 0x15161718, Len1: 0x191A, Seq: 0x1B1C}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		top := uint64(1)<<(typ.Field(i).Type.Bits()-1)<<1 - 1
@@ -59,11 +59,14 @@ func FuzzDecodeHeader(f *testing.F) {
 	})
 }
 
-// TestIdentityLimits: a cluster or a pid the header cannot name is
-// refused, never wrapped.
+// TestIdentityLimits: a cluster, a frame or a pid the header cannot name
+// is refused, never wrapped.
 func TestIdentityLimits(t *testing.T) {
 	if _, err := NewCluster(sim.NewEngine(), Options{Nodes: maxWireID + 2}); err == nil {
 		t.Errorf("NewCluster accepted %d nodes; node ids are 16 bits", maxWireID+2)
+	}
+	if _, err := NewCluster(sim.NewEngine(), Options{Nodes: 1, MemBytes: (maxWireFrame + 2) * mem.PageSize}); err == nil {
+		t.Errorf("NewCluster accepted %d frames per node; frame numbers are 32 bits", maxWireFrame+2)
 	}
 	testCluster(t, 1, func(p *simProc, c *Cluster) {
 		n := c.Nodes[0]
@@ -121,12 +124,12 @@ func TestNotifyNamesSenderPast255(t *testing.T) {
 }
 
 // TestNotifyExtentBesideDeadSender: sender pid 0 is killed once 2 of
-// the 8 pages of a notifying message have landed, which leaves its
-// accumulator on the receiver (the dead-sender leak, still open). Pid 256
-// then sends 64 bytes at offset 12 288, and the handler must be told
-// exactly that extent — with a one-byte pid on the wire it merged into
-// pid 0's leftover and was told offset 0 and the dead sender's pages plus
-// 64 bytes.
+// the 8 pages of a notifying message have landed, so its message never
+// finishes. Pid 256 then sends 64 bytes at offset 12 288, and the handler
+// must be told exactly that extent — with a one-byte pid on the wire and a
+// receiver that accumulated extents per sender, it merged into pid 0's
+// leftover and was told offset 0 and the dead sender's pages plus 64
+// bytes.
 func TestNotifyExtentBesideDeadSender(t *testing.T) {
 	const size = 8 * mem.PageSize
 	testCluster(t, 2, func(p *simProc, c *Cluster) {
@@ -151,8 +154,7 @@ func TestNotifyExtentBesideDeadSender(t *testing.T) {
 		if _, err := dead.SendMsg(p, src, dest, size, SendOptions{Notify: true}); err != nil {
 			t.Fatal(err)
 		}
-		lcp := c.Nodes[1].LCP
-		for lcp.notifyAcc[notifyKey{src: 0, pid: 0, tag: 9}].bytes < 2*mem.PageSize {
+		for nodeCounter(t, c.Nodes[1], "lcp_bytes_in") < 2*mem.PageSize {
 			p.Sleep(sim.Micros(1))
 		}
 		c.Nodes[0].KillProcess(dead.Pid)

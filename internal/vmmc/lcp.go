@@ -56,14 +56,6 @@ type LCP struct {
 	redirects map[uint32]*redirectRec
 	arrivedHW map[uint32]int
 
-	// notifyAcc accumulates the chunks of an in-flight notifying message
-	// per sender and export, so the notification reports the whole
-	// message's base offset and length rather than the last chunk's.
-	// Chunks of one message arrive contiguously per channel (the sender
-	// LCP serializes its send queue and links deliver in order), so one
-	// accumulator per (sender, tag) suffices.
-	notifyAcc map[notifyKey]notifyAccum
-
 	// SRAM regions.
 	codeOff    int
 	stagingOff [2]int // double buffer for long-send chunks
@@ -208,7 +200,6 @@ func newLCP(n *Node, routes myrinet.RouteTable) (*LCP, error) {
 		work:      sim.NewCond(n.Eng),
 		redirects: make(map[uint32]*redirectRec),
 		arrivedHW: make(map[uint32]int),
-		notifyAcc: make(map[notifyKey]notifyAccum),
 		comp:      fmt.Sprintf("node%d/lcp", n.ID),
 		m:         newLCPMetrics(n.Eng.Metrics(), n.ID),
 
@@ -276,7 +267,6 @@ func (l *LCP) teardown() {
 	l.rxq = nil
 	l.redirects = make(map[uint32]*redirectRec)
 	l.arrivedHW = make(map[uint32]int)
-	l.notifyAcc = make(map[notifyKey]notifyAccum)
 }
 
 // registerProcess carves the per-process SRAM state out of the board,
@@ -642,8 +632,8 @@ func (l *LCP) startRequest(p *simProc, st *lcpProcState, e sqEntry) {
 // scatterFor computes the one- or two-piece destination scatter for a
 // chunk of n bytes at dest (§4.5: "two physical destination addresses ...
 // to perform two piece scatter when the destination memory spans a page
-// boundary").
-func scatterFor(outPT *OutgoingTable, dest ProxyAddr, n int) (addr1 mem.PhysAddr, len1 int, addr2 mem.PhysAddr) {
+// boundary"). The second piece starts a page, so it is named by its frame.
+func scatterFor(outPT *OutgoingTable, dest ProxyAddr, n int) (addr1 mem.PhysAddr, len1 int, frame2 uint32) {
 	e1, _ := outPT.lookup(dest.Page())
 	addr1 = mem.PhysAddr(e1.destFrame)<<mem.PageShift | mem.PhysAddr(dest.Offset())
 	room := mem.PageSize - dest.Offset()
@@ -651,7 +641,7 @@ func scatterFor(outPT *OutgoingTable, dest ProxyAddr, n int) (addr1 mem.PhysAddr
 		return addr1, n, 0
 	}
 	e2, _ := outPT.lookup(dest.Page() + 1)
-	return addr1, room, mem.PhysAddr(e2.destFrame) << mem.PageShift
+	return addr1, room, uint32(e2.destFrame)
 }
 
 // writeCompletion reports a one-word completion status back to user space
@@ -729,28 +719,24 @@ func (l *LCP) inject(p *simProc, j *sendJob, c stagedChunk) {
 		j.completed = true
 	}
 
-	addr1, len1, addr2 := scatterFor(j.st.outPT, j.e.dest+ProxyAddr(c.off), c.n)
-	// Chunks are at most a page, ids at most maxWireID; Seq keeps low bits.
+	addr1, len1, frame2 := scatterFor(j.st.outPT, j.e.dest+ProxyAddr(c.off), c.n)
+	// Chunks are at most a page, ids at most maxWireID, a message at most
+	// 8 MB; Seq keeps low bits.
 	hdr := msgHeader{
 		DataLen: uint16(c.n),
 		Addr1:   addr1,
-		Addr2:   addr2,
+		Frame2:  frame2,
+		MsgOff:  uint32(c.off),
 		Len1:    uint16(len1),
 		SrcNode: uint16(l.node.ID),
 		SrcPid:  uint16(j.st.pid),
 		Seq:     uint16(j.e.seq),
 	}
-	// Every chunk of a notifying message carries flagNotify so the
-	// receiver can accumulate the message-level extent; the interrupt
-	// itself is raised only on the flagLastChunk chunk.
-	if j.e.notify {
+	// Only the last chunk of a notifying message asks for the
+	// notification; its MsgOff tells the receiver where the message began.
+	if c.last && j.e.notify {
 		hdr.Flags |= flagNotify
-	}
-	if c.last {
-		hdr.Flags |= flagLastChunk
-		if j.e.notify {
-			l.m.notifyRequested.Add(1)
-		}
+		l.m.notifyRequested.Add(1)
 	}
 	board := l.node.Board
 	frame := hdr.appendTo(board.NewFrame(hdrSize + c.n))

@@ -50,7 +50,8 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 
 	len1 := int(hdr.Len1)
 	len2 := 0
-	if hdr.Addr2 != 0 {
+	addr2 := mem.PhysAddr(hdr.Frame2) << mem.PageShift
+	if hdr.Frame2 != 0 {
 		// Scatter lengths are computed from the total length and the
 		// addresses (§4.5).
 		len2 = int(hdr.DataLen) - len1
@@ -69,37 +70,43 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 		return
 	}
 	if len2 > 0 {
-		if err := l.incoming.check(hdr.Addr2, len2); err != nil {
+		if err := l.incoming.check(addr2, len2); err != nil {
 			l.protViolation(pk)
 			return
 		}
+	}
+	// The chunk's offset within its export; a notifying chunk's message
+	// starts MsgOff bytes before it, which must not be before the export.
+	entry, _ := l.incoming.lookup(hdr.Addr1)
+	chunkOff := entry.exportOff(hdr.Addr1)
+	notify := hdr.Flags&flagNotify != 0
+	if notify && int(hdr.MsgOff) > chunkOff {
+		l.protViolation(pk)
+		return
 	}
 
 	// Resolve transfer redirection (redirect.go): pieces aimed at a
 	// default buffer with an active redirect deposit into the posted
 	// user buffer instead, copy-free.
-	dst1, dst2 := hdr.Addr1, hdr.Addr2
-	if entry, ok := l.incoming.lookup(hdr.Addr1); ok {
-		if rd, active := l.redirects[entry.tag]; active {
-			if pa, ok := l.redirectPiece(entry, rd, hdr.Addr1, len1); ok {
-				dst1 = pa
-				rd.redirected += int64(len1)
-			}
-			if len2 > 0 {
-				if e2, ok := l.incoming.lookup(hdr.Addr2); ok {
-					if pa, ok := l.redirectPiece(e2, rd, hdr.Addr2, len2); ok {
-						dst2 = pa
-						rd.redirected += int64(len2)
-					}
+	dst1, dst2 := hdr.Addr1, addr2
+	if rd, active := l.redirects[entry.tag]; active {
+		if pa, ok := l.redirectPiece(entry, rd, hdr.Addr1, len1); ok {
+			dst1 = pa
+			rd.redirected += int64(len1)
+		}
+		if len2 > 0 {
+			if e2, ok := l.incoming.lookup(addr2); ok {
+				if pa, ok := l.redirectPiece(e2, rd, addr2, len2); ok {
+					dst2 = pa
+					rd.redirected += int64(len2)
 				}
 			}
 		}
-		// Track the arrival high-water mark within the export, for the
-		// early-arrival copy of a late redirect posting.
-		endOff := int(entry.frameVA) + hdr.Addr1.Offset() - int(entry.baseVA) + int(hdr.DataLen)
-		if endOff > l.arrivedHW[entry.tag] {
-			l.arrivedHW[entry.tag] = endOff
-		}
+	}
+	// Track the arrival high-water mark within the export, for the
+	// early-arrival copy of a late redirect posting.
+	if endOff := chunkOff + int(hdr.DataLen); endOff > l.arrivedHW[entry.tag] {
+		l.arrivedHW[entry.tag] = endOff
 	}
 
 	// Deposit piece one, then piece two, with the host DMA engine.
@@ -118,60 +125,20 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 	l.m.bytesIn.Add(int64(hdr.DataLen))
 	l.node.MemActivity.Broadcast()
 
-	if hdr.Flags&flagNotify != 0 {
-		entry, ok := l.incoming.lookup(hdr.Addr1)
-		if ok && entry.notifyOK {
-			chunkOff := int(entry.frameVA) + hdr.Addr1.Offset() - int(entry.baseVA)
-			// Accumulate the message across its chunks so the
-			// notification carries the whole message's base offset and
-			// length, not the final chunk's. One accumulator per
-			// (sender, export) is enough: each sender LCP serializes its
-			// send queue and the link delivers in order, so chunks of one
-			// message never interleave with another on the same channel.
-			// Sender node and pid are 16 bits at both ends, so no two
-			// processes share one (no wrap at 256 processes).
-			// (Without the reliability layer a lost final chunk can leave
-			// an accumulator behind; the next notifying message from the
-			// same sender then reports a merged extent — the price of the
-			// paper's detect-but-don't-recover link, §4.2.) Only a message
-			// still arriving is stored: a single-chunk one with nothing
-			// to merge into leaves the map as it found it.
-			key := notifyKey{src: hdr.SrcNode, pid: hdr.SrcPid, tag: entry.tag}
-			acc, live := l.notifyAcc[key]
-			if !live {
-				acc = notifyAccum{start: chunkOff}
-			}
-			acc.bytes += int(hdr.DataLen)
-			if hdr.Flags&flagLastChunk == 0 {
-				l.notifyAcc[key] = acc
-				return
-			}
-			if live {
-				delete(l.notifyAcc, key)
-			}
-			board.RaiseInterrupt(notifyIRQ{
-				pid:    entry.owner,
-				tag:    entry.tag,
-				offset: acc.start,
-				length: acc.bytes,
-				from:   ProcID{Node: int(hdr.SrcNode), Pid: int(hdr.SrcPid)},
-			})
-		}
+	// The last chunk of a notifying message names the whole message: it
+	// began MsgOff bytes before this chunk and ends with it. A message
+	// whose last chunk the paper's link lost (§4.2) raises nothing, and
+	// the next one reports only its own extent. The export is looked up
+	// again: it may have been dropped during the deposit.
+	if entry, ok := l.incoming.lookup(hdr.Addr1); notify && ok && entry.notifyOK {
+		board.RaiseInterrupt(notifyIRQ{
+			pid:    entry.owner,
+			tag:    entry.tag,
+			offset: entry.exportOff(hdr.Addr1) - int(hdr.MsgOff),
+			length: int(hdr.MsgOff) + int(hdr.DataLen),
+			from:   ProcID{Node: int(hdr.SrcNode), Pid: int(hdr.SrcPid)},
+		})
 	}
-}
-
-// notifyKey identifies the channel an in-flight notifying message is
-// arriving on: sender node and pid, destination export tag.
-type notifyKey struct {
-	src, pid uint16
-	tag      uint32
-}
-
-// notifyAccum tracks a notifying message mid-arrival: base offset of its
-// first chunk within the export and bytes deposited so far.
-type notifyAccum struct {
-	start int
-	bytes int
 }
 
 // protViolation counts a rejected packet (forged, malformed, or outside

@@ -26,7 +26,7 @@ func malformedPayloads(pa, pa2, outside mem.PhysAddr) []struct {
 	payload []byte
 } {
 	good := func() msgHeader {
-		return msgHeader{DataLen: 4, Addr1: pa, Len1: 4, Flags: flagLastChunk}
+		return msgHeader{DataLen: 4, Addr1: pa, Len1: 4}
 	}
 	return []struct {
 		name    string
@@ -47,7 +47,7 @@ func malformedPayloads(pa, pa2, outside mem.PhysAddr) []struct {
 		{"len1 beyond data", func() []byte {
 			h := good()
 			h.Len1 = 4000
-			h.Addr2 = pa + 8
+			h.Frame2 = uint32(pa2.Frame())
 			return append(h.appendTo(nil), 1, 2, 3, 4)
 		}()},
 		{"piece outside any export", func() []byte {
@@ -59,8 +59,17 @@ func malformedPayloads(pa, pa2, outside mem.PhysAddr) []struct {
 		// piece is in bounds, but the packet is twice what the one-page
 		// receive staging buffer holds.
 		{"chunk larger than a page", func() []byte {
-			h := msgHeader{DataLen: 2 * mem.PageSize, Addr1: pa, Len1: mem.PageSize, Addr2: pa2, Flags: flagLastChunk}
+			h := msgHeader{DataLen: 2 * mem.PageSize, Addr1: pa, Len1: mem.PageSize, Frame2: uint32(pa2.Frame())}
 			return append(h.appendTo(nil), bytes.Repeat([]byte{0xEE}, 2*mem.PageSize)...)
+		}()},
+		// A last chunk at the export's first byte that claims 8 message
+		// bytes ahead of it: the notification would name an extent that
+		// starts before the export.
+		{"notifying message starts before the export", func() []byte {
+			h := good()
+			h.Flags = flagNotify
+			h.MsgOff = 8
+			return append(h.appendTo(nil), 1, 2, 3, 4)
 		}()},
 	}
 }

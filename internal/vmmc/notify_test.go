@@ -152,16 +152,12 @@ func TestNotificationOnLongSendFiresOnceAfterLastChunk(t *testing.T) {
 	})
 }
 
-// TestLostFinalChunkMergesIntoNextNotification pins the price §4.2's
-// detect-but-don't-recover link charges the notification path, as
-// handleRecv documents it: when the final chunk of a notifying long send
-// dies on the wire (a bit error the receiver's CRC check catches), no
-// notification fires and the message's accumulator stays behind; the next
-// notifying message from the same sender on the same export then reports
-// the merged extent — the lost message's base offset and the bytes of both
-// — and leaves nothing behind. A clean single-chunk notification before
-// all this never enters the accumulator map.
-func TestLostFinalChunkMergesIntoNextNotification(t *testing.T) {
+// lossyNotifyRig runs body on the paper's link with a fault plan armed on
+// the fabric: node 1's process exports 4 pages under tag 9 with
+// notifications on, node 0's process imports them, and every notification
+// the handler sees is collected in order. sendNotify sends n bytes at
+// offset off with Notify and gives the notification a millisecond.
+func lossyNotifyRig(t *testing.T, body func(p *simProc, c *Cluster, pl *fault.Plan, notes *[]note, sendNotify func(off, n int) bool)) {
 	testCluster(t, 2, func(p *simProc, c *Cluster) {
 		pl := fault.NewPlan(c.Eng, 1)
 		c.Net.SetFaults(pl)
@@ -173,7 +169,6 @@ func TestLostFinalChunkMergesIntoNextNotification(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		type note struct{ offset, length int }
 		var notes []note
 		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
 			notes = append(notes, note{offset, length})
@@ -184,25 +179,33 @@ func TestLostFinalChunkMergesIntoNextNotification(t *testing.T) {
 			return
 		}
 		src, _ := send.Malloc(size)
-		lcp := c.Nodes[1].LCP
-		sendNotify := func(off, n int) bool {
+		body(p, c, pl, &notes, func(off, n int) bool {
 			if err := send.SendMsgSync(p, src, dest+ProxyAddr(off), n, SendOptions{Notify: true}); err != nil {
 				t.Error(err)
 				return false
 			}
 			p.Sleep(sim.Millisecond)
 			return true
-		}
+		})
+	})
+}
 
+type note struct{ offset, length int }
+
+// TestLostFinalChunkLeavesNextNotificationItsOwn pins what §4.2's
+// detect-but-don't-recover link costs the notification path: when the
+// final chunk of a notifying long send dies on the wire (a bit error the
+// receiver's CRC check catches), no notification fires, and the next
+// notifying message from the same sender on the same export reports its
+// own extent. A receiver that accumulated extents across chunks reported
+// the merged {0, 4196} for that next message.
+func TestLostFinalChunkLeavesNextNotificationItsOwn(t *testing.T) {
+	lossyNotifyRig(t, func(p *simProc, c *Cluster, pl *fault.Plan, notes *[]note, sendNotify func(off, n int) bool) {
 		if !sendNotify(3*mem.PageSize, 64) {
 			return
 		}
-		if len(notes) != 1 || notes[0] != (note{3 * mem.PageSize, 64}) {
-			t.Errorf("single-chunk notification: %v, want [{%d 64}]", notes, 3*mem.PageSize)
-			return
-		}
-		if n := len(lcp.notifyAcc); n != 0 {
-			t.Errorf("single-chunk notification left %d accumulators", n)
+		if len(*notes) != 1 || (*notes)[0] != (note{3 * mem.PageSize, 64}) {
+			t.Errorf("single-chunk notification: %v, want [{%d 64}]", *notes, 3*mem.PageSize)
 			return
 		}
 
@@ -224,23 +227,38 @@ func TestLostFinalChunkMergesIntoNextNotification(t *testing.T) {
 			t.Errorf("CRC errors at the receiver: %d, want 1 (the final chunk)", got)
 			return
 		}
-		if len(notes) != 1 {
-			t.Errorf("a message whose final chunk was lost notified: %v", notes[1:])
-			return
-		}
-		if n := len(lcp.notifyAcc); n != 1 {
-			t.Errorf("%d accumulators after the lost final chunk, want 1", n)
+		if len(*notes) != 1 {
+			t.Errorf("a message whose final chunk was lost notified: %v", (*notes)[1:])
 			return
 		}
 
 		if !sendNotify(2*mem.PageSize, 100) {
 			return
 		}
-		if want := (note{0, mem.PageSize + 100}); len(notes) != 2 || notes[1] != want {
-			t.Errorf("notifications %v, want the merged extent %v second", notes, want)
+		if want := (note{2 * mem.PageSize, 100}); len(*notes) != 2 || (*notes)[1] != want {
+			t.Errorf("notifications %v, want the next message's own extent %v second", *notes, want)
 		}
-		if n := len(lcp.notifyAcc); n != 0 {
-			t.Errorf("%d accumulators left after the merged notification", n)
+	})
+}
+
+// TestLostFirstChunkKeepsTrueStart: when the first chunk of a two-chunk
+// notifying message dies on the wire, the last chunk still names the
+// message's start and whole length — the notification reports the extent
+// the sender deposited, as §2 has it, and the CRC counter reports the
+// loss. A receiver that accumulated from the first chunk it saw reported
+// {4096, 4096}.
+func TestLostFirstChunkKeepsTrueStart(t *testing.T) {
+	lossyNotifyRig(t, func(p *simProc, c *Cluster, pl *fault.Plan, notes *[]note, sendNotify func(off, n int) bool) {
+		pl.CorruptNextOn(c.Nodes[0].Board.NIC.ID, 1)
+		if !sendNotify(0, 2*mem.PageSize) {
+			return
+		}
+		if got := nodeCounter(t, c.Nodes[1], "lcp_crc_errors"); got != 1 {
+			t.Errorf("CRC errors at the receiver: %d, want 1 (the first chunk)", got)
+			return
+		}
+		if want := (note{0, 2 * mem.PageSize}); len(*notes) != 1 || (*notes)[0] != want {
+			t.Errorf("notifications %v, want [%v]", *notes, want)
 		}
 	})
 }
@@ -373,14 +391,14 @@ func TestHandlersScatterIntoOneBuffer(t *testing.T) {
 	})
 }
 
-// TestReexportAfterKillNotifiesOwnExtent pins that a notification
-// accumulator dies with its export. On the reliable link a receiver is
-// killed while an 8-page notifying message is half delivered, so the
-// message's accumulator is left mid-arrival; a new process on the same
-// node then exports the same tag and the same sender notifies it with 64
-// bytes at offset 3 pages. The handler must be told that message's extent,
-// not the dead one's base plus both messages' bytes (0 and 4 160, while
-// dropExport left the accumulator behind).
+// TestReexportAfterKillNotifiesOwnExtent pins that nothing of a message
+// cut off by its receiver's death reaches the tag's next export. On the
+// reliable link a receiver is killed while an 8-page notifying message is
+// half delivered; a new process on the same node then exports the same
+// tag and the same sender notifies it with 64 bytes at offset 3 pages.
+// The handler must be told that message's extent, not the dead one's base
+// plus both messages' bytes (0 and 4 160, which a receiver-side
+// accumulator that outlived its export reported).
 func TestReexportAfterKillNotifiesOwnExtent(t *testing.T) {
 	const size = 8 * mem.PageSize
 	reliableCluster(t, func(p *simProc, c *Cluster) {
@@ -405,7 +423,7 @@ func TestReexportAfterKillNotifiesOwnExtent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for len(node.LCP.notifyAcc) == 0 {
+		for nodeCounter(t, node, "lcp_bytes_in") == 0 {
 			p.Sleep(sim.Micros(1))
 		}
 		node.KillProcess(victim.Pid)
@@ -425,9 +443,6 @@ func TestReexportAfterKillNotifiesOwnExtent(t *testing.T) {
 		p.Sleep(sim.Millisecond)
 		if offset != 3*mem.PageSize || length != 64 {
 			t.Errorf("handler told offset %d, length %d; want %d, 64", offset, length, 3*mem.PageSize)
-		}
-		if n := len(node.LCP.notifyAcc); n != 0 {
-			t.Errorf("%d notification accumulators left behind", n)
 		}
 	})
 }

@@ -74,6 +74,9 @@ func (t *IncomingTable) check(pa mem.PhysAddr, n int) error {
 	return nil
 }
 
+// exportOff is the offset of pa, in this entry's frame, within the export.
+func (e inEntry) exportOff(pa mem.PhysAddr) int { return int(e.frameVA) + pa.Offset() - int(e.baseVA) }
+
 // lookup returns the entry for the frame containing pa.
 func (t *IncomingTable) lookup(pa mem.PhysAddr) (inEntry, bool) {
 	f := pa.Frame()

@@ -235,7 +235,6 @@ func TestForgedPacketRejectedByIncomingTable(t *testing.T) {
 			DataLen: 6,
 			Addr1:   pa,
 			Len1:    6,
-			Flags:   flagLastChunk,
 		}
 		payload := append(hdr.appendTo(nil), []byte("OWNED!")...)
 		nic := c.Net.NICs()[0]

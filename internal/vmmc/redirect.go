@@ -108,7 +108,7 @@ func (proc *Process) CompleteRedirect(p *simProc, tag uint32) (int64, error) {
 // are page aligned). It returns false when the piece falls outside the
 // redirect window, in which case it deposits to the default buffer.
 func (l *LCP) redirectPiece(entry inEntry, rd *redirectRec, pa mem.PhysAddr, n int) (mem.PhysAddr, bool) {
-	off := int(entry.frameVA) + pa.Offset() - int(entry.baseVA)
+	off := entry.exportOff(pa)
 	if off < 0 || off+n > rd.length {
 		return 0, false
 	}

@@ -123,19 +123,19 @@ func TestScatterFor(t *testing.T) {
 	outPT.entries[base+1] = outEntry{valid: true, destNode: 1, destFrame: 22, validBytes: 4096}
 
 	// Within one page: single piece.
-	a1, l1, a2 := scatterFor(outPT, ProxyAddr(base*4096+100), 200)
-	if a1 != 10*4096+100 || l1 != 200 || a2 != 0 {
-		t.Errorf("single piece = %#x,%d,%#x", a1, l1, a2)
+	a1, l1, f2 := scatterFor(outPT, ProxyAddr(base*4096+100), 200)
+	if a1 != 10*4096+100 || l1 != 200 || f2 != 0 {
+		t.Errorf("single piece = %#x,%d,%d", a1, l1, f2)
 	}
-	// Crossing the boundary: two pieces, second page-aligned.
-	a1, l1, a2 = scatterFor(outPT, ProxyAddr(base*4096+4000), 300)
-	if a1 != 10*4096+4000 || l1 != 96 || a2 != 22*4096 {
-		t.Errorf("split = %#x,%d,%#x", a1, l1, a2)
+	// Crossing the boundary: two pieces, the second at the next frame.
+	a1, l1, f2 = scatterFor(outPT, ProxyAddr(base*4096+4000), 300)
+	if a1 != 10*4096+4000 || l1 != 96 || f2 != 22 {
+		t.Errorf("split = %#x,%d,%d", a1, l1, f2)
 	}
 	// Exactly to the boundary: single piece.
-	a1, l1, a2 = scatterFor(outPT, ProxyAddr(base*4096+4000), 96)
-	if l1 != 96 || a2 != 0 {
-		t.Errorf("boundary fit = %#x,%d,%#x", a1, l1, a2)
+	a1, l1, f2 = scatterFor(outPT, ProxyAddr(base*4096+4000), 96)
+	if l1 != 96 || f2 != 0 {
+		t.Errorf("boundary fit = %#x,%d,%d", a1, l1, f2)
 	}
 }
 
@@ -143,9 +143,10 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 	h := msgHeader{
 		DataLen: 4096,
 		Addr1:   0x123456,
-		Addr2:   0x9000,
+		Frame2:  9,
+		MsgOff:  3 * 4096,
 		Len1:    96,
-		Flags:   flagNotify | flagLastChunk,
+		Flags:   flagNotify,
 		SrcNode: 3,
 		SrcPid:  7,
 		Seq:     41,
@@ -154,9 +155,7 @@ func TestWireHeaderRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DataLen != h.DataLen || got.Addr1 != h.Addr1 || got.Addr2 != h.Addr2 ||
-		got.Len1 != h.Len1 || got.Flags != h.Flags || got.SrcNode != h.SrcNode ||
-		got.SrcPid != h.SrcPid || got.Seq != h.Seq {
+	if got != h {
 		t.Errorf("round trip %+v != %+v", got, h)
 	}
 	if _, err := decodeHeader([]byte{1, 2, 3}); err == nil {

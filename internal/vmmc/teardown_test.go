@@ -11,17 +11,15 @@ import (
 
 // nodeBaseline is what a process teardown must give back on its node: the
 // SRAM carve, every page lock, the incoming page-table entries of its
-// exports, its traffic class's retransmit buffers, and the notification
-// accumulators of messages arriving into its exports.
+// exports and its traffic class's retransmit buffers.
 type nodeBaseline struct {
-	sramUsed, pinnedFrames, incomingEntries, unacked, notifyAccs int
+	sramUsed, pinnedFrames, incomingEntries, unacked int
 }
 
 func takeBaseline(n *Node, class int) nodeBaseline {
 	b := nodeBaseline{
-		sramUsed:   n.Board.SRAM.Used(),
-		unacked:    n.Board.Reliable().Unacked(class),
-		notifyAccs: len(n.LCP.notifyAcc),
+		sramUsed: n.Board.SRAM.Used(),
+		unacked:  n.Board.Reliable().Unacked(class),
 	}
 	for f := 0; f < n.Phys.NumFrames(); f++ {
 		if n.Phys.Pinned(f) {

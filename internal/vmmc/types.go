@@ -76,29 +76,34 @@ var (
 
 // wire header: route bytes are consumed by the fabric; this header leads
 // every packet payload. The receiving LANai scatters the data to Addr1 and
-// (when the chunk crosses a destination page boundary) Addr2, computing
-// the split lengths from DataLen and the addresses (§4.5).
+// (when the chunk crosses a destination page boundary) the start of frame
+// Frame2, computing the split lengths from DataLen and the addresses
+// (§4.5).
 const (
 	hdrMagic = 0x56 // 'V'
 	hdrSize  = 28
 
-	maxWireID = 1<<16 - 1 // largest node id and pid; NewCluster/NewProcess refuse more
+	maxWireID    = 1<<16 - 1 // largest node id and pid; NewCluster/NewProcess refuse more
+	maxWireFrame = 1<<32 - 1 // largest frame number; NewCluster refuses more memory
 
-	flagNotify    = 1 << 0 // raise a notification after delivery
-	flagLastChunk = 1 << 1 // final chunk of a message
+	flagNotify = 1 << 0 // last chunk of a notifying message: raise a notification
 )
 
 // msgHeader is the packet header, every field at its wire width, so
 // appendTo never truncates: sender identity is 16 bits of node and of pid
-// at both ends, and no pid wraps at 256 processes.
+// at both ends, and no pid wraps at 256 processes. A second scatter piece
+// always starts a page, so it travels as a frame number, and the four
+// bytes that saves carry MsgOff: a notifying message's last chunk names
+// the whole message's extent by itself, with no state at the receiver.
 type msgHeader struct {
 	Flags   uint8
 	DataLen uint16       // bytes of data in this chunk, at most a page
 	SrcNode uint16       // sending node
 	SrcPid  uint16       // sending process
 	Addr1   mem.PhysAddr // first scatter destination
-	Addr2   mem.PhysAddr // second scatter destination (0 = no split)
-	Len1    uint16       // bytes destined for Addr1 (rest go to Addr2)
+	Frame2  uint32       // frame of the second scatter piece (0 = no split)
+	MsgOff  uint32       // message bytes ahead of this chunk (a message is at most 8 MB)
+	Len1    uint16       // bytes destined for Addr1 (rest go to Frame2)
 	Seq     uint16       // low bits of the sender's request sequence (diagnostics)
 }
 
@@ -109,7 +114,8 @@ func (h *msgHeader) appendTo(b []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, h.SrcNode)
 	b = binary.BigEndian.AppendUint16(b, h.SrcPid)
 	b = binary.BigEndian.AppendUint64(b, uint64(h.Addr1))
-	b = binary.BigEndian.AppendUint64(b, uint64(h.Addr2))
+	b = binary.BigEndian.AppendUint32(b, h.Frame2)
+	b = binary.BigEndian.AppendUint32(b, h.MsgOff)
 	b = binary.BigEndian.AppendUint16(b, h.Len1)
 	return binary.BigEndian.AppendUint16(b, h.Seq)
 }
@@ -124,7 +130,8 @@ func decodeHeader(b []byte) (msgHeader, error) {
 		SrcNode: binary.BigEndian.Uint16(b[4:]),
 		SrcPid:  binary.BigEndian.Uint16(b[6:]),
 		Addr1:   mem.PhysAddr(binary.BigEndian.Uint64(b[8:])),
-		Addr2:   mem.PhysAddr(binary.BigEndian.Uint64(b[16:])),
+		Frame2:  binary.BigEndian.Uint32(b[16:]),
+		MsgOff:  binary.BigEndian.Uint32(b[20:]),
 		Len1:    binary.BigEndian.Uint16(b[24:]),
 		Seq:     binary.BigEndian.Uint16(b[26:]),
 	}, nil
