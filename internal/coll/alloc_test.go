@@ -47,30 +47,35 @@ func measureAllocs(runs int, op func()) allocStats {
 // all-reduce on a warmed 8-rank communicator, summed over the ranks (and
 // the eight spawns that start them): a 64 B tree all-reduce and a 64 KB
 // ring all-reduce, the two sizes the allreduce benchmark mixes. What is
-// left is the simulator's per-message bookkeeping — the driver's
-// notification processes and their interrupts, the senders' waits, the
-// short sends' inline copies — about 45 bytes an allocation; packet
-// records and long-send jobs are recycled. No buffer of a page or more is
+// left is the simulator's per-message bookkeeping — the notification
+// handlers' processes, the senders' waits, the short sends' inline copies
+// — about 40 bytes an allocation; packet records, long-send jobs and
+// notification records are recycled. No buffer of a page or more is
 // allocated, where each rank used to allocate a result-sized accumulator,
 // a result-sized scratch vector and a copy of every slot it drained (1.9 MB
 // per 64 KB op). The ceilings are the measured counts (go1.24); they were
 // 249 and 12 KB, 2 713 and 134 KB while every packet allocated its record,
-// delivery closure and ingress slice. Bytes get 4% of slack, because under
-// the race detector the runtime has no tiny allocator and the same
-// allocations take a little more room.
+// delivery closure and ingress slice, and 165 and 8.2 KB, 1 257 and
+// 55.9 KB while a notification boxed its cause, built two closures and
+// ran a service process, WaitSend's result escaped and each span built
+// its name and a closure. Bytes get 4% of slack (and the ring, measured at
+// 17.8 KB, a ceiling of 19), because under the race detector the runtime
+// has no tiny allocator and the same allocations take a little more room.
+// Handoffs per op are exact counts, held at the measured 426 and 4 980;
+// with the service process they were 482 and 5 428.
 func TestAllReduceAllocationCeilings(t *testing.T) {
 	const n = 8
 	cases := []struct {
-		name   string
-		bytes  int
-		algo   coll.Algorithm
-		allocs float64 // ceiling
-		kb     float64 // ceiling
+		name  string
+		bytes int
+		algo  coll.Algorithm
+		// ceilings
+		allocs, kb, handoffs float64
 	}{
-		{"64 B tree all-reduce", 64, coll.Tree, 165, 9},
-		{"64 KB ring all-reduce", 64 << 10, coll.Ring, 1257, 56},
+		{"64 B tree all-reduce", 64, coll.Tree, 65, 4, 426},
+		{"64 KB ring all-reduce", 64 << 10, coll.Ring, 457, 19, 4980},
 	}
-	withRanks(t, n, vmmc.Options{}, coll.Options{}, func(_ *sim.Proc, all func(func(*sim.Proc, *coll.Comm))) {
+	withRanks(t, n, vmmc.Options{}, coll.Options{}, func(p *sim.Proc, all func(func(*sim.Proc, *coll.Comm))) {
 		for _, tc := range cases {
 			in := make([][]byte, n)
 			out := make([][]byte, n)
@@ -88,9 +93,15 @@ func TestAllReduceAllocationCeilings(t *testing.T) {
 			for i := 0; i < 3; i++ { // pipelines, TLBs, free lists, scratch
 				op()
 			}
-			m := measureAllocs(20, op)
+			const runs = 20
+			before := p.Engine().SchedStats()
+			m := measureAllocs(runs, op)
+			handoffs := float64(p.Engine().SchedStats().Handoffs-before.Handoffs) / runs
 			kb := m.bytes / 1024
-			t.Logf("%s, 8 ranks: %.0f allocations, %.1f KB", tc.name, m.allocs, kb)
+			t.Logf("%s, 8 ranks: %.0f allocations, %.1f KB, %.0f handoffs", tc.name, m.allocs, kb, handoffs)
+			if handoffs > tc.handoffs {
+				t.Errorf("%s: %.0f handoffs, ceiling %.0f", tc.name, handoffs, tc.handoffs)
+			}
 			if m.allocs > tc.allocs {
 				t.Errorf("%s: %.0f allocations, ceiling %.0f", tc.name, m.allocs, tc.allocs)
 			}

@@ -20,12 +20,15 @@ func (c *Comm) AllReduce(p *simProc, in, out []byte, op Op, dt DType, algo Algor
 	if c.g.n == 1 {
 		return nil
 	}
-	a := c.resolve(algo, len(in))
-	defer c.span("allreduce_" + a.String())()
+	eng := c.proc.Node.Eng
 	var err error
-	if a == Tree {
+	if c.resolve(algo, len(in)) == Tree {
+		eng.TraceBegin(c.comp, "coll", "allreduce_tree")
+		defer eng.TraceEnd(c.comp, "coll", "allreduce_tree")
 		err = c.allReduceTree(p, op, dt, out)
 	} else {
+		eng.TraceBegin(c.comp, "coll", "allreduce_ring")
+		defer eng.TraceEnd(c.comp, "coll", "allreduce_ring")
 		err = c.allReduceRing(p, op, dt, out)
 	}
 	if err != nil {

@@ -10,7 +10,9 @@ func (c *Comm) Barrier(p *simProc) error {
 	if n == 1 {
 		return nil
 	}
-	defer c.span("barrier")()
+	eng := c.proc.Node.Eng
+	eng.TraceBegin(c.comp, "coll", "barrier")
+	defer eng.TraceEnd(c.comp, "coll", "barrier")
 	for dist := 1; dist < n; dist <<= 1 {
 		to := (c.rank + dist) % n
 		from := (c.rank - dist + n) % n

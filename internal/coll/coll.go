@@ -380,14 +380,6 @@ func (c *Comm) reduceScratch(n int) []byte {
 	return c.scratch[:n]
 }
 
-// span wraps a collective in a trace duration event and emits nothing
-// when tracing is off.
-func (c *Comm) span(name string) func() {
-	eng := c.proc.Node.Eng
-	eng.TraceBegin(c.comp, "coll", name)
-	return func() { eng.TraceEnd(c.comp, "coll", name) }
-}
-
 // step emits a per-phase instant (one per algorithm round, not per chunk)
 // and records the round position for credit-stall diagnostics.
 func (c *Comm) step(name string) {

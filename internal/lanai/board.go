@@ -32,7 +32,6 @@ type Board struct {
 	NetRecv *bus.DMAEngine
 
 	hostMem *mem.Physical
-	intr    func(cause any)
 
 	// reliable is the optional data-link reliability layer (reliable.go);
 	// nil (the paper's configuration) means CRC errors are detected but
@@ -79,22 +78,14 @@ func NewBoard(eng *sim.Engine, prof hw.Profile, nic *myrinet.NIC, hostMem *mem.P
 	return b
 }
 
-// SetInterruptHandler registers the host-side (driver) interrupt handler.
-func (b *Board) SetInterruptHandler(fn func(cause any)) { b.intr = fn }
-
-// RaiseInterrupt asserts the board's host interrupt line with a cause.
-// The handler runs in event context at the current time, after the events
-// already scheduled for it; it is expected to charge the host's interrupt
-// entry cost itself.
-func (b *Board) RaiseInterrupt(cause any) {
+// RaiseInterrupt asserts the board's host interrupt line. The driver's
+// service routine fire runs in event context at the current time, after
+// the events already scheduled for it; it is expected to charge the host's
+// interrupt entry cost itself. name labels the interrupt in the trace.
+func (b *Board) RaiseInterrupt(name string, fire func()) {
 	b.mInterrupts.Add(1)
-	if b.Eng.Trace().Enabled() {
-		b.Eng.TraceInstant(b.comp, "irq", fmt.Sprintf("%T", cause))
-	}
-	if b.intr == nil {
-		panic(fmt.Sprintf("lanai%d: interrupt %v with no handler", b.NIC.ID, cause))
-	}
-	b.Eng.Post(0, func() { b.intr(cause) })
+	b.Eng.TraceInstant(b.comp, "irq", name)
+	b.Eng.Post(0, fire)
 }
 
 // HostToSRAM DMAs n bytes from host physical memory at pa into SRAM at

@@ -242,29 +242,17 @@ func TestDMATimingAsymmetry(t *testing.T) {
 
 func TestInterruptDelivery(t *testing.T) {
 	e, b, _ := newBoard(t)
-	var got any
-	b.SetInterruptHandler(func(cause any) { got = cause })
-	e.At(10, func() { b.RaiseInterrupt("tlb-miss") })
+	var at sim.Time = -1
+	e.At(10, func() { b.RaiseInterrupt("tlb-miss", func() { at = e.Now() }) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != "tlb-miss" {
-		t.Errorf("interrupt cause = %v", got)
+	if at != 10 {
+		t.Errorf("interrupt serviced at %v, want 10", at)
 	}
 	if n := b.mInterrupts.Value(); n != 1 {
 		t.Errorf("interrupts = %d, want 1", n)
 	}
-}
-
-func TestInterruptWithoutHandlerPanics(t *testing.T) {
-	e, b, _ := newBoard(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("interrupt without handler did not panic")
-		}
-	}()
-	b.RaiseInterrupt("x")
-	_ = e
 }
 
 func TestSendPacketReachesWire(t *testing.T) {

@@ -22,6 +22,8 @@ type Driver struct {
 	// Names of the service processes and the trace component, built once:
 	// an interrupt arrives for every notifying message.
 	notifyName, tlbMissName, comp string
+
+	freeIRQ []*notifyIRQ // notification records not in flight
 }
 
 func newDriver(n *Node) *Driver {
@@ -37,53 +39,116 @@ func newDriver(n *Node) *Driver {
 	}
 }
 
-// Interrupt causes raised by the LCP.
-
-// tlbMissIRQ asks the driver to install translations for pid's pages
-// starting at vpage; done is invoked once the SRAM TLB has been updated.
-type tlbMissIRQ struct {
-	pid   int
-	vpage uint64
-	done  func(err error)
+// tlbMiss raises the board's interrupt for a TLB miss: the driver installs
+// translations for pid's pages starting at vpage, in a service process that
+// pays the interrupt entry cost, and then calls done. Misses are rare, so
+// the closures are built per miss.
+func (d *Driver) tlbMiss(pid int, vpage uint64, done func(err error)) {
+	n := d.node
+	n.Board.RaiseInterrupt("vmmc.tlbMissIRQ", func() {
+		if n.crashed {
+			// A dead host services nothing; in-flight interrupts at the
+			// crash instant are simply lost.
+			return
+		}
+		n.Eng.Go(d.tlbMissName, func(p *simProc) {
+			n.Eng.TraceBegin(d.comp, "irq", "tlb_refill")
+			p.Sleep(n.Prof.InterruptCost)
+			err := d.refillTLB(p, pid, vpage)
+			n.Eng.TraceEnd(d.comp, "irq", "tlb_refill")
+			done(err)
+		})
+	})
 }
 
-// notifyIRQ delivers a notification: the message targeting (pid, tag)
-// finished arriving at the given buffer offset, sent by from.
+// notifyIRQ is one notification on its way from the LANai's interrupt to
+// the owner's handler, delivered with a signal (§4.1, §5.1: "code that
+// invokes notifications using signals"): the message targeting (pid, tag)
+// finished arriving at the given buffer offset, sent by from. Each step is
+// an event on the engine; the steps are bound once and the records
+// recycled through the driver's free list, so a notification allocates
+// only its handler's process.
 type notifyIRQ struct {
+	d      *Driver
 	pid    int
 	tag    uint32
 	offset int
 	length int
 	from   ProcID
+
+	// Set by lookup for the handler's start.
+	proc *Process
+	h    NotifyHandler
+
+	raise, enter, lookup func()
+	signal               func(p *simProc)
 }
 
-// handleInterrupt runs in event context when the board asserts its
-// interrupt line; the actual service work runs as a short-lived host
-// process that pays the interrupt entry cost.
-func (d *Driver) handleInterrupt(cause any) {
-	n := d.node
-	if n.crashed {
-		// A dead host services nothing; in-flight interrupts at the
-		// crash instant are simply lost.
+// notify raises the board's interrupt for a notification.
+func (d *Driver) notify(pid int, tag uint32, offset, length int, from ProcID) {
+	var irq *notifyIRQ
+	if k := len(d.freeIRQ); k > 0 {
+		irq = d.freeIRQ[k-1]
+		d.freeIRQ = d.freeIRQ[:k-1]
+	} else {
+		irq = &notifyIRQ{d: d}
+		irq.raise, irq.enter, irq.lookup, irq.signal = irq.raiseStep, irq.enterStep, irq.lookupStep, irq.signalStep
+	}
+	irq.pid, irq.tag, irq.offset, irq.length, irq.from = pid, tag, offset, length, from
+	d.node.Board.RaiseInterrupt("vmmc.notifyIRQ", irq.raise)
+}
+
+// release returns the record to the free list.
+func (irq *notifyIRQ) release() {
+	irq.proc, irq.h = nil, nil
+	irq.d.freeIRQ = append(irq.d.freeIRQ, irq)
+}
+
+// raiseStep is the interrupt line: a dead host services nothing, and
+// in-flight interrupts at the crash instant are simply lost.
+func (irq *notifyIRQ) raiseStep() {
+	if irq.d.node.crashed {
+		irq.release()
 		return
 	}
-	switch irq := cause.(type) {
-	case tlbMissIRQ:
-		n.Eng.Go(d.tlbMissName, func(p *simProc) {
-			n.Eng.TraceBegin(d.comp, "irq", "tlb_refill")
-			p.Sleep(n.Prof.InterruptCost)
-			err := d.refillTLB(p, irq.pid, irq.vpage)
-			n.Eng.TraceEnd(d.comp, "irq", "tlb_refill")
-			irq.done(err)
-		})
-	case notifyIRQ:
-		n.Eng.Go(d.notifyName, func(p *simProc) {
-			p.Sleep(n.Prof.InterruptCost)
-			d.deliverNotification(p, irq)
-		})
-	default:
-		panic(fmt.Errorf("driver%d: unknown interrupt %T", n.ID, cause))
+	irq.d.node.Eng.Post(0, irq.enter)
+}
+
+// enterStep takes the interrupt into the kernel, one event after the line
+// was raised, and pays the entry cost.
+func (irq *notifyIRQ) enterStep() {
+	irq.d.node.Eng.Post(irq.d.node.Prof.InterruptCost, irq.lookup)
+}
+
+// lookupStep finds the owner and its handler, and sends the signal.
+func (irq *notifyIRQ) lookupStep() {
+	n := irq.d.node
+	proc, ok := n.procs[irq.pid]
+	if !ok {
+		irq.release() // process exited; drop, as a signal to a dead pid would
+		return
 	}
+	if irq.h, ok = proc.handlers[irq.tag]; !ok {
+		irq.release()
+		return
+	}
+	irq.proc = proc
+	n.Eng.GoAfter(n.Prof.SignalCost, irq.d.notifyName, irq.signal)
+}
+
+// signalStep is the start of the handler's process, once the signal has
+// been delivered. A process killed, or a node crashed, while the signal
+// was on its way gets nothing.
+func (irq *notifyIRQ) signalStep(p *simProc) {
+	d, proc, h := irq.d, irq.proc, irq.h
+	from, tag, offset, length := irq.from, irq.tag, irq.offset, irq.length
+	irq.release()
+	if proc.dead {
+		return
+	}
+	d.mNotify.Add(1)
+	d.node.Eng.TraceInstant(d.comp, "irq", "notification_signal")
+	h(p, from, tag, offset, length)
 }
 
 // refillTLB installs up to TLBRefillBatch translations for contiguous
@@ -123,25 +188,6 @@ func (d *Driver) refillTLB(p *simProc, pid int, vpage uint64) error {
 		return fmt.Errorf("driver%d: tlb miss on unmapped va page %#x (pid %d)", n.ID, vpage, pid)
 	}
 	return nil
-}
-
-// deliverNotification invokes the user-level handler attached to the
-// export, via a signal (§4.1, §5.1: "code that invokes notifications using
-// signals").
-func (d *Driver) deliverNotification(p *simProc, irq notifyIRQ) {
-	n := d.node
-	proc, ok := n.procs[irq.pid]
-	if !ok {
-		return // process exited; drop, as a signal to a dead pid would
-	}
-	h, ok := proc.handlers[irq.tag]
-	if !ok {
-		return
-	}
-	p.Sleep(n.Prof.SignalCost)
-	d.mNotify.Add(1)
-	n.Eng.TraceInstant(d.comp, "irq", "notification_signal")
-	h(p, irq.from, irq.tag, irq.offset, irq.length)
 }
 
 // translateAndLock is the driver service used by the daemon at export

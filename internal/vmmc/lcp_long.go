@@ -180,26 +180,21 @@ func (l *LCP) startChunkDMA(p *simProc, j *sendJob) {
 		l.m.tlbMissStalls.Add(1)
 		l.node.Eng.TraceInstant(l.comp, "lcp", "tlb_miss_stall")
 		j.tlbWait = true
-		pid := j.st.pid
-		l.node.Board.RaiseInterrupt(tlbMissIRQ{
-			pid:   pid,
-			vpage: uint64(src.Page()),
-			done: func(err error) {
-				j.tlbWait = false
-				if err != nil {
-					j.failed = true
-					// Report the failure on the host path: the driver
-					// could not translate the send buffer.
-					if !j.completed {
-						st, seq := j.st, j.e.seq
-						l.node.Eng.Go(l.failProcName, func(fp *simProc) {
-							l.writeCompletion(fp, st, seq, ceBadSource)
-						})
-					}
-					j.completed = true
+		l.node.Driver.tlbMiss(j.st.pid, uint64(src.Page()), func(err error) {
+			j.tlbWait = false
+			if err != nil {
+				j.failed = true
+				// Report the failure on the host path: the driver
+				// could not translate the send buffer.
+				if !j.completed {
+					st, seq := j.st, j.e.seq
+					l.node.Eng.Go(l.failProcName, func(fp *simProc) {
+						l.writeCompletion(fp, st, seq, ceBadSource)
+					})
 				}
-				l.work.Signal()
-			},
+				j.completed = true
+			}
+			l.work.Signal()
 		})
 		return
 	}

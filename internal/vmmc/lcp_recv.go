@@ -131,13 +131,9 @@ func (l *LCP) handleRecv(p *simProc, item rxItem) {
 	// the next one reports only its own extent. The export is looked up
 	// again: it may have been dropped during the deposit.
 	if entry, ok := l.incoming.lookup(hdr.Addr1); notify && ok && entry.notifyOK {
-		board.RaiseInterrupt(notifyIRQ{
-			pid:    entry.owner,
-			tag:    entry.tag,
-			offset: entry.exportOff(hdr.Addr1) - int(hdr.MsgOff),
-			length: int(hdr.MsgOff) + int(hdr.DataLen),
-			from:   ProcID{Node: int(hdr.SrcNode), Pid: int(hdr.SrcPid)},
-		})
+		l.node.Driver.notify(entry.owner, entry.tag,
+			entry.exportOff(hdr.Addr1)-int(hdr.MsgOff), int(hdr.MsgOff)+int(hdr.DataLen),
+			ProcID{Node: int(hdr.SrcNode), Pid: int(hdr.SrcPid)})
 	}
 }
 

@@ -68,7 +68,6 @@ func newNode(eng *sim.Engine, prof hw.Profile, id int, nic *myrinet.NIC, memByte
 	}
 	n.Driver = newDriver(n)
 	n.Daemon = newDaemon(n, eth)
-	n.Board.SetInterruptHandler(n.Driver.handleInterrupt)
 	return n
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -445,4 +446,59 @@ func TestReexportAfterKillNotifiesOwnExtent(t *testing.T) {
 			t.Errorf("handler told offset %d, length %d; want %d, 64", offset, length, 3*mem.PageSize)
 		}
 	})
+}
+
+// A signal on its way to a process that dies is dropped, as a signal to a
+// dead pid is. The driver finds the owner InterruptCost after the
+// interrupt and the handler starts SignalCost later; a kill or a crash in
+// between used to run the handler anyway. Each case times its disturbance
+// against the undisturbed run's handler, 5 and 20 µs ahead of it.
+func TestNotificationDroppedForProcessDeadBeforeSignal(t *testing.T) {
+	// run sends one notifying message and, unless disturb is nil, calls it
+	// at virtual time at. It reports when the handler ran, or -1.
+	run := func(t *testing.T, at sim.Time, disturb func(c *Cluster, recv *Process)) sim.Time {
+		fired := sim.Time(-1)
+		testCluster(t, 2, func(p *simProc, c *Cluster) {
+			recv, _ := c.Nodes[1].NewProcess(p)
+			send, _ := c.Nodes[0].NewProcess(p)
+			buf, _ := recv.Malloc(mem.PageSize)
+			if err := recv.Export(p, 9, buf, mem.PageSize, nil, true); err != nil {
+				t.Fatal(err)
+			}
+			recv.RegisterHandler(9, func(hp *simProc, _ ProcID, _ uint32, _, _ int) { fired = hp.Now() })
+			dest, _, err := send.Import(p, 1, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src, _ := send.Malloc(mem.PageSize)
+			if disturb != nil {
+				c.Eng.At(at, func() { disturb(c, recv) })
+			}
+			if err := send.SendMsgSync(p, src, dest, 4, SendOptions{Notify: true}); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(sim.Millisecond)
+		})
+		return fired
+	}
+	base := run(t, 0, nil)
+	if base < 0 {
+		t.Fatal("the undisturbed handler never ran")
+	}
+	signal := hw.Default().SignalCost
+	for _, tc := range []struct {
+		name    string
+		disturb func(c *Cluster, recv *Process)
+	}{
+		{"kill", func(c *Cluster, recv *Process) { recv.Node.KillProcess(recv.Pid) }},
+		{"crash", func(c *Cluster, recv *Process) { c.CrashNode(recv.Node.ID) }},
+	} {
+		for _, ahead := range []sim.Time{signal / 5, signal * 4 / 5} {
+			t.Run(fmt.Sprintf("%s/%v_ahead", tc.name, ahead), func(t *testing.T) {
+				if got := run(t, base-ahead, tc.disturb); got >= 0 {
+					t.Errorf("handler ran at %v for a process that died at %v", got, base-ahead)
+				}
+			})
+		}
+	}
 }

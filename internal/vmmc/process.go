@@ -312,20 +312,19 @@ func (proc *Process) SendDone(seq uint32) (bool, error) {
 // in the status page, plus the process's and the node's liveness, whose
 // writers (crash, restart, KillProcess) Touch the node's memory version.
 func (proc *Process) WaitSend(p *simProc, seq uint32) error {
-	var result error
 	proc.SpinOnMemory(p, 0, func() bool {
-		if proc.dead || proc.Node.crashed {
-			// The local node died under us; the completion will never
-			// arrive.
-			result = ErrNodeDown
-			return true
+		if proc.alive() != nil {
+			return true // the completion will never arrive
 		}
-		done, err := proc.SendDone(seq)
-		if done {
-			result = err
-		}
+		done, _ := proc.SendDone(seq)
 		return done
 	})
+	// The process resumes in the dispatch whose sample ended the spin, so
+	// what it reads here is what that sample saw.
+	result := proc.alive()
+	if result == nil {
+		_, result = proc.SendDone(seq)
+	}
 	if result != nil {
 		proc.errs.SendFailures++
 	}
