@@ -175,10 +175,10 @@ func (c *Cluster) CrashNode(node int) {
 	}
 }
 
-// RestartNode reboots a crashed node with a fresh LCP and daemon. Peers'
-// reliable link state toward it is reset (the restart announcement), so
-// the fresh sequence numbers are accepted. Pre-crash exports are gone;
-// importers must re-import.
+// RestartNode reboots a crashed node with a fresh LCP and daemon, and
+// announces the restart to every live peer: its reliable link state toward
+// the node is reset, so fresh sequence numbers are accepted, and its daemon
+// drops the node's leases. Pre-crash exports are gone; importers re-import.
 func (c *Cluster) RestartNode(node int) error {
 	n := c.Nodes[node]
 	if err := n.restart(); err != nil {
@@ -188,6 +188,7 @@ func (c *Cluster) RestartNode(node int) error {
 		if peer == n || peer.crashed {
 			continue
 		}
+		peer.Daemon.dropLeases(node)
 		if rl := peer.Board.Reliable(); rl != nil {
 			rl.ResetPeer(node)
 		}

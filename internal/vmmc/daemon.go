@@ -2,6 +2,7 @@ package vmmc
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ether"
 	"repro/internal/mem"
@@ -21,41 +22,36 @@ type Daemon struct {
 	// exports is this node's registry, keyed by tag.
 	exports map[uint32]*exportInfo
 
-	// import replies pending from remote daemons, keyed by request id;
-	// ids are never reused, not even across a restart (see reset).
+	// replies pending from remote daemons, keyed by request id; ids are
+	// never reused, not even across a restart (see reset).
 	nextReq int
 	waiting map[int]*importWait
 
-	// served caches import replies by requester so a retransmitted
-	// request (its reply was lost on the Ethernet) is answered
-	// idempotently instead of double-counting the importer.
-	served map[servedKey]importRep
+	// proc is the service loop, and releaser gives back the leases of
+	// killed processes' imports, pending in releasing; a crash kills both.
+	proc, releaser *simProc
+	releasing      []importRec
 
-	// proc is the service loop, killed when the node crashes.
-	proc *simProc
-
-	// Exports registered, imports granted, and import requests
+	// Exports registered, leases granted, and import and release requests
 	// retransmitted: "node<id>/daemon_exports", "/daemon_imports_served"
 	// and "/daemon_import_retries".
 	mExports, mImports, mRetries *trace.Counter
 }
 
-// servedKey identifies one import request cluster-wide.
-type servedKey struct {
-	node  int
-	reqID int
+type exportInfo struct {
+	pid      int
+	tag      uint32
+	baseVA   mem.VirtAddr
+	length   int
+	frames   []int
+	allowed  []ProcID // nil = anyone may import
+	notifyOK bool
+	leases   []lease // granted, not yet released; nil until the first grant
 }
 
-type exportInfo struct {
-	pid       int
-	tag       uint32
-	baseVA    mem.VirtAddr
-	length    int
-	frames    []int
-	allowed   []ProcID // nil = anyone may import
-	notifyOK  bool
-	importers int
-}
+// lease is one granted import, named by the importing node and its request
+// id, unique for the node's life: a retransmitted request finds its lease.
+type lease struct{ node, reqID int }
 
 // ProcID names a process cluster-wide.
 type ProcID struct {
@@ -72,13 +68,15 @@ type importReq struct {
 
 type importRep struct {
 	ReqID  int
-	Err    string
+	Err    error
 	Frames []int
 	Length int
 }
 
+// unimportMsg releases a lease; the exporter acks with an importRep.
 type unimportMsg struct {
-	Tag uint32
+	ReqID, Lease int
+	Tag          uint32
 }
 
 type importWait struct {
@@ -89,7 +87,7 @@ type importWait struct {
 
 const daemonIPCCost = 30 * sim.Microsecond // local process <-> daemon round trip
 
-// Import handshake recovery over the (possibly lossy) Ethernet: the first
+// Daemon request recovery over the (possibly lossy) Ethernet: the first
 // retransmission after importBaseTimeout, each following wait doubled up to
 // importMaxTimeout, importMaxRetries retransmissions before giving up.
 const (
@@ -108,7 +106,6 @@ func newDaemon(n *Node, eth *ether.Bus) *Daemon {
 		box:      eth.Register(n.ID),
 		exports:  make(map[uint32]*exportInfo),
 		waiting:  make(map[int]*importWait),
-		served:   make(map[servedKey]importRep),
 		mExports: c("exports"),
 		mImports: c("imports_served"),
 		mRetries: c("import_retries"),
@@ -132,9 +129,12 @@ func (d *Daemon) start() {
 					w.cond.Broadcast()
 				}
 			case unimportMsg:
-				if e, ok := d.exports[body.Tag]; ok && e.importers > 0 {
-					e.importers--
+				// Acknowledged whether or not the lease is still held, so
+				// a release whose ack was lost is acked again.
+				if e, ok := d.exports[body.Tag]; ok {
+					e.leases = slices.DeleteFunc(e.leases, func(l lease) bool { return l == lease{m.From, body.Lease} })
 				}
+				d.eth.Send(p, d.node.ID, m.From, "unimport-ack", importRep{ReqID: body.ReqID})
 			default:
 				panic(fmt.Sprintf("daemon%d: unknown message %T", d.node.ID, m.Body))
 			}
@@ -146,22 +146,22 @@ func (d *Daemon) start() {
 // pages in memory and sets the incoming page table entries to allow data
 // reception (§4.4). The buffer must be page aligned so no unrelated data
 // shares an exported frame.
-func (d *Daemon) exportLocal(p *simProc, proc *Process, tag uint32, va mem.VirtAddr, n int, allowed []ProcID, notifyOK bool) (*exportInfo, error) {
+func (d *Daemon) exportLocal(p *simProc, proc *Process, tag uint32, va mem.VirtAddr, n int, allowed []ProcID, notifyOK bool) error {
 	p.Sleep(daemonIPCCost)
 	if va.Offset() != 0 {
-		return nil, ErrNotAligned
+		return ErrNotAligned
 	}
 	if n <= 0 || !proc.AS.Mapped(va, n) {
-		return nil, ErrBadBuffer
+		return ErrBadBuffer
 	}
 	if _, dup := d.exports[tag]; dup {
-		return nil, ErrAlreadyInUse
+		return ErrAlreadyInUse
 	}
 	frames, err := d.node.Driver.translateAndLock(proc, va, n)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	info := &exportInfo{
+	d.exports[tag] = &exportInfo{
 		pid:      proc.Pid,
 		tag:      tag,
 		baseVA:   va,
@@ -170,7 +170,6 @@ func (d *Daemon) exportLocal(p *simProc, proc *Process, tag uint32, va mem.VirtA
 		allowed:  allowed,
 		notifyOK: notifyOK,
 	}
-	d.exports[tag] = info
 
 	// Install incoming page table entries: whole frames are writable,
 	// clipped to the exported extent on the final partial page.
@@ -191,17 +190,17 @@ func (d *Daemon) exportLocal(p *simProc, proc *Process, tag uint32, va mem.VirtA
 		})
 	}
 	d.mExports.Add(1)
-	return info, nil
+	return nil
 }
 
-// unexportLocal removes an export; it fails while remote imports remain.
+// unexportLocal removes an export; it fails while any lease is held.
 func (d *Daemon) unexportLocal(p *simProc, proc *Process, tag uint32) error {
 	p.Sleep(daemonIPCCost)
-	info, ok := d.exports[tag]
-	if !ok || info.pid != proc.Pid {
+	info, ok := proc.export(tag)
+	if !ok {
 		return ErrNotExported
 	}
-	if info.importers > 0 {
+	if len(info.leases) > 0 {
 		return ErrStillImported
 	}
 	if _, active := d.node.LCP.redirects[tag]; active {
@@ -223,16 +222,14 @@ func (d *Daemon) dropExport(st *lcpProcState, info *exportInfo) {
 	delete(d.node.LCP.arrivedHW, info.tag)
 }
 
-// scrubProcess is the local-only teardown of a dead process's daemon state
-// (KillProcess, and every process of a crashing node): exports vanish with
-// any redirect posted on them, and imports release their proxy ranges — all
-// without any Ethernet traffic, because the owner died abruptly and the OS
-// reclaims silently. Remote importers of the scrubbed exports keep their
-// (now dangling) reference counts; a tenant kill scrubs every node's
-// side of the tenant, so those counters die with their owners. All
-// operations here are pure state updates — no events, no sleeps — so
-// map-iteration order cannot influence the simulation.
-func (d *Daemon) scrubProcess(proc *Process) {
+// scrubProcess is the local teardown of a dead process's daemon state
+// (KillProcess, and every process of a crashing node): its exports vanish
+// with any redirect posted on them and the leases held on them, and its
+// imports release their proxy ranges. It returns those imports in
+// proxy-page order, for KillProcess to release their leases; a crash sends
+// nothing, as exporters drop the node's leases when it restarts. Pure
+// state updates, so map-iteration order cannot influence the simulation.
+func (d *Daemon) scrubProcess(proc *Process) []importRec {
 	for tag, info := range d.exports {
 		if info.pid != proc.Pid {
 			continue
@@ -243,10 +240,30 @@ func (d *Daemon) scrubProcess(proc *Process) {
 			delete(d.node.LCP.redirects, tag)
 		}
 	}
-	for base, rec := range proc.imports {
+	recs := proc.importsByPage()
+	for _, rec := range recs {
 		proc.lcpState.outPT.freeRange(rec.basePage, rec.pages)
-		delete(proc.imports, base)
 	}
+	clear(proc.imports)
+	return recs
+}
+
+// releaseLeases gives back the leases of a killed process's imports, one
+// at a time and in the order given, as an OS closes a dead process's
+// files. One release process per daemon works through the queue; a crash
+// kills it (reset), and an unreachable exporter keeps its lease.
+func (d *Daemon) releaseLeases(recs []importRec) {
+	d.releasing = append(d.releasing, recs...)
+	if d.releaser != nil || len(d.releasing) == 0 {
+		return
+	}
+	d.releaser = d.node.Eng.Go(fmt.Sprintf("daemon:%d:release", d.node.ID), func(p *simProc) {
+		for ; len(d.releasing) > 0; d.releasing = d.releasing[1:] {
+			rec := d.releasing[0]
+			_ = d.release(p, rec.exporterNode, rec.tag, rec.lease)
+		}
+		d.releaser = nil
+	})
 }
 
 // importRemote resolves an import against the exporting node's daemon: it
@@ -263,8 +280,8 @@ func (d *Daemon) importRemote(p *simProc, proc *Process, exporterNode int, tag u
 	pages := len(rep.Frames)
 	base, err := proc.lcpState.outPT.allocRange(pages)
 	if err != nil {
-		// Release the exporter-side reference we just took.
-		d.eth.Send(p, d.node.ID, exporterNode, "unimport", unimportMsg{Tag: tag})
+		// Give back the lease the handshake just took; err stands either way.
+		_ = d.release(p, exporterNode, tag, rep.ReqID)
 		return 0, 0, err
 	}
 	d.installImport(p, proc, exporterNode, tag, base, rep)
@@ -274,8 +291,8 @@ func (d *Daemon) importRemote(p *simProc, proc *Process, exporterNode int, tag u
 // installImport maps the proxy pages from base onto the frame list of an
 // import reply — the daemon writes the entries into board SRAM across the
 // PCI bus, the final one clipped to the buffer's extent — and records the
-// import. A revalidation installs over the range it already holds, which
-// also clears the stale mark.
+// import under the reply's lease. A revalidation installs over the range
+// it already holds, which also clears the stale mark.
 func (d *Daemon) installImport(p *simProc, proc *Process, exporterNode int, tag uint32, base int, rep importRep) {
 	d.node.CPU.MMIOWriteWords(p, len(rep.Frames))
 	for i, f := range rep.Frames {
@@ -293,38 +310,49 @@ func (d *Daemon) installImport(p *simProc, proc *Process, exporterNode int, tag 
 	proc.imports[base] = importRec{
 		exporterNode: exporterNode,
 		tag:          tag,
+		lease:        rep.ReqID,
 		basePage:     base,
 		pages:        len(rep.Frames),
-		length:       rep.Length,
 	}
 }
 
 // requestImport runs the Ethernet half of the import handshake: it asks
-// the exporting node's daemon for the frame list under tag and retries
-// through the lossy medium. Shared by the initial import and the
-// self-healing layer's revalidation.
+// the exporting node's daemon for the frame list under tag, and a lease on
+// it. Shared by the initial import and the self-healing layer's
+// revalidation.
 func (d *Daemon) requestImport(p *simProc, proc *Process, exporterNode int, tag uint32) (importRep, error) {
 	d.nextReq++
-	req := importReq{
-		ReqID:    d.nextReq,
-		Importer: ProcID{Node: d.node.ID, Pid: proc.Pid},
-		Tag:      tag,
-	}
+	return d.request(p, exporterNode, "import-req", d.nextReq,
+		importReq{ReqID: d.nextReq, Importer: proc.ID(), Tag: tag})
+}
+
+// release gives back the lease an import request took on exporterNode's
+// export tag, and returns once the exporter has acknowledged it.
+func (d *Daemon) release(p *simProc, exporterNode int, tag uint32, lease int) error {
+	d.nextReq++
+	_, err := d.request(p, exporterNode, "unimport", d.nextReq,
+		unimportMsg{ReqID: d.nextReq, Lease: lease, Tag: tag})
+	return err
+}
+
+// request sends body to node to's daemon and waits for the reply under
+// id, retransmitting through the lossy medium with backoff: the Ethernet
+// may lose the request or the reply, and the other daemon answers a
+// repeated request as it answered the first (see serveImport).
+func (d *Daemon) request(p *simProc, to int, kind string, id int, body any) (importRep, error) {
 	w := &importWait{cond: sim.NewCond(d.node.Eng)}
-	d.waiting[req.ReqID] = w
-	// Request/retry loop: the Ethernet may lose the request or the reply;
-	// the exporter answers retransmissions idempotently (see serveImport).
+	d.waiting[id] = w
 	timeout := importBaseTimeout
 	for attempt := 0; !w.done; attempt++ {
 		if attempt > importMaxRetries {
-			delete(d.waiting, req.ReqID)
+			delete(d.waiting, id)
 			return importRep{}, ErrDaemonUnreachable
 		}
 		if attempt > 0 {
 			d.mRetries.Add(1)
 			d.node.Eng.TraceInstant(fmt.Sprintf("daemon%d", d.node.ID), "daemon", "import_retry")
 		}
-		d.eth.Send(p, d.node.ID, exporterNode, "import-req", req)
+		d.eth.Send(p, d.node.ID, to, kind, body)
 		deadline := d.node.Eng.Now() + timeout
 		for !w.done && d.node.Eng.Now() < deadline {
 			w.cond.WaitTimeout(p, deadline-d.node.Eng.Now())
@@ -333,23 +361,12 @@ func (d *Daemon) requestImport(p *simProc, proc *Process, exporterNode int, tag 
 			timeout = importMaxTimeout
 		}
 	}
-	rep := w.rep
-	if rep.Err != "" {
-		switch rep.Err {
-		case ErrDenied.Error():
-			return importRep{}, ErrDenied
-		case ErrNoSuchExport.Error():
-			return importRep{}, ErrNoSuchExport
-		default:
-			return importRep{}, fmt.Errorf("vmmc: import failed: %s", rep.Err)
-		}
-	}
-	return rep, nil
+	return w.rep, w.rep.Err
 }
 
 // revalidateImport refreshes a stale import against the exporter's
-// restarted daemon: same tag, same proxy range. A fresh handshake fetches
-// the re-export's frame list and rewrites the outgoing page-table entries
+// restarted daemon: same tag, same proxy range. A fresh handshake takes a
+// new lease on the re-export and rewrites the outgoing page-table entries
 // in place, keeping the importer's proxy address stable. The re-export
 // must span the same page count — a differently sized buffer cannot alias
 // the old proxy range and surfaces as ErrBadBuffer.
@@ -360,80 +377,77 @@ func (d *Daemon) revalidateImport(p *simProc, proc *Process, rec importRec) erro
 		return err
 	}
 	if len(rep.Frames) != rec.pages {
-		// Release the exporter-side reference the handshake just took.
-		d.eth.Send(p, d.node.ID, rec.exporterNode, "unimport", unimportMsg{Tag: rec.tag})
+		// Give back the lease the handshake just took; err stands either way.
+		_ = d.release(p, rec.exporterNode, rec.tag, rep.ReqID)
 		return fmt.Errorf("vmmc: re-export of tag %d spans %d pages, import had %d: %w",
 			rec.tag, len(rep.Frames), rec.pages, ErrBadBuffer)
 	}
 	d.installImport(p, proc, rec.exporterNode, rec.tag, rec.basePage, rep)
+	if !rec.stale {
+		// The exporter did not restart, so the old lease is still held.
+		_ = d.release(p, rec.exporterNode, rec.tag, rec.lease)
+	}
 	if d.node.heal != nil {
 		d.node.heal.noteRevalidation()
 	}
 	return nil
 }
 
-// serveImport answers a remote daemon's import request. Retransmitted
-// requests (the reply was lost) are answered from the served cache so the
-// importer reference count moves exactly once per logical import.
+// serveImport answers a remote daemon's import request, granting a lease
+// unless the request already holds one: a retransmitted request (its reply
+// was lost) is answered again from the export's frames and length, so an
+// import takes exactly one lease. Refusals are recomputed, not remembered.
 func (d *Daemon) serveImport(p *simProc, from int, req importReq) {
-	key := servedKey{node: from, reqID: req.ReqID}
-	if rep, ok := d.served[key]; ok {
-		d.eth.Send(p, d.node.ID, from, "import-rep", rep)
-		return
-	}
 	rep := importRep{ReqID: req.ReqID}
 	info, ok := d.exports[req.Tag]
 	switch {
 	case !ok:
-		rep.Err = ErrNoSuchExport.Error()
-	case !importAllowed(info.allowed, req.Importer):
-		rep.Err = ErrDenied.Error()
+		rep.Err = ErrNoSuchExport
+	case len(info.allowed) > 0 && !slices.Contains(info.allowed, req.Importer):
+		rep.Err = ErrDenied
 	default:
 		rep.Frames = info.frames
 		rep.Length = info.length
-		info.importers++
-		d.mImports.Add(1)
+		if l := (lease{from, req.ReqID}); !slices.Contains(info.leases, l) {
+			info.leases = append(info.leases, l)
+			d.mImports.Add(1)
+		}
 	}
-	d.served[key] = rep
 	d.eth.Send(p, d.node.ID, from, "import-rep", rep)
 }
 
-// unimportLocal drops an import: proxy pages are invalidated and the
-// exporter's daemon is told to decrement its reference count.
+// unimportLocal drops an import: its proxy pages are invalidated, then its
+// lease is released on the exporter.
 func (d *Daemon) unimportLocal(p *simProc, proc *Process, rec importRec) error {
 	p.Sleep(daemonIPCCost)
 	proc.lcpState.outPT.freeRange(rec.basePage, rec.pages)
 	delete(proc.imports, rec.basePage)
-	d.eth.Send(p, d.node.ID, rec.exporterNode, "unimport", unimportMsg{Tag: rec.tag})
-	return nil
+	return d.release(p, rec.exporterNode, rec.tag, rec.lease)
 }
 
-func importAllowed(allowed []ProcID, who ProcID) bool {
-	if len(allowed) == 0 {
-		return true
+// dropLeases forgets every lease node holds on this node's exports: node
+// restarted, and its imports died with its processes.
+func (d *Daemon) dropLeases(node int) {
+	for _, info := range d.exports {
+		info.leases = slices.DeleteFunc(info.leases, func(l lease) bool { return l.node == node })
 	}
-	for _, a := range allowed {
-		if a == who {
-			return true
-		}
-	}
-	return false
 }
 
 // reset discards all daemon state, as a crash does: exports died with the
 // node's memory, pending waits will never be answered (their waiters are
-// killed with the node), and the served cache goes with them. Request ids
-// keep counting: every other exporter's served cache still holds this
-// node's pre-crash replies under their ids, so an id is never reused in
-// the node's life and stands in for a boot incarnation.
+// killed with the node), and a release in flight dies with the daemon.
+// Request ids keep counting: an id is never reused in the node's life and
+// stands in for a boot incarnation, so neither a reply nor a lease from
+// before the crash can be taken for a new request's.
 func (d *Daemon) reset() {
-	if d.proc != nil {
-		d.proc.Kill()
-		d.proc = nil
+	for _, proc := range []*simProc{d.proc, d.releaser} {
+		if proc != nil {
+			proc.Kill()
+		}
 	}
+	d.proc, d.releaser, d.releasing = nil, nil, nil
 	d.exports = make(map[uint32]*exportInfo)
 	d.waiting = make(map[int]*importWait)
-	d.served = make(map[servedKey]importRep)
 	d.drainBox()
 }
 

@@ -246,8 +246,9 @@ func TestImportFromCrashedNodeTimesOut(t *testing.T) {
 }
 
 // TestImportRetriesThroughEtherLoss drops 30% of all daemon
-// messages: the import handshake must retry (idempotently — the exporter
-// answers repeated requests from its served cache) and still succeed.
+// messages: the import handshake must retry and still succeed, and
+// idempotently — a repeated request finds the lease its first copy took,
+// so each logical import is served once.
 func TestImportRetriesThroughEtherLoss(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.VerifySkips()
@@ -294,5 +295,8 @@ func TestImportRetriesThroughEtherLoss(t *testing.T) {
 	}
 	if nodeCounter(t, c.Nodes[0], "daemon_import_retries") == 0 {
 		t.Error("import succeeded without retries despite ether loss")
+	}
+	if got := nodeCounter(t, c.Nodes[1], "daemon_imports_served"); got != 4 {
+		t.Errorf("daemon_imports_served = %d for 4 imports", got)
 	}
 }

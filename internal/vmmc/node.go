@@ -201,7 +201,6 @@ func (n *Node) NewProcessWith(p *sim.Proc, limits ProcLimits) (*Process, error) 
 		lcpState: st,
 		statusVA: statusVA,
 		imports:  make(map[int]importRec),
-		exports:  make(map[uint32]*exportRec),
 		handlers: make(map[uint32]NotifyHandler),
 		nextSeq:  1,
 	}
@@ -214,8 +213,10 @@ func (n *Node) NewProcessWith(p *sim.Proc, limits ProcLimits) (*Process, error) 
 	return proc, nil
 }
 
-// Close tears a process down: the LCP slots are freed, TLB-locked pages
-// and the status page unpinned, and exports/imports released.
+// Close tears a process down: exports are withdrawn in tag order and
+// imports released in proxy-page order, then the LCP slots are freed and
+// TLB-locked pages and the status page unpinned. It stops at an export
+// still imported, not at a release no daemon acknowledges.
 func (proc *Process) Close(p *sim.Proc) error {
 	n := proc.Node
 	if proc.dead {
@@ -225,15 +226,14 @@ func (proc *Process) Close(p *sim.Proc) error {
 	if n.crashed {
 		return ErrNodeDown
 	}
-	for tag := range proc.exports {
+	for _, tag := range proc.exportTags() {
 		if err := proc.Unexport(p, tag); err != nil {
 			return err
 		}
 	}
-	for base := range proc.imports {
-		if err := proc.unimportBase(p, base); err != nil {
-			return err
-		}
+	for _, rec := range proc.importsByPage() {
+		// An unreachable exporter keeps its lease; the process goes anyway.
+		_ = n.Daemon.unimportLocal(p, proc, rec)
 	}
 	proc.release()
 	return nil
@@ -261,15 +261,16 @@ func (proc *Process) release() {
 //   - the in-flight long send, if it is the victim's, is aborted (staged
 //     chunks discarded; the status write is suppressed via the gone flag
 //     because the status page is unpinned here);
-//   - the daemon scrubs the victim's exports and imports locally, with
-//     no wire traffic (the owner died; the OS reclaims silently);
+//   - the daemon scrubs the victim's exports and imports locally, and
+//     hands the imports, in proxy-page order, to its release process,
+//     which gives back their leases over the Ethernet after the kill;
 //   - the victim's reliable-link windows — its traffic class's — are
 //     dropped silently, never the shared class 0;
 //   - TLB translations, page locks, pin counts, status page and SRAM carve
 //     go the way Close releases them (release).
 //
-// All of this is pure state manipulation: no time passes, no events are
-// scheduled, so the kill is atomic with respect to the simulation.
+// All of this is pure state manipulation: no time passes, so the kill is
+// atomic; only the release process acts later.
 func (n *Node) KillProcess(pid int) {
 	proc, ok := n.procs[pid]
 	if !ok {
@@ -284,11 +285,12 @@ func (n *Node) KillProcess(pid int) {
 		j.completed = true
 		n.LCP.dropStaged(j)
 	}
-	n.Daemon.scrubProcess(proc)
+	recs := n.Daemon.scrubProcess(proc)
 	if rl := n.Board.Reliable(); rl != nil {
 		rl.DropClass(st.limits.Class)
 	}
 	proc.release()
+	n.Daemon.releaseLeases(recs)
 	n.LCP.work.Signal()
 }
 

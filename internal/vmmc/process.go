@@ -3,6 +3,7 @@ package vmmc
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -21,7 +22,6 @@ type Process struct {
 	statusVA mem.VirtAddr
 
 	imports  map[int]importRec // key: base proxy page
-	exports  map[uint32]*exportRec
 	handlers map[uint32]NotifyHandler
 	nextSeq  uint32
 
@@ -69,20 +69,14 @@ func (proc *Process) alive() error {
 type importRec struct {
 	exporterNode int
 	tag          uint32
+	lease        int // the id of the request that took the exporter's lease
 	basePage     int
 	pages        int
-	length       int
 	// stale marks an import whose exporter restarted since the handshake:
 	// the frame list cached in the outgoing page table is no longer
 	// trustworthy. Set by the self-healing layer; cleared by
 	// RevalidateImport.
 	stale bool
-}
-
-type exportRec struct {
-	tag    uint32
-	va     mem.VirtAddr
-	length int
 }
 
 // NotifyHandler is a user-level notification handler (§2): invoked after a
@@ -127,24 +121,43 @@ func (proc *Process) Export(p *simProc, tag uint32, va mem.VirtAddr, n int, allo
 	if err := proc.alive(); err != nil {
 		return err
 	}
-	info, err := proc.Node.Daemon.exportLocal(p, proc, tag, va, n, allowed, notifyOK)
-	if err != nil {
-		return err
-	}
-	proc.exports[tag] = &exportRec{tag: info.tag, va: va, length: n}
-	return nil
+	return proc.Node.Daemon.exportLocal(p, proc, tag, va, n, allowed, notifyOK)
 }
 
-// Unexport withdraws an export. It fails while remote imports are active.
+// Unexport withdraws an export. It fails while an import holds a lease.
 func (proc *Process) Unexport(p *simProc, tag uint32) error {
-	if _, ok := proc.exports[tag]; !ok {
+	if _, ok := proc.export(tag); !ok {
 		return ErrNotExported
 	}
-	if err := proc.Node.Daemon.unexportLocal(p, proc, tag); err != nil {
-		return err
+	return proc.Node.Daemon.unexportLocal(p, proc, tag)
+}
+
+// export returns the daemon's record of the process's export under tag.
+func (proc *Process) export(tag uint32) (*exportInfo, bool) {
+	info, ok := proc.Node.Daemon.exports[tag]
+	return info, ok && info.pid == proc.Pid
+}
+
+// exportTags lists the tags the process exports, in ascending order.
+func (proc *Process) exportTags() []uint32 {
+	var tags []uint32
+	for tag, info := range proc.Node.Daemon.exports {
+		if info.pid == proc.Pid {
+			tags = append(tags, tag)
+		}
 	}
-	delete(proc.exports, tag)
-	return nil
+	slices.Sort(tags)
+	return tags
+}
+
+// importsByPage lists the process's imports in proxy-page order.
+func (proc *Process) importsByPage() []importRec {
+	recs := make([]importRec, 0, len(proc.imports))
+	for _, rec := range proc.imports {
+		recs = append(recs, rec)
+	}
+	slices.SortFunc(recs, func(a, b importRec) int { return a.basePage - b.basePage })
+	return recs
 }
 
 // Import maps the remote receive buffer (exporterNode, tag) into this
@@ -162,13 +175,12 @@ func (proc *Process) Import(p *simProc, exporterNode int, tag uint32) (ProxyAddr
 	return base, n, err
 }
 
-// Unimport releases an import by its proxy base address.
+// Unimport releases an import by its proxy base address. It returns once
+// the exporter's daemon acknowledges the lease's release, an Ethernet round
+// trip later, as Import returns after its reply; with no acknowledgement it
+// fails with ErrDaemonUnreachable, the import gone locally all the same.
 func (proc *Process) Unimport(p *simProc, base ProxyAddr) error {
-	return proc.unimportBase(p, base.Page())
-}
-
-func (proc *Process) unimportBase(p *simProc, basePage int) error {
-	rec, ok := proc.imports[basePage]
+	rec, ok := proc.imports[base.Page()]
 	if !ok {
 		return ErrNotImported
 	}

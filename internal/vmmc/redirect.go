@@ -40,14 +40,14 @@ type redirectRec struct {
 // prefix it copied into the user buffer). The caller must own the export;
 // va must be page aligned; n must not exceed the export's length.
 func (proc *Process) PostRedirect(p *simProc, tag uint32, va mem.VirtAddr, n int) (int, error) {
-	rec, ok := proc.exports[tag]
+	info, ok := proc.export(tag)
 	if !ok {
 		return 0, ErrNotExported
 	}
 	if va.Offset() != 0 {
 		return 0, ErrNotAligned
 	}
-	if n <= 0 || n > rec.length || !proc.AS.Mapped(va, n) {
+	if n <= 0 || n > info.length || !proc.AS.Mapped(va, n) {
 		return 0, ErrBadBuffer
 	}
 	lcp := proc.Node.LCP
@@ -74,7 +74,7 @@ func (proc *Process) PostRedirect(p *simProc, tag uint32, va mem.VirtAddr, n int
 		early = n
 	}
 	if early > 0 {
-		data, err := proc.Read(rec.va, early)
+		data, err := proc.Read(info.baseVA, early)
 		if err != nil {
 			return 0, err
 		}
