@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,19 +14,20 @@ import (
 
 // regenerateGoldens is the one command that rewrites every file
 // TestResultsGolden pins.
-const regenerateGoldens = "go run ./cmd/vmmcbench -deterministic -heal-out BENCH_heal.json " +
-	"-coll-out BENCH_coll.json -tenant-out BENCH_tenant.json -serve-out BENCH_serve.json " +
-	"-replica-out BENCH_replica.json > RESULTS.txt"
+const regenerateGoldens = "go run ./cmd/vmmcbench -deterministic -out . > RESULTS.txt"
 
 // TestResultsGolden pins RESULTS.txt and the deterministic sweeps'
 // BENCH_*.json artifacts: rendering the deterministic experiment set
-// through the registry, with every sweep's -*-out flag pointed at a
-// scratch directory, must reproduce the checked-in files byte for byte.
-// Every quantity those experiments emit is virtual-time derived, so any
-// diff is a real behavior change in the modeled system. One failure names
-// every drifted file; regenerate them all from the repo root with
+// through the registry, with -out pointed at a scratch directory, must
+// reproduce the checked-in files byte for byte, and write no other file.
+// Every quantity those experiments emit is virtual-time derived, and
+// RESULTS.txt carries each experiment's event fingerprint, so any diff is
+// a real behavior change in the modeled system: a moved fingerprint with
+// no moved number is a change in what the model did, not in what it
+// printed. One failure names every drifted file; regenerate them all from
+// the repo root with
 //
-//	go run ./cmd/vmmcbench -deterministic -heal-out BENCH_heal.json -coll-out BENCH_coll.json -tenant-out BENCH_tenant.json -serve-out BENCH_serve.json -replica-out BENCH_replica.json > RESULTS.txt
+//	go run ./cmd/vmmcbench -deterministic -out . > RESULTS.txt
 //
 // and review the delta like code.
 func TestResultsGolden(t *testing.T) {
@@ -33,42 +35,40 @@ func TestResultsGolden(t *testing.T) {
 		t.Skip("full deterministic suite is seconds of simulation")
 	}
 	dir := t.TempDir()
-	artifacts := []struct {
-		name string
-		flag *string
-	}{
-		{"BENCH_heal.json", healOut},
-		{"BENCH_coll.json", collOut},
-		{"BENCH_tenant.json", tenantOut},
-		{"BENCH_serve.json", serveOut},
-		{"BENCH_replica.json", replicaOut},
-	}
-	for _, a := range artifacts {
-		*a.flag = filepath.Join(dir, a.name)
-		defer func() { *a.flag = "" }()
-	}
+	artifacts := []string{"BENCH_coll.json", "BENCH_heal.json", "BENCH_replica.json", "BENCH_serve.json", "BENCH_tenant.json"}
 	// Every spin the experiments park is checked against its watch, and
 	// every undamaged packet against the bytes it was injected with.
 	var buf bytes.Buffer
-	ran, err := runExperiments(&buf, "", true, false, bench.Observability{VerifySkips: true, VerifyIntact: true})
+	ran, err := runExperiments(&buf, "", true, false, bench.Observability{VerifySkips: true, VerifyIntact: true, OutDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ran {
 		t.Fatal("registry rendered no deterministic experiments")
 	}
+	written, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range written {
+		names = append(names, e.Name())
+	}
+	if !slices.Equal(names, artifacts) {
+		t.Fatalf("-deterministic -out wrote %q, want exactly %q", names, artifacts)
+	}
 	var drift []string
-	for _, a := range artifacts {
-		got, err := os.ReadFile(filepath.Join(dir, a.name))
+	for _, name := range artifacts {
+		got, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := os.ReadFile(filepath.Join("../..", a.name))
+		want, err := os.ReadFile(filepath.Join("../..", name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			drift = append(drift, a.name+" drifted")
+			drift = append(drift, name+" drifted")
 		}
 	}
 	want, err := os.ReadFile("../../RESULTS.txt")

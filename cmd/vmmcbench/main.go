@@ -6,7 +6,7 @@
 //
 //	vmmcbench                         # run everything
 //	vmmcbench -experiment fig3        # one experiment
-//	vmmcbench -deterministic          # the RESULTS.txt set (no scalesweep)
+//	vmmcbench -deterministic -out .   # the RESULTS.txt set (no scalesweep)
 //	vmmcbench -list                   # list experiment ids
 //	vmmcbench -experiment headline -trace t.json -metrics m.json
 //
@@ -18,16 +18,18 @@
 // checked-in file against the registry). scalesweep reports wall-clock
 // events/sec and is the one exclusion.
 //
-// Sweeps read their own flags: scalesweep takes -scale-nodes and
-// -scale-out (BENCH_scale.json), healsweep takes -heal-outages and
-// -heal-out (BENCH_heal.json), collsweep takes -coll-nodes and
-// -coll-out (BENCH_coll.json), tenantsweep takes -tenant-calls,
-// -tenant-rates and -tenant-out (BENCH_tenant.json), servesweep takes
-// -serve-rates, -serve-shards, -serve-requests and -serve-out
-// (BENCH_serve.json), replicasweep takes -replica-r, -replica-rates,
-// -replica-requests and -replica-out (BENCH_replica.json). Every sweep
+// Sweeps read their own flags: scalesweep takes -scale-nodes, healsweep
+// -heal-outages, collsweep -coll-nodes, tenantsweep -tenant-calls and
+// -tenant-rates, servesweep -serve-rates, -serve-shards and
+// -serve-requests, replicasweep -replica-r, -replica-rates and
+// -replica-requests. With -out DIR, every sweep that runs writes its
+// artifact as DIR/BENCH_<sweep>.json (BENCH_heal.json, ...). Every sweep
 // artifact but scalesweep's wall-clock record is byte-identical across
-// runs — each sweep re-runs a cell and fails on drift.
+// runs.
+//
+// Each experiment's output ends with its event fingerprint: its cells,
+// their trace events, and a digest of every event in order, which
+// RESULTS.txt pins for the deterministic set.
 //
 // Experiments run on a bench.Run each, the deterministic ones at once.
 // With -trace, the last experiment records events over virtual time, and
@@ -70,6 +72,7 @@ func main() {
 		traceCap = flag.Int("trace-capacity", 0, "trace ring buffer size in events (0 = default)")
 		analyze  = flag.Bool("analyze", false, "print the full bottleneck analysis table after each experiment")
 		analyOut = flag.String("analyze-out", "", "write the last run's bottleneck analysis report JSON here")
+		outDir   = flag.String("out", "", "write each sweep's BENCH_<sweep>.json artifact into this directory")
 	)
 	flag.Parse()
 
@@ -89,6 +92,7 @@ func main() {
 		MetricsPath:   *metrPth,
 		TraceCapacity: *traceCap,
 		AnalysisPath:  *analyOut,
+		OutDir:        *outDir,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "vmmcbench: %v\n", err)

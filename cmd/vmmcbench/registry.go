@@ -19,22 +19,16 @@ import (
 // sweep on its defaults.
 var (
 	scaleNodes  = listFlag("scale-nodes", 1, "scalesweep cluster sizes, comma-separated (default 16,64,256)")
-	scaleOut    = flag.String("scale-out", "", "scalesweep: write the BENCH_scale.json artifact here")
 	healOutages = listFlag("heal-outages", 0, "healsweep link-outage durations in microseconds, comma-separated (default 2000,6000,12000)")
-	healOut     = flag.String("heal-out", "", "healsweep: write the BENCH_heal.json artifact here")
 	collNodes   = listFlag("coll-nodes", 1, "collsweep communicator sizes, comma-separated (default 4,8,16)")
-	collOut     = flag.String("coll-out", "", "collsweep: write the BENCH_coll.json artifact here")
 	tenantCalls = flag.Int("tenant-calls", 0, "tenantsweep victim vRPC calls per cell (0 = default 32)")
 	tenantRates = listFlag("tenant-rates", 0.0, "tenantsweep qos=on aggressor budgets in bytes/sec, comma-separated (default 5e6,10e6,20e6)")
-	tenantOut   = flag.String("tenant-out", "", "tenantsweep: write the BENCH_tenant.json artifact here")
 	serveRates  = listFlag("serve-rates", 0.0, "servesweep total offered loads in req/s, comma-separated (default 15000,30000,60000)")
 	serveShards = listFlag("serve-shards", 0, "servesweep shard counts, comma-separated (default 2)")
 	serveReqs   = flag.Int("serve-requests", 0, "servesweep offered requests per cell (0 = default 240)")
-	serveOut    = flag.String("serve-out", "", "servesweep: write the BENCH_serve.json artifact here")
 	replicaR    = listFlag("replica-r", 0, "replicasweep replication factors, comma-separated (default 1,2,3)")
 	replicaRate = listFlag("replica-rates", 0.0, "replicasweep total offered loads in req/s, comma-separated (default 30000,70000)")
 	replicaReqs = flag.Int("replica-requests", 0, "replicasweep offered requests per cell (0 = default 240)")
-	replicaOut  = flag.String("replica-out", "", "replicasweep: write the BENCH_replica.json artifact here")
 )
 
 // listValue is a comma-separated list flag. Set rejects an entry that
@@ -118,7 +112,7 @@ var experiments = []experiment{
 		tableExp((*bench.Run).FaultSweep)},
 	{"scalesweep", "scaling: all-to-all goodput and simulator events/sec, 16-256 nodes", false,
 		tableExp(func(rn *bench.Run) (bench.Table, error) {
-			return rn.ScaleSweep(bench.ScaleConfig{Nodes: *scaleNodes, Out: *scaleOut})
+			return rn.ScaleSweep(bench.ScaleConfig{Nodes: *scaleNodes})
 		})},
 	{"healsweep", "self-healing: goodput vs link/switch outage on a redundant fabric", true,
 		tableExp(func(rn *bench.Run) (bench.Table, error) {
@@ -126,27 +120,23 @@ var experiments = []experiment{
 			for _, us := range *healOutages {
 				outages = append(outages, sim.Time(us)*sim.Microsecond)
 			}
-			return rn.HealSweep(bench.HealSweepConfig{Outages: outages, Out: *healOut})
+			return rn.HealSweep(bench.HealSweepConfig{Outages: outages})
 		})},
 	{"collsweep", "collectives: all-reduce tree vs ring crossover, heal interop", true,
 		tableExp(func(rn *bench.Run) (bench.Table, error) {
-			return rn.CollSweep(bench.CollConfig{Nodes: *collNodes, Out: *collOut})
+			return rn.CollSweep(bench.CollConfig{Nodes: *collNodes})
 		})},
 	{"tenantsweep", "multi-tenancy: victim vRPC latency vs bulk neighbor, QoS off/on, crash", true,
 		tableExp(func(rn *bench.Run) (bench.Table, error) {
-			return rn.TenantSweep(bench.TenantConfig{Calls: *tenantCalls, Rates: *tenantRates, Out: *tenantOut})
+			return rn.TenantSweep(bench.TenantConfig{Calls: *tenantCalls, Rates: *tenantRates})
 		})},
 	{"servesweep", "serving tier: open-loop load vs tail latency, admission off/on, hot shard, outage", true,
 		tableExp(func(rn *bench.Run) (bench.Table, error) {
-			return rn.ServeSweep(bench.ServeConfig{
-				Rates: *serveRates, Shards: *serveShards, Requests: *serveReqs, Out: *serveOut,
-			})
+			return rn.ServeSweep(bench.ServeConfig{Rates: *serveRates, Shards: *serveShards, Requests: *serveReqs})
 		})},
 	{"replicasweep", "replication: R-way shards at equal capacity, load-aware routing, replica kill", true,
 		tableExp(func(rn *bench.Run) (bench.Table, error) {
-			return rn.ReplicaSweep(bench.ReplicaConfig{
-				Rs: *replicaR, Rates: *replicaRate, Requests: *replicaReqs, Out: *replicaOut,
-			})
+			return rn.ReplicaSweep(bench.ReplicaConfig{Rs: *replicaR, Rates: *replicaRate, Requests: *replicaReqs})
 		})},
 }
 
@@ -206,9 +196,11 @@ func writeTable(w io.Writer, t bench.Table) { fmt.Fprintln(w, t.Format()) }
 // runExperiments renders every experiment matching the filter to w, in
 // registry order, for main and the RESULTS.txt golden test. Each gets a
 // Run and an output buffer of its own: the deterministic ones run
-// concurrently, scalesweep (host-clock events/sec) alone after them. Only
-// the last gets obs's artifact paths, so it alone arms the trace and
-// writes the files, once. A trace or metrics artifact prints each
+// concurrently, scalesweep (host-clock events/sec) alone after them.
+// Every experiment prints its event fingerprint after its output, and
+// every sweep writes its artifact into obs.OutDir. Only the last
+// experiment gets obs's other artifact paths, so it alone arms the trace
+// and writes those files, once. A trace or metrics artifact prints each
 // experiment's metrics summary; analyzing, its full bottleneck table.
 func runExperiments(w io.Writer, id string, deterministicOnly, analyzing bool, obs bench.Observability) (ran bool, err error) {
 	type job struct {
@@ -220,8 +212,8 @@ func runExperiments(w io.Writer, id string, deterministicOnly, analyzing bool, o
 	var jobs []*job
 	for _, e := range experiments {
 		if (id == "" || e.id == id) && (!deterministicOnly || e.deterministic) {
-			verify := bench.Observability{VerifySkips: obs.VerifySkips, VerifyIntact: obs.VerifyIntact}
-			jobs = append(jobs, &job{experiment: e, rn: &bench.Run{Observability: verify}})
+			shared := bench.Observability{VerifySkips: obs.VerifySkips, VerifyIntact: obs.VerifyIntact, OutDir: obs.OutDir}
+			jobs = append(jobs, &job{experiment: e, rn: &bench.Run{Observability: shared}})
 		}
 	}
 	var wg sync.WaitGroup
@@ -244,6 +236,7 @@ func runExperiments(w io.Writer, id string, deterministicOnly, analyzing bool, o
 		if j.err != nil {
 			return true, fmt.Errorf("%s: %w", j.id, j.err)
 		}
+		fmt.Fprintf(w, "%s\n\n", j.rn.Fingerprint())
 		if s := j.rn.Summary(); s != "" && (obs.TracePath != "" || obs.MetricsPath != "") {
 			fmt.Fprintf(w, "%s\n\n", s)
 		}

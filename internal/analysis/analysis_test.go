@@ -205,8 +205,8 @@ func TestRanking(t *testing.T) {
 }
 
 // TestReportJSONDeterministic double-feeds the same synthetic stream and
-// requires byte-identical JSON — the unit-level version of the sweeps'
-// double-run drift checks.
+// requires byte-identical JSON — the unit-level version of the goldens'
+// embedded reports.
 func TestReportJSONDeterministic(t *testing.T) {
 	evs := []trace.Event{
 		begin(0, "dma:lanai0:host", "res", "held"),

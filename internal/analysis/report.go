@@ -2,11 +2,12 @@ package analysis
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/trace"
 )
 
 // Report is the finalized bottleneck analysis of one run. Resources are
@@ -174,8 +175,8 @@ func us(ns int64) string {
 
 // WriteJSON writes the report as deterministic JSON with the given
 // indentation prefix applied to every line. Numbers use the same stable
-// formatting as the trace exporters, so a double run of a deterministic
-// experiment produces byte-identical output.
+// formatting as the trace exporters, so two runs of a deterministic
+// experiment produce byte-identical output.
 func (r *Report) WriteJSON(w io.Writer, indent string) error {
 	bw := bufio.NewWriter(w)
 	p := func(depth int, format string, args ...interface{}) {
@@ -189,14 +190,14 @@ func (r *Report) WriteJSON(w io.Writer, indent string) error {
 	p(1, "\"window_ns\": %d,\n", r.WindowNS)
 	p(1, "\"bucket_ns\": %d,\n", r.BucketNS)
 	p(1, "\"top_k\": %d,\n", r.TopK)
-	p(1, "\"verdict\": %s,\n", jstr(r.Verdict))
+	p(1, "\"verdict\": %s,\n", trace.JSONString(r.Verdict))
 	p(1, "\"phases\": [")
 	for i, ph := range r.Phases {
 		if i > 0 {
 			bw.WriteByte(',')
 		}
 		bw.WriteByte('\n')
-		p(2, "{\"name\": %s, \"start_ns\": %d, \"end_ns\": %d}", jstr(ph.Name), ph.StartNS, ph.EndNS)
+		p(2, "{\"name\": %s, \"start_ns\": %d, \"end_ns\": %d}", trace.JSONString(ph.Name), ph.StartNS, ph.EndNS)
 	}
 	bw.WriteByte('\n')
 	p(1, "],\n")
@@ -208,14 +209,14 @@ func (r *Report) WriteJSON(w io.Writer, indent string) error {
 		bw.WriteByte('\n')
 		p(2, "{\n")
 		p(3, "\"rank\": %d,\n", i+1)
-		p(3, "\"class\": %s,\n", jstr(rs.Class))
-		p(3, "\"label\": %s,\n", jstr(rs.Label))
+		p(3, "\"class\": %s,\n", trace.JSONString(rs.Class))
+		p(3, "\"label\": %s,\n", trace.JSONString(rs.Label))
 		p(3, "\"instances\": %d,\n", rs.Instances)
-		p(3, "\"busiest\": %s,\n", jstr(rs.Busiest))
-		p(3, "\"busy_frac\": %s,\n", jnum(rs.BusyFrac))
-		p(3, "\"mean_busy_frac\": %s,\n", jnum(rs.MeanBusyFrac))
-		p(3, "\"peak_bucket_frac\": %s,\n", jnum(rs.PeakBucketFrac))
-		p(3, "\"rate_frac\": %s,\n", jnum(rs.RateFrac))
+		p(3, "\"busiest\": %s,\n", trace.JSONString(rs.Busiest))
+		p(3, "\"busy_frac\": %s,\n", trace.JSONFloat(rs.BusyFrac))
+		p(3, "\"mean_busy_frac\": %s,\n", trace.JSONFloat(rs.MeanBusyFrac))
+		p(3, "\"peak_bucket_frac\": %s,\n", trace.JSONFloat(rs.PeakBucketFrac))
+		p(3, "\"rate_frac\": %s,\n", trace.JSONFloat(rs.RateFrac))
 		p(3, "\"grants\": %d,\n", rs.Grants)
 		p(3, "\"wait\": {\"count\": %d, \"total_ns\": %d, \"p50_ns\": %d, \"p99_ns\": %d, \"max_ns\": %d},\n",
 			rs.WaitCount, rs.WaitTotalNS, rs.WaitP50NS, rs.WaitP99NS, rs.WaitMaxNS)
@@ -227,7 +228,7 @@ func (r *Report) WriteJSON(w io.Writer, indent string) error {
 			}
 			bw.WriteByte('\n')
 			p(4, "{\"phase\": %s, \"busy_frac\": %s, \"wait_ns\": %d}",
-				jstr(pr.Phase), jnum(pr.BusyFrac), pr.WaitNS)
+				trace.JSONString(pr.Phase), trace.JSONFloat(pr.BusyFrac), pr.WaitNS)
 		}
 		bw.WriteByte('\n')
 		p(3, "]\n")
@@ -242,7 +243,7 @@ func (r *Report) WriteJSON(w io.Writer, indent string) error {
 		}
 		bw.WriteByte('\n')
 		p(2, "{\"class\": %s, \"label\": %s, \"instances\": %d, \"mean_frac\": %s, \"peak_frac\": %s, \"busiest\": %s}",
-			jstr(o.Class), jstr(o.Label), o.Instances, jnum(o.MeanFrac), jnum(o.PeakFrac), jstr(o.Busiest))
+			trace.JSONString(o.Class), trace.JSONString(o.Label), o.Instances, trace.JSONFloat(o.MeanFrac), trace.JSONFloat(o.PeakFrac), trace.JSONString(o.Busiest))
 	}
 	bw.WriteByte('\n')
 	p(1, "]")
@@ -258,13 +259,13 @@ func (r *Report) WriteJSON(w io.Writer, indent string) error {
 			}
 			bw.WriteByte('\n')
 			p(2, "{\n")
-			p(3, "\"name\": %s,\n", jstr(t.Name))
+			p(3, "\"name\": %s,\n", trace.JSONString(t.Name))
 			p(3, "\"events\": {")
 			for j, e := range t.Events {
 				if j > 0 {
 					bw.WriteString(", ")
 				}
-				fmt.Fprintf(bw, "%s: %d", jstr(e.Name), e.Count)
+				fmt.Fprintf(bw, "%s: %d", trace.JSONString(e.Name), e.Count)
 			}
 			bw.WriteString("},\n")
 			p(3, "\"counters\": {")
@@ -272,7 +273,7 @@ func (r *Report) WriteJSON(w io.Writer, indent string) error {
 				if j > 0 {
 					bw.WriteString(", ")
 				}
-				fmt.Fprintf(bw, "%s: %s", jstr(c.Name), jnum(c.Value))
+				fmt.Fprintf(bw, "%s: %s", trace.JSONString(c.Name), trace.JSONFloat(c.Value))
 			}
 			bw.WriteString("}\n")
 			p(2, "}")
@@ -292,19 +293,4 @@ func (r *Report) WriteJSON(w io.Writer, indent string) error {
 	bw.WriteByte('\n')
 	p(0, "}")
 	return bw.Flush()
-}
-
-// jstr escapes s as a JSON string literal.
-func jstr(s string) string {
-	b, _ := json.Marshal(s) // marshaling a string cannot fail
-	return string(b)
-}
-
-// jnum formats a float compactly and deterministically, matching the
-// trace exporters' convention.
-func jnum(f float64) string {
-	if f == float64(int64(f)) {
-		return strconv.FormatInt(int64(f), 10)
-	}
-	return strconv.FormatFloat(f, 'g', 9, 64)
 }

@@ -126,7 +126,7 @@ func TestRunPairSurfacesCallbackError(t *testing.T) {
 
 // TestRunsShareNothing runs two experiments side by side, each on its own
 // Run: each Run's report must be, as JSON, the report of the same
-// experiment run alone. The race detector watches the pair (CI runs this
+// experiment run alone, and its event fingerprint the same. The race detector watches the pair (CI runs this
 // test under -race).
 func TestRunsShareNothing(t *testing.T) {
 	fig2 := func(rn *Run) error { _, err := rn.Fig2Latency(); return err }
@@ -136,8 +136,9 @@ func TestRunsShareNothing(t *testing.T) {
 	}
 	exps := []func(*Run) error{fig2, coll}
 	alone := make([]string, len(exps))
+	aloneFP := make([]string, len(exps))
 	for i, run := range exps {
-		alone[i] = analysisJSONFor(t, run)
+		alone[i], aloneFP[i] = analysisJSONFor(t, run)
 	}
 	runs := []*Run{new(Run), new(Run)}
 	errs := make([]error, len(exps))
@@ -153,6 +154,9 @@ func TestRunsShareNothing(t *testing.T) {
 		}
 		if rn.Report() == nil || analysisJSON(rn.Report(), "") != alone[i] {
 			t.Errorf("experiment %d: the report run beside another differs from the one run alone", i)
+		}
+		if rn.Fingerprint() != aloneFP[i] {
+			t.Errorf("experiment %d: fingerprint beside another %s, alone %s", i, rn.Fingerprint(), aloneFP[i])
 		}
 	}
 }

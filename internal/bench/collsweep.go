@@ -23,9 +23,6 @@ type CollConfig struct {
 	// Iters is how many measured all-reduces each cell runs (after one
 	// barrier-synchronized warmup). Zero selects 2.
 	Iters int
-	// Out, when non-empty, writes the machine-readable BENCH_coll.json
-	// artifact here.
-	Out string
 }
 
 // CollResult is one cell: an (n ranks, vector size, algorithm) triple.
@@ -66,9 +63,8 @@ type CollHealResult struct {
 // CollSweep measures all-reduce completion time across communicator
 // sizes, vector sizes, and both algorithm families, checks the measured
 // crossover against the cost model, and finishes with the heal-interop
-// cell. The smallest cell runs twice and the sweep fails on any
-// virtual-time or event-count drift, so BENCH_coll.json is byte-identical
-// across runs and machines.
+// cell. BENCH_coll.json holds only virtual-time quantities, so it is
+// byte-identical across runs and machines.
 func (rn *Run) CollSweep(cfg CollConfig) (Table, error) {
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = []int{4, 8, 16}
@@ -88,8 +84,7 @@ func (rn *Run) CollSweep(cfg CollConfig) (Table, error) {
 	for _, n := range cfg.Nodes {
 		for _, size := range cfg.Sizes {
 			for _, algo := range []coll.Algorithm{coll.Tree, coll.Ring} {
-				// Only the sweep's first cell pays for the determinism double run.
-				err := log.record(fmt.Sprintf("%d nodes/%d B", n, size), len(log.results) == 0, func() (CollResult, *analysis.Report, error) {
+				err := log.record(fmt.Sprintf("%d nodes/%d B", n, size), func() (CollResult, *analysis.Report, error) {
 					return rn.runCollCase(n, size, algo, cfg.Iters)
 				})
 				if err != nil {
@@ -113,7 +108,7 @@ func (rn *Run) CollSweep(cfg CollConfig) (Table, error) {
 		analysisNote(fmt.Sprintf("%d nodes, %d B, %s", last.Nodes, last.Bytes, last.Algo), log.reports[n-1]),
 		analysisNote("ring+heal", healRep))
 
-	return t, log.write(cfg.Out, artifact{
+	return t, log.write(rn.OutDir, artifact{
 		header: [][2]string{
 			{"operation", `"allreduce-int32-sum"`},
 			{"iters", fmt.Sprint(cfg.Iters)},

@@ -10,8 +10,8 @@ import (
 )
 
 func TestCollSweepSmoke(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_coll.json")
-	tbl, err := new(Run).CollSweep(CollConfig{Nodes: []int{4}, Sizes: []int{64, 16 << 10}, Iters: 1, Out: out})
+	rn := outTo(t.TempDir())
+	tbl, err := rn.CollSweep(CollConfig{Nodes: []int{4}, Sizes: []int{64, 16 << 10}, Iters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func TestCollSweepSmoke(t *testing.T) {
 	if got := len(tbl.Rows); got != 5 {
 		t.Fatalf("collsweep produced %d rows, want 5", got)
 	}
-	data, err := os.ReadFile(out)
+	data, err := os.ReadFile(filepath.Join(rn.OutDir, "BENCH_coll.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,10 @@
 // observed engine, the model built on it, the workload process running
 // the paper's benchmark protocol, and the run's own bottleneck report.
 // Experiments report the same series the paper plots; sweeps file their
-// cells in a sweepLog (sweep.go) that owns the determinism double-run,
-// the table and the artifact's per-cell reports. A cell's result struct
-// is its record: field tags render its artifact object and table row.
+// cells in a sweepLog (sweep.go) that owns the table and the artifact's
+// per-cell reports. A cell's result struct is its record: field tags
+// render its artifact object and table row. Every cell's trace events
+// feed its Run's event fingerprint (observe.go), which pins them all.
 package bench
 
 import (

@@ -25,16 +25,11 @@ type HealSweepConfig struct {
 	Outages []sim.Time
 	// Msgs is the page-sized message count per cell. Zero selects 32.
 	Msgs int
-	// Out, when non-empty, writes the machine-readable BENCH_heal.json
-	// artifact here. Every quantity in the artifact is virtual-time
-	// derived, so two runs produce byte-identical files.
-	Out string
 }
 
 // HealResult is one cell of the sweep. All fields are deterministic
-// (virtual-time or event-count quantities): the sweep runs every cell
-// twice and fails on any drift, so the artifact doubles as a
-// whole-stack determinism check of the self-healing layer.
+// (virtual-time or event-count quantities), so two runs produce
+// byte-identical BENCH_heal.json files.
 type HealResult struct {
 	Case           string   `key:"case,%q" col:"case,%s"`
 	OutageUS       float64  `key:"outage_us,%.0f" col:"outage,%.0f us"`
@@ -97,9 +92,7 @@ func DiamondFabric(net *myrinet.Network, nodes int) error {
 // (the remap discovers the detour through the surviving spine and
 // hot-swaps it into the stalled windows). Every cell must deliver every
 // message byte-exact with zero application-visible errors — the paper's
-// static tables would surface ErrNodeUnreachable instead. Each cell runs
-// twice and the sweep fails on any virtual-time or counter drift, so the
-// BENCH_heal.json artifact is byte-identical across runs.
+// static tables would surface ErrNodeUnreachable instead.
 func (rn *Run) HealSweep(cfg HealSweepConfig) (Table, error) {
 	if len(cfg.Outages) == 0 {
 		cfg.Outages = []sim.Time{2 * sim.Millisecond, 6 * sim.Millisecond, 12 * sim.Millisecond}
@@ -130,13 +123,13 @@ func (rn *Run) HealSweep(cfg HealSweepConfig) (Table, error) {
 		if cl.outage > 0 {
 			label = fmt.Sprintf("%s %.0f us", cl.name, cl.outage.Micros())
 		}
-		if err := log.record(label, true, func() (HealResult, *analysis.Report, error) {
+		if err := log.record(label, func() (HealResult, *analysis.Report, error) {
 			return rn.runHealCase(cl.name, cl.outage, cl.spine, cfg.Msgs)
 		}); err != nil {
 			return t, err
 		}
 	}
-	return t, log.write(cfg.Out, artifact{
+	return t, log.write(rn.OutDir, artifact{
 		header: [][2]string{
 			{"fabric", `"diamond-2edge-2spine"`},
 			{"msgs", fmt.Sprint(cfg.Msgs)},

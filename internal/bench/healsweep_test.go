@@ -12,26 +12,23 @@ import (
 
 // TestHealSweepSmall runs the self-healing experiment in its smallest
 // configuration: one link-outage duration plus the always-included
-// baseline and spine-failover cells, 8 messages each. Every cell runs
-// twice inside HealSweep and fails on any drift, so this doubles as a
-// determinism check of the heal layer; on top of that, the whole sweep
-// runs twice here and the BENCH_heal.json artifacts must be
-// byte-identical — the acceptance bar the CI smoke job re-checks.
+// baseline and spine-failover cells, 8 messages each. The whole sweep
+// runs twice here, and the two runs' BENCH_heal.json artifacts and event
+// fingerprints must be identical — the bar the CI smoke job re-checks.
 func TestHealSweepSmall(t *testing.T) {
-	dir := t.TempDir()
+	rn := outTo(t.TempDir())
 	cfg := HealSweepConfig{
 		Outages: []sim.Time{2 * sim.Millisecond},
 		Msgs:    8,
-		Out:     filepath.Join(dir, "BENCH_heal.json"),
 	}
-	tbl, err := new(Run).HealSweep(cfg)
+	tbl, err := rn.HealSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.Rows) != 3 { // baseline + 1 link outage + spine failover
 		t.Fatalf("rows = %d, want 3", len(tbl.Rows))
 	}
-	data, err := os.ReadFile(cfg.Out)
+	data, err := os.ReadFile(filepath.Join(rn.OutDir, "BENCH_heal.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +42,14 @@ func TestHealSweepSmall(t *testing.T) {
 		}
 	}
 
-	cfg.Out = filepath.Join(dir, "BENCH_heal_again.json")
-	if _, err := new(Run).HealSweep(cfg); err != nil {
+	rerun := outTo(t.TempDir())
+	if _, err := rerun.HealSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
-	again, err := os.ReadFile(cfg.Out)
+	if rn.Fingerprint() != rerun.Fingerprint() {
+		t.Errorf("fingerprints differ between two identical sweeps: %s vs %s", rn.Fingerprint(), rerun.Fingerprint())
+	}
+	again, err := os.ReadFile(filepath.Join(rerun.OutDir, "BENCH_heal.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

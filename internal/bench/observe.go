@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -32,6 +33,9 @@ type Observability struct {
 	// AnalysisPath, when non-empty, is where WriteArtifacts writes the
 	// bottleneck analysis report JSON.
 	AnalysisPath string
+	// OutDir, when non-empty, is the directory every sweep writes its
+	// artifact into, as BENCH_<sweep>.json.
+	OutDir string
 	// VerifySkips turns on sim.Engine.VerifySkips in every engine: a spin
 	// predicate that reads outside its watch panics instead of silently
 	// missing a change. The golden test sets it; results are unaffected.
@@ -47,7 +51,8 @@ type Observability struct {
 // Run runs experiments, each a method on it. It carries the
 // Observability its cells apply and keeps its last successful cell's
 // report, metrics snapshot and (when traced) events — not the cell, which
-// would keep a finished cluster alive. Runs share nothing.
+// would keep a finished cluster alive — and the fingerprint of every
+// cell's events. Runs share nothing.
 type Run struct {
 	Observability
 
@@ -55,12 +60,57 @@ type Run struct {
 	snap    trace.Snapshot
 	events  []trace.Event
 	dropped int64
+	fp      fingerprint
+}
+
+// fingerprint is a trace sink that folds every event of every cell of a
+// Run, in emission order, into one 64-bit digest: time, phase, value bits
+// and the three strings, a word at a time, and each cell's index where
+// the cell begins. Every fold is invertible, so changing one word of one
+// event always moves the digest; nothing in it is seeded or read from
+// the host.
+type fingerprint struct {
+	cells, events int64
+	sum           uint64
+}
+
+func (f *fingerprint) Consume(ev trace.Event) {
+	f.events++
+	h := mix(mix(mix(f.sum, uint64(ev.T)), uint64(ev.Ph)), math.Float64bits(ev.Value))
+	f.sum = mixString(mixString(mixString(h, ev.Component), ev.Category), ev.Name)
+}
+
+// mix folds x into h by an odd multiply and an xorshift.
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
+
+// mixString folds s's length, then its bytes eight at a time.
+func mixString(h uint64, s string) uint64 {
+	h = mix(h, uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h = mix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+	}
+	var w uint64
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (8 * i)
+	}
+	return mix(h, w)
+}
+
+// Fingerprint renders the Run's event fingerprint: how many cells it
+// built, how many trace events they emitted, and the digest of them all.
+func (rn *Run) Fingerprint() string {
+	return fmt.Sprintf("fingerprint: %d cells, %d events, %016x", rn.fp.cells, rn.fp.events, rn.fp.sum)
 }
 
 // observedEngine is the engine constructor behind every cell: a fresh
 // engine with the trace collector armed when a trace artifact was
-// requested, and a bottleneck analyzer subscribed as a streaming sink —
-// it has no effect on virtual time, so every run ends with a report.
+// requested, and two streaming sinks subscribed — a bottleneck analyzer
+// and the Run's fingerprint. Neither has any effect on virtual time, so
+// every run ends with a report and every event is fingerprinted.
 func (rn *Run) observedEngine() (*sim.Engine, *analysis.Analyzer) {
 	eng := sim.NewEngine()
 	if rn.VerifySkips {
@@ -71,6 +121,9 @@ func (rn *Run) observedEngine() (*sim.Engine, *analysis.Analyzer) {
 	}
 	an := analysis.NewAnalyzer(analysis.Config{})
 	eng.Trace().Subscribe(an)
+	rn.fp.cells++
+	rn.fp.sum = mix(rn.fp.sum, uint64(rn.fp.cells))
+	eng.Trace().Subscribe(&rn.fp)
 	return eng, an
 }
 

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/vmmc"
 )
 
@@ -189,5 +191,58 @@ func TestFaultedArtifactsDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(string(t1), "corrupt_packet") {
 		t.Error("faulted trace artifact records no corruption events")
+	}
+}
+
+// TestFingerprint feeds a Run's fingerprint hand-made event streams: the
+// same stream gives the same line, and swapping two events, changing one
+// event's time, phase, value or any of its strings, moving a byte from
+// one string to the next, or splitting the stream across two cells moves
+// the digest.
+func TestFingerprint(t *testing.T) {
+	base := []trace.Event{
+		{T: 100, Ph: trace.PhaseBegin, Component: "lanai0/hostdma", Category: "dma", Name: "xfer"},
+		{T: 250, Ph: trace.PhaseCounter, Component: "node1/lcp", Category: "lcp", Name: "sendq1_depth", Value: 2},
+		{T: 250, Ph: trace.PhaseEnd, Component: "lanai0/hostdma", Category: "dma", Name: "xfer"},
+	}
+	// line fingerprints evs on a fresh Run, starting a new cell before
+	// the event at index split (none when split is 0).
+	line := func(evs []trace.Event, split int) string {
+		rn := new(Run)
+		rn.observedEngine()
+		for i, ev := range evs {
+			if i > 0 && i == split {
+				rn.observedEngine()
+			}
+			rn.fp.Consume(ev)
+		}
+		return rn.Fingerprint()
+	}
+	want := line(base, 0)
+	if again := line(base, 0); again != want {
+		t.Fatalf("one stream, two lines: %s vs %s", want, again)
+	}
+	if !strings.HasPrefix(want, "fingerprint: 1 cells, 3 events, ") || len(want) != len("fingerprint: 1 cells, 3 events, ")+16 {
+		t.Errorf("line %q, want the cell and event counts and 16 hex digits", want)
+	}
+	if split := line(base, 1); split == want || !strings.HasPrefix(split, "fingerprint: 2 cells, 3 events, ") {
+		t.Errorf("split across two cells: %s, want 2 cells and a digest other than %s", split, want)
+	}
+	for name, perturb := range map[string]func(evs []trace.Event){
+		"swap":             func(evs []trace.Event) { evs[0], evs[1] = evs[1], evs[0] },
+		"T":                func(evs []trace.Event) { evs[1].T++ },
+		"Ph":               func(evs []trace.Event) { evs[2].Ph = trace.PhaseInstant },
+		"Value":            func(evs []trace.Event) { evs[1].Value = 3 },
+		"Component":        func(evs []trace.Event) { evs[0].Component = "lanai0/hostdmb" },
+		"Category":         func(evs []trace.Event) { evs[1].Category = "lcq" },
+		"Name":             func(evs []trace.Event) { evs[2].Name = "xfe" },
+		"string boundary":  func(evs []trace.Event) { evs[1].Component, evs[1].Category = "node1/lc", "plcp" },
+		"long string tail": func(evs []trace.Event) { evs[1].Name = "sendq1_depti" },
+	} {
+		evs := slices.Clone(base)
+		perturb(evs)
+		if got := line(evs, 0); got == want {
+			t.Errorf("%s: digest unmoved: %s", name, got)
+		}
 	}
 }

@@ -26,8 +26,6 @@ type ReplicaConfig struct {
 	Rates []float64
 	// Requests is the offered request count per cell. Zero selects 240.
 	Requests int
-	// Out, when non-empty, writes the BENCH_replica.json artifact here.
-	Out string
 }
 
 // Fixed geometry and policy for the sweep. Six server nodes and 24
@@ -57,8 +55,7 @@ const (
 )
 
 // ReplicaResult is one cell: outcome counts, latency quantiles, and the
-// routing/replication counters. All fields are deterministic; the sweep
-// double-runs every cell and fails on drift.
+// routing/replication counters. All fields are deterministic.
 type ReplicaResult struct {
 	Case   string  `key:"case,%q" col:"case,%s"`
 	R      int     `key:"r,%d"`
@@ -104,8 +101,9 @@ func (r ReplicaResult) hotSpread() int64 {
 // routing on a hot shard (the per-replica attempt spread must flatten)
 // and kill a follower mid-measurement (goodput must stay 100% with zero
 // client-visible errors, the kill surfacing only in tail latency and
-// the primary's apply-failure counters). Every cell runs twice and must
-// not drift, so BENCH_replica.json is byte-identical across runs.
+// the primary's apply-failure counters). Every quantity in
+// BENCH_replica.json is virtual-time derived, so the file is
+// byte-identical across runs.
 func (rn *Run) ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 	if len(cfg.Rs) == 0 {
 		cfg.Rs = []int{1, 2, 3}
@@ -181,7 +179,7 @@ func (rn *Run) ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 
 	log := sweepLog[ReplicaResult]{sweep: "replicasweep", note: true, t: &t}
 	for _, cl := range cells {
-		if err := log.record(cl.name, true, func() (ReplicaResult, *analysis.Report, error) {
+		if err := log.record(cl.name, func() (ReplicaResult, *analysis.Report, error) {
 			return rn.runReplicaCell(cl.name, cl.r, cl.rate, cl.static, cl.theta, cl.putFrac, cl.deadline, cl.kill, cfg.Requests)
 		}); err != nil {
 			return t, err
@@ -192,7 +190,7 @@ func (rn *Run) ReplicaSweep(cfg ReplicaConfig) (Table, error) {
 		return t, err
 	}
 	// The last cell's full report embeds its per-replica attribution.
-	return t, log.write(cfg.Out, artifact{
+	return t, log.write(rn.OutDir, artifact{
 		header: [][2]string{
 			{"requests", fmt.Sprint(cfg.Requests)},
 			{"servers", fmt.Sprint(replicaServers)},

@@ -10,21 +10,19 @@ import (
 )
 
 // TestReplicaSweepSmall runs the replication experiment with a short
-// request count. Every cell double-runs inside ReplicaSweep and fails
-// on drift; on top of that the whole sweep runs twice here and the
-// BENCH_replica.json artifacts must be byte-identical — the bar the CI
-// smoke job re-checks. The sweep itself enforces the replication
+// request count. The whole sweep runs twice here, and the two runs'
+// BENCH_replica.json artifacts and event fingerprints must be identical
+// — the bar the CI smoke job re-checks. The sweep itself enforces the replication
 // properties (R>=2 beats R=1 past the knee at equal total capacity,
 // load-aware routing flattens the hot shard, the follower kill costs
 // nothing but tail latency), so a passing run is the replication
 // verdict, not just a timing table.
 func TestReplicaSweepSmall(t *testing.T) {
-	dir := t.TempDir()
+	rn := outTo(t.TempDir())
 	cfg := ReplicaConfig{
 		Requests: 160,
-		Out:      filepath.Join(dir, "BENCH_replica.json"),
 	}
-	tbl, err := new(Run).ReplicaSweep(cfg)
+	tbl, err := rn.ReplicaSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +30,7 @@ func TestReplicaSweepSmall(t *testing.T) {
 	if len(tbl.Rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(tbl.Rows))
 	}
-	data, err := os.ReadFile(cfg.Out)
+	data, err := os.ReadFile(filepath.Join(rn.OutDir, "BENCH_replica.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +49,14 @@ func TestReplicaSweepSmall(t *testing.T) {
 		}
 	}
 
-	cfg.Out = filepath.Join(dir, "BENCH_replica2.json")
-	if _, err := new(Run).ReplicaSweep(cfg); err != nil {
+	rerun := outTo(t.TempDir())
+	if _, err := rerun.ReplicaSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
-	again, err := os.ReadFile(cfg.Out)
+	if rn.Fingerprint() != rerun.Fingerprint() {
+		t.Errorf("fingerprints differ between two identical sweeps: %s vs %s", rn.Fingerprint(), rerun.Fingerprint())
+	}
+	again, err := os.ReadFile(filepath.Join(rerun.OutDir, "BENCH_replica.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,27 +25,25 @@ type ScaleConfig struct {
 	// Rounds is how many messages each ordered node pair exchanges.
 	// Zero selects 2.
 	Rounds int
-	// Out, when non-empty, writes the machine-readable BENCH_scale.json
-	// artifact here.
-	Out string
 }
 
 // ScaleResult is one row of the sweep, mixing virtual-time quantities
-// (deterministic) with wall-clock simulator throughput (tagged host).
+// (deterministic) with wall-clock simulator throughput: wall_seconds,
+// events_per_sec, allocs_per_event and heap_sys_mb differ between runs.
 type ScaleResult struct {
 	Nodes          int      `key:"nodes,%d" col:"nodes,%d"`
 	Messages       int      `key:"messages,%d" col:"messages,%d"`
 	PayloadBytes   int64    `key:"payload_bytes,%d"`
 	VirtualElapsed sim.Time `key:"virtual_elapsed_us,%.3f" col:"virtual time,%.1f us"`
 	GoodputMBps    float64  `key:"goodput_mb_s,%.2f" col:"goodput,%.1f MB/s"`
-	WallSeconds    float64  `key:"wall_seconds,%.3f,host" col:"wall time,%.2f s"`
+	WallSeconds    float64  `key:"wall_seconds,%.3f" col:"wall time,%.2f s"`
 	Events         uint64   `key:"events_dispatched,%d" col:"events,%d"`      // executed events, evaluated spin samples included
 	SamplesElided  uint64   `key:"samples_elided,%d" col:"samples elided,%d"` // spin samples skipped unexecuted (sim.SchedStats.Elided)
-	EventsPerSec   float64  `key:"events_per_sec,%.0f,host" col:"events/sec,%.0f"`
-	AllocsPerEvent float64  `key:"allocs_per_event,%.3f,host" col:"allocs/event,%.2f"`
+	EventsPerSec   float64  `key:"events_per_sec,%.0f" col:"events/sec,%.0f"`
+	AllocsPerEvent float64  `key:"allocs_per_event,%.3f" col:"allocs/event,%.2f"`
 	PeakEventHeap  int      `key:"peak_event_heap,%d" col:"peak heap,%d"`
 	Compactions    uint64   `key:"compactions,%d" col:"compactions,%d"`
-	HeapSysMB      float64  `key:"heap_sys_mb,%.1f,host"`
+	HeapSysMB      float64  `key:"heap_sys_mb,%.1f"`
 }
 
 // barrier parks processes until target of them have arrived, then
@@ -103,9 +101,7 @@ func (s *sema) release() {
 // ScaleSweep runs all-to-all traffic on growing clusters and reports both
 // the model's goodput (virtual time) and the simulator's own throughput
 // (events per wall-clock second) — the quantity BENCH_scale.json tracks
-// across PRs. The smallest configuration runs twice and the sweep fails
-// if any field but the wall-clock ones drifts between the two runs, so a
-// CI smoke invocation doubles as a determinism check.
+// across PRs.
 func (rn *Run) ScaleSweep(cfg ScaleConfig) (Table, error) {
 	if len(cfg.Nodes) == 0 {
 		cfg.Nodes = []int{16, 64, 256}
@@ -128,9 +124,8 @@ func (rn *Run) ScaleSweep(cfg ScaleConfig) (Table, error) {
 	}
 
 	log := sweepLog[ScaleResult]{sweep: "scalesweep", note: true, t: &t}
-	for i, n := range cfg.Nodes {
-		// Only the smallest configuration pays for the determinism double run.
-		err := log.record(fmt.Sprintf("%d nodes", n), i == 0, func() (ScaleResult, *analysis.Report, error) {
+	for _, n := range cfg.Nodes {
+		err := log.record(fmt.Sprintf("%d nodes", n), func() (ScaleResult, *analysis.Report, error) {
 			return rn.runScaleCase(n, cfg.MsgBytes, cfg.Rounds)
 		})
 		if err != nil {
@@ -138,7 +133,7 @@ func (rn *Run) ScaleSweep(cfg ScaleConfig) (Table, error) {
 		}
 	}
 	// The host fields make the file a performance record, not a golden one.
-	return t, log.write(cfg.Out, artifact{
+	return t, log.write(rn.OutDir, artifact{
 		header: [][2]string{
 			{"traffic", `"all-to-all"`},
 			{"msg_bytes", fmt.Sprint(cfg.MsgBytes)},

@@ -9,22 +9,17 @@ import (
 
 // TestScaleSweepSmall runs the scaling experiment on a 12-node cluster —
 // small enough for CI (and the race detector), large enough to exercise
-// the multi-switch fabric and the centralized mapper. ScaleSweep runs the
-// first configuration twice and fails on virtual-time or event-count
-// drift, so this doubles as a determinism check of the whole stack under
-// reliability-layer timer churn.
+// the multi-switch fabric and the centralized mapper.
 func TestScaleSweepSmall(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	tbl, err := new(Run).ScaleSweep(ScaleConfig{
-		Nodes: []int{12}, MsgBytes: 256, Rounds: 1, Out: out,
-	})
+	rn := outTo(t.TempDir())
+	tbl, err := rn.ScaleSweep(ScaleConfig{Nodes: []int{12}, MsgBytes: 256, Rounds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(tbl.Rows))
 	}
-	data, err := os.ReadFile(out)
+	data, err := os.ReadFile(filepath.Join(rn.OutDir, "BENCH_scale.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

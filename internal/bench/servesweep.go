@@ -21,8 +21,6 @@ type ServeConfig struct {
 	Shards []int
 	// Requests is the offered request count per cell. Zero selects 240.
 	Requests int
-	// Out, when non-empty, writes the BENCH_serve.json artifact here.
-	Out string
 }
 
 // Fixed tier geometry and policy for the sweep. The deadline sits well
@@ -41,8 +39,7 @@ const (
 )
 
 // ServeResult is one cell: outcome counts, latency quantiles, and the
-// admission machinery's counters. All fields are deterministic; the
-// sweep double-runs every cell and fails on drift.
+// admission machinery's counters. All fields are deterministic.
 type ServeResult struct {
 	Case      string  `key:"case,%q" col:"case,%s"`
 	Shards    int     `key:"shards,%d"`
@@ -63,8 +60,8 @@ type ServeResult struct {
 // in-sweep: past the capacity knee admission must not lose goodput,
 // admitted requests keep a bounded tail, typed rejections resolve well
 // inside the deadline, and the outage cell finishes with zero victim
-// errors. Every cell runs twice and must not drift, so BENCH_serve.json
-// is byte-identical across runs.
+// errors. Every quantity in BENCH_serve.json is virtual-time derived, so
+// the file is byte-identical across runs.
 func (rn *Run) ServeSweep(cfg ServeConfig) (Table, error) {
 	if len(cfg.Rates) == 0 {
 		cfg.Rates = []float64{15000, 30000, 60000}
@@ -119,7 +116,7 @@ func (rn *Run) ServeSweep(cfg ServeConfig) (Table, error) {
 
 	log := sweepLog[ServeResult]{sweep: "servesweep", note: true, t: &t}
 	for _, cl := range cells {
-		if err := log.record(cl.name, true, func() (ServeResult, *analysis.Report, error) {
+		if err := log.record(cl.name, func() (ServeResult, *analysis.Report, error) {
 			return rn.runServeCell(cl.name, cl.shards, cl.rate, cl.admission, cl.theta, cl.edge, cfg.Requests)
 		}); err != nil {
 			return t, err
@@ -133,7 +130,7 @@ func (rn *Run) ServeSweep(cfg ServeConfig) (Table, error) {
 		if outage {
 			name = "fault outage+heal"
 		}
-		if err := log.record(name, true, func() (ServeResult, *analysis.Report, error) {
+		if err := log.record(name, func() (ServeResult, *analysis.Report, error) {
 			return rn.runServeFaultCell(name, outage, cfg.Requests)
 		}); err != nil {
 			return t, err
@@ -144,7 +141,7 @@ func (rn *Run) ServeSweep(cfg ServeConfig) (Table, error) {
 		return t, err
 	}
 	// The last cell's full report embeds its per-shard serve attribution.
-	return t, log.write(cfg.Out, artifact{
+	return t, log.write(rn.OutDir, artifact{
 		header: [][2]string{
 			{"requests", fmt.Sprint(cfg.Requests)},
 			{"conns_per_shard", fmt.Sprint(serveConns)},

@@ -10,21 +10,19 @@ import (
 )
 
 // TestServeSweepSmall runs the serving-tier experiment with a short
-// request count. Every cell double-runs inside ServeSweep and fails on
-// drift; on top of that the whole sweep runs twice here and the
-// BENCH_serve.json artifacts must be byte-identical — the bar the CI
-// smoke job re-checks. The sweep itself enforces the overload
+// request count. The whole sweep runs twice here, and the two runs'
+// BENCH_serve.json artifacts and event fingerprints must be identical —
+// the bar the CI smoke job re-checks. The sweep itself enforces the overload
 // acceptance properties (admission does not lose goodput past the knee,
 // admitted tails stay bounded, shed requests fail fast typed, the
 // outage cell loses nothing), so a passing run is the robustness
 // verdict, not just a timing table.
 func TestServeSweepSmall(t *testing.T) {
-	dir := t.TempDir()
+	rn := outTo(t.TempDir())
 	cfg := ServeConfig{
 		Requests: 160,
-		Out:      filepath.Join(dir, "BENCH_serve.json"),
 	}
-	tbl, err := new(Run).ServeSweep(cfg)
+	tbl, err := rn.ServeSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +30,7 @@ func TestServeSweepSmall(t *testing.T) {
 	if len(tbl.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9", len(tbl.Rows))
 	}
-	data, err := os.ReadFile(cfg.Out)
+	data, err := os.ReadFile(filepath.Join(rn.OutDir, "BENCH_serve.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +47,14 @@ func TestServeSweepSmall(t *testing.T) {
 		}
 	}
 
-	cfg.Out = filepath.Join(dir, "BENCH_serve2.json")
-	if _, err := new(Run).ServeSweep(cfg); err != nil {
+	rerun := outTo(t.TempDir())
+	if _, err := rerun.ServeSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
-	again, err := os.ReadFile(cfg.Out)
+	if rn.Fingerprint() != rerun.Fingerprint() {
+		t.Errorf("fingerprints differ between two identical sweeps: %s vs %s", rn.Fingerprint(), rerun.Fingerprint())
+	}
+	again, err := os.ReadFile(filepath.Join(rerun.OutDir, "BENCH_serve.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

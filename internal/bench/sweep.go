@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -20,23 +21,20 @@ var errConfig = errors.New("bad sweep configuration")
 // A record is a sweep cell's result struct, rendered by the encoder
 // below from its field tags:
 //
-//	key:"name,verb[,host]"         the field's member in the artifact's case object
+//	key:"name,verb"                the field's member in the artifact's case object
 //	col:"name[,verb][,after=col]"  the field's column in the sweep's table
 //
-// A sim.Time renders in microseconds, a slice as a list. host marks a
-// wall-clock field, which the double run does not compare; it compares
-// every other field, untagged ones included. A col without a verb is the
-// record's one computed column, rendered by its computed method; after=
-// places a column out of declaration order. Embedded structs render in
-// place, and a hide tag on an embedding drops its columns from the table.
+// A sim.Time renders in microseconds, a slice as a list. A col without a
+// verb is the record's one computed column, rendered by its computed
+// method; after= places a column out of declaration order. Embedded
+// structs render in place, and a hide tag on an embedding drops its
+// columns from the table.
 type computer interface{ computed() string }
 
 // leaf is one field of a record, its tags parsed.
 type leaf struct {
-	name         string // Go field name, for drift errors
 	v            reflect.Value
 	key, keyVerb string
-	host         bool
 	col, colVerb string
 	after        string
 }
@@ -57,10 +55,9 @@ func leaves(rec reflect.Value) []leaf {
 			out = append(out, sub...)
 			continue
 		}
-		l := leaf{name: sf.Name, v: rec.Field(i)}
+		l := leaf{v: rec.Field(i)}
 		var opt string
-		l.key, l.keyVerb, opt = splitTag(sf.Tag.Get("key"))
-		l.host = opt == "host"
+		l.key, l.keyVerb, _ = splitTag(sf.Tag.Get("key"))
 		l.col, l.colVerb, opt = splitTag(sf.Tag.Get("col"))
 		l.after = strings.TrimPrefix(opt, "after=")
 		out = append(out, l)
@@ -135,46 +132,11 @@ func row(rec any, cols []string) []string {
 	return out
 }
 
-// drift names the first field outside the host ones in which two records
-// differ, with both values, or returns "".
-func drift(a, b any) string {
-	lb := leaves(reflect.ValueOf(b))
-	for i, l := range leaves(reflect.ValueOf(a)) {
-		if x, y := l.v.Interface(), lb[i].v.Interface(); !l.host && !reflect.DeepEqual(x, y) {
-			return fmt.Sprintf("%s %v vs %v", l.name, x, y)
-		}
-	}
-	return ""
-}
-
-// doubleRun is the sweeps' determinism check: it runs a cell twice on
-// fresh engines and fails, naming the sweep and the cell, if the two
-// records differ in any field not tagged host or the two bottleneck
-// reports differ as JSON. It returns the second run and its report.
-func doubleRun[R any](sweep, cell string, run func() (R, *analysis.Report, error)) (R, *analysis.Report, error) {
-	var zero R
-	first, firstRep, err := run()
-	if err != nil {
-		return zero, nil, err
-	}
-	again, rep, err := run()
-	if err != nil {
-		return zero, nil, err
-	}
-	if d := drift(first, again); d != "" {
-		return zero, nil, fmt.Errorf("bench: %s determinism drift in %q: %s", sweep, cell, d)
-	}
-	if analysisJSON(rep, "") != analysisJSON(firstRep, "") {
-		return zero, nil, fmt.Errorf("bench: %s analysis drift in %q", sweep, cell)
-	}
-	return again, rep, nil
-}
-
 // sweepLog is what a sweep accumulates cell by cell: the records its
 // acceptance checks read, the reports its artifact embeds, and the table
 // it prints.
 type sweepLog[R any] struct {
-	sweep string // names the sweep in drift errors, and its artifact
+	sweep string // names the sweep's artifact
 	note  bool   // the table carries every cell's verdict note
 	t     *Table // the sweep's table; record appends to it
 
@@ -182,14 +144,10 @@ type sweepLog[R any] struct {
 	reports []*analysis.Report
 }
 
-// record runs one cell — twice, through doubleRun, when asked — and files
-// its record, report, table row and verdict note.
-func (l *sweepLog[R]) record(label string, twice bool, run func() (R, *analysis.Report, error)) error {
-	do := run
-	if twice {
-		do = func() (R, *analysis.Report, error) { return doubleRun(l.sweep, label, run) }
-	}
-	r, rep, err := do()
+// record runs one cell and files its record, report, table row and
+// verdict note.
+func (l *sweepLog[R]) record(label string, run func() (R, *analysis.Report, error)) error {
+	r, rep, err := run()
 	if err != nil {
 		return err
 	}
@@ -212,12 +170,17 @@ type artifact struct {
 	extra   [][2]string // members between the list and the analysis
 }
 
-// write emits the sweep's artifact a: the benchmark's name ("vmmc-" and
-// the sweep's), the header, one case object per recorded cell (at least
-// one), any extra members, and the last cell's full analysis report
-// embedded. An empty path (no -*-out flag) writes nothing.
-func (l *sweepLog[R]) write(path string, a artifact) error {
-	return writeArtifact(strings.TrimSuffix(l.sweep, "sweep"), path, func(w io.Writer) error {
+// write emits the sweep's artifact a into dir as BENCH_<sweep>.json: the
+// benchmark's name ("vmmc-" and the sweep's), the header, one case object
+// per recorded cell (at least one), any extra members, and the last cell's
+// full analysis report embedded. An empty dir (no -out flag) writes
+// nothing.
+func (l *sweepLog[R]) write(dir string, a artifact) error {
+	if dir == "" {
+		return nil
+	}
+	short := strings.TrimSuffix(l.sweep, "sweep")
+	return writeArtifact(short, filepath.Join(dir, "BENCH_"+short+".json"), func(w io.Writer) error {
 		var b strings.Builder
 		fmt.Fprintf(&b, "{\n  \"benchmark\": \"vmmc-%s\",\n", l.sweep)
 		for _, kv := range a.header {

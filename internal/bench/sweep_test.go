@@ -26,13 +26,13 @@ type fakeRecord struct {
 	Case     string  `key:"case,%q" col:"case,%s"`
 	Rate     float64 `key:"rate,%.0f" col:"rate,%.0f/s"`
 	OK       int64   `key:"ok,%d" col:"ok"`
-	Sent     int64   // untagged: not rendered, but compared
+	Sent     int64   // untagged: not rendered
 	Match    bool    `key:"match,%t" col:"match,match=%t,after=p99"`
 	fakeTail `hide:"shed"`
 	Frac     float64 `key:"frac,%.4f"`
 	MBps     float64 `key:"mb_s,%.2f"`
 	Hot      []int64 `key:"hot,%d"`
-	Wall     float64 `key:"wall_s,%.3f,host" col:"wall,%.2f s"`
+	Wall     float64 `key:"wall_s,%.3f" col:"wall,%.2f s"`
 }
 
 func (r fakeRecord) computed() string { return fmt.Sprintf("%d/%d", r.OK, r.Sent) }
@@ -41,7 +41,7 @@ func steadyRecord(int) fakeRecord {
 	return fakeRecord{Case: "steady", OK: 7, Sent: 8, Hot: []int64{1, 2}, fakeTail: fakeTail{P99: 5 * sim.Microsecond}}
 }
 
-// fakeCell returns a cell run for doubleRun and sweepLog.record: its n-th
+// fakeCell returns a cell run for sweepLog.record: its n-th
 // call returns result(n) and a report whose verdict is verdict(n) x's
 // long, the way a real cell hands back its own report. calls counts the
 // runs.
@@ -53,87 +53,29 @@ func fakeCell(calls *int, result func(int) fakeRecord, verdict func(int) int) fu
 	}
 }
 
-func steady(int) int      { return 7 }
-func moving(call int) int { return call }
+func steady(int) int { return 7 }
 
-// TestDoubleRunCatchesDrift feeds the shared determinism check fake
-// cells: a record that changes between the two runs in any field but a
-// host one — an untagged, embedded, hidden or list field included — must
-// fail naming the sweep, the cell and the field; drift in a host field
-// passes; equal records whose analysis reports differ must fail as
-// analysis drift; a steady cell passes and returns the second run's
-// report.
-func TestDoubleRunCatchesDrift(t *testing.T) {
-	var calls int
-	for field, perturb := range map[string]func(*fakeRecord){
-		"Case":  func(r *fakeRecord) { r.Case += "!" },
-		"Rate":  func(r *fakeRecord) { r.Rate++ },
-		"Sent":  func(r *fakeRecord) { r.Sent++ },
-		"Match": func(r *fakeRecord) { r.Match = !r.Match },
-		"P99":   func(r *fakeRecord) { r.P99++ },
-		"Shed":  func(r *fakeRecord) { r.Shed++ },
-		"Hot":   func(r *fakeRecord) { r.Hot = append(r.Hot, 3) },
-		"Frac":  func(r *fakeRecord) { r.Frac += 0.5 },
-	} {
-		second := func(call int) fakeRecord {
-			r := steadyRecord(call)
-			if call == 2 {
-				perturb(&r)
-			}
-			return r
-		}
-		_, _, err := doubleRun("fakesweep", "cell A", fakeCell(&calls, second, steady))
-		if err == nil || !strings.Contains(err.Error(), "fakesweep determinism drift") ||
-			!strings.Contains(err.Error(), `"cell A"`) || !strings.Contains(err.Error(), field) {
-			t.Errorf("drifting %s: err = %v, want a determinism drift naming fakesweep, \"cell A\" and %s", field, err, field)
-		}
-	}
-	wall := func(call int) fakeRecord {
-		r := steadyRecord(call)
-		r.Wall = float64(call)
-		return r
-	}
-	if _, _, err := doubleRun("fakesweep", "cell H", fakeCell(&calls, wall, steady)); err != nil {
-		t.Errorf("drifting host field: %v", err)
-	}
-	_, _, err := doubleRun("fakesweep", "cell B", fakeCell(&calls, steadyRecord, moving))
-	if err == nil || !strings.Contains(err.Error(), "fakesweep analysis drift") || !strings.Contains(err.Error(), `"cell B"`) {
-		t.Errorf("drifting analysis: err = %v, want an analysis drift naming fakesweep and \"cell B\"", err)
-	}
-	var second *analysis.Report
-	run := fakeCell(&calls, steadyRecord, steady)
-	r, rep, err := doubleRun("fakesweep", "cell C", func() (fakeRecord, *analysis.Report, error) {
-		r, rep, err := run()
-		second = rep
-		return r, rep, err
-	})
-	if err != nil || r.OK != 7 || rep != second || calls != 2 {
-		t.Errorf("steady cell = (%+v, %p, %v) after %d runs, want OK 7, %p, nil after 2", r, rep, err, calls, second)
-	}
-}
+// outTo returns a Run whose sweeps write their artifacts into dir.
+func outTo(dir string) *Run { return &Run{Observability: Observability{OutDir: dir}} }
 
 // TestSweepLogRecord pins the one record-a-cell block: the cell runs
-// exactly twice when asked and once otherwise, and its record, report,
-// row and (when the sweep prints one) verdict note are filed in run
-// order; a failing or drifting cell files nothing.
+// exactly once, and its record, report, row and (when the sweep prints
+// one) verdict note are filed in run order; a failing cell files
+// nothing.
 func TestSweepLogRecord(t *testing.T) {
 	for _, note := range []bool{true, false} {
 		tbl := Table{Columns: columns(fakeRecord{})}
 		log := sweepLog[fakeRecord]{sweep: "fakesweep", note: note, t: &tbl}
 		var calls int
-		if err := log.record("first", true, fakeCell(&calls, steadyRecord, steady)); err != nil || calls != 2 {
-			t.Fatalf("twice: err = %v after %d runs, want nil after 2", err, calls)
+		if err := log.record("first", fakeCell(&calls, steadyRecord, steady)); err != nil || calls != 1 {
+			t.Fatalf("first: err = %v after %d runs, want nil after 1", err, calls)
 		}
 		nine := func(int) fakeRecord { return fakeRecord{Case: "second", OK: 9, Sent: 9} }
-		if err := log.record("second", false, fakeCell(&calls, nine, func(int) int { return 3 })); err != nil || calls != 1 {
-			t.Fatalf("once: err = %v after %d runs, want nil after 1", err, calls)
-		}
-		drifts := func(call int) fakeRecord { return fakeRecord{OK: int64(call)} }
-		if err := log.record("drifts", true, fakeCell(&calls, drifts, steady)); err == nil {
-			t.Error("a drifting cell was recorded")
+		if err := log.record("second", fakeCell(&calls, nine, func(int) int { return 3 })); err != nil || calls != 1 {
+			t.Fatalf("second: err = %v after %d runs, want nil after 1", err, calls)
 		}
 		boom := errors.New("boom")
-		if err := log.record("fails", false, func() (fakeRecord, *analysis.Report, error) { return fakeRecord{}, nil, boom }); !errors.Is(err, boom) {
+		if err := log.record("fails", func() (fakeRecord, *analysis.Report, error) { return fakeRecord{}, nil, boom }); !errors.Is(err, boom) {
 			t.Errorf("failing cell: err = %v, want boom", err)
 		}
 		if len(log.results) != 2 || log.results[0].OK != 7 || log.results[1].OK != 9 {
@@ -158,10 +100,11 @@ func TestSweepLogRecord(t *testing.T) {
 // TestArtifactGolden pins the one encoder and the artifact writer around
 // it over a fake record. The table: columns in declaration order, one
 // moved by after=, one hidden by its embedding, a computed column, verbs
-// with units. The artifact: the benchmark named after the sweep, header
-// members in order, one object per cell — every verb the sweeps use, a
-// sim.Time in microseconds, a list, the embedded struct in place, the
-// untagged field skipped, the host field rendered — with its report's
+// with units. The artifact: written to BENCH_<sweep>.json in the output
+// directory, the benchmark named after the sweep, header members in
+// order, one object per cell — every verb the sweeps use, a sim.Time in
+// microseconds, a list, the embedded struct in place, the untagged field
+// skipped — with its report's
 // verdict appended, commas between but not after cells, extra members
 // before the analysis, and the last cell's report embedded as the
 // analysis. The file must parse as JSON.
@@ -182,7 +125,7 @@ func TestArtifactGolden(t *testing.T) {
 		t.Errorf("row under another record's columns = %q, want %q", got, want)
 	}
 
-	path := filepath.Join(t.TempDir(), "BENCH_fake.json")
+	dir := t.TempDir()
 	log := sweepLog[fakeRecord]{
 		sweep:   "fakesweep",
 		results: []fakeRecord{one, two},
@@ -193,9 +136,10 @@ func TestArtifactGolden(t *testing.T) {
 		listKey: "cases",
 		extra:   [][2]string{{"extra", object(fakeTail{Shed: 1}, "aside")}},
 	}
-	if err := log.write(path, a); err != nil {
+	if err := log.write(dir, a); err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(dir, "BENCH_fake.json")
 	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +173,7 @@ func TestArtifactGolden(t *testing.T) {
 	if err := json.Unmarshal(got, &parsed); err != nil {
 		t.Errorf("artifact does not parse as JSON: %v", err)
 	}
-	if err := log.write(filepath.Join(path, "under-a-file"), a); err == nil || !strings.Contains(err.Error(), "bench: fake artifact") {
-		t.Errorf("unwritable path: err = %v, want a wrapped fake-artifact error", err)
+	if err := log.write(path, a); err == nil || !strings.Contains(err.Error(), "bench: fake artifact") {
+		t.Errorf("directory that is a file: err = %v, want a wrapped fake-artifact error", err)
 	}
 }

@@ -25,10 +25,6 @@ type TenantConfig struct {
 	// tenantAggRate of 40 MB/s rarely does for short runs). Nil selects 5,
 	// 10 and 20 MB/s; an explicit empty slice is replaced by the default too.
 	Rates []float64
-	// Out, when non-empty, writes the BENCH_tenant.json artifact here.
-	// Every quantity is virtual-time derived, so the file is
-	// byte-identical across runs.
-	Out string
 }
 
 // The aggressor's all-reduce payload (the noisy-neighbor size), and its
@@ -41,8 +37,7 @@ const (
 
 // TenantResult is one cell: the victim's vRPC latency distribution under
 // a given co-residency regime, plus the isolation machinery's counters.
-// All fields are deterministic; the sweep double-runs every cell and
-// fails on drift.
+// All fields are deterministic.
 type TenantResult struct {
 	Case       string   `key:"case,%q" col:"case,%s"`
 	QoS        bool     `key:"qos,%t"`
@@ -66,8 +61,8 @@ type TenantResult struct {
 // link), shared with QoS on (short-send preemption plus a token-bucket
 // link budget on the aggressor's class), and shared with the aggressor
 // killed mid-run (blast-radius containment: the victim must finish with
-// zero errors). Each cell runs twice and must not drift, so the
-// BENCH_tenant.json artifact is a determinism witness; per-tenant
+// zero errors). Every quantity in BENCH_tenant.json is virtual-time
+// derived, so the file is byte-identical across runs; per-tenant
 // attribution rides in each cell's analysis report.
 func (rn *Run) TenantSweep(cfg TenantConfig) (Table, error) {
 	if cfg.Calls < 0 || cfg.Calls == 1 {
@@ -110,7 +105,7 @@ func (rn *Run) TenantSweep(cfg TenantConfig) (Table, error) {
 
 	log := sweepLog[TenantResult]{sweep: "tenantsweep", note: true, t: &t}
 	for _, cl := range cells {
-		if err := log.record(cl.name, true, func() (TenantResult, *analysis.Report, error) {
+		if err := log.record(cl.name, func() (TenantResult, *analysis.Report, error) {
 			return rn.runTenantCase(cl.name, cl.qos, cl.crash, cfg.Calls, cl.rate)
 		}); err != nil {
 			return t, err
@@ -160,7 +155,7 @@ func (rn *Run) TenantSweep(cfg TenantConfig) (Table, error) {
 		}
 	}
 
-	return t, log.write(cfg.Out, artifact{
+	return t, log.write(rn.OutDir, artifact{
 		header: [][2]string{
 			{"calls", fmt.Sprint(cfg.Calls)},
 			{"aggressor_bytes", fmt.Sprint(tenantAggBytes)},

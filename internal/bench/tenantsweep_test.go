@@ -10,27 +10,25 @@ import (
 )
 
 // TestTenantSweepSmall runs the noisy-neighbor experiment with a short
-// call count. Every cell double-runs inside TenantSweep and fails on
-// drift; on top of that the whole sweep runs twice here and the
-// BENCH_tenant.json artifacts must be byte-identical — the bar the CI
-// smoke job re-checks. The sweep itself enforces the isolation
+// call count. The whole sweep runs twice here, and the two runs'
+// BENCH_tenant.json artifacts and event fingerprints must be identical —
+// the bar the CI smoke job re-checks. The sweep itself enforces the isolation
 // acceptance properties (QoS bounds the victim's p99; the crash cell
 // finishes with zero victim errors), so a passing run is the robustness
 // verdict, not just a timing table.
 func TestTenantSweepSmall(t *testing.T) {
-	dir := t.TempDir()
+	rn := outTo(t.TempDir())
 	cfg := TenantConfig{
 		Calls: 16,
-		Out:   filepath.Join(dir, "BENCH_tenant.json"),
 	}
-	tbl, err := new(Run).TenantSweep(cfg)
+	tbl, err := rn.TenantSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tbl.Rows) != 7 { // solo, qos=off, qos=on, crash + 3 default sweep rates
 		t.Fatalf("rows = %d, want 7", len(tbl.Rows))
 	}
-	data, err := os.ReadFile(cfg.Out)
+	data, err := os.ReadFile(filepath.Join(rn.OutDir, "BENCH_tenant.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +44,14 @@ func TestTenantSweepSmall(t *testing.T) {
 		}
 	}
 
-	cfg.Out = filepath.Join(dir, "BENCH_tenant2.json")
-	if _, err := new(Run).TenantSweep(cfg); err != nil {
+	rerun := outTo(t.TempDir())
+	if _, err := rerun.TenantSweep(cfg); err != nil {
 		t.Fatal(err)
 	}
-	again, err := os.ReadFile(cfg.Out)
+	if rn.Fingerprint() != rerun.Fingerprint() {
+		t.Errorf("fingerprints differ between two identical sweeps: %s vs %s", rn.Fingerprint(), rerun.Fingerprint())
+	}
+	again, err := os.ReadFile(filepath.Join(rerun.OutDir, "BENCH_tenant.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ type calibCell struct {
 
 // calibCells is the measured snapshot the cost model is calibrated
 // against — the configs array of BENCH_coll.json, regenerated with
-// `go run ./cmd/vmmcbench -experiment collsweep -coll-out BENCH_coll.json`.
+// `go run ./cmd/vmmcbench -experiment collsweep -out .`.
 // When a simulator change moves these numbers, recalibrate: paste the
 // new per_op_us values here, re-run this test, and adjust the
 // ModelFromProfile decomposition until every ratio is back in bounds

@@ -17,14 +17,14 @@ import (
 var (
 	// {"headline", "abstract: ...", true, tableExp(...)} — registry rows.
 	registryIDRe = regexp.MustCompile(`(?m)^\s*\{"([a-z0-9]+)",`)
-	// flag.String("tenant-out", ...) and friends, and the list flags'
+	// flag.String("analyze-out", ...) and friends, and the list flags'
 	// listFlag("coll-nodes", ...).
 	flagDefRe = regexp.MustCompile(`(?:flag\.(?:String|Bool|Int)|listFlag)\("([a-z-]+)"`)
 
 	// -experiment X in prose or a fenced command. The leading delimiter
 	// keeps compounds like "per-experiment index" from matching.
 	experimentUseRe = regexp.MustCompile("(?:^|[\\s`(])-experiment[\\s=]+([a-z0-9]+)")
-	// Hyphenated flags like -tenant-out; requiring an interior hyphen
+	// Hyphenated flags like -analyze-out; requiring an interior hyphen
 	// avoids matching go tool flags (-race, -bench) and prose. The
 	// leading delimiter keeps mid-word hyphens (store-and-forward) out.
 	flagUseRe = regexp.MustCompile("(?:^|[\\s`(])-([a-z]+(?:-[a-z]+)+)\\b")

@@ -48,6 +48,7 @@ type Board struct {
 
 	comp        string // trace component, "lanai<id>"
 	mInterrupts *trace.Counter
+	mDropped    *trace.Counter
 }
 
 // NewBoard assembles a board attached to the given NIC, host memory, and
@@ -75,6 +76,7 @@ func NewBoard(eng *sim.Engine, prof hw.Profile, nic *myrinet.NIC, hostMem *mem.P
 		eng.TraceCounter(b.comp, "sram", "sram_used_bytes", float64(used))
 	})
 	b.mInterrupts = eng.Metrics().Counter(b.comp + "/interrupts")
+	b.mDropped = eng.Metrics().Counter(b.comp + "/dma_writes_dropped")
 	return b
 }
 
@@ -123,13 +125,21 @@ func (b *Board) readHost(pa mem.PhysAddr, sramOff, n int) error {
 // SRAMToHost DMAs n bytes from SRAM at sramOff into host physical memory
 // at pa (PCI master write direction). The bytes become visible in host
 // memory when the transfer completes, not when it is posted — a spinning
-// host CPU cannot observe data the bus has not delivered yet.
+// host CPU cannot observe data the bus has not delivered yet. A frame its
+// dead process gave back during the transfer gets none of them: the write
+// is dropped and counted, where a real OS would have held the frame until
+// the DMA ended — the same to every live process.
 func (b *Board) SRAMToHost(p *sim.Proc, sramOff int, pa mem.PhysAddr, n int) error {
 	if err := b.checkPinned(pa, n); err != nil {
 		return err
 	}
+	reclaims := b.hostMem.Reclaims(pa, n)
 	src := b.SRAM.Bytes(sramOff, n)
 	b.HostDMA.TransferWith(p, n, b.Prof.LANaiToHost)
+	if b.hostMem.Reclaims(pa, n) != reclaims {
+		b.mDropped.Add(1)
+		return nil
+	}
 	if err := b.hostMem.Write(pa, src); err != nil {
 		return err
 	}

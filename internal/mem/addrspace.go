@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 )
 
 // AddressSpace is one process's virtual memory: a page table mapping
@@ -73,6 +74,23 @@ func (as *AddressSpace) Free(va VirtAddr, n int) error {
 		delete(as.pages, vp)
 	}
 	return nil
+}
+
+// Release unmaps the whole address space — a dead process's — and returns
+// each of its frames to the pool in virtual-page order, dropping the
+// frame's bytes first: a reclaimed frame reads as zeros, so nothing of
+// the dead process reaches the next one, and a DMA still in flight into
+// one of them sees it in Physical.Reclaims. Every frame must be unpinned.
+func (as *AddressSpace) Release() {
+	vps := make([]uint64, 0, len(as.pages))
+	for vp := range as.pages {
+		vps = append(vps, vp)
+	}
+	slices.Sort(vps)
+	for _, vp := range vps {
+		as.phys.reclaim(as.pages[vp])
+	}
+	clear(as.pages)
 }
 
 // Translate maps a virtual address to the physical address backing it.

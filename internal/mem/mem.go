@@ -74,6 +74,10 @@ type Physical struct {
 	// system. The scramble is deterministic.
 	freeFrames []int
 
+	// reclaims counts, per frame, the times AddressSpace.Release took the
+	// frame back from a dead process; nil until the first time.
+	reclaims []uint32
+
 	// version is what a spin on this memory watches (Version).
 	version uint64
 }
@@ -184,6 +188,32 @@ func (pm *Physical) FreeFrame(f int) {
 	}
 	pm.freeFrames = append(pm.freeFrames, f)
 	pm.version++
+}
+
+// reclaim returns a dead process's frame to the pool with its bytes
+// dropped, so that it reads as zeros, and counts it in reclaims.
+func (pm *Physical) reclaim(f int) {
+	if pm.reclaims == nil {
+		pm.reclaims = make([]uint32, len(pm.frames))
+	}
+	pm.reclaims[f]++
+	pm.frames[f] = nil
+	pm.FreeFrame(f)
+}
+
+// Reclaims returns the times the frames under the n > 0 bytes at pa were
+// reclaimed from a dead process, summed. A DMA that stores only when its
+// transfer time is up reads it when it checks its frames and again before
+// it stores: if the sum moved, a frame changed owner in between.
+func (pm *Physical) Reclaims(pa PhysAddr, n int) uint64 {
+	if pm.reclaims == nil {
+		return 0
+	}
+	var sum uint64
+	for f := pa.Frame(); f <= (pa + PhysAddr(n-1)).Frame(); f++ {
+		sum += uint64(pm.reclaims[f])
+	}
+	return sum
 }
 
 // Pin increments the frame's pin count, preventing (modeled) eviction.

@@ -381,7 +381,8 @@ func runOpenLoopOnce(t *testing.T) *Stats {
 
 // TestReplicaOpenLoopDeterminism runs the same mixed workload twice on
 // fresh engines and requires identical stats — the property every sweep
-// cell's double-run check builds on — plus the run-level invariants:
+// cell's golden artifact and event fingerprint build on — plus the
+// run-level invariants:
 // every request resolves, no untyped errors, no read-your-writes
 // violations.
 func TestReplicaOpenLoopDeterminism(t *testing.T) {

@@ -4,7 +4,7 @@ import "math"
 
 // Splitmix64 is the repo's standard generator for seeded workload
 // randomness: identical sequences on every run and platform, which is
-// what lets the sweep double-run cells and demand byte identity.
+// what lets the goldens demand byte identity of every sweep cell.
 func Splitmix64(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s

@@ -37,14 +37,14 @@ func WriteChromeTrace(w io.Writer, events []Event, dropped int64) error {
 			pids[ev.Component] = pid
 			comma()
 			fmt.Fprintf(bw, "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":%s}}",
-				pid, jsonString(ev.Component))
+				pid, JSONString(ev.Component))
 		}
 		comma()
 		fmt.Fprintf(bw, "\n{\"name\":%s,\"cat\":%s,\"ph\":\"%c\",\"ts\":%s,\"pid\":%d,\"tid\":0",
-			jsonString(ev.Name), jsonString(ev.Category), ev.Ph, tsMicros(ev.T), pid)
+			JSONString(ev.Name), JSONString(ev.Category), ev.Ph, tsMicros(ev.T), pid)
 		switch ev.Ph {
 		case PhaseCounter:
-			fmt.Fprintf(bw, ",\"args\":{\"value\":%s}", jsonFloat(ev.Value))
+			fmt.Fprintf(bw, ",\"args\":{\"value\":%s}", JSONFloat(ev.Value))
 		case PhaseInstant:
 			bw.WriteString(",\"s\":\"p\"") // process-scoped instant
 		}
@@ -64,7 +64,7 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 		if i > 0 {
 			bw.WriteByte(',')
 		}
-		fmt.Fprintf(bw, "\n    %s: %d", jsonString(c.Name), c.Value)
+		fmt.Fprintf(bw, "\n    %s: %d", JSONString(c.Name), c.Value)
 	}
 	bw.WriteString("\n  },\n  \"gauges\": {")
 	for i, g := range s.Gauges {
@@ -72,7 +72,7 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 			bw.WriteByte(',')
 		}
 		fmt.Fprintf(bw, "\n    %s: {\"value\": %s, \"high\": %s}",
-			jsonString(g.Name), jsonFloat(g.Value), jsonFloat(g.High))
+			JSONString(g.Name), JSONFloat(g.Value), JSONFloat(g.High))
 	}
 	bw.WriteString("\n  },\n  \"utilizations\": {")
 	for i, u := range s.Utilizations {
@@ -80,7 +80,7 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 			bw.WriteByte(',')
 		}
 		fmt.Fprintf(bw, "\n    %s: {\"busy_fraction\": %s, \"busy_ns\": %d, \"grants\": %d}",
-			jsonString(u.Name), jsonFloat(u.Value), u.BusyNS, u.Grants)
+			JSONString(u.Name), JSONFloat(u.Value), u.BusyNS, u.Grants)
 	}
 	bw.WriteString("\n  }\n}\n")
 	return bw.Flush()
@@ -96,14 +96,18 @@ func tsMicros(ns int64) string {
 	return fmt.Sprintf("%s%d.%03d", neg, ns/1000, ns%1000)
 }
 
-// jsonString escapes s as a JSON string literal.
-func jsonString(s string) string {
+// JSONString escapes s as a JSON string literal: the one string
+// formatter of the deterministic JSON writers (these exporters and the
+// analysis report).
+func JSONString(s string) string {
 	b, _ := json.Marshal(s) // marshaling a string cannot fail
 	return string(b)
 }
 
-// jsonFloat formats f compactly and deterministically.
-func jsonFloat(f float64) string {
+// JSONFloat formats f compactly and deterministically: an integral value
+// as an integer, any other to nine significant digits. The analysis report
+// formats its numbers through it too.
+func JSONFloat(f float64) string {
 	if f == float64(int64(f)) {
 		return strconv.FormatInt(int64(f), 10)
 	}

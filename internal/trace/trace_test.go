@@ -198,13 +198,13 @@ func TestTSMicros(t *testing.T) {
 }
 
 func TestJSONFloat(t *testing.T) {
-	if got := jsonFloat(3); got != "3" {
-		t.Errorf("jsonFloat(3) = %q", got)
+	if got := JSONFloat(3); got != "3" {
+		t.Errorf("JSONFloat(3) = %q", got)
 	}
-	if got := jsonFloat(0.25); got != "0.25" {
-		t.Errorf("jsonFloat(0.25) = %q", got)
+	if got := JSONFloat(0.25); got != "0.25" {
+		t.Errorf("JSONFloat(0.25) = %q", got)
 	}
-	if s := jsonFloat(1.0 / 3.0); !strings.HasPrefix(s, "0.333333") {
-		t.Errorf("jsonFloat(1/3) = %q", s)
+	if s := JSONFloat(1.0 / 3.0); !strings.HasPrefix(s, "0.333333") {
+		t.Errorf("JSONFloat(1/3) = %q", s)
 	}
 }

@@ -216,11 +216,12 @@ func (n *Node) NewProcessWith(p *sim.Proc, limits ProcLimits) (*Process, error) 
 // Close tears a process down: exports are withdrawn in tag order and
 // imports released in proxy-page order, then the LCP slots are freed and
 // TLB-locked pages and the status page unpinned. It stops at an export
-// still imported, not at a release no daemon acknowledges.
+// still imported, not at a release no daemon acknowledges. The handle is
+// dead afterwards, as after a kill.
 func (proc *Process) Close(p *sim.Proc) error {
 	n := proc.Node
 	if proc.dead {
-		// The crash already tore everything down.
+		// A crash, a kill or an earlier Close already tore everything down.
 		return nil
 	}
 	if n.crashed {
@@ -235,6 +236,7 @@ func (proc *Process) Close(p *sim.Proc) error {
 		// An unreachable exporter keeps its lease; the process goes anyway.
 		_ = n.Daemon.unimportLocal(p, proc, rec)
 	}
+	proc.dead = true
 	proc.release()
 	return nil
 }
@@ -242,13 +244,15 @@ func (proc *Process) Close(p *sim.Proc) error {
 // release is the tail every process teardown ends with — Close after its
 // daemon round trips, KillProcess and a node crash after the local scrub:
 // TLB translations are invalidated and their page locks and pin counts
-// returned, the status page is unpinned, and the SRAM carve (send queue,
+// returned, the status page is unpinned, every frame the process mapped
+// goes back to the node's pool, zeroed, and the SRAM carve (send queue,
 // page table, TLB) is freed. Pure state manipulation: no time passes.
 func (proc *Process) release() {
 	n := proc.Node
 	st := proc.lcpState
 	n.Driver.unlock(st, st.tlb.InvalidateAll())
 	proc.AS.Unpin(proc.statusVA, mem.PageSize)
+	proc.AS.Release()
 	n.LCP.unregisterProcess(proc.Pid)
 	delete(n.procs, proc.Pid)
 }

@@ -2,7 +2,6 @@ package vmmc
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"repro/internal/mem"
@@ -55,7 +54,7 @@ func (proc *Process) Limits() ProcLimits { return proc.lcpState.limits }
 func (proc *Process) PinnedFrames() int { return proc.lcpState.pins }
 
 // Dead reports whether the process handle went permanently stale (its
-// node crashed, or the process was killed).
+// node crashed, or the process was killed or closed).
 func (proc *Process) Dead() bool { return proc.dead }
 
 // alive gates every library call against node death.
@@ -293,21 +292,18 @@ func (proc *Process) SendMsg(p *simProc, src mem.VirtAddr, dest ProxyAddr, n int
 	return seq, nil
 }
 
-// status reads the process's completion words (written by the LANai with
-// host DMA into the pinned status page; the library spins on the cached
-// copy, §4.5).
-func (proc *Process) status() (seq, code uint32) {
+// SendDone reports whether the send with the given sequence number has
+// completed, without blocking — the asynchronous-send check (§5.3). It
+// reads the completion words the LANai writes with host DMA into the
+// pinned status page (the library spins on the cached copy, §4.5). A dead
+// handle's status page went with its frames: the send is done, with
+// ErrNodeDown.
+func (proc *Process) SendDone(seq uint32) (bool, error) {
 	var b [8]byte
 	if err := proc.AS.ReadInto(proc.statusVA, b[:]); err != nil {
-		panic(fmt.Sprintf("vmmc: status page unreadable: %v", err))
+		return true, ErrNodeDown
 	}
-	return binary.BigEndian.Uint32(b[0:]), binary.BigEndian.Uint32(b[4:])
-}
-
-// SendDone reports whether the send with the given sequence number has
-// completed, without blocking — the asynchronous-send check (§5.3).
-func (proc *Process) SendDone(seq uint32) (bool, error) {
-	done, code := proc.status()
+	done, code := binary.BigEndian.Uint32(b[0:]), binary.BigEndian.Uint32(b[4:])
 	if done < seq {
 		return false, nil
 	}

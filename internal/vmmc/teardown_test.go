@@ -3,6 +3,7 @@ package vmmc
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem"
@@ -372,6 +373,224 @@ func TestTeardownDuringReceiveDMA(t *testing.T) {
 				}
 				if got := takeBaseline(node, 0); got != base {
 					t.Errorf("after the restart %+v, want the baseline %+v", got, base)
+				}
+			})
+		})
+	}
+}
+
+// freeFrames counts the node's frame pool, which mem keeps unexported.
+func freeFrames(n *Node) int {
+	return reflect.ValueOf(n.Phys).Elem().FieldByName("freeFrames").Len()
+}
+
+// lifetime runs one process on node: a written page when it has one,
+// then Close, or KillProcess when kill is set. The workloads below report
+// its error and return, rather than calling t.Fatal off the test
+// goroutine, so a node that runs out of frames fails instead of hanging.
+func lifetime(p *simProc, node *Node, page, kill bool) error {
+	proc, err := node.NewProcess(p)
+	if err != nil {
+		return err
+	}
+	if page {
+		buf, err := proc.Malloc(mem.PageSize)
+		if err == nil {
+			err = proc.Write(buf, []byte("dead"))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if kill {
+		node.KillProcess(proc.Pid)
+		return nil
+	}
+	return proc.Close(p)
+}
+
+// A dead process's frames go back to its node's pool: 10 000 lifetimes
+// fit on one default node of 4 096 frames.
+func TestProcessLifetimesReclaimFrames(t *testing.T) {
+	testCluster(t, 2, func(p *simProc, c *Cluster) {
+		for i := 0; i < 10000; i++ {
+			if err := lifetime(p, c.Nodes[0], false, false); err != nil {
+				t.Errorf("lifetime %d: %v", i, err)
+				return
+			}
+		}
+	})
+}
+
+// 50 cycles of a process with a written page, ended by Close or by
+// KillProcess, leave the node's frame pool as they found it.
+func TestTeardownCyclesLeaveFramePool(t *testing.T) {
+	testCluster(t, 2, func(p *simProc, c *Cluster) {
+		node := c.Nodes[0]
+		for _, kill := range []bool{false, true} {
+			before := freeFrames(node)
+			for i := 0; i < 50; i++ {
+				if err := lifetime(p, node, true, kill); err != nil {
+					t.Errorf("kill=%v cycle %d: %v", kill, i, err)
+					return
+				}
+			}
+			if after := freeFrames(node); after != before {
+				t.Errorf("50 cycles, kill=%v: %d free frames, want %d", kill, after, before)
+			}
+		}
+	})
+}
+
+// A reclaimed frame reads as zeros: a process that takes every frame its
+// node had free before a dead one wrote its pages, the dead one's
+// included, finds none of its bytes, however the dead one went.
+func TestReclaimedFramesReadZero(t *testing.T) {
+	for _, end := range []string{"close", "kill"} {
+		t.Run(end, func(t *testing.T) {
+			startCluster(t, Options{Nodes: 2, MemBytes: 1 << 20}, true, func(p *simProc, c *Cluster) {
+				node := c.Nodes[0]
+				free := freeFrames(node)
+				dead, err := node.NewProcess(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				const size = 8 * mem.PageSize
+				buf, err := dead.Malloc(size)
+				if err == nil {
+					err = dead.Write(buf, bytes.Repeat([]byte{0xAB}, size))
+				}
+				if err == nil && end == "close" {
+					err = dead.Close(p)
+				} else if err == nil {
+					node.KillProcess(dead.Pid)
+				}
+				next, err2 := node.NewProcess(p)
+				if err == nil {
+					err = err2
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n := (free - 1) * mem.PageSize // all but next's status page
+				all, err := next.Malloc(n)
+				if err != nil {
+					t.Errorf("the dead process's frames did not come back: %v", err)
+					return
+				}
+				got, err := next.Read(all, n)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if i := bytes.IndexByte(got, 0xAB); i >= 0 {
+					t.Errorf("the new process reads the dead one's byte at offset %d", i)
+				}
+			})
+		})
+	}
+}
+
+// A process killed while the LANai deposits into its export gets none of
+// that deposit: its frames went back to the pool zeroed, and the DMA,
+// whose bytes land when its transfer time is up, drops them. The next
+// process to take every free frame reads zeros.
+func TestKillDuringDepositLeavesFramesZero(t *testing.T) {
+	startCluster(t, Options{Nodes: 2, MemBytes: 1 << 20}, true, func(p *simProc, c *Cluster) {
+		node := c.Nodes[1]
+		const size = mem.PageSize
+		send, err := c.Nodes[0].NewProcess(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		src, _ := send.Malloc(size)
+		recv, err := node.NewProcess(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf, _ := recv.Malloc(size)
+		if err := recv.Export(p, 1, buf, size, nil, false); err != nil {
+			t.Error(err)
+			return
+		}
+		dest, _, err := send.Import(p, node.ID, 1)
+		if err == nil {
+			err = send.Write(src, bytes.Repeat([]byte{0xAB}, size))
+		}
+		if err == nil {
+			_, err = send.SendMsg(p, src, dest, size, SendOptions{})
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for !node.Board.HostDMA.Busy() {
+			p.Sleep(sim.Micros(1))
+		}
+		node.KillProcess(recv.Pid)
+		p.Sleep(sim.Micros(100)) // a 4 KB deposit is about 31 us
+		if n := boardCounter(t, node, "dma_writes_dropped"); n != 1 {
+			t.Errorf("%d DMA writes dropped, want the deposit in flight", n)
+		}
+		free := freeFrames(node)
+		next, err := node.NewProcess(p)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		n := (free - 1) * mem.PageSize // all but next's status page
+		all, err := next.Malloc(n)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got, err := next.Read(all, n)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if i := bytes.IndexByte(got, 0xAB); i >= 0 {
+			t.Errorf("the new process reads the deposit into the dead one's export at offset %d", i)
+		}
+	})
+}
+
+// A closed handle is dead, like a killed one: asking after a send returns
+// ErrNodeDown instead of reading a status page that went with its frames.
+func TestClosedHandleReportsNodeDown(t *testing.T) {
+	for _, end := range []string{"close", "kill"} {
+		t.Run(end, func(t *testing.T) {
+			testCluster(t, 2, func(p *simProc, c *Cluster) {
+				node := c.Nodes[0]
+				proc, err := node.NewProcess(p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if end == "close" {
+					err = proc.Close(p)
+				} else {
+					node.KillProcess(proc.Pid)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !proc.Dead() {
+					t.Error("the handle is not dead")
+				}
+				if done, err := proc.SendDone(1); !done || err != ErrNodeDown {
+					t.Errorf("SendDone = %v, %v; want true, ErrNodeDown", done, err)
+				}
+				if err := proc.WaitSend(p, 1); err != ErrNodeDown {
+					t.Errorf("WaitSend = %v, want ErrNodeDown", err)
+				}
+				if err := proc.Close(p); err != nil {
+					t.Errorf("a second Close: %v", err)
 				}
 			})
 		})
