@@ -239,11 +239,11 @@ func Build(p *sim.Proc, procs []*vmmc.Process, _ Options) ([]*Comm, error) {
 }
 
 // makeHandler returns the notification handler for the channel carrying
-// messages from peer. It runs in the driver's signal-delivery process:
-// it only does accounting and wakes the rank; all modeled time (interrupt
-// entry, signal delivery) is already charged by the driver.
+// messages from peer. It runs in the driver's signal event, so it never
+// blocks: it only does accounting and wakes the rank; all modeled time
+// (interrupt entry, signal delivery) is already charged by the driver.
 func (c *Comm) makeHandler(peer int) vmmc.NotifyHandler {
-	return func(p *sim.Proc, from vmmc.ProcID, tag uint32, offset, length int) {
+	return func(from vmmc.ProcID, tag uint32, offset, length int) {
 		switch {
 		case offset == offToken && length == sigBytes:
 			c.in[peer].tokens++

@@ -2,8 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -271,71 +269,5 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if s := Microsecond.String(); s != "1.000us" {
 		t.Errorf("String() = %q", s)
-	}
-}
-
-// TestGoAfterMatchesGoThenSleep runs seeded schedules in which processes
-// and event callbacks spawn children, once with Go and a Sleep(d) at the
-// top of the child and once with GoAfter(d). The logs must agree entry for
-// entry and time for time, and GoAfter must dispatch exactly one event
-// fewer per spawn. The two agree unless something between the Go call and
-// its start event schedules another event d ahead, so every spawn delay is
-// an odd number of microseconds and every other offset an even one.
-func TestGoAfterMatchesGoThenSleep(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		var logs [2][]string
-		var dispatched [2]uint64
-		var spawns [2]int
-		for v, goAfter := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(seed))
-			e := NewEngine()
-			log := func(who string) { logs[v] = append(logs[v], fmt.Sprintf("%v %s", e.Now(), who)) }
-			even := func() Time { return Time(2*rng.Intn(4)) * Microsecond }
-			var spawn func(parent string, depth int)
-			spawn = func(parent string, depth int) {
-				spawns[v]++
-				name := fmt.Sprintf("%s/%d", parent, spawns[v])
-				d, rest := Time(2*rng.Intn(3)+1)*Microsecond, even()
-				body := func(p *Proc) {
-					log(name + " start")
-					if depth < 2 && rng.Intn(2) == 0 {
-						spawn(name, depth+1)
-					}
-					p.Sleep(rest)
-					e.Post(even(), func() { log(name + " event") })
-					log(name + " end")
-				}
-				if goAfter {
-					e.GoAfter(d, name, body)
-				} else {
-					e.Go(name, func(p *Proc) { p.Sleep(d); body(p) })
-				}
-			}
-			for i := 0; i < 4; i++ {
-				name := fmt.Sprintf("proc%d", i)
-				e.Go(name, func(p *Proc) {
-					for j := 0; j < 6; j++ {
-						p.Sleep(even())
-						log(name)
-						spawn(name, 0)
-					}
-				})
-				e.At(even()*3, func() {
-					log(fmt.Sprintf("event%d", i))
-					spawn(fmt.Sprintf("event%d", i), 0)
-				})
-			}
-			if err := e.Run(); err != nil {
-				t.Fatal(err)
-			}
-			dispatched[v] = e.SchedStats().Dispatched
-		}
-		if a, b := strings.Join(logs[0], "\n"), strings.Join(logs[1], "\n"); a != b {
-			t.Fatalf("seed %d: Go+Sleep and GoAfter logs differ:\n%s\n---\n%s", seed, a, b)
-		}
-		if spawns[0] != spawns[1] || dispatched[0]-dispatched[1] != uint64(spawns[0]) {
-			t.Errorf("seed %d: %d and %d events for %d and %d spawns, want one fewer per spawn",
-				seed, dispatched[0], dispatched[1], spawns[0], spawns[1])
-		}
 	}
 }

@@ -48,21 +48,13 @@ func (p *Proc) SetDaemon(on bool) { p.daemon = on }
 type procKilled struct{ p *Proc }
 
 // Go spawns a process named name running fn. The process starts at the
-// current virtual time, after already-scheduled same-time events.
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc { return e.GoAfter(0, name, fn) }
-
-// GoAfter spawns a process that starts d after the current time, where a
-// process running now would wake from Sleep(d): at the same time and in the
-// same place among same-time events. A continuation calls it where a
-// process would sleep and then run fn. It is one event fewer than Go with a
-// Sleep(d) at the top of fn, and the two agree unless something scheduled
-// between the Go call and its start event lies d ahead. The start is an
-// ordinary pooled wake: the body waits on the Proc until the event fires
-// (Engine.step hands a never-started process to startProc).
-func (e *Engine) GoAfter(d Time, name string, fn func(p *Proc)) *Proc {
+// current virtual time, after already-scheduled same-time events. The
+// start is an ordinary pooled wake: the body waits on the Proc until the
+// event fires (Engine.step hands a never-started process to startProc).
+func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, start: fn}
 	e.procs[p] = struct{}{}
-	e.postWake(d, p)
+	e.postWake(0, p)
 	return p
 }
 

@@ -197,8 +197,8 @@ func TestSignalCostChargedForNotification(t *testing.T) {
 			t.Fatal(err)
 		}
 		var firedAt sim.Time
-		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
-			firedAt = hp.Now()
+		recv.RegisterHandler(9, func(from ProcID, tag uint32, offset, length int) {
+			firedAt = c.Eng.Now()
 		})
 		dest, _, _ := send.Import(p, 1, 9)
 		src, _ := send.Malloc(mem.PageSize)

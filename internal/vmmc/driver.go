@@ -19,9 +19,9 @@ type Driver struct {
 	// delivered.
 	mRefills, mLocked, mNotify *trace.Counter
 
-	// Names of the service processes and the trace component, built once:
-	// an interrupt arrives for every notifying message.
-	notifyName, tlbMissName, comp string
+	// Names of the TLB refill process and the trace component, built
+	// once: an interrupt arrives for every notifying message.
+	tlbMissName, comp string
 
 	freeIRQ []*notifyIRQ // notification records not in flight
 }
@@ -33,7 +33,6 @@ func newDriver(n *Node) *Driver {
 		mRefills:    m.Counter(fmt.Sprintf("node%d/tlb_refills", n.ID)),
 		mLocked:     m.Counter(fmt.Sprintf("node%d/pages_locked", n.ID)),
 		mNotify:     m.Counter(fmt.Sprintf("node%d/notifications_delivered", n.ID)),
-		notifyName:  fmt.Sprintf("driver%d:notify", n.ID),
 		tlbMissName: fmt.Sprintf("driver%d:tlbmiss", n.ID),
 		comp:        fmt.Sprintf("node%d/driver", n.ID),
 	}
@@ -65,9 +64,9 @@ func (d *Driver) tlbMiss(pid int, vpage uint64, done func(err error)) {
 // the owner's handler, delivered with a signal (§4.1, §5.1: "code that
 // invokes notifications using signals"): the message targeting (pid, tag)
 // finished arriving at the given buffer offset, sent by from. Each step is
-// an event on the engine; the steps are bound once and the records
-// recycled through the driver's free list, so a notification allocates
-// only its handler's process.
+// an event on the engine, the handler's included, so handlers of one
+// process never overlap and run in arrival order. The steps are bound
+// once and the records recycled through the driver's free list.
 type notifyIRQ struct {
 	d      *Driver
 	pid    int
@@ -76,12 +75,11 @@ type notifyIRQ struct {
 	length int
 	from   ProcID
 
-	// Set by lookup for the handler's start.
+	// Set by lookup for the signal step.
 	proc *Process
 	h    NotifyHandler
 
-	raise, enter, lookup func()
-	signal               func(p *simProc)
+	raise, enter, lookup, signal func()
 }
 
 // notify raises the board's interrupt for a notification.
@@ -133,13 +131,13 @@ func (irq *notifyIRQ) lookupStep() {
 		return
 	}
 	irq.proc = proc
-	n.Eng.GoAfter(n.Prof.SignalCost, irq.d.notifyName, irq.signal)
+	n.Eng.Post(n.Prof.SignalCost, irq.signal)
 }
 
-// signalStep is the start of the handler's process, once the signal has
-// been delivered. A process killed, or a node crashed, while the signal
-// was on its way gets nothing.
-func (irq *notifyIRQ) signalStep(p *simProc) {
+// signalStep runs the handler once the signal has been delivered. A
+// process killed, or a node crashed, while the signal was on its way gets
+// nothing.
+func (irq *notifyIRQ) signalStep() {
 	d, proc, h := irq.d, irq.proc, irq.h
 	from, tag, offset, length := irq.from, irq.tag, irq.offset, irq.length
 	irq.release()
@@ -148,7 +146,7 @@ func (irq *notifyIRQ) signalStep(p *simProc) {
 	}
 	d.mNotify.Add(1)
 	d.node.Eng.TraceInstant(d.comp, "irq", "notification_signal")
-	h(p, from, tag, offset, length)
+	h(from, tag, offset, length)
 }
 
 // refillTLB installs up to TLBRefillBatch translations for contiguous

@@ -105,7 +105,7 @@ func TestNotifyNamesSenderPast255(t *testing.T) {
 			t.Fatal(err)
 		}
 		var from ProcID
-		recv.RegisterHandler(9, func(_ *simProc, f ProcID, _ uint32, _, _ int) { from = f })
+		recv.RegisterHandler(9, func(f ProcID, _ uint32, _, _ int) { from = f })
 		pidsUsed(t, p, c.Nodes[0], 256)
 		send, _ := c.Nodes[0].NewProcess(p)
 		dest, _, err := send.Import(p, 1, 9)
@@ -139,7 +139,7 @@ func TestNotifyExtentBesideDeadSender(t *testing.T) {
 			t.Fatal(err)
 		}
 		offset, length := -1, -1
-		recv.RegisterHandler(9, func(_ *simProc, _ ProcID, _ uint32, off, n int) { offset, length = off, n })
+		recv.RegisterHandler(9, func(_ ProcID, _ uint32, off, n int) { offset, length = off, n })
 		send := func() (*Process, ProxyAddr, mem.VirtAddr) {
 			proc, _ := c.Nodes[0].NewProcess(p)
 			dest, _, err := proc.Import(p, 1, 9)

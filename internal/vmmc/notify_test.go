@@ -8,6 +8,7 @@ import (
 	"repro/internal/hw"
 	"repro/internal/mem"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func TestNotificationInvokesHandler(t *testing.T) {
@@ -24,10 +25,10 @@ func TestNotificationInvokesHandler(t *testing.T) {
 		var gotFrom ProcID
 		var fired int
 		var firedAt sim.Time
-		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
+		recv.RegisterHandler(9, func(from ProcID, tag uint32, offset, length int) {
 			fired++
 			gotFrom, gotTag, gotOffset, gotLen = from, tag, offset, length
-			firedAt = hp.Now()
+			firedAt = c.Eng.Now()
 		})
 
 		dest, _, err := send.Import(p, 1, 9)
@@ -75,7 +76,7 @@ func TestNoNotificationWithoutFlag(t *testing.T) {
 			t.Fatal(err)
 		}
 		fired := 0
-		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) { fired++ })
+		recv.RegisterHandler(9, func(from ProcID, tag uint32, offset, length int) { fired++ })
 		dest, _, _ := send.Import(p, 1, 9)
 		src, _ := send.Malloc(mem.PageSize)
 		if err := send.SendMsgSync(p, src, dest, 64, SendOptions{}); err != nil {
@@ -98,7 +99,7 @@ func TestNotificationSuppressedWhenExportForbidsIt(t *testing.T) {
 			t.Fatal(err)
 		}
 		fired := 0
-		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) { fired++ })
+		recv.RegisterHandler(9, func(from ProcID, tag uint32, offset, length int) { fired++ })
 		dest, _, _ := send.Import(p, 1, 9)
 		src, _ := send.Malloc(mem.PageSize)
 		if err := send.SendMsgSync(p, src, dest, 64, SendOptions{Notify: true}); err != nil {
@@ -123,7 +124,7 @@ func TestNotificationOnLongSendFiresOnceAfterLastChunk(t *testing.T) {
 		fired := 0
 		complete := false
 		gotOffset, gotLen := -1, -1
-		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
+		recv.RegisterHandler(9, func(from ProcID, tag uint32, offset, length int) {
 			fired++
 			gotOffset, gotLen = offset, length
 			// All bytes of the message must be visible.
@@ -171,7 +172,7 @@ func lossyNotifyRig(t *testing.T, body func(p *simProc, c *Cluster, pl *fault.Pl
 			return
 		}
 		var notes []note
-		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
+		recv.RegisterHandler(9, func(from ProcID, tag uint32, offset, length int) {
 			notes = append(notes, note{offset, length})
 		})
 		dest, _, err := send.Import(p, 1, 9)
@@ -264,8 +265,10 @@ func TestLostFirstChunkKeepsTrueStart(t *testing.T) {
 	})
 }
 
+// A handler never blocks, so it cannot send the reply itself: it records
+// the request and wakes a server process, which does the SendMsgSync. The
+// classic transfer of control, with the reply on the server's own thread.
 func TestHandlerCanSendReply(t *testing.T) {
-	// A user-level handler doing VMMC calls: classic transfer of control.
 	testCluster(t, 2, func(p *simProc, c *Cluster) {
 		server, _ := c.Nodes[1].NewProcess(p)
 		client, _ := c.Nodes[0].NewProcess(p)
@@ -278,28 +281,40 @@ func TestHandlerCanSendReply(t *testing.T) {
 		if err := client.Export(p, 2, repBuf, mem.PageSize, nil, false); err != nil {
 			t.Fatal(err)
 		}
-		toServer, _, err := client.Import(p, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		toClient, _, err := server.Import(p, 0, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 
+		var reqs []note
+		arrived := sim.NewCond(c.Eng)
+		server.RegisterHandler(1, func(from ProcID, tag uint32, offset, length int) {
+			if from != client.ID() {
+				t.Errorf("request from %+v, want %+v", from, client.ID())
+			}
+			reqs = append(reqs, note{offset, length})
+			arrived.Signal()
+		})
 		srvSrc, _ := server.Malloc(mem.PageSize)
-		server.RegisterHandler(1, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
-			req, _ := server.Read(reqBuf+mem.VirtAddr(offset), length)
+		c.Eng.Go("server", func(sp *simProc) {
+			for len(reqs) == 0 {
+				arrived.Wait(sp)
+			}
+			req, _ := server.Read(reqBuf+mem.VirtAddr(reqs[0].offset), reqs[0].length)
 			reply := append([]byte("re:"), req...)
 			if err := server.Write(srvSrc, reply); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := server.SendMsgSync(hp, srvSrc, toClient, len(reply), SendOptions{}); err != nil {
+			if err := server.SendMsgSync(sp, srvSrc, toClient, len(reply), SendOptions{}); err != nil {
 				t.Error(err)
 			}
 		})
 
+		toServer, _, err := client.Import(p, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cliSrc, _ := client.Malloc(mem.PageSize)
 		if err := client.Write(cliSrc, []byte("ping")); err != nil {
 			t.Fatal(err)
@@ -312,14 +327,18 @@ func TestHandlerCanSendReply(t *testing.T) {
 		if string(got) != "re:ping" {
 			t.Errorf("reply = %q", got)
 		}
+		if len(reqs) != 1 {
+			t.Errorf("%d requests reached the handler, want 1", len(reqs))
+		}
 	})
 }
 
 // A striped read: the client's notifying requests reach three servers,
-// whose handlers long-send two-page blocks straight to their offsets in
-// one buffer the client exported. Data from several nodes scatters into
-// one buffer with no copy and no receive call; the client watches only
-// the last byte of each block.
+// whose handlers queue each request for a server process that long-sends
+// the two-page block straight to its offset in one buffer the client
+// exported. Data from several nodes scatters into one buffer with no copy
+// and no receive call; the client watches only the last byte of each
+// block.
 func TestHandlersScatterIntoOneBuffer(t *testing.T) {
 	const servers, block, blocks = 3, 2 * mem.PageSize, 6
 	pattern := func(b, j int) byte { return byte(b*31 + j) }
@@ -354,11 +373,27 @@ func TestHandlersScatterIntoOneBuffer(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			srv.RegisterHandler(1, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
+			// The handler reads the request byte as it arrives and queues
+			// the block; the server process sends the blocks in order.
+			var queue []int
+			arrived := sim.NewCond(c.Eng)
+			srv.RegisterHandler(1, func(from ProcID, tag uint32, offset, length int) {
 				req, _ := srv.Read(reqs+mem.VirtAddr(offset), 1)
-				b := int(req[0])
-				if err := srv.SendMsgSync(hp, store+mem.VirtAddr(b*block), toFile+ProxyAddr(b*block), block, SendOptions{}); err != nil {
-					t.Error(err)
+				queue = append(queue, int(req[0]))
+				arrived.Signal()
+			})
+			mine := (blocks - i + servers - 1) / servers
+			c.Eng.Go(fmt.Sprintf("server%d", i), func(sp *simProc) {
+				for sent := 0; sent < mine; sent++ {
+					for len(queue) == 0 {
+						arrived.Wait(sp)
+					}
+					b := queue[0]
+					queue = queue[1:]
+					if err := srv.SendMsgSync(sp, store+mem.VirtAddr(b*block), toFile+ProxyAddr(b*block), block, SendOptions{}); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			})
 			if toReq[i], _, err = client.Import(p, i, 1); err != nil {
@@ -435,7 +470,7 @@ func TestReexportAfterKillNotifiesOwnExtent(t *testing.T) {
 
 		recv, dest := export()
 		offset, length := -1, -1
-		recv.RegisterHandler(9, func(_ *simProc, _ ProcID, _ uint32, off, n int) {
+		recv.RegisterHandler(9, func(_ ProcID, _ uint32, off, n int) {
 			offset, length = off, n
 		})
 		if err := send.SendMsgSync(p, src, dest+3*mem.PageSize, 64, SendOptions{Notify: true}); err != nil {
@@ -450,7 +485,7 @@ func TestReexportAfterKillNotifiesOwnExtent(t *testing.T) {
 
 // A signal on its way to a process that dies is dropped, as a signal to a
 // dead pid is. The driver finds the owner InterruptCost after the
-// interrupt and the handler starts SignalCost later; a kill or a crash in
+// interrupt and the handler runs SignalCost later; a kill or a crash in
 // between used to run the handler anyway. Each case times its disturbance
 // against the undisturbed run's handler, 5 and 20 µs ahead of it.
 func TestNotificationDroppedForProcessDeadBeforeSignal(t *testing.T) {
@@ -465,7 +500,7 @@ func TestNotificationDroppedForProcessDeadBeforeSignal(t *testing.T) {
 			if err := recv.Export(p, 9, buf, mem.PageSize, nil, true); err != nil {
 				t.Fatal(err)
 			}
-			recv.RegisterHandler(9, func(hp *simProc, _ ProcID, _ uint32, _, _ int) { fired = hp.Now() })
+			recv.RegisterHandler(9, func(_ ProcID, _ uint32, _, _ int) { fired = c.Eng.Now() })
 			dest, _, err := send.Import(p, 1, 9)
 			if err != nil {
 				t.Fatal(err)
@@ -501,4 +536,75 @@ func TestNotificationDroppedForProcessDeadBeforeSignal(t *testing.T) {
 			})
 		}
 	}
+}
+
+// irqSink records when a board raised each notification interrupt.
+type irqSink struct {
+	comp string
+	at   []sim.Time
+}
+
+func (s *irqSink) Consume(ev trace.Event) {
+	if ev.Ph == trace.PhaseInstant && ev.Component == s.comp && ev.Name == "vmmc.notifyIRQ" {
+		s.at = append(s.at, sim.Time(ev.T))
+	}
+}
+
+// Two notifying sends 1 µs apart reach one process while the first
+// signal is still on its way. Like signal handlers, the two handlers run
+// one after the other, in arrival order, and each runs InterruptCost +
+// SignalCost after its own interrupt: the second neither waits for the
+// first nor overtakes it.
+func TestHandlersRunInArrivalOrder(t *testing.T) {
+	testCluster(t, 2, func(p *simProc, c *Cluster) {
+		recv, _ := c.Nodes[1].NewProcess(p)
+		send, _ := c.Nodes[0].NewProcess(p)
+		buf, _ := recv.Malloc(mem.PageSize)
+		if err := recv.Export(p, 9, buf, mem.PageSize, nil, true); err != nil {
+			t.Error(err)
+			return
+		}
+		var notes []note
+		var fired []sim.Time
+		recv.RegisterHandler(9, func(_ ProcID, _ uint32, off, n int) {
+			notes = append(notes, note{off, n})
+			fired = append(fired, c.Eng.Now())
+		})
+		dest, _, err := send.Import(p, 1, 9)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		src, _ := send.Malloc(mem.PageSize)
+		irqs := &irqSink{comp: fmt.Sprintf("lanai%d", c.Nodes[1].Board.NIC.ID)}
+		c.Eng.Trace().Subscribe(irqs)
+		defer c.Eng.Trace().Unsubscribe(irqs)
+		for i, m := range []note{{0, 4}, {64, 8}} {
+			if i > 0 {
+				p.Sleep(sim.Microsecond)
+			}
+			if _, err := send.SendMsg(p, src, dest+ProxyAddr(m.offset), m.length, SendOptions{Notify: true}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		p.Sleep(sim.Millisecond)
+
+		if want := []note{{0, 4}, {64, 8}}; fmt.Sprint(notes) != fmt.Sprint(want) {
+			t.Errorf("handlers saw %v, want %v", notes, want)
+		}
+		if len(irqs.at) != 2 || len(fired) != 2 {
+			t.Errorf("%d interrupts and %d handlers, want 2 and 2", len(irqs.at), len(fired))
+			return
+		}
+		if irqs.at[1] >= fired[0] {
+			t.Errorf("second interrupt at %v, after the first handler ran at %v: the signals never overlapped", irqs.at[1], fired[0])
+		}
+		prof := c.Nodes[1].Prof
+		for i := range fired {
+			if want := irqs.at[i] + prof.InterruptCost + prof.SignalCost; fired[i] != want {
+				t.Errorf("handler %d ran at %v, want %v (interrupt at %v)", i, fired[i], want, irqs.at[i])
+			}
+		}
+	})
 }

@@ -235,7 +235,7 @@ func notifyRig(t *testing.T, fn func(p *simProc, notify func())) {
 		}
 		fired := 0
 		arrived := sim.NewCond(c.Eng)
-		recv.RegisterHandler(9, func(hp *simProc, from ProcID, tag uint32, offset, length int) {
+		recv.RegisterHandler(9, func(from ProcID, tag uint32, offset, length int) {
 			if offset != 8 || length != 4 {
 				t.Errorf("notification for %d bytes at %d, want 4 at 8", length, offset)
 			}
@@ -262,15 +262,17 @@ func notifyRig(t *testing.T, fn func(p *simProc, notify func())) {
 }
 
 // The allocation ceiling of a notification: one notifying 4-byte
-// SendMsgSync through to the receiver's handler. On top of the short send
-// it costs the handler's process and nothing else: the interrupt is a
-// chain of continuations over a recycled record, and no names are built,
-// no unpooled event, no packet record. Measured (go1.24): 2; it was 15,
-// then 8 while the packet record, its delivery closure and its ingress
-// slice were allocated per packet, then 5 while the interrupt boxed its
-// cause, closed over it twice and ran in a service process of its own.
+// SendMsgSync through to the receiver's handler. What is left is the short
+// send's inline copy of its payload; the notification costs nothing on top
+// of it: the interrupt and the handler are a chain of continuations over a
+// recycled record, and no names are built, no unpooled event, no packet
+// record, no process. Measured (go1.24): 1; it was 15, then 8 while the
+// packet record, its delivery closure and its ingress slice were allocated
+// per packet, then 5 while the interrupt boxed its cause, closed over it
+// twice and ran in a service process of its own, then 2 while the handler
+// ran in a process of its own.
 func TestNotificationAllocationCeilings(t *testing.T) {
-	const ceiling = 2
+	const ceiling = 1
 	notifyRig(t, func(_ *simProc, notify func()) {
 		for i := 0; i < 4; i++ {
 			notify()
@@ -296,11 +298,13 @@ func TestNotificationAllocationCeilings(t *testing.T) {
 // 4 handoffs, 113 and 6 over the link layer (and a chunk's host DMA as a
 // process, 147 on the paper's link). What is left, about four per chunk,
 // is the sender's LCP, the receiver's LCP and the waiting process taking
-// turns. A notification costs 4 handoffs at 22 events: the handler's
-// process starts once the signal is delivered, where a service process
-// used to sleep through the interrupt entry and the signal (14
-// self-resumes where there are 12 now; the handoffs it saves show where
-// notifications overlap other work, as in an all-reduce).
+// turns. A notification costs 3 handoffs at 22 events: the handler runs in
+// the signal's event and wakes the waiting process, where it used to run
+// in a process of its own, started once the signal was delivered (4
+// handoffs), and before that a service process slept through the
+// interrupt entry and the signal (14 self-resumes where there are 12 now;
+// the handoffs these save show where notifications overlap other work, as
+// in an all-reduce).
 func TestSteadyStateHandoffCeilings(t *testing.T) {
 	measure := func(p *simProc, name string, do func(), ceiling uint64) {
 		before := p.Engine().SchedStats()
@@ -333,7 +337,7 @@ func TestSteadyStateHandoffCeilings(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			notify()
 		}
-		measure(p, "notifying 4-byte SendMsgSync + handler", notify, 4)
+		measure(p, "notifying 4-byte SendMsgSync + handler", notify, 3)
 	})
 }
 

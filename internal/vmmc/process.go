@@ -84,8 +84,11 @@ type importRec struct {
 // handler on an export imported by many peers — the fan-in idiom the
 // collectives layer relies on — can demultiplex without encoding the
 // sender into the payload. offset and length describe the whole message
-// within the export, across all of its chunks.
-type NotifyHandler func(p *simProc, from ProcID, tag uint32, offset, length int)
+// within the export, across all of its chunks. Like a signal handler, it
+// runs to completion in the signal's event: it may count, queue and wake a
+// process, which sends any reply, but never blocks. Handlers of one
+// process never overlap and run in arrival order.
+type NotifyHandler func(from ProcID, tag uint32, offset, length int)
 
 // ID returns the process's cluster-wide identity.
 func (proc *Process) ID() ProcID { return ProcID{Node: proc.Node.ID, Pid: proc.Pid} }

@@ -81,7 +81,8 @@ type (
 	SendOptions = vmmc.SendOptions
 	// ProcID names a process cluster-wide, for export restrictions.
 	ProcID = vmmc.ProcID
-	// NotifyHandler is a user-level notification handler.
+	// NotifyHandler is a user-level notification handler; it runs to
+	// completion in the signal's event, in arrival order, and never blocks.
 	NotifyHandler = vmmc.NotifyHandler
 
 	// VirtAddr is a process virtual address.
